@@ -1,5 +1,5 @@
 //! Hot-path batching benchmark: the before/after numbers for the
-//! per-message-cost work, in four parts:
+//! per-message-cost work, in three parts:
 //!
 //! 1. **Sharded aggregate throughput** (acceptance): the paper's Redis
 //!    is single-threaded, so capacity scales by running one instance
@@ -21,8 +21,6 @@
 //!    wall time of the whole run over total events, so it is the
 //!    serialized per-event CPU cost on a single-core box and the
 //!    aggregate cost under real parallelism.
-//! 4. **send vs send_batch**: per-message cost of `Network::send`
-//!    against `Network::send_batch` on the direct fast path.
 //!
 //! Writes `results/batching.json`.
 //!
@@ -43,11 +41,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csaw_bench::report::Report;
-use csaw_kv::Update;
-use csaw_runtime::cell::JunctionId;
-use csaw_runtime::trace::{Metrics, TraceKind, Tracer};
-use csaw_runtime::transport::{DeliverBatchFn, DeliverFn, Network};
-use csaw_runtime::Clock;
+use csaw_runtime::trace::{TraceKind, Tracer};
 use mini_redis::hash::shard_of;
 use mini_redis::workload::{Workload, WorkloadSpec};
 use mini_redis::{Command, ShardedStore, Store};
@@ -251,49 +245,6 @@ fn trace_saturation(threads: usize, total_events: usize) -> f64 {
         .fold(f64::INFINITY, f64::min)
 }
 
-// ---------------------------------------------------------------------
-// 4. send vs send_batch
-// ---------------------------------------------------------------------
-
-/// A network whose delivery is a no-op — isolates the transport send
-/// path (route lookup, stamping, fault dice, dedup, trace hooks).
-fn noop_network() -> Network {
-    let one: DeliverFn = Arc::new(|_to, _u| {});
-    let batch: DeliverBatchFn = Arc::new(|_to, _us| {});
-    Network::with_telemetry_batched(
-        one,
-        Some(batch),
-        Arc::new(Tracer::new()),
-        &Metrics::new(),
-        Clock::wall(),
-    )
-}
-
-/// Per-message cost of `send` vs `send_batch` (batch of 256) over
-/// `total` messages each. Update construction is inside both timed
-/// loops, so the difference is pure transport bookkeeping.
-fn send_micro(total: usize) -> (f64, f64) {
-    let net = noop_network();
-    let to = JunctionId::new("B", "j");
-
-    let start = Instant::now();
-    for _ in 0..total {
-        net.send("A", &to, Update::assert("Work", "A::j")).unwrap();
-    }
-    let one_ns = start.elapsed().as_nanos() as f64 / total as f64;
-
-    let batch = 256;
-    let rounds = total / batch;
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let updates: Vec<Update> =
-            (0..batch).map(|_| Update::assert("Work", "A::j")).collect();
-        net.send_batch("A", &to, updates).unwrap();
-    }
-    let batch_ns = start.elapsed().as_nanos() as f64 / (rounds * batch) as f64;
-    (one_ns, batch_ns)
-}
-
 fn main() {
     let secs = std::env::var("CSAW_BATCH_SECS")
         .ok()
@@ -363,15 +314,6 @@ fn main() {
         "  {total_events} events over {threads} threads: {ns_multi:.1} ns/event (1 thread: {ns_single:.1})"
     );
 
-    // -- 4. send vs send_batch -----------------------------------------
-    let _ = send_micro(50_000); // warm-up
-    let (send_ns, batch_ns) = send_micro(400_000);
-    println!("transport per-message cost (no-op delivery):");
-    println!(
-        "  send {send_ns:.0} ns/msg, send_batch(256) {batch_ns:.0} ns/msg ({:.2}x)",
-        send_ns / batch_ns
-    );
-
     let mut r = Report::new("batching", "Hot-path batching & lock sharding");
     r.note("threads", threads as f64);
     r.note("secs_per_run", secs);
@@ -392,9 +334,6 @@ fn main() {
     r.note("trace_events", total_events as f64);
     r.note("trace_ns_per_event_saturated", ns_multi);
     r.note("trace_ns_per_event_single_thread", ns_single);
-    r.note("send_ns_per_msg", send_ns);
-    r.note("send_batch_ns_per_msg", batch_ns);
-    r.note("send_batch_speedup", send_ns / batch_ns);
     r.remark(
         "acceptance: sharded aggregate >= 2x the single-instance baseline; \
          trace hot path < 100 ns/event at saturation",
@@ -423,7 +362,6 @@ fn main() {
             ("redis_sharded_aggregate_qps", aggregate_qps, true),
             ("sharded_over_single", ratio, true),
             ("trace_ns_per_event_saturated", ns_multi, false),
-            ("send_batch_ns_per_msg", batch_ns, false),
         ];
         println!("baseline regression check ({base_path}, 25% tolerance):");
         for (name, cur, higher_better) in checks {

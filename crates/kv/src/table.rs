@@ -499,24 +499,6 @@ impl Table {
         Delivery::Queued
     }
 
-    /// Deliver a run of remote updates in order. Exactly equivalent to
-    /// calling [`Table::deliver`] per update — each still gets its own
-    /// `op_seq`, window admission check, and trace event, so the §8
-    /// local-priority semantics and the denoted event structure are
-    /// unchanged; what a batch amortizes is everything *around* this
-    /// call (one table-lock acquisition and one waiter wakeup per run,
-    /// see `Cell::deliver_batch` in the runtime). Returns how many
-    /// updates applied immediately.
-    pub fn deliver_batch(&mut self, updates: Vec<Update>) -> usize {
-        let mut applied = 0;
-        for u in updates {
-            if self.deliver(u) == Delivery::AppliedNow {
-                applied += 1;
-            }
-        }
-        applied
-    }
-
     /// Open a `wait` window admitting the given keys; returns a token for
     /// [`Table::close_window`].
     ///
@@ -957,58 +939,6 @@ mod tests {
         assert_eq!(t.deliver(Update::retract("Retried", "a")), Delivery::AppliedNow);
         t.close_window(w2);
         assert_eq!(t.deliver(Update::assert("Retried", "a")), Delivery::Queued);
-    }
-
-    #[test]
-    fn batch_delivery_is_equivalent_to_sequential() {
-        // `deliver_batch` must denote exactly the event structure of
-        // per-update `deliver` calls: same applied/queued decisions,
-        // same op_seq assignment, same final state — across random
-        // scripts mixing windows, local writes, and mid-run delivery.
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-        for seed in 0..48u64 {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let keys = ["Work", "Retried", "n"];
-            let updates: Vec<Update> = (0..40)
-                .map(|i| {
-                    let k = keys[rng.gen_range(0..keys.len())];
-                    match rng.gen_range(0..3) {
-                        0 => Update::assert(k, "g::j"),
-                        1 => Update::retract(k, "g::j"),
-                        _ => Update::data(k, Value::Int(i), "g::j"),
-                    }
-                })
-                .collect();
-            let window: Vec<String> = keys
-                .iter()
-                .filter(|_| rng.gen_bool(0.5))
-                .map(|k| k.to_string())
-                .collect();
-            let local_write = rng.gen_bool(0.5);
-            let run = |batched: bool| {
-                let mut t = table();
-                t.begin_activation();
-                t.open_window(window.clone());
-                if local_write {
-                    t.set_prop_local("Work", true).unwrap();
-                }
-                if batched {
-                    t.deliver_batch(updates.clone());
-                } else {
-                    for u in updates.clone() {
-                        t.deliver(u);
-                    }
-                }
-                t.end_activation();
-                // A fresh activation flushes the pending queue, so the
-                // flush rule is part of the equivalence too.
-                t.begin_activation();
-                t.end_activation();
-                t.export_state()
-            };
-            assert_eq!(run(true), run(false), "seed {seed} diverged");
-        }
     }
 
     #[test]

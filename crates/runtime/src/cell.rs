@@ -87,30 +87,6 @@ impl Cell {
         self.cond.notify_all();
     }
 
-    /// Deliver a run of remote updates under one table-lock acquisition
-    /// and one waiter wakeup. Per-update semantics are identical to
-    /// [`Cell::deliver`] in a loop — see `Table::deliver_batch`.
-    pub fn deliver_batch(&self, updates: Vec<Update>) {
-        if updates.is_empty() {
-            return;
-        }
-        static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let trace = *TRACE.get_or_init(|| std::env::var("CSAW_TRACE").is_ok());
-        {
-            let mut t = self.table.lock();
-            if trace {
-                eprintln!(
-                    "[deliver] {} <- batch of {} (running={})",
-                    self.id,
-                    updates.len(),
-                    t.is_running()
-                );
-            }
-            t.deliver_batch(updates);
-        }
-        self.cond.notify_all();
-    }
-
     /// Wake waiters without delivering (e.g. liveness changes that may
     /// satisfy `wait`ed formulas indirectly, or shutdown).
     pub fn nudge(&self) {

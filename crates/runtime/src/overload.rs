@@ -34,7 +34,15 @@
 //! All bounds default to *off* (zero / `None`), so an unconfigured
 //! runtime behaves exactly as before.
 
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
+
+use parking_lot::Mutex;
+
+use crate::cell::JunctionId;
+use crate::trace::Metrics;
+use crate::transport::MailboxProbe;
 
 /// Overload-control knobs for a [`Network`](crate::transport::Network)
 /// (installed via `Runtime::set_overload` or
@@ -133,9 +141,189 @@ pub struct OverloadStats {
     pub retries_suppressed: u64,
 }
 
+/// Shared overload-control state: the installed [`OverloadConfig`] and
+/// [`RetryBudgetPolicy`] flattened into atomics (the send hot path
+/// reads them with relaxed loads, no lock), the mailbox-depth probe,
+/// and the overload counters — handles into the metrics registry, so
+/// [`OverloadStats`] and the `csaw_link_*_total` lines are one number.
+/// One `Arc` shared by the network's send path, its delivery filter
+/// and its delay queue.
+pub(crate) struct OverloadState {
+    outbox_bound: AtomicUsize,
+    mailbox_bound: AtomicUsize,
+    /// Ingress deadline budget in nanoseconds (0 = none).
+    ingress_deadline_nanos: AtomicU64,
+    shed_expired: AtomicBool,
+    priority_lane: AtomicBool,
+    /// Retry budget, flattened (millitokens).
+    budget_enabled: AtomicBool,
+    budget_initial: AtomicU64,
+    budget_per_send: AtomicU64,
+    budget_cap: AtomicU64,
+    /// Mailbox-depth probe installed by the runtime.
+    probe: Mutex<Option<MailboxProbe>>,
+    shed: Arc<AtomicU64>,
+    queue_full: Arc<AtomicU64>,
+    deadline_expired: Arc<AtomicU64>,
+    retries_suppressed: Arc<AtomicU64>,
+}
+
+impl OverloadState {
+    pub(crate) fn new(metrics: &Metrics) -> Arc<OverloadState> {
+        let cfg = OverloadConfig::default();
+        let budget = RetryBudgetPolicy::default();
+        Arc::new(OverloadState {
+            outbox_bound: AtomicUsize::new(cfg.outbox_bound),
+            mailbox_bound: AtomicUsize::new(cfg.mailbox_bound),
+            ingress_deadline_nanos: AtomicU64::new(0),
+            shed_expired: AtomicBool::new(cfg.shed_expired),
+            priority_lane: AtomicBool::new(cfg.priority_lane),
+            budget_enabled: AtomicBool::new(budget.enabled),
+            budget_initial: AtomicU64::new(budget.initial_milli),
+            budget_per_send: AtomicU64::new(budget.per_send_milli),
+            budget_cap: AtomicU64::new(budget.cap_milli),
+            probe: Mutex::new(None),
+            shed: metrics.counter("link_shed_total"),
+            queue_full: metrics.counter("link_queue_full_total"),
+            deadline_expired: metrics.counter("link_deadline_expired_total"),
+            retries_suppressed: metrics.counter("link_retries_suppressed_total"),
+        })
+    }
+
+    pub(crate) fn set_config(&self, cfg: OverloadConfig) {
+        self.outbox_bound.store(cfg.outbox_bound, Ordering::Relaxed);
+        self.mailbox_bound.store(cfg.mailbox_bound, Ordering::Relaxed);
+        self.ingress_deadline_nanos.store(
+            cfg.ingress_deadline.map_or(0, |d| d.as_nanos() as u64),
+            Ordering::Relaxed,
+        );
+        self.shed_expired.store(cfg.shed_expired, Ordering::Relaxed);
+        self.priority_lane.store(cfg.priority_lane, Ordering::Relaxed);
+    }
+
+    pub(crate) fn config(&self) -> OverloadConfig {
+        OverloadConfig {
+            outbox_bound: self.outbox_bound.load(Ordering::Relaxed),
+            mailbox_bound: self.mailbox_bound.load(Ordering::Relaxed),
+            ingress_deadline: self.ingress_deadline(),
+            shed_expired: self.shed_expired(),
+            priority_lane: self.priority_lane.load(Ordering::Relaxed),
+        }
+    }
+
+    pub(crate) fn set_budget(&self, b: RetryBudgetPolicy) {
+        self.budget_enabled.store(b.enabled, Ordering::Relaxed);
+        self.budget_initial.store(b.initial_milli, Ordering::Relaxed);
+        self.budget_per_send.store(b.per_send_milli, Ordering::Relaxed);
+        self.budget_cap.store(b.cap_milli, Ordering::Relaxed);
+    }
+
+    pub(crate) fn set_probe(&self, probe: MailboxProbe) {
+        *self.probe.lock() = Some(probe);
+    }
+
+    pub(crate) fn shed_expired(&self) -> bool {
+        self.shed_expired.load(Ordering::Relaxed)
+    }
+
+    /// Current ingress deadline budget, if configured.
+    pub(crate) fn ingress_deadline(&self) -> Option<Duration> {
+        let nanos = self.ingress_deadline_nanos.load(Ordering::Relaxed);
+        (nanos > 0).then(|| Duration::from_nanos(nanos))
+    }
+
+    /// Whether the destination mailbox is at or over its depth bound.
+    /// A mailbox the probe cannot observe (none installed, table lock
+    /// held) counts as not full.
+    pub(crate) fn mailbox_full(&self, to: &JunctionId) -> bool {
+        let bound = self.mailbox_bound.load(Ordering::Relaxed);
+        if bound == 0 {
+            return false;
+        }
+        let probe = self.probe.lock().clone();
+        probe.and_then(|p| p(to)).is_some_and(|len| len >= bound)
+    }
+
+    /// Send-side admission: whether a queue bound refuses this send.
+    /// The bounds apply to the data plane, and to the control plane too
+    /// once the priority lane is switched off. `route_inflight` is only
+    /// called when an outbox bound is installed, so the unconfigured
+    /// hot path takes no lock.
+    pub(crate) fn refuses_send(
+        &self,
+        data_plane: bool,
+        route_inflight: impl FnOnce() -> u64,
+        to: &JunctionId,
+    ) -> bool {
+        if !data_plane && self.priority_lane.load(Ordering::Relaxed) {
+            return false;
+        }
+        let obound = self.outbox_bound.load(Ordering::Relaxed);
+        (obound > 0 && route_inflight() >= obound as u64) || self.mailbox_full(to)
+    }
+
+    /// A fresh send earns retry-budget tokens into its route's bucket
+    /// (`None` until the first stamp lazily seeds the initial
+    /// allowance).
+    pub(crate) fn earn_retry_tokens(&self, bucket: &mut Option<u64>) {
+        if self.budget_enabled.load(Ordering::Relaxed) {
+            let cur = bucket.unwrap_or_else(|| self.budget_initial.load(Ordering::Relaxed));
+            let earned = cur.saturating_add(self.budget_per_send.load(Ordering::Relaxed));
+            *bucket = Some(earned.min(self.budget_cap.load(Ordering::Relaxed)));
+        }
+    }
+
+    /// Pay for one retry (1000 millitokens) out of the route's bucket.
+    /// `false` — counted as a suppressed retry — when the bucket is
+    /// exhausted; always `true` while the budget is disabled.
+    pub(crate) fn spend_retry_token(&self, bucket: &mut Option<u64>) -> bool {
+        if !self.budget_enabled.load(Ordering::Relaxed) {
+            return true;
+        }
+        let cur = bucket.unwrap_or_else(|| self.budget_initial.load(Ordering::Relaxed));
+        if cur < 1000 {
+            self.retries_suppressed.fetch_add(1, Ordering::Relaxed);
+            return false;
+        }
+        *bucket = Some(cur - 1000);
+        true
+    }
+
+    pub(crate) fn note_shed(&self) {
+        self.shed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_queue_full(&self) {
+        self.queue_full.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn note_deadline_expired(&self) {
+        self.deadline_expired.fetch_add(1, Ordering::Relaxed);
+    }
+
+    pub(crate) fn stats(&self) -> OverloadStats {
+        OverloadStats {
+            shed: self.shed.load(Ordering::Relaxed),
+            queue_full: self.queue_full.load(Ordering::Relaxed),
+            deadline_expired: self.deadline_expired.load(Ordering::Relaxed),
+            retries_suppressed: self.retries_suppressed.load(Ordering::Relaxed),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc;
+    use std::time::Instant;
+
+    use csaw_core::value::Value;
+    use csaw_kv::Update;
+
     use super::*;
+    use crate::clock::Clock;
+    use crate::fault::{FaultPlan, RetryPolicy};
+    use crate::trace::Tracer;
+    use crate::transport::{collecting_network, DeliverFn, LinkKind, Network, SendError};
 
     #[test]
     fn defaults_are_inert() {
@@ -154,5 +342,173 @@ mod tests {
         assert!(b.initial_milli >= 1000);
         assert!(b.cap_milli >= b.initial_milli);
         assert!(!RetryBudgetPolicy::disabled().enabled);
+    }
+
+    #[test]
+    fn outbox_bound_refuses_with_queue_full() {
+        let (net, rx) = collecting_network();
+        net.set_retry_policy(RetryPolicy::disabled());
+        net.set_link(
+            "f",
+            "g",
+            LinkKind::Sim { latency: Duration::from_millis(200), bandwidth: 0 },
+        );
+        net.set_overload(OverloadConfig { outbox_bound: 2, ..Default::default() });
+        let to = JunctionId::new("g", "junction");
+        net.send("f", &to, Update::data("n", Value::Int(0), "f::j")).unwrap();
+        net.send("f", &to, Update::data("n", Value::Int(1), "f::j")).unwrap();
+        let err = net.send("f", &to, Update::data("n", Value::Int(2), "f::j")).unwrap_err();
+        assert!(matches!(err, SendError::QueueFull), "got {err}");
+        assert!(err.is_retryable(), "QueueFull is backpressure, not a fatal error");
+        assert_eq!(net.stats().queue_full, 1);
+        // The two admitted sends still land.
+        rx.recv_timeout(Duration::from_secs(2)).unwrap();
+        rx.recv_timeout(Duration::from_secs(2)).unwrap();
+    }
+
+    #[test]
+    fn priority_lane_exempts_control_traffic_until_disabled() {
+        let (net, _rx) = collecting_network();
+        net.set_retry_policy(RetryPolicy::disabled());
+        net.set_link(
+            "f",
+            "g",
+            LinkKind::Sim { latency: Duration::from_millis(200), bandwidth: 0 },
+        );
+        net.set_overload(OverloadConfig { outbox_bound: 1, ..Default::default() });
+        let to = JunctionId::new("g", "junction");
+        net.send("f", &to, Update::data("n", Value::Int(0), "f::j")).unwrap();
+        // Data plane is full; a raw (heartbeat-style) send still goes.
+        net.send_raw("f", &to, Update::assert("hb", "f::j")).unwrap();
+        // Without the lane, control traffic faces the same bound — the
+        // metastable configuration the Overload scenario's bug proves.
+        net.set_overload(OverloadConfig {
+            outbox_bound: 1,
+            priority_lane: false,
+            ..Default::default()
+        });
+        let err = net.send_raw("f", &to, Update::assert("hb", "f::j")).unwrap_err();
+        assert!(matches!(err, SendError::QueueFull), "got {err}");
+    }
+
+    #[test]
+    fn expired_deadline_is_shed_before_reserving_the_link() {
+        let (net, rx) = collecting_network();
+        net.set_retry_policy(RetryPolicy::disabled());
+        net.set_link(
+            "f",
+            "g",
+            LinkKind::Sim { latency: Duration::from_millis(100), bandwidth: 0 },
+        );
+        net.set_overload(OverloadConfig { shed_expired: true, ..Default::default() });
+        let to = JunctionId::new("g", "junction");
+        // A 1ms budget cannot survive a 100ms link: the dispatch
+        // predictor sheds it without queueing anything.
+        let err = net
+            .send_with_deadline(
+                "f",
+                &to,
+                Update::data("n", Value::Int(0), "f::j"),
+                Some(Instant::now() + Duration::from_millis(1)),
+            )
+            .unwrap_err();
+        assert!(matches!(err, SendError::DeadlineExpired), "got {err}");
+        assert!(!err.is_retryable(), "an expired deadline cannot be outwaited");
+        let s = net.stats();
+        assert_eq!(s.shed, 1);
+        assert_eq!(s.deadline_expired, 1);
+        assert!(
+            rx.recv_timeout(Duration::from_millis(300)).is_err(),
+            "shed update must never be delivered"
+        );
+        // A comfortable budget passes untouched.
+        net.send_with_deadline(
+            "f",
+            &to,
+            Update::data("n", Value::Int(1), "f::j"),
+            Some(Instant::now() + Duration::from_secs(5)),
+        )
+        .unwrap();
+        rx.recv_timeout(Duration::from_secs(2)).unwrap();
+    }
+
+    #[test]
+    fn retry_budget_caps_retry_amplification() {
+        let (net, _rx) = collecting_network();
+        // Always-dropping link with a generous retry policy: without a
+        // budget each send would burn max_retries attempts.
+        net.set_fault_plan("f", "g", FaultPlan::none().with_drop(1.0).with_seed(7));
+        net.set_retry_policy(RetryPolicy {
+            enabled: true,
+            max_retries: 100,
+            base: Duration::from_micros(10),
+            cap: Duration::from_micros(50),
+        });
+        // Two retries of burst, nothing earned per send.
+        net.set_retry_budget(RetryBudgetPolicy {
+            enabled: true,
+            initial_milli: 2000,
+            per_send_milli: 0,
+            cap_milli: 2000,
+        });
+        let to = JunctionId::new("g", "junction");
+        let err = net.send("f", &to, Update::data("n", Value::Int(0), "f::j")).unwrap_err();
+        assert!(matches!(err, SendError::LinkDropped), "got {err}");
+        let s = net.stats();
+        assert_eq!(s.retries, 2, "budget must stop the retry loop at 2 tokens");
+        assert_eq!(s.retries_suppressed, 1);
+        // Disabled budget falls back to the policy bound.
+        net.set_retry_budget(RetryBudgetPolicy::disabled());
+        net.set_retry_policy(RetryPolicy {
+            enabled: true,
+            max_retries: 5,
+            base: Duration::from_micros(10),
+            cap: Duration::from_micros(50),
+        });
+        let _ = net.send("f", &to, Update::data("n", Value::Int(1), "f::j")).unwrap_err();
+        assert_eq!(net.stats().retries, 2 + 5);
+    }
+
+    #[test]
+    fn mailbox_bound_consults_probe_and_sheds_at_admit() {
+        let (net, _rx) = collecting_network();
+        net.set_retry_policy(RetryPolicy::disabled());
+        // Probe reports the target junction as saturated.
+        net.set_mailbox_probe(Arc::new(|to: &JunctionId| {
+            if to.junction == "busy" {
+                Some(100)
+            } else {
+                Some(0)
+            }
+        }));
+        net.set_overload(OverloadConfig { mailbox_bound: 8, ..Default::default() });
+        let busy = JunctionId::new("g", "busy");
+        let idle = JunctionId::new("g", "idle");
+        let err = net.send("f", &busy, Update::assert("Work", "f::j")).unwrap_err();
+        assert!(matches!(err, SendError::QueueFull), "got {err}");
+        net.send("f", &idle, Update::assert("Work", "f::j")).unwrap();
+        assert_eq!(net.stats().queue_full, 1);
+    }
+
+    #[test]
+    fn overload_metrics_register_in_prometheus_rendering() {
+        let (tx, _rx) = mpsc::channel();
+        let deliver: DeliverFn = Arc::new(move |to: &JunctionId, u: Update| {
+            tx.send((to.clone(), u)).ok();
+        });
+        let metrics = Arc::new(Metrics::new());
+        let net =
+            Network::with_telemetry(deliver, Arc::new(Tracer::new()), &metrics, Clock::wall());
+        net.refresh_overload_gauges();
+        let text = metrics.render_prometheus();
+        for name in [
+            "csaw_link_shed_total",
+            "csaw_link_queue_full_total",
+            "csaw_link_deadline_expired_total",
+            "csaw_link_retries_suppressed_total",
+            "csaw_link_inflight",
+        ] {
+            assert!(text.contains(name), "missing {name} in:\n{text}");
+        }
     }
 }

@@ -22,7 +22,7 @@ use crate::health::{HeartbeatConfig, HeartbeatState, HB_JUNCTION};
 use crate::interp::ExecCtx;
 use crate::overload::{OverloadConfig, OverloadStats, RetryBudgetPolicy};
 use crate::trace::{Histogram, Metrics, TraceEvent, TraceKind, Tracer};
-use crate::transport::{DeliverBatchFn, DeliverFn, LinkKind, LinkStats, Network, SendError};
+use crate::transport::{DeliverFn, LinkKind, LinkStats, Network, SendError};
 
 /// Forwards one cell's table events into the runtime tracer, stamped
 /// with the owning junction's identity. Installed on every table at
@@ -903,63 +903,8 @@ impl Runtime {
                 }
             }
         });
-        // The batch sibling of `deliver`: one registry read, one table
-        // lock, one wakeup for a whole same-junction run. Fence and
-        // hold semantics are identical — a held instance banks the
-        // entire batch in arrival order.
-        let reg3 = Arc::clone(&registry);
-        let holds3 = Arc::clone(&holds);
-        let holds_active3 = Arc::clone(&holds_active);
-        let inflight3 = Arc::clone(&inflight);
-        let hb3 = Arc::clone(&hb);
-        let deliver_batch: DeliverBatchFn = Arc::new(move |to: &JunctionId, updates: Vec<Update>| {
-            if to.junction == HB_JUNCTION {
-                if let Some(inst) = reg3.read().get(&to.instance) {
-                    if inst.status() == InstanceStatus::Running {
-                        for u in &updates {
-                            hb3.record(&to.instance, u.sender_instance());
-                        }
-                    }
-                }
-                return;
-            }
-            if !holds_active3.load(Ordering::SeqCst) {
-                inflight3.fetch_add(1, Ordering::SeqCst);
-                if !holds_active3.load(Ordering::SeqCst) {
-                    if let Some(inst) = reg3.read().get(&to.instance) {
-                        if inst.status() == InstanceStatus::Running {
-                            if let Some(jrt) = inst.junction(&to.junction) {
-                                jrt.cell.deliver_batch(updates);
-                                inst.wake();
-                            }
-                        }
-                    }
-                    inflight3.fetch_sub(1, Ordering::SeqCst);
-                    return;
-                }
-                inflight3.fetch_sub(1, Ordering::SeqCst);
-            }
-            let mut held = holds3.lock();
-            if let Some(buf) = held.get_mut(&to.instance) {
-                buf.extend(updates.into_iter().map(|u| (to.clone(), u)));
-                return;
-            }
-            if let Some(inst) = reg3.read().get(&to.instance) {
-                if inst.status() == InstanceStatus::Running {
-                    if let Some(jrt) = inst.junction(&to.junction) {
-                        jrt.cell.deliver_batch(updates);
-                        inst.wake();
-                    }
-                }
-            }
-        });
-        let mut network = Network::with_telemetry_batched(
-            deliver,
-            Some(deliver_batch),
-            Arc::clone(&tracer),
-            &metrics,
-            clock.clone(),
-        );
+        let mut network =
+            Network::with_telemetry(deliver, Arc::clone(&tracer), &metrics, clock.clone());
         network.set_default_link(config.default_link);
         network.set_overload(config.overload);
         // Mailbox probe for the overload layer's mailbox bound: depth
@@ -967,9 +912,9 @@ impl Runtime {
         // lock only; the table itself is try-locked (see
         // `Cell::try_pending_len`), so the probe can never deadlock a
         // self-send.
-        let reg4 = Arc::clone(&registry);
+        let reg3 = Arc::clone(&registry);
         network.set_mailbox_probe(Arc::new(move |to: &JunctionId| {
-            let reg = reg4.read();
+            let reg = reg3.read();
             let inst = reg.get(&to.instance)?;
             let jrt = inst.junction(&to.junction)?;
             jrt.cell.try_pending_len()

@@ -1,0 +1,869 @@
+//! Inter-instance channels.
+//!
+//! libcompart "provides channel abstractions for communication between
+//! instances. Its channels wrap OS-provided IPC, including TCP sockets
+//! and pipes" (§3). We provide three link kinds:
+//!
+//! * [`LinkKind::Direct`] — in-process delivery (the "same VM" setting);
+//! * [`LinkKind::Tcp`] — a real loopback TCP socket pair with
+//!   length-prefixed frames (OS IPC cost);
+//! * [`LinkKind::Sim`] — a simulated link with configurable latency and
+//!   bandwidth, standing in for the paper's dedicated 1GbE testbed in the
+//!   cURL experiments (see DESIGN.md, substitutions).
+//!
+//! Delivery order is FIFO per (sender instance, receiver instance) pair
+//! for every link kind, matching the paper's "handled in the order that
+//! they are received" — unless a [`FaultPlan`](crate::fault::FaultPlan)
+//! injects reordering on the link.
+//!
+//! ## Reliability layer
+//!
+//! [`Network::send`] is wrapped in a reliability layer (see
+//! `crate::fault`): send errors are a typed [`SendError`] split into
+//! retryable link faults and fatal transport errors; retryable faults
+//! are retried with bounded exponential backoff and jitter; every
+//! message carries a per-(sender, receiver) sequence number — the
+//! route's conversation *generation* in the high bits, a counter in the
+//! low bits — and the receiver drops sequence numbers it has already
+//! seen, so a retried or fault-duplicated update never double-applies
+//! against the KV table's local-priority update rule (§8). Both halves
+//! can be switched off
+//! ([`crate::fault::RetryPolicy::disabled`], [`Network::set_dedup`]) for
+//! ablations.
+
+mod codec;
+mod delay;
+mod reliability;
+mod tcp;
+
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use csaw_kv::{Update, UpdateKind};
+use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+use self::delay::{DelaySink, FifoClock, SimLinkClock, SimScheduler};
+pub use self::reliability::SendError;
+use self::reliability::{DedupMemory, DeliveryFilter, FenceState, RouteSeq};
+use self::tcp::TcpLink;
+use crate::cell::JunctionId;
+use crate::clock::Clock;
+use crate::fault::{FaultDecision, FaultPlan, LinkFaults, RetryPolicy};
+use crate::overload::{OverloadConfig, OverloadState, OverloadStats, RetryBudgetPolicy};
+use crate::trace::{Gauge, LinkEv, Metrics, Tracer};
+
+/// The kind of channel between a pair of instances.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum LinkKind {
+    /// In-process immediate delivery.
+    Direct,
+    /// Simulated link: constant propagation latency plus serialization at
+    /// the given bandwidth.
+    Sim {
+        /// One-way propagation latency.
+        latency: Duration,
+        /// Bytes per second; 0 = infinite.
+        bandwidth: u64,
+    },
+    /// Real loopback TCP socket pair.
+    Tcp,
+}
+
+/// Callback invoked when a message arrives at its destination.
+pub type DeliverFn = Arc<dyn Fn(&JunctionId, Update) + Send + Sync>;
+
+/// Callback resolving a destination junction to its current mailbox
+/// depth (pending undelivered updates). Installed by the runtime; used
+/// by the mailbox bound. Must not block: probes that cannot observe
+/// the mailbox (e.g. the table lock is held) return `None`.
+pub type MailboxProbe = Arc<dyn Fn(&JunctionId) -> Option<usize> + Send + Sync>;
+
+/// All mutable transport state for one directed (sender instance,
+/// receiver instance) pair, interned once per route. Each concern has
+/// its own small mutex, so the send path takes exactly the locks it
+/// needs and a lookup never allocates.
+struct RouteState {
+    /// Sender instance name (interned).
+    from: Box<str>,
+    /// Receiver instance name (interned).
+    to: Box<str>,
+    /// Sender-side sequence state: low-bits counter + conversation
+    /// generation, stamped together under one lock.
+    seq: Mutex<RouteSeq>,
+    /// Installed fault plan, if any.
+    faults: Mutex<Option<LinkFaults>>,
+    /// Explicit link kind override (None → network default).
+    link: Mutex<Option<LinkKind>>,
+    /// Serialization clock for finite-bandwidth sim links.
+    sim_clock: Mutex<SimLinkClock>,
+    /// FIFO clamp + in-flight count for delayed deliveries.
+    fifo: Mutex<FifoClock>,
+    /// Cached TCP connection.
+    tcp: Mutex<Option<Arc<TcpLink>>>,
+    /// Receiver-side dedup memory: seqs already delivered on this
+    /// route.
+    seen: Mutex<DedupMemory>,
+    /// Interned trace identities per (sending junction, target
+    /// junction) pair on this route, so the send path records trace
+    /// events without re-allocating the names. Bounded by the
+    /// program's topology.
+    trace_ids: Mutex<Vec<TraceIds>>,
+}
+
+/// Trace identities of one (sending junction → target junction) pair.
+struct TraceIds {
+    /// `update.from` verbatim (`instance::junction`).
+    from: Box<str>,
+    to_junction: Box<str>,
+    sender_instance: Arc<str>,
+    sender_junction: Arc<str>,
+    /// `to.qualified()`.
+    to_qualified: Arc<str>,
+}
+
+impl RouteState {
+    fn new(from: &str, to: &str) -> Arc<RouteState> {
+        Arc::new(RouteState {
+            from: from.into(),
+            to: to.into(),
+            seq: Mutex::new(RouteSeq::default()),
+            faults: Mutex::new(None),
+            link: Mutex::new(None),
+            sim_clock: Mutex::new(SimLinkClock::default()),
+            fifo: Mutex::new(FifoClock::default()),
+            tcp: Mutex::new(None),
+            seen: Mutex::new(DedupMemory::default()),
+            trace_ids: Mutex::new(Vec::new()),
+        })
+    }
+
+    /// Interned (sender instance, sender junction, qualified target)
+    /// for `update.from → to`. Linear scan over a small vector: the
+    /// pair set is bounded by the program's topology, so this beats
+    /// hashing and keeps traced sends free of string allocations.
+    fn trace_ids(&self, update: &Update, to: &JunctionId) -> (Arc<str>, Arc<str>, Arc<str>) {
+        let mut ids = self.trace_ids.lock();
+        let at = ids
+            .iter()
+            .position(|e| *e.from == *update.from && *e.to_junction == *to.junction)
+            .unwrap_or_else(|| {
+                let (fi, fj) = sender_of(update);
+                ids.push(TraceIds {
+                    from: update.from.as_str().into(),
+                    to_junction: to.junction.as_str().into(),
+                    sender_instance: Arc::from(fi),
+                    sender_junction: Arc::from(fj),
+                    to_qualified: Arc::from(to.qualified()),
+                });
+                ids.len() - 1
+            });
+        let e = &ids[at];
+        (
+            Arc::clone(&e.sender_instance),
+            Arc::clone(&e.sender_junction),
+            Arc::clone(&e.to_qualified),
+        )
+    }
+}
+
+/// Interner for [`RouteState`]s. Linear scan over a small vector: the
+/// route set is bounded by the program's topology, so this beats
+/// hashing — and a lookup never allocates.
+struct Routes {
+    inner: Mutex<Vec<Arc<RouteState>>>,
+}
+
+impl Routes {
+    fn new() -> Arc<Routes> {
+        Arc::new(Routes { inner: Mutex::new(Vec::new()) })
+    }
+
+    /// Find or create the route `from → to`.
+    fn get(&self, from: &str, to: &str) -> Arc<RouteState> {
+        let mut inner = self.inner.lock();
+        if let Some(r) = inner.iter().find(|r| &*r.from == from && &*r.to == to) {
+            return Arc::clone(r);
+        }
+        let r = RouteState::new(from, to);
+        inner.push(Arc::clone(&r));
+        r
+    }
+
+    /// Drop every cached TCP connection (shutdown path).
+    fn clear_tcp(&self) {
+        for r in self.inner.lock().iter() {
+            r.tcp.lock().take();
+        }
+    }
+}
+
+/// Wire size model for an update: key + payload + fixed header.
+pub fn wire_size(u: &Update) -> usize {
+    let payload = match &u.kind {
+        UpdateKind::Assert | UpdateKind::Retract => 1,
+        UpdateKind::Data(v) => v.approx_size(),
+    };
+    24 + u.key.len() + u.from.len() + payload
+}
+
+/// The sending junction of an update, for trace attribution:
+/// `update.from` is `instance::junction`.
+fn sender_of(update: &Update) -> (&str, &str) {
+    update.from.split_once("::").unwrap_or((update.from.as_str(), ""))
+}
+
+/// Counters for the reliability layer and fault injection
+/// (observability; all monotonically increasing). A snapshot of the
+/// `csaw_link_*_total` counters in the metrics registry.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct LinkStats {
+    /// Messages handed to the network (excluding fault-injected copies).
+    pub msgs_sent: u64,
+    /// Bytes sent under the wire-size model.
+    pub bytes_sent: u64,
+    /// Messages dropped by fault injection.
+    pub drops: u64,
+    /// Extra copies delivered by fault injection.
+    pub dups: u64,
+    /// Send attempts blocked by a partition window.
+    pub partitioned: u64,
+    /// Retry attempts made by the reliability layer.
+    pub retries: u64,
+    /// Deliveries suppressed by receiver-side sequence dedup.
+    pub deduped: u64,
+    /// Direct-link sends delivered synchronously (fast path).
+    pub fast_path: u64,
+    /// Sends rejected (at send or delivery) by the supervisor epoch
+    /// fence: traffic from a fenced-out instance carrying a stale
+    /// fence epoch.
+    pub fenced: u64,
+    /// Deliveries shed by the overload layer (deadline expiry at
+    /// dispatch/dequeue, or mailbox overflow at admission).
+    pub shed: u64,
+    /// Sends refused with [`SendError::QueueFull`] by a queue bound.
+    pub queue_full: u64,
+    /// Sends refused with [`SendError::DeadlineExpired`] before
+    /// dispatch.
+    pub deadline_expired: u64,
+    /// Retries suppressed by an exhausted per-route retry budget.
+    pub retries_suppressed: u64,
+}
+
+/// The network connecting instances. Owned by the runtime.
+///
+/// Every message takes one path: [`Network::send`] stamps it, the retry
+/// loop drives attempts, each attempt passes admission and the link's
+/// fault dice and is dispatched over the route's link kind, and every
+/// arrival — synchronous, delayed or off a socket — passes the
+/// fence/dedup filter into the one [`DeliverFn`]. Every counter is a
+/// handle into the [`Metrics`] registry: [`LinkStats`] and the
+/// Prometheus rendering read the same atomics.
+pub struct Network {
+    /// Where due packets of the delay queue go; `sink.deliver` is the
+    /// fence/dedup-wrapped delivery callback every link kind ends in.
+    sink: DelaySink,
+    /// Time source for arrivals, fault windows and retry backoff. A
+    /// simulated clock also switches the delay queue to executor-pumped
+    /// delivery (no scheduler thread).
+    clock: Clock,
+    default_link: LinkKind,
+    /// All per-route transport state (seqs, generations, fault plans,
+    /// link kinds, FIFO/serialization clocks, TCP connections, dedup
+    /// memory, trace identities), interned once per directed pair.
+    routes: Arc<Routes>,
+    sim: Arc<SimScheduler>,
+    shutdown: Arc<AtomicBool>,
+    /// Reliability-layer retry policy. The send path never clones it:
+    /// the retry loop snapshots the (all-`Copy`) fields once, and only
+    /// after a first attempt has actually failed.
+    retry: Mutex<RetryPolicy>,
+    /// Dice for backoff jitter (separate from link fault dice so a
+    /// policy change doesn't perturb the fault schedule).
+    backoff_dice: Mutex<StdRng>,
+    /// Receiver-side dedup switch (shared with the delivery filter).
+    dedup_enabled: Arc<AtomicBool>,
+    /// Supervisor fencing tokens (shared with the delivery filter);
+    /// holds `link_fenced_total`.
+    fence: Arc<FenceState>,
+    /// Send operations attempted through any entry point, including
+    /// fenced/dropped ones (counters and dice still moved). The sim
+    /// executor reads the delta around a step to classify the step's
+    /// footprint: a step that sent anything — even over the Direct
+    /// fast path, which delivers synchronously into the receiver's
+    /// cell — touched cross-instance state.
+    send_ops: AtomicU64,
+    /// `link_send_total`: messages sent.
+    pub msgs_sent: Arc<AtomicU64>,
+    /// `link_bytes_total`: bytes sent under the wire-size model.
+    pub bytes_sent: Arc<AtomicU64>,
+    /// `link_drop_total`.
+    drops: Arc<AtomicU64>,
+    /// `link_dup_total`.
+    dups: Arc<AtomicU64>,
+    /// `link_partition_total`.
+    partitioned: Arc<AtomicU64>,
+    /// `link_retry_total`.
+    retries: Arc<AtomicU64>,
+    /// `link_dedup_total` (shared with the delivery filter).
+    deduped: Arc<AtomicU64>,
+    /// `link_direct_fast_total`.
+    fast_path: Arc<AtomicU64>,
+    /// `link_scheduled_total`: deliveries that went through the delay
+    /// queue.
+    scheduled: Arc<AtomicU64>,
+    /// Trace recorder shared with the runtime (disabled by default).
+    tracer: Arc<Tracer>,
+    /// Overload-control state (bounds, deadlines, retry budget,
+    /// counters), shared with the delivery filter and the delay sink.
+    overload: Arc<OverloadState>,
+    /// `link_inflight` gauge: scheduled deliveries currently in flight
+    /// across all routes (refreshed by
+    /// [`Network::refresh_overload_gauges`]).
+    g_inflight: Arc<Gauge>,
+}
+
+impl Network {
+    /// Create a network delivering through `deliver`. The callback is
+    /// wrapped in the receiver-side dedup filter: sequenced updates
+    /// (seq ≠ 0) whose (sender, receiver, seq) was already delivered are
+    /// suppressed, so retries and fault duplicates apply at most once.
+    pub fn new(deliver: DeliverFn) -> Network {
+        Network::with_telemetry(deliver, Arc::new(Tracer::new()), &Metrics::new(), Clock::wall())
+    }
+
+    /// [`Network::new`] with an externally owned trace recorder,
+    /// metrics registry and clock (the runtime shares its own with the
+    /// network).
+    pub fn with_telemetry(
+        deliver: DeliverFn,
+        tracer: Arc<Tracer>,
+        metrics: &Metrics,
+        clock: Clock,
+    ) -> Network {
+        let dedup_enabled = Arc::new(AtomicBool::new(true));
+        let deduped = metrics.counter("link_dedup_total");
+        let fence = Arc::new(FenceState::new(metrics));
+        let routes = Routes::new();
+        let overload = OverloadState::new(metrics);
+        let filter = DeliveryFilter {
+            dedup_enabled: Arc::clone(&dedup_enabled),
+            deduped: Arc::clone(&deduped),
+            tracer: Arc::clone(&tracer),
+            routes: Arc::clone(&routes),
+            fence: Arc::clone(&fence),
+            overload: Arc::clone(&overload),
+        };
+        let sink = DelaySink {
+            deliver: Arc::new(move |to: &JunctionId, u: Update| {
+                if filter.admit(to, &u) {
+                    deliver(to, u)
+                }
+            }),
+            overload: Arc::clone(&overload),
+            tracer: Arc::clone(&tracer),
+        };
+        let sim = SimScheduler::new();
+        if !clock.is_simulated() {
+            // Virtual time has no place for a wall-clock delay thread:
+            // the sim executor pumps due packets as schedulable events.
+            sim.spawn(sink.clone());
+        }
+        Network {
+            sink,
+            clock,
+            default_link: LinkKind::Direct,
+            routes,
+            sim,
+            shutdown: Arc::new(AtomicBool::new(false)),
+            retry: Mutex::new(RetryPolicy::default()),
+            backoff_dice: Mutex::new(StdRng::seed_from_u64(0xBAC0FF)),
+            dedup_enabled,
+            fence,
+            send_ops: AtomicU64::new(0),
+            msgs_sent: metrics.counter("link_send_total"),
+            bytes_sent: metrics.counter("link_bytes_total"),
+            drops: metrics.counter("link_drop_total"),
+            dups: metrics.counter("link_dup_total"),
+            partitioned: metrics.counter("link_partition_total"),
+            retries: metrics.counter("link_retry_total"),
+            deduped,
+            fast_path: metrics.counter("link_direct_fast_total"),
+            scheduled: metrics.counter("link_scheduled_total"),
+            overload,
+            g_inflight: metrics.gauge("link_inflight"),
+            tracer,
+        }
+    }
+
+    /// The send path's one trace hook: record a sender-attributed link
+    /// event for `update → to` under the route's interned identities.
+    /// `ev` receives the interned qualified target and the update, and
+    /// is only called while tracing is on.
+    fn emit<F>(&self, route: &RouteState, to: &JunctionId, update: &Update, ev: F)
+    where
+        F: for<'a> FnOnce(&'a str, &'a Update) -> LinkEv<'a>,
+    {
+        if self.tracer.is_enabled() {
+            let (fi, fj, to_q) = route.trace_ids(update, to);
+            self.tracer.record_link(&fi, &fj, 0, ev(&to_q, update));
+        }
+    }
+
+    /// Install (or replace) the fault plan on the directed link
+    /// `from → to`. Runtime-reconfigurable; windows are relative to this
+    /// call.
+    pub fn set_fault_plan(&self, from: &str, to: &str, plan: FaultPlan) {
+        *self.routes.get(from, to).faults.lock() = Some(LinkFaults::new(plan, self.clock.now()));
+    }
+
+    /// Remove the fault plan on `from → to` (the link heals).
+    pub fn clear_fault_plan(&self, from: &str, to: &str) {
+        self.routes.get(from, to).faults.lock().take();
+    }
+
+    /// Snapshot the reliability/fault counters.
+    pub fn stats(&self) -> LinkStats {
+        let overload = self.overload.stats();
+        LinkStats {
+            msgs_sent: self.msgs_sent.load(Ordering::Relaxed),
+            bytes_sent: self.bytes_sent.load(Ordering::Relaxed),
+            drops: self.drops.load(Ordering::Relaxed),
+            dups: self.dups.load(Ordering::Relaxed),
+            partitioned: self.partitioned.load(Ordering::Relaxed),
+            retries: self.retries.load(Ordering::Relaxed),
+            deduped: self.deduped.load(Ordering::Relaxed),
+            fast_path: self.fast_path.load(Ordering::Relaxed),
+            fenced: self.fence.fenced.load(Ordering::Relaxed),
+            shed: overload.shed,
+            queue_full: overload.queue_full,
+            deadline_expired: overload.deadline_expired,
+            retries_suppressed: overload.retries_suppressed,
+        }
+    }
+
+    /// Install the overload-control configuration (bounds, ingress
+    /// deadline, shedding, priority lane). Takes effect on the next
+    /// send; the default configuration is inert.
+    pub fn set_overload(&self, cfg: OverloadConfig) {
+        self.overload.set_config(cfg);
+    }
+
+    /// The currently installed overload configuration.
+    pub fn overload_config(&self) -> OverloadConfig {
+        self.overload.config()
+    }
+
+    /// Replace the per-route retry-budget policy (token bucket capping
+    /// retries as a fraction of fresh sends).
+    pub fn set_retry_budget(&self, budget: RetryBudgetPolicy) {
+        self.overload.set_budget(budget);
+    }
+
+    /// Snapshot the overload-layer counters.
+    pub fn overload_stats(&self) -> OverloadStats {
+        self.overload.stats()
+    }
+
+    /// Install the mailbox-depth probe the mailbox bound consults
+    /// (wired by the runtime, which owns the junction registry).
+    pub fn set_mailbox_probe(&self, probe: MailboxProbe) {
+        self.overload.set_probe(probe);
+    }
+
+    /// Refresh the `link_inflight` gauge from the routes' in-flight
+    /// counts (total scheduled deliveries not yet landed).
+    pub fn refresh_overload_gauges(&self) {
+        let total: u64 = {
+            let routes = self.routes.inner.lock();
+            routes.iter().map(|r| r.fifo.lock().inflight).sum()
+        };
+        self.g_inflight.set(total as f64);
+    }
+
+    /// Set the default link kind for unlisted instance pairs.
+    pub fn set_default_link(&mut self, kind: LinkKind) {
+        self.default_link = kind;
+    }
+
+    /// Configure the link between an (ordered) pair of instances.
+    ///
+    /// Rewiring an **already-connected** route (one that had an explicit
+    /// link or has carried sequenced traffic) flushes the route's
+    /// per-link state — sender seq counter, conversation generation,
+    /// FIFO and serialization clocks, and any cached TCP connection. A
+    /// new link is a new conversation, tagged with a fresh generation in
+    /// the seq high bits so neither stale dedup memory nor stale
+    /// in-flight retries from the old conversation can interfere with it
+    /// (see [`Network::reset_route`]).
+    pub fn set_link(&self, from: &str, to: &str, kind: LinkKind) {
+        let route = self.routes.get(from, to);
+        let prev = route.link.lock().replace(kind);
+        let had_traffic = route.seq.lock().counter > 0;
+        if prev.is_some() || had_traffic {
+            self.reset_route(from, to);
+        }
+    }
+
+    fn link_kind(&self, route: &RouteState) -> LinkKind {
+        route.link.lock().unwrap_or(self.default_link)
+    }
+
+    /// Send an update from `from_instance` to junction `to`, through the
+    /// reliability layer: the update gets the next per-link sequence
+    /// number (retries reuse it, so the receiver dedups them), faults
+    /// from the link's [`FaultPlan`] are applied per attempt, and
+    /// retryable errors are retried with bounded exponential backoff.
+    pub fn send(
+        &self,
+        from_instance: &str,
+        to: &JunctionId,
+        update: Update,
+    ) -> Result<(), SendError> {
+        self.send_with_deadline(from_instance, to, update, None)
+    }
+
+    /// [`send`](Network::send) with an explicit absolute deadline: the
+    /// overload layer sheds the update (at dispatch prediction or at
+    /// dequeue) once the deadline passes, provided shedding is enabled.
+    /// `None` falls back to the configured ingress deadline, if any.
+    pub fn send_with_deadline(
+        &self,
+        from_instance: &str,
+        to: &JunctionId,
+        mut update: Update,
+        deadline: Option<Instant>,
+    ) -> Result<(), SendError> {
+        self.send_ops.fetch_add(1, Ordering::Relaxed);
+        let deadline = deadline
+            .or_else(|| self.overload.ingress_deadline().map(|b| self.clock.now() + b));
+        let route = self.routes.get(from_instance, &to.instance);
+        self.stamp_one(&route, &mut update)?;
+        self.send_stamped(&route, to, update, deadline)
+    }
+
+    /// Monotonic count of send operations attempted (any entry point,
+    /// any outcome). See the `send_ops` field.
+    pub(crate) fn send_ops(&self) -> u64 {
+        self.send_ops.load(Ordering::Relaxed)
+    }
+
+    /// [`send`](Network::send) each update in order. Every update is
+    /// attempted; returns how many were handed to the link, or the
+    /// first error if any send ultimately failed.
+    pub fn send_batch(
+        &self,
+        from_instance: &str,
+        to: &JunctionId,
+        updates: Vec<Update>,
+    ) -> Result<usize, SendError> {
+        let n = updates.len();
+        let mut first_err = None;
+        for u in updates {
+            if let Err(e) = self.send(from_instance, to, u) {
+                first_err.get_or_insert(e);
+            }
+        }
+        first_err.map_or(Ok(n), Err)
+    }
+
+    /// Send without sequencing or retry: probes (heartbeats) whose loss
+    /// *is* the signal, and ablation runs that bypass reliability.
+    pub(crate) fn send_raw(
+        &self,
+        from_instance: &str,
+        to: &JunctionId,
+        update: Update,
+    ) -> Result<(), SendError> {
+        self.send_ops.fetch_add(1, Ordering::Relaxed);
+        let route = self.routes.get(from_instance, &to.instance);
+        // Control lane: heartbeats/probes ride the priority lane (no
+        // queue bounds, no deadline) unless the lane is disabled, in
+        // which case they face the same data-plane gates as everything
+        // else — the deliberate metastable-failure configuration.
+        self.send_attempt(&route, to, update, None, false).map_err(|(e, _)| e)
+    }
+
+    /// Feed the transport's schedule-relevant mutable state to `h` for
+    /// the sim executor's state fingerprint: queued undelivered packets
+    /// in delivery order, then per-route sequence/FIFO/dedup/fence
+    /// state, times normalized to `origin`. Fault-plan dice positions
+    /// are *not* folded in: probabilistic plans degrade revisit-pruning
+    /// fidelity, while windowed plans are a pure function of virtual
+    /// time.
+    pub(crate) fn sim_fingerprint(&self, origin: Instant, h: &mut dyn FnMut(&[u8])) {
+        self.sim.fingerprint(origin, h);
+        let mut routes: Vec<Arc<RouteState>> = self.routes.inner.lock().clone();
+        routes.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
+        for r in &routes {
+            h(r.from.as_bytes());
+            h(r.to.as_bytes());
+            {
+                let s = r.seq.lock();
+                h(&s.counter.to_le_bytes());
+                h(&s.gen.to_le_bytes());
+                h(&s.retry_tokens_milli.map_or(u64::MAX, |t| t).to_le_bytes());
+            }
+            {
+                let f = r.fifo.lock();
+                let latest = f.latest.map_or(u64::MAX, |t| {
+                    t.saturating_duration_since(origin).as_nanos() as u64
+                });
+                h(&latest.to_le_bytes());
+                h(&f.inflight.to_le_bytes());
+            }
+            {
+                let seen = r.seen.lock().digest();
+                h(&(seen.len() as u64).to_le_bytes());
+                seen.iter().flatten().for_each(|word| h(&word.to_le_bytes()));
+            }
+            let (stamp, floor) = self.fence.of(&r.from);
+            h(&stamp.to_le_bytes());
+            h(&floor.to_le_bytes());
+        }
+    }
+
+    /// One delivery attempt: admission, the link's fault dice, then
+    /// dispatch over the configured link kind. The update is moved in
+    /// and handed back alongside any error, so callers retry without
+    /// cloning.
+    fn send_attempt(
+        &self,
+        route: &Arc<RouteState>,
+        to: &JunctionId,
+        update: Update,
+        deadline: Option<Instant>,
+        data_plane: bool,
+    ) -> Result<(), (SendError, Update)> {
+        if self.overload.refuses_send(data_plane, || route.fifo.lock().inflight, to) {
+            self.overload.note_queue_full();
+            self.emit(route, to, &update, |to, u| LinkEv::QueueFull { to, seq: u.seq });
+            return Err((SendError::QueueFull, update));
+        }
+        let decision = {
+            let mut faults = route.faults.lock();
+            match faults.as_mut() {
+                Some(lf) => lf.decide(self.clock.now()),
+                None => FaultDecision::Deliver {
+                    delay: Duration::ZERO,
+                    duplicate: false,
+                    reorder: false,
+                },
+            }
+        };
+        match decision {
+            FaultDecision::Partitioned => {
+                self.partitioned.fetch_add(1, Ordering::Relaxed);
+                self.emit(route, to, &update, |to, u| LinkEv::Partition { to, seq: u.seq });
+                Err((SendError::PartitionedAway, update))
+            }
+            FaultDecision::Drop => {
+                self.drops.fetch_add(1, Ordering::Relaxed);
+                self.emit(route, to, &update, |to, u| LinkEv::Drop { to, seq: u.seq });
+                Err((SendError::LinkDropped, update))
+            }
+            FaultDecision::Deliver { delay, duplicate, reorder } => {
+                let bytes = wire_size(&update) as u64;
+                self.msgs_sent.fetch_add(1, Ordering::Relaxed);
+                self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
+                self.emit(route, to, &update, |to, u| LinkEv::Send {
+                    to,
+                    key: &u.key,
+                    seq: u.seq,
+                    bytes,
+                });
+                // Already expired at the sender: shed before spending
+                // link capacity. Placed after the `link_send` trace so
+                // conformance always sees a send preceding its shed.
+                if self.overload.shed_expired() && deadline.is_some_and(|d| self.clock.now() > d) {
+                    return Err(self.shed_send(route, to, update));
+                }
+                // The original dispatches first and alone decides the
+                // send's outcome; the duplicate copy is best-effort
+                // chaos. Were the copy dispatched first, a shed of the
+                // original would surface as an error with a live copy
+                // still in flight — and an app-level retry of that
+                // "failed" send would then double-apply.
+                let dup_copy = duplicate.then(|| update.clone());
+                self.dispatch(route, to, update, delay, !reorder, deadline)?;
+                if let Some(copy) = dup_copy {
+                    self.dups.fetch_add(1, Ordering::Relaxed);
+                    self.emit(route, to, &copy, |to, u| LinkEv::Dup { to, seq: u.seq });
+                    let _ = self.dispatch(route, to, copy, delay, !reorder, deadline);
+                }
+                Ok(())
+            }
+        }
+    }
+
+    /// Shed an update whose deadline has expired (or is predicted to)
+    /// on the send side: counted, traced, refused fatally.
+    fn shed_send(
+        &self,
+        route: &RouteState,
+        to: &JunctionId,
+        update: Update,
+    ) -> (SendError, Update) {
+        self.overload.note_shed();
+        self.overload.note_deadline_expired();
+        self.emit(route, to, &update, |to, u| LinkEv::Shed { to, seq: u.seq });
+        (SendError::DeadlineExpired, update)
+    }
+
+    /// Deliver every queued packet due at the clock's current time.
+    /// Virtual-clock mode only (the wall-clock scheduler thread pumps
+    /// its own queue). Returns how many packets landed.
+    pub(crate) fn pump_due(&self) -> usize {
+        self.sim.pump_due(self.clock.now(), &self.sink)
+    }
+
+    /// Earliest scheduled arrival still queued on any link, if any —
+    /// the sim executor folds this into its next-deadline computation.
+    pub(crate) fn next_arrival(&self) -> Option<Instant> {
+        self.sim.next_due()
+    }
+
+    /// Get (or dial) the route's cached TCP link.
+    fn tcp_link(&self, route: &RouteState) -> Result<Arc<TcpLink>, SendError> {
+        let mut tcp = route.tcp.lock();
+        if let Some(l) = tcp.as_ref() {
+            return Ok(Arc::clone(l));
+        }
+        let l = Arc::new(
+            TcpLink::new(Arc::clone(&self.sink.deliver), Arc::clone(&self.shutdown))
+                .map_err(|e| SendError::Transport(format!("tcp setup: {e}")))?,
+        );
+        *tcp = Some(Arc::clone(&l));
+        Ok(l)
+    }
+
+    /// Dispatch over the configured link kind. `extra_delay` (fault
+    /// jitter / reorder hold-back) applies to Direct and Sim links; TCP
+    /// frames go out immediately (the socket provides its own timing and
+    /// is FIFO by construction). With `fifo` set the delay is treated as
+    /// link latency — later messages on the same directed pair cannot
+    /// overtake; explicit reordering passes `fifo = false`.
+    fn dispatch(
+        &self,
+        route: &Arc<RouteState>,
+        to: &JunctionId,
+        update: Update,
+        extra_delay: Duration,
+        fifo: bool,
+        deadline: Option<Instant>,
+    ) -> Result<(), (SendError, Update)> {
+        let arrival = match self.link_kind(route) {
+            LinkKind::Tcp => {
+                let sent = self.tcp_link(route).and_then(|link| {
+                    link.send(to, &update)
+                        .map_err(|e| SendError::Transport(format!("tcp send: {e}")))
+                });
+                return sent.map_err(|e| (e, update));
+            }
+            LinkKind::Direct => {
+                // Fast path: no delay and nothing still in flight on
+                // this link — deliver synchronously. The in-flight
+                // count (not mere clock existence) gates this, so one
+                // jittered delivery only detours the link through the
+                // scheduler until its backlog drains, not forever.
+                if extra_delay.is_zero() && route.link_idle() {
+                    self.fast_path.fetch_add(1, Ordering::Relaxed);
+                    (self.sink.deliver)(to, update);
+                    return Ok(());
+                }
+                self.clock.now() + extra_delay
+            }
+            LinkKind::Sim { latency, bandwidth } => {
+                // Early shed: if the link's backlog already guarantees
+                // the packet arrives past its deadline, refuse it
+                // *without* reserving bandwidth. This is what keeps the
+                // backlog bounded under a storm — doomed work never
+                // joins the queue, so admitted work stays timely.
+                let late_after = deadline.filter(|_| self.overload.shed_expired());
+                let bytes = wire_size(&update) as u64;
+                let transit = latency + extra_delay;
+                match route.sim_arrival(self.clock.now(), bytes, bandwidth, transit, late_after) {
+                    Some(arrival) => arrival,
+                    None => return Err(self.shed_send(route, to, update)),
+                }
+            }
+        };
+        let (arrival, fifo_link) = if fifo {
+            (route.fifo_arrival(arrival), Some(Arc::clone(route)))
+        } else {
+            (arrival, None)
+        };
+        self.scheduled.fetch_add(1, Ordering::Relaxed);
+        self.sim.enqueue(arrival, to.clone(), update, fifo_link, deadline);
+        Ok(())
+    }
+
+    /// Stop background threads. Dropping the TCP writers closes the
+    /// sockets, which unblocks and terminates the reader threads.
+    pub fn shutdown(&self) {
+        self.shutdown.store(true, Ordering::Relaxed);
+        self.sim.shutdown();
+        self.routes.clear_tcp();
+    }
+}
+
+impl Drop for Network {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// A network delivering into a channel, for the transport modules'
+/// unit tests.
+#[cfg(test)]
+pub(crate) fn collecting_network(
+) -> (Network, std::sync::mpsc::Receiver<(JunctionId, Update)>) {
+    let (tx, rx) = std::sync::mpsc::channel();
+    let deliver: DeliverFn = Arc::new(move |to: &JunctionId, u: Update| {
+        tx.send((to.clone(), u)).ok();
+    });
+    (Network::new(deliver), rx)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use csaw_core::value::Value;
+
+    #[test]
+    fn direct_delivers_synchronously() {
+        let (net, rx) = collecting_network();
+        let to = JunctionId::new("g", "junction");
+        net.send("f", &to, Update::assert("Work", "f::junction")).unwrap();
+        let (got_to, got) = rx.try_recv().unwrap();
+        assert_eq!(got_to, to);
+        assert_eq!(got.key, "Work");
+    }
+
+    #[test]
+    fn tcp_round_trips_frames() {
+        let (net, rx) = collecting_network();
+        net.set_link("f", "g", LinkKind::Tcp);
+        let to = JunctionId::new("g", "serve");
+        net.send(
+            "f",
+            &to,
+            Update::data("state", Value::Bytes(vec![7; 300]), "f::c"),
+        )
+        .unwrap();
+        let (got_to, got) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert_eq!(got_to, to);
+        assert_eq!(got.key, "state");
+        assert_eq!(got.from, "f::c");
+        assert_eq!(got.kind, UpdateKind::Data(Value::Bytes(vec![7; 300])));
+    }
+
+    #[test]
+    fn wire_size_scales_with_payload() {
+        let small = Update::assert("Work", "f::j");
+        let big = Update::data("n", Value::Bytes(vec![0; 10_000]), "f::j");
+        assert!(wire_size(&big) > wire_size(&small) + 9000);
+    }
+}

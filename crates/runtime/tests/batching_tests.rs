@@ -1,9 +1,8 @@
-//! Property sweeps for the hot-path batching work, 48 consecutive
-//! seeds per property (base honors `CSAW_SEED`): mixed `send` /
-//! `send_batch` traffic under seeded chaos must preserve per-link FIFO
-//! and at-most-once delivery exactly like the singular path, the retry
-//! loop must deliver exactly once over lossy links, and deterministic
-//! simulation must stay byte-identical with batching active.
+//! Property sweeps for the transport's send path, 48 consecutive seeds
+//! per property (base honors `CSAW_SEED`): mixed `send` / `send_batch`
+//! traffic under seeded chaos must preserve per-link FIFO and
+//! at-most-once delivery, the retry loop must deliver exactly once over
+//! lossy links, and deterministic simulation must stay byte-identical.
 
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -14,7 +13,7 @@ use csaw_core::program::LoadConfig;
 use csaw_core::value::Value;
 use csaw_kv::{Update, UpdateKind};
 use csaw_runtime::cell::JunctionId;
-use csaw_runtime::transport::{DeliverBatchFn, DeliverFn, Network};
+use csaw_runtime::transport::{DeliverFn, Network};
 use csaw_runtime::{
     env_seed, Clock, FaultPlan, HostCtx, InstanceApp, Metrics, RetryPolicy, Runtime,
     RuntimeConfig, SimConfig, SimExecutor, Tracer,
@@ -22,30 +21,17 @@ use csaw_runtime::{
 
 const SWEEP: u64 = 48;
 
-/// A network whose singular and batched delivery callbacks feed one
-/// channel, so a test observes arrival order across both paths.
+/// A network delivering into a channel, so a test observes arrival
+/// order across `send` and `send_batch` traffic.
 fn collecting_network() -> (Network, mpsc::Receiver<i64>) {
     let (tx, rx) = mpsc::channel();
-    let tx2 = tx.clone();
     let one: DeliverFn = Arc::new(move |_to: &JunctionId, u: Update| {
         if let UpdateKind::Data(Value::Int(i)) = u.kind {
             tx.send(i).ok();
         }
     });
-    let batch: DeliverBatchFn = Arc::new(move |_to: &JunctionId, us: Vec<Update>| {
-        for u in us {
-            if let UpdateKind::Data(Value::Int(i)) = u.kind {
-                tx2.send(i).ok();
-            }
-        }
-    });
-    let net = Network::with_telemetry_batched(
-        one,
-        Some(batch),
-        Arc::new(Tracer::new()),
-        &Metrics::new(),
-        Clock::wall(),
-    );
+    let net =
+        Network::with_telemetry(one, Arc::new(Tracer::new()), &Metrics::new(), Clock::wall());
     (net, rx)
 }
 

@@ -14,7 +14,8 @@ use csaw_kv::{Update, UpdateKind};
 use csaw_runtime::cell::JunctionId;
 use csaw_runtime::transport::{DeliverFn, Network, SendError};
 use csaw_runtime::{
-    env_seed, Clock, FaultPlan, LinkKind, Metrics, OverloadConfig, RetryPolicy, Tracer,
+    env_seed, Clock, FaultPlan, LinkKind, Metrics, OverloadConfig, RetryBudgetPolicy, RetryPolicy,
+    Tracer,
 };
 
 const SWEEP: u64 = 48;
@@ -26,13 +27,8 @@ fn collecting_network() -> (Network, mpsc::Receiver<i64>) {
             tx.send(i).ok();
         }
     });
-    let net = Network::with_telemetry_batched(
-        one,
-        None,
-        Arc::new(Tracer::new()),
-        &Metrics::new(),
-        Clock::wall(),
-    );
+    let net =
+        Network::with_telemetry(one, Arc::new(Tracer::new()), &Metrics::new(), Clock::wall());
     (net, rx)
 }
 
@@ -255,4 +251,106 @@ fn mailbox_shed_at_admit_never_poisons_dedup_memory() {
     assert_eq!(s.shed, 1, "first copy must be shed by the mailbox bound");
     assert_eq!(s.deduped, 0, "the shed copy must not poison dedup memory");
     assert!(calls.load(Ordering::SeqCst) >= 3, "probe must be consulted at admit");
+}
+
+/// `LinkStats` / `OverloadStats` and the Prometheus rendering are one
+/// set of counters: after a seeded chaos run that moves every one of
+/// them (drops, dups, a partition window, a fenced sender, a queue
+/// bound, an expired deadline, an exhausted retry budget), each stats
+/// field equals its `csaw_link_*_total` line. Regression: send-side
+/// fence rejections used to bump `LinkStats.fenced` but never
+/// `link_fenced_total`.
+#[test]
+fn link_stats_equal_their_prometheus_lines() {
+    let one: DeliverFn = Arc::new(|_to: &JunctionId, _u: Update| {});
+    let metrics = Metrics::new();
+    let net = Network::with_telemetry(one, Arc::new(Tracer::new()), &metrics, Clock::wall());
+    let to = JunctionId::new("g", "junction");
+    let fast_retry = RetryPolicy {
+        enabled: true,
+        max_retries: 12,
+        base: Duration::from_millis(1),
+        cap: Duration::from_millis(4),
+    };
+
+    // Drops, dups (→ dedup), a partition window, retries.
+    net.set_retry_policy(fast_retry);
+    net.set_fault_plan(
+        "f",
+        "g",
+        FaultPlan::none()
+            .with_drop(0.2)
+            .with_dup(0.3)
+            .with_outage(Duration::ZERO, Duration::from_millis(3))
+            .with_seed(env_seed(9000)),
+    );
+    for i in 0..120 {
+        let _ = net.send("f", &to, upd(i));
+    }
+    // A fenced sender: rejected at send, and — for the send already in
+    // flight when the fence lands — again at delivery.
+    net.set_link("y", "g", LinkKind::Sim { latency: Duration::from_millis(20), bandwidth: 0 });
+    let from_y = |i| Update::data("n", Value::Int(i), "y::j");
+    net.send("y", &to, from_y(0)).unwrap();
+    net.fence_instance("y");
+    assert_eq!(net.send("y", &to, from_y(1)), Err(SendError::Fenced));
+    // An exhausted retry budget on an always-dropping link.
+    net.set_fault_plan("b", "g", FaultPlan::none().with_drop(1.0).with_seed(1));
+    net.set_retry_budget(RetryBudgetPolicy {
+        enabled: true,
+        initial_milli: 1000,
+        per_send_milli: 0,
+        cap_milli: 1000,
+    });
+    assert_eq!(net.send("b", &to, upd(0)), Err(SendError::LinkDropped));
+    // A queue bound and an expired deadline.
+    net.set_retry_policy(RetryPolicy::disabled());
+    net.set_link("q", "g", LinkKind::Sim { latency: Duration::from_millis(20), bandwidth: 0 });
+    net.set_overload(OverloadConfig { outbox_bound: 1, shed_expired: true, ..Default::default() });
+    net.send("q", &to, upd(0)).unwrap();
+    assert_eq!(net.send("q", &to, upd(1)), Err(SendError::QueueFull));
+    let past = Instant::now();
+    std::thread::sleep(Duration::from_millis(1));
+    assert_eq!(
+        net.send_with_deadline("d", &to, upd(0), Some(past)),
+        Err(SendError::DeadlineExpired)
+    );
+    // Let the delayed packets land (the fenced one must be rejected).
+    std::thread::sleep(Duration::from_millis(60));
+
+    let s = net.stats();
+    let o = net.overload_stats();
+    let text = metrics.render_prometheus();
+    let line = |name: &str| -> u64 {
+        let prefix = format!("csaw_{name} ");
+        text.lines()
+            .find_map(|l| l.strip_prefix(&prefix))
+            .unwrap_or_else(|| panic!("no {name} line in:\n{text}"))
+            .parse()
+            .unwrap()
+    };
+    let pairs = [
+        ("link_fenced_total", s.fenced),
+        ("link_send_total", s.msgs_sent),
+        ("link_bytes_total", s.bytes_sent),
+        ("link_drop_total", s.drops),
+        ("link_dup_total", s.dups),
+        ("link_partition_total", s.partitioned),
+        ("link_retry_total", s.retries),
+        ("link_dedup_total", s.deduped),
+        ("link_direct_fast_total", s.fast_path),
+        ("link_shed_total", s.shed),
+        ("link_queue_full_total", s.queue_full),
+        ("link_deadline_expired_total", s.deadline_expired),
+        ("link_retries_suppressed_total", s.retries_suppressed),
+    ];
+    for (name, stat) in pairs {
+        assert!(stat > 0, "{name}: the run never moved this counter — parity is vacuous");
+        assert_eq!(line(name), stat, "{name} disagrees with its stats field");
+    }
+    assert_eq!(s.fenced, 2, "one send-side and one delivery-side fence rejection");
+    assert_eq!(
+        (o.shed, o.queue_full, o.deadline_expired, o.retries_suppressed),
+        (s.shed, s.queue_full, s.deadline_expired, s.retries_suppressed)
+    );
 }
