@@ -30,8 +30,8 @@
 //! land, zero lost acknowledged writes, zero permanently refused
 //! requests, every phase quiesces at most `max_concurrent_quiesce`
 //! instances, the crash repair verifies, and the recorded trace passes
-//! cross-epoch conformance against the boot program plus every
-//! installed phase target in cut order.
+//! cross-epoch conformance against the runtime's epoch chain: the boot
+//! program plus every phase target it cut to, in cut order.
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -52,18 +52,15 @@ use mini_redis::apps::{
     CachedShardFrontApp, ReplyQueue, RequestQueue, ServerApp, ShardFrontApp, ShardMode,
 };
 use mini_redis::hash::shard_of;
-use mini_redis::{Command, Store};
+use mini_redis::Store;
 use parking_lot::Mutex;
 
-use crate::conformance_runs::ConformanceSummary;
+use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
+use crate::harness::{
+    command_for, drive_one, lost_acked_sets, wait_until, DriveStats, FRONT_TIMEOUT,
+};
 use crate::report::Report;
-use crate::self_healing::check_repair_chain;
 
-/// The front-end `wait` deadline.
-const FRONT_TIMEOUT: Duration = Duration::from_millis(400);
-/// How long one request may retry (through transition windows) before
-/// it counts as refused.
-const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 /// Smallest / largest shard count the scaler may reach.
 const MIN_SHARDS: usize = 2;
 const MAX_SHARDS: usize = 4;
@@ -111,22 +108,6 @@ pub fn knobs(smoke: bool) -> DiurnalKnobs {
             confirm_polls: 2,
         }
     }
-}
-
-/// Whether `CSAW_AUTOSCALE_SMOKE` asks for the compressed run.
-pub fn smoke_requested() -> bool {
-    std::env::var("CSAW_AUTOSCALE_SMOKE").is_ok_and(|v| v != "0")
-}
-
-fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -287,29 +268,6 @@ fn day() -> Vec<Stage> {
         // 20 r/s/shard < 30: merge. Post-merge 40 r/s/shard is in-band.
         Stage { name: "night_low", rate: 80.0, read_frac: 0.3, expect: g(2, false), expect_kind: Some("merge"), crash: None },
     ]
-}
-
-/// Deterministic workload: a small hot set written once up front, then
-/// unique-key SETs interleaved with hot GETs. The hot GETs are what the
-/// inserted cache tier memoizes; the unique SETs make retries across
-/// transition windows idempotent.
-fn command_for(i: usize) -> Command {
-    if i < 8 {
-        Command::Set(format!("hot{i}"), format!("hv{i}").into_bytes())
-    } else if i.is_multiple_of(3) {
-        Command::Get(format!("hot{}", i % 8))
-    } else {
-        Command::Set(format!("k{i}"), format!("v{i}").into_bytes())
-    }
-}
-
-/// What the traffic driver observed over one stage.
-#[derive(Debug, Default, Clone, Copy)]
-struct StageTraffic {
-    sent: usize,
-    acked: usize,
-    retried: usize,
-    refused: usize,
 }
 
 /// What one diurnal stage measured.
@@ -493,7 +451,7 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
 
     let mut failures: Vec<String> = Vec::new();
     let mut stage_results: Vec<StageResult> = Vec::new();
-    let acked_sets: Mutex<Vec<(String, Vec<u8>)>> = Mutex::new(Vec::new());
+    let mut acked_sets: Vec<(String, Vec<u8>)> = Vec::new();
     let next_i = AtomicUsize::new(0);
     let mut cache_high = (0u64, 0u64);
 
@@ -519,13 +477,19 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
             let requests = &requests;
             let replies = &replies;
             let stop_ref = &stop;
-            let acked_ref = &acked_sets;
             let next_ref = &next_i;
             let driver_thread = s.spawn(move || {
-                let mut t = StageTraffic::default();
+                let mut t = DriveStats::default();
                 while !stop_ref.load(Ordering::Relaxed) {
                     let cmd = command_for(next_ref.fetch_add(1, Ordering::Relaxed));
-                    drive_one(rt_ref, requests, replies, &cmd, &mut t, acked_ref);
+                    drive_one(
+                        rt_ref,
+                        ("Fnt", "junction"),
+                        requests,
+                        || replies.lock().len(),
+                        &cmd,
+                        &mut t,
+                    );
                     std::thread::sleep(k.pace);
                 }
                 t
@@ -645,14 +609,16 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
             retried: traffic.retried,
             refused: traffic.refused,
         });
+        acked_sets.extend(traffic.acked_sets);
     }
 
     let records = scaler.records();
     let stats = scaler.stats();
-    let programs = scaler.programs();
     scaler.stop();
-    let jsonl = rt.trace_jsonl();
-    let dropped = rt.trace_dropped();
+    // Cross-epoch conformance over the runtime's own chain: the boot
+    // program + every phase target it cut to. The crash repair
+    // restarts in place, so it adds no epoch.
+    let (conformance, jsonl) = check_runtime_trace(&rt, false);
     rt.shutdown();
 
     // ----------------------------------------------------------------
@@ -678,13 +644,9 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
         ));
     }
 
-    let acked_sets = acked_sets.into_inner();
-    let lost_acked_sets = acked_sets
-        .iter()
-        .filter(|(key, v)| !stores.iter().any(|s| s.lock().get(key) == Some(v.as_slice())))
-        .count();
-    if lost_acked_sets > 0 {
-        failures.push(format!("{lost_acked_sets} acknowledged SETs lost"));
+    let lost = lost_acked_sets(&acked_sets, &stores);
+    if lost > 0 {
+        failures.push(format!("{lost} acknowledged SETs lost"));
     }
     let refused: usize = stage_results.iter().map(|s| s.refused).sum();
     if refused > 0 {
@@ -694,12 +656,6 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
         failures.push("the cache tier never served a hit".to_string());
     }
 
-    // Cross-epoch conformance: boot program + every installed phase
-    // target, in cut order. The crash repair restarts in place, so it
-    // adds no epoch.
-    let mut chain: Vec<&CompiledProgram> = vec![&boot];
-    chain.extend(programs.iter());
-    let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
     if !conformance.ok {
         failures.push(format!("cross-epoch conformance: {}", conformance.detail));
     }
@@ -715,54 +671,10 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
         cache_misses: cache_high.1,
         stats,
         acked_sets: acked_sets.len(),
-        lost_acked_sets,
+        lost_acked_sets: lost,
         refused,
         conformance,
         failures,
         trace_jsonl: jsonl,
-    }
-}
-
-/// Drive one command to completion: (re)queue it, invoke the front-end,
-/// and only count it acknowledged once a reply lands. Failed or
-/// reply-less attempts retry until [`REQUEST_DEADLINE`] — the retries
-/// carry requests across plan-phase holds and the repair window.
-fn drive_one(
-    rt: &Runtime,
-    requests: &RequestQueue,
-    replies: &ReplyQueue,
-    cmd: &Command,
-    t: &mut StageTraffic,
-    acked_sets: &Mutex<Vec<(String, Vec<u8>)>>,
-) {
-    t.sent += 1;
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    let mut first = true;
-    loop {
-        if Instant::now() >= deadline {
-            t.refused += 1;
-            requests.lock().clear();
-            return;
-        }
-        if !first {
-            t.retried += 1;
-        }
-        first = false;
-        {
-            let mut q = requests.lock();
-            if q.is_empty() {
-                q.push_back(cmd.clone());
-            }
-        }
-        let before = replies.lock().len();
-        let invoked = rt.invoke("Fnt", "junction").is_ok();
-        if invoked && wait_until(Duration::from_millis(400), || replies.lock().len() > before) {
-            t.acked += 1;
-            if let Command::Set(key, v) = cmd {
-                acked_sets.lock().push((key.clone(), v.clone()));
-            }
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
     }
 }

@@ -16,11 +16,12 @@
 //! `--smoke` (or `CSAW_AUTOSCALE_SMOKE=1`) compresses the traffic
 //! holds for CI.
 
-use csaw_bench::autoscale_runs::{knobs, run_diurnal, smoke_requested};
+use csaw_bench::autoscale_runs::{knobs, run_diurnal};
 use csaw_bench::report::Report;
 
 fn main() {
-    let smoke = smoke_requested() || std::env::args().any(|a| a == "--smoke");
+    let smoke = csaw_bench::smoke_requested("CSAW_AUTOSCALE_SMOKE")
+        || std::env::args().any(|a| a == "--smoke");
     let out = run_diurnal(knobs(smoke));
 
     let mut report = Report::new(

@@ -1,5 +1,5 @@
 //! Hot-path batching benchmark: the before/after numbers for the
-//! per-message-cost work, in three parts:
+//! per-message-cost work, in two parts:
 //!
 //! 1. **Sharded aggregate throughput** (acceptance): the paper's Redis
 //!    is single-threaded, so capacity scales by running one instance
@@ -9,12 +9,7 @@
 //!    measure each shard serving its partition at full rate. Aggregate
 //!    capacity = sum of per-shard rates; acceptance wants ≥ 2× the
 //!    single instance.
-//! 2. **Lock sharding under contention** (the "shard the hot table
-//!    lock" fix): T threads hammer one `Mutex<Store>` vs a
-//!    [`mini_redis::ShardedStore`] striped by key hash, with per-op
-//!    tail latencies (fig. 25c/26b-style p50/p99/p999) showing what
-//!    the single hot lock does to the tail.
-//! 3. **Trace saturation** (acceptance): worker threads record events
+//! 2. **Trace saturation** (acceptance): worker threads record events
 //!    into one enabled tracer as fast as they can — the pure hot path
 //!    (thread-local staging buffer, bulk flush every 128 events).
 //!    Acceptance wants < 100 ns/event at saturation. The metric is
@@ -26,7 +21,7 @@
 //!
 //! Environment knobs:
 //! * `CSAW_BATCH_SECS` — seconds per throughput run (default 1.5);
-//! * `CSAW_BATCH_THREADS` — contention worker threads (default 4);
+//! * `CSAW_BATCH_THREADS` — trace-recording worker threads (default 4);
 //! * `CSAW_BATCH_SHARDS` — shard instances for the aggregate
 //!   measurement (default 4);
 //! * `CSAW_BATCH_EVENTS` — total events in the trace bench (default
@@ -36,7 +31,6 @@
 //!   *regressed* more than 25% against the baseline (improvements
 //!   always pass).
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -44,7 +38,7 @@ use csaw_bench::report::Report;
 use csaw_runtime::trace::{TraceKind, Tracer};
 use mini_redis::hash::shard_of;
 use mini_redis::workload::{Workload, WorkloadSpec};
-use mini_redis::{Command, ShardedStore, Store};
+use mini_redis::{Command, Store};
 use parking_lot::Mutex;
 
 fn workload() -> Workload {
@@ -122,82 +116,7 @@ fn sharded_aggregate_qps(n: usize, secs: f64) -> f64 {
 }
 
 // ---------------------------------------------------------------------
-// 2. lock contention: one hot mutex vs striped locks
-// ---------------------------------------------------------------------
-
-/// Run `threads` workers against `exec` for `secs`; returns aggregate
-/// queries/s.
-fn contended_qps<E>(threads: usize, secs: f64, exec: E) -> f64
-where
-    E: Fn(&Command) + Send + Sync,
-{
-    let exec = &exec;
-    let stop = &AtomicBool::new(false);
-    std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut wl = workload();
-                    let mut n = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        for _ in 0..64 {
-                            exec(&wl.next());
-                            n += 1;
-                        }
-                    }
-                    n
-                })
-            })
-            .collect();
-        let start = Instant::now();
-        std::thread::sleep(Duration::from_secs_f64(secs));
-        stop.store(true, Ordering::Relaxed);
-        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        total as f64 / start.elapsed().as_secs_f64()
-    })
-}
-
-/// Latency-sampling pass: every worker times every op; returns merged
-/// microsecond percentiles (p50, p99, p999).
-fn latency_tails<E>(threads: usize, secs: f64, exec: E) -> (f64, f64, f64)
-where
-    E: Fn(&Command) + Send + Sync,
-{
-    let exec = &exec;
-    let stop = &AtomicBool::new(false);
-    let mut all: Vec<u64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                s.spawn(move || {
-                    let mut wl = workload();
-                    let mut samples = Vec::with_capacity(1 << 16);
-                    while !stop.load(Ordering::Relaxed) {
-                        let cmd = wl.next();
-                        let t = Instant::now();
-                        exec(&cmd);
-                        samples.push(t.elapsed().as_nanos() as u64);
-                    }
-                    samples
-                })
-            })
-            .collect();
-        std::thread::sleep(Duration::from_secs_f64(secs));
-        stop.store(true, Ordering::Relaxed);
-        handles.into_iter().flat_map(|h| h.join().unwrap()).collect()
-    });
-    all.sort_unstable();
-    let pct = |p: f64| -> f64 {
-        if all.is_empty() {
-            return 0.0;
-        }
-        let idx = ((all.len() as f64 * p) as usize).min(all.len() - 1);
-        all[idx] as f64 / 1000.0
-    };
-    (pct(0.50), pct(0.99), pct(0.999))
-}
-
-// ---------------------------------------------------------------------
-// 3. trace hot path at saturation
+// 2. trace hot path at saturation
 // ---------------------------------------------------------------------
 
 /// `threads` workers split `total_events` recordings into one enabled
@@ -264,7 +183,6 @@ fn main() {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(4_000_000usize);
-    let stripes = 16;
 
     // -- 1. single instance vs sharded aggregate -----------------------
     let _ = single_instance_qps(secs / 4.0); // warm-up
@@ -275,38 +193,7 @@ fn main() {
     println!("  one instance:              {single_qps:>12.0} q/s");
     println!("  {shards}-shard aggregate:         {aggregate_qps:>12.0} q/s  ({ratio:.2}x)");
 
-    // -- 2. hot-lock contention ----------------------------------------
-    let single = Arc::new(Mutex::new(Store::new()));
-    preload(|k, v| single.lock().set(k, v));
-    let _ = contended_qps(threads, secs / 4.0, |c| {
-        let _ = c.execute(&mut single.lock());
-    });
-    let contended_single = contended_qps(threads, secs, |c| {
-        let _ = c.execute(&mut single.lock());
-    });
-    let sharded = Arc::new(ShardedStore::new(stripes));
-    preload(|k, v| sharded.set(k, v));
-    let _ = contended_qps(threads, secs / 4.0, |c| {
-        let _ = sharded.execute(c);
-    });
-    let contended_sharded = contended_qps(threads, secs, |c| {
-        let _ = sharded.execute(c);
-    });
-    let lock_ratio = contended_sharded / contended_single;
-    println!("hot-lock contention ({threads} threads, one keyspace):");
-    println!("  one Mutex<Store>:          {contended_single:>12.0} q/s");
-    println!("  ShardedStore ({stripes} stripes): {contended_sharded:>12.0} q/s  ({lock_ratio:.2}x)");
-
-    let (s_p50, s_p99, s_p999) = latency_tails(threads, secs / 2.0, |c| {
-        let _ = c.execute(&mut single.lock());
-    });
-    let (h_p50, h_p99, h_p999) = latency_tails(threads, secs / 2.0, |c| {
-        let _ = sharded.execute(c);
-    });
-    println!("  tails (us)  single  p50 {s_p50:.1}  p99 {s_p99:.1}  p999 {s_p999:.1}");
-    println!("  tails (us)  sharded p50 {h_p50:.1}  p99 {h_p99:.1}  p999 {h_p999:.1}");
-
-    // -- 3. trace hot path at saturation -------------------------------
+    // -- 2. trace hot path at saturation -------------------------------
     let ns_multi = trace_saturation(threads, total_events);
     let ns_single = trace_saturation(1, total_events);
     println!("trace hot path:");
@@ -314,23 +201,13 @@ fn main() {
         "  {total_events} events over {threads} threads: {ns_multi:.1} ns/event (1 thread: {ns_single:.1})"
     );
 
-    let mut r = Report::new("batching", "Hot-path batching & lock sharding");
+    let mut r = Report::new("batching", "Hot-path batching");
     r.note("threads", threads as f64);
     r.note("secs_per_run", secs);
     r.note("redis_single_qps", single_qps);
     r.note("redis_shards", shards as f64);
     r.note("redis_sharded_aggregate_qps", aggregate_qps);
     r.note("sharded_over_single", ratio);
-    r.note("contended_single_lock_qps", contended_single);
-    r.note("contended_sharded_qps", contended_sharded);
-    r.note("sharded_stripes", stripes as f64);
-    r.note("contended_sharded_over_single", lock_ratio);
-    r.note("single_p50_us", s_p50);
-    r.note("single_p99_us", s_p99);
-    r.note("single_p999_us", s_p999);
-    r.note("sharded_p50_us", h_p50);
-    r.note("sharded_p99_us", h_p99);
-    r.note("sharded_p999_us", h_p999);
     r.note("trace_events", total_events as f64);
     r.note("trace_ns_per_event_saturated", ns_multi);
     r.note("trace_ns_per_event_single_thread", ns_single);

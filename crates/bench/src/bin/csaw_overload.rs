@@ -11,11 +11,12 @@
 //! `--smoke` (or `CSAW_OVERLOAD_SMOKE=1`) compresses the per-point
 //! holds for CI.
 
-use csaw_bench::overload::{knobs, run_storm, smoke_requested};
+use csaw_bench::overload::{knobs, run_storm};
 use csaw_bench::report::Report;
 
 fn main() {
-    let smoke = smoke_requested() || std::env::args().any(|a| a == "--smoke");
+    let smoke = csaw_bench::smoke_requested("CSAW_OVERLOAD_SMOKE")
+        || std::env::args().any(|a| a == "--smoke");
     let k = knobs(smoke);
     let out = run_storm(&k);
 

@@ -14,7 +14,7 @@
 
 use std::time::Duration;
 
-use csaw_bench::reconfig_runs::{knobs, run_all, smoke_requested};
+use csaw_bench::reconfig_runs::{knobs, run_all};
 use csaw_bench::report::Report;
 
 /// The bystander path typically shows sub-millisecond gaps; the bound
@@ -23,7 +23,8 @@ use csaw_bench::report::Report;
 const BYSTANDER_BOUND: Duration = Duration::from_millis(250);
 
 fn main() {
-    let smoke = smoke_requested() || std::env::args().any(|a| a == "--smoke");
+    let smoke = csaw_bench::smoke_requested("CSAW_RECONFIG_SMOKE")
+        || std::env::args().any(|a| a == "--smoke");
     let outcomes = run_all(knobs(smoke));
 
     let mut report = Report::new(

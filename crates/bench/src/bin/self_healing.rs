@@ -13,10 +13,11 @@
 //! windows for CI.
 
 use csaw_bench::report::Report;
-use csaw_bench::self_healing::{knobs, run_all, smoke_requested};
+use csaw_bench::self_healing::{knobs, run_all};
 
 fn main() {
-    let smoke = smoke_requested() || std::env::args().any(|a| a == "--smoke");
+    let smoke = csaw_bench::smoke_requested("CSAW_SELF_HEALING_SMOKE")
+        || std::env::args().any(|a| a == "--smoke");
     let outcomes = run_all(knobs(smoke));
 
     let mut report = Report::new(

@@ -38,6 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
+use crate::harness::{wait_until, BlobStoreApp, CounterApp};
 use crate::report::Report;
 
 /// The soak keyspace: all generated commands target these keys, so
@@ -464,7 +465,7 @@ pub fn soak_failover(schedule: &ChaosSchedule) -> SoakOutcome {
     let stats = rt.link_stats();
     rt.shutdown();
     let (conformance, trace_jsonl) = if schedule.conformance {
-        let (summary, jsonl) = check_runtime_trace(&rt, &cp);
+        let (summary, jsonl) = check_runtime_trace(&rt, false);
         (Some(summary), Some(jsonl))
     } else {
         (None, None)
@@ -602,7 +603,7 @@ pub fn soak_watched(schedule: &ChaosSchedule) -> SoakOutcome {
     let stats = rt.link_stats();
     rt.shutdown();
     let (conformance, trace_jsonl) = if schedule.conformance {
-        let (summary, jsonl) = check_runtime_trace(&rt, &cp);
+        let (summary, jsonl) = check_runtime_trace(&rt, false);
         (Some(summary), Some(jsonl))
     } else {
         (None, None)
@@ -630,50 +631,6 @@ pub fn soak_watched(schedule: &ChaosSchedule) -> SoakOutcome {
 // ---------------------------------------------------------------------
 // §10.1 checkpoint soak
 // ---------------------------------------------------------------------
-
-/// Counter app for the checkpoint soak: every `save("state")` records
-/// what was checkpointed, so recovery can be validated against the set
-/// of states that were actually captured.
-struct CounterApp {
-    counter: Arc<AtomicU64>,
-    checkpointed: Arc<Mutex<Vec<i64>>>,
-    recovered: Arc<Mutex<Option<i64>>>,
-}
-
-impl InstanceApp for CounterApp {
-    fn host_call(&mut self, _name: &str, _ctx: &mut HostCtx<'_>) -> Result<(), String> {
-        Ok(())
-    }
-    fn save(&mut self, _key: &str) -> Result<Value, String> {
-        let v = self.counter.load(Ordering::SeqCst) as i64;
-        self.checkpointed.lock().push(v);
-        Ok(Value::Int(v))
-    }
-    fn restore(&mut self, _key: &str, value: &Value) -> Result<(), String> {
-        let v = value.as_int().ok_or("bad checkpoint")?;
-        self.counter.store(v as u64, Ordering::SeqCst);
-        *self.recovered.lock() = Some(v);
-        Ok(())
-    }
-}
-
-/// Blob store app: keeps the latest checkpoint value.
-struct BlobStoreApp {
-    latest: Arc<Mutex<Option<Value>>>,
-}
-
-impl InstanceApp for BlobStoreApp {
-    fn host_call(&mut self, _name: &str, _ctx: &mut HostCtx<'_>) -> Result<(), String> {
-        Ok(())
-    }
-    fn save(&mut self, _key: &str) -> Result<Value, String> {
-        self.latest.lock().clone().ok_or("no checkpoint stored".into())
-    }
-    fn restore(&mut self, _key: &str, value: &Value) -> Result<(), String> {
-        *self.latest.lock() = Some(value.clone());
-        Ok(())
-    }
-}
 
 /// Soak the checkpoint architecture: periodic checkpoints flow over a
 /// lossy primary↔store link while the counter advances; then the primary
@@ -742,7 +699,7 @@ pub fn soak_checkpoint(schedule: &ChaosSchedule) -> SoakOutcome {
     let stats = rt.link_stats();
     rt.shutdown();
     let (conformance, trace_jsonl) = if schedule.conformance {
-        let (summary, jsonl) = check_runtime_trace(&rt, &cp);
+        let (summary, jsonl) = check_runtime_trace(&rt, false);
         (Some(summary), Some(jsonl))
     } else {
         (None, None)
@@ -765,17 +722,6 @@ pub fn soak_checkpoint(schedule: &ChaosSchedule) -> SoakOutcome {
         conformance,
         trace_jsonl,
     }
-}
-
-fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    false
 }
 
 #[cfg(test)]

@@ -14,19 +14,22 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use csaw_core::program::{CompiledProgram, LoadConfig};
+use csaw_core::program::LoadConfig;
 use csaw_core::value::Value;
 use csaw_runtime::runtime::Policy;
 use csaw_runtime::{HostCtx, InstanceApp, Runtime, RuntimeConfig};
-use csaw_semantics::{check_jsonl, denote_program, ConformanceOptions, DenoteConfig};
+use csaw_semantics::{
+    check_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
+};
 use mini_curl::apps::{AuditorApp, CurlApp};
 use mini_curl::LinkModel;
 use mini_redis::apps::{CacheApp, ServerApp, ShardFrontApp, ShardMode};
 use mini_redis::Command;
 
 use crate::chaos::{soak_checkpoint, soak_failover, soak_watched, ChaosSchedule, SoakOutcome};
+use crate::harness::wait_until;
 
 /// The digest of one conformance replay.
 #[derive(Clone, Debug)]
@@ -48,17 +51,29 @@ pub struct ConformanceSummary {
 }
 
 /// Drain a runtime's trace and replay it against the event structures
-/// denoted from the same compiled program. Returns the digest and the
-/// raw JSONL (for artifact dumps on failure).
-pub fn check_runtime_trace(rt: &Runtime, cp: &CompiledProgram) -> (ConformanceSummary, String) {
+/// denoted from the runtime's own epoch chain: the boot program, then
+/// every program a live reconfiguration, plan phase, repair or
+/// autoscaler transition cut to, each judging its own epoch — plus the
+/// repair-event protocol rules. `injected_applies` says the driver
+/// delivered updates directly (a zombie poke, a recovery trigger), so
+/// some applies have no matching send. Returns the digest and the raw
+/// JSONL (for artifact dumps on failure).
+pub fn check_runtime_trace(rt: &Runtime, injected_applies: bool) -> (ConformanceSummary, String) {
     let jsonl = rt.trace_jsonl();
     let dropped = rt.trace_dropped();
-    let sem = denote_program(cp, &DenoteConfig::default());
+    let sems: Vec<ProgramSemantics> = rt
+        .epoch_chain()
+        .iter()
+        .map(|p| denote_program(p, &DenoteConfig::default()))
+        .collect();
+    let chain: Vec<Option<&ProgramSemantics>> = sems.iter().map(Some).collect();
     // If the ring evicted events, a delivery's matching send may have
     // been evicted rather than never sent — the pairing rule is only
-    // sound over a complete trace.
-    let opts = ConformanceOptions { require_send_for_apply: dropped == 0 };
-    let summary = match check_jsonl(&jsonl, Some(&sem), &opts) {
+    // sound over a complete trace with no driver-injected deliveries.
+    let opts = ConformanceOptions {
+        require_send_for_apply: dropped == 0 && !injected_applies,
+    };
+    let summary = match check_jsonl(&jsonl, &chain, &opts) {
         Ok(report) => ConformanceSummary {
             ok: report.ok(),
             events: report.events,
@@ -114,20 +129,9 @@ impl ArchConformance {
     }
 }
 
-fn finish(arch: &str, rt: &Runtime, cp: &CompiledProgram) -> ArchConformance {
-    let (summary, jsonl) = check_runtime_trace(rt, cp);
+fn finish(arch: &str, rt: &Runtime) -> ArchConformance {
+    let (summary, jsonl) = check_runtime_trace(rt, false);
     ArchConformance { arch: arch.to_string(), summary, jsonl }
-}
-
-fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    false
 }
 
 // ---------------------------------------------------------------------
@@ -157,7 +161,7 @@ pub fn conf_snapshot() -> ArchConformance {
     }
     wait_until(Duration::from_secs(5), || log.lock().len() >= 4);
     rt.shutdown();
-    finish("snapshot", &rt, &cp)
+    finish("snapshot", &rt)
 }
 
 // ---------------------------------------------------------------------
@@ -192,7 +196,7 @@ pub fn conf_sharding() -> ArchConformance {
     }
     wait_until(Duration::from_secs(5), || replies.lock().len() >= sent);
     rt.shutdown();
-    finish("sharding", &rt, &cp)
+    finish("sharding", &rt)
 }
 
 // ---------------------------------------------------------------------
@@ -272,7 +276,7 @@ pub fn conf_parallel_sharding() -> ArchConformance {
         });
     }
     rt.shutdown();
-    finish("parallel_sharding", &rt, &cp)
+    finish("parallel_sharding", &rt)
 }
 
 // ---------------------------------------------------------------------
@@ -313,7 +317,7 @@ pub fn conf_caching() -> ArchConformance {
     }
     wait_until(Duration::from_secs(5), || replies.lock().len() >= sent);
     rt.shutdown();
-    finish("caching", &rt, &cp)
+    finish("caching", &rt)
 }
 
 // ---------------------------------------------------------------------

@@ -35,11 +35,14 @@ pub mod exp_curl;
 pub mod exp_loc;
 pub mod exp_redis;
 pub mod exp_suricata;
+mod harness;
 pub mod overload;
 pub mod reconfig_runs;
 pub mod report;
 pub mod self_healing;
 pub mod sim_runs;
+
+pub use harness::smoke_requested;
 
 /// Experiment duration (seconds), from `CSAW_EXP_SECONDS` or the default.
 pub fn exp_seconds(default: f64) -> f64 {

@@ -68,11 +68,6 @@ pub fn knobs(smoke: bool) -> StormKnobs {
     }
 }
 
-/// Whether `CSAW_OVERLOAD_SMOKE=1` requests a compressed run.
-pub fn smoke_requested() -> bool {
-    std::env::var("CSAW_OVERLOAD_SMOKE").map(|v| v == "1").unwrap_or(false)
-}
-
 /// One (offered multiplier, configuration) measurement.
 #[derive(Clone, Debug)]
 pub struct PointOutcome {

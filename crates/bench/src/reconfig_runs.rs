@@ -22,9 +22,9 @@
 //! permanently refused requests, an ≈ 0 pause for unaffected instances,
 //! and a **cross-epoch conformance** pass — the recorded trace validates
 //! against program A's event structures before the `reconfig_cut` and
-//! program B's after it ([`csaw_semantics::check_reconfig_jsonl`]).
+//! program B's after it, A and B being the runtime's own epoch chain
+//! ([`crate::conformance_runs::check_runtime_trace`]).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -41,20 +41,17 @@ use csaw_core::program::{CompiledProgram, InstanceType, JunctionDef, LoadConfig,
 use csaw_core::value::Value;
 use csaw_runtime::runtime::Policy;
 use csaw_runtime::{PhaseTimings, ReconfigReport, ReconfigSpec, Runtime, RuntimeConfig};
-use csaw_semantics::{check_reconfig_jsonl, denote_program, ConformanceOptions, DenoteConfig};
 use mini_redis::apps::{CacheApp, ServerApp, ShardFrontApp, ShardMode};
 use mini_redis::hash::shard_of;
-use mini_redis::{Command, Store};
+use mini_redis::Store;
 use parking_lot::Mutex;
 
 use crate::chaos::KvFront;
-use crate::conformance_runs::ConformanceSummary;
+use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
+use crate::harness::{
+    command_for, drive_one, lost_acked_sets, wait_until, DriveStats, FRONT_TIMEOUT,
+};
 use crate::report::Report;
-
-/// The front-end `wait` deadline used by every transition.
-const FRONT_TIMEOUT: Duration = Duration::from_millis(400);
-/// How long a single request may retry before it counts as refused.
-const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Timing knobs. Smoke mode (CI) compresses the traffic windows.
 #[derive(Clone, Copy, Debug)]
@@ -81,92 +78,6 @@ pub fn knobs(smoke: bool) -> BenchKnobs {
             drain: Duration::from_millis(600),
             pace: Duration::from_micros(300),
         }
-    }
-}
-
-/// Whether `CSAW_RECONFIG_SMOKE` asks for the compressed run.
-pub fn smoke_requested() -> bool {
-    std::env::var("CSAW_RECONFIG_SMOKE").is_ok_and(|v| v != "0")
-}
-
-fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    false
-}
-
-/// Deterministic workload: a small hot set written once up front, then
-/// unique-key SETs interleaved with hot GETs. Unique SET keys make
-/// retries idempotent (a late-landing duplicate can never clobber a
-/// newer acknowledged value), and the hot GETs give the caching
-/// transition something to memoize.
-fn command_for(i: usize) -> Command {
-    if i < 8 {
-        Command::Set(format!("hot{i}"), format!("hv{i}").into_bytes())
-    } else if i.is_multiple_of(3) {
-        Command::Get(format!("hot{}", i % 8))
-    } else {
-        Command::Set(format!("k{i}"), format!("v{i}").into_bytes())
-    }
-}
-
-/// What the driver thread observed.
-#[derive(Debug, Default)]
-struct DriveStats {
-    sent: usize,
-    acked: usize,
-    retried: usize,
-    refused: usize,
-    acked_sets: Vec<(String, Vec<u8>)>,
-}
-
-/// Drive one command to completion: (re)queue it, invoke the front-end,
-/// and only count it acknowledged once a reply actually lands. Failed or
-/// reply-less attempts retry until [`REQUEST_DEADLINE`]; invokes
-/// deferred by a reconfiguration hold simply retry onto the new
-/// topology after resume.
-fn drive_one<F: Fn() -> usize>(
-    rt: &Runtime,
-    target: (&str, &str),
-    requests: &Arc<Mutex<VecDeque<Command>>>,
-    replies_len: F,
-    cmd: &Command,
-    stats: &mut DriveStats,
-) {
-    stats.sent += 1;
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    let mut first = true;
-    loop {
-        if Instant::now() >= deadline {
-            stats.refused += 1;
-            requests.lock().clear();
-            return;
-        }
-        if !first {
-            stats.retried += 1;
-        }
-        first = false;
-        {
-            let mut q = requests.lock();
-            if q.is_empty() {
-                q.push_back(cmd.clone());
-            }
-        }
-        let before = replies_len();
-        let invoked = rt.invoke(target.0, target.1).is_ok();
-        if invoked && wait_until(Duration::from_millis(400), || replies_len() > before) {
-            stats.acked += 1;
-            if let Command::Set(k, v) = cmd {
-                stats.acked_sets.push((k.clone(), v.clone()));
-            }
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
     }
 }
 
@@ -255,59 +166,6 @@ fn run_live(
             Err(f) => Err(format!("reconfigure failed (not applied): {f:?}")),
         }
     })
-}
-
-/// Acked SETs with no home in any store afterwards — the lost-write
-/// count, which must be zero.
-fn lost_acked_sets(acked: &[(String, Vec<u8>)], stores: &[Arc<Mutex<Store>>]) -> usize {
-    acked
-        .iter()
-        .filter(|(k, v)| !stores.iter().any(|s| s.lock().get(k) == Some(v.as_slice())))
-        .count()
-}
-
-/// Replay the recorded trace against both epochs' event structures:
-/// records scheduled before the `reconfig_cut` must be valid under
-/// program A, records after it under program B.
-fn check_cross_epoch(
-    rt: &Runtime,
-    a: &CompiledProgram,
-    b: &CompiledProgram,
-) -> (ConformanceSummary, String) {
-    let jsonl = rt.trace_jsonl();
-    let dropped = rt.trace_dropped();
-    let sem_a = denote_program(a, &DenoteConfig::default());
-    let sem_b = denote_program(b, &DenoteConfig::default());
-    // Same caveat as `check_runtime_trace`: the send/apply pairing rule
-    // is only sound over a complete (unevicted) trace.
-    let opts = ConformanceOptions { require_send_for_apply: dropped == 0 };
-    let summary = match check_reconfig_jsonl(&jsonl, Some(&sem_a), Some(&sem_b), &opts) {
-        Ok(report) => ConformanceSummary {
-            ok: report.ok(),
-            events: report.events,
-            violations: report.violations.len(),
-            matched: report.matched_labels,
-            unmatched: report.unmatched_labels,
-            dropped,
-            detail: report
-                .violations
-                .iter()
-                .take(5)
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n"),
-        },
-        Err(e) => ConformanceSummary {
-            ok: false,
-            events: 0,
-            violations: 1,
-            matched: 0,
-            unmatched: 0,
-            dropped,
-            detail: format!("trace parse error: {e}"),
-        },
-    };
-    (summary, jsonl)
 }
 
 /// What one live transition measured.
@@ -586,7 +444,7 @@ pub fn transition_reshard(
 
     let lost = lost_acked_sets(&run.stats.acked_sets, &stores);
     rt.shutdown();
-    let (conformance, jsonl) = check_cross_epoch(&rt, &a, &b);
+    let (conformance, jsonl) = check_runtime_trace(&rt, false);
     build_outcome(name, "Bck1", run, lost, vec![], conformance, jsonl)
 }
 
@@ -701,7 +559,7 @@ pub fn transition_add_cache(k: BenchKnobs) -> TransitionOutcome {
         ("cache_misses_total".to_string(), misses.load(Ordering::Relaxed) as f64),
     ];
     rt.shutdown();
-    let (conformance, jsonl) = check_cross_epoch(&rt, &a, &b);
+    let (conformance, jsonl) = check_runtime_trace(&rt, false);
     build_outcome("add_cache", "Fun", run, lost, extra, conformance, jsonl)
 }
 
@@ -810,7 +668,7 @@ pub fn transition_enable_watched(k: BenchKnobs) -> TransitionOutcome {
         if failed_over.load(Ordering::Relaxed) { 1.0 } else { 0.0 },
     )];
     rt.shutdown();
-    let (conformance, jsonl) = check_cross_epoch(&rt, &a, &b);
+    let (conformance, jsonl) = check_runtime_trace(&rt, false);
     build_outcome("enable_watched", "f", run, lost, extra, conformance, jsonl)
 }
 

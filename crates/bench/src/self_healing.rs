@@ -25,9 +25,9 @@
 //! verified) — plus the invariants: **zero lost acknowledged writes**,
 //! no permanently refused requests, traffic served after the repair,
 //! and a cross-epoch conformance pass of the recorded trace against the
-//! program chain the repairs installed (`check_repair_jsonl`).
+//! runtime's own epoch chain
+//! ([`crate::conformance_runs::check_runtime_trace`]).
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -35,32 +35,27 @@ use std::time::{Duration, Instant};
 use csaw_arch::checkpoint::{checkpoint, CheckpointSpec};
 use csaw_arch::sharding::{sharding, ShardingSpec};
 use csaw_arch::watched::{promoted, supervised_failover, WatchedSpec};
-use csaw_core::program::{CompiledProgram, LoadConfig};
+use csaw_core::program::LoadConfig;
 use csaw_core::value::Value;
 use csaw_kv::Update;
 use csaw_runtime::runtime::Policy;
 use csaw_runtime::supervisor::{RebuildFn, RepairAction, RepairHook};
 use csaw_runtime::{
-    FailureClass, FaultPlan, HeartbeatConfig, HostCtx, InstanceApp, ReconfigSpec, RepairPolicy,
-    RepairRecord, Runtime, RuntimeConfig, SupervisorConfig,
-};
-use csaw_semantics::{
-    check_repair_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
+    FailureClass, FaultPlan, HeartbeatConfig, ReconfigSpec, RepairPolicy, RepairRecord, Runtime,
+    RuntimeConfig, SupervisorConfig,
 };
 use mini_redis::apps::{ServerApp, ShardFrontApp, ShardMode};
 use mini_redis::hash::shard_of;
-use mini_redis::{Command, Store};
+use mini_redis::Store;
 use parking_lot::Mutex;
 
 use crate::chaos::KvFront;
-use crate::conformance_runs::ConformanceSummary;
+use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
+use crate::harness::{
+    command_for, drive_one, lost_acked_sets, wait_until, BlobStoreApp, CounterApp, DriveStats,
+    FRONT_TIMEOUT,
+};
 use crate::report::Report;
-
-/// The front-end `wait` deadline used by every scenario.
-const FRONT_TIMEOUT: Duration = Duration::from_millis(400);
-/// How long a single request may retry (through the repair window)
-/// before it counts as refused.
-const REQUEST_DEADLINE: Duration = Duration::from_secs(10);
 
 /// Timing knobs. Smoke mode (CI) compresses the traffic windows.
 #[derive(Clone, Copy, Debug)]
@@ -87,145 +82,6 @@ pub fn knobs(smoke: bool) -> BenchKnobs {
             after: Duration::from_millis(500),
             pace: Duration::from_micros(300),
         }
-    }
-}
-
-/// Whether `CSAW_SELF_HEALING_SMOKE` asks for the compressed run.
-pub fn smoke_requested() -> bool {
-    std::env::var("CSAW_SELF_HEALING_SMOKE").is_ok_and(|v| v != "0")
-}
-
-fn wait_until(timeout: Duration, mut f: impl FnMut() -> bool) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if f() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    false
-}
-
-/// Deterministic workload: a small hot set written once up front, then
-/// unique-key SETs interleaved with hot GETs (unique keys make retries
-/// across the repair window idempotent).
-fn command_for(i: usize) -> Command {
-    if i < 8 {
-        Command::Set(format!("hot{i}"), format!("hv{i}").into_bytes())
-    } else if i.is_multiple_of(3) {
-        Command::Get(format!("hot{}", i % 8))
-    } else {
-        Command::Set(format!("k{i}"), format!("v{i}").into_bytes())
-    }
-}
-
-/// What the driver thread observed.
-#[derive(Debug, Default)]
-struct DriveStats {
-    sent: usize,
-    acked: usize,
-    retried: usize,
-    refused: usize,
-    acked_sets: Vec<(String, Vec<u8>)>,
-}
-
-/// Drive one command to completion: (re)queue it, invoke the front-end,
-/// and only count it acknowledged once a reply lands. Failed or
-/// reply-less attempts retry until [`REQUEST_DEADLINE`] — the retries
-/// are what carry a request across the detection + repair window.
-fn drive_one<F: Fn() -> usize>(
-    rt: &Runtime,
-    target: (&str, &str),
-    requests: &Arc<Mutex<VecDeque<Command>>>,
-    replies_len: F,
-    cmd: &Command,
-    stats: &mut DriveStats,
-) {
-    stats.sent += 1;
-    let deadline = Instant::now() + REQUEST_DEADLINE;
-    let mut first = true;
-    loop {
-        if Instant::now() >= deadline {
-            stats.refused += 1;
-            requests.lock().clear();
-            return;
-        }
-        if !first {
-            stats.retried += 1;
-        }
-        first = false;
-        {
-            let mut q = requests.lock();
-            if q.is_empty() {
-                q.push_back(cmd.clone());
-            }
-        }
-        let before = replies_len();
-        let invoked = rt.invoke(target.0, target.1).is_ok();
-        if invoked && wait_until(Duration::from_millis(400), || replies_len() > before) {
-            stats.acked += 1;
-            if let Command::Set(k, v) = cmd {
-                stats.acked_sets.push((k.clone(), v.clone()));
-            }
-            return;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-}
-
-/// Acked SETs with no home in any store afterwards — the lost-write
-/// count, which must be zero.
-fn lost_acked_sets(acked: &[(String, Vec<u8>)], stores: &[Arc<Mutex<Store>>]) -> usize {
-    acked
-        .iter()
-        .filter(|(k, v)| !stores.iter().any(|s| s.lock().get(k) == Some(v.as_slice())))
-        .count()
-}
-
-/// Replay the recorded trace against the epoch chain the repairs
-/// installed (boot program + every `Reconfigure` target, in cut order)
-/// plus the repair-event protocol rules.
-pub(crate) fn check_repair_chain(
-    jsonl: &str,
-    dropped: u64,
-    chain: &[&CompiledProgram],
-    injected_applies: bool,
-) -> ConformanceSummary {
-    let sems: Vec<ProgramSemantics> = chain
-        .iter()
-        .map(|p| denote_program(p, &DenoteConfig::default()))
-        .collect();
-    let sem_refs: Vec<Option<&ProgramSemantics>> = sems.iter().map(Some).collect();
-    // The send/apply pairing rule is only sound over a complete trace
-    // with no driver-injected deliveries.
-    let opts = ConformanceOptions {
-        require_send_for_apply: dropped == 0 && !injected_applies,
-    };
-    match check_repair_jsonl(jsonl, &sem_refs, &opts) {
-        Ok(report) => ConformanceSummary {
-            ok: report.ok(),
-            events: report.events,
-            violations: report.violations.len(),
-            matched: report.matched_labels,
-            unmatched: report.unmatched_labels,
-            dropped,
-            detail: report
-                .violations
-                .iter()
-                .take(5)
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n"),
-        },
-        Err(e) => ConformanceSummary {
-            ok: false,
-            events: 0,
-            violations: 1,
-            matched: 0,
-            unmatched: 0,
-            dropped,
-            detail: format!("trace parse error: {e}"),
-        },
     }
 }
 
@@ -472,14 +328,8 @@ pub fn scenario_crash_rehoming(k: BenchKnobs) -> RepairOutcome {
 
     let lost = lost_acked_sets(&stats.acked_sets, &stores);
     let fenced_sends = rt.link_stats().fenced;
-    let jsonl = rt.trace_jsonl();
-    let dropped = rt.trace_dropped();
-    let programs = sup.programs();
+    let (conformance, jsonl) = check_runtime_trace(&rt, false);
     rt.shutdown();
-
-    let mut chain: Vec<&CompiledProgram> = vec![&a];
-    chain.extend(programs.iter());
-    let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
     outcome_from("crash_rehoming", record, injected_at, stats, lost, fenced_sends, false, conformance, jsonl)
 }
 
@@ -588,66 +438,15 @@ pub fn scenario_partition_promote(k: BenchKnobs) -> RepairOutcome {
 
     let lost = lost_acked_sets(&stats.acked_sets, &[store_o, store_s]);
     let fenced_sends = rt.link_stats().fenced;
-    let jsonl = rt.trace_jsonl();
-    let dropped = rt.trace_dropped();
-    let programs = sup.programs();
-    rt.shutdown();
-
-    let mut chain: Vec<&CompiledProgram> = vec![&a];
-    chain.extend(programs.iter());
     // The zombie poke injects an apply with no matching send.
-    let conformance = check_repair_chain(&jsonl, dropped, &chain, true);
+    let (conformance, jsonl) = check_runtime_trace(&rt, true);
+    rt.shutdown();
     outcome_from("partition_promote", record, injected_at, stats, lost, fenced_sends, stale_applied, conformance, jsonl)
 }
 
 // ---------------------------------------------------------------------
 // Scenario 3 — crash → restart + checkpoint restore
 // ---------------------------------------------------------------------
-
-/// Counter app for the checkpoint scenario (see the §10.1 architecture):
-/// `save("state")` checkpoints the counter and records what was
-/// captured, so recovery can be validated against genuinely
-/// checkpointed states only.
-struct CounterApp {
-    counter: Arc<AtomicU64>,
-    checkpointed: Arc<Mutex<Vec<i64>>>,
-    recovered: Arc<Mutex<Option<i64>>>,
-}
-
-impl InstanceApp for CounterApp {
-    fn host_call(&mut self, _name: &str, _ctx: &mut HostCtx<'_>) -> Result<(), String> {
-        Ok(())
-    }
-    fn save(&mut self, _key: &str) -> Result<Value, String> {
-        let v = self.counter.load(Ordering::SeqCst) as i64;
-        self.checkpointed.lock().push(v);
-        Ok(Value::Int(v))
-    }
-    fn restore(&mut self, _key: &str, value: &Value) -> Result<(), String> {
-        let v = value.as_int().ok_or("bad checkpoint")?;
-        self.counter.store(v as u64, Ordering::SeqCst);
-        *self.recovered.lock() = Some(v);
-        Ok(())
-    }
-}
-
-/// Blob store app: keeps the latest checkpoint value.
-struct BlobStoreApp {
-    latest: Arc<Mutex<Option<Value>>>,
-}
-
-impl InstanceApp for BlobStoreApp {
-    fn host_call(&mut self, _name: &str, _ctx: &mut HostCtx<'_>) -> Result<(), String> {
-        Ok(())
-    }
-    fn save(&mut self, _key: &str) -> Result<Value, String> {
-        self.latest.lock().clone().ok_or("no checkpoint stored".into())
-    }
-    fn restore(&mut self, _key: &str, value: &Value) -> Result<(), String> {
-        *self.latest.lock() = Some(value.clone());
-        Ok(())
-    }
-}
 
 /// Crash the checkpoint architecture's primary while its counter
 /// advances. The repair is [`RepairAction::RestartThen`]: restart in
@@ -732,13 +531,10 @@ pub fn scenario_crash_restore(k: BenchKnobs) -> RepairOutcome {
     sup.stop();
 
     let fenced_sends = rt.link_stats().fenced;
-    let jsonl = rt.trace_jsonl();
-    let dropped = rt.trace_dropped();
-    rt.shutdown();
-
     // No reconfiguring repair → single-epoch chain. The recovery hook
     // injects a `NeedState` apply with no matching send.
-    let conformance = check_repair_chain(&jsonl, dropped, &[&a], true);
+    let (conformance, jsonl) = check_runtime_trace(&rt, true);
+    rt.shutdown();
     let stats = DriveStats {
         sent: landmark.max(0) as usize,
         acked: if repaired && genuine { landmark.max(0) as usize } else { 0 },

@@ -100,8 +100,7 @@ use mini_redis::{Command, Reply, Store};
 use parking_lot::Mutex;
 
 use crate::chaos::KvFront;
-use crate::conformance_runs::ConformanceSummary;
-use crate::self_healing::check_repair_chain;
+use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
 
 /// Front-end `wait` deadline (virtual).
 const FRONT_TIMEOUT: Duration = Duration::from_millis(200);
@@ -478,7 +477,6 @@ struct FoShared {
     /// `(preferred, spare)` store handles per group, rebound per run.
     stores: Mutex<Vec<StorePair>>,
     acked: AtomicUsize,
-    injected_reconfig: AtomicBool,
     /// `Reply@f{g}` just before each partitioned group's zombie poke.
     /// The split-brain oracle only counts a *transition* to true caused
     /// by the poke: the write-to-all mode routinely leaves a benign
@@ -511,7 +509,6 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
         replies: (0..n).map(|_| Arc::new(Mutex::new(Vec::new()))).collect(),
         stores: Mutex::new(Vec::new()),
         acked: AtomicUsize::new(0),
-        injected_reconfig: AtomicBool::new(false),
         poke_reply_before: Mutex::new(vec![None; cut]),
         promoted: Mutex::new(vec![false; n]),
         sup: Mutex::new(None),
@@ -556,9 +553,7 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
     {
         let sh = Arc::clone(&shared);
         exec.inject_at(ms(100), "reconfig-identity", move |rt| {
-            if rt.reconfigure(&sh.boot, ReconfigSpec::default()).is_ok() {
-                sh.injected_reconfig.store(true, Ordering::SeqCst);
-            }
+            let _ = rt.reconfigure(&sh.boot, ReconfigSpec::default());
         });
     }
 
@@ -602,7 +597,6 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
                 r.lock().clear();
             }
             sh.acked.store(0, Ordering::SeqCst);
-            sh.injected_reconfig.store(false, Ordering::SeqCst);
             *sh.poke_reply_before.lock() = vec![None; sh.cut];
             *sh.promoted.lock() = vec![false; sh.n];
             if let Some(old) = sh.sup.lock().take() {
@@ -746,21 +740,9 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
                 .all(|g| records.iter().any(|r| r.instance == format!("o{g}") && r.ok));
             let fenced_sends = rt.link_stats().fenced;
             let held_at_end = rt.held_instances().len();
-            let jsonl = rt.trace_jsonl();
-            let dropped = rt.trace_dropped();
-            let programs = sup.programs();
-
-            let mut chain: Vec<&CompiledProgram> = vec![&sh.boot];
-            if sh.injected_reconfig.load(Ordering::SeqCst) {
-                // The identity reconfigure always lands before a
-                // repair can confirm (suspicion + quorum polls put
-                // every promotion later).
-                chain.push(&sh.boot);
-            }
-            chain.extend(programs.iter());
             // The zombie pokes and heal-window retries inject applies
             // with no matching send in the trace.
-            let conformance = check_repair_chain(&jsonl, dropped, &chain, true);
+            let (conformance, jsonl) = check_runtime_trace(rt, true);
 
             let failure = if lost_acked > 0 {
                 Some(format!("lost {lost_acked} acked write(s): {detail}"))
@@ -1091,12 +1073,7 @@ fn wire_overload(spec: &ScheduleSpec) -> Scene {
             let repair_ok = records.is_empty();
             let fenced_sends = stats.fenced;
             let held_at_end = rt.held_instances().len();
-            let jsonl = rt.trace_jsonl();
-            let dropped = rt.trace_dropped();
-            let programs = sup.programs();
-            let mut chain: Vec<&CompiledProgram> = vec![&sh.boot];
-            chain.extend(programs.iter());
-            let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
+            let (conformance, jsonl) = check_runtime_trace(rt, false);
 
             // Strict fail-fast admission sheds *almost everything* at
             // 4× offered: once the outbox pins at its bound, each
@@ -1198,9 +1175,8 @@ struct ShardShared {
     /// Instances currently materialized (monotone: `max` of base and
     /// every landed routing target).
     live_n: Mutex<usize>,
-    /// `(routing_n, instances_n)` of every wave that landed, in order
-    /// (the epoch chain pushes `programs[&instances_n]`).
-    applied: Mutex<Vec<(usize, usize)>>,
+    /// `(routing_n, instances_n)` of every wave that landed, in order.
+    landed: Mutex<Vec<(usize, usize)>>,
     /// First wave-time re-homing violation, recorded atomically right
     /// after the wave's migrate ran: at that instant nothing scripted
     /// can be in flight (injections are single executor steps), so
@@ -1284,7 +1260,7 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
         stores: Mutex::new(Vec::new()),
         cur_n: Mutex::new(base_n),
         live_n: Mutex::new(base_n),
-        applied: Mutex::new(Vec::new()),
+        landed: Mutex::new(Vec::new()),
         homing: Mutex::new(None),
         waves_fired: AtomicUsize::new(0),
         programs,
@@ -1375,7 +1351,7 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
             if rt.reconfigure(&sh.programs[&inst_n], rs).is_ok() {
                 *sh.cur_n.lock() = to_n;
                 *sh.live_n.lock() = inst_n;
-                sh.applied.lock().push((to_n, inst_n));
+                sh.landed.lock().push((to_n, inst_n));
                 // Atomic post-migrate snapshot: every durable scripted
                 // key sits at exactly its `shard_of(key, to_n)` home.
                 let mut viol = sh.homing.lock();
@@ -1423,7 +1399,7 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
             }
             *sh.cur_n.lock() = sh.base_n;
             *sh.live_n.lock() = sh.base_n;
-            sh.applied.lock().clear();
+            sh.landed.lock().clear();
             *sh.homing.lock() = None;
             sh.waves_fired.store(0, Ordering::SeqCst);
 
@@ -1468,7 +1444,7 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
         let sh = Arc::clone(&shared);
         Box::new(move |rt: &Runtime, out: &SimOutcome| -> Verdict {
             let stores = sh.stores.lock();
-            let applied = sh.applied.lock().clone();
+            let landed = sh.landed.lock().clone();
 
             // Wave-time re-homing violations (recorded atomically right
             // after each migrate) take precedence: they are the
@@ -1519,20 +1495,13 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
                 sh.reqs.iter().filter(|r| r.acked.load(Ordering::SeqCst)).count();
             let held_at_end = rt.held_instances().len();
             let fenced_sends = rt.link_stats().fenced;
-            let jsonl = rt.trace_jsonl();
-            let dropped = rt.trace_dropped();
-
-            let mut chain: Vec<&CompiledProgram> = vec![&sh.programs[&sh.base_n]];
-            for (_, inst_n) in &applied {
-                chain.push(&sh.programs[inst_n]);
-            }
-            let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
+            let (conformance, jsonl) = check_runtime_trace(rt, false);
             // Count against waves that actually fired: a shrunk replay
             // can suppress a wave injection, and a wave that never
             // fired owes no reconfiguration.
             let waves_fired = sh.waves_fired.load(Ordering::SeqCst);
-            let repair_ok = applied.len() == waves_fired;
-            let repairs: Vec<String> = applied
+            let repair_ok = landed.len() == waves_fired;
+            let repairs: Vec<String> = landed
                 .iter()
                 .map(|(route, inst)| format!("wave -> {route} shards ({inst} instances) ok"))
                 .collect();
@@ -1556,7 +1525,7 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
                     (!out.truncated && !repair_ok).then(|| {
                         format!(
                             "only {}/{waves_fired} reconfiguration waves landed",
-                            applied.len()
+                            landed.len()
                         )
                     })
                 });
@@ -1593,9 +1562,6 @@ struct PlShared {
     reqs: Vec<ShardRequest>,
     stores: Mutex<Vec<Arc<Mutex<Store>>>>,
     cur_n: Mutex<usize>,
-    /// Every *installed* phase target, in cut order — the conformance
-    /// epoch chain judges the trace at every phase boundary.
-    applied: Mutex<Vec<CompiledProgram>>,
     /// Per-wave summary lines (`wave -> N shards in P phases ok`).
     wave_log: Mutex<Vec<String>>,
     /// First plan-validity violation (`check_plan` red on a wave).
@@ -1670,7 +1636,6 @@ fn wire_planned(spec: &ScheduleSpec) -> Scene {
         reqs,
         stores: Mutex::new(Vec::new()),
         cur_n: Mutex::new(base_n),
-        applied: Mutex::new(Vec::new()),
         wave_log: Mutex::new(Vec::new()),
         plan_bad: Mutex::new(None),
         over_quiesce: Mutex::new(None),
@@ -1820,9 +1785,6 @@ fn wire_planned(spec: &ScheduleSpec) -> Scene {
                 }
             }
 
-            for target in report.installed_targets(&plan) {
-                sh.applied.lock().push(target.clone());
-            }
             if report.ok() {
                 sh.waves_landed.fetch_add(1, Ordering::SeqCst);
                 *sh.cur_n.lock() = to_n;
@@ -1881,7 +1843,6 @@ fn wire_planned(spec: &ScheduleSpec) -> Scene {
                 r.acked.store(false, Ordering::SeqCst);
             }
             *sh.cur_n.lock() = sh.base_n;
-            sh.applied.lock().clear();
             sh.wave_log.lock().clear();
             *sh.plan_bad.lock() = None;
             *sh.over_quiesce.lock() = None;
@@ -1923,7 +1884,6 @@ fn wire_planned(spec: &ScheduleSpec) -> Scene {
         let sh = Arc::clone(&shared);
         Box::new(move |rt: &Runtime, out: &SimOutcome| -> Verdict {
             let stores = sh.stores.lock();
-            let applied = sh.applied.lock();
 
             // Plan-validity and quiesce-bound oracles take precedence:
             // they are what this scenario exists to judge.
@@ -1965,16 +1925,9 @@ fn wire_planned(spec: &ScheduleSpec) -> Scene {
                 sh.reqs.iter().filter(|r| r.acked.load(Ordering::SeqCst)).count();
             let held_at_end = rt.held_instances().len();
             let fenced_sends = rt.link_stats().fenced;
-            let jsonl = rt.trace_jsonl();
-            let dropped = rt.trace_dropped();
-
-            // One epoch per installed phase: conformance is judged at
+            // One epoch per phase that cut: conformance is judged at
             // every phase boundary.
-            let mut chain: Vec<&CompiledProgram> = vec![&sh.programs[&sh.base_n]];
-            for target in applied.iter() {
-                chain.push(target);
-            }
-            let conformance = check_repair_chain(&jsonl, dropped, &chain, false);
+            let (conformance, jsonl) = check_runtime_trace(rt, false);
             let waves_fired = sh.waves_fired.load(Ordering::SeqCst);
             let waves_landed = sh.waves_landed.load(Ordering::SeqCst);
             let repair_ok = waves_landed == waves_fired;
@@ -2351,11 +2304,9 @@ fn wire_restore(spec: &ScheduleSpec) -> Scene {
             let repair_ok =
                 records.iter().any(|r| r.instance == mesh_primary(1) && r.ok);
             let held_at_end = rt.held_instances().len();
-            let jsonl = rt.trace_jsonl();
-            let dropped = rt.trace_dropped();
             // Restart keeps the program; the only epoch is the boot
             // one. The repair hook injects a NeedState apply.
-            let conformance = check_repair_chain(&jsonl, dropped, &[&sh.boot], true);
+            let (conformance, jsonl) = check_runtime_trace(rt, true);
 
             // Liveness, only when the walk reached the horizon and the
             // scripted crash actually fired (a shrunk replay can

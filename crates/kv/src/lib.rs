@@ -15,14 +15,17 @@
 //!     immediately (`open_window`),
 //!   - local writes shadow pending remote updates to the same key made
 //!     during the same activation ("**local updates have priority**", §8),
-//!   - `keep` discards pending updates for chosen keys,
-//!   - transaction blocks `⟨|E|⟩` snapshot and roll back the table.
+//!   - `keep` discards pending updates for chosen keys.
+//!
+//!   Transaction blocks `⟨|E|⟩` roll back through the interpreter's
+//!   per-context undo log (`csaw-runtime`), not through the table: a
+//!   whole-table snapshot is only right in the sequential case.
 //! * [`Update`] — the unit of junction↔junction synchronization
 //!   (`write` for data, `assert`/`retract` for propositions).
 
 pub mod table;
 
 pub use table::{
-    Delivery, PendingState, Snapshot, Table, TableError, TableEvent, TableObserver, TableState,
+    Delivery, PendingState, Table, TableError, TableEvent, TableObserver, TableState,
     Update, UpdateKind,
 };

@@ -216,16 +216,6 @@ impl std::fmt::Debug for ObserverSlot {
     }
 }
 
-/// A point-in-time copy of the visible table state, used by transaction
-/// blocks `⟨|E|⟩` for rollback.
-#[derive(Clone, Debug, PartialEq)]
-pub struct Snapshot {
-    props: HashMap<String, bool>,
-    data: HashMap<String, Value>,
-    subsets: HashMap<String, Option<Vec<SetElem>>>,
-    idxs: HashMap<String, Option<String>>,
-}
-
 #[derive(Clone, Debug)]
 struct Pending {
     update: Update,
@@ -249,7 +239,6 @@ pub struct PendingState {
 
 /// The complete exported state of a table, for live reconfiguration.
 ///
-/// Unlike [`Snapshot`] (visible state only, for transaction rollback),
 /// `TableState` carries everything the §8 update rule is stated over:
 /// the pending queue, the per-key local-write shadows
 /// (`locally_written`), the operation counter, the activation epoch and
@@ -693,25 +682,6 @@ impl Table {
         v
     }
 
-    /// Snapshot the visible state (not the pending queue).
-    pub fn snapshot(&self) -> Snapshot {
-        Snapshot {
-            props: self.props.clone(),
-            data: self.data.clone(),
-            subsets: self.subsets.clone(),
-            idxs: self.idxs.clone(),
-        }
-    }
-
-    /// Roll back the visible state to a snapshot ("a failure results in a
-    /// clean rollback of the KV table", §6).
-    pub fn rollback(&mut self, snap: Snapshot) {
-        self.props = snap.props;
-        self.data = snap.data;
-        self.subsets = snap.subsets;
-        self.idxs = snap.idxs;
-    }
-
     /// Export the complete table state for migration. Meant to be taken
     /// at quiescence (no activation running, all windows closed); open
     /// windows do not survive an export.
@@ -963,27 +933,6 @@ mod tests {
         t.begin_activation();
         assert_eq!(t.prop("Work"), Some(false));
         assert_eq!(t.data("n"), Some(&Value::Int(5)));
-    }
-
-    #[test]
-    fn snapshot_rollback() {
-        let mut t = table();
-        t.begin_activation();
-        let snap = t.snapshot();
-        t.set_prop_local("Work", true).unwrap();
-        t.set_data_local("n", Value::Int(7)).unwrap();
-        t.rollback(snap);
-        assert_eq!(t.prop("Work"), Some(false));
-        assert_eq!(t.data("n"), Some(&Value::Undef));
-    }
-
-    #[test]
-    fn rollback_does_not_restore_pending() {
-        let mut t = table();
-        let snap = t.snapshot();
-        t.deliver(Update::assert("Work", "a"));
-        t.rollback(snap);
-        assert_eq!(t.pending_len(), 1);
     }
 
     #[test]

@@ -33,5 +33,5 @@ pub mod store;
 pub mod workload;
 
 pub use command::{Command, Reply};
-pub use store::{ShardedStore, Store};
+pub use store::Store;
 pub use workload::{KeyDist, Workload, WorkloadSpec};

@@ -1,15 +1,8 @@
-//! The in-memory keyspace with csaw-serial checkpointing, plus the
-//! lock-striped [`ShardedStore`] used when many threads hammer one
-//! keyspace.
+//! The in-memory keyspace with csaw-serial checkpointing.
 
 use std::collections::BTreeMap;
 
-use parking_lot::Mutex;
-
 use csaw_serial::{decode, encode, CodecConfig, HeapValue, Prim, Registry, TypeDesc};
-
-use crate::command::{Command, Reply};
-use crate::hash::shard_of;
 
 /// Maximum serialized key length (schema cap).
 const MAX_KEY: usize = 512;
@@ -175,150 +168,6 @@ impl Store {
     }
 }
 
-/// A lock-striped keyspace: N independent [`Store`] stripes, each
-/// behind its own mutex, with keys placed by the same djb2 hash the
-/// paper's sharding architecture routes on (§10.1). This is the
-/// concurrent analog of "shard the hot table lock by key-hash":
-/// per-key operations contend only on their stripe, so P threads over
-/// P stripes run largely lock-free, where a single `Mutex<Store>`
-/// serializes everything.
-///
-/// Per-key results are byte-identical to a single [`Store`]; the only
-/// observable difference is iteration order of aggregate views, which
-/// this type canonicalizes by visiting stripes in index order and
-/// merging (keys within a stripe stay sorted, cross-stripe merges are
-/// re-sorted where the contract requires it).
-#[derive(Debug)]
-pub struct ShardedStore {
-    shards: Vec<Mutex<Store>>,
-}
-
-impl ShardedStore {
-    /// Empty store with `n` stripes (at least 1).
-    pub fn new(n: usize) -> ShardedStore {
-        let n = n.max(1);
-        ShardedStore { shards: (0..n).map(|_| Mutex::new(Store::new())).collect() }
-    }
-
-    /// Number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn stripe(&self, key: &str) -> &Mutex<Store> {
-        &self.shards[shard_of(key, self.shards.len())]
-    }
-
-    /// `SET key value`.
-    pub fn set(&self, key: &str, value: Vec<u8>) {
-        self.stripe(key).lock().set(key, value);
-    }
-
-    /// `GET key` (copies the value out of the stripe).
-    pub fn get(&self, key: &str) -> Option<Vec<u8>> {
-        self.stripe(key).lock().get(key).map(|v| v.to_vec())
-    }
-
-    /// `DEL key` → whether it existed.
-    pub fn del(&self, key: &str) -> bool {
-        self.stripe(key).lock().del(key)
-    }
-
-    /// `EXISTS key`.
-    pub fn exists(&self, key: &str) -> bool {
-        self.stripe(key).lock().exists(key)
-    }
-
-    /// `INCR key` → new value; errors if non-integer.
-    pub fn incr(&self, key: &str) -> Result<i64, String> {
-        self.stripe(key).lock().incr(key)
-    }
-
-    /// `APPEND key value` → new length.
-    pub fn append(&self, key: &str, value: &[u8]) -> usize {
-        self.stripe(key).lock().append(key, value)
-    }
-
-    /// Size in bytes of a stored object.
-    pub fn object_size(&self, key: &str) -> Option<usize> {
-        self.stripe(key).lock().object_size(key)
-    }
-
-    /// `DBSIZE`: total entries across stripes.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// True iff every stripe is empty.
-    pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(|s| s.lock().is_empty())
-    }
-
-    /// Total payload bytes across stripes.
-    pub fn used_bytes(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().used_bytes()).sum()
-    }
-
-    /// `FLUSH` every stripe (stripes flushed in index order; not
-    /// atomic across stripes, like any cross-shard operation).
-    pub fn flush(&self) {
-        for s in &self.shards {
-            s.lock().flush();
-        }
-    }
-
-    /// Remove and return every entry across stripes, in key order.
-    pub fn drain_entries(&self) -> Vec<(String, Vec<u8>)> {
-        let mut all: Vec<(String, Vec<u8>)> = Vec::new();
-        for s in &self.shards {
-            all.extend(s.lock().drain_entries());
-        }
-        all.sort_by(|a, b| a.0.cmp(&b.0));
-        all
-    }
-
-    /// Execute one command, locking only the key's stripe. Keyless
-    /// commands (`DBSIZE`, `FLUSH`) touch every stripe.
-    pub fn execute(&self, cmd: &Command) -> Reply {
-        match cmd {
-            Command::DbSize => Reply::Int(self.len() as i64),
-            Command::Flush => {
-                self.flush();
-                Reply::Ok
-            }
-            keyed => {
-                let key = keyed.key().expect("keyed command");
-                keyed.execute(&mut self.stripe(key).lock())
-            }
-        }
-    }
-
-    /// Serialize the full keyspace in the same csaw-serial format as
-    /// [`Store::checkpoint`]: a sharded store and a single store with
-    /// the same contents produce interchangeable checkpoints.
-    pub fn checkpoint(&self) -> Result<Vec<u8>, String> {
-        let mut merged = Store::new();
-        for s in &self.shards {
-            for (k, v) in s.lock().entries() {
-                merged.set(k, v.to_vec());
-            }
-        }
-        merged.checkpoint()
-    }
-
-    /// Restore the full keyspace from a [`Store::checkpoint`] payload,
-    /// replacing current contents and re-striping every key.
-    pub fn restore(&self, bytes: &[u8]) -> Result<(), String> {
-        let mut staged = Store::new();
-        staged.restore(bytes)?;
-        self.flush();
-        for (k, v) in staged.drain_entries() {
-            self.set(&k, v);
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -402,93 +251,5 @@ mod tests {
             big.set(&format!("k{i}"), vec![0; 1000]);
         }
         assert!(big.checkpoint().unwrap().len() > small.checkpoint().unwrap().len() * 50);
-    }
-
-    #[test]
-    fn sharded_matches_single_store_per_key() {
-        let single = Mutex::new(Store::new());
-        let sharded = ShardedStore::new(8);
-        for i in 0..200 {
-            let k = format!("key:{i}");
-            single.lock().set(&k, vec![i as u8]);
-            sharded.set(&k, vec![i as u8]);
-        }
-        for i in 0..200 {
-            let k = format!("key:{i}");
-            assert_eq!(sharded.get(&k).as_deref(), single.lock().get(&k));
-            assert_eq!(sharded.object_size(&k), single.lock().object_size(&k));
-        }
-        assert_eq!(sharded.len(), single.lock().len());
-        assert_eq!(sharded.used_bytes(), single.lock().used_bytes());
-        assert_eq!(sharded.incr("n").unwrap(), 1);
-        assert_eq!(sharded.incr("n").unwrap(), 2);
-        assert_eq!(sharded.append("a", b"xy"), 2);
-        assert!(sharded.del("key:0"));
-        assert!(!sharded.exists("key:0"));
-        assert_eq!(sharded.drain_entries().len(), 201);
-        assert!(sharded.is_empty());
-    }
-
-    #[test]
-    fn sharded_execute_covers_keyless_commands() {
-        let s = ShardedStore::new(4);
-        assert_eq!(s.execute(&Command::Set("a".into(), b"1".to_vec())), Reply::Ok);
-        assert_eq!(s.execute(&Command::Get("a".into())), Reply::Bulk(b"1".to_vec()));
-        assert_eq!(s.execute(&Command::Incr("a".into())), Reply::Int(2));
-        assert_eq!(s.execute(&Command::DbSize), Reply::Int(1));
-        assert_eq!(s.execute(&Command::Flush), Reply::Ok);
-        assert_eq!(s.execute(&Command::DbSize), Reply::Int(0));
-    }
-
-    #[test]
-    fn sharded_increments_survive_contention() {
-        let s = std::sync::Arc::new(ShardedStore::new(8));
-        let threads: Vec<_> = (0..8)
-            .map(|t| {
-                let s = std::sync::Arc::clone(&s);
-                std::thread::spawn(move || {
-                    for i in 0..500 {
-                        s.incr(&format!("ctr:{}", i % 16)).unwrap();
-                        s.set(&format!("t{t}:{i}"), vec![t as u8]);
-                    }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
-        let total: i64 = (0..16)
-            .map(|i| {
-                String::from_utf8(s.get(&format!("ctr:{i}")).unwrap())
-                    .unwrap()
-                    .parse::<i64>()
-                    .unwrap()
-            })
-            .sum();
-        assert_eq!(total, 8 * 500, "lost increments under contention");
-        assert_eq!(s.len(), 16 + 8 * 500);
-    }
-
-    #[test]
-    fn sharded_checkpoint_interchanges_with_single_store() {
-        let sharded = ShardedStore::new(8);
-        for i in 0..50 {
-            sharded.set(&format!("key:{i}"), format!("value-{i}").into_bytes());
-        }
-        // Sharded checkpoint restores into a single store…
-        let blob = sharded.checkpoint().unwrap();
-        let mut single = Store::new();
-        single.restore(&blob).unwrap();
-        assert_eq!(single.len(), 50);
-        assert_eq!(single.get("key:7"), Some(&b"value-7"[..]));
-        // …and a single-store checkpoint restores into a sharded one.
-        single.set("extra", b"e".to_vec());
-        let blob2 = single.checkpoint().unwrap();
-        let target = ShardedStore::new(3);
-        target.set("junk", b"x".to_vec());
-        target.restore(&blob2).unwrap();
-        assert_eq!(target.len(), 51);
-        assert!(!target.exists("junk"));
-        assert_eq!(target.get("extra").as_deref(), Some(&b"e"[..]));
     }
 }

@@ -20,9 +20,9 @@
 //! the plan (the bench installs `csaw-semantics::check_plan` here —
 //! the runtime crate deliberately does not depend on the semantics
 //! crate), and executes it phase by phase through
-//! [`crate::Runtime::reconfigure_plan`]. Every installed phase target
-//! is recorded in cut order, so a trace spanning the autoscaler's
-//! lifetime checks as one epoch chain.
+//! [`crate::Runtime::reconfigure_plan`]. Every phase that cuts joins
+//! [`crate::Runtime::epoch_chain`], so a trace spanning the
+//! autoscaler's lifetime checks as one epoch chain.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -204,8 +204,6 @@ struct Shared {
     next_id: AtomicU64,
     records: Mutex<Vec<ScaleRecord>>,
     stats: Mutex<AutoscaleStats>,
-    /// Phase targets installed by clean transitions, in cut order.
-    programs: Mutex<Vec<CompiledProgram>>,
     goal: Mutex<Option<AutoscaleGoal>>,
 }
 
@@ -237,12 +235,6 @@ impl Autoscaler {
     /// The goal the system currently embodies.
     pub fn goal(&self) -> Option<AutoscaleGoal> {
         *self.shared.goal.lock()
-    }
-
-    /// Phase targets clean transitions installed, in cut order — with
-    /// the boot program, the epoch chain for cross-epoch conformance.
-    pub fn programs(&self) -> Vec<CompiledProgram> {
-        self.shared.programs.lock().clone()
     }
 }
 
@@ -427,10 +419,6 @@ impl AutoscaleCore {
                                     ScaleError::Execution(*idx, format!("{f:?}")),
                                 );
                             } else {
-                                let mut programs = self.shared.programs.lock();
-                                for p in &plan.phases {
-                                    programs.push(p.target.clone());
-                                }
                                 *self.shared.goal.lock() = Some(to);
                             }
                             record.report = Some(report);

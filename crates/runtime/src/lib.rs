@@ -64,5 +64,5 @@ pub use supervisor::{
     AntiFlap, Confirmed, FailureClass, RepairAction, RepairPolicy, RepairRecord, Supervisor,
     SupervisorConfig, SupervisorStats,
 };
-pub use trace::{FixedHistogram, Gauge, LinkEv, Metrics, TraceEvent, TraceKind, Tracer};
+pub use trace::{Gauge, LinkEv, Metrics, TraceEvent, TraceKind, Tracer};
 pub use transport::{LinkKind, LinkStats, SendError};

@@ -5,22 +5,21 @@
 //! The planner (`csaw_core::plan`) decides *what* each phase's target
 //! is; this module makes the phases *happen*, preserving every
 //! guarantee of the single-step engine: each phase quiesces only its
-//! own diff footprint, emits its own `reconfig_cut` trace event (so a
-//! trace spanning an N-phase plan checks as N+1 epochs under
-//! `csaw-semantics::check_multi_reconfig_trace` — cross-epoch
-//! conformance at every phase boundary, not just at the ends), and
-//! reports its own pause windows and phase-timing split.
+//! own diff footprint, emits its own `reconfig_cut` trace event and
+//! adds its own entry to [`Runtime::epoch_chain`] (so a trace spanning
+//! an N-phase plan checks as N+1 epochs under
+//! `csaw-semantics::check_trace` — cross-epoch conformance at every
+//! phase boundary, not just at the ends), and reports its own pause
+//! windows and phase-timing split.
 //!
 //! Execution is fail-fast: a phase that errors (pre-cut abort) or
 //! reports a post-cut migration error stops the walk. The report says
-//! how far the plan got and which targets were installed; the system
-//! keeps serving the last committed target, which by plan construction
-//! is a valid architecture.
+//! how far the plan got; the system keeps serving the last committed
+//! target, which by plan construction is a valid architecture.
 
 use std::time::Duration;
 
 use csaw_core::plan::{Plan, PlanPhase};
-use csaw_core::program::CompiledProgram;
 
 use crate::error::Failure;
 use crate::reconfig::{ReconfigReport, ReconfigSpec};
@@ -77,13 +76,6 @@ impl PlanReport {
     /// Total snapshot bytes migrated across all executed phases.
     pub fn migrated_bytes(&self) -> u64 {
         self.phases.iter().map(|p| p.report.migrated_bytes).sum()
-    }
-
-    /// The targets the executed phases installed, in cut order — the
-    /// epoch chain (after the boot program) for multi-epoch conformance
-    /// checking of a trace spanning the plan.
-    pub fn installed_targets<'a>(&self, plan: &'a Plan) -> Vec<&'a CompiledProgram> {
-        self.phases.iter().map(|p| &plan.phases[p.index].target).collect()
     }
 }
 

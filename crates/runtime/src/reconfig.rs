@@ -37,10 +37,11 @@
 //!    its buffered updates flush — in arrival order — into the *new*
 //!    cells.
 //!
-//! The executor emits `reconfig_*` trace events throughout, so a trace
-//! spanning a reconfiguration can be validated against the event
-//! structures of A before the cut and B after it
-//! (`csaw-semantics::conformance::check_reconfig_trace`).
+//! The executor emits `reconfig_*` trace events throughout, and every
+//! cut appends its target to [`crate::Runtime::epoch_chain`], so a
+//! trace spanning any number of reconfigurations can be validated
+//! against the event structures of the program each epoch embodied
+//! (`csaw-semantics::conformance::check_trace` over the chain).
 
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
@@ -303,7 +304,7 @@ impl Runtime {
     ) -> Result<ReconfigReport, Failure> {
         let started = self.inner.clock().now();
         let _serial = self.inner.reconfig_lock.lock();
-        let current = self.inner.program.lock().clone();
+        let current = self.current_program();
         let plan = diff_programs(&current, target);
         self.inner.tracer.record(
             "",
@@ -474,8 +475,10 @@ impl Runtime {
         timings.migrate = t_migrate.saturating_duration_since(t_quiesce);
 
         // Phase 5: the cut. Old records retire (their schedulers exit),
-        // the registry swaps under a brief write lock, and the stored
-        // program advances to the target.
+        // the registry swaps under a brief write lock, and the target
+        // joins the epoch chain — here and nowhere else, so the chain
+        // holds exactly one program per `reconfig_cut` event whatever
+        // happens after the cut.
         for old in old_states.values() {
             old.status
                 .store(InstanceStatus::Retired as u8, Ordering::SeqCst);
@@ -490,7 +493,14 @@ impl Runtime {
             }
         }
         self.inner.tracer.record("", "", 0, TraceKind::ReconfigCut);
-        *self.inner.program.lock() = target.clone();
+        // A cut to the program already served (a supervisor restart, a
+        // no-op transition) shares its entry rather than copying it.
+        let entry = if *current == *target {
+            Arc::clone(&current)
+        } else {
+            Arc::new(target.clone())
+        };
+        self.inner.epoch_chain.lock().push(entry);
         // The old activation guards are moot now — those cells are off
         // the registry. Release them and wake the retired schedulers so
         // their threads exit promptly.
@@ -637,8 +647,33 @@ impl Runtime {
         (held_updates, dropped_updates, pauses)
     }
 
-    /// The compiled program the registry currently embodies.
-    pub fn current_program(&self) -> CompiledProgram {
-        self.inner.program.lock().clone()
+    /// The compiled program the registry currently embodies: the last
+    /// entry of [`Runtime::epoch_chain`].
+    pub fn current_program(&self) -> Arc<CompiledProgram> {
+        let chain = self.inner.epoch_chain.lock();
+        Arc::clone(chain.last().expect("the epoch chain starts at the boot program"))
+    }
+
+    /// Every program this runtime has embodied, in cut order: the boot
+    /// program, then the target of each committed cut — whoever drove
+    /// it (a direct [`Runtime::reconfigure`], a plan phase, a
+    /// supervisor repair, the autoscaler) and whether or not its
+    /// post-cut follow-up succeeded. An identity reconfiguration still
+    /// cuts and therefore still adds an epoch; a pre-cut abort (`Err`)
+    /// adds nothing.
+    ///
+    /// A trace holds exactly one `reconfig_cut` event per entry after
+    /// the first only if it was recorded since boot and its ring
+    /// evicted none of them (tracing enabled before the first cut,
+    /// [`Runtime::trace_dropped`] zero); that trace is judged against
+    /// this sequence epoch by epoch, and any other is reported as a
+    /// chain mismatch rather than guessed at.
+    ///
+    /// The chain lives as long as the runtime and grows by one entry
+    /// per cut. Entries are shared, so this call copies pointers, and
+    /// a cut to the program already served costs a pointer; a cut to a
+    /// different program keeps that program.
+    pub fn epoch_chain(&self) -> Vec<Arc<CompiledProgram>> {
+        self.inner.epoch_chain.lock().clone()
     }
 }

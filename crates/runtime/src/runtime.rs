@@ -242,9 +242,11 @@ pub(crate) struct RuntimeInner {
     pub(crate) deliveries_inflight: Arc<AtomicU64>,
     /// Serializes live reconfigurations (one at a time).
     pub(crate) reconfig_lock: Mutex<()>,
-    /// The program the registry currently embodies; replaced by
-    /// [`crate::Runtime::reconfigure`].
-    pub(crate) program: Mutex<CompiledProgram>,
+    /// Every program the registry has embodied, in cut order: the boot
+    /// program first, then one entry per committed cut. Never empty;
+    /// the last entry is the program currently served. Only
+    /// [`crate::Runtime::reconfigure`] pushes, at the cut.
+    pub(crate) epoch_chain: Mutex<Vec<Arc<CompiledProgram>>>,
     pub(crate) network: Network,
     pub(crate) config: RuntimeConfig,
     pub(crate) retry_limit: u32,
@@ -926,7 +928,7 @@ impl Runtime {
             holds_active,
             deliveries_inflight: inflight,
             reconfig_lock: Mutex::new(()),
-            program: Mutex::new(compiled.clone()),
+            epoch_chain: Mutex::new(vec![Arc::new(compiled.clone())]),
             network,
             config,
             retry_limit: compiled.retry_limit,

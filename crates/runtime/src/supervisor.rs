@@ -46,8 +46,8 @@
 //! Every phase emits a `repair_*` trace event keyed by a monotonic
 //! repair id, so `csaw-semantics` can validate the detect → plan →
 //! (fence) → verify → done/failed ordering and check per-epoch
-//! conformance across the program chain the repairs installed
-//! ([`Supervisor::programs`]).
+//! conformance across the program chain the repairs cut to
+//! ([`Runtime::epoch_chain`]).
 
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -295,9 +295,6 @@ struct Shared {
     next_id: AtomicU64,
     records: Mutex<Vec<RepairRecord>>,
     stats: Mutex<SupervisorStats>,
-    /// Programs installed by successful `Reconfigure` repairs, in cut
-    /// order — the epoch chain a multi-epoch conformance check needs.
-    programs: Mutex<Vec<CompiledProgram>>,
     quarantined: Mutex<HashSet<String>>,
 }
 
@@ -327,13 +324,6 @@ impl Supervisor {
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> SupervisorStats {
         *self.shared.stats.lock()
-    }
-
-    /// The programs successful `Reconfigure` repairs installed, in cut
-    /// order. Together with the boot program this is the epoch chain
-    /// for cross-epoch conformance checking of the run's trace.
-    pub fn programs(&self) -> Vec<CompiledProgram> {
-        self.shared.programs.lock().clone()
     }
 
     /// Whether the supervisor has quarantined this instance.
@@ -799,7 +789,6 @@ impl SupervisorCore {
                             Ok(report) => {
                                 reconfig_pause = reconfig_pause.max(report.max_pause());
                                 if report.migration_error.is_none() {
-                                    shared.programs.lock().push(target);
                                     acted = true;
                                     break;
                                 }

@@ -1517,84 +1517,15 @@ impl Gauge {
     }
 }
 
-/// A histogram over caller-chosen fixed bucket bounds (Prometheus
-/// *histogram* with explicit `le` edges), for quantities where log₂ µs
-/// buckets are the wrong shape — request rates, queue depths, phase
-/// pause budgets. Observations are `f64`; bucket `i` counts
-/// observations `<= bounds[i]`, with an implicit `+Inf` bucket at the
-/// end.
-pub struct FixedHistogram {
-    bounds: Vec<f64>,
-    /// One counter per bound plus the `+Inf` overflow bucket.
-    buckets: Vec<AtomicU64>,
-    sum_bits: AtomicU64,
-    count: AtomicU64,
-}
-
-impl FixedHistogram {
-    fn new(bounds: &[f64]) -> FixedHistogram {
-        let mut bounds = bounds.to_vec();
-        bounds.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-        bounds.dedup();
-        let n = bounds.len();
-        FixedHistogram {
-            bounds,
-            buckets: (0..=n).map(|_| AtomicU64::new(0)).collect(),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one observation.
-    pub fn observe(&self, v: f64) {
-        let idx = self
-            .bounds
-            .iter()
-            .position(|b| v <= *b)
-            .unwrap_or(self.bounds.len());
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        let mut cur = self.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + v).to_bits();
-            match self.sum_bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// The configured bucket bounds (sorted, deduplicated).
-    pub fn bounds(&self) -> &[f64] {
-        &self.bounds
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.sum_bits.load(Ordering::Relaxed))
-    }
-}
-
 /// Named counters, gauges and histograms, renderable as a
 /// Prometheus-style text snapshot. Handles returned by
-/// [`Metrics::counter`] / [`Metrics::gauge`] / [`Metrics::histogram`] /
-/// [`Metrics::fixed_histogram`] are plain atomics — hot paths grab them
-/// once at construction time and never touch the registry lock again.
+/// [`Metrics::counter`] / [`Metrics::gauge`] / [`Metrics::histogram`]
+/// are plain atomics — hot paths grab them once at construction time
+/// and never touch the registry lock again.
 pub struct Metrics {
     counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
     gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
     histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-    fixed_histograms: Mutex<BTreeMap<String, Arc<FixedHistogram>>>,
 }
 
 impl Metrics {
@@ -1604,7 +1535,6 @@ impl Metrics {
             counters: Mutex::new(BTreeMap::new()),
             gauges: Mutex::new(BTreeMap::new()),
             histograms: Mutex::new(BTreeMap::new()),
-            fixed_histograms: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -1638,18 +1568,6 @@ impl Metrics {
         )
     }
 
-    /// Get or create a named fixed-bucket histogram. The bounds stick
-    /// at first creation; later callers get the existing histogram
-    /// regardless of the bounds they pass.
-    pub fn fixed_histogram(&self, name: &str, bounds: &[f64]) -> Arc<FixedHistogram> {
-        Arc::clone(
-            self.fixed_histograms
-                .lock()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(FixedHistogram::new(bounds))),
-        )
-    }
-
     /// Current value of a counter (0 if never created).
     pub fn counter_value(&self, name: &str) -> u64 {
         self.counters
@@ -1665,8 +1583,7 @@ impl Metrics {
 
     /// Render every counter, gauge and histogram in Prometheus text
     /// format. Metric names get a `csaw_` prefix; histograms render
-    /// cumulative `_bucket{le="..."}` series plus `_sum` (log₂-µs
-    /// histograms in seconds, fixed-bucket ones in their native unit)
+    /// cumulative `_bucket{le="..."}` series plus `_sum` (in seconds)
     /// and `_count`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
@@ -1677,22 +1594,6 @@ impl Metrics {
         for (name, g) in self.gauges.lock().iter() {
             out.push_str(&format!("# TYPE csaw_{name} gauge\n"));
             out.push_str(&format!("csaw_{name} {}\n", g.value()));
-        }
-        for (name, h) in self.fixed_histograms.lock().iter() {
-            out.push_str(&format!("# TYPE csaw_{name} histogram\n"));
-            let mut cumulative = 0u64;
-            for (i, bound) in h.bounds.iter().enumerate() {
-                cumulative += h.buckets[i].load(Ordering::Relaxed);
-                out.push_str(&format!(
-                    "csaw_{name}_bucket{{le=\"{bound}\"}} {cumulative}\n"
-                ));
-            }
-            out.push_str(&format!(
-                "csaw_{name}_bucket{{le=\"+Inf\"}} {}\n",
-                h.count()
-            ));
-            out.push_str(&format!("csaw_{name}_sum {}\n", h.sum()));
-            out.push_str(&format!("csaw_{name}_count {}\n", h.count()));
         }
         for (name, h) in self.histograms.lock().iter() {
             out.push_str(&format!("# TYPE csaw_{name} histogram\n"));
@@ -1879,30 +1780,6 @@ mod tests {
         // The handle and the registry see the same atomic.
         m.gauge("offered_rate").set(7.0);
         assert_eq!(g.value(), 7.0);
-    }
-
-    #[test]
-    fn fixed_histogram_buckets_and_overflow() {
-        let m = Metrics::new();
-        // Unsorted + duplicate bounds normalize.
-        let h = m.fixed_histogram("queue_depth", &[10.0, 1.0, 10.0, 100.0]);
-        assert_eq!(h.bounds(), &[1.0, 10.0, 100.0]);
-        h.observe(0.5); // le=1
-        h.observe(1.0); // le=1 (inclusive)
-        h.observe(42.0); // le=100
-        h.observe(5000.0); // +Inf
-        assert_eq!(h.count(), 4);
-        assert!((h.sum() - 5043.5).abs() < 1e-9);
-        let text = m.render_prometheus();
-        assert!(text.contains("# TYPE csaw_queue_depth histogram"));
-        assert!(text.contains("csaw_queue_depth_bucket{le=\"1\"} 2"));
-        assert!(text.contains("csaw_queue_depth_bucket{le=\"10\"} 2"));
-        assert!(text.contains("csaw_queue_depth_bucket{le=\"100\"} 3"));
-        assert!(text.contains("csaw_queue_depth_bucket{le=\"+Inf\"} 4"));
-        assert!(text.contains("csaw_queue_depth_count 4"));
-        // Bounds stick at first creation.
-        let again = m.fixed_histogram("queue_depth", &[99.0]);
-        assert_eq!(again.bounds(), &[1.0, 10.0, 100.0]);
     }
 
     #[test]

@@ -7,6 +7,7 @@ use csaw_core::builder::*;
 use csaw_core::decl::Decl;
 use csaw_core::expr::Arg;
 use csaw_core::names::JRef;
+use csaw_core::plan::{plan_reconfiguration, PlanConstraints};
 use csaw_core::program::{InstanceType, JunctionDef, LoadConfig, Program};
 use csaw_core::compile;
 use csaw_core::value::Value;
@@ -219,6 +220,7 @@ fn failed_snapshot_aborts_reconfigure_before_cut_and_releases_holds() {
 
     let err = rt.reconfigure(&b, ReconfigSpec::default()).unwrap_err();
     assert!(matches!(err, Failure::Internal(_)), "unexpected failure: {err:?}");
+    assert_eq!(rt.epoch_chain().len(), 1, "a pre-cut abort must add no epoch");
 
     // Not applied: `w` is still running its old cell…
     assert_eq!(rt.status("w"), Some(InstanceStatus::Running));
@@ -245,6 +247,7 @@ fn failed_snapshot_aborts_reconfigure_before_cut_and_releases_holds() {
     assert_eq!(report.plan.changed[0].name, "w");
     assert!(report.migration_error.is_none());
     assert_eq!(rt.status("w"), Some(InstanceStatus::Running));
+    assert_eq!(rt.epoch_chain().len(), 2);
     rt.shutdown();
 }
 
@@ -281,6 +284,57 @@ fn reconfigure_migration_failure_reports_but_commits_the_cut() {
     assert!(wait_until(Duration::from_secs(2), || {
         rt.peek_prop("w", "j", "P") == Some(true)
     }));
+    rt.shutdown();
+}
+
+/// Regression: the epoch chain is complete by construction. A
+/// two-phase plan whose second phase fails *after* its cut stops the
+/// walk with that phase named in the report — and every cut that
+/// happened, the failed phase's included, has its program in
+/// [`Runtime::epoch_chain`], because the chain is pushed at the cut and
+/// not by whoever drove it. (The autoscaler's own list recorded phase
+/// targets only when the whole plan ran clean, so this plan left two
+/// cuts in the trace and no program to judge them by.)
+#[test]
+fn reconfig_plan_stopped_by_a_post_cut_error_leaves_a_complete_epoch_chain() {
+    let a = compile(two_instance_program(false), &LoadConfig::new()).unwrap();
+    let b = compile(three_instance_program(), &LoadConfig::new()).unwrap();
+    let plan = plan_reconfiguration(&a, &b, &PlanConstraints::default()).unwrap();
+    assert_eq!(plan.phases.len(), 2, "add `extra`, then change `w`");
+
+    let rt = Runtime::new(&a, RuntimeConfig::default());
+    rt.set_tracing(true);
+    rt.run_main(vec![]).unwrap();
+    assert_eq!(*rt.current_program(), a, "the chain starts at the boot program");
+    assert_eq!(rt.epoch_chain().len(), 1);
+
+    let report = rt.reconfigure_plan(&plan, |phase| match phase.index {
+        0 => ReconfigSpec {
+            start: vec![("extra".to_string(), vec![(None, vec![])])],
+            ..Default::default()
+        },
+        _ => ReconfigSpec {
+            migrate: Some(Box::new(|_| Err("boom".to_string()))),
+            ..Default::default()
+        },
+    });
+    let (failed_phase, failure) = report.error.as_ref().expect("phase 1 must stop the walk");
+    assert_eq!(*failed_phase, 1);
+    assert!(format!("{failure:?}").contains("boom"));
+    assert_eq!(report.phases.len(), 2, "phase 1 cut before its migration failed");
+
+    let cuts = rt
+        .trace_events()
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::ReconfigCut))
+        .count();
+    assert_eq!(cuts, 2);
+    let chain = rt.epoch_chain();
+    assert_eq!(chain.len(), 1 + cuts, "one program per cut, whatever followed the cut");
+    assert_eq!(*chain[0], a);
+    assert_eq!(*chain[1], plan.phases[0].target);
+    assert_eq!(*chain[2], plan.phases[1].target);
+    assert_eq!(*rt.current_program(), b);
     rt.shutdown();
 }
 

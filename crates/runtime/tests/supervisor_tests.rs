@@ -492,6 +492,65 @@ fn supervisor_stop_interrupts_escalated_repair_backoff() {
     );
 }
 
+/// Regression: the epoch chain is complete by construction. A
+/// `Reconfigure` repair whose migration fails on the first attempt and
+/// succeeds on the second cuts twice — both attempts committed their
+/// cut before the migration ran — so the trace holds two `reconfig_cut`
+/// events and [`Runtime::epoch_chain`] holds a program for each. (The
+/// supervisor's own list recorded a target only when the migration
+/// succeeded: two cuts against one program, and a trace no checker
+/// could split into the right epochs.)
+#[test]
+fn repair_that_succeeds_on_its_second_attempt_leaves_a_complete_epoch_chain() {
+    use csaw_runtime::ReconfigSpec;
+
+    let cp = compile(two_instance_program(), &LoadConfig::new()).unwrap();
+    let rt = Runtime::new(&cp, RuntimeConfig::default());
+    rt.set_tracing(true);
+    rt.run_main(vec![]).unwrap();
+
+    let attempts = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&attempts);
+    let target = cp.clone();
+    let sup = rt.supervise(SupervisorConfig {
+        backoff: Duration::from_millis(5),
+        ..quick_supervisor(RepairPolicy::new().on(
+            FailureClass::Crash,
+            vec![RepairAction::Reconfigure(Arc::new(move |_rt, _inst| {
+                let first = seen.fetch_add(1, Ordering::SeqCst) == 0;
+                let migrate: csaw_runtime::reconfig::MigrateFn = if first {
+                    Box::new(|_| Err("induced migration failure".into()))
+                } else {
+                    Box::new(|_| Ok(()))
+                };
+                (target.clone(), ReconfigSpec { migrate: Some(migrate), ..Default::default() })
+            }))],
+        ))
+    });
+
+    rt.crash("z");
+    assert!(
+        wait_until(Duration::from_secs(5), || sup.records().iter().any(|r| r.ok)),
+        "the second attempt must verify: {:?}",
+        sup.records()
+    );
+    sup.stop();
+    let records = sup.records();
+    assert_eq!(records.len(), 1, "{records:?}");
+    assert_eq!(records[0].action, "reconfigure");
+    assert_eq!(records[0].attempts, 2);
+    assert!(records[0].ok);
+
+    let cuts = rt
+        .trace_events()
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::ReconfigCut))
+        .count();
+    assert_eq!(cuts, 2, "each attempt committed its cut");
+    assert_eq!(rt.epoch_chain().len(), 1 + cuts, "one program per cut");
+    rt.shutdown();
+}
+
 /// A supervisor parked between detection polls (60 s period) must exit
 /// promptly on stop — the poll sleep is interruptible too.
 #[test]

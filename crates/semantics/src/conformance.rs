@@ -29,21 +29,30 @@
 //!    events *all* conflict pairwise contradict the semantics: no
 //!    valid configuration contains both (conflict-freeness, §8.1).
 //!
-//! A trace that spans a **live reconfiguration** (the runtime's
-//! `reconfig_*` events) is checked with [`check_reconfig_trace`]: the
-//! `reconfig_cut` record splits the trace into a pre-cut epoch validated
-//! against program A's event structures and a post-cut epoch validated
-//! against program B's, while the causality indexes (send-before-apply,
-//! at-most-once delivery) deliberately span the whole trace — an update
-//! sent before the cut and flushed after it is fine, but an update lost
-//! or applied twice *across* the cut is a violation (`rule:
-//! "reconfig"` flags activity that belongs to the wrong epoch's
-//! program). A trace the self-healing supervisor cut *repeatedly* —
-//! one repair per epoch — is checked with
-//! [`check_multi_reconfig_trace`] against the whole program chain, and
-//! its `repair_*` events must obey the detect → plan → (fence) →
-//! verify → done/failed protocol (`rule: "repair"`, see
-//! [`check_repair_events`]).
+//! There is one entry point, [`check_trace`] (and [`check_jsonl`], which
+//! parses first). It takes the trace and the **epoch chain**: the
+//! programs the system embodied, in cut order — `csaw-runtime` keeps
+//! exactly this as `Runtime::epoch_chain`. What it does depends on how
+//! many `reconfig_cut` records the trace holds:
+//!
+//! * **Zero cuts.** The whole trace validates against `chain[0]`. An
+//!   empty chain is the raw-table case: rules 1 and 2 only.
+//! * **N ≥ 1 cuts** (live reconfigurations: direct, plan phases,
+//!   supervisor repairs, autoscaler transitions — the runtime's
+//!   `reconfig_*` events). The cuts split the trace into N + 1 epochs;
+//!   activations between cut `k-1` and cut `k` validate against
+//!   `chain[k]`, and every scheduled junction must exist in its epoch's
+//!   program (`rule: "reconfig"` flags activity that belongs to the
+//!   wrong epoch's program, and a chain whose length is not N + 1). The
+//!   causality indexes (send-before-apply, at-most-once delivery)
+//!   deliberately span the whole trace — an update sent before a cut
+//!   and flushed after it is fine, but an update lost or applied twice
+//!   *across* any pair of epochs is a violation.
+//!
+//! Either way the trace's `repair_*` events must obey the supervisor's
+//! detect → plan → (fence) → verify → done/failed protocol (`rule:
+//! "repair"`, see [`check_repair_events`]); a trace without such
+//! events passes that rule trivially.
 //!
 //! Violations carry the offending `gsn` so the JSONL line can be
 //! located directly.
@@ -433,80 +442,39 @@ impl JunctionReplay {
     }
 }
 
-/// Check a parsed trace. `semantics` (from
-/// [`crate::denote::denote_program`] on the same program) enables the
-/// event-structure rule; pass `None` for raw-table traces with no
-/// program behind them.
-pub fn check_trace(
-    records: &[TraceRecord],
-    semantics: Option<&ProgramSemantics>,
-    opts: &ConformanceOptions,
-) -> ConformanceReport {
-    check_trace_with(records, opts, false, &|_| (0, semantics))
-}
-
-/// Check a trace that spans one live reconfiguration from program A to
-/// program B.
+/// Check a parsed trace against the epoch chain it was recorded under.
 ///
-/// The first `reconfig_cut` record is the epoch boundary: activations
-/// whose `sched` precedes it validate against `sem_a`, the rest against
-/// `sem_b`, and each epoch's activity must belong to that epoch's
-/// program (an instance scheduled post-cut that only A knows — or
-/// vice versa — is a `reconfig` violation). The causality indexes span
-/// the whole trace on purpose: a held update sent in epoch A and
-/// flushed in epoch B matches its send normally, while an update
-/// applied in *both* epochs is a duplicate. Traces with no
-/// `reconfig_cut` degrade to a plain [`check_trace`] against `sem_a`.
+/// `chain[0]` is the boot program's semantics (from
+/// [`crate::denote::denote_program`]) and `chain[k]` the semantics of
+/// the program installed by the `k`-th `reconfig_cut`; `None` entries
+/// (or an empty chain, for raw-table traces with no program behind
+/// them) skip the event-structure rule for that epoch.
+///
+/// A trace with no `reconfig_cut` validates wholly against `chain[0]`.
+/// Otherwise the epoch side of an activation is the number of cuts
+/// preceding its `sched`, each epoch's activity must belong to that
+/// epoch's program (an instance scheduled in an epoch whose program
+/// does not define it is a `reconfig` violation), and the chain must
+/// hold exactly `cuts + 1` entries — a mismatch is flagged and later
+/// epochs clamp to the last provided semantics rather than validating
+/// against the wrong program silently. The causality indexes span the
+/// whole trace on purpose: a held update sent in one epoch and flushed
+/// in the next matches its send normally, while an update applied in
+/// two epochs is a duplicate.
 ///
 /// Re-linking an *existing* route mid-reconfiguration (via `set_link`
 /// in the spec) is safe for this view: the transport tags each route
 /// conversation with a generation carried in the sequence numbers'
 /// high bits, so the rewired route's restarted counter never repeats a
 /// `(sender, receiver, seq)` triple from before the rewire.
-pub fn check_reconfig_trace(
-    records: &[TraceRecord],
-    sem_a: Option<&ProgramSemantics>,
-    sem_b: Option<&ProgramSemantics>,
-    opts: &ConformanceOptions,
-) -> ConformanceReport {
-    let cut = records
-        .iter()
-        .filter(|r| r.kind == "reconfig_cut")
-        .map(|r| r.gsn)
-        .min();
-    match cut {
-        None => check_trace(records, sem_a, opts),
-        Some(cut) => check_trace_with(records, opts, true, &move |gsn| {
-            if gsn < cut {
-                (0, sem_a)
-            } else {
-                (1, sem_b)
-            }
-        }),
-    }
-}
-
-/// Check a trace spanning *any number* of live reconfigurations — the
-/// self-healing supervisor's repairs cut the trace repeatedly, one
-/// program per epoch.
-///
-/// `sems[k]` validates the activations between cut `k-1` and cut `k`
-/// (`sems[0]` is the boot program, `sems[k]` the program installed by
-/// the `k`-th `reconfig_cut`). As in [`check_reconfig_trace`], the
-/// causality indexes span the whole trace: a held update crossing a cut
-/// matches its pre-cut send, a duplicate apply across any pair of
-/// epochs is flagged. When the chain length does not match the number
-/// of cuts observed (`sems.len() != cuts + 1`) the checker flags the
-/// mismatch and clamps to the last provided semantics rather than
-/// validating against the wrong program silently.
 ///
 /// The trace's `repair_*` events are additionally validated by the
 /// [`check_repair_events`] rule: every repair id must run detect →
 /// plan → (fence) → verify → done/failed in order, and `repair_done`
 /// requires a passed verification.
-pub fn check_multi_reconfig_trace(
+pub fn check_trace(
     records: &[TraceRecord],
-    sems: &[Option<&ProgramSemantics>],
+    chain: &[Option<&ProgramSemantics>],
     opts: &ConformanceOptions,
 ) -> ConformanceReport {
     let mut cuts: Vec<u64> = records
@@ -517,17 +485,17 @@ pub fn check_multi_reconfig_trace(
     cuts.sort_unstable();
     let n_cuts = cuts.len();
     let mut report = if cuts.is_empty() {
-        check_trace(records, sems.first().copied().flatten(), opts)
+        let boot = chain.first().copied().flatten();
+        check_trace_with(records, opts, false, &|_| (0, boot))
     } else {
-        let sems: Vec<Option<&ProgramSemantics>> = sems.to_vec();
-        check_trace_with(records, opts, true, &move |gsn| {
+        check_trace_with(records, opts, true, &|gsn| {
             // The epoch side of a gsn is how many cuts precede it.
             let side = cuts.partition_point(|&c| c <= gsn);
-            let ix = side.min(sems.len().saturating_sub(1));
-            (side, sems.get(ix).copied().flatten())
+            let ix = side.min(chain.len().saturating_sub(1));
+            (side, chain.get(ix).copied().flatten())
         })
     };
-    if n_cuts > 0 && sems.len() != n_cuts + 1 {
+    if n_cuts > 0 && chain.len() != n_cuts + 1 {
         report.violations.push(Violation {
             gsn: 0,
             rule: "reconfig",
@@ -535,7 +503,7 @@ pub fn check_multi_reconfig_trace(
                 "trace has {n_cuts} cut(s) but {} program semantics were \
                  provided (expected {}); later epochs were validated \
                  against the last one",
-                sems.len(),
+                chain.len(),
                 n_cuts + 1
             ),
         });
@@ -988,35 +956,13 @@ fn check_activation_labels(
     }
 }
 
-/// Parse a JSONL trace and check it in one call.
+/// Parse a JSONL trace and check it in one call (see [`check_trace`]).
 pub fn check_jsonl(
     jsonl: &str,
-    semantics: Option<&ProgramSemantics>,
+    chain: &[Option<&ProgramSemantics>],
     opts: &ConformanceOptions,
 ) -> Result<ConformanceReport, String> {
-    Ok(check_trace(&parse_jsonl(jsonl)?, semantics, opts))
-}
-
-/// Parse a JSONL trace spanning a reconfiguration and check it in one
-/// call (see [`check_reconfig_trace`]).
-pub fn check_reconfig_jsonl(
-    jsonl: &str,
-    sem_a: Option<&ProgramSemantics>,
-    sem_b: Option<&ProgramSemantics>,
-    opts: &ConformanceOptions,
-) -> Result<ConformanceReport, String> {
-    Ok(check_reconfig_trace(&parse_jsonl(jsonl)?, sem_a, sem_b, opts))
-}
-
-/// Parse a JSONL trace from a supervised (self-healing) run and check
-/// it across every repair's epoch in one call (see
-/// [`check_multi_reconfig_trace`]).
-pub fn check_repair_jsonl(
-    jsonl: &str,
-    sems: &[Option<&ProgramSemantics>],
-    opts: &ConformanceOptions,
-) -> Result<ConformanceReport, String> {
-    Ok(check_multi_reconfig_trace(&parse_jsonl(jsonl)?, sems, opts))
+    Ok(check_trace(&parse_jsonl(jsonl)?, chain, opts))
 }
 
 #[cfg(test)]
@@ -1071,7 +1017,7 @@ mod tests {
             r#"{"gsn":6,"us":30,"i":"f","j":"serve","ep":1,"k":"unsched","ok":true}"#,
         ]);
         let opts = ConformanceOptions { require_send_for_apply: false };
-        let report = check_trace(&recs, None, &opts);
+        let report = check_trace(&recs, &[], &opts);
         assert_eq!(report.violations.len(), 1, "{}", report.describe());
         assert_eq!(report.violations[0].rule, "update-rule");
         assert_eq!(report.violations[0].gsn, 4);
@@ -1087,7 +1033,7 @@ mod tests {
             r#"{"gsn":5,"us":30,"i":"f","j":"serve","ep":1,"k":"unsched","ok":true}"#,
         ]);
         let opts = ConformanceOptions { require_send_for_apply: false };
-        let report = check_trace(&recs, None, &opts);
+        let report = check_trace(&recs, &[], &opts);
         assert!(report.ok(), "{}", report.describe());
     }
 
@@ -1105,7 +1051,7 @@ mod tests {
             r#"{"gsn":7,"us":6,"i":"f","j":"x","ep":2,"k":"unsched","ok":true}"#,
         ]);
         let opts = ConformanceOptions { require_send_for_apply: false };
-        assert!(check_trace(&valid, None, &opts).ok());
+        assert!(check_trace(&valid, &[], &opts).ok());
 
         let invalid = lines(&[
             r#"{"gsn":1,"us":0,"i":"f","j":"x","ep":1,"k":"sched"}"#,
@@ -1114,7 +1060,7 @@ mod tests {
             r#"{"gsn":4,"us":3,"i":"f","j":"x","ep":1,"k":"unsched","ok":true}"#,
             r#"{"gsn":5,"us":5,"i":"f","j":"x","ep":2,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":1,"run":true}"#,
         ]);
-        let report = check_trace(&invalid, None, &opts);
+        let report = check_trace(&invalid, &[], &opts);
         assert!(!report.ok());
         assert_eq!(report.violations[0].rule, "update-rule");
     }
@@ -1131,7 +1077,7 @@ mod tests {
             r#"{"gsn":5,"us":4,"i":"f","j":"x","ep":2,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":2,"run":false}"#,
             r#"{"gsn":6,"us":5,"i":"f","j":"x","ep":3,"k":"kv_flush_apply","key":"W","from":"g::y","seq":7,"op":3,"run":false}"#,
         ]);
-        let report = check_trace(&recs, None, &ConformanceOptions::default());
+        let report = check_trace(&recs, &[], &ConformanceOptions::default());
         assert_eq!(report.violations.len(), 2, "{}", report.describe());
         assert!(report.violations.iter().all(|v| v.rule == "causality"));
     }
@@ -1146,7 +1092,7 @@ mod tests {
             r#"{"gsn":3,"us":2,"i":"g","j":"y","ep":1,"k":"link_shed","to":"f::x","seq":1}"#,
             r#"{"gsn":4,"us":3,"i":"g","j":"y","ep":1,"k":"unsched","ok":true}"#,
         ]);
-        let report = check_trace(&valid, None, &ConformanceOptions::default());
+        let report = check_trace(&valid, &[], &ConformanceOptions::default());
         assert!(report.ok(), "{}", report.describe());
         assert_eq!(report.sheds, 1);
 
@@ -1157,7 +1103,7 @@ mod tests {
             r#"{"gsn":2,"us":1,"i":"g","j":"y","ep":1,"k":"link_shed","to":"f::x","seq":9}"#,
             r#"{"gsn":3,"us":2,"i":"g","j":"y","ep":1,"k":"unsched","ok":true}"#,
         ]);
-        let report = check_trace(&invalid, None, &ConformanceOptions::default());
+        let report = check_trace(&invalid, &[], &ConformanceOptions::default());
         assert_eq!(report.violations.len(), 1, "{}", report.describe());
         assert_eq!(report.violations[0].rule, "overload");
 
@@ -1165,7 +1111,7 @@ mod tests {
         let control = lines(&[
             r#"{"gsn":1,"us":0,"i":"g","j":"y","ep":1,"k":"link_shed","to":"f::x","seq":0}"#,
         ]);
-        assert!(check_trace(&control, None, &ConformanceOptions::default()).ok());
+        assert!(check_trace(&control, &[], &ConformanceOptions::default()).ok());
     }
 
     #[test]
@@ -1181,8 +1127,7 @@ mod tests {
             r#"{"gsn":5,"us":4,"i":"","j":"","ep":0,"k":"reconfig_cut"}"#,
             r#"{"gsn":6,"us":5,"i":"f","j":"x","ep":2,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":2,"run":false}"#,
         ]);
-        let report =
-            check_reconfig_trace(&recs, None, None, &ConformanceOptions::default());
+        let report = check_trace(&recs, &[None, None], &ConformanceOptions::default());
         assert_eq!(report.violations.len(), 1, "{}", report.describe());
         assert_eq!(report.violations[0].rule, "causality");
         assert_eq!(report.violations[0].gsn, 6);
@@ -1200,8 +1145,7 @@ mod tests {
             r#"{"gsn":4,"us":3,"i":"","j":"","ep":0,"k":"reconfig_cut"}"#,
             r#"{"gsn":5,"us":4,"i":"f","j":"x","ep":1,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":1,"run":false}"#,
         ]);
-        let report =
-            check_reconfig_trace(&recs, None, None, &ConformanceOptions::default());
+        let report = check_trace(&recs, &[None, None], &ConformanceOptions::default());
         assert!(report.ok(), "{}", report.describe());
     }
 
@@ -1230,10 +1174,9 @@ mod tests {
             r#"{"gsn":6,"us":5,"i":"old","j":"j","ep":2,"k":"sched"}"#,
             r#"{"gsn":7,"us":6,"i":"old","j":"j","ep":2,"k":"unsched","ok":true}"#,
         ]);
-        let report = check_reconfig_trace(
+        let report = check_trace(
             &recs,
-            Some(&sem_a),
-            Some(&sem_b),
+            &[Some(&sem_a), Some(&sem_b)],
             &ConformanceOptions::default(),
         );
         let reconfig: Vec<_> = report
@@ -1251,8 +1194,7 @@ mod tests {
             r#"{"gsn":1,"us":0,"i":"f","j":"x","ep":1,"k":"sched"}"#,
             r#"{"gsn":2,"us":1,"i":"f","j":"x","ep":1,"k":"unsched","ok":true}"#,
         ]);
-        let report =
-            check_reconfig_trace(&recs, None, None, &ConformanceOptions::default());
+        let report = check_trace(&recs, &[None, None], &ConformanceOptions::default());
         assert!(report.ok());
     }
 
@@ -1333,7 +1275,7 @@ mod tests {
             r#"{"gsn":9,"us":8,"i":"b","j":"j","ep":2,"k":"sched"}"#,
             r#"{"gsn":10,"us":9,"i":"b","j":"j","ep":2,"k":"unsched","ok":true}"#,
         ]);
-        let report = check_multi_reconfig_trace(
+        let report = check_trace(
             &recs,
             &[Some(&sem_a), Some(&sem_b), Some(&sem_c)],
             &ConformanceOptions::default(),
@@ -1346,7 +1288,7 @@ mod tests {
         // Same trace with a short chain: the mismatch itself is flagged
         // (plus the b::j sched now judged against the clamped sem_b is
         // clean — exactly why the mismatch must be loud).
-        let short = check_multi_reconfig_trace(
+        let short = check_trace(
             &recs,
             &[Some(&sem_a), Some(&sem_b)],
             &ConformanceOptions::default(),
@@ -1373,7 +1315,7 @@ mod tests {
             r#"{"gsn":6,"us":5,"i":"","j":"","ep":0,"k":"reconfig_cut"}"#,
             r#"{"gsn":7,"us":6,"i":"f","j":"x","ep":2,"k":"kv_flush_apply","key":"W","from":"g::y","seq":1,"op":2,"run":false}"#,
         ]);
-        let report = check_multi_reconfig_trace(
+        let report = check_trace(
             &recs,
             &[None, None, None],
             &ConformanceOptions::default(),
@@ -1389,7 +1331,7 @@ mod tests {
             r#"{"gsn":1,"us":0,"i":"f","j":"x","ep":1,"k":"sched"}"#,
             r#"{"gsn":2,"us":1,"i":"f","j":"x","ep":1,"k":"sched"}"#,
         ]);
-        let report = check_trace(&recs, None, &ConformanceOptions::default());
+        let report = check_trace(&recs, &[], &ConformanceOptions::default());
         // Double-sched and non-advancing epoch.
         assert_eq!(report.violations.len(), 2);
     }

@@ -15,9 +15,10 @@
 //! * [`topology()`] — the `Topo` derivation of §8.7 (the communication
 //!   graph between junctions) with DOT export;
 //! * [`conformance`] — replay of recorded `csaw-runtime` JSONL traces
-//!   against the denoted event structures: structural causality, the
-//!   §8 local-priority update rule, and conflict-freeness of observed
-//!   configurations.
+//!   against the denoted event structures of the epoch chain they were
+//!   recorded under: structural causality, the §8 local-priority update
+//!   rule, and conflict-freeness of observed configurations, epoch by
+//!   epoch across live reconfigurations.
 //!
 //! The §8.5 semantics is explicitly "a general, infinitary version"; like
 //! the paper's implementation, we compute the weaker finite version,
@@ -31,8 +32,7 @@ pub mod plan_check;
 pub mod topology;
 
 pub use conformance::{
-    check_jsonl, check_multi_reconfig_trace, check_reconfig_jsonl, check_reconfig_trace,
-    check_repair_events, check_repair_jsonl, check_trace, parse_json_line, parse_jsonl,
+    check_jsonl, check_repair_events, check_trace, parse_json_line, parse_jsonl,
     ConformanceOptions, ConformanceReport, TraceRecord, Violation,
 };
 pub use denote::{denote_junction, denote_program, DenoteConfig, ProgramSemantics};

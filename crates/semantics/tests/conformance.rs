@@ -113,7 +113,7 @@ fn table_interleavings_conform_to_update_rule() {
 
         let jsonl = tracer.drain_jsonl();
         let opts = ConformanceOptions { require_send_for_apply: false };
-        let report = check_jsonl(&jsonl, None, &opts).unwrap();
+        let report = check_jsonl(&jsonl, &[], &opts).unwrap();
         assert!(
             report.ok(),
             "seed {seed}: {}\ntrace:\n{jsonl}",
@@ -130,7 +130,7 @@ fn table_interleavings_conform_to_update_rule() {
 fn pre_fix_window_clobber_fixture_is_rejected() {
     let jsonl = include_str!("fixtures/deliver_window_clobber.jsonl");
     let opts = ConformanceOptions { require_send_for_apply: false };
-    let report = check_jsonl(jsonl, None, &opts).unwrap();
+    let report = check_jsonl(jsonl, &[], &opts).unwrap();
     assert!(!report.ok(), "fixture must be rejected");
     assert_eq!(report.violations.len(), 1);
     assert_eq!(report.violations[0].rule, "update-rule");

@@ -24,7 +24,7 @@ use csaw::runtime::{
     RepairRecord, Runtime, RuntimeConfig, SupervisorConfig,
 };
 use csaw::semantics::{
-    check_repair_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
+    check_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
 };
 
 const FRONT_TIMEOUT: Duration = Duration::from_millis(300);
@@ -121,7 +121,7 @@ struct Outcome {
     fenced_sends: u64,
     trace_jsonl: String,
     trace_dropped: u64,
-    /// Epoch chain for cross-epoch conformance: A then every repair target.
+    /// The runtime's epoch chain, denoted, for cross-epoch conformance.
     sems: Vec<ProgramSemantics>,
 }
 
@@ -239,10 +239,11 @@ fn run_split_brain(fencing: bool, seed: u64) -> Outcome {
     };
 
     let repair = sup.records().into_iter().find(|r| r.instance == "o");
-    let mut sems = vec![denote_program(&a, &DenoteConfig::default())];
-    for p in sup.programs() {
-        sems.push(denote_program(&p, &DenoteConfig::default()));
-    }
+    let sems: Vec<ProgramSemantics> = rt
+        .epoch_chain()
+        .iter()
+        .map(|p| denote_program(p, &DenoteConfig::default()))
+        .collect();
     sup.stop();
     let fenced_sends = rt.link_stats().fenced;
     let trace_jsonl = rt.trace_jsonl();
@@ -296,13 +297,13 @@ fn split_brain_is_prevented_by_the_supervisor_fence() {
 
     // Cross-epoch conformance: epoch 0 against the supervised program,
     // epoch 1 against the promoted one, plus the repair-event protocol.
-    let sems: Vec<Option<&ProgramSemantics>> = out.sems.iter().map(Some).collect();
-    assert_eq!(sems.len(), 2, "one reconfiguring repair → a two-epoch chain");
+    let chain: Vec<Option<&ProgramSemantics>> = out.sems.iter().map(Some).collect();
+    assert_eq!(chain.len(), 2, "one reconfiguring repair → a two-epoch chain");
     // `deliver_for_test` injects applies with no matching send, so the
     // send/apply pairing rule is off; everything else is in force.
     let opts = ConformanceOptions { require_send_for_apply: false };
     assert_eq!(out.trace_dropped, 0, "trace evicted records; buffer too small");
-    let report = check_repair_jsonl(&out.trace_jsonl, &sems, &opts).expect("trace parses");
+    let report = check_jsonl(&out.trace_jsonl, &chain, &opts).expect("trace parses");
     assert!(
         report.ok(),
         "cross-epoch violations:\n{}",
