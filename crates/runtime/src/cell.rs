@@ -1,12 +1,15 @@
 //! Junction cells: the runtime home of one junction's state.
 
 use std::collections::HashMap;
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 use std::time::Instant;
 
 use csaw_core::value::Value;
-use csaw_kv::{Table, Update};
-use parking_lot::{Condvar, Mutex, MutexGuard};
+use csaw_kv::{Delivery, Table, Update, UpdateKind};
+use parking_lot::{Mutex, MutexGuard};
+
+use crate::eventcount::EventCount;
 
 /// Fully-qualified junction identity.
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
@@ -34,25 +37,32 @@ impl std::fmt::Display for JunctionId {
     }
 }
 
+/// Whether an update can change the truth of a formula. A `Data`
+/// update cannot: formula atoms are `Prop`, `InSubset`, `γ@F` and
+/// `S(ι)`, and updates never touch subsets.
+pub(crate) fn moves_formulas(update: &Update) -> bool {
+    !matches!(update.kind, UpdateKind::Data(_))
+}
+
 /// One junction's runtime state: KV table + parameter environment +
-/// activation lock + wake-up machinery for `wait`.
+/// activation lock. The table sits in the event count its `wait`s park
+/// on.
 pub struct Cell {
     /// Identity.
     pub id: JunctionId,
-    table: Mutex<Table>,
-    cond: Condvar,
+    table: EventCount<Table>,
     env: Mutex<HashMap<String, Value>>,
     /// Serializes activations of this junction.
     activation: Mutex<()>,
 }
 
 impl Cell {
-    /// Create a cell around an initialized table.
-    pub fn new(id: JunctionId, table: Table) -> Arc<Cell> {
+    /// Create a cell around an initialized table. `wake_signals` counts
+    /// the signals that found a `wait` parked.
+    pub fn new(id: JunctionId, table: Table, wake_signals: Arc<AtomicU64>) -> Arc<Cell> {
         Arc::new(Cell {
             id,
-            table: Mutex::new(table),
-            cond: Condvar::new(),
+            table: EventCount::new(table, wake_signals),
             env: Mutex::new(HashMap::new()),
             activation: Mutex::new(()),
         })
@@ -72,31 +82,41 @@ impl Cell {
         self.table.try_lock().map(|t| t.pending_len())
     }
 
-    /// Deliver a remote update and wake any waiter. Set `CSAW_TRACE=1`
-    /// to log every delivery (debugging distributed coordination).
-    pub fn deliver(&self, update: Update) {
-        static TRACE: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        let trace = *TRACE.get_or_init(|| std::env::var("CSAW_TRACE").is_ok());
-        {
-            let mut t = self.table.lock();
-            if trace {
-                eprintln!("[deliver] {} <- {:?} (running={})", self.id, update, t.is_running());
-            }
-            t.deliver(update);
+    /// Deliver a remote update. One that an open `wait` window applied
+    /// at once wakes the cell's `wait`ers, if it can have changed their
+    /// formula; a queued one wakes nobody here — it is for the
+    /// junction's scheduler, which the caller signals.
+    pub fn deliver(&self, update: Update) -> Delivery {
+        let wakes_waiters = moves_formulas(&update);
+        let delivery = self.table.lock().deliver(update);
+        if wakes_waiters && delivery == Delivery::AppliedNow {
+            self.table.signal();
         }
-        self.cond.notify_all();
+        delivery
     }
 
     /// Wake waiters without delivering (e.g. liveness changes that may
     /// satisfy `wait`ed formulas indirectly, or shutdown).
     pub fn nudge(&self) {
-        self.cond.notify_all();
+        self.table.signal();
     }
 
-    /// Block until woken or `deadline`; returns `true` on timeout. The
-    /// caller re-checks its predicate under the returned lock.
-    pub fn wait_on(&self, guard: &mut MutexGuard<'_, Table>, deadline: Instant) -> bool {
-        self.cond.wait_until(guard, deadline).timed_out()
+    /// The waiters' wake-up sequence. A `wait` reads it before anything
+    /// its formula depends on and passes it to [`Cell::wait_on`].
+    pub fn wake_seq(&self) -> u64 {
+        self.table.current()
+    }
+
+    /// Block until a wake-up newer than `seen` or `deadline`; returns
+    /// `true` on timeout. The caller evaluates its predicate under
+    /// `guard` first and re-evaluates it under the returned lock.
+    pub fn wait_on(
+        &self,
+        guard: &mut MutexGuard<'_, Table>,
+        seen: u64,
+        deadline: Instant,
+    ) -> bool {
+        self.table.park(guard, seen, Some(deadline))
     }
 
     /// Bind the junction's parameter environment (at `start`).
@@ -130,12 +150,20 @@ impl Cell {
 mod tests {
     use super::*;
     use csaw_kv::Update;
+    use std::sync::atomic::Ordering;
     use std::time::Duration;
 
-    fn cell() -> Arc<Cell> {
+    fn counted_cell() -> (Arc<Cell>, Arc<AtomicU64>) {
         let mut t = Table::new();
         t.declare_prop("Work", false);
-        Cell::new(JunctionId::new("f", "junction"), t)
+        t.declare_prop("Retried", false);
+        let wake_signals = Arc::new(AtomicU64::new(0));
+        let cell = Cell::new(JunctionId::new("f", "junction"), t, Arc::clone(&wake_signals));
+        (cell, wake_signals)
+    }
+
+    fn cell() -> Arc<Cell> {
+        counted_cell().0
     }
 
     #[test]
@@ -148,7 +176,7 @@ mod tests {
     #[test]
     fn deliver_queues_and_wakes() {
         let c = cell();
-        c.deliver(Update::assert("Work", "g::junction"));
+        assert_eq!(c.deliver(Update::assert("Work", "g::junction")), Delivery::Queued);
         assert_eq!(c.table().pending_len(), 1);
     }
 
@@ -169,7 +197,8 @@ mod tests {
     fn wait_on_times_out() {
         let c = cell();
         let mut guard = c.table();
-        let timed_out = c.wait_on(&mut guard, Instant::now() + Duration::from_millis(5));
+        let seen = c.wake_seq();
+        let timed_out = c.wait_on(&mut guard, seen, Instant::now() + Duration::from_millis(5));
         assert!(timed_out);
     }
 
@@ -185,7 +214,8 @@ mod tests {
                 if guard.prop("Work") == Some(true) {
                     return true;
                 }
-                if c2.wait_on(&mut guard, deadline) {
+                let seen = c2.wake_seq();
+                if c2.wait_on(&mut guard, seen, deadline) {
                     return false;
                 }
             }
@@ -193,6 +223,36 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         c.deliver(Update::assert("Work", "g::junction"));
         assert!(handle.join().unwrap(), "waiter should observe the assert");
+    }
+
+    #[test]
+    fn only_an_applied_delivery_wakes_a_waiter() {
+        let (c, wake_signals) = counted_cell();
+        let c2 = Arc::clone(&c);
+        let (ready_tx, ready_rx) = std::sync::mpsc::channel();
+        let waiter = std::thread::spawn(move || {
+            let mut guard = c2.table();
+            guard.open_window(vec!["Work".to_string()]);
+            ready_tx.send(()).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            let mut wake_ups = 0;
+            while guard.prop("Work") != Some(true) {
+                let seen = c2.wake_seq();
+                assert!(!c2.wait_on(&mut guard, seen, deadline), "waiter timed out");
+                wake_ups += 1;
+            }
+            wake_ups
+        });
+        ready_rx.recv().unwrap();
+        // The waiter locked the table before it reported ready and
+        // releases it only once asleep, so after this it is parked.
+        drop(c.table());
+        // Outside the window: queued, for the scheduler, not the waiter.
+        assert_eq!(c.deliver(Update::assert("Retried", "g::junction")), Delivery::Queued);
+        assert_eq!(wake_signals.load(Ordering::Relaxed), 0);
+        assert_eq!(c.deliver(Update::assert("Work", "g::junction")), Delivery::AppliedNow);
+        assert_eq!(waiter.join().unwrap(), 1, "one wake-up, by the applied delivery");
+        assert_eq!(wake_signals.load(Ordering::Relaxed), 1);
     }
 
     #[test]

@@ -612,16 +612,16 @@ impl<'rt> ExecCtx<'rt> {
             table.open_window(keys)
         };
         let result = loop {
+            // Read before anything the formula depends on: a wake-up
+            // that lands from here on keeps `wait_on` from sleeping.
+            let seen = self.cell().wake_seq();
             // Remote atoms resolved without holding our lock.
             let cache = match self.remote_cache(formula) {
                 Ok(c) => c,
                 Err(f) => break Err(f),
             };
-            let satisfied = {
-                let table = self.cell().table();
-                self.eval_cached(formula, &table, &cache) == Ternary::True
-            };
-            if satisfied {
+            let mut table = self.cell().table();
+            if self.eval_cached(formula, &table, &cache) == Ternary::True {
                 break Ok(Flow::Ok);
             }
             let now = clock.now();
@@ -630,10 +630,9 @@ impl<'rt> ExecCtx<'rt> {
                     context: format!("wait {formula} in {}", self.me()),
                 });
             }
-            let next = (now + self.rt.config.tick).min(hard_deadline);
             if clock.is_simulated() {
                 // No condvar under virtual time: the table guard is
-                // dropped above, and the sim hook makes one unit of
+                // dropped first, and the sim hook makes one unit of
                 // progress elsewhere (deliveries, other junctions) or
                 // advances the virtual clock. The target is the hard
                 // deadline, not the poll tick: the formula only changes
@@ -641,13 +640,15 @@ impl<'rt> ExecCtx<'rt> {
                 // re-check after every unit of progress loses nothing,
                 // and tick-sized steps would burn a schedule step per
                 // tick of dead virtual air.
+                drop(table);
                 clock.block_until(hard_deadline);
             } else {
-                let mut table = self.cell().table();
-                // Re-check under the lock: a delivery may have landed
-                // between the unlocked evaluation and here, in which
-                // case wait_on returns at the next nudge anyway.
-                self.cell().wait_on(&mut table, next);
+                // Parked under the guard the formula was evaluated
+                // under: a delivery needs that lock, so none can land
+                // between the evaluation and the sleep. `tick` is for
+                // the remote atoms, whose changes signal nobody.
+                let next = (now + self.rt.config.tick).min(hard_deadline);
+                self.cell().wait_on(&mut table, seen, next);
             }
         };
         self.cell().table().close_window(token);

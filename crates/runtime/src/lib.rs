@@ -10,8 +10,8 @@
 //! Architecture:
 //!
 //! * [`cell::Cell`] — one junction's state: its `csaw-kv` table, its
-//!   parameter environment, and a condition variable that `wait` blocks
-//!   on and remote deliveries signal.
+//!   parameter environment, and the event count that `wait` parks on
+//!   and window-admitted deliveries signal.
 //! * [`transport`] — channels between instances: direct in-process,
 //!   TCP-loopback (real sockets), and a simulated link with configurable
 //!   latency/bandwidth (the testbed stand-in for the cURL experiments).
@@ -32,6 +32,7 @@ pub mod autoscale;
 pub mod cell;
 pub mod clock;
 pub mod error;
+mod eventcount;
 pub mod fault;
 pub mod health;
 pub mod interp;

@@ -436,7 +436,7 @@ impl Runtime {
             if !is_added && !is_changed {
                 continue;
             }
-            let new_inst = build_instance_state(ci, &self.inner.tracer);
+            let new_inst = build_instance_state(ci, &self.inner.tracer, &self.inner.metrics);
             if let Some(old) = old_states.get(&ci.name) {
                 new_inst
                     .status
@@ -612,13 +612,12 @@ impl Runtime {
                         for (to, update) in buffered {
                             match inst.junction(&to.junction) {
                                 Some(jrt) if inst.status() == InstanceStatus::Running => {
-                                    jrt.cell.deliver(update);
+                                    jrt.deliver(update);
                                     flushed += 1;
                                 }
                                 _ => dropped_updates += 1,
                             }
                         }
-                        inst.wake();
                     }
                     None => dropped_updates += buffered.len() as u64,
                 }

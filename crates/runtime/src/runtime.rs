@@ -10,13 +10,14 @@ use csaw_core::formula::Ternary;
 use csaw_core::names::{JRef, NameRef};
 use csaw_core::program::{CompiledProgram, JunctionDef, MainDef};
 use csaw_core::value::Value;
-use csaw_kv::{Table, TableEvent, TableObserver, Update};
-use parking_lot::{Condvar, Mutex, RwLock};
+use csaw_kv::{Delivery, Table, TableEvent, TableObserver, Update};
+use parking_lot::{Mutex, RwLock};
 
 use crate::app::{InstanceApp, NoopApp};
-use crate::cell::{Cell, JunctionId};
+use crate::cell::{moves_formulas, Cell, JunctionId};
 use crate::clock::Clock;
 use crate::error::Failure;
+use crate::eventcount::EventCount;
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::health::{HeartbeatConfig, HeartbeatState, HB_JUNCTION};
 use crate::interp::ExecCtx;
@@ -111,7 +112,10 @@ pub struct Event {
 pub struct RuntimeConfig {
     /// Default link kind between instances.
     pub default_link: LinkKind,
-    /// Scheduler poll interval (upper bound on guard-recheck latency).
+    /// Poll interval for what no signal announces: `γ@P`/`S(ι)` atoms
+    /// in a guard or a `wait`, `Periodic` junctions and failure
+    /// backoff. Deliveries, activation ends and lifecycle changes wake
+    /// the thread that can act on them directly and never wait for it.
     pub tick: Duration,
     /// Upper bound on an un-deadlined `wait` (prevents silent hangs; the
     /// paper's examples always bound waits with `otherwise[t]`).
@@ -174,6 +178,45 @@ pub(crate) struct JunctionRt {
     /// Shared identity strings for trace recording (no per-event clone).
     pub(crate) trace_instance: Arc<str>,
     pub(crate) trace_junction: Arc<str>,
+    /// What this junction's scheduler thread parks on.
+    pub(crate) sched: EventCount<()>,
+    /// Scheduler passes made over this junction
+    /// (`scheduler_passes_total{instance,junction}`).
+    passes: Arc<AtomicU64>,
+}
+
+impl JunctionRt {
+    /// Whether the scheduler thread can ever run this junction on its
+    /// own. When it cannot — `OnDemand`, or `Startup` with the initial
+    /// run done — it has nothing to schedule until a lifecycle change,
+    /// and every such change (`start`, `restart`, `set_policy`) signals
+    /// `sched` after the store this reads.
+    fn self_scheduling(&self) -> bool {
+        match *self.policy.lock() {
+            Policy::OnDemand => false,
+            Policy::Startup => self.needs_initial.load(Ordering::SeqCst),
+            Policy::Auto | Policy::Periodic(_) => true,
+        }
+    }
+
+    /// Tell the scheduler thread its guard may have changed — unless it
+    /// has nothing to schedule, in which case it stays parked.
+    pub(crate) fn wake_scheduler(&self) {
+        if self.self_scheduling() {
+            self.sched.signal();
+        }
+    }
+
+    /// Deliver a remote update and wake the one thread that can act on
+    /// it: a `wait` whose window applied it (in [`Cell::deliver`]), or
+    /// this junction's scheduler when it was queued and can have
+    /// changed the guard.
+    pub(crate) fn deliver(&self, update: Update) {
+        let moves_guard = moves_formulas(&update);
+        if self.cell.deliver(update) == Delivery::Queued && moves_guard {
+            self.wake_scheduler();
+        }
+    }
 }
 
 /// Per-instance runtime record.
@@ -184,8 +227,6 @@ pub(crate) struct InstanceState {
     pub(crate) status: AtomicU8,
     pub(crate) junctions: Vec<Arc<JunctionRt>>,
     pub(crate) app: Arc<Mutex<Box<dyn InstanceApp>>>,
-    wake_seq: Mutex<u64>,
-    wake_cond: Condvar,
     /// Activations run (observability).
     pub(crate) activations: AtomicU64,
 }
@@ -195,14 +236,13 @@ impl InstanceState {
         InstanceStatus::from_u8(self.status.load(Ordering::SeqCst))
     }
 
+    /// Lifecycle signal: wake every scheduler and every `wait` of the
+    /// instance, whatever their policy.
     pub(crate) fn wake(&self) {
-        *self.wake_seq.lock() += 1;
-        self.wake_cond.notify_all();
-    }
-
-    fn wait_for_wake(&self, timeout: Duration) {
-        let mut seq = self.wake_seq.lock();
-        self.wake_cond.wait_for(&mut seq, timeout);
+        for jrt in &self.junctions {
+            jrt.sched.signal();
+            jrt.cell.nudge();
+        }
     }
 
     pub(crate) fn junction(&self, name: &str) -> Option<&Arc<JunctionRt>> {
@@ -517,9 +557,6 @@ impl RuntimeInner {
     pub(crate) fn wake_all(&self) {
         for inst in self.all_instances() {
             inst.wake();
-            for jrt in &inst.junctions {
-                jrt.cell.nudge();
-            }
         }
     }
 
@@ -586,8 +623,8 @@ impl RuntimeInner {
         })
     }
 
-    /// Run one activation of a junction (guard already verified by the
-    /// caller, re-verified under the activation lock).
+    /// Run one activation of a junction if its guard holds, checked
+    /// under the activation lock. `Ok(false)`: not ready, nothing ran.
     pub(crate) fn run_activation(
         self: &Arc<Self>,
         inst: &Arc<InstanceState>,
@@ -665,7 +702,7 @@ impl RuntimeInner {
         );
         *jrt.last_run.lock() = Some(self.clock().now());
         jrt.cell.nudge();
-        inst.wake();
+        jrt.wake_scheduler();
         let absorbed = jrt.handled_failures.load(Ordering::Relaxed) != handled_before;
         match result {
             Ok(()) => {
@@ -713,6 +750,7 @@ impl RuntimeInner {
         inst: &Arc<InstanceState>,
         jrt: &Arc<JunctionRt>,
     ) -> bool {
+        jrt.passes.fetch_add(1, Ordering::Relaxed);
         // Failure backoff: a junction whose last autonomous activation
         // failed is not re-scheduled until its backoff elapses.
         if jrt
@@ -726,9 +764,7 @@ impl RuntimeInner {
             let policy = *jrt.policy.lock();
             match policy {
                 Policy::Startup => jrt.needs_initial.load(Ordering::SeqCst),
-                Policy::Auto => {
-                    jrt.needs_initial.load(Ordering::SeqCst) || self.guard_ready(inst, jrt)
-                }
+                Policy::Auto => true,
                 Policy::OnDemand => false,
                 Policy::Periodic(iv) => {
                     jrt.needs_initial.load(Ordering::SeqCst)
@@ -738,6 +774,8 @@ impl RuntimeInner {
                 }
             }
         };
+        // One unlocked look at the guard, so a false one costs no
+        // activation lock; `run_activation` decides under the lock.
         if !due || !self.guard_ready(inst, jrt) {
             return false;
         }
@@ -750,6 +788,9 @@ impl RuntimeInner {
 
     pub(crate) fn scheduler_loop(self: Arc<Self>, inst: Arc<InstanceState>, jrt: Arc<JunctionRt>) {
         loop {
+            // Read before every check below: a signal that lands after
+            // this makes the park at the bottom return at once.
+            let seen = jrt.sched.current();
             if self.shutdown.load(Ordering::SeqCst) {
                 return;
             }
@@ -759,14 +800,16 @@ impl RuntimeInner {
                 // its own scheduler threads; this one is done for good.
                 return;
             }
-            if status != InstanceStatus::Running || self.booting.load(Ordering::SeqCst) {
-                inst.wait_for_wake(Duration::from_millis(20));
+            let runnable = status == InstanceStatus::Running && !self.booting.load(Ordering::SeqCst);
+            if runnable && self.scheduler_pass(&inst, &jrt) {
                 continue;
             }
-            let progressed = self.scheduler_pass(&inst, &jrt);
-            if !progressed {
-                inst.wait_for_wake(self.config.tick);
-            }
+            // With something to schedule, `tick` bounds how stale a
+            // polled input (remote atom, period, backoff) can get. With
+            // nothing, only a lifecycle signal can change that.
+            let deadline = (runnable && jrt.self_scheduling())
+                .then(|| Instant::now() + self.config.tick);
+            jrt.sched.park(&mut jrt.sched.lock(), seen, deadline);
         }
     }
 
@@ -833,7 +876,7 @@ impl Runtime {
         // Build instances & cells.
         let mut instances = HashMap::new();
         for ci in &compiled.instances {
-            instances.insert(ci.name.clone(), build_instance_state(ci, &tracer));
+            instances.insert(ci.name.clone(), build_instance_state(ci, &tracer, &metrics));
         }
 
         // The network delivers into cells through a registry shared with
@@ -875,8 +918,7 @@ impl Runtime {
                     if let Some(inst) = reg2.read().get(&to.instance) {
                         if inst.status() == InstanceStatus::Running {
                             if let Some(jrt) = inst.junction(&to.junction) {
-                                jrt.cell.deliver(update);
-                                inst.wake();
+                                jrt.deliver(update);
                             }
                         }
                     }
@@ -899,8 +941,7 @@ impl Runtime {
             if let Some(inst) = reg2.read().get(&to.instance) {
                 if inst.status() == InstanceStatus::Running {
                     if let Some(jrt) = inst.junction(&to.junction) {
-                        jrt.cell.deliver(update);
-                        inst.wake();
+                        jrt.deliver(update);
                     }
                 }
             }
@@ -982,6 +1023,7 @@ impl Runtime {
         if let Some(inst) = self.inner.get_instance(instance) {
             if let Some(jrt) = inst.junction(junction) {
                 *jrt.policy.lock() = policy;
+                jrt.sched.signal();
             }
         }
     }
@@ -1163,7 +1205,7 @@ impl Runtime {
             if inst.status() != InstanceStatus::Running {
                 return Err(Failure::TargetDown { target: instance.to_string() });
             }
-            if self.inner.guard_ready(&inst, &jrt) && self.inner.run_activation(&inst, &jrt)? {
+            if self.inner.run_activation(&inst, &jrt)? {
                 return Ok(());
             }
             if self.inner.clock().now() >= deadline {
@@ -1365,8 +1407,7 @@ impl Runtime {
     pub fn deliver_for_test(&self, instance: &str, junction: &str, update: Update) {
         if let Some(inst) = self.inner.get_instance(instance) {
             if let Some(jrt) = inst.junction(junction) {
-                jrt.cell.deliver(update);
-                inst.wake();
+                jrt.deliver(update);
             }
         }
     }
@@ -1466,7 +1507,9 @@ impl Drop for Runtime {
 pub(crate) fn build_instance_state(
     ci: &csaw_core::program::CompiledInstance,
     tracer: &Arc<Tracer>,
+    metrics: &Metrics,
 ) -> Arc<InstanceState> {
+    let wake_signals = metrics.counter("wake_signals_total");
     let mut junctions = Vec::new();
     for jd in &ci.junctions {
         let mut table = Table::new();
@@ -1479,7 +1522,7 @@ pub(crate) fn build_instance_state(
             instance: Arc::clone(&trace_instance),
             junction: Arc::clone(&trace_junction),
         }));
-        let cell = Cell::new(id, table);
+        let cell = Cell::new(id, table, Arc::clone(&wake_signals));
         let policy = if jd.guard().is_some() {
             Policy::Auto
         } else {
@@ -1496,6 +1539,11 @@ pub(crate) fn build_instance_state(
             handled_failures: AtomicU32::new(0),
             trace_instance,
             trace_junction,
+            sched: EventCount::new((), Arc::clone(&wake_signals)),
+            passes: metrics.counter(&format!(
+                "scheduler_passes_total{{instance=\"{}\",junction=\"{}\"}}",
+                ci.name, jd.name
+            )),
         }));
     }
     Arc::new(InstanceState {
@@ -1504,8 +1552,6 @@ pub(crate) fn build_instance_state(
         status: AtomicU8::new(InstanceStatus::NotStarted as u8),
         junctions,
         app: Arc::new(Mutex::new(Box::new(NoopApp) as Box<dyn InstanceApp>)),
-        wake_seq: Mutex::new(0),
-        wake_cond: Condvar::new(),
         activations: AtomicU64::new(0),
     })
 }

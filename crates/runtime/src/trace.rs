@@ -1538,7 +1538,8 @@ impl Metrics {
         }
     }
 
-    /// Get or create a named counter.
+    /// Get or create a named counter. The name may end in Prometheus
+    /// labels (`name{key="value"}`) to make one series of a family.
     pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
         Arc::clone(
             self.counters
@@ -1587,8 +1588,16 @@ impl Metrics {
     /// and `_count`.
     pub fn render_prometheus(&self) -> String {
         let mut out = String::new();
-        for (name, c) in self.counters.lock().iter() {
-            out.push_str(&format!("# TYPE csaw_{name} counter\n"));
+        // A counter name may carry labels (`passes_total{junction="j"}`):
+        // the series of one family sort together and share a TYPE line.
+        let counters = self.counters.lock();
+        let mut family = "";
+        for (name, c) in counters.iter() {
+            let base = name.split('{').next().unwrap_or(name);
+            if base != family {
+                out.push_str(&format!("# TYPE csaw_{base} counter\n"));
+                family = base;
+            }
             out.push_str(&format!("csaw_{name} {}\n", c.load(Ordering::Relaxed)));
         }
         for (name, g) in self.gauges.lock().iter() {
@@ -1753,12 +1762,16 @@ mod tests {
     fn metrics_render_prometheus_text() {
         let m = Metrics::new();
         m.counter("link_send_total").fetch_add(3, Ordering::Relaxed);
+        m.counter("passes_total{junction=\"a\"}").fetch_add(1, Ordering::Relaxed);
+        m.counter("passes_total{junction=\"b\"}").fetch_add(2, Ordering::Relaxed);
         let h = m.histogram("activation_duration");
         h.observe_us(3);
         h.observe_us(1000);
         let text = m.render_prometheus();
         assert!(text.contains("# TYPE csaw_link_send_total counter"));
         assert!(text.contains("csaw_link_send_total 3"));
+        assert_eq!(text.matches("# TYPE csaw_passes_total counter\n").count(), 1);
+        assert!(text.contains("csaw_passes_total{junction=\"b\"} 2\n"));
         assert!(text.contains("csaw_activation_duration_count 2"));
         assert!(text.contains("le=\"+Inf\"} 2"));
         assert_eq!(m.counter_value("link_send_total"), 3);

@@ -137,6 +137,39 @@ fn same_architecture_drives_redis_and_suricata() {
     }
 }
 
+/// The hand-off path end to end: mini-redis requests relayed through
+/// `sharding` with a 2 s tick. Each hop wakes the thread that serves it
+/// (the back-end's scheduler, then the front-end's `wait`), so nothing
+/// polls; one wake-up slept through costs a whole tick and fails this.
+#[test]
+fn relay_round_trips_do_not_wait_for_a_tick() {
+    let cp = csaw::core::compile(sharding(&ShardingSpec::default()), &LoadConfig::new()).unwrap();
+    let rt = Runtime::new(
+        &cp,
+        RuntimeConfig { tick: Duration::from_secs(2), ..Default::default() },
+    );
+    let front = csaw::redis::apps::ShardFrontApp::new(csaw::redis::apps::ShardMode::ByKey, 4);
+    let requests = Arc::clone(&front.requests);
+    let replies = Arc::clone(&front.replies);
+    rt.bind_app("Fnt", Box::new(front));
+    for i in 1..=4 {
+        rt.bind_app(&format!("Bck{i}"), Box::new(csaw::redis::apps::ServerApp::new()));
+    }
+    rt.set_policy("Fnt", "junction", Policy::OnDemand);
+    rt.run_main(vec![Value::Duration(Duration::from_secs(5))]).unwrap();
+    let started = Instant::now();
+    for i in 0..100 {
+        requests
+            .lock()
+            .push_back(csaw::redis::Command::Set(format!("k{i}"), vec![1]));
+        rt.invoke("Fnt", "junction").unwrap();
+    }
+    let took = started.elapsed();
+    assert_eq!(replies.lock().len(), 100);
+    assert!(took < Duration::from_secs(1), "100 relay round-trips took {took:?}");
+    rt.shutdown();
+}
+
 /// The snapshot architecture works identically over the in-process and
 /// TCP transports (the cURL same-VM/cross-VM contrast).
 #[test]
