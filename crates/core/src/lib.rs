@@ -18,7 +18,10 @@
 //!   no host code inside transaction blocks, …),
 //! * compile-time *template expansion* ([`expand`]): function inlining and
 //!   `for`-loop unrolling over compile-time sets, producing a
-//!   [`program::CompiledProgram`] that the `csaw-runtime` crate interprets,
+//!   [`program::CompiledProgram`] that the `csaw-runtime` crate executes,
+//! * *lowering* ([`lower`]): each expanded junction compiled once into a
+//!   pre-resolved form — postfix formula programs, resolved keys and
+//!   targets, run-time names as binding slots — which the runtime runs,
 //! * a pretty-printer ([`pretty`]) that renders programs in (an ASCII
 //!   rendition of) the paper's concrete syntax, used by the Table-2
 //!   lines-of-code study.
@@ -33,6 +36,7 @@ pub mod error;
 pub mod expand;
 pub mod expr;
 pub mod formula;
+pub mod lower;
 pub mod macros;
 pub mod names;
 pub mod plan;

@@ -117,6 +117,32 @@ impl fmt::Display for JRef {
     }
 }
 
+/// A resolved junction: the runtime identity of `instance::junction`.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub struct JunctionId {
+    /// Instance name.
+    pub instance: String,
+    /// Junction name.
+    pub junction: String,
+}
+
+impl JunctionId {
+    /// Construct from parts.
+    pub fn new(instance: impl Into<String>, junction: impl Into<String>) -> Self {
+        JunctionId { instance: instance.into(), junction: junction.into() }
+    }
+    /// `instance::junction` rendering.
+    pub fn qualified(&self) -> String {
+        format!("{}::{}", self.instance, self.junction)
+    }
+}
+
+impl fmt::Display for JunctionId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}::{}", self.instance, self.junction)
+    }
+}
+
 /// A (possibly indexed) proposition reference, e.g. `Work` or `Backend[tgt]`.
 ///
 /// Both the proposition name and the index may be variables; `for`-bound
@@ -190,6 +216,17 @@ impl SetElem {
             SetElem::Junction(i, j) => format!("{i}::{j}"),
             SetElem::Str(s) => s.clone(),
             SetElem::Int(i) => i.to_string(),
+        }
+    }
+
+    /// Whether [`SetElem::key`] equals `key`, without building the key.
+    pub fn has_key(&self, key: &str) -> bool {
+        match self {
+            SetElem::Instance(s) | SetElem::Str(s) => s == key,
+            SetElem::Junction(i, j) => key
+                .split_once("::")
+                .is_some_and(|(ki, kj)| ki == i && kj == j),
+            SetElem::Int(_) => self.key() == key,
         }
     }
 }
@@ -274,6 +311,22 @@ mod tests {
         assert_eq!(SetElem::Junction("b1".into(), "serve".into()).key(), "b1::serve");
         assert_eq!(SetElem::Int(7).key(), "7");
         assert_eq!(SetElem::Str("x".into()).key(), "x");
+        for e in [
+            SetElem::Instance("b1".into()),
+            SetElem::Junction("b1".into(), "serve".into()),
+            SetElem::Int(7),
+            SetElem::Str("x".into()),
+        ] {
+            assert!(e.has_key(&e.key()));
+            assert!(!e.has_key("b1::other") && !e.has_key("07") && !e.has_key(""));
+        }
+    }
+
+    #[test]
+    fn junction_id_rendering() {
+        let id = JunctionId::new("f", "b");
+        assert_eq!(id.qualified(), "f::b");
+        assert_eq!(id.to_string(), "f::b");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! One junction's key-value table.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use csaw_core::names::SetElem;
 use csaw_core::value::Value;
@@ -275,7 +276,7 @@ pub struct TableState {
 #[derive(Clone, Debug)]
 struct Window {
     token: u64,
-    keys: Vec<String>,
+    keys: Arc<[String]>,
     /// Operation sequence at open time. A remote update may apply
     /// through this window only when no local write to its key happened
     /// at or after the open (`lop < wop`): the window admits replies
@@ -293,7 +294,11 @@ struct Window {
 /// [`Table::begin_activation`] / [`Table::end_activation`].
 #[derive(Debug)]
 pub struct Table {
-    props: HashMap<String, bool>,
+    /// Proposition key → its slot in `prop_values`. Propositions are only
+    /// ever added, so a slot keeps naming the same key (see
+    /// [`Table::prop_values`]).
+    prop_slots: HashMap<String, usize>,
+    prop_values: Vec<bool>,
     data: HashMap<String, Value>,
     subsets: HashMap<String, Option<Vec<SetElem>>>,
     subset_bases: HashMap<String, Vec<SetElem>>,
@@ -318,7 +323,8 @@ impl Table {
     /// Create an empty table.
     pub fn new() -> Table {
         Table {
-            props: HashMap::new(),
+            prop_slots: HashMap::new(),
+            prop_values: Vec::new(),
             data: HashMap::new(),
             subsets: HashMap::new(),
             subset_bases: HashMap::new(),
@@ -351,7 +357,18 @@ impl Table {
 
     /// Declare a proposition with its initial value.
     pub fn declare_prop(&mut self, key: impl Into<String>, init: bool) {
-        self.props.insert(key.into(), init);
+        self.put_prop(key.into(), init);
+    }
+
+    /// Set a proposition, adding it if new (the key is copied only then).
+    fn put_prop(&mut self, key: impl AsRef<str> + Into<String>, value: bool) {
+        match self.prop_slots.get(key.as_ref()) {
+            Some(&slot) => self.prop_values[slot] = value,
+            None => {
+                self.prop_slots.insert(key.into(), self.prop_values.len());
+                self.prop_values.push(value);
+            }
+        }
     }
 
     /// Declare a datum (initialized to `undef`).
@@ -395,9 +412,11 @@ impl Table {
     /// End the activation.
     pub fn end_activation(&mut self) {
         self.running = false;
-        for w in std::mem::take(&mut self.windows) {
+        let mut windows = std::mem::take(&mut self.windows);
+        for w in windows.drain(..) {
             self.emit(|| TableEvent::WindowClose { token: w.token });
         }
+        self.windows = windows;
     }
 
     /// Apply all eligible pending updates. An update that arrived at a
@@ -406,8 +425,9 @@ impl Table {
     /// sequence orders the local write against the arrival, so a remote
     /// reply that arrived after our last local write still applies.
     pub fn flush_pending(&mut self) {
-        let pending = std::mem::take(&mut self.pending);
-        for p in pending {
+        // Drained in place, so the queue keeps its buffer.
+        let mut pending = std::mem::take(&mut self.pending);
+        for p in pending.drain(..) {
             let lop = self.locally_written.get(&p.update.key).map(|&(_, s)| s);
             let shadowed = p.during_run && lop.is_some_and(|s| s > p.seq);
             if shadowed {
@@ -430,19 +450,19 @@ impl Table {
                 });
             }
         }
+        self.pending = pending;
     }
 
     fn apply(&mut self, u: &Update) {
         match &u.kind {
-            UpdateKind::Assert => {
-                self.props.insert(u.key.clone(), true);
-            }
-            UpdateKind::Retract => {
-                self.props.insert(u.key.clone(), false);
-            }
-            UpdateKind::Data(v) => {
-                self.data.insert(u.key.clone(), v.clone());
-            }
+            UpdateKind::Assert => self.put_prop(u.key.as_str(), true),
+            UpdateKind::Retract => self.put_prop(u.key.as_str(), false),
+            UpdateKind::Data(v) => match self.data.get_mut(&u.key) {
+                Some(slot) => *slot = v.clone(),
+                None => {
+                    self.data.insert(u.key.clone(), v.clone());
+                }
+            },
         }
     }
 
@@ -497,15 +517,15 @@ impl Table {
     /// another instance" even when the reply raced ahead of the `wait`
     /// itself (the remote peer can only have reacted to our local write,
     /// so such updates are causally newer).
-    pub fn open_window(&mut self, keys: Vec<String>) -> u64 {
+    pub fn open_window(&mut self, keys: impl Into<Arc<[String]>>) -> u64 {
+        let keys = keys.into();
         let token = self.next_window;
         self.next_window += 1;
         self.op_seq += 1;
         let wop = self.op_seq;
-        self.emit(|| TableEvent::WindowOpen { token, wop, keys: keys.clone() });
-        let mut keep = std::collections::VecDeque::with_capacity(self.pending.len());
-        let pending = std::mem::take(&mut self.pending);
-        for p in pending {
+        self.emit(|| TableEvent::WindowOpen { token, wop, keys: keys.to_vec() });
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|p| {
             let in_window = keys.iter().any(|k| k == &p.update.key);
             let newer_than_local = self
                 .locally_written
@@ -519,11 +539,10 @@ impl Table {
                     link_seq: p.update.seq,
                     op: p.seq,
                 });
-            } else {
-                keep.push_back(p);
             }
-        }
-        self.pending = keep;
+            !(in_window && newer_than_local)
+        });
+        self.pending = pending;
         self.windows.push(Window { token, keys, wop });
         token
     }
@@ -539,38 +558,50 @@ impl Table {
 
     /// `keep`: discard pending updates for the given keys. Idempotent.
     pub fn keep(&mut self, keys: &[String]) {
-        let mut kept = std::collections::VecDeque::with_capacity(self.pending.len());
-        for p in std::mem::take(&mut self.pending) {
-            if keys.iter().any(|k| k == &p.update.key) {
+        let mut pending = std::mem::take(&mut self.pending);
+        pending.retain(|p| {
+            let dropped = keys.iter().any(|k| k == &p.update.key);
+            if dropped {
                 self.emit(|| TableEvent::KeepDrop {
                     key: p.update.key.clone(),
                     from: p.update.from.clone(),
                     link_seq: p.update.seq,
                 });
-            } else {
-                kept.push_back(p);
             }
-        }
-        self.pending = kept;
+            !dropped
+        });
+        self.pending = pending;
     }
 
     /// Read a proposition.
     pub fn prop(&self, key: &str) -> Option<bool> {
-        self.props.get(key).copied()
+        self.prop_slots.get(key).map(|&slot| self.prop_values[slot])
     }
 
-    /// Locally set a proposition (`assert []`/`retract []`). Local writes
-    /// are visible immediately and shadow pending remote updates.
-    pub fn set_prop_local(&mut self, key: &str, value: bool) -> Result<(), TableError> {
-        if !self.props.contains_key(key) {
+    /// Locally set a proposition (`assert []`/`retract []`); returns the
+    /// value it replaced. Local writes are visible immediately and shadow
+    /// pending remote updates.
+    pub fn set_prop_local(&mut self, key: &str, value: bool) -> Result<bool, TableError> {
+        let Some(&slot) = self.prop_slots.get(key) else {
             return Err(TableError::NoSuchKey(key.to_string()));
-        }
-        self.props.insert(key.to_string(), value);
+        };
+        let old = std::mem::replace(&mut self.prop_values[slot], value);
+        self.note_local_write(key);
+        Ok(old)
+    }
+
+    /// Record a local write to a declared key: it now shadows older
+    /// arrivals (§8). Allocates only on the key's first write.
+    fn note_local_write(&mut self, key: &str) {
         self.op_seq += 1;
-        self.locally_written
-            .insert(key.to_string(), (self.epoch, self.op_seq));
+        let mark = (self.epoch, self.op_seq);
+        match self.locally_written.get_mut(key) {
+            Some(m) => *m = mark,
+            None => {
+                self.locally_written.insert(key.to_string(), mark);
+            }
+        }
         self.emit(|| TableEvent::LocalWrite { key: key.to_string(), op: self.op_seq });
-        Ok(())
     }
 
     /// Read a datum.
@@ -589,14 +620,11 @@ impl Table {
 
     /// Locally set a datum (`save`).
     pub fn set_data_local(&mut self, key: &str, value: Value) -> Result<(), TableError> {
-        if !self.data.contains_key(key) {
+        let Some(slot) = self.data.get_mut(key) else {
             return Err(TableError::NoSuchKey(key.to_string()));
-        }
-        self.data.insert(key.to_string(), value);
-        self.op_seq += 1;
-        self.locally_written
-            .insert(key.to_string(), (self.epoch, self.op_seq));
-        self.emit(|| TableEvent::LocalWrite { key: key.to_string(), op: self.op_seq });
+        };
+        *slot = value;
+        self.note_local_write(key);
         Ok(())
     }
 
@@ -624,7 +652,7 @@ impl Table {
         self.subsets
             .get(name)?
             .as_ref()
-            .map(|elems| elems.iter().any(|e| e.key() == elem_key))
+            .map(|elems| elems.iter().any(|e| e.has_key(elem_key)))
     }
 
     /// Set an index's value; must belong to the base set.
@@ -633,13 +661,22 @@ impl Table {
             .idx_bases
             .get(name)
             .ok_or_else(|| TableError::NoSuchKey(name.to_string()))?;
-        if !base.iter().any(|e| e.key() == elem_key) {
+        if !base.iter().any(|e| e.has_key(elem_key)) {
             return Err(TableError::InvalidIndex {
                 name: name.to_string(),
                 value: elem_key.to_string(),
             });
         }
-        self.idxs.insert(name.to_string(), Some(elem_key.to_string()));
+        match self.idxs.get_mut(name) {
+            Some(Some(cur)) => {
+                cur.clear();
+                cur.push_str(elem_key);
+            }
+            Some(cur) => *cur = Some(elem_key.to_string()),
+            None => {
+                self.idxs.insert(name.to_string(), Some(elem_key.to_string()));
+            }
+        }
         Ok(())
     }
 
@@ -660,7 +697,7 @@ impl Table {
 
     /// Whether a key names a declared proposition.
     pub fn has_prop(&self, key: &str) -> bool {
-        self.props.contains_key(key)
+        self.prop_slots.contains_key(key)
     }
 
     /// Whether a key names a declared datum.
@@ -673,20 +710,23 @@ impl Table {
         self.pending.len()
     }
 
-    /// All propositions and their current values, sorted by key. Used by
-    /// `reconsider` to detect whether anything changed since an arm was
-    /// selected.
-    pub fn props_fingerprint(&self) -> Vec<(String, bool)> {
-        let mut v: Vec<_> = self.props.iter().map(|(k, b)| (k.clone(), *b)).collect();
-        v.sort();
-        v
+    /// Every proposition's value, by slot. A slot keeps naming the same
+    /// key until [`Table::import_state`] replaces the table, so two reads
+    /// are equal exactly when no proposition was added or changed value
+    /// between them — what `reconsider` asks.
+    pub fn prop_values(&self) -> &[bool] {
+        &self.prop_values
     }
 
     /// Export the complete table state for migration. Meant to be taken
     /// at quiescence (no activation running, all windows closed); open
     /// windows do not survive an export.
     pub fn export_state(&self) -> TableState {
-        let mut props: Vec<_> = self.props.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let mut props: Vec<_> = self
+            .prop_slots
+            .iter()
+            .map(|(k, &slot)| (k.clone(), self.prop_values[slot]))
+            .collect();
         props.sort();
         let mut data: Vec<_> = self.data.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
         data.sort_by(|a, b| a.0.cmp(&b.0));
@@ -747,7 +787,11 @@ impl Table {
     /// counters and the local-priority shadows all resume exactly where
     /// the export left them. The observer slot is untouched.
     pub fn import_state(&mut self, state: TableState) {
-        self.props = state.props.into_iter().collect();
+        self.prop_slots.clear();
+        self.prop_values.clear();
+        for (key, value) in state.props {
+            self.put_prop(key, value);
+        }
         self.data = state.data.into_iter().collect();
         self.subsets.clear();
         self.subset_bases.clear();

@@ -166,8 +166,8 @@ fn export_import_round_trips_across_48_seeds() {
         original.end_activation();
         restored.end_activation();
         assert_eq!(
-            original.props_fingerprint(),
-            restored.props_fingerprint(),
+            original.export_state().props,
+            restored.export_state().props,
             "seed {seed}: post-flush props diverge"
         );
         for d in DATA {

@@ -86,6 +86,7 @@ impl<'a> HostCtx<'a> {
         self.check_writable(key)?;
         self.table
             .set_prop_local(key, value)
+            .map(drop)
             .map_err(|e: TableError| e.to_string())
     }
 

@@ -12,30 +12,7 @@ use parking_lot::{Mutex, MutexGuard};
 use crate::eventcount::EventCount;
 
 /// Fully-qualified junction identity.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
-pub struct JunctionId {
-    /// Instance name.
-    pub instance: String,
-    /// Junction name.
-    pub junction: String,
-}
-
-impl JunctionId {
-    /// Construct from parts.
-    pub fn new(instance: impl Into<String>, junction: impl Into<String>) -> Self {
-        JunctionId { instance: instance.into(), junction: junction.into() }
-    }
-    /// `instance::junction` rendering.
-    pub fn qualified(&self) -> String {
-        format!("{}::{}", self.instance, self.junction)
-    }
-}
-
-impl std::fmt::Display for JunctionId {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}::{}", self.instance, self.junction)
-    }
-}
+pub use csaw_core::names::JunctionId;
 
 /// Whether an update can change the truth of a formula. A `Data`
 /// update cannot: formula atoms are `Prop`, `InSubset`, `γ@F` and
@@ -46,7 +23,8 @@ pub(crate) fn moves_formulas(update: &Update) -> bool {
 
 /// One junction's runtime state: KV table + parameter environment +
 /// activation lock. The table sits in the event count its `wait`s park
-/// on.
+/// on. The interpreter reads parameters through the junction's binding
+/// slots, filled from this environment at `start`.
 pub struct Cell {
     /// Identity.
     pub id: JunctionId,
@@ -124,13 +102,8 @@ impl Cell {
         *self.env.lock() = env;
     }
 
-    /// Look up a parameter value.
-    pub fn param(&self, name: &str) -> Option<Value> {
-        self.env.lock().get(name).cloned()
-    }
-
-    /// Snapshot the whole parameter environment (used when evaluating
-    /// `start` arguments inside a junction).
+    /// Snapshot the whole parameter environment (used to fill binding
+    /// slots and when evaluating `start` arguments inside a junction).
     pub fn env_clone(&self) -> HashMap<String, Value> {
         self.env.lock().clone()
     }
@@ -167,13 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn id_rendering() {
-        let id = JunctionId::new("f", "b");
-        assert_eq!(id.qualified(), "f::b");
-        assert_eq!(id.to_string(), "f::b");
-    }
-
-    #[test]
     fn deliver_queues_and_wakes() {
         let c = cell();
         assert_eq!(c.deliver(Update::assert("Work", "g::junction")), Delivery::Queued);
@@ -186,11 +152,9 @@ mod tests {
         let mut env = HashMap::new();
         env.insert("t".to_string(), Value::Duration(Duration::from_millis(10)));
         c.bind_env(env);
-        assert_eq!(
-            c.param("t").unwrap().as_duration(),
-            Some(Duration::from_millis(10))
-        );
-        assert!(c.param("zz").is_none());
+        let env = c.env_clone();
+        assert_eq!(env["t"].as_duration(), Some(Duration::from_millis(10)));
+        assert!(!env.contains_key("zz"));
     }
 
     #[test]

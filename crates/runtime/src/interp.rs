@@ -1,23 +1,29 @@
-//! The C-Saw expression interpreter.
+//! The C-Saw interpreter.
 //!
-//! Executes compiled junction bodies against the runtime: KV tables,
-//! channels, liveness, deadlines. The semantics follow §6/§8 of the
-//! paper; each arm of the evaluator cites the construct it
+//! Executes lowered junction bodies ([`csaw_core::lower`]) against the
+//! runtime: KV tables, channels, liveness, deadlines. Keys, targets,
+//! timeouts and formulas were resolved once, when the junction was built;
+//! what a pass still reads is the run-time half — the junction's binding
+//! slots, the instance registry and the tables. The semantics follow §6/§8
+//! of the paper; each arm of the evaluator cites the construct it
 //! implements.
 
 use std::collections::HashMap;
+use std::ops::Deref;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use csaw_core::expr::{CaseArm, CaseGuard, Expr, Terminator};
+use csaw_core::expr::{Expr, Terminator};
 use csaw_core::formula::{Formula, Ternary};
-use csaw_core::names::{JRef, NameRef, PropRef};
+use csaw_core::lower::{with_scratch, Arm, Bindings, Keys, Name, Prog, Remote, Slot, Stmt, Target};
+use csaw_core::names::{JunctionId, NameRef};
 use csaw_core::value::Value;
 use csaw_kv::{Table, Update};
 
 use crate::app::HostCtx;
-use crate::cell::{Cell, JunctionId};
+use crate::cell::Cell;
 use crate::error::{Failure, Flow, RtResult};
-use crate::runtime::{InstanceState, JunctionRt, RuntimeInner};
+use crate::runtime::{Dest, InstanceState, JunctionRt, RuntimeInner};
 
 /// One undo record for transactional rollback.
 enum Undo {
@@ -25,13 +31,29 @@ enum Undo {
     Data(String, Value),
 }
 
+/// A name's text: the lowered literal, or a binding's shared text.
+enum Text<'a> {
+    Lit(&'a str),
+    Bound(Arc<str>),
+}
+
+impl Deref for Text<'_> {
+    type Target = str;
+    fn deref(&self) -> &str {
+        match self {
+            Text::Lit(s) => s,
+            Text::Bound(s) => s,
+        }
+    }
+}
+
 /// Execution context for one activation (or one parallel arm of one).
 pub(crate) struct ExecCtx<'rt> {
     rt: &'rt RuntimeInner,
     inst: &'rt InstanceState,
     jrt: &'rt JunctionRt,
-    /// Deadline stack from enclosing `otherwise[t]` constructs.
-    deadlines: Vec<Instant>,
+    /// The earliest deadline of the enclosing `otherwise[t]` constructs.
+    deadline: Option<Instant>,
     /// Transaction undo-log stack. Rollback restores only the keys *this
     /// context* wrote, so parallel arms' transactions do not clobber each
     /// other (the whole-table snapshot the paper describes is only
@@ -39,45 +61,36 @@ pub(crate) struct ExecCtx<'rt> {
     txn_logs: Vec<Vec<Undo>>,
 }
 
-/// Evaluate a guard formula for the scheduler (no deadline context).
-/// `Unknown` counts as not-ready.
+/// Evaluate a guard for the scheduler (no deadline context). `Unknown`
+/// counts as not-ready.
 pub(crate) fn guard_truth(
     rt: &RuntimeInner,
     inst: &InstanceState,
     jrt: &JunctionRt,
-    f: &Formula,
+    guard: &Prog,
 ) -> Ternary {
-    let ctx = ExecCtx { rt, inst, jrt, deadlines: Vec::new(), txn_logs: Vec::new() };
-    ctx.formula_truth(f).unwrap_or(Ternary::Unknown)
+    ExecCtx::new(rt, inst, jrt).truth(guard).unwrap_or(Ternary::Unknown)
 }
 
 impl<'rt> ExecCtx<'rt> {
     pub(crate) fn new(
-        rt: &'rt std::sync::Arc<RuntimeInner>,
-        inst: &'rt std::sync::Arc<InstanceState>,
-        jrt: &'rt std::sync::Arc<JunctionRt>,
+        rt: &'rt RuntimeInner,
+        inst: &'rt InstanceState,
+        jrt: &'rt JunctionRt,
     ) -> Self {
-        ExecCtx { rt, inst, jrt, deadlines: Vec::new(), txn_logs: Vec::new() }
+        ExecCtx { rt, inst, jrt, deadline: None, txn_logs: Vec::new() }
     }
 
-    fn cell(&self) -> &Cell {
+    fn cell(&self) -> &'rt Cell {
         &self.jrt.cell
     }
 
-    fn me(&self) -> &JunctionId {
+    fn me(&self) -> &'rt JunctionId {
         &self.jrt.cell.id
     }
 
-    // -----------------------------------------------------------------
-    // Deadlines
-    // -----------------------------------------------------------------
-
-    fn deadline(&self) -> Option<Instant> {
-        self.deadlines.iter().min().copied()
-    }
-
     fn check_deadline(&self, what: &str) -> RtResult<()> {
-        if let Some(d) = self.deadline() {
+        if let Some(d) = self.deadline {
             if self.rt.clock().now() > d {
                 return Err(Failure::Timeout { context: what.to_string() });
             }
@@ -86,79 +99,58 @@ impl<'rt> ExecCtx<'rt> {
     }
 
     // -----------------------------------------------------------------
-    // Name resolution
+    // Names: what lowering left to the run time
     // -----------------------------------------------------------------
 
-    /// Resolve a name reference to a string (target, prop name, element).
-    fn resolve_str(&self, n: &NameRef) -> RtResult<String> {
+    fn text<'a>(&self, n: &'a Name) -> RtResult<Text<'a>> {
         match n {
-            NameRef::Lit(s) => Ok(s.clone()),
-            NameRef::Var(v) => {
-                if let Some(val) = self.cell().param(v) {
-                    return Ok(match val {
-                        Value::Target(t) => t,
-                        Value::Str(s) => s,
-                        other => other.to_string(),
-                    });
-                }
-                {
-                    let table = self.cell().table();
-                    if let Some(e) = table.idx(v) {
-                        return Ok(e.to_string());
-                    }
-                    // Template bodies reference enclosing-junction state
-                    // by name; an unsubstituted variable that names a
-                    // declared entry resolves to itself.
-                    if table.has_data(v) || table.has_prop(v) {
-                        return Ok(v.clone());
-                    }
-                }
-                Err(Failure::Unresolved(format!(
-                    "`{v}` in {} (not a parameter, idx, or declared name)",
-                    self.me()
-                )))
-            }
+            Name::Lit(s) => Ok(Text::Lit(s)),
+            other => self.bound(other).map(Text::Bound),
         }
     }
 
-    /// Resolve a timeout parameter.
-    fn resolve_timeout(&self, n: &NameRef) -> RtResult<Duration> {
-        match n {
-            NameRef::Lit(s) | NameRef::Var(s) => self
-                .cell()
-                .param(s)
-                .and_then(|v| v.as_duration())
-                .ok_or_else(|| {
-                    Failure::Unresolved(format!("timeout parameter `{s}` in {}", self.me()))
-                }),
-        }
+    /// A binding's text, shared out of the binding lock.
+    fn bound(&self, n: &Name) -> RtResult<Arc<str>> {
+        let b = self.jrt.bindings.lock();
+        b.shared(n).ok_or_else(|| self.unresolved(&b, n))
     }
 
-    /// Resolve a proposition reference to its table key.
-    fn resolve_prop(&self, p: &PropRef) -> RtResult<String> {
-        let name = self.resolve_str(&p.name)?;
-        Ok(match &p.index {
-            None => name,
-            Some(ix) => format!("{name}[{}]", self.resolve_str(ix)?),
+    fn unresolved(&self, b: &Bindings, n: &Name) -> Failure {
+        let v = self.jrt.lowered.unbound(b, n).unwrap_or_default();
+        Failure::Unresolved(format!(
+            "`{v}` in {} (not a parameter, idx, or declared name)",
+            self.me()
+        ))
+    }
+
+    fn timeout(&self, slot: Slot) -> RtResult<Duration> {
+        self.jrt.bindings.lock().duration(slot).ok_or_else(|| {
+            Failure::Unresolved(format!(
+                "timeout parameter `{}` in {}",
+                self.jrt.lowered.vars[slot].name,
+                self.me()
+            ))
         })
     }
 
-    /// Resolve a junction reference to a concrete junction id.
-    fn resolve_jref(&self, j: &JRef) -> RtResult<JunctionId> {
-        match j {
-            JRef::Qualified { instance, junction } => Ok(JunctionId::new(
-                self.resolve_str(instance)?,
-                junction.clone(),
-            )),
-            JRef::Bare(n) => {
-                let s = self.resolve_str(n)?;
-                self.rt.resolve_target(&s)
+    fn target<'a>(&self, t: &'a Target) -> RtResult<Dest<'a>> {
+        match t {
+            Target::Fixed(id) => Ok(Dest::Fixed(id)),
+            Target::Qualified { instance, junction } => {
+                let i = self.bound(&Name::Var(*instance))?;
+                Ok(Dest::Named(JunctionId::new(&*i, junction.clone())))
             }
-            JRef::MyJunction => Ok(self.me().clone()),
-            JRef::MyInstance => Err(Failure::Unresolved(
+            Target::Bare(n) => self.rt.resolve_target(&self.text(n)?),
+            Target::MyInstance => Err(Failure::Unresolved(
                 "me::instance is not a junction target".into(),
             )),
-            JRef::Sibling(junc) => Ok(JunctionId::new(self.me().instance.clone(), junc.clone())),
+        }
+    }
+
+    fn keys(&self, keys: &Keys) -> RtResult<Arc<[String]>> {
+        match keys {
+            Keys::Fixed(k) => Ok(Arc::clone(k)),
+            Keys::Bound(names) => names.iter().map(|n| Ok(self.text(n)?.to_string())).collect(),
         }
     }
 
@@ -166,143 +158,62 @@ impl<'rt> ExecCtx<'rt> {
     // Formula evaluation (two-phase, to avoid cross-table lock cycles)
     // -----------------------------------------------------------------
 
-    fn formula_truth(&self, f: &Formula) -> RtResult<Ternary> {
-        // Phase 1: resolve remote atoms without holding our table lock.
-        let cache = self.remote_cache(f)?;
-        // Phase 2: evaluate locally.
-        let table = self.cell().table();
-        Ok(self.eval_cached(f, &table, &cache))
+    fn truth(&self, prog: &Prog) -> RtResult<Ternary> {
+        with_scratch(prog.remotes().len(), |remote| {
+            self.resolve_remotes(prog, remote)?;
+            let table = self.cell().table();
+            Ok(self.local_truth(prog, &table, remote))
+        })
     }
 
-    /// Resolve every `γ@P` / `S(ι)` atom in `f` ahead of time.
-    fn remote_cache(&self, f: &Formula) -> RtResult<HashMap<String, Ternary>> {
-        let mut cache = HashMap::new();
-        self.fill_remote_cache(f, &mut cache)?;
-        Ok(cache)
-    }
-
-    fn fill_remote_cache(
-        &self,
-        f: &Formula,
-        cache: &mut HashMap<String, Ternary>,
-    ) -> RtResult<()> {
-        match f {
-            Formula::At(j, inner) => {
-                for p in inner.all_props() {
-                    let key = self.resolve_prop(&p)?;
-                    let id = self.resolve_jref(j)?;
-                    let v = self.rt.remote_prop(&id, &key);
-                    cache.insert(format!("{j}@{key}"), v);
+    /// Phase 1: resolve `prog`'s `γ@P` / `S(ι)` atoms into `scratch`,
+    /// without holding our table lock.
+    fn resolve_remotes(&self, prog: &Prog, scratch: &mut [Ternary]) -> RtResult<()> {
+        let atoms = &self.jrt.lowered.remotes[prog.remotes()];
+        for (v, atom) in scratch.iter_mut().zip(atoms) {
+            *v = match atom {
+                Remote::Prop { at, key } => {
+                    let key = self.text(key)?;
+                    let dest = self.target(at)?;
+                    self.rt.remote_prop(dest.id(), &key)
                 }
-                Ok(())
-            }
-            Formula::Live(n) => {
-                let inst = self.resolve_str(n)?;
-                let inst = inst.split("::").next().unwrap_or(&inst).to_string();
-                cache.insert(
-                    format!("S({n})"),
-                    Ternary::from_bool(self.rt.is_live_from(&self.inst.name, &inst)),
-                );
-                Ok(())
-            }
-            Formula::Not(a) => self.fill_remote_cache(a, cache),
-            Formula::And(a, b) | Formula::Or(a, b) | Formula::Implies(a, b) => {
-                self.fill_remote_cache(a, cache)?;
-                self.fill_remote_cache(b, cache)
-            }
-            _ => Ok(()),
-        }
-    }
-
-    /// Evaluate with remote atoms served from the cache and local atoms
-    /// from the (already locked) table.
-    fn eval_cached(
-        &self,
-        f: &Formula,
-        table: &Table,
-        cache: &HashMap<String, Ternary>,
-    ) -> Ternary {
-        match f {
-            Formula::False => Ternary::False,
-            Formula::True => Ternary::True,
-            Formula::Prop(p) => match self.resolve_prop(p) {
-                Ok(key) => table.prop(&key).map_or(Ternary::Unknown, Ternary::from_bool),
-                Err(_) => Ternary::Unknown,
-            },
-            Formula::Not(a) => self.eval_cached(a, table, cache).not(),
-            Formula::And(a, b) => self
-                .eval_cached(a, table, cache)
-                .and(self.eval_cached(b, table, cache)),
-            Formula::Or(a, b) => self
-                .eval_cached(a, table, cache)
-                .or(self.eval_cached(b, table, cache)),
-            Formula::Implies(a, b) => self
-                .eval_cached(a, table, cache)
-                .not()
-                .or(self.eval_cached(b, table, cache)),
-            Formula::At(j, inner) => self.eval_remote_cached(j, inner, cache),
-            Formula::Live(n) => cache
-                .get(&format!("S({n})"))
-                .copied()
-                .unwrap_or(Ternary::Unknown),
-            Formula::InSubset { elem, subset } => {
-                let Ok(e) = self.resolve_str(elem) else {
-                    return Ternary::Unknown;
-                };
-                match table.subset_contains(subset.raw(), &e) {
-                    Some(b) => Ternary::from_bool(b),
-                    None => Ternary::Unknown,
+                Remote::Live(n) => {
+                    let inst = self.text(n)?;
+                    let inst = inst.split("::").next().unwrap_or(&inst);
+                    Ternary::from_bool(self.rt.is_live_from(&self.inst.name, inst))
                 }
-            }
-            Formula::For { .. } => Ternary::Unknown,
+            };
         }
+        Ok(())
     }
 
-    fn eval_remote_cached(
-        &self,
-        j: &JRef,
-        inner: &Formula,
-        cache: &HashMap<String, Ternary>,
-    ) -> Ternary {
-        match inner {
-            Formula::Prop(p) => match self.resolve_prop(p) {
-                Ok(key) => cache
-                    .get(&format!("{j}@{key}"))
-                    .copied()
-                    .unwrap_or(Ternary::Unknown),
-                Err(_) => Ternary::Unknown,
-            },
-            Formula::Not(a) => self.eval_remote_cached(j, a, cache).not(),
-            Formula::And(a, b) => self
-                .eval_remote_cached(j, a, cache)
-                .and(self.eval_remote_cached(j, b, cache)),
-            Formula::Or(a, b) => self
-                .eval_remote_cached(j, a, cache)
-                .or(self.eval_remote_cached(j, b, cache)),
-            Formula::Implies(a, b) => self
-                .eval_remote_cached(j, a, cache)
-                .not()
-                .or(self.eval_remote_cached(j, b, cache)),
-            _ => Ternary::Unknown,
-        }
+    /// Phase 2: run `prog` over our (already locked) table.
+    fn local_truth(&self, prog: &Prog, table: &Table, remote: &[Ternary]) -> Ternary {
+        let bindings = prog.reads_bindings().then(|| self.jrt.bindings.lock());
+        prog.eval(
+            bindings.as_deref(),
+            remote,
+            |key| table.prop(key),
+            |subset, elem| table.subset_contains(subset, elem),
+        )
     }
 
     // -----------------------------------------------------------------
     // The interpreter
     // -----------------------------------------------------------------
 
-    /// Evaluate an expression.
-    pub(crate) fn eval(&mut self, e: &Expr) -> RtResult<Flow> {
+    /// Execute a statement.
+    pub(crate) fn eval(&mut self, s: &Stmt) -> RtResult<Flow> {
         self.check_deadline("expression")?;
-        match e {
+        match s {
             // ⌊H⌉{V⃗} — host code under the write-set contract (§4).
-            Expr::Host { name, writes } => self.eval_host(name, writes),
+            Stmt::Host { name, writes, idx } => self.eval_host(name, writes, idx),
 
             // ⟨E⟩ — fate scope: failures propagate out of it unhandled.
-            Expr::Scope(inner) => self.eval(inner),
+            Stmt::Scope(inner) => self.eval(inner),
 
             // ⟨|E|⟩ — transactional scope: rollback on failure (§6).
-            Expr::Transaction(inner) => {
+            Stmt::Transaction(inner) => {
                 self.txn_logs.push(Vec::new());
                 let r = self.eval(inner);
                 let log = self.txn_logs.pop().expect("txn log pushed above");
@@ -334,59 +245,61 @@ impl<'rt> ExecCtx<'rt> {
             }
 
             // `return` terminates the junction activation successfully.
-            Expr::Return => Ok(Flow::Return),
+            Stmt::Return => Ok(Flow::Return),
 
             // write(n, γ): push named data (must be defined — §6).
-            Expr::Write { data, to } => {
-                let key = self.resolve_str(data)?;
-                let target = self.resolve_jref(to)?;
+            Stmt::Write { data, to } => {
+                let key = self.text(data)?;
+                let dest = self.target(to)?;
                 let value = self.cell().table().data_defined(&key)?.clone();
                 self.rt.send(
                     &self.me().instance,
-                    &target,
-                    Update::data(key, value, self.me().qualified()),
-                    self.deadline(),
+                    dest.id(),
+                    Update::data(&*key, value, self.jrt.lowered.sender.as_str()),
+                    self.deadline,
                 )?;
                 Ok(Flow::Ok)
             }
 
             // wait [n⃗] F — block until F, admitting updates to F's
             // propositions and the listed data keys (§6).
-            Expr::Wait { data, formula } => self.eval_wait(data, formula),
+            Stmt::Wait { keys, prog, formula } => self.eval_wait(keys, prog, formula),
 
             // save(…, n): host state → table.
-            Expr::Save { data } => {
-                let key = self.resolve_str(data)?;
+            Stmt::Save(data) => {
+                let key = self.text(data)?;
                 let value = {
                     let mut app = self.inst.app.lock();
                     app.save(&key).map_err(|m| Failure::Host {
-                        func: format!("save({key})"),
+                        func: format!("save({})", &*key),
                         message: m,
                     })?
                 };
-                let old = self.cell().table().data(&key).cloned();
-                if let (Some(log), Some(old)) = (self.txn_logs.last_mut(), old) {
-                    log.push(Undo::Data(key.clone(), old));
+                let mut table = self.cell().table();
+                if let Some(log) = self.txn_logs.last_mut() {
+                    if let Some(old) = table.data(&key) {
+                        log.push(Undo::Data(key.to_string(), old.clone()));
+                    }
                 }
-                self.cell().table().set_data_local(&key, value)?;
+                table.set_data_local(&key, value)?;
                 Ok(Flow::Ok)
             }
 
             // restore(n, …): table → host state; undef is an error (§6).
-            Expr::Restore { data } => {
-                let key = self.resolve_str(data)?;
+            Stmt::Restore(data) => {
+                let key = self.text(data)?;
                 let value = self.cell().table().data_defined(&key)?.clone();
                 let mut app = self.inst.app.lock();
                 app.restore(&key, &value).map_err(|m| Failure::Host {
-                    func: format!("restore({key})"),
+                    func: format!("restore({})", &*key),
                     message: m,
                 })?;
                 Ok(Flow::Ok)
             }
 
             // E1; E2 — sequential composition.
-            Expr::Seq(es) => {
-                for x in es {
+            Stmt::Seq(ss) => {
+                for x in ss {
                     match self.eval(x)? {
                         Flow::Ok => {}
                         other => return Ok(other),
@@ -396,28 +309,20 @@ impl<'rt> ExecCtx<'rt> {
             }
 
             // E1 + E2 — parallel composition on scoped threads.
-            Expr::Par(es) => self.eval_par(es),
+            Stmt::Par(ss) => self.eval_par(ss.iter().collect()),
 
             // ∥n E — replicated parallel composition.
-            Expr::Rep { n, body } => {
-                let copies: Vec<Expr> = (0..*n).map(|_| (**body).clone()).collect();
-                self.eval_par(&copies)
-            }
+            Stmt::Rep { n, body } => self.eval_par(vec![&**body; *n as usize]),
 
             // E1 otherwise[t] E2 — timed failure handling (§6).
-            Expr::Otherwise { body, timeout, handler } => {
-                let pushed = match timeout {
-                    Some(t) => {
-                        let d = self.resolve_timeout(t)?;
-                        self.deadlines.push(self.rt.clock().now() + d);
-                        true
-                    }
-                    None => false,
-                };
-                let r = self.eval(body);
-                if pushed {
-                    self.deadlines.pop();
+            Stmt::Otherwise { body, timeout, handler } => {
+                let outer = self.deadline;
+                if let Some(slot) = timeout {
+                    let at = self.rt.clock().now() + self.timeout(*slot)?;
+                    self.deadline = Some(outer.map_or(at, |d| d.min(at)));
                 }
+                let r = self.eval(body);
+                self.deadline = outer;
                 match r {
                     Err(f) => {
                         // Even when the handler recovers, the activation
@@ -442,16 +347,16 @@ impl<'rt> ExecCtx<'rt> {
             }
 
             // stop ι — fails on a non-running instance (§6).
-            Expr::Stop(n) => {
-                let s = self.resolve_str(n)?;
+            Stmt::Stop(n) => {
+                let s = self.text(n)?;
                 let name = s.split("::").next().unwrap_or(&s);
                 self.rt.stop_instance(name)?;
                 Ok(Flow::Ok)
             }
 
             // start ι γ(p⃗)… — fails on a running instance (§6).
-            Expr::Start { instance, junction_args } => {
-                let name = self.resolve_str(instance)?;
+            Stmt::Start { instance, junction_args } => {
+                let name = self.text(instance)?;
                 let env = self.cell().env_clone();
                 self.rt.start_instance(&name, junction_args, &env)?;
                 Ok(Flow::Ok)
@@ -461,73 +366,59 @@ impl<'rt> ExecCtx<'rt> {
             // local and the remote table (that is how Fig. 3's f observes
             // its own Work flip back). The remote send happens first so a
             // dead target fails the whole statement atomically.
-            Expr::Assert { at, prop } => self.eval_assert(at.as_ref(), prop, true),
-            Expr::Retract { at, prop } => self.eval_assert(at.as_ref(), prop, false),
-
-            Expr::Call { func, .. } => Err(Failure::Internal(format!(
-                "unexpanded call `{func}` reached the interpreter"
-            ))),
+            Stmt::Assert { at, key, value } => self.eval_assert(at.as_ref(), key, *value),
 
             // verify G — ternary logic; unknown is an error (§6).
-            Expr::Verify(f) => match self.formula_truth(f)? {
+            Stmt::Verify { prog, formula } => match self.truth(prog)? {
                 Ternary::True => Ok(Flow::Ok),
-                Ternary::False => Err(Failure::Verify {
-                    formula: f.to_string(),
-                    unknown: false,
-                }),
-                Ternary::Unknown => Err(Failure::Verify {
-                    formula: f.to_string(),
-                    unknown: true,
+                t => Err(Failure::Verify {
+                    formula: formula.to_string(),
+                    unknown: t == Ternary::Unknown,
                 }),
             },
 
-            Expr::Skip => Ok(Flow::Ok),
+            Stmt::Skip => Ok(Flow::Ok),
 
             // retry — bounded re-run of the junction body, handled by the
             // activation driver in runtime.rs.
-            Expr::Retry => Ok(Flow::Retry),
+            Stmt::Retry => Ok(Flow::Retry),
 
             // keep — drop pending parallel updates for these keys (§6).
-            Expr::Keep { keys } => {
-                let mut resolved = Vec::with_capacity(keys.len());
-                for k in keys {
-                    resolved.push(self.resolve_str(k)?);
-                }
-                self.cell().table().keep(&resolved);
+            Stmt::Keep(keys) => {
+                let keys = self.keys(keys)?;
+                self.cell().table().keep(&keys);
                 Ok(Flow::Ok)
             }
 
-            Expr::Case { arms, otherwise } => self.eval_case(arms, otherwise),
+            Stmt::Case { arms, otherwise } => self.eval_case(arms, otherwise),
 
-            Expr::If { cond, then, els } => match self.formula_truth(cond)? {
+            Stmt::If { prog, formula, then, els } => match self.truth(prog)? {
                 Ternary::True => self.eval(then),
                 Ternary::False => match els {
                     Some(e) => self.eval(e),
                     None => Ok(Flow::Ok),
                 },
                 Ternary::Unknown => Err(Failure::Unresolved(format!(
-                    "if condition `{cond}` is unknown in {}",
+                    "if condition `{formula}` is unknown in {}",
                     self.me()
                 ))),
             },
 
-            Expr::For { .. } => Err(Failure::Internal(
-                "unexpanded `for` reached the interpreter".into(),
-            )),
-
             // Unrolled `;`-loops: `break` exits the loop (§6).
-            Expr::LoopScope(inner) => match self.eval(inner)? {
+            Stmt::LoopScope(inner) => match self.eval(inner)? {
                 Flow::Break => Ok(Flow::Ok),
                 other => Ok(other),
             },
 
-            Expr::Break => Ok(Flow::Break),
-            Expr::Next => Ok(Flow::Next),
-            Expr::Reconsider => Ok(Flow::Reconsider),
+            Stmt::Break => Ok(Flow::Break),
+            Stmt::Next => Ok(Flow::Next),
+            Stmt::Reconsider => Ok(Flow::Reconsider),
+
+            Stmt::Unexpanded(what) => Err(Failure::Internal(what.clone())),
         }
     }
 
-    fn eval_host(&mut self, name: &str, writes: &[String]) -> RtResult<Flow> {
+    fn eval_host(&mut self, name: &str, writes: &[String], idx: &[Slot]) -> RtResult<Flow> {
         // `complain` is conventionally diagnostic — record it.
         if name == "complain" {
             self.rt
@@ -541,50 +432,43 @@ impl<'rt> ExecCtx<'rt> {
             &self.me().instance,
             &self.me().junction,
         );
-        app.host_call(name, &mut ctx).map_err(|m| Failure::Host {
+        let r = app.host_call(name, &mut ctx);
+        // The call may have moved an `idx` cursor of its write set.
+        self.jrt.refresh_idx(&table, idx);
+        r.map_err(|m| Failure::Host {
             func: name.to_string(),
             message: m,
         })?;
         Ok(Flow::Ok)
     }
 
-    fn eval_assert(
-        &mut self,
-        at: Option<&JRef>,
-        prop: &PropRef,
-        value: bool,
-    ) -> RtResult<Flow> {
-        let key = self.resolve_prop(prop)?;
+    fn eval_assert(&mut self, at: Option<&Target>, key: &Name, value: bool) -> RtResult<Flow> {
+        let key = self.text(key)?;
         // Local write first (Fig. 20: assert[γ]P writes WrJ and Wrγ, and
         // causally the peer can only react *after* our write — a reply
         // that races back must order after it). Skipped when the
         // proposition is not declared locally. If the remote send then
         // fails, the local write is undone: the statement fails
         // atomically.
-        let old = {
-            let table = self.cell().table();
-            if table.has_prop(&key) {
-                table.prop(&key)
-            } else if at.is_none() {
-                return Err(Failure::Table(csaw_kv::TableError::NoSuchKey(key)));
-            } else {
-                None
+        let old = match self.cell().table().set_prop_local(&key, value) {
+            Ok(old) => {
+                if let Some(log) = self.txn_logs.last_mut() {
+                    log.push(Undo::Prop(key.to_string(), old));
+                }
+                Some(old)
             }
+            Err(_) if at.is_some() => None,
+            Err(e) => return Err(e.into()),
         };
-        if let Some(old) = old {
-            if let Some(log) = self.txn_logs.last_mut() {
-                log.push(Undo::Prop(key.clone(), old));
-            }
-            self.cell().table().set_prop_local(&key, value)?;
-        }
         if let Some(j) = at {
-            let target = self.resolve_jref(j)?;
+            let dest = self.target(j)?;
+            let from = self.jrt.lowered.sender.as_str();
             let update = if value {
-                Update::assert(key.clone(), self.me().qualified())
+                Update::assert(&*key, from)
             } else {
-                Update::retract(key.clone(), self.me().qualified())
+                Update::retract(&*key, from)
             };
-            if let Err(f) = self.rt.send(&self.me().instance, &target, update, self.deadline()) {
+            if let Err(f) = self.rt.send(&self.me().instance, dest.id(), update, self.deadline) {
                 if let Some(old) = old {
                     let _ = self.cell().table().set_prop_local(&key, old);
                 }
@@ -594,34 +478,24 @@ impl<'rt> ExecCtx<'rt> {
         Ok(Flow::Ok)
     }
 
-    fn eval_wait(&mut self, data: &[NameRef], formula: &Formula) -> RtResult<Flow> {
+    fn eval_wait(&mut self, keys: &Keys, prog: &Prog, formula: &Formula) -> RtResult<Flow> {
         // Window keys: the formula's local propositions + listed data.
-        let mut keys = Vec::new();
-        for p in formula.local_props() {
-            keys.push(self.resolve_prop(&p)?);
-        }
-        for d in data {
-            keys.push(self.resolve_str(d)?);
-        }
-        let clock = self.rt.clock().clone();
+        let keys = self.keys(keys)?;
+        let clock = self.rt.clock();
         let hard_deadline = self
-            .deadline()
+            .deadline
             .unwrap_or_else(|| clock.now() + self.rt.config.max_wait);
-        let token = {
-            let mut table = self.cell().table();
-            table.open_window(keys)
-        };
-        let result = loop {
+        let token = self.cell().table().open_window(keys);
+        let result = with_scratch(prog.remotes().len(), |remote| loop {
             // Read before anything the formula depends on: a wake-up
             // that lands from here on keeps `wait_on` from sleeping.
             let seen = self.cell().wake_seq();
             // Remote atoms resolved without holding our lock.
-            let cache = match self.remote_cache(formula) {
-                Ok(c) => c,
-                Err(f) => break Err(f),
-            };
+            if let Err(f) = self.resolve_remotes(prog, remote) {
+                break Err(f);
+            }
             let mut table = self.cell().table();
-            if self.eval_cached(formula, &table, &cache) == Ternary::True {
+            if self.local_truth(prog, &table, remote) == Ternary::True {
                 break Ok(Flow::Ok);
             }
             let now = clock.now();
@@ -650,67 +524,51 @@ impl<'rt> ExecCtx<'rt> {
                 let next = (now + self.rt.config.tick).min(hard_deadline);
                 self.cell().wait_on(&mut table, seen, next);
             }
-        };
+        });
         self.cell().table().close_window(token);
         result
     }
 
-    fn eval_par(&mut self, arms: &[Expr]) -> RtResult<Flow> {
+    fn eval_par(&mut self, arms: Vec<&Stmt>) -> RtResult<Flow> {
         if arms.is_empty() {
             return Ok(Flow::Ok);
         }
         if arms.len() == 1 {
-            return self.eval(&arms[0]);
+            return self.eval(arms[0]);
         }
-        if self.rt.clock().is_simulated() {
+        let (rt, inst, jrt, deadline) = (self.rt, self.inst, self.jrt, self.deadline);
+        let arm_ctx = || ExecCtx { rt, inst, jrt, deadline, txn_logs: Vec::new() };
+        let results: Vec<RtResult<Flow>> = if self.rt.clock().is_simulated() {
             // Under virtual time the executor is single-threaded, so a
             // scoped-thread fan-out would deadlock waiting on arms that
             // never get scheduled. Run the arms in sequence — a legal
-            // interleaving of E1 + E2 — and combine flows the same way.
-            let mut flow = Flow::Ok;
+            // interleaving of E1 + E2 — stopping at the first failure.
+            let mut results = Vec::with_capacity(arms.len());
             for arm in arms {
-                let mut ctx = ExecCtx {
-                    rt: self.rt,
-                    inst: self.inst,
-                    jrt: self.jrt,
-                    deadlines: self.deadlines.clone(),
-                    txn_logs: Vec::new(),
-                };
-                match ctx.eval(arm) {
-                    Err(f) => return Err(f),
-                    Ok(Flow::Ok) => {}
-                    Ok(other) => {
-                        if flow == Flow::Ok {
-                            flow = other;
-                        }
-                    }
+                let r = arm_ctx().eval(arm);
+                let failed = r.is_err();
+                results.push(r);
+                if failed {
+                    break;
                 }
             }
-            return Ok(flow);
-        }
-        let rt = self.rt;
-        let inst = self.inst;
-        let jrt = self.jrt;
-        let deadlines = self.deadlines.clone();
-        let results: Vec<RtResult<Flow>> = std::thread::scope(|s| {
-            let handles: Vec<_> = arms
-                .iter()
-                .map(|arm| {
-                    let deadlines = deadlines.clone();
-                    s.spawn(move || {
-                        let mut ctx = ExecCtx { rt, inst, jrt, deadlines, txn_logs: Vec::new() };
-                        ctx.eval(arm)
+            results
+        } else {
+            std::thread::scope(|s| {
+                let handles: Vec<_> = arms
+                    .into_iter()
+                    .map(|arm| s.spawn(move || arm_ctx().eval(arm)))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| {
+                        h.join().unwrap_or_else(|_| {
+                            Err(Failure::Internal("parallel arm panicked".into()))
+                        })
                     })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| {
-                    h.join()
-                        .unwrap_or_else(|_| Err(Failure::Internal("parallel arm panicked".into())))
-                })
-                .collect()
-        });
+                    .collect()
+            })
+        };
         // Failure wins; else the first control signal; else Ok.
         let mut flow = Flow::Ok;
         for r in results {
@@ -727,18 +585,7 @@ impl<'rt> ExecCtx<'rt> {
         Ok(flow)
     }
 
-    fn eval_case(&mut self, arms: &[CaseArm], otherwise: &Expr) -> RtResult<Flow> {
-        // Post-expansion all guards are Plain.
-        let guards: Vec<&Formula> = arms
-            .iter()
-            .map(|a| match &a.guard {
-                CaseGuard::Plain(f) => Ok(f),
-                CaseGuard::For { .. } => Err(Failure::Internal(
-                    "unexpanded for-guard reached the interpreter".into(),
-                )),
-            })
-            .collect::<RtResult<_>>()?;
-
+    fn eval_case(&mut self, arms: &[Arm], otherwise: &Stmt) -> RtResult<Flow> {
         let mut start_idx = 0usize;
         let mut prev_match: Option<usize> = None;
 
@@ -746,8 +593,8 @@ impl<'rt> ExecCtx<'rt> {
             self.check_deadline("case")?;
             // Find the first matching arm at or after start_idx.
             let mut matched = None;
-            for (i, g) in guards.iter().enumerate().skip(start_idx) {
-                if self.formula_truth(g)? == Ternary::True {
+            for (i, arm) in arms.iter().enumerate().skip(start_idx) {
+                if self.truth(&arm.guard)? == Ternary::True {
                     matched = Some(i);
                     break;
                 }
@@ -763,10 +610,13 @@ impl<'rt> ExecCtx<'rt> {
                 };
             };
 
-            let entry_fp = self.cell().table().props_fingerprint();
-            let body_flow = self.eval(&arms[i].body)?;
-            let flow = match body_flow {
-                Flow::Ok => match arms[i].terminator {
+            let arm = &arms[i];
+            // Only `reconsider` asks whether a proposition changed.
+            let entry = arm
+                .reconsiders
+                .then(|| self.cell().table().prop_values().to_vec());
+            let flow = match self.eval(&arm.body)? {
+                Flow::Ok => match arm.terminator {
                     Terminator::Break => Flow::Break,
                     Terminator::Next => Flow::Next,
                     Terminator::Reconsider => Flow::Reconsider,
@@ -783,17 +633,17 @@ impl<'rt> ExecCtx<'rt> {
                 Flow::Reconsider => {
                     // "branches to the containing case if a different
                     // match is made … otherwise the expression fails".
-                    let now_fp = self.cell().table().props_fingerprint();
+                    let props_unchanged =
+                        entry.as_deref() == Some(self.cell().table().prop_values());
                     let mut new_match = None;
-                    for (j, g) in guards.iter().enumerate() {
-                        if self.formula_truth(g)? == Ternary::True {
+                    for (j, arm) in arms.iter().enumerate() {
+                        if self.truth(&arm.guard)? == Ternary::True {
                             new_match = Some(j);
                             break;
                         }
                     }
-                    let unchanged = new_match == Some(i)
-                        && now_fp == entry_fp
-                        && prev_match == Some(i);
+                    let unchanged =
+                        new_match == Some(i) && props_unchanged && prev_match == Some(i);
                     if unchanged {
                         return Err(Failure::ReconsiderFailed);
                     }

@@ -388,7 +388,7 @@ impl Runtime {
                     Err(e) => {
                         snapshot_err = Some(Failure::Internal(format!(
                             "reconfigure: snapshot {name}::{}: {e:?}",
-                            jrt.def.name
+                            jrt.name()
                         )));
                         break 'snapshot;
                     }
@@ -400,7 +400,7 @@ impl Runtime {
                     Err(e) => {
                         snapshot_err = Some(Failure::Internal(format!(
                             "reconfigure: decode {name}::{}: {e:?}",
-                            jrt.def.name
+                            jrt.name()
                         )));
                         break 'snapshot;
                     }
@@ -411,7 +411,7 @@ impl Runtime {
                     state.epoch,
                     TraceKind::ReconfigMigrate { bytes: n },
                 );
-                exports.insert((name.clone(), jrt.def.name.clone()), state);
+                exports.insert((name.clone(), jrt.name().to_string()), state);
             }
         }
         if let Some(f) = snapshot_err {
@@ -449,7 +449,7 @@ impl Runtime {
                 // `spec.apps` can still override after the cut.
                 std::mem::swap(&mut *new_inst.app.lock(), &mut *old.app.lock());
                 for jrt in &new_inst.junctions {
-                    if let Some(old_jrt) = old.junction(&jrt.def.name) {
+                    if let Some(old_jrt) = old.junction(jrt.name()) {
                         jrt.cell.bind_env(old_jrt.cell.env_clone());
                         *jrt.policy.lock() = *old_jrt.policy.lock();
                         jrt.needs_initial.store(
@@ -458,7 +458,7 @@ impl Runtime {
                         );
                         *jrt.last_run.lock() = *old_jrt.last_run.lock();
                         if let Some(old_state) =
-                            exports.get(&(ci.name.clone(), jrt.def.name.clone()))
+                            exports.get(&(ci.name.clone(), jrt.name().to_string()))
                         {
                             let merged = {
                                 let table = jrt.cell.table();
@@ -466,6 +466,9 @@ impl Runtime {
                             };
                             jrt.cell.table().import_state(merged);
                         }
+                        // The carried parameters and cursors fill the
+                        // new record's binding slots.
+                        jrt.rebind();
                     }
                 }
             }

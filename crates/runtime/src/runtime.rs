@@ -7,6 +7,7 @@ use std::time::{Duration, Instant};
 
 use csaw_core::expr::Arg;
 use csaw_core::formula::Ternary;
+use csaw_core::lower::{self, Bindings, LoweredJunction, Prog, Slot};
 use csaw_core::names::{JRef, NameRef};
 use csaw_core::program::{CompiledProgram, JunctionDef, MainDef};
 use csaw_core::value::Value;
@@ -113,9 +114,10 @@ pub struct RuntimeConfig {
     /// Default link kind between instances.
     pub default_link: LinkKind,
     /// Poll interval for what no signal announces: `γ@P`/`S(ι)` atoms
-    /// in a guard or a `wait`, `Periodic` junctions and failure
-    /// backoff. Deliveries, activation ends and lifecycle changes wake
-    /// the thread that can act on them directly and never wait for it.
+    /// in a guard or a `wait`, `Periodic` junctions and a `Startup` run
+    /// still owed. Deliveries, activation ends and lifecycle changes wake
+    /// the thread that can act on them directly and never wait for it;
+    /// a failure backoff is a deadline of its own.
     pub tick: Duration,
     /// Upper bound on an un-deadlined `wait` (prevents silent hangs; the
     /// paper's examples always bound waits with `otherwise[t]`).
@@ -155,7 +157,13 @@ const FAILURE_BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// Per-junction runtime record.
 pub(crate) struct JunctionRt {
-    pub(crate) def: JunctionDef,
+    /// What the interpreter runs: the junction's definition, lowered once
+    /// at build.
+    pub(crate) lowered: LoweredJunction,
+    /// The run-time half of `lowered`'s names, filled at `start` and on
+    /// `idx` writes. Taken only for a moment, and never before another
+    /// lock: a holder of the table lock may take it.
+    pub(crate) bindings: Mutex<Bindings>,
     pub(crate) cell: Arc<Cell>,
     pub(crate) policy: Mutex<Policy>,
     pub(crate) needs_initial: AtomicBool,
@@ -186,6 +194,10 @@ pub(crate) struct JunctionRt {
 }
 
 impl JunctionRt {
+    pub(crate) fn name(&self) -> &str {
+        &self.cell.id.junction
+    }
+
     /// Whether the scheduler thread can ever run this junction on its
     /// own. When it cannot — `OnDemand`, or `Startup` with the initial
     /// run done — it has nothing to schedule until a lifecycle change,
@@ -196,6 +208,64 @@ impl JunctionRt {
             Policy::OnDemand => false,
             Policy::Startup => self.needs_initial.load(Ordering::SeqCst),
             Policy::Auto | Policy::Periodic(_) => true,
+        }
+    }
+
+    /// When an idle scheduler must look again unprompted: when its armed
+    /// failure backoff ends, or one `tick` on if the junction reads what
+    /// no signal announces — `γ@P`/`S(ι)` atoms in its guard, a period,
+    /// an initial run still owed. `None`: only a signal can make it due.
+    fn poll_deadline(&self, tick: Duration) -> Option<Instant> {
+        if !self.self_scheduling() {
+            return None;
+        }
+        let polls = match *self.policy.lock() {
+            Policy::Auto => self.lowered.guard.as_ref().is_some_and(Prog::has_remotes),
+            _ => true,
+        };
+        let now = Instant::now();
+        match *self.backoff_until.lock() {
+            Some(until) if now < until => Some(until),
+            _ => polls.then(|| now + tick),
+        }
+    }
+
+    /// Fill every binding slot from the parameter environment and the
+    /// table (§6 name resolution): the parameter's value, else the `idx`
+    /// cursor of that name, else the name itself if the table declares
+    /// it.
+    pub(crate) fn rebind(&self) {
+        let env = self.cell.env_clone();
+        let table = self.cell.table();
+        let mut b = self.bindings.lock();
+        for (slot, var) in self.lowered.vars.iter().enumerate() {
+            let param = env.get(&var.name);
+            let rendered;
+            let text = match param {
+                Some(Value::Target(s) | Value::Str(s)) => Some(s.as_str()),
+                Some(other) => {
+                    rendered = other.to_string();
+                    Some(rendered.as_str())
+                }
+                None => unbound_text(&table, &var.name),
+            };
+            b.set(&self.lowered, slot, text, param.is_some());
+            b.set_duration(slot, param.and_then(Value::as_duration));
+        }
+    }
+
+    /// Re-read the `idx` cursors a host call may have moved (the slots
+    /// of its write set), under the table lock it ran under.
+    pub(crate) fn refresh_idx(&self, table: &Table, slots: &[Slot]) {
+        if slots.is_empty() {
+            return;
+        }
+        let mut b = self.bindings.lock();
+        for &slot in slots {
+            if !b.pinned(slot) {
+                let text = unbound_text(table, &self.lowered.vars[slot].name);
+                b.set(&self.lowered, slot, text, false);
+            }
         }
     }
 
@@ -215,6 +285,33 @@ impl JunctionRt {
         let moves_guard = moves_formulas(&update);
         if self.cell.deliver(update) == Delivery::Queued && moves_guard {
             self.wake_scheduler();
+        }
+    }
+}
+
+/// What a name that no parameter binds resolves to: the `idx` cursor of
+/// that name, else the name itself if the table declares it.
+fn unbound_text<'a>(table: &'a Table, name: &'a str) -> Option<&'a str> {
+    table
+        .idx(name)
+        .or_else(|| (table.has_data(name) || table.has_prop(name)).then_some(name))
+}
+
+/// A junction to send to or read from, resolved without copying its
+/// name where possible: borrowed from the lowered form, held through
+/// the registry's record, or built from text.
+pub(crate) enum Dest<'a> {
+    Fixed(&'a JunctionId),
+    Live(Arc<JunctionRt>),
+    Named(JunctionId),
+}
+
+impl Dest<'_> {
+    pub(crate) fn id(&self) -> &JunctionId {
+        match self {
+            Dest::Fixed(id) => id,
+            Dest::Live(jrt) => &jrt.cell.id,
+            Dest::Named(id) => id,
         }
     }
 }
@@ -246,7 +343,7 @@ impl InstanceState {
     }
 
     pub(crate) fn junction(&self, name: &str) -> Option<&Arc<JunctionRt>> {
-        self.junctions.iter().find(|j| j.def.name == name)
+        self.junctions.iter().find(|j| j.name() == name)
     }
 }
 
@@ -425,14 +522,15 @@ impl RuntimeInner {
     }
 
     /// Resolve a bare target string (`"b1"` or `"b1::serve"`) to a
-    /// junction id. A bare instance name resolves to its sole junction.
-    pub(crate) fn resolve_target(&self, s: &str) -> Result<JunctionId, Failure> {
+    /// junction. A bare instance name resolves to its sole junction.
+    pub(crate) fn resolve_target(&self, s: &str) -> Result<Dest<'static>, Failure> {
         if let Some((inst, junc)) = s.split_once("::") {
-            return Ok(JunctionId::new(inst, junc));
+            let live = self.get_instance(inst).and_then(|i| i.junction(junc).cloned());
+            return Ok(live.map_or_else(|| Dest::Named(JunctionId::new(inst, junc)), Dest::Live));
         }
         let inst = self.instance(s)?;
         if inst.junctions.len() == 1 {
-            Ok(JunctionId::new(s, inst.junctions[0].def.name.clone()))
+            Ok(Dest::Live(Arc::clone(&inst.junctions[0])))
         } else {
             Err(Failure::Unresolved(format!(
                 "`{s}` names an instance with {} junctions; qualify the junction",
@@ -446,7 +544,7 @@ impl RuntimeInner {
     /// local table lock is taken, so cross-junction guards cannot
     /// deadlock (see `interp`).
     pub(crate) fn guard_ready(&self, inst: &InstanceState, jrt: &JunctionRt) -> bool {
-        let Some(guard) = jrt.def.guard() else {
+        let Some(guard) = &jrt.lowered.guard else {
             return true;
         };
         jrt.cell.table().flush_pending();
@@ -481,15 +579,15 @@ impl RuntimeInner {
                     }
                 }
             };
-            if jrt.def.params.len() != args.len() {
+            if jrt.lowered.params.len() != args.len() {
                 return Err(Failure::Internal(format!(
                     "start {name} {}: arity mismatch",
-                    jrt.def.name
+                    jrt.name()
                 )));
             }
             let mut bound = HashMap::new();
-            for (p, a) in jrt.def.params.iter().zip(args.iter()) {
-                bound.insert(p.name.clone(), self.eval_arg(a, env)?);
+            for (p, a) in jrt.lowered.params.iter().zip(args.iter()) {
+                bound.insert(p.clone(), self.eval_arg(a, env)?);
             }
             jrt.cell.bind_env(bound.clone());
             // Declare propositions whose name or index is a parameter
@@ -498,39 +596,33 @@ impl RuntimeInner {
             // table keys only become known once the environment binds.
             {
                 let mut table = jrt.cell.table();
-                for d in &jrt.def.decls {
-                    if let csaw_core::decl::Decl::Prop { prop, init } = d {
-                        if prop.as_key().is_some() {
-                            continue; // statically declared at build time
+                for (prop, init) in &jrt.lowered.late_props {
+                    let resolve = |n: &NameRef| -> Option<String> {
+                        match n {
+                            NameRef::Lit(s) => Some(s.clone()),
+                            NameRef::Var(v) => bound.get(v).map(|val| match val {
+                                Value::Target(t) => t.clone(),
+                                Value::Str(s) => s.clone(),
+                                other => other.to_string(),
+                            }),
                         }
-                        let resolve = |n: &csaw_core::names::NameRef| -> Option<String> {
-                            match n {
-                                csaw_core::names::NameRef::Lit(s) => Some(s.clone()),
-                                csaw_core::names::NameRef::Var(v) => {
-                                    bound.get(v).map(|val| match val {
-                                        Value::Target(t) => t.clone(),
-                                        Value::Str(s) => s.clone(),
-                                        other => other.to_string(),
-                                    })
-                                }
-                            }
-                        };
-                        let Some(name) = resolve(&prop.name) else { continue };
-                        let key = match &prop.index {
-                            None => name,
-                            Some(ix) => match resolve(ix) {
-                                Some(i) => format!("{name}[{i}]"),
-                                None => continue,
-                            },
-                        };
-                        if !table.has_prop(&key) {
-                            table.declare_prop(key, *init);
-                        }
+                    };
+                    let Some(name) = resolve(&prop.name) else { continue };
+                    let key = match &prop.index {
+                        None => name,
+                        Some(ix) => match resolve(ix) {
+                            Some(i) => format!("{name}[{i}]"),
+                            None => continue,
+                        },
+                    };
+                    if !table.has_prop(&key) {
+                        table.declare_prop(key, *init);
                     }
                 }
             }
         }
         for jrt in &inst.junctions {
+            jrt.rebind();
             jrt.needs_initial.store(true, Ordering::SeqCst);
             *jrt.last_run.lock() = None;
         }
@@ -675,7 +767,7 @@ impl RuntimeInner {
             let mut retries = 0u32;
             loop {
                 let mut ctx = ExecCtx::new(self, inst, jrt);
-                match ctx.eval(&jrt.def.body) {
+                match ctx.eval(&jrt.lowered.body) {
                     Ok(crate::error::Flow::Retry) => {
                         if retries < self.retry_limit {
                             retries += 1;
@@ -721,7 +813,7 @@ impl RuntimeInner {
                 self.arm_failure_backoff(jrt);
                 self.record_event(
                     &inst.name,
-                    &jrt.def.name,
+                    jrt.name(),
                     "failure",
                     f.to_string(),
                 );
@@ -804,11 +896,9 @@ impl RuntimeInner {
             if runnable && self.scheduler_pass(&inst, &jrt) {
                 continue;
             }
-            // With something to schedule, `tick` bounds how stale a
-            // polled input (remote atom, period, backoff) can get. With
-            // nothing, only a lifecycle signal can change that.
-            let deadline = (runnable && jrt.self_scheduling())
-                .then(|| Instant::now() + self.config.tick);
+            // Parked until a signal, or until a polled input (remote
+            // atom, period, backoff) is due for another look.
+            let deadline = runnable.then(|| jrt.poll_deadline(self.config.tick)).flatten();
             jrt.sched.park(&mut jrt.sched.lock(), seen, deadline);
         }
     }
@@ -1523,13 +1613,15 @@ pub(crate) fn build_instance_state(
             junction: Arc::clone(&trace_junction),
         }));
         let cell = Cell::new(id, table, Arc::clone(&wake_signals));
-        let policy = if jd.guard().is_some() {
+        let lowered = lower::lower(&ci.name, jd);
+        let policy = if lowered.guard.is_some() {
             Policy::Auto
         } else {
             Policy::Startup
         };
-        junctions.push(Arc::new(JunctionRt {
-            def: jd.clone(),
+        let jrt = Arc::new(JunctionRt {
+            bindings: Mutex::new(Bindings::new(&lowered)),
+            lowered,
             cell,
             policy: Mutex::new(policy),
             needs_initial: AtomicBool::new(false),
@@ -1544,7 +1636,9 @@ pub(crate) fn build_instance_state(
                 "scheduler_passes_total{{instance=\"{}\",junction=\"{}\"}}",
                 ci.name, jd.name
             )),
-        }));
+        });
+        jrt.rebind();
+        junctions.push(jrt);
     }
     Arc::new(InstanceState {
         name: ci.name.clone(),
@@ -1569,7 +1663,7 @@ pub(crate) fn spawn_schedulers(
         let j = Arc::clone(jrt);
         threads.push(
             std::thread::Builder::new()
-                .name(format!("csaw-{}-{}", inst.name, jrt.def.name))
+                .name(format!("csaw-{}-{}", inst.name, jrt.name()))
                 .spawn(move || rt.scheduler_loop(i, j))
                 .expect("spawn scheduler"),
         );

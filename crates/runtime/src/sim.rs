@@ -693,7 +693,7 @@ impl SimShared {
 
     fn record_of(&self, c: &Choice, now: Instant) -> String {
         match c {
-            Choice::Pass(inst, jrt) => format!("pass:{}:{}", inst.name, jrt.def.name),
+            Choice::Pass(inst, jrt) => format!("pass:{}:{}", inst.name, jrt.name()),
             Choice::Pump => "pump".to_string(),
             Choice::Hb => "hb".to_string(),
             Choice::Sup(i) => format!("sup:{i}"),
@@ -926,7 +926,7 @@ impl SimShared {
             f.write(&[inst.status.load(Ordering::SeqCst)]);
             f.write_u64(inst.app.lock().sim_digest());
             for jrt in &inst.junctions {
-                f.write_str(&jrt.def.name);
+                f.write_str(jrt.name());
                 match *jrt.policy.lock() {
                     Policy::OnDemand => f.write(&[0]),
                     Policy::Startup => f.write(&[1]),

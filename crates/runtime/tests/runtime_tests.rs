@@ -246,11 +246,21 @@ fn fig4_auditor_retries_once_when_actor_is_dead() {
     rt.shutdown();
 }
 
+/// Wait until g has answered `n` of f's start-up requests. A stop, crash
+/// or shutdown that lands while f still waits for g's reply leaves that
+/// `wait` to run out its whole `max_wait`.
+fn fig3_settled(rt: &Runtime, n: u64) -> bool {
+    wait_until(Duration::from_secs(5), || {
+        rt.activations("g") >= n && rt.peek_prop("f", "junction", "Work") == Some(false)
+    })
+}
+
 #[test]
 fn start_twice_fails_stop_then_restartable() {
     let cp = compile_fig3();
     let rt = Runtime::new(&cp, RuntimeConfig::default());
     rt.run_main(vec![]).unwrap();
+    assert!(fig3_settled(&rt, 1));
     assert_eq!(rt.status("f"), Some(InstanceStatus::Running));
     // Starting a running instance fails (§6).
     let err = rt
@@ -265,6 +275,7 @@ fn start_twice_fails_stop_then_restartable() {
     rt.start("f", vec![(None, vec![Arg::Junction(JRef::instance("g"))])])
         .unwrap();
     assert_eq!(rt.status("f"), Some(InstanceStatus::Running));
+    assert!(fig3_settled(&rt, 2));
     rt.shutdown();
 }
 
@@ -273,6 +284,7 @@ fn crash_makes_sends_fail() {
     let cp = compile_fig3();
     let rt = Runtime::new(&cp, RuntimeConfig::default());
     rt.run_main(vec![]).unwrap();
+    assert!(fig3_settled(&rt, 1));
     rt.crash("g");
     assert_eq!(rt.status("g"), Some(InstanceStatus::Crashed));
     // f's next activation (invoke) should fail to write to g.

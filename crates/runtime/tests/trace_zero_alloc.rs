@@ -6,43 +6,20 @@
 //! sneaks a `String`/`Arc` materialization back into the record path.
 //!
 //! Lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide.
+//! `#[global_allocator]` is process-wide; it counts per thread, so the
+//! tests may run in parallel.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use csaw_kv::TableEvent;
 use csaw_runtime::{LinkEv, TraceKind, Tracer};
 
-struct Counting;
+mod counting;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(l) }
-    }
-    unsafe fn dealloc(&self, p: *mut u8, l: Layout) {
-        unsafe { System.dealloc(p, l) }
-    }
-    unsafe fn realloc(&self, p: *mut u8, l: Layout, n: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(p, l, n) }
-    }
-    unsafe fn alloc_zeroed(&self, l: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc_zeroed(l) }
-    }
-}
+use counting::allocs;
 
 #[global_allocator]
-static A: Counting = Counting;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
+static ALLOC: counting::Counting = counting::Counting;
 
 /// Drive every borrowed-payload link variant through both identity
 /// flavours. Totals stay under the 128-event staging flush so the hot

@@ -2,8 +2,9 @@
 //! costs one wake-up per hop (the `assert` wakes the back-end's
 //! scheduler, the window-admitted `retract` wakes the front-end's
 //! `wait`), none is ever lost, and nobody off the path is woken. The
-//! tick is 2 s throughout, so anything that falls back on polling
-//! shows as a stall.
+//! tick is 2 s in the request tests, so anything that falls back on
+//! polling shows as a stall; with the default tick, a back-end whose
+//! guard reads only its own table never polls at all.
 
 use std::time::{Duration, Instant};
 
@@ -40,15 +41,16 @@ impl InstanceApp for RoundRobin {
 /// `sharding(4)` over Direct links, the front-end `OnDemand`, back-ends
 /// the no-op app, booted.
 fn relay() -> Runtime {
+    relay_with(RuntimeConfig {
+        tick: TICK,
+        ..Default::default()
+    })
+}
+
+fn relay_with(config: RuntimeConfig) -> Runtime {
     let cp = csaw_core::compile(sharding(&ShardingSpec::default()), &LoadConfig::new())
         .expect("sharding compiles");
-    let rt = Runtime::new(
-        &cp,
-        RuntimeConfig {
-            tick: TICK,
-            ..Default::default()
-        },
-    );
+    let rt = Runtime::new(&cp, config);
     rt.bind_app("Fnt", Box::new(RoundRobin { next: 0 }));
     rt.set_policy("Fnt", "junction", Policy::OnDemand);
     rt.run_main(vec![Value::Duration(Duration::from_secs(10))])
@@ -117,6 +119,22 @@ fn wake_one_signal_per_hop_and_none_off_the_path() {
             made <= 2 * served + 16,
             "{name}: {made} passes for {served} requests"
         );
+    }
+    rt.shutdown();
+}
+
+/// A back-end's guard (`Work`) reads only its own table, whose every
+/// change signals its scheduler, so an idle back-end parks with no
+/// deadline instead of waking every `tick` (500 passes a second at the
+/// default 2 ms).
+#[test]
+fn wake_idle_local_guards_do_not_poll() {
+    let rt = relay_with(RuntimeConfig::default());
+    std::thread::sleep(Duration::from_secs(1));
+    for i in 1..=SHARDS {
+        let name = format!("Bck{i}");
+        let made = passes(&rt, &name);
+        assert!(made <= 8, "idle {name} made {made} scheduler passes in 1 s");
     }
     rt.shutdown();
 }
