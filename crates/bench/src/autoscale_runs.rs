@@ -23,10 +23,9 @@
 //!    planner-driven **merge 4→2** with true instance removal, the
 //!    keyspace re-homed before the spare shards retire.
 //!
-//! Every plan is independently validated by
-//! [`csaw_semantics::check_plan`] before execution (injected through
-//! [`csaw_runtime::AutoscaleDriver::validate`] — the runtime crate does
-//! not depend on the semantics crate). Oracles: all four transitions
+//! Every plan is checked by [`csaw_core::plan::check_plan`] before
+//! execution, inside [`csaw_runtime::Runtime::reconfigure_plan`].
+//! Oracles: all four transitions
 //! land, zero lost acknowledged writes, zero permanently refused
 //! requests, every phase quiesces at most `max_concurrent_quiesce`
 //! instances, the crash repair verifies, and the recorded trace passes
@@ -40,13 +39,13 @@ use std::time::{Duration, Instant};
 use csaw_arch::sharding::{sharding, sharding_cached, CachedShardingSpec, ShardingSpec};
 use csaw_core::expr::Arg;
 use csaw_core::names::JRef;
-use csaw_core::plan::{Plan, PlanConstraints, PlanPhase};
+use csaw_core::plan::{PlanConstraints, PlanPhase};
 use csaw_core::program::{CompiledProgram, LoadConfig};
 use csaw_core::value::Value;
 use csaw_runtime::runtime::Policy;
 use csaw_runtime::{
     AutoscaleConfig, AutoscaleDriver, AutoscaleGoal, AutoscaleStats, FailureClass, ReconfigSpec,
-    RepairAction, RepairPolicy, Runtime, RuntimeConfig, SupervisorConfig,
+    RepairAction, RepairPolicy, Runtime, RuntimeConfig, ScaleError, SupervisorConfig,
 };
 use mini_redis::apps::{
     CachedShardFrontApp, ReplyQueue, RequestQueue, ServerApp, ShardFrontApp, ShardMode,
@@ -111,26 +110,23 @@ pub fn knobs(smoke: bool) -> DiurnalKnobs {
 }
 
 // ---------------------------------------------------------------------
-// The driver: goals → programs, plan phases → specs, plans → verdicts
+// The driver: goals → programs, plan phases → specs
 // ---------------------------------------------------------------------
 
 /// [`AutoscaleDriver`] for the sharded KV architecture: `goal.shards`
 /// back-ends (`sharding`) with an optional cache-fronted variant
 /// (`sharding_cached`), phase specs that bind fresh shard apps over the
 /// bench-owned stores and re-home the keyspace in the same phase that
-/// cuts the routing over, and `check_plan` installed as the validator.
+/// cuts the routing over.
 struct ShardDriver {
     requests: RequestQueue,
     replies: ReplyQueue,
     /// One store per potential shard, bench-owned so state survives
     /// instance removal and the lost-write oracle can see everything.
     stores: Vec<Arc<Mutex<Store>>>,
-    constraints: PlanConstraints,
     /// Latest cache tier's hit/miss counters (refreshed on insertion).
     cache_hits: Mutex<Arc<std::sync::atomic::AtomicU64>>,
     cache_misses: Mutex<Arc<std::sync::atomic::AtomicU64>>,
-    /// One record per plan judged by the validator.
-    validations: Mutex<Vec<String>>,
 }
 
 impl ShardDriver {
@@ -210,26 +206,6 @@ impl AutoscaleDriver for ShardDriver {
             }));
         }
         rs
-    }
-
-    fn validate(
-        &self,
-        from: &CompiledProgram,
-        to: &CompiledProgram,
-        plan: &Plan,
-    ) -> Result<(), String> {
-        let verdict = csaw_semantics::check_plan(from, to, plan, &self.constraints);
-        self.validations.lock().push(format!(
-            "{} phases under max_concurrent_quiesce={}: {}",
-            plan.phases.len(),
-            self.constraints.max_concurrent_quiesce,
-            if verdict.is_valid() { "valid".to_string() } else { verdict.to_string() }
-        ));
-        if verdict.is_valid() {
-            Ok(())
-        } else {
-            Err(verdict.to_string())
-        }
     }
 }
 
@@ -325,9 +301,9 @@ pub struct DiurnalOutcome {
     pub quiesce_bound: usize,
     /// Largest per-phase quiesce set any transition used.
     pub max_phase_quiesce: usize,
-    /// Plans judged by the injected `check_plan` validator.
+    /// Plans the executor's `check_plan` judged (one per transition).
     pub plans_validated: usize,
-    /// Validator records (one per plan).
+    /// One verdict line per judged plan.
     pub validations: Vec<String>,
     /// Cache tier hit/miss counters over its lifetime.
     pub cache_hits: u64,
@@ -426,10 +402,8 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
         requests: Arc::clone(&requests),
         replies: Arc::clone(&replies),
         stores: stores.clone(),
-        constraints: constraints.clone(),
         cache_hits: Mutex::new(Arc::new(std::sync::atomic::AtomicU64::new(0))),
         cache_misses: Mutex::new(Arc::new(std::sync::atomic::AtomicU64::new(0))),
-        validations: Mutex::new(Vec::new()),
     });
     let scaler = rt.autoscale(
         AutoscaleConfig {
@@ -635,14 +609,21 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
             constraints.max_concurrent_quiesce
         ));
     }
-    let validations = driver.validations.lock().clone();
-    if validations.len() < records.len() {
-        failures.push(format!(
-            "{} plans validated for {} transitions — a plan skipped the checker",
-            validations.len(),
-            records.len()
-        ));
-    }
+    // The executor checks every plan; a refusal comes back as
+    // `ScaleError::Plan` carrying the verdict.
+    let validations: Vec<String> = records
+        .iter()
+        .map(|r| {
+            let verdict = match &r.error {
+                Some(ScaleError::Plan(v)) => v.as_str(),
+                _ => "valid",
+            };
+            format!(
+                "{} phases under max_concurrent_quiesce={}: {verdict}",
+                r.phases, constraints.max_concurrent_quiesce
+            )
+        })
+        .collect();
 
     let lost = lost_acked_sets(&acked_sets, &stores);
     if lost > 0 {

@@ -6,8 +6,8 @@
 //! supervisor-restarted shard crash in between. Reports to
 //! `results/autoscale.json`.
 //!
-//! Exits non-zero if fewer than four transitions land, any plan
-//! escapes the `check_plan` validator, any phase exceeds the quiesce
+//! Exits non-zero if fewer than four transitions land, the executor's
+//! `check_plan` refuses a plan, any phase exceeds the quiesce
 //! bound, an acknowledged write is lost, a request is permanently
 //! refused, the crash repair never verifies, or the recorded trace
 //! fails cross-epoch conformance; the offending trace is dumped to

@@ -34,11 +34,12 @@
 //!   to N (true instance removal), each compiled into a phased `Plan`
 //!   under `max_concurrent_quiesce = 1` and executed through
 //!   `Runtime::reconfigure_plan`. Extra oracles on top of the sharded
-//!   ones: every wave's plan passes the semantics-side plan-validity
-//!   checker (`check_plan`), and no *executed* phase quiesces more
-//!   instances than the constraint allows; the conformance chain gets
-//!   one epoch per phase, so cross-epoch conformance is judged at
-//!   every phase boundary, not just at wave ends.
+//!   ones: no wave's plan is refused by the plan-validity check
+//!   `reconfigure_plan` runs before phase 0, and no *executed* phase
+//!   quiesces more instances than the constraint allows; the
+//!   conformance chain gets one epoch per phase, so cross-epoch
+//!   conformance is judged at every phase boundary, not just at wave
+//!   ends.
 //! * [`Scenario::Overload`] — N open-loop storm pipelines
 //!   (`storm_pipeline(N)`: a never-blocking pump fanning units out to
 //!   two sinks over bandwidth-limited links) driven at ~2K× the
@@ -1564,7 +1565,7 @@ struct PlShared {
     cur_n: Mutex<usize>,
     /// Per-wave summary lines (`wave -> N shards in P phases ok`).
     wave_log: Mutex<Vec<String>>,
-    /// First plan-validity violation (`check_plan` red on a wave).
+    /// First plan the executor refused (`check_plan` red on a wave).
     plan_bad: Mutex<Option<String>>,
     /// First executed phase that quiesced more than the bound allows.
     over_quiesce: Mutex<Option<String>>,
@@ -1703,23 +1704,6 @@ fn wire_planned(spec: &ScheduleSpec) -> Scene {
                 plan_break_before_make(&a, b, &constraints)
             };
 
-            let verdict = csaw_semantics::check_plan(&a, b, &plan, &constraints);
-            if !verdict.is_valid() {
-                let mut bad = sh.plan_bad.lock();
-                if bad.is_none() {
-                    *bad = Some(format!(
-                        "wave {} plan invalid under max_concurrent_quiesce={}: {}",
-                        w + 1,
-                        constraints.max_concurrent_quiesce,
-                        verdict
-                    ));
-                }
-            }
-
-            // Execute even an invalid plan: break-before-make still
-            // converges to the right final architecture (nothing is in
-            // flight during the wave), so only the checker sees the
-            // hazard — exactly the bug class the oracle exists for.
             let stores = sh.stores.lock().clone();
             let (req_q, rep_q) = (Arc::clone(&sh.requests_q), Arc::clone(&sh.replies_q));
             let report = rt.reconfigure_plan(&plan, |phase| {
@@ -1772,6 +1756,21 @@ fn wire_planned(spec: &ScheduleSpec) -> Scene {
                 }
                 rs
             });
+            let report = match report {
+                Ok(report) => report,
+                Err(verdict) => {
+                    let mut bad = sh.plan_bad.lock();
+                    if bad.is_none() {
+                        *bad = Some(format!(
+                            "wave {} plan invalid under max_concurrent_quiesce={}: {}",
+                            w + 1,
+                            constraints.max_concurrent_quiesce,
+                            verdict
+                        ));
+                    }
+                    return;
+                }
+            };
 
             if report.max_phase_quiesce() > constraints.max_concurrent_quiesce {
                 let mut over = sh.over_quiesce.lock();

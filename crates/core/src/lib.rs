@@ -11,7 +11,7 @@
 //!
 //! * the abstract syntax of the DSL ([`expr::Expr`], [`formula::Formula`],
 //!   [`decl::Decl`], [`program::Program`], …) mirroring Table 1 of the paper,
-//! * an ergonomic builder API ([`builder`]) and macros for constructing
+//! * an ergonomic builder API ([`builder`]) for constructing
 //!   architecture descriptions in Rust,
 //! * static validation ([`validate`]) of the paper's well-formedness rules
 //!   (case-arm constraints, declaration scoping, no self-communication,
@@ -22,6 +22,9 @@
 //! * *lowering* ([`lower`]): each expanded junction compiled once into a
 //!   pre-resolved form — postfix formula programs, resolved keys and
 //!   targets, run-time names as binding slots — which the runtime runs,
+//! * reconfiguration planning ([`plan`]): a phased, make-before-break
+//!   [`plan::Plan`] between two compiled programs, and the checker
+//!   ([`plan_check`]) the runtime runs on every plan before executing it,
 //! * a pretty-printer ([`pretty`]) that renders programs in (an ASCII
 //!   rendition of) the paper's concrete syntax, used by the Table-2
 //!   lines-of-code study.
@@ -37,9 +40,9 @@ pub mod expand;
 pub mod expr;
 pub mod formula;
 pub mod lower;
-pub mod macros;
 pub mod names;
 pub mod plan;
+pub mod plan_check;
 pub mod pretty;
 pub mod program;
 pub mod validate;

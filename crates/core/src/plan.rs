@@ -21,12 +21,10 @@
 //!
 //! The planner shares one differ with the executor ([`diff_programs`]):
 //! each phase's recorded diff is exactly what `Runtime::reconfigure`
-//! will recompute when handed that phase's target, and
-//! [`compose_diffs`] lets tests assert the phases compose back to the
-//! full A→B diff. Validity checking against the declared constraints is
-//! deliberately *separate* (in `csaw-semantics::plan_check`, in the
-//! spirit of Bozga–Iosif–Sifakis local reasoning): the checker trusts
-//! the constraint declaration, not the planner.
+//! will recompute when handed that phase's target. [`check_plan`]
+//! (in [`crate::plan_check`]) judges a plan against its declared
+//! constraints without trusting the planner that built it, and
+//! `Runtime::reconfigure_plan` runs it on every plan before phase 0.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -34,6 +32,8 @@ use std::time::Duration;
 
 use crate::diff::{diff_programs, ProgramDiff};
 use crate::program::{CompiledInstance, CompiledProgram, Program};
+
+pub use crate::plan_check::{check_plan, PlanCheckReport, PlanViolation};
 
 /// Operational constraints on a planned transition.
 #[derive(Clone, Debug, PartialEq)]
@@ -134,17 +134,7 @@ impl Plan {
     pub fn is_identity(&self) -> bool {
         self.phases.is_empty()
     }
-
-    /// Net per-instance effect of the phases, for composition checks
-    /// against [`Plan::full_diff`] — see [`compose_diffs`].
-    pub fn composed_net(&self) -> BTreeMap<String, crate::diff::NetChange> {
-        let diffs: Vec<&ProgramDiff> = self.phases.iter().map(|p| &p.diff).collect();
-        compose_diffs(&diffs)
-    }
 }
-
-/// Re-export of the diff composition helper for plan-level checks.
-pub use crate::diff::compose_diffs;
 
 /// Why a transition cannot be planned under the given constraints.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -494,7 +484,7 @@ fn synth_target(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::diff::NetChange;
+    use crate::diff::{compose_diffs, NetChange};
     use crate::expr::Expr;
     use crate::program::{InstanceType, JunctionDef, MainDef};
 
@@ -598,7 +588,8 @@ mod tests {
                 plan_reconfiguration(&a, &b, &PlanConstraints::max_quiesce(maxq)).unwrap();
             assert!(plan.max_phase_quiesce() <= maxq, "bound {maxq} violated");
             // Phase diffs compose to the full diff.
-            let net = plan.composed_net();
+            let diffs: Vec<&ProgramDiff> = plan.phases.iter().map(|p| &p.diff).collect();
+            let net = compose_diffs(&diffs);
             let mut expect = BTreeMap::new();
             expect.insert("Fnt".to_string(), NetChange::Changed);
             expect.insert("B3".to_string(), NetChange::Removed);

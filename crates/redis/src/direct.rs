@@ -13,11 +13,11 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 
 use crate::command::{Command, Reply};
@@ -34,13 +34,13 @@ use crate::store::Store;
 /// A framed management message between instances.
 pub enum Frame {
     /// A client command with a reply channel.
-    Request(Command, Sender<Reply>),
+    Request(Command, SyncSender<Reply>),
     /// A state transfer (checkpoint payload).
     State(Vec<u8>),
     /// A state request with a reply channel.
-    NeedState(Sender<Option<Vec<u8>>>),
+    NeedState(SyncSender<Option<Vec<u8>>>),
     /// Health probe with an ack channel.
-    Ping(Sender<()>),
+    Ping(SyncSender<()>),
     /// Orderly shutdown.
     Shutdown,
 }
@@ -76,7 +76,7 @@ impl Mgmt {
     /// Register an endpoint; returns its mailbox receiver and liveness
     /// flag (the instance thread owns both).
     pub fn register(&self, name: &str) -> (Receiver<Frame>, Arc<AtomicBool>) {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = channel();
         let alive = Arc::new(AtomicBool::new(true));
         self.endpoints.lock().insert(
             name.to_string(),
@@ -98,7 +98,7 @@ impl Mgmt {
 
     /// Round-trip request with timeout.
     pub fn request(&self, to: &str, cmd: Command, timeout: Duration) -> Result<Reply, String> {
-        let (rtx, rrx) = bounded(1);
+        let (rtx, rrx) = sync_channel(1);
         self.send(to, Frame::Request(cmd, rtx))?;
         rrx.recv_timeout(timeout)
             .map_err(|_| format!("request to `{to}` timed out"))
@@ -106,7 +106,7 @@ impl Mgmt {
 
     /// Health check: ping with timeout.
     pub fn healthy(&self, name: &str, timeout: Duration) -> bool {
-        let (ptx, prx) = bounded(1);
+        let (ptx, prx) = sync_channel(1);
         if self.send(name, Frame::Ping(ptx)).is_err() {
             return false;
         }

@@ -16,11 +16,9 @@
 //! When a goal confirms, the loop asks the caller-supplied
 //! [`AutoscaleDriver`] for the compiled program realizing it, plans the
 //! transition under the configured [`PlanConstraints`] via
-//! `csaw_core::plan::plan_reconfiguration`, lets the driver *validate*
-//! the plan (the bench installs `csaw-semantics::check_plan` here —
-//! the runtime crate deliberately does not depend on the semantics
-//! crate), and executes it phase by phase through
-//! [`crate::Runtime::reconfigure_plan`]. Every phase that cuts joins
+//! `csaw_core::plan::plan_reconfiguration`, and executes it phase by
+//! phase through [`crate::Runtime::reconfigure_plan`], which checks the
+//! plan before running it. Every phase that cuts joins
 //! [`crate::Runtime::epoch_chain`], so a trace spanning the
 //! autoscaler's lifetime checks as one epoch chain.
 
@@ -30,7 +28,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use csaw_core::plan::{plan_reconfiguration, Plan, PlanConstraints, PlanPhase};
+use csaw_core::plan::{plan_reconfiguration, PlanConstraints, PlanPhase};
 use csaw_core::program::CompiledProgram;
 
 use crate::planner::PlanReport;
@@ -100,8 +98,7 @@ impl Default for AutoscaleConfig {
 }
 
 /// The application half of the autoscaler: how a goal becomes a
-/// program, how each plan phase gets its spec, and (optionally) an
-/// independent plan validator.
+/// program, and how each plan phase gets its spec.
 pub trait AutoscaleDriver: Send + Sync {
     /// The compiled program realizing `goal`.
     fn program(&self, goal: &AutoscaleGoal) -> Result<CompiledProgram, String>;
@@ -110,19 +107,6 @@ pub trait AutoscaleDriver: Send + Sync {
     /// apps and starts for the phase's added instances, the migration
     /// closure for the phase that re-homes application state.
     fn phase_spec(&self, goal: &AutoscaleGoal, phase: &PlanPhase) -> ReconfigSpec;
-
-    /// Judge a plan before execution. The default accepts everything;
-    /// install `csaw-semantics::plan_check::check_plan` here to refuse
-    /// constraint-violating plans (the runtime crate does not depend on
-    /// the semantics crate, so the checker arrives by injection).
-    fn validate(
-        &self,
-        _from: &CompiledProgram,
-        _to: &CompiledProgram,
-        _plan: &Plan,
-    ) -> Result<(), String> {
-        Ok(())
-    }
 }
 
 /// Why a confirmed goal did not execute.
@@ -130,10 +114,9 @@ pub trait AutoscaleDriver: Send + Sync {
 pub enum ScaleError {
     /// The driver could not build a program for the goal.
     Program(String),
-    /// The planner rejected the transition under the constraints.
+    /// The planner could not build the transition under the
+    /// constraints, or the executor's plan check refused the plan.
     Plan(String),
-    /// The driver's validator refused the plan.
-    Validation(String),
     /// Plan execution stopped at a phase (index, failure description).
     Execution(usize, String),
 }
@@ -194,7 +177,7 @@ pub struct AutoscaleStats {
     pub suppressed: u64,
     /// Transitions executed cleanly.
     pub transitions: u64,
-    /// Transitions that failed (plan, validation or execution).
+    /// Transitions that failed (plan or execution).
     pub failed: u64,
 }
 
@@ -391,37 +374,36 @@ impl AutoscaleCore {
                     Err(e) => fail(&mut record, ScaleError::Plan(e.to_string())),
                     Ok(plan) => {
                         record.phases = plan.phases.len();
-                        if let Err(e) = self.driver.validate(&current, &target, &plan) {
-                            fail(&mut record, ScaleError::Validation(e));
-                        } else {
-                            self.rt.inner.record_event(
-                                "-",
-                                "-",
-                                "autoscale",
-                                format!(
-                                    "{}: {}→{} shards, cache {}→{} ({} phases)",
-                                    record.kind(),
-                                    from.shards,
-                                    to.shards,
-                                    from.cache,
-                                    to.cache,
-                                    plan.phases.len()
-                                ),
-                            );
-                            let driver = Arc::clone(&self.driver);
-                            let report = self
-                                .rt
-                                .reconfigure_plan(&plan, |phase| driver.phase_spec(&to, phase));
-                            record.max_phase_quiesce = report.max_phase_quiesce();
-                            if let Some((idx, f)) = &report.error {
-                                fail(
-                                    &mut record,
-                                    ScaleError::Execution(*idx, format!("{f:?}")),
-                                );
-                            } else {
-                                *self.shared.goal.lock() = Some(to);
+                        self.rt.inner.record_event(
+                            "-",
+                            "-",
+                            "autoscale",
+                            format!(
+                                "{}: {}→{} shards, cache {}→{} ({} phases)",
+                                record.kind(),
+                                from.shards,
+                                to.shards,
+                                from.cache,
+                                to.cache,
+                                plan.phases.len()
+                            ),
+                        );
+                        let driver = Arc::clone(&self.driver);
+                        match self.rt.reconfigure_plan(&plan, |phase| driver.phase_spec(&to, phase))
+                        {
+                            Err(verdict) => fail(&mut record, ScaleError::Plan(verdict.to_string())),
+                            Ok(report) => {
+                                record.max_phase_quiesce = report.max_phase_quiesce();
+                                if let Some((idx, f)) = &report.error {
+                                    fail(
+                                        &mut record,
+                                        ScaleError::Execution(*idx, format!("{f:?}")),
+                                    );
+                                } else {
+                                    *self.shared.goal.lock() = Some(to);
+                                }
+                                record.report = Some(report);
                             }
-                            record.report = Some(report);
                         }
                     }
                 }

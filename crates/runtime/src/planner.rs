@@ -12,6 +12,14 @@
 //! phase boundary, not just at the ends), and reports its own pause
 //! windows and phase-timing split.
 //!
+//! Every plan is checked before it runs: [`check_plan`] judges it from
+//! the program the runtime is serving to the plan's last target, under
+//! the plan's own constraints. A plan that fails — including a *stale*
+//! one, built from a program that is no longer current — is refused
+//! before phase 0: nothing quiesces, no `reconfig_*` event is traced,
+//! the epoch chain does not grow and no phase spec is built. There is
+//! no unchecked way to run a plan.
+//!
 //! Execution is fail-fast: a phase that errors (pre-cut abort) or
 //! reports a post-cut migration error stops the walk. The report says
 //! how far the plan got; the system keeps serving the last committed
@@ -19,7 +27,7 @@
 
 use std::time::Duration;
 
-use csaw_core::plan::{Plan, PlanPhase};
+use csaw_core::plan::{check_plan, Plan, PlanCheckReport, PlanPhase};
 
 use crate::error::Failure;
 use crate::reconfig::{ReconfigReport, ReconfigSpec};
@@ -86,14 +94,24 @@ impl Runtime {
     /// phase that re-homes application state, …) just before the phase
     /// runs, so it sees the system state the previous phases left.
     ///
-    /// Stops at the first phase that fails (pre-cut `Err`) or reports a
-    /// post-cut `migration_error`; the report records how far execution
+    /// The plan is first checked against `plan.constraints`, from
+    /// [`Runtime::current_program`] to its last phase's target (the
+    /// current program for an identity plan); a failing verdict is
+    /// returned as `Err` before anything runs. Otherwise execution stops
+    /// at the first phase that fails (pre-cut `Err`) or reports a
+    /// post-cut `migration_error`, and the report records how far it
     /// got. An empty (identity) plan yields an empty report.
     pub fn reconfigure_plan(
         &self,
         plan: &Plan,
         mut spec_for: impl FnMut(&PlanPhase) -> ReconfigSpec,
-    ) -> PlanReport {
+    ) -> Result<PlanReport, PlanCheckReport> {
+        let current = self.current_program();
+        let end = plan.phases.last().map_or(&*current, |p| &p.target);
+        let verdict = check_plan(&current, end, plan, &plan.constraints);
+        if !verdict.is_valid() {
+            return Err(verdict);
+        }
         let started = self.clock().now();
         let mut out = PlanReport::default();
         for phase in &plan.phases {
@@ -134,6 +152,6 @@ impl Runtime {
             }
         }
         out.total = self.clock().now().saturating_duration_since(started);
-        out
+        Ok(out)
     }
 }

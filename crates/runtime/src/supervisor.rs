@@ -785,6 +785,10 @@ impl SupervisorCore {
                         }
                         attempts += 1;
                         let (target, spec) = build(&rt, &name);
+                        // The single-step engine, not `reconfigure_plan`:
+                        // a repair is one phase from the serving program
+                        // under no declared constraint, so the plan
+                        // checker's obligations 1–6 hold by construction.
                         match rt.reconfigure(&target, spec) {
                             Ok(report) => {
                                 reconfig_pause = reconfig_pause.max(report.max_pause());

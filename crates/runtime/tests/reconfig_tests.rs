@@ -7,7 +7,9 @@ use csaw_core::builder::*;
 use csaw_core::decl::Decl;
 use csaw_core::expr::Arg;
 use csaw_core::names::JRef;
-use csaw_core::plan::{plan_reconfiguration, PlanConstraints};
+use csaw_core::plan::{
+    plan_break_before_make, plan_reconfiguration, PlanConstraints, PlanViolation,
+};
 use csaw_core::program::{InstanceType, JunctionDef, LoadConfig, Program};
 use csaw_core::compile;
 use csaw_core::value::Value;
@@ -308,16 +310,18 @@ fn reconfig_plan_stopped_by_a_post_cut_error_leaves_a_complete_epoch_chain() {
     assert_eq!(*rt.current_program(), a, "the chain starts at the boot program");
     assert_eq!(rt.epoch_chain().len(), 1);
 
-    let report = rt.reconfigure_plan(&plan, |phase| match phase.index {
-        0 => ReconfigSpec {
-            start: vec![("extra".to_string(), vec![(None, vec![])])],
-            ..Default::default()
-        },
-        _ => ReconfigSpec {
-            migrate: Some(Box::new(|_| Err("boom".to_string()))),
-            ..Default::default()
-        },
-    });
+    let report = rt
+        .reconfigure_plan(&plan, |phase| match phase.index {
+            0 => ReconfigSpec {
+                start: vec![("extra".to_string(), vec![(None, vec![])])],
+                ..Default::default()
+            },
+            _ => ReconfigSpec {
+                migrate: Some(Box::new(|_| Err("boom".to_string()))),
+                ..Default::default()
+            },
+        })
+        .expect("a planner-built plan passes the check");
     let (failed_phase, failure) = report.error.as_ref().expect("phase 1 must stop the walk");
     assert_eq!(*failed_phase, 1);
     assert!(format!("{failure:?}").contains("boom"));
@@ -335,6 +339,94 @@ fn reconfig_plan_stopped_by_a_post_cut_error_leaves_a_complete_epoch_chain() {
     assert_eq!(*chain[1], plan.phases[0].target);
     assert_eq!(*chain[2], plan.phases[1].target);
     assert_eq!(*rt.current_program(), b);
+    rt.shutdown();
+}
+
+/// Drain the trace and count its `reconfig_*` events of every kind.
+fn reconfig_events(rt: &Runtime) -> usize {
+    rt.trace_events()
+        .iter()
+        .filter(|e| {
+            matches!(
+                e.kind,
+                TraceKind::ReconfigPlan { .. }
+                    | TraceKind::ReconfigQuiesce { .. }
+                    | TraceKind::ReconfigMigrate { .. }
+                    | TraceKind::ReconfigCut
+                    | TraceKind::ReconfigResume { .. }
+                    | TraceKind::ReconfigDone { .. }
+            )
+        })
+        .count()
+}
+
+/// The executor checks every plan: a break-before-make plan is refused
+/// before phase 0 — no cut, no epoch, no hold, no phase spec built.
+#[test]
+fn reconfigure_plan_refuses_a_break_before_make_plan() {
+    let a = compile(two_instance_program(false), &LoadConfig::new()).unwrap();
+    let b = compile(three_instance_program(), &LoadConfig::new()).unwrap();
+    let plan = plan_break_before_make(&a, &b, &PlanConstraints::default());
+
+    let rt = Runtime::new(&a, RuntimeConfig::default());
+    rt.set_tracing(true);
+    rt.run_main(vec![]).unwrap();
+    let (chain, held) = (rt.epoch_chain().len(), rt.held_instances());
+
+    let mut specs_built = 0;
+    let verdict = rt
+        .reconfigure_plan(&plan, |_| {
+            specs_built += 1;
+            ReconfigSpec::default()
+        })
+        .expect_err("a break-before-make plan must be refused");
+    assert!(
+        verdict.violations.iter().any(|v| matches!(v, PlanViolation::BreakBeforeMake { .. })),
+        "{verdict}"
+    );
+    assert_eq!(specs_built, 0);
+    assert_eq!(rt.epoch_chain().len(), chain);
+    assert_eq!(rt.held_instances(), held);
+    assert_eq!(reconfig_events(&rt), 0);
+    assert_eq!(*rt.current_program(), a);
+    rt.shutdown();
+}
+
+/// A plan built from A is stale once the runtime has moved to A′: its
+/// phase 0 no longer starts where the runtime stands, so the executor
+/// refuses it instead of walking its targets.
+#[test]
+fn reconfigure_plan_refuses_a_stale_plan() {
+    let a = compile(two_instance_program(false), &LoadConfig::new()).unwrap();
+    let a2 = compile(two_instance_program(true), &LoadConfig::new()).unwrap();
+    let b = compile(three_instance_program(), &LoadConfig::new()).unwrap();
+    let plan = plan_reconfiguration(&a, &b, &PlanConstraints::default()).unwrap();
+
+    let rt = Runtime::new(&a, RuntimeConfig::default());
+    rt.set_tracing(true);
+    rt.run_main(vec![]).unwrap();
+    rt.reconfigure(&a2, ReconfigSpec::default()).unwrap();
+    assert!(reconfig_events(&rt) > 0, "the direct reconfigure is traced");
+    let chain = rt.epoch_chain().len();
+
+    let mut specs_built = 0;
+    let verdict = rt
+        .reconfigure_plan(&plan, |_| {
+            specs_built += 1;
+            ReconfigSpec::default()
+        })
+        .expect_err("a plan from a program no longer current must be refused");
+    assert!(
+        verdict
+            .violations
+            .iter()
+            .any(|v| matches!(v, PlanViolation::ContinuityBroken { phase: 0, .. })),
+        "{verdict}"
+    );
+    assert_eq!(specs_built, 0);
+    assert_eq!(rt.epoch_chain().len(), chain);
+    assert_eq!(reconfig_events(&rt), 0);
+    assert_eq!(*rt.current_program(), a2);
     rt.shutdown();
 }
 

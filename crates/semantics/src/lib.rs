@@ -28,7 +28,6 @@
 pub mod conformance;
 pub mod denote;
 pub mod event;
-pub mod plan_check;
 pub mod topology;
 
 pub use conformance::{
@@ -36,6 +35,5 @@ pub use conformance::{
     ConformanceOptions, ConformanceReport, TraceRecord, Violation,
 };
 pub use denote::{denote_junction, denote_program, DenoteConfig, ProgramSemantics};
-pub use plan_check::{check_plan, PlanCheckReport, PlanViolation};
 pub use event::{Event, EventId, EventStructure, Label};
 pub use topology::{topology, Topology};

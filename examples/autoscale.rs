@@ -4,15 +4,15 @@
 //! architecture (2 shards → 4 shards) plus constraints (at most one
 //! instance quiesced per phase) and get back an ordered,
 //! minimal-disruption sequence of phased diffs — adds before changes
-//! before removals — which the plan-validity checker then judges
-//! against its proof obligations.
+//! before removals.
 //!
 //! Part two closes the loop: an autoscaler thread samples the
 //! `offered_rate` / `read_fraction` gauges, and when the per-shard rate
-//! crosses a watermark it plans, validates, and executes the matching
-//! transition live — a split when load rises, a merge back when it
-//! falls — while a client's writes keep landing. Every acknowledged
-//! write is still readable afterwards.
+//! crosses a watermark it plans the matching transition and executes it
+//! live (the executor checks each plan against its constraints first):
+//! a split when load rises, a merge back when it falls, while a
+//! client's writes keep landing. Every acknowledged write is still
+//! readable afterwards.
 //!
 //! Run with: `cargo run --example autoscale`
 
@@ -22,7 +22,7 @@ use std::time::{Duration, Instant};
 use csaw::arch::sharding::{sharding, ShardingSpec};
 use csaw::core::expr::Arg;
 use csaw::core::names::JRef;
-use csaw::core::plan::{plan_reconfiguration, Plan, PlanConstraints, PlanPhase};
+use csaw::core::plan::{plan_reconfiguration, PlanConstraints, PlanPhase};
 use csaw::core::program::{CompiledProgram, LoadConfig};
 use csaw::core::value::Value;
 use csaw::redis::apps::{ServerApp, ShardFrontApp, ShardMode};
@@ -37,13 +37,11 @@ use parking_lot::Mutex;
 const T: Duration = Duration::from_millis(400);
 
 /// How a goal becomes a program, and how each plan phase gets its
-/// apps/starts/migration. The validator injects the semantics-level
-/// plan checker — the runtime crate never depends on it.
+/// apps/starts/migration.
 struct Scaler {
     requests: Arc<Mutex<std::collections::VecDeque<Command>>>,
     replies: Arc<Mutex<std::collections::VecDeque<Reply>>>,
     stores: Vec<Arc<Mutex<Store>>>,
-    constraints: PlanConstraints,
 }
 
 impl AutoscaleDriver for Scaler {
@@ -97,16 +95,6 @@ impl AutoscaleDriver for Scaler {
         }
         rs
     }
-
-    fn validate(
-        &self,
-        from: &CompiledProgram,
-        to: &CompiledProgram,
-        plan: &Plan,
-    ) -> Result<(), String> {
-        let verdict = csaw::semantics::check_plan(from, to, plan, &self.constraints);
-        if verdict.is_valid() { Ok(()) } else { Err(verdict.to_string()) }
-    }
 }
 
 fn request(scaler: &Scaler, rt: &Runtime, cmd: Command) -> Option<Reply> {
@@ -136,7 +124,7 @@ fn request(scaler: &Scaler, rt: &Runtime, cmd: Command) -> Option<Reply> {
 fn main() {
     let constraints = PlanConstraints::max_quiesce(1);
 
-    // ----- Part one: the planner as a pure, checkable function -------
+    // ----- Part one: the planner as a pure function ------------------
     let two = csaw::core::compile(
         sharding(&ShardingSpec { n_backends: 2, ..Default::default() }),
         &LoadConfig::new(),
@@ -159,9 +147,6 @@ fn main() {
             phase.diff.quiesce_set(),
         );
     }
-    let verdict = csaw::semantics::check_plan(&two, &four, &plan, &constraints);
-    println!("checker: {verdict}");
-    assert!(verdict.is_valid());
 
     // ----- Part two: the closed loop under live traffic --------------
     let rt = Runtime::new(&two, RuntimeConfig::default());
@@ -170,7 +155,6 @@ fn main() {
         requests: Arc::clone(&front.requests),
         replies: Arc::clone(&front.replies),
         stores: (0..4).map(|_| Arc::new(Mutex::new(Store::new()))).collect(),
-        constraints: constraints.clone(),
     });
     rt.bind_app("Fnt", Box::new(front));
     for i in 1..=2usize {
