@@ -44,10 +44,26 @@ fn arg_num<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
     arg_value(args, flag).and_then(|v| v.parse().ok()).unwrap_or(default)
 }
 
+fn labels() -> String {
+    Scenario::all().map(Scenario::label).join(" | ")
+}
+
+/// `--scenario`, parsed in one place: `None` when absent (or, where
+/// `all_ok`, when `all`). An unknown name exits 2 with the list of
+/// labels rather than quietly testing another family.
+fn scenario_arg(args: &[String], all_ok: bool) -> Option<Scenario> {
+    let name = arg_value(args, "--scenario")?;
+    if all_ok && name == "all" {
+        return None;
+    }
+    Some(Scenario::parse(&name).unwrap_or_else(|| {
+        eprintln!("unknown scenario `{name}`; scenarios: {}", labels());
+        std::process::exit(2)
+    }))
+}
+
 fn spec_for(args: &[String], seed: u64) -> ScheduleSpec {
-    let scenario = arg_value(args, "--scenario")
-        .and_then(|s| Scenario::parse(&s))
-        .unwrap_or(Scenario::Failover);
+    let scenario = scenario_arg(args, false).unwrap_or(Scenario::Failover);
     let shards = arg_num(args, "--shards", 1);
     let replicas = arg_num(args, "--replicas", 1);
     let spec = ScheduleSpec::new(scenario, shards, replicas, seed);
@@ -102,18 +118,15 @@ fn explore(args: &[String]) -> i32 {
         if let Some(art) = out.artifact() {
             red += 1;
             eprintln!("RED seed={seed}: {}", art.reason);
-            let shrunk = shrink_failure(&spec, &art);
+            let shrunk = Artifact { steps: shrink_failure(&spec, &art), ..art.clone() };
             eprintln!(
                 "  shrunk {} -> {} steps; replaying to confirm",
                 art.steps.len(),
-                shrunk.len()
+                shrunk.steps.len()
             );
-            let confirm = replay_schedule(&spec, &shrunk);
-            let final_art = Artifact {
-                seed,
-                reason: confirm.failure.clone().unwrap_or_else(|| art.reason.clone()),
-                instances: art.instances.clone(),
-                steps: if confirm.failure.is_some() { shrunk } else { art.steps.clone() },
+            let final_art = match replay_schedule(&spec, &shrunk).map(|out| out.failure) {
+                Ok(Some(reason)) => Artifact { reason, ..shrunk },
+                _ => art,
             };
             write_artifact(spec.scenario.label(), &final_art);
         }
@@ -154,7 +167,13 @@ fn replay(args: &[String]) -> i32 {
         return 2;
     };
     let spec = spec_for(args, art.seed);
-    let out = replay_schedule(&spec, &art.steps);
+    let out = match replay_schedule(&spec, &art) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("{path}: {e}");
+            return 2;
+        }
+    };
     println!(
         "replayed seed {} ({} recorded steps, {:.1}ms virtual)",
         art.seed,
@@ -250,17 +269,12 @@ fn grid(args: &[String]) -> i32 {
     let base = arg_value(args, "--seed")
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| env_seed(1));
+    if max_n == 0 || max_k == 0 {
+        eprintln!("--max-shards and --max-replicas must be at least 1");
+        return 2;
+    }
     let buggy = args.iter().any(|a| a == "--buggy");
-    let scenarios: Vec<Scenario> = match arg_value(args, "--scenario").as_deref() {
-        None | Some("all") => Scenario::all().to_vec(),
-        Some(s) => match Scenario::parse(s) {
-            Some(sc) => vec![sc],
-            None => {
-                eprintln!("unknown scenario {s}");
-                return 2;
-            }
-        },
-    };
+    let scenarios = scenario_arg(args, true).map_or(Scenario::all().to_vec(), |sc| vec![sc]);
 
     let mut report =
         Report::new("sim_grid", "deterministic simulation: small-model (shards x replicas) sweep");
@@ -370,22 +384,19 @@ fn demo_bug(args: &[String]) -> i32 {
     println!("seed {seed} red as expected: {}", art.reason);
     let shrunk = shrink_failure(&spec, &art);
     println!("shrunk {} -> {} steps", art.steps.len(), shrunk.len());
-    let json = Artifact {
-        seed,
-        reason: art.reason.clone(),
-        instances: art.instances.clone(),
-        steps: shrunk,
-    }
-    .to_json();
+    let json = Artifact { steps: shrunk, ..art }.to_json();
     let back = Artifact::from_json(&json).expect("artifact roundtrip");
-    let replayed = replay_schedule(&spec, &back.steps);
-    match replayed.failure {
-        Some(reason) => {
+    match replay_schedule(&spec, &back).map(|out| out.failure) {
+        Ok(Some(reason)) => {
             println!("replay-from-JSON reproduces: {reason}");
             0
         }
-        None => {
+        Ok(None) => {
             eprintln!("replay-from-JSON went green — shrink unsound");
+            1
+        }
+        Err(e) => {
+            eprintln!("replay-from-JSON refused: {e}");
             1
         }
     }
@@ -410,7 +421,8 @@ fn main() {
                  csaw_sim grid [--scenario S|all] [--budget STEPS] [--max-shards N] \
                  [--max-replicas K] [--walk N] [--seed S] [--buggy]\n       \
                  csaw_sim demo-bug [--scenario S] [--shards N] [--replicas K] [--seed S]\n\
-                 scenarios: failover | reshard | restore | churn | planned | overload"
+                 scenarios: {}",
+                labels()
             );
             2
         }

@@ -32,7 +32,7 @@ use crate::chaos::{soak_checkpoint, soak_failover, soak_watched, ChaosSchedule, 
 use crate::harness::wait_until;
 
 /// The digest of one conformance replay.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct ConformanceSummary {
     /// No violations (parse errors count as violations).
     pub ok: bool,

@@ -1,7 +1,7 @@
 //! Deterministic-simulation acceptance sweeps over the parametric
-//! scenario family (fail-over, live reshard under traffic, crash +
-//! checkpoint restore, repeated churn, overload storms under ingress
-//! budgets): blocks of consecutive seeds
+//! scenario family (fail-over, the sharded family's live reshard, churn
+//! and planned waves under traffic, crash + checkpoint restore,
+//! overload storms under ingress budgets): blocks of consecutive seeds
 //! must come out green — oracle clean, repairs verified, cross-epoch
 //! conformance pass, horizon reached within the step budget — and each
 //! scenario must deterministically catch its own deliberate fence-off
@@ -19,6 +19,25 @@ use csaw_bench::sim_runs::{
 use csaw_runtime::{env_seed, Artifact, DfsConfig};
 
 const SWEEP: u64 = 48;
+
+/// One green schedule end to end: requests acked, the supervisor
+/// promotes the spare, the fence holds, the oracle is green.
+#[test]
+fn green_schedule_repairs_and_keeps_invariants() {
+    let out = run_schedule(&ScheduleSpec::for_seed(7));
+    assert!(out.failure.is_none(), "oracle: {:?}\nsteps: {}", out.failure, out.steps.len());
+    assert!(
+        out.repair_ok,
+        "promotion repair did not verify; repairs: {:?}, steps: {}, truncated: {}, vms: {}",
+        out.repairs,
+        out.steps.len(),
+        out.truncated,
+        out.virtual_ms
+    );
+    assert!(out.acked >= 2, "too few acked requests: {}", out.acked);
+    assert!(out.fenced_sends > 0, "fence never rejected the zombie");
+    assert!(!out.truncated, "step budget too small for the scenario");
+}
 
 /// Under virtual time the heartbeat loop is drift-free: every round
 /// fires at an exact multiple of the 20 ms interval, regardless of how
@@ -173,6 +192,7 @@ fn sweep_overload_storms_stay_green() {
 #[test]
 fn same_seed_traces_are_byte_identical_per_scenario() {
     for (scenario, n, k) in [
+        (Scenario::Failover, 1, 1),
         (Scenario::Reshard, 2, 1),
         (Scenario::Restore, 2, 2),
         (Scenario::Churn, 1, 2),
@@ -184,9 +204,17 @@ fn same_seed_traces_are_byte_identical_per_scenario() {
         let b = run_schedule(&spec);
         assert!(a.failure.is_none(), "{}: {:?}", scenario.label(), a.failure);
         assert_eq!(a.steps, b.steps, "{}: schedules diverged", scenario.label());
+        assert_eq!(a.acked, b.acked, "{}: acked diverged", scenario.label());
+        assert_eq!(a.virtual_ms, b.virtual_ms, "{}: virtual time diverged", scenario.label());
         assert_eq!(a.trace_jsonl, b.trace_jsonl, "{}: traces diverged", scenario.label());
         assert!(!a.trace_jsonl.is_empty(), "{}: trace recording off", scenario.label());
-        let replayed = replay_schedule(&spec, &a.steps);
+        let recorded = Artifact {
+            seed: a.seed,
+            reason: String::new(),
+            instances: a.instances.clone(),
+            steps: a.steps.clone(),
+        };
+        let replayed = replay_schedule(&spec, &recorded).expect("own instance set");
         assert_eq!(
             a.trace_jsonl,
             replayed.trace_jsonl,
@@ -197,8 +225,9 @@ fn same_seed_traces_are_byte_identical_per_scenario() {
 }
 
 /// Every scenario family catches its own deliberate bug when the fence
-/// is dropped, shrinking keeps the exact failure, and the shrunk
-/// artifact round-trips through JSON into a red replay.
+/// is dropped, the unshrunk artifact replays to the exact failure,
+/// shrinking keeps it, and the shrunk artifact round-trips through JSON
+/// into a red replay.
 #[test]
 fn every_scenario_catches_its_fence_off_bug() {
     for (scenario, n, k, seed, expect) in [
@@ -220,6 +249,13 @@ fn every_scenario_catches_its_fence_off_bug() {
             scenario.label(),
             art.reason
         );
+        let unshrunk = replay_schedule(&spec, &art).expect("own instance set");
+        assert_eq!(
+            unshrunk.failure.as_deref(),
+            Some(art.reason.as_str()),
+            "{}: unshrunk artifact did not reproduce the failure",
+            scenario.label()
+        );
         let shrunk = shrink_failure(&spec, &art);
         assert!(
             shrunk.len() < art.steps.len(),
@@ -227,15 +263,9 @@ fn every_scenario_catches_its_fence_off_bug() {
             scenario.label(),
             art.steps.len()
         );
-        let json = Artifact {
-            seed: art.seed,
-            reason: art.reason.clone(),
-            instances: art.instances.clone(),
-            steps: shrunk,
-        }
-        .to_json();
+        let json = Artifact { steps: shrunk, ..art.clone() }.to_json();
         let back = Artifact::from_json(&json).expect("artifact parses");
-        let replayed = replay_schedule(&spec, &back.steps);
+        let replayed = replay_schedule(&spec, &back).expect("own instance set");
         assert_eq!(
             replayed.failure.as_deref(),
             Some(art.reason.as_str()),
@@ -243,6 +273,46 @@ fn every_scenario_catches_its_fence_off_bug() {
             scenario.label()
         );
     }
+}
+
+/// An artifact recorded against one scenario's instance set is loudly
+/// refused when replayed against another's.
+#[test]
+fn replay_artifact_rejects_cross_scenario_instances() {
+    let out = run_schedule(&ScheduleSpec::for_seed(1));
+    let art = Artifact {
+        seed: 1,
+        reason: "synthetic".into(),
+        instances: out.instances.clone(),
+        steps: out.steps.clone(),
+    };
+    let err = replay_schedule(&ScheduleSpec::new(Scenario::Reshard, 2, 2, 1), &art).unwrap_err();
+    assert!(err.contains("instance set mismatch"), "wrong refusal message: {err}");
+}
+
+/// Bounded DFS with the reductions on exhausts the small-budget tree
+/// green, and the naive no-reduction baseline needs at least 5x more
+/// schedules (here it blows a low cap without finishing, so the factor
+/// is a lower bound).
+#[test]
+fn dfs_small_budget_completes_and_prunes() {
+    let spec = ScheduleSpec::new(Scenario::Restore, 1, 1, 2).with_budget(12);
+    let full = dfs_schedule(&spec, &DfsConfig::default());
+    assert!(full.complete, "reduced DFS did not exhaust the tree");
+    assert!(full.failures.is_empty(), "red at small budget: {:?}", full.failures);
+    assert!(full.hash_pruned > 0, "state-hash pruning never fired");
+
+    let naive = dfs_schedule(
+        &spec,
+        &DfsConfig { sleep_sets: false, hash_prune: false, max_schedules: 500 },
+    );
+    assert!(naive.failures.is_empty(), "naive found a red the reduced run missed");
+    assert!(
+        naive.schedules >= 5 * full.schedules,
+        "reduction under 5x: naive {} vs reduced {}",
+        naive.schedules,
+        full.schedules
+    );
 }
 
 /// Exhaustive exploration is itself deterministic: the same spec
