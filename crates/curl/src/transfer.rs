@@ -97,7 +97,7 @@ impl TransferState {
             &CodecConfig::default(),
         )
         .map_err(|e| e.to_string())?;
-        let HeapValue::Struct(f) = v else {
+        let HeapValue::Struct(f) = &v else {
             return Err("bad transfer state".into());
         };
         let (HeapValue::CString(url), HeapValue::UInt(total), HeapValue::UInt(done),

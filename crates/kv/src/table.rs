@@ -95,13 +95,16 @@ pub enum Delivery {
 /// (`wop`) — exactly the quantities the §8 local-priority update rule
 /// is stated over, so a recorded trace can be re-checked against the
 /// formal rule (see `csaw-semantics::conformance`).
+///
+/// `S` is the string payload: the table emits `&str`s borrowed from
+/// its own state, and a consumer maps them to whatever it keeps.
 #[derive(Clone, Debug, PartialEq)]
-pub enum TableEvent {
+pub enum TableEvent<S> {
     /// `save` / local `assert`/`retract`: the key now shadows older
     /// arrivals within this activation.
     LocalWrite {
         /// Written key.
-        key: String,
+        key: S,
         /// Table operation sequence of the write.
         op: u64,
     },
@@ -109,9 +112,9 @@ pub enum TableEvent {
     /// window admitted it) or queued for the next scheduling.
     Deliver {
         /// Target key.
-        key: String,
+        key: S,
         /// Fully-qualified sender junction.
-        from: String,
+        from: S,
         /// Transport per-link sequence number (0 = unsequenced).
         link_seq: u64,
         /// Table operation sequence at arrival.
@@ -124,9 +127,9 @@ pub enum TableEvent {
     /// A queued update applied at scheduling time.
     FlushApply {
         /// Target key.
-        key: String,
+        key: S,
         /// Fully-qualified sender junction.
-        from: String,
+        from: S,
         /// Transport per-link sequence number (0 = unsequenced).
         link_seq: u64,
         /// Table operation sequence at arrival.
@@ -139,9 +142,9 @@ pub enum TableEvent {
     /// (`lop > op`) shadowed it.
     ShadowDrop {
         /// Target key.
-        key: String,
+        key: S,
         /// Fully-qualified sender junction.
-        from: String,
+        from: S,
         /// Transport per-link sequence number (0 = unsequenced).
         link_seq: u64,
         /// Table operation sequence at arrival.
@@ -156,9 +159,9 @@ pub enum TableEvent {
     /// (it arrived after the latest local write to its key).
     RetroApply {
         /// Target key.
-        key: String,
+        key: S,
         /// Fully-qualified sender junction.
-        from: String,
+        from: S,
         /// Transport per-link sequence number (0 = unsequenced).
         link_seq: u64,
         /// Table operation sequence at arrival.
@@ -171,7 +174,7 @@ pub enum TableEvent {
         /// Operation sequence at open time.
         wop: u64,
         /// Admitted keys.
-        keys: Vec<String>,
+        keys: Vec<S>,
     },
     /// A `wait` window closed (explicitly or at end of activation).
     WindowClose {
@@ -181,12 +184,40 @@ pub enum TableEvent {
     /// `keep` discarded a queued update.
     KeepDrop {
         /// Target key.
-        key: String,
+        key: S,
         /// Fully-qualified sender junction.
-        from: String,
+        from: S,
         /// Transport per-link sequence number (0 = unsequenced).
         link_seq: u64,
     },
+}
+
+impl<S> TableEvent<S> {
+    /// The same event with every string payload passed through `f`, in
+    /// declaration order.
+    pub fn map<T>(self, mut f: impl FnMut(S) -> T) -> TableEvent<T> {
+        use TableEvent::*;
+        match self {
+            LocalWrite { key, op } => LocalWrite { key: f(key), op },
+            Deliver { key, from, link_seq, op, applied, during_run } => {
+                Deliver { key: f(key), from: f(from), link_seq, op, applied, during_run }
+            }
+            FlushApply { key, from, link_seq, op, during_run } => {
+                FlushApply { key: f(key), from: f(from), link_seq, op, during_run }
+            }
+            ShadowDrop { key, from, link_seq, op, lop, during_run } => {
+                ShadowDrop { key: f(key), from: f(from), link_seq, op, lop, during_run }
+            }
+            RetroApply { key, from, link_seq, op } => {
+                RetroApply { key: f(key), from: f(from), link_seq, op }
+            }
+            WindowOpen { token, wop, keys } => {
+                WindowOpen { token, wop, keys: keys.into_iter().map(f).collect() }
+            }
+            WindowClose { token } => WindowClose { token },
+            KeepDrop { key, from, link_seq } => KeepDrop { key: f(key), from: f(from), link_seq },
+        }
+    }
 }
 
 /// Observer installed by the runtime to stream [`TableEvent`]s into its
@@ -197,10 +228,10 @@ pub trait TableObserver: Send + Sync {
     fn enabled(&self) -> bool {
         true
     }
-    /// Receive one event, with the table's current epoch. By value: the
-    /// observer is the only consumer, so it keeps the event's strings
-    /// instead of cloning them.
-    fn on_event(&self, epoch: u64, event: TableEvent);
+    /// Receive one event, with the table's current epoch. The strings
+    /// are borrowed for the call; an observer that keeps the event maps
+    /// them to owned ones.
+    fn on_event(&self, epoch: u64, event: TableEvent<&str>);
 }
 
 /// `Table` derives `Debug`; the observer slot has no useful rendering.
@@ -347,7 +378,7 @@ impl Table {
     }
 
     #[inline]
-    fn emit<F: FnOnce() -> TableEvent>(&self, build: F) {
+    fn emit<'a>(&self, build: impl FnOnce() -> TableEvent<&'a str>) {
         if let Some(o) = &self.observer.0 {
             if o.enabled() {
                 o.on_event(self.epoch, build());
@@ -432,8 +463,8 @@ impl Table {
             let shadowed = p.during_run && lop.is_some_and(|s| s > p.seq);
             if shadowed {
                 self.emit(|| TableEvent::ShadowDrop {
-                    key: p.update.key.clone(),
-                    from: p.update.from.clone(),
+                    key: &p.update.key,
+                    from: &p.update.from,
                     link_seq: p.update.seq,
                     op: p.seq,
                     lop: lop.unwrap_or(0),
@@ -442,8 +473,8 @@ impl Table {
             } else {
                 self.apply(&p.update);
                 self.emit(|| TableEvent::FlushApply {
-                    key: p.update.key.clone(),
-                    from: p.update.from.clone(),
+                    key: &p.update.key,
+                    from: &p.update.from,
                     link_seq: p.update.seq,
                     op: p.seq,
                     during_run: p.during_run,
@@ -483,8 +514,8 @@ impl Table {
         if admitted {
             self.apply(&update);
             self.emit(|| TableEvent::Deliver {
-                key: update.key.clone(),
-                from: update.from.clone(),
+                key: &update.key,
+                from: &update.from,
                 link_seq: update.seq,
                 op,
                 applied: true,
@@ -493,8 +524,8 @@ impl Table {
             return Delivery::AppliedNow;
         }
         self.emit(|| TableEvent::Deliver {
-            key: update.key.clone(),
-            from: update.from.clone(),
+            key: &update.key,
+            from: &update.from,
             link_seq: update.seq,
             op,
             applied: false,
@@ -523,7 +554,11 @@ impl Table {
         self.next_window += 1;
         self.op_seq += 1;
         let wop = self.op_seq;
-        self.emit(|| TableEvent::WindowOpen { token, wop, keys: keys.to_vec() });
+        self.emit(|| TableEvent::WindowOpen {
+            token,
+            wop,
+            keys: keys.iter().map(String::as_str).collect(),
+        });
         let mut pending = std::mem::take(&mut self.pending);
         pending.retain(|p| {
             let in_window = keys.iter().any(|k| k == &p.update.key);
@@ -534,8 +569,8 @@ impl Table {
             if in_window && newer_than_local {
                 self.apply(&p.update);
                 self.emit(|| TableEvent::RetroApply {
-                    key: p.update.key.clone(),
-                    from: p.update.from.clone(),
+                    key: &p.update.key,
+                    from: &p.update.from,
                     link_seq: p.update.seq,
                     op: p.seq,
                 });
@@ -563,8 +598,8 @@ impl Table {
             let dropped = keys.iter().any(|k| k == &p.update.key);
             if dropped {
                 self.emit(|| TableEvent::KeepDrop {
-                    key: p.update.key.clone(),
-                    from: p.update.from.clone(),
+                    key: &p.update.key,
+                    from: &p.update.from,
                     link_seq: p.update.seq,
                 });
             }
@@ -601,7 +636,7 @@ impl Table {
                 self.locally_written.insert(key.to_string(), mark);
             }
         }
-        self.emit(|| TableEvent::LocalWrite { key: key.to_string(), op: self.op_seq });
+        self.emit(|| TableEvent::LocalWrite { key, op: self.op_seq });
     }
 
     /// Read a datum.
@@ -1055,10 +1090,10 @@ mod tests {
     fn observer_records_update_rule_quantities() {
         use std::sync::{Arc, Mutex};
         #[derive(Default)]
-        struct Collect(Mutex<Vec<(u64, TableEvent)>>);
+        struct Collect(Mutex<Vec<(u64, TableEvent<String>)>>);
         impl TableObserver for Collect {
-            fn on_event(&self, epoch: u64, event: TableEvent) {
-                self.0.lock().unwrap().push((epoch, event));
+            fn on_event(&self, epoch: u64, event: TableEvent<&str>) {
+                self.0.lock().unwrap().push((epoch, event.map(str::to_owned)));
             }
         }
         let collect = Arc::new(Collect::default());
@@ -1070,7 +1105,7 @@ mod tests {
         t.end_activation();
         t.begin_activation(); // shadow-drops the stale delivery
         t.end_activation();
-        let events: Vec<TableEvent> =
+        let events: Vec<TableEvent<String>> =
             collect.0.lock().unwrap().iter().map(|(_, e)| e.clone()).collect();
         let dop = match &events[0] {
             TableEvent::Deliver { key, applied, during_run, op, .. } => {

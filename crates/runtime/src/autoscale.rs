@@ -3,7 +3,7 @@
 //!
 //! The supervisor reacts to *failures*; the autoscaler reacts to
 //! *load*. A monitor thread samples two gauges from the runtime's
-//! [`crate::trace::Metrics`] registry — the offered request rate and
+//! [`crate::metrics::Metrics`] registry — the offered request rate and
 //! the read fraction — and derives a desired [`AutoscaleGoal`]: how
 //! many shards the backend set should have and whether a cache tier
 //! should sit in front of it. Goal changes are debounced through the

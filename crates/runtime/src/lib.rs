@@ -36,6 +36,7 @@ mod eventcount;
 pub mod fault;
 pub mod health;
 pub mod interp;
+pub mod metrics;
 pub mod overload;
 pub mod planner;
 pub mod reconfig;
@@ -65,5 +66,6 @@ pub use supervisor::{
     AntiFlap, Confirmed, FailureClass, RepairAction, RepairPolicy, RepairRecord, Supervisor,
     SupervisorConfig, SupervisorStats,
 };
-pub use trace::{Gauge, LinkEv, Metrics, TraceEvent, TraceKind, Tracer};
+pub use metrics::{Gauge, Metrics};
+pub use trace::{TraceEvent, TraceKind, Tracer};
 pub use transport::{LinkKind, LinkStats, SendError};

@@ -41,7 +41,7 @@ use std::time::Duration;
 use parking_lot::Mutex;
 
 use crate::cell::JunctionId;
-use crate::trace::Metrics;
+use crate::metrics::Metrics;
 use crate::transport::MailboxProbe;
 
 /// Overload-control knobs for a [`Network`](crate::transport::Network)

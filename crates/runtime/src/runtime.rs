@@ -23,17 +23,21 @@ use crate::fault::{FaultPlan, RetryPolicy};
 use crate::health::{HeartbeatConfig, HeartbeatState, HB_JUNCTION};
 use crate::interp::ExecCtx;
 use crate::overload::{OverloadConfig, OverloadStats, RetryBudgetPolicy};
-use crate::trace::{Histogram, Metrics, TraceEvent, TraceKind, Tracer};
+use crate::metrics::{Histogram, Metrics};
+use crate::trace::{TraceEvent, TraceKind, Tracer};
 use crate::transport::{DeliverFn, LinkKind, LinkStats, Network, SendError};
 
 /// Forwards one cell's table events into the runtime tracer, stamped
 /// with the owning junction's identity. Installed on every table at
 /// construction; while tracing is off, [`TableObserver::enabled`]
 /// makes each table mutation cost a single relaxed load.
-struct CellObserver {
-    tracer: Arc<Tracer>,
-    instance: Arc<str>,
-    junction: Arc<str>,
+pub struct CellObserver {
+    /// The runtime's tracer.
+    pub tracer: Arc<Tracer>,
+    /// The owning instance.
+    pub instance: Arc<str>,
+    /// The owning junction.
+    pub junction: Arc<str>,
 }
 
 impl TableObserver for CellObserver {
@@ -41,7 +45,7 @@ impl TableObserver for CellObserver {
         self.tracer.is_enabled()
     }
 
-    fn on_event(&self, epoch: u64, event: TableEvent) {
+    fn on_event(&self, epoch: u64, event: TableEvent<&str>) {
         self.tracer
             .record_ids(&self.instance, &self.junction, epoch, TraceKind::Kv(event));
     }
@@ -929,14 +933,7 @@ impl RuntimeInner {
                 self.hb.watch(to_inst, from);
                 let to = JunctionId::new(to_inst.clone(), HB_JUNCTION);
                 let ping = Update::assert(HB_JUNCTION, from_q.clone());
-                if self.tracer.is_enabled() {
-                    self.tracer.record_link_at(
-                        from,
-                        "",
-                        0,
-                        crate::trace::LinkEv::Heartbeat { to: to_inst },
-                    );
-                }
+                self.tracer.record(from, "", 0, TraceKind::LinkHeartbeat { to: to_inst });
                 // Loss is the signal: no retry, errors ignored.
                 let _ = self.network.send_raw(from, &to, ping);
             }

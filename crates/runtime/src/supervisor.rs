@@ -695,7 +695,7 @@ impl SupervisorCore {
                 &name,
                 "-",
                 0,
-                TraceKind::RepairDetect { class: p.signal.label().into(), id },
+                TraceKind::RepairDetect { class: p.signal.label(), id },
             );
             let Some(ladder) = config.policy.ladders.get(&p.signal) else {
                 continue;
@@ -739,7 +739,7 @@ impl SupervisorCore {
                 "-",
                 0,
                 TraceKind::RepairPlan {
-                    action: action.label().into(),
+                    action: action.label(),
                     id,
                     rung: rung as u64,
                 },

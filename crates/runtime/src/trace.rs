@@ -1,4 +1,4 @@
-//! Causal trace recording and a metrics registry.
+//! Causal trace recording.
 //!
 //! Every junction activation, KV mutation, and link event in a run can
 //! be recorded as a structured causal event — carrying the instance,
@@ -7,23 +7,35 @@
 //! the [`Tracer`]. Traces drain as JSONL (one event per line, a stable
 //! flat schema) and feed `csaw-semantics::conformance`, which replays
 //! them against the program's §8 event-structure semantics. The
-//! [`Metrics`] registry aggregates the same instrumentation points into
-//! Prometheus-style counters and log₂ histograms.
+//! [`crate::metrics::Metrics`] registry aggregates the same
+//! instrumentation points into Prometheus-style counters and log₂
+//! histograms.
+//!
+//! The event vocabulary is declared once: [`TraceKind<S>`] (and the
+//! [`TableEvent<S>`] it wraps) is generic over its string payload, and
+//! `map` turns one form into another. Record sites build
+//! `TraceKind<&str>` from borrowed strings; the ring stores
+//! [`TraceEvent<u32>`], every string interned to a tracer-scoped
+//! symbol; [`Tracer::drain`] resolves symbols back into
+//! `TraceEvent<Arc<str>>`.
 //!
 //! Recording is off by default: every instrumentation site checks one
 //! relaxed atomic before building an event, so a disabled tracer costs
-//! a branch per site (~0% overhead). Enabled, identity strings resolve
-//! to interned `u32` symbols through a pointer-compare memo in
-//! thread-local state, events stage in a thread-local buffer, and full
-//! buffers move into a per-thread shard as whole chunks — so the
-//! common per-event cost is a TLS push plus one atomic `gsn` bump,
-//! with no refcount traffic and the shard lock paid once per ~128
-//! events. The `gsn` stays per-event (one atomic RMW): its
-//! modification order is consistent with happens-before, which is what
-//! lets the conformance checker sort the drained trace and require
-//! cross-thread send-before-apply ordering. (A gsn-*range* reservation
-//! per flush would stamp an event with a number chosen at flush time,
-//! breaking exactly that property.)
+//! a branch per site (~0% overhead). Enabled, there are two entry
+//! points. [`Tracer::record_ids`] takes shared `Arc<str>` identities
+//! and resolves them through a pointer-compare memo; [`Tracer::record`]
+//! takes `&str` identities and resolves them, like every payload
+//! string, through a by-value memo. Both memos live in thread-local
+//! state, so once warm neither takes the intern-table lock nor
+//! allocates. Events stage in a thread-local buffer, and full buffers
+//! move into a per-thread shard as whole chunks — so the common
+//! per-event cost is a TLS push plus one atomic `gsn` bump, with the
+//! shard lock paid once per ~128 events. The `gsn` stays per-event
+//! (one atomic RMW): its modification order is consistent with
+//! happens-before, which is what lets the conformance checker sort the
+//! drained trace and require cross-thread send-before-apply ordering.
+//! (A gsn-*range* reservation per flush would stamp an event with a
+//! number chosen at flush time, breaking exactly that property.)
 //!
 //! ## JSONL schema
 //!
@@ -69,7 +81,7 @@
 //! | `repair_failed`    | `n` (repair id) |
 //! | `repair_escalate`  | `seq` (rung escalated to), `n` (repair id) |
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -78,8 +90,10 @@ use csaw_kv::TableEvent;
 use parking_lot::Mutex;
 
 /// What happened: one activation, KV, link, or lifecycle observation.
+/// `S` is the string payload: `&str` at record sites, an interned `u32`
+/// symbol in the ring, `Arc<str>` once drained.
 #[derive(Clone, Debug, PartialEq)]
-pub enum TraceKind {
+pub enum TraceKind<S = Arc<str>> {
     /// Junction activation began (epoch freshly advanced).
     Sched,
     /// Junction activation ended.
@@ -88,13 +102,13 @@ pub enum TraceKind {
         ok: bool,
     },
     /// A KV-table mutation (see [`csaw_kv::TableEvent`]).
-    Kv(TableEvent),
+    Kv(TableEvent<S>),
     /// An update was handed to a link (post fault dice, pre delivery).
     LinkSend {
         /// Target junction, `instance::junction`.
-        to: Arc<str>,
+        to: S,
         /// Update key.
-        key: String,
+        key: S,
         /// Per-link sequence number (0 = unsequenced).
         seq: u64,
         /// Modelled wire bytes.
@@ -103,7 +117,7 @@ pub enum TraceKind {
     /// The reliability layer is retrying a send.
     LinkRetry {
         /// Target junction.
-        to: Arc<str>,
+        to: S,
         /// Per-link sequence number being retried.
         seq: u64,
         /// Attempt count (1 = first retry).
@@ -112,28 +126,28 @@ pub enum TraceKind {
     /// Fault injection dropped a send attempt.
     LinkDrop {
         /// Target junction.
-        to: Arc<str>,
+        to: S,
         /// Per-link sequence number (0 = unsequenced).
         seq: u64,
     },
     /// Fault injection duplicated a delivery.
     LinkDup {
         /// Target junction.
-        to: Arc<str>,
+        to: S,
         /// Per-link sequence number.
         seq: u64,
     },
     /// A partition window rejected a send attempt.
     LinkPartition {
         /// Target junction.
-        to: Arc<str>,
+        to: S,
         /// Per-link sequence number.
         seq: u64,
     },
     /// Receiver-side dedup suppressed an already-seen sequence number.
     LinkDedup {
         /// Sender instance.
-        from: Arc<str>,
+        from: S,
         /// Suppressed sequence number.
         seq: u64,
     },
@@ -141,7 +155,7 @@ pub enum TraceKind {
     /// instance (at send time, or at delivery for in-flight traffic).
     LinkFenced {
         /// Fenced sender instance.
-        from: Arc<str>,
+        from: S,
         /// Rejected sequence number (fence epoch in the high bits).
         seq: u64,
     },
@@ -150,7 +164,7 @@ pub enum TraceKind {
     /// overflowed. A shed update is never applied and never acked.
     LinkShed {
         /// Target junction, `instance::junction`.
-        to: Arc<str>,
+        to: S,
         /// Per-link sequence number of the shed update.
         seq: u64,
     },
@@ -158,14 +172,14 @@ pub enum TraceKind {
     /// mailbox full) — backpressure, retryable by the producer.
     LinkQueueFull {
         /// Target junction.
-        to: Arc<str>,
+        to: S,
         /// Per-link sequence number of the refused send.
         seq: u64,
     },
     /// A heartbeat ping was sent.
     LinkHeartbeat {
         /// Target instance.
-        to: Arc<str>,
+        to: S,
     },
     /// Fault injection crashed the instance.
     Crash,
@@ -207,7 +221,7 @@ pub enum TraceKind {
     /// `slow`; `id` ties the whole repair's events together.
     RepairDetect {
         /// Failure class label.
-        class: Arc<str>,
+        class: S,
         /// Monotonic repair id.
         id: u64,
     },
@@ -216,7 +230,7 @@ pub enum TraceKind {
     /// escalation-ladder position it was taken from.
     RepairPlan {
         /// Chosen action label.
-        action: Arc<str>,
+        action: S,
         /// Monotonic repair id.
         id: u64,
         /// Escalation rung (0 = first resort).
@@ -261,24 +275,75 @@ pub enum TraceKind {
     },
 }
 
-/// One recorded event.
+impl<S> TraceKind<S> {
+    /// The same event with every string payload passed through `f`, in
+    /// declaration order.
+    pub fn map<T>(self, mut f: impl FnMut(S) -> T) -> TraceKind<T> {
+        use TraceKind::*;
+        match self {
+            Sched => Sched,
+            Unsched { ok } => Unsched { ok },
+            Kv(ev) => Kv(ev.map(f)),
+            LinkSend { to, key, seq, bytes } => LinkSend { to: f(to), key: f(key), seq, bytes },
+            LinkRetry { to, seq, attempt } => LinkRetry { to: f(to), seq, attempt },
+            LinkDrop { to, seq } => LinkDrop { to: f(to), seq },
+            LinkDup { to, seq } => LinkDup { to: f(to), seq },
+            LinkPartition { to, seq } => LinkPartition { to: f(to), seq },
+            LinkDedup { from, seq } => LinkDedup { from: f(from), seq },
+            LinkFenced { from, seq } => LinkFenced { from: f(from), seq },
+            LinkShed { to, seq } => LinkShed { to: f(to), seq },
+            LinkQueueFull { to, seq } => LinkQueueFull { to: f(to), seq },
+            LinkHeartbeat { to } => LinkHeartbeat { to: f(to) },
+            Crash => Crash,
+            Restart => Restart,
+            ReconfigPlan { footprint } => ReconfigPlan { footprint },
+            ReconfigQuiesce { paused_us } => ReconfigQuiesce { paused_us },
+            ReconfigMigrate { bytes } => ReconfigMigrate { bytes },
+            ReconfigCut => ReconfigCut,
+            ReconfigResume { flushed } => ReconfigResume { flushed },
+            ReconfigDone { bytes } => ReconfigDone { bytes },
+            RepairDetect { class, id } => RepairDetect { class: f(class), id },
+            RepairPlan { action, id, rung } => RepairPlan { action: f(action), id, rung },
+            RepairFence { epoch, id } => RepairFence { epoch, id },
+            RepairVerify { ok, id } => RepairVerify { ok, id },
+            RepairDone { id, mttr_us } => RepairDone { id, mttr_us },
+            RepairFailed { id } => RepairFailed { id },
+            RepairEscalate { rung, id } => RepairEscalate { rung, id },
+        }
+    }
+}
+
+/// One recorded event; `S` as in [`TraceKind`].
 #[derive(Clone, Debug, PartialEq)]
-pub struct TraceEvent {
+pub struct TraceEvent<S = Arc<str>> {
     /// Global sequence number: the total order in which events were
     /// recorded (assigned by one atomic counter).
     pub gsn: u64,
     /// Microseconds since the tracer was created.
     pub at_us: u64,
     /// Instance the event belongs to (sender instance for link events).
-    /// `Arc<str>` so hot recording sites share one allocation per
-    /// junction instead of cloning per event.
-    pub instance: Arc<str>,
+    pub instance: S,
     /// Junction (empty for instance-level events like heartbeats).
-    pub junction: Arc<str>,
+    pub junction: S,
     /// Table epoch at the event (0 when not applicable).
     pub epoch: u64,
     /// What happened.
-    pub kind: TraceKind,
+    pub kind: TraceKind<S>,
+}
+
+impl<S> TraceEvent<S> {
+    /// The same event with its identities and payloads passed through
+    /// `f`.
+    pub fn map<T>(self, mut f: impl FnMut(S) -> T) -> TraceEvent<T> {
+        TraceEvent {
+            gsn: self.gsn,
+            at_us: self.at_us,
+            instance: f(self.instance),
+            junction: f(self.junction),
+            epoch: self.epoch,
+            kind: self.kind.map(f),
+        }
+    }
 }
 
 const SHARDS: usize = 16;
@@ -288,159 +353,13 @@ const SHARDS: usize = 16;
 /// a blink stale, large enough to amortize the shard lock to noise.
 const LOCAL_FLUSH: usize = 128;
 
-/// The event representation the ring actually stores. *Every* string —
-/// the identity fields and the kind payloads (update keys, senders,
-/// targets, failure classes) — is interned to a `u32` symbol
-/// ([`SymTab`]), so recording does zero refcount traffic per event,
-/// the ring holds plain data (evicting a chunk frees nothing but the
-/// chunk), and [`Tracer::drain`] resolves symbols back into the public
-/// [`TraceEvent`] on the way out.
-struct RawEvent {
-    gsn: u64,
-    at_us: u64,
-    inst: u32,
-    junc: u32,
-    epoch: u64,
-    kind: RawKind,
-}
-
-/// [`TraceKind`] with every string payload replaced by an interned
-/// symbol. Private: the ring's storage format, never exposed.
-enum RawKind {
-    Sched,
-    Unsched { ok: bool },
-    Kv(RawKv),
-    LinkSend { to: u32, key: u32, seq: u64, bytes: u64 },
-    LinkRetry { to: u32, seq: u64, attempt: u64 },
-    LinkDrop { to: u32, seq: u64 },
-    LinkDup { to: u32, seq: u64 },
-    LinkPartition { to: u32, seq: u64 },
-    LinkDedup { from: u32, seq: u64 },
-    LinkFenced { from: u32, seq: u64 },
-    LinkShed { to: u32, seq: u64 },
-    LinkQueueFull { to: u32, seq: u64 },
-    LinkHeartbeat { to: u32 },
-    Crash,
-    Restart,
-    ReconfigPlan { footprint: u64 },
-    ReconfigQuiesce { paused_us: u64 },
-    ReconfigMigrate { bytes: u64 },
-    ReconfigCut,
-    ReconfigResume { flushed: u64 },
-    ReconfigDone { bytes: u64 },
-    RepairDetect { class: u32, id: u64 },
-    RepairPlan { action: u32, id: u64, rung: u64 },
-    RepairFence { epoch: u64, id: u64 },
-    RepairVerify { ok: bool, id: u64 },
-    RepairDone { id: u64, mttr_us: u64 },
-    RepairFailed { id: u64 },
-    RepairEscalate { rung: u64, id: u64 },
-}
-
-/// [`TableEvent`] with `key`/`from` interned (the `keys` list of a
-/// window-open still carries a `Vec` — the event is rare).
-enum RawKv {
-    LocalWrite { key: u32, op: u64 },
-    Deliver { key: u32, from: u32, link_seq: u64, op: u64, applied: bool, during_run: bool },
-    FlushApply { key: u32, from: u32, link_seq: u64, op: u64, during_run: bool },
-    ShadowDrop { key: u32, from: u32, link_seq: u64, op: u64, lop: u64, during_run: bool },
-    RetroApply { key: u32, from: u32, link_seq: u64, op: u64 },
-    WindowOpen { token: u64, wop: u64, keys: Vec<u32> },
-    WindowClose { token: u64 },
-    KeepDrop { key: u32, from: u32, link_seq: u64 },
-}
-
-/// A link event with *borrowed* payloads: the zero-alloc front door for
-/// transport hot paths. [`Tracer::record_link`] resolves the borrowed
-/// strings straight to interned symbols, so steady-state recording
-/// clones nothing — unlike building a [`TraceKind`], which must own
-/// (allocate) its `to`/`key`/`from` payloads per event.
-#[derive(Clone, Copy)]
-pub enum LinkEv<'a> {
-    /// An update was handed to a link (see [`TraceKind::LinkSend`]).
-    Send {
-        /// Target junction, `instance::junction`.
-        to: &'a str,
-        /// Update key.
-        key: &'a str,
-        /// Per-link sequence number (0 = unsequenced).
-        seq: u64,
-        /// Modelled wire bytes.
-        bytes: u64,
-    },
-    /// The reliability layer is retrying a send.
-    Retry {
-        /// Target junction.
-        to: &'a str,
-        /// Sequence number being retried.
-        seq: u64,
-        /// Attempt count (1 = first retry).
-        attempt: u64,
-    },
-    /// Fault injection dropped a send attempt.
-    Drop {
-        /// Target junction.
-        to: &'a str,
-        /// Per-link sequence number.
-        seq: u64,
-    },
-    /// Fault injection duplicated a delivery.
-    Dup {
-        /// Target junction.
-        to: &'a str,
-        /// Per-link sequence number.
-        seq: u64,
-    },
-    /// A partition window rejected a send attempt.
-    Partition {
-        /// Target junction.
-        to: &'a str,
-        /// Per-link sequence number.
-        seq: u64,
-    },
-    /// Receiver-side dedup suppressed an already-seen sequence number.
-    Dedup {
-        /// Sender instance.
-        from: &'a str,
-        /// Suppressed sequence number.
-        seq: u64,
-    },
-    /// The supervisor epoch fence rejected a send.
-    Fenced {
-        /// Fenced sender instance.
-        from: &'a str,
-        /// Rejected sequence number (fence epoch in the high bits).
-        seq: u64,
-    },
-    /// The overload layer shed a delivery (deadline expired or mailbox
-    /// overflow).
-    Shed {
-        /// Target junction.
-        to: &'a str,
-        /// Per-link sequence number of the shed update.
-        seq: u64,
-    },
-    /// A send was refused by a queue bound (backpressure).
-    QueueFull {
-        /// Target junction.
-        to: &'a str,
-        /// Per-link sequence number of the refused send.
-        seq: u64,
-    },
-    /// A heartbeat ping was sent.
-    Heartbeat {
-        /// Target instance.
-        to: &'a str,
-    },
-}
-
 /// Tracer-scoped intern table: symbol `s` names `names[s]`. Symbols are
 /// only ever appended, so a symbol stored in the ring stays valid for
 /// the tracer's lifetime.
 #[derive(Default)]
 struct SymTab {
     names: Vec<Arc<str>>,
-    index: std::collections::HashMap<Arc<str>, u32>,
+    index: HashMap<Arc<str>, u32>,
 }
 
 /// Thread-local staging buffer for one (thread, tracer) pair. The
@@ -448,7 +367,7 @@ struct SymTab {
 /// pushes); it exists so [`Tracer::drain`] can *steal* still-buffered
 /// events from other threads instead of waiting for their next flush.
 struct LocalBuf {
-    events: Mutex<Vec<RawEvent>>,
+    events: Mutex<Vec<TraceEvent<u32>>>,
 }
 
 /// Cycle-counter timestamps for the wall-clock hot path. `at_us` is a
@@ -512,7 +431,8 @@ impl std::hash::Hasher for Fnv {
     }
 }
 
-type BuildFnv = std::hash::BuildHasherDefault<Fnv>;
+/// The by-value symbol memo (see [`Hot::vals`]).
+type ValMemo = HashMap<Box<str>, u32, std::hash::BuildHasherDefault<Fnv>>;
 
 /// The per-thread hot slot: a strong reference to the most-recently-
 /// used tracer's staging buffer plus a symbol memo, so the per-event
@@ -527,12 +447,12 @@ struct Hot {
     /// handful of shared ids over and over; the common case is a hit in
     /// the first entry or two.
     syms: Vec<(Arc<str>, u32)>,
-    /// Memoized *by-value* `str → symbol` resolutions for payload
-    /// strings (update keys, senders, targets) that reach the tracer as
-    /// `&str` or `String` without a stable allocation identity. A hit
-    /// costs one FNV hash and no lock; a miss interns through the table
-    /// lock and caches. Bounded; cleared on overflow like `syms`.
-    vals: std::collections::HashMap<Box<str>, u32, BuildFnv>,
+    /// Memoized *by-value* `str → symbol` resolutions for `&str`
+    /// identities and every payload string (update keys, senders,
+    /// targets), which have no stable allocation identity. A hit costs
+    /// one FNV hash and no lock; a miss interns through the table lock
+    /// and caches. Bounded; cleared on overflow like `syms`.
+    vals: ValMemo,
 }
 
 /// Per-thread view of the staging buffers, split into a one-entry hot
@@ -604,17 +524,20 @@ pub struct Tracer {
     /// Every thread-local staging buffer ever handed out for this
     /// tracer, so [`Tracer::drain`] can steal unflushed events.
     locals: Mutex<Vec<Arc<LocalBuf>>>,
-    /// Identity-string intern table ([`RawEvent`] stores symbols).
+    /// String intern table (the ring stores symbols).
     syms: Mutex<SymTab>,
 }
 
-/// One ring shard: whole staging buffers parked as chunks. A flush
+/// One ring shard: whole staging buffers parked as chunks. Events are
+/// stored with every string — identities and payloads — interned to a
+/// `u32` symbol ([`SymTab`]), so the ring holds plain data and evicting
+/// a chunk frees nothing but the chunk. A flush
 /// hands its full `Vec` over by move — O(1), no per-event copy — and
 /// eviction discards whole chunks from the front (trimming the oldest
 /// chunk when the bound lands inside it).
 #[derive(Default)]
 struct Shard {
-    chunks: VecDeque<Vec<RawEvent>>,
+    chunks: VecDeque<Vec<TraceEvent<u32>>>,
     len: usize,
 }
 
@@ -687,167 +610,50 @@ impl Tracer {
         self.dropped.0.load(Ordering::Relaxed)
     }
 
-    /// Record one event (no-op while disabled). Interns the identity
-    /// strings through the table lock — hot sites with a stable
-    /// identity should cache `Arc<str>`s and use [`Tracer::record_ids`]
-    /// instead, which memoizes the resolution per thread.
+    /// Record one event (no-op while disabled). Identities and payloads
+    /// resolve through the per-thread by-value memo; hot sites with a
+    /// stable identity should cache `Arc<str>`s and use
+    /// [`Tracer::record_ids`], whose pointer compare skips the hash.
     #[inline]
-    pub fn record(&self, instance: &str, junction: &str, epoch: u64, kind: TraceKind) {
-        if !self.is_enabled() {
-            return;
-        }
-        let inst = self.intern(instance);
-        let junc = self.intern(junction);
-        self.with_hot(|t, hot| {
-            let kind = t.raw_kind(&mut hot.vals, kind);
-            t.push_raw(hot, inst, junc, epoch, kind);
-        });
-    }
-
-    /// Record one event with pre-shared identity strings (no-op while
-    /// disabled). The identities resolve to interned symbols via a
-    /// pointer-compare memo in thread-local state, so the per-event
-    /// cost carries no refcount traffic and no string hashing.
-    #[inline]
-    pub fn record_ids(
-        &self,
-        instance: &Arc<str>,
-        junction: &Arc<str>,
-        epoch: u64,
-        kind: TraceKind,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.with_hot(|t, hot| {
-            let inst = sym_of(&mut hot.syms, instance, || t.intern(instance));
-            let junc = sym_of(&mut hot.syms, junction, || t.intern(junction));
-            let kind = t.raw_kind(&mut hot.vals, kind);
-            t.push_raw(hot, inst, junc, epoch, kind);
-        });
-    }
-
-    /// Record one link event with *borrowed* payloads (no-op while
-    /// disabled): the transport hot path. Identities resolve through
-    /// the pointer-compare memo, payload strings through the by-value
-    /// memo — steady state, this path performs **zero allocations**
-    /// (regression-tested in `tests/trace_zero_alloc.rs`).
-    #[inline]
-    pub fn record_link(
-        &self,
-        instance: &Arc<str>,
-        junction: &Arc<str>,
-        epoch: u64,
-        ev: LinkEv<'_>,
-    ) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.with_hot(|t, hot| {
-            let inst = sym_of(&mut hot.syms, instance, || t.intern(instance));
-            let junc = sym_of(&mut hot.syms, junction, || t.intern(junction));
-            let kind = match ev {
-                LinkEv::Send { to, key, seq, bytes } => RawKind::LinkSend {
-                    to: t.sym_of_str(&mut hot.vals, to),
-                    key: t.sym_of_str(&mut hot.vals, key),
-                    seq,
-                    bytes,
-                },
-                LinkEv::Retry { to, seq, attempt } => RawKind::LinkRetry {
-                    to: t.sym_of_str(&mut hot.vals, to),
-                    seq,
-                    attempt,
-                },
-                LinkEv::Drop { to, seq } => {
-                    RawKind::LinkDrop { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::Dup { to, seq } => {
-                    RawKind::LinkDup { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::Partition { to, seq } => {
-                    RawKind::LinkPartition { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::Dedup { from, seq } => {
-                    RawKind::LinkDedup { from: t.sym_of_str(&mut hot.vals, from), seq }
-                }
-                LinkEv::Fenced { from, seq } => {
-                    RawKind::LinkFenced { from: t.sym_of_str(&mut hot.vals, from), seq }
-                }
-                LinkEv::Shed { to, seq } => {
-                    RawKind::LinkShed { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::QueueFull { to, seq } => {
-                    RawKind::LinkQueueFull { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::Heartbeat { to } => {
-                    RawKind::LinkHeartbeat { to: t.sym_of_str(&mut hot.vals, to) }
-                }
-            };
-            t.push_raw(hot, inst, junc, epoch, kind);
-        });
-    }
-
-    /// [`Tracer::record_link`] for sites that hold `&str` identities
-    /// rather than shared `Arc<str>`s (rejection paths, heartbeats):
-    /// identities intern through the table lock, payloads through the
-    /// by-value memo, and steady state still allocates nothing.
-    #[inline]
-    pub fn record_link_at(&self, instance: &str, junction: &str, epoch: u64, ev: LinkEv<'_>) {
+    pub fn record(&self, instance: &str, junction: &str, epoch: u64, kind: TraceKind<&str>) {
         if !self.is_enabled() {
             return;
         }
         self.with_hot(|t, hot| {
             let inst = t.sym_of_str(&mut hot.vals, instance);
             let junc = t.sym_of_str(&mut hot.vals, junction);
-            let kind = match ev {
-                LinkEv::Send { to, key, seq, bytes } => RawKind::LinkSend {
-                    to: t.sym_of_str(&mut hot.vals, to),
-                    key: t.sym_of_str(&mut hot.vals, key),
-                    seq,
-                    bytes,
-                },
-                LinkEv::Retry { to, seq, attempt } => RawKind::LinkRetry {
-                    to: t.sym_of_str(&mut hot.vals, to),
-                    seq,
-                    attempt,
-                },
-                LinkEv::Drop { to, seq } => {
-                    RawKind::LinkDrop { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::Dup { to, seq } => {
-                    RawKind::LinkDup { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::Partition { to, seq } => {
-                    RawKind::LinkPartition { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::Dedup { from, seq } => {
-                    RawKind::LinkDedup { from: t.sym_of_str(&mut hot.vals, from), seq }
-                }
-                LinkEv::Fenced { from, seq } => {
-                    RawKind::LinkFenced { from: t.sym_of_str(&mut hot.vals, from), seq }
-                }
-                LinkEv::Shed { to, seq } => {
-                    RawKind::LinkShed { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::QueueFull { to, seq } => {
-                    RawKind::LinkQueueFull { to: t.sym_of_str(&mut hot.vals, to), seq }
-                }
-                LinkEv::Heartbeat { to } => {
-                    RawKind::LinkHeartbeat { to: t.sym_of_str(&mut hot.vals, to) }
-                }
-            };
-            t.push_raw(hot, inst, junc, epoch, kind);
+            t.push(hot, inst, junc, epoch, kind);
         });
     }
 
-    /// Resolve a payload string to its symbol through the by-value
-    /// memo: FNV hash + no lock on a hit, intern-and-cache on a miss.
+    /// Record one event with pre-shared identity strings (no-op while
+    /// disabled). The identities resolve to interned symbols via a
+    /// pointer-compare memo in thread-local state, so the per-event
+    /// cost carries no refcount traffic and no string hashing. Once
+    /// warm, neither entry point allocates for any kind but
+    /// `kv_window_open` (regression-tested in `tests/trace_zero_alloc.rs`).
     #[inline]
-    fn sym_of_str(
+    pub fn record_ids(
         &self,
-        vals: &mut std::collections::HashMap<Box<str>, u32, BuildFnv>,
-        s: &str,
-    ) -> u32 {
+        instance: &Arc<str>,
+        junction: &Arc<str>,
+        epoch: u64,
+        kind: TraceKind<&str>,
+    ) {
+        if !self.is_enabled() {
+            return;
+        }
+        self.with_hot(|t, hot| {
+            let inst = sym_of(&mut hot.syms, instance, || t.intern(instance));
+            let junc = sym_of(&mut hot.syms, junction, || t.intern(junction));
+            t.push(hot, inst, junc, epoch, kind);
+        });
+    }
+
+    /// Resolve a string to its symbol through the by-value memo: FNV
+    /// hash + no lock on a hit, intern-and-cache on a miss.
+    #[inline]
+    fn sym_of_str(&self, vals: &mut ValMemo, s: &str) -> u32 {
         if let Some(&sym) = vals.get(s) {
             return sym;
         }
@@ -859,122 +665,6 @@ impl Tracer {
         sym
     }
 
-    /// Lower a public [`TraceKind`] to the ring's all-symbol
-    /// [`RawKind`], interning every string payload.
-    fn raw_kind(
-        &self,
-        vals: &mut std::collections::HashMap<Box<str>, u32, BuildFnv>,
-        kind: TraceKind,
-    ) -> RawKind {
-        match kind {
-            TraceKind::Sched => RawKind::Sched,
-            TraceKind::Unsched { ok } => RawKind::Unsched { ok },
-            TraceKind::Kv(ev) => RawKind::Kv(match ev {
-                TableEvent::LocalWrite { key, op } => {
-                    RawKv::LocalWrite { key: self.sym_of_str(vals, &key), op }
-                }
-                TableEvent::Deliver { key, from, link_seq, op, applied, during_run } => {
-                    RawKv::Deliver {
-                        key: self.sym_of_str(vals, &key),
-                        from: self.sym_of_str(vals, &from),
-                        link_seq,
-                        op,
-                        applied,
-                        during_run,
-                    }
-                }
-                TableEvent::FlushApply { key, from, link_seq, op, during_run } => {
-                    RawKv::FlushApply {
-                        key: self.sym_of_str(vals, &key),
-                        from: self.sym_of_str(vals, &from),
-                        link_seq,
-                        op,
-                        during_run,
-                    }
-                }
-                TableEvent::ShadowDrop { key, from, link_seq, op, lop, during_run } => {
-                    RawKv::ShadowDrop {
-                        key: self.sym_of_str(vals, &key),
-                        from: self.sym_of_str(vals, &from),
-                        link_seq,
-                        op,
-                        lop,
-                        during_run,
-                    }
-                }
-                TableEvent::RetroApply { key, from, link_seq, op } => RawKv::RetroApply {
-                    key: self.sym_of_str(vals, &key),
-                    from: self.sym_of_str(vals, &from),
-                    link_seq,
-                    op,
-                },
-                TableEvent::WindowOpen { token, wop, keys } => RawKv::WindowOpen {
-                    token,
-                    wop,
-                    keys: keys.iter().map(|k| self.sym_of_str(vals, k)).collect(),
-                },
-                TableEvent::WindowClose { token } => RawKv::WindowClose { token },
-                TableEvent::KeepDrop { key, from, link_seq } => RawKv::KeepDrop {
-                    key: self.sym_of_str(vals, &key),
-                    from: self.sym_of_str(vals, &from),
-                    link_seq,
-                },
-            }),
-            TraceKind::LinkSend { to, key, seq, bytes } => RawKind::LinkSend {
-                to: self.sym_of_str(vals, &to),
-                key: self.sym_of_str(vals, &key),
-                seq,
-                bytes,
-            },
-            TraceKind::LinkRetry { to, seq, attempt } => {
-                RawKind::LinkRetry { to: self.sym_of_str(vals, &to), seq, attempt }
-            }
-            TraceKind::LinkDrop { to, seq } => {
-                RawKind::LinkDrop { to: self.sym_of_str(vals, &to), seq }
-            }
-            TraceKind::LinkDup { to, seq } => {
-                RawKind::LinkDup { to: self.sym_of_str(vals, &to), seq }
-            }
-            TraceKind::LinkPartition { to, seq } => {
-                RawKind::LinkPartition { to: self.sym_of_str(vals, &to), seq }
-            }
-            TraceKind::LinkDedup { from, seq } => {
-                RawKind::LinkDedup { from: self.sym_of_str(vals, &from), seq }
-            }
-            TraceKind::LinkFenced { from, seq } => {
-                RawKind::LinkFenced { from: self.sym_of_str(vals, &from), seq }
-            }
-            TraceKind::LinkShed { to, seq } => {
-                RawKind::LinkShed { to: self.sym_of_str(vals, &to), seq }
-            }
-            TraceKind::LinkQueueFull { to, seq } => {
-                RawKind::LinkQueueFull { to: self.sym_of_str(vals, &to), seq }
-            }
-            TraceKind::LinkHeartbeat { to } => {
-                RawKind::LinkHeartbeat { to: self.sym_of_str(vals, &to) }
-            }
-            TraceKind::Crash => RawKind::Crash,
-            TraceKind::Restart => RawKind::Restart,
-            TraceKind::ReconfigPlan { footprint } => RawKind::ReconfigPlan { footprint },
-            TraceKind::ReconfigQuiesce { paused_us } => RawKind::ReconfigQuiesce { paused_us },
-            TraceKind::ReconfigMigrate { bytes } => RawKind::ReconfigMigrate { bytes },
-            TraceKind::ReconfigCut => RawKind::ReconfigCut,
-            TraceKind::ReconfigResume { flushed } => RawKind::ReconfigResume { flushed },
-            TraceKind::ReconfigDone { bytes } => RawKind::ReconfigDone { bytes },
-            TraceKind::RepairDetect { class, id } => {
-                RawKind::RepairDetect { class: self.sym_of_str(vals, &class), id }
-            }
-            TraceKind::RepairPlan { action, id, rung } => {
-                RawKind::RepairPlan { action: self.sym_of_str(vals, &action), id, rung }
-            }
-            TraceKind::RepairFence { epoch, id } => RawKind::RepairFence { epoch, id },
-            TraceKind::RepairVerify { ok, id } => RawKind::RepairVerify { ok, id },
-            TraceKind::RepairDone { id, mttr_us } => RawKind::RepairDone { id, mttr_us },
-            TraceKind::RepairFailed { id } => RawKind::RepairFailed { id },
-            TraceKind::RepairEscalate { rung, id } => RawKind::RepairEscalate { rung, id },
-        }
-    }
-
     /// The symbol for `name`, interning it on first sight. Symbol
     /// numbering is append-only, so a returned symbol stays valid for
     /// the tracer's lifetime.
@@ -984,7 +674,7 @@ impl Tracer {
             return sym;
         }
         let arc: Arc<str> = Arc::from(name);
-        let sym = u32::try_from(tab.names.len()).expect("fewer than 2^32 distinct identities");
+        let sym = u32::try_from(tab.names.len()).expect("fewer than 2^32 distinct strings");
         tab.names.push(Arc::clone(&arc));
         tab.index.insert(arc, sym);
         sym
@@ -1014,22 +704,23 @@ impl Tracer {
                     id: self.id,
                     buf,
                     syms: Vec::new(),
-                    vals: std::collections::HashMap::default(),
+                    vals: ValMemo::default(),
                 });
             }
             f(self, reg.hot.as_mut().expect("hot slot just set"))
         })
     }
 
-    /// Stamp and stage one resolved event; flush the staging buffer to
-    /// a shard when it reaches [`LOCAL_FLUSH`].
+    /// Intern `kind`'s payloads, then stamp and stage the event; flush
+    /// the staging buffer to a shard when it reaches [`LOCAL_FLUSH`].
     #[inline]
-    fn push_raw(&self, hot: &mut Hot, inst: u32, junc: u32, epoch: u64, kind: RawKind) {
-        let ev = RawEvent {
+    fn push(&self, hot: &mut Hot, instance: u32, junction: u32, epoch: u64, kind: TraceKind<&str>) {
+        let kind = kind.map(|s| self.sym_of_str(&mut hot.vals, s));
+        let ev = TraceEvent {
             gsn: self.gsn.0.fetch_add(1, Ordering::Relaxed),
             at_us: self.stamp_us(),
-            inst,
-            junc,
+            instance,
+            junction,
             epoch,
             kind,
         };
@@ -1064,7 +755,7 @@ impl Tracer {
     /// chunk (the `Vec` itself changes hands — no per-event copy),
     /// evicting (and counting) the oldest events past capacity. Lock
     /// order is local → shard, matching [`Tracer::drain`].
-    fn flush_local(&self, events: &mut Vec<RawEvent>) {
+    fn flush_local(&self, events: &mut Vec<TraceEvent<u32>>) {
         let chunk = std::mem::replace(events, Vec::with_capacity(LOCAL_FLUSH));
         let mut shard = self.shards[shard_index()].0.lock();
         shard.len += chunk.len();
@@ -1088,7 +779,7 @@ impl Tracer {
     }
 
     /// Drain all recorded events, sorted by `gsn`, with interned
-    /// identity symbols resolved back to shared strings. Steals events
+    /// symbols resolved back to shared strings. Steals events
     /// still sitting in other threads' staging buffers, so a drain
     /// observes everything recorded before it regardless of flush
     /// boundaries.
@@ -1106,16 +797,7 @@ impl Tracer {
         }
         all.sort_unstable_by_key(|e| e.gsn);
         let names = self.syms.lock().names.clone();
-        all.into_iter()
-            .map(|e| TraceEvent {
-                gsn: e.gsn,
-                at_us: e.at_us,
-                instance: Arc::clone(&names[e.inst as usize]),
-                junction: Arc::clone(&names[e.junc as usize]),
-                epoch: e.epoch,
-                kind: resolve_kind(&names, e.kind),
-            })
-            .collect()
+        all.into_iter().map(|e| e.map(|sym| Arc::clone(&names[sym as usize]))).collect()
     }
 
     /// Drain all recorded events as JSONL.
@@ -1127,93 +809,6 @@ impl Tracer {
 impl Default for Tracer {
     fn default() -> Self {
         Tracer::new()
-    }
-}
-
-/// Resolve a ring-format [`RawKind`] back into the public
-/// [`TraceKind`]: shared-`Arc` for identity-flavoured fields, owned
-/// `String`s where the public type demands them. Drain-time only.
-fn resolve_kind(names: &[Arc<str>], kind: RawKind) -> TraceKind {
-    let shared = |i: u32| Arc::clone(&names[i as usize]);
-    let owned = |i: u32| names[i as usize].to_string();
-    match kind {
-        RawKind::Sched => TraceKind::Sched,
-        RawKind::Unsched { ok } => TraceKind::Unsched { ok },
-        RawKind::Kv(ev) => TraceKind::Kv(match ev {
-            RawKv::LocalWrite { key, op } => TableEvent::LocalWrite { key: owned(key), op },
-            RawKv::Deliver { key, from, link_seq, op, applied, during_run } => {
-                TableEvent::Deliver {
-                    key: owned(key),
-                    from: owned(from),
-                    link_seq,
-                    op,
-                    applied,
-                    during_run,
-                }
-            }
-            RawKv::FlushApply { key, from, link_seq, op, during_run } => TableEvent::FlushApply {
-                key: owned(key),
-                from: owned(from),
-                link_seq,
-                op,
-                during_run,
-            },
-            RawKv::ShadowDrop { key, from, link_seq, op, lop, during_run } => {
-                TableEvent::ShadowDrop {
-                    key: owned(key),
-                    from: owned(from),
-                    link_seq,
-                    op,
-                    lop,
-                    during_run,
-                }
-            }
-            RawKv::RetroApply { key, from, link_seq, op } => {
-                TableEvent::RetroApply { key: owned(key), from: owned(from), link_seq, op }
-            }
-            RawKv::WindowOpen { token, wop, keys } => TableEvent::WindowOpen {
-                token,
-                wop,
-                keys: keys.into_iter().map(owned).collect(),
-            },
-            RawKv::WindowClose { token } => TableEvent::WindowClose { token },
-            RawKv::KeepDrop { key, from, link_seq } => {
-                TableEvent::KeepDrop { key: owned(key), from: owned(from), link_seq }
-            }
-        }),
-        RawKind::LinkSend { to, key, seq, bytes } => {
-            TraceKind::LinkSend { to: shared(to), key: owned(key), seq, bytes }
-        }
-        RawKind::LinkRetry { to, seq, attempt } => {
-            TraceKind::LinkRetry { to: shared(to), seq, attempt }
-        }
-        RawKind::LinkDrop { to, seq } => TraceKind::LinkDrop { to: shared(to), seq },
-        RawKind::LinkDup { to, seq } => TraceKind::LinkDup { to: shared(to), seq },
-        RawKind::LinkPartition { to, seq } => TraceKind::LinkPartition { to: shared(to), seq },
-        RawKind::LinkDedup { from, seq } => TraceKind::LinkDedup { from: shared(from), seq },
-        RawKind::LinkFenced { from, seq } => TraceKind::LinkFenced { from: shared(from), seq },
-        RawKind::LinkShed { to, seq } => TraceKind::LinkShed { to: shared(to), seq },
-        RawKind::LinkQueueFull { to, seq } => TraceKind::LinkQueueFull { to: shared(to), seq },
-        RawKind::LinkHeartbeat { to } => TraceKind::LinkHeartbeat { to: shared(to) },
-        RawKind::Crash => TraceKind::Crash,
-        RawKind::Restart => TraceKind::Restart,
-        RawKind::ReconfigPlan { footprint } => TraceKind::ReconfigPlan { footprint },
-        RawKind::ReconfigQuiesce { paused_us } => TraceKind::ReconfigQuiesce { paused_us },
-        RawKind::ReconfigMigrate { bytes } => TraceKind::ReconfigMigrate { bytes },
-        RawKind::ReconfigCut => TraceKind::ReconfigCut,
-        RawKind::ReconfigResume { flushed } => TraceKind::ReconfigResume { flushed },
-        RawKind::ReconfigDone { bytes } => TraceKind::ReconfigDone { bytes },
-        RawKind::RepairDetect { class, id } => {
-            TraceKind::RepairDetect { class: shared(class), id }
-        }
-        RawKind::RepairPlan { action, id, rung } => {
-            TraceKind::RepairPlan { action: shared(action), id, rung }
-        }
-        RawKind::RepairFence { epoch, id } => TraceKind::RepairFence { epoch, id },
-        RawKind::RepairVerify { ok, id } => TraceKind::RepairVerify { ok, id },
-        RawKind::RepairDone { id, mttr_us } => TraceKind::RepairDone { id, mttr_us },
-        RawKind::RepairFailed { id } => TraceKind::RepairFailed { id },
-        RawKind::RepairEscalate { rung, id } => TraceKind::RepairEscalate { rung, id },
     }
 }
 
@@ -1233,191 +828,132 @@ fn esc(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn push_str_field(out: &mut String, name: &str, value: &str) {
-    out.push(',');
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":");
-    esc(value, out);
-}
+/// Appends `,"name":value` fields to a JSON line.
+struct Fields<'a>(&'a mut String);
 
-fn push_num_field(out: &mut String, name: &str, value: u64) {
-    out.push(',');
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":");
-    out.push_str(&value.to_string());
-}
+impl Fields<'_> {
+    fn name(&mut self, name: &str) -> &mut String {
+        self.0.push_str(",\"");
+        self.0.push_str(name);
+        self.0.push_str("\":");
+        self.0
+    }
 
-fn push_bool_field(out: &mut String, name: &str, value: bool) {
-    out.push(',');
-    out.push('"');
-    out.push_str(name);
-    out.push_str("\":");
-    out.push_str(if value { "true" } else { "false" });
+    fn str(&mut self, name: &str, value: &str) -> &mut Self {
+        esc(value, self.name(name));
+        self
+    }
+
+    fn num(&mut self, name: &str, value: u64) -> &mut Self {
+        self.name(name).push_str(&value.to_string());
+        self
+    }
+
+    fn bool(&mut self, name: &str, value: bool) -> &mut Self {
+        self.name(name).push_str(if value { "true" } else { "false" });
+        self
+    }
+
+    fn strs(&mut self, name: &str, values: &[Arc<str>]) -> &mut Self {
+        let out = self.name(name);
+        out.push('[');
+        for (i, v) in values.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            esc(v, out);
+        }
+        out.push(']');
+        self
+    }
+
+    /// The kind field, `"k"`, that every line carries.
+    fn k(&mut self, kind: &str) -> &mut Self {
+        self.str("k", kind)
+    }
 }
 
 /// Render one event as a single JSON line (no trailing newline).
 pub fn to_json_line(e: &TraceEvent) -> String {
+    use TableEvent as T;
+    use TraceKind as K;
     let mut s = String::with_capacity(128);
     s.push_str("{\"gsn\":");
     s.push_str(&e.gsn.to_string());
-    push_num_field(&mut s, "us", e.at_us);
-    push_str_field(&mut s, "i", &e.instance);
-    push_str_field(&mut s, "j", &e.junction);
-    push_num_field(&mut s, "ep", e.epoch);
-    let kind = match &e.kind {
-        TraceKind::Sched => "sched",
-        TraceKind::Unsched { .. } => "unsched",
-        TraceKind::Kv(ev) => match ev {
-            TableEvent::LocalWrite { .. } => "kv_local_write",
-            TableEvent::Deliver { .. } => "kv_deliver",
-            TableEvent::FlushApply { .. } => "kv_flush_apply",
-            TableEvent::ShadowDrop { .. } => "kv_shadow_drop",
-            TableEvent::RetroApply { .. } => "kv_retro_apply",
-            TableEvent::WindowOpen { .. } => "kv_window_open",
-            TableEvent::WindowClose { .. } => "kv_window_close",
-            TableEvent::KeepDrop { .. } => "kv_keep_drop",
-        },
-        TraceKind::LinkSend { .. } => "link_send",
-        TraceKind::LinkRetry { .. } => "link_retry",
-        TraceKind::LinkDrop { .. } => "link_drop",
-        TraceKind::LinkDup { .. } => "link_dup",
-        TraceKind::LinkPartition { .. } => "link_partition",
-        TraceKind::LinkDedup { .. } => "link_dedup",
-        TraceKind::LinkFenced { .. } => "link_fenced",
-        TraceKind::LinkShed { .. } => "link_shed",
-        TraceKind::LinkQueueFull { .. } => "link_queue_full",
-        TraceKind::LinkHeartbeat { .. } => "link_hb",
-        TraceKind::Crash => "crash",
-        TraceKind::Restart => "restart",
-        TraceKind::ReconfigPlan { .. } => "reconfig_plan",
-        TraceKind::ReconfigQuiesce { .. } => "reconfig_quiesce",
-        TraceKind::ReconfigMigrate { .. } => "reconfig_migrate",
-        TraceKind::ReconfigCut => "reconfig_cut",
-        TraceKind::ReconfigResume { .. } => "reconfig_resume",
-        TraceKind::ReconfigDone { .. } => "reconfig_done",
-        TraceKind::RepairDetect { .. } => "repair_detect",
-        TraceKind::RepairPlan { .. } => "repair_plan",
-        TraceKind::RepairFence { .. } => "repair_fence",
-        TraceKind::RepairVerify { .. } => "repair_verify",
-        TraceKind::RepairDone { .. } => "repair_done",
-        TraceKind::RepairFailed { .. } => "repair_failed",
-        TraceKind::RepairEscalate { .. } => "repair_escalate",
-    };
-    push_str_field(&mut s, "k", kind);
+    let mut f = Fields(&mut s);
+    f.num("us", e.at_us).str("i", &e.instance).str("j", &e.junction).num("ep", e.epoch);
     match &e.kind {
-        TraceKind::Sched | TraceKind::Crash | TraceKind::Restart | TraceKind::ReconfigCut => {}
-        TraceKind::ReconfigPlan { footprint } => push_num_field(&mut s, "n", *footprint),
-        TraceKind::ReconfigQuiesce { paused_us } => push_num_field(&mut s, "n", *paused_us),
-        TraceKind::ReconfigMigrate { bytes } => push_num_field(&mut s, "n", *bytes),
-        TraceKind::ReconfigResume { flushed } => push_num_field(&mut s, "n", *flushed),
-        TraceKind::ReconfigDone { bytes } => push_num_field(&mut s, "n", *bytes),
-        TraceKind::Unsched { ok } => push_bool_field(&mut s, "ok", *ok),
-        TraceKind::Kv(ev) => match ev {
-            TableEvent::LocalWrite { key, op } => {
-                push_str_field(&mut s, "key", key);
-                push_num_field(&mut s, "op", *op);
-            }
-            TableEvent::Deliver { key, from, link_seq, op, applied, during_run } => {
-                push_str_field(&mut s, "key", key);
-                push_str_field(&mut s, "from", from);
-                push_num_field(&mut s, "seq", *link_seq);
-                push_num_field(&mut s, "op", *op);
-                push_bool_field(&mut s, "applied", *applied);
-                push_bool_field(&mut s, "run", *during_run);
-            }
-            TableEvent::FlushApply { key, from, link_seq, op, during_run } => {
-                push_str_field(&mut s, "key", key);
-                push_str_field(&mut s, "from", from);
-                push_num_field(&mut s, "seq", *link_seq);
-                push_num_field(&mut s, "op", *op);
-                push_bool_field(&mut s, "run", *during_run);
-            }
-            TableEvent::ShadowDrop { key, from, link_seq, op, lop, during_run } => {
-                push_str_field(&mut s, "key", key);
-                push_str_field(&mut s, "from", from);
-                push_num_field(&mut s, "seq", *link_seq);
-                push_num_field(&mut s, "op", *op);
-                push_num_field(&mut s, "lop", *lop);
-                push_bool_field(&mut s, "run", *during_run);
-            }
-            TableEvent::RetroApply { key, from, link_seq, op } => {
-                push_str_field(&mut s, "key", key);
-                push_str_field(&mut s, "from", from);
-                push_num_field(&mut s, "seq", *link_seq);
-                push_num_field(&mut s, "op", *op);
-            }
-            TableEvent::WindowOpen { token, wop, keys } => {
-                push_num_field(&mut s, "tok", *token);
-                push_num_field(&mut s, "wop", *wop);
-                s.push_str(",\"keys\":[");
-                for (i, k) in keys.iter().enumerate() {
-                    if i > 0 {
-                        s.push(',');
-                    }
-                    esc(k, &mut s);
-                }
-                s.push(']');
-            }
-            TableEvent::WindowClose { token } => push_num_field(&mut s, "tok", *token),
-            TableEvent::KeepDrop { key, from, link_seq } => {
-                push_str_field(&mut s, "key", key);
-                push_str_field(&mut s, "from", from);
-                push_num_field(&mut s, "seq", *link_seq);
-            }
-        },
-        TraceKind::LinkSend { to, key, seq, bytes } => {
-            push_str_field(&mut s, "to", to);
-            push_str_field(&mut s, "key", key);
-            push_num_field(&mut s, "seq", *seq);
-            push_num_field(&mut s, "n", *bytes);
+        K::Sched => f.k("sched"),
+        K::Unsched { ok } => f.k("unsched").bool("ok", *ok),
+        K::Kv(T::LocalWrite { key, op }) => f.k("kv_local_write").str("key", key).num("op", *op),
+        K::Kv(T::Deliver { key, from, link_seq, op, applied, during_run }) => f
+            .k("kv_deliver")
+            .str("key", key)
+            .str("from", from)
+            .num("seq", *link_seq)
+            .num("op", *op)
+            .bool("applied", *applied)
+            .bool("run", *during_run),
+        K::Kv(T::FlushApply { key, from, link_seq, op, during_run }) => f
+            .k("kv_flush_apply")
+            .str("key", key)
+            .str("from", from)
+            .num("seq", *link_seq)
+            .num("op", *op)
+            .bool("run", *during_run),
+        K::Kv(T::ShadowDrop { key, from, link_seq, op, lop, during_run }) => f
+            .k("kv_shadow_drop")
+            .str("key", key)
+            .str("from", from)
+            .num("seq", *link_seq)
+            .num("op", *op)
+            .num("lop", *lop)
+            .bool("run", *during_run),
+        K::Kv(T::RetroApply { key, from, link_seq, op }) => f
+            .k("kv_retro_apply")
+            .str("key", key)
+            .str("from", from)
+            .num("seq", *link_seq)
+            .num("op", *op),
+        K::Kv(T::WindowOpen { token, wop, keys }) => {
+            f.k("kv_window_open").num("tok", *token).num("wop", *wop).strs("keys", keys)
         }
-        TraceKind::LinkRetry { to, seq, attempt } => {
-            push_str_field(&mut s, "to", to);
-            push_num_field(&mut s, "seq", *seq);
-            push_num_field(&mut s, "n", *attempt);
+        K::Kv(T::WindowClose { token }) => f.k("kv_window_close").num("tok", *token),
+        K::Kv(T::KeepDrop { key, from, link_seq }) => {
+            f.k("kv_keep_drop").str("key", key).str("from", from).num("seq", *link_seq)
         }
-        TraceKind::LinkDrop { to, seq }
-        | TraceKind::LinkDup { to, seq }
-        | TraceKind::LinkPartition { to, seq }
-        | TraceKind::LinkShed { to, seq }
-        | TraceKind::LinkQueueFull { to, seq } => {
-            push_str_field(&mut s, "to", to);
-            push_num_field(&mut s, "seq", *seq);
+        K::LinkSend { to, key, seq, bytes } => {
+            f.k("link_send").str("to", to).str("key", key).num("seq", *seq).num("n", *bytes)
         }
-        TraceKind::LinkDedup { from, seq } | TraceKind::LinkFenced { from, seq } => {
-            push_str_field(&mut s, "from", from);
-            push_num_field(&mut s, "seq", *seq);
+        K::LinkRetry { to, seq, attempt } => {
+            f.k("link_retry").str("to", to).num("seq", *seq).num("n", *attempt)
         }
-        TraceKind::LinkHeartbeat { to } => push_str_field(&mut s, "to", to),
-        TraceKind::RepairDetect { class, id } => {
-            push_str_field(&mut s, "to", class);
-            push_num_field(&mut s, "n", *id);
+        K::LinkDrop { to, seq } => f.k("link_drop").str("to", to).num("seq", *seq),
+        K::LinkDup { to, seq } => f.k("link_dup").str("to", to).num("seq", *seq),
+        K::LinkPartition { to, seq } => f.k("link_partition").str("to", to).num("seq", *seq),
+        K::LinkDedup { from, seq } => f.k("link_dedup").str("from", from).num("seq", *seq),
+        K::LinkFenced { from, seq } => f.k("link_fenced").str("from", from).num("seq", *seq),
+        K::LinkShed { to, seq } => f.k("link_shed").str("to", to).num("seq", *seq),
+        K::LinkQueueFull { to, seq } => f.k("link_queue_full").str("to", to).num("seq", *seq),
+        K::LinkHeartbeat { to } => f.k("link_hb").str("to", to),
+        K::Crash => f.k("crash"),
+        K::Restart => f.k("restart"),
+        K::ReconfigPlan { footprint } => f.k("reconfig_plan").num("n", *footprint),
+        K::ReconfigQuiesce { paused_us } => f.k("reconfig_quiesce").num("n", *paused_us),
+        K::ReconfigMigrate { bytes } => f.k("reconfig_migrate").num("n", *bytes),
+        K::ReconfigCut => f.k("reconfig_cut"),
+        K::ReconfigResume { flushed } => f.k("reconfig_resume").num("n", *flushed),
+        K::ReconfigDone { bytes } => f.k("reconfig_done").num("n", *bytes),
+        K::RepairDetect { class, id } => f.k("repair_detect").str("to", class).num("n", *id),
+        K::RepairPlan { action, id, rung } => {
+            f.k("repair_plan").str("to", action).num("n", *id).num("seq", *rung)
         }
-        TraceKind::RepairPlan { action, id, rung } => {
-            push_str_field(&mut s, "to", action);
-            push_num_field(&mut s, "n", *id);
-            push_num_field(&mut s, "seq", *rung);
-        }
-        TraceKind::RepairFence { epoch, id } => {
-            push_num_field(&mut s, "seq", *epoch);
-            push_num_field(&mut s, "n", *id);
-        }
-        TraceKind::RepairVerify { ok, id } => {
-            push_bool_field(&mut s, "ok", *ok);
-            push_num_field(&mut s, "n", *id);
-        }
-        TraceKind::RepairDone { id, mttr_us } => {
-            push_num_field(&mut s, "n", *id);
-            push_num_field(&mut s, "seq", *mttr_us);
-        }
-        TraceKind::RepairFailed { id } => push_num_field(&mut s, "n", *id),
-        TraceKind::RepairEscalate { rung, id } => {
-            push_num_field(&mut s, "seq", *rung);
-            push_num_field(&mut s, "n", *id);
-        }
-    }
+        K::RepairFence { epoch, id } => f.k("repair_fence").num("seq", *epoch).num("n", *id),
+        K::RepairVerify { ok, id } => f.k("repair_verify").bool("ok", *ok).num("n", *id),
+        K::RepairDone { id, mttr_us } => f.k("repair_done").num("n", *id).num("seq", *mttr_us),
+        K::RepairFailed { id } => f.k("repair_failed").num("n", *id),
+        K::RepairEscalate { rung, id } => f.k("repair_escalate").num("seq", *rung).num("n", *id),
+    };
     s.push('}');
     s
 }
@@ -1430,209 +966,6 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
         out.push('\n');
     }
     out
-}
-
-// ---------------------------------------------------------------------
-// Metrics registry
-// ---------------------------------------------------------------------
-
-const HISTO_BUCKETS: usize = 32;
-
-/// A log₂-bucketed histogram of microsecond observations.
-pub struct Histogram {
-    /// `buckets[i]` counts observations with `value < 2^i` µs (first
-    /// bucket they fit, non-cumulative; cumulated at render time).
-    buckets: [AtomicU64; HISTO_BUCKETS],
-    sum_us: AtomicU64,
-    count: AtomicU64,
-}
-
-impl Histogram {
-    fn new() -> Histogram {
-        Histogram {
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            sum_us: AtomicU64::new(0),
-            count: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one observation in microseconds.
-    pub fn observe_us(&self, us: u64) {
-        let idx = (64 - us.leading_zeros() as usize).min(HISTO_BUCKETS - 1);
-        self.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.sum_us.fetch_add(us, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations (µs).
-    pub fn sum_us(&self) -> u64 {
-        self.sum_us.load(Ordering::Relaxed)
-    }
-}
-
-/// A settable instantaneous value (Prometheus *gauge*): the current
-/// offered load, the live shard count, a cache's read fraction. Stored
-/// as `f64` bits in an atomic so readers never tear; `add` is a CAS
-/// loop, fine for low-rate writers (the autoscaler samples, it does
-/// not spin).
-pub struct Gauge {
-    bits: AtomicU64,
-}
-
-impl Gauge {
-    fn new() -> Gauge {
-        Gauge { bits: AtomicU64::new(0f64.to_bits()) }
-    }
-
-    /// Set the gauge to `v`.
-    pub fn set(&self, v: f64) {
-        self.bits.store(v.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Add `delta` (may be negative) to the gauge.
-    pub fn add(&self, delta: f64) {
-        let mut cur = self.bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(cur) + delta).to_bits();
-            match self.bits.compare_exchange_weak(
-                cur,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(seen) => cur = seen,
-            }
-        }
-    }
-
-    /// Current value.
-    pub fn value(&self) -> f64 {
-        f64::from_bits(self.bits.load(Ordering::Relaxed))
-    }
-}
-
-/// Named counters, gauges and histograms, renderable as a
-/// Prometheus-style text snapshot. Handles returned by
-/// [`Metrics::counter`] / [`Metrics::gauge`] / [`Metrics::histogram`]
-/// are plain atomics — hot paths grab them once at construction time
-/// and never touch the registry lock again.
-pub struct Metrics {
-    counters: Mutex<BTreeMap<String, Arc<AtomicU64>>>,
-    gauges: Mutex<BTreeMap<String, Arc<Gauge>>>,
-    histograms: Mutex<BTreeMap<String, Arc<Histogram>>>,
-}
-
-impl Metrics {
-    /// An empty registry.
-    pub fn new() -> Metrics {
-        Metrics {
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-        }
-    }
-
-    /// Get or create a named counter. The name may end in Prometheus
-    /// labels (`name{key="value"}`) to make one series of a family.
-    pub fn counter(&self, name: &str) -> Arc<AtomicU64> {
-        Arc::clone(
-            self.counters
-                .lock()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(AtomicU64::new(0))),
-        )
-    }
-
-    /// Get or create a named gauge.
-    pub fn gauge(&self, name: &str) -> Arc<Gauge> {
-        Arc::clone(
-            self.gauges
-                .lock()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Gauge::new())),
-        )
-    }
-
-    /// Get or create a named histogram.
-    pub fn histogram(&self, name: &str) -> Arc<Histogram> {
-        Arc::clone(
-            self.histograms
-                .lock()
-                .entry(name.to_string())
-                .or_insert_with(|| Arc::new(Histogram::new())),
-        )
-    }
-
-    /// Current value of a counter (0 if never created).
-    pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .lock()
-            .get(name)
-            .map_or(0, |c| c.load(Ordering::Relaxed))
-    }
-
-    /// Current value of a gauge (0.0 if never created).
-    pub fn gauge_value(&self, name: &str) -> f64 {
-        self.gauges.lock().get(name).map_or(0.0, |g| g.value())
-    }
-
-    /// Render every counter, gauge and histogram in Prometheus text
-    /// format. Metric names get a `csaw_` prefix; histograms render
-    /// cumulative `_bucket{le="..."}` series plus `_sum` (in seconds)
-    /// and `_count`.
-    pub fn render_prometheus(&self) -> String {
-        let mut out = String::new();
-        // A counter name may carry labels (`passes_total{junction="j"}`):
-        // the series of one family sort together and share a TYPE line.
-        let counters = self.counters.lock();
-        let mut family = "";
-        for (name, c) in counters.iter() {
-            let base = name.split('{').next().unwrap_or(name);
-            if base != family {
-                out.push_str(&format!("# TYPE csaw_{base} counter\n"));
-                family = base;
-            }
-            out.push_str(&format!("csaw_{name} {}\n", c.load(Ordering::Relaxed)));
-        }
-        for (name, g) in self.gauges.lock().iter() {
-            out.push_str(&format!("# TYPE csaw_{name} gauge\n"));
-            out.push_str(&format!("csaw_{name} {}\n", g.value()));
-        }
-        for (name, h) in self.histograms.lock().iter() {
-            out.push_str(&format!("# TYPE csaw_{name} histogram\n"));
-            let mut cumulative = 0u64;
-            for i in 0..HISTO_BUCKETS {
-                cumulative += h.buckets[i].load(Ordering::Relaxed);
-                let le = 1u64 << i;
-                out.push_str(&format!(
-                    "csaw_{name}_bucket{{le=\"{}\"}} {cumulative}\n",
-                    le as f64 / 1_000_000.0
-                ));
-            }
-            out.push_str(&format!(
-                "csaw_{name}_bucket{{le=\"+Inf\"}} {}\n",
-                h.count()
-            ));
-            out.push_str(&format!(
-                "csaw_{name}_sum {}\n",
-                h.sum_us() as f64 / 1_000_000.0
-            ));
-            out.push_str(&format!("csaw_{name}_count {}\n", h.count()));
-        }
-        out
-    }
-}
-
-impl Default for Metrics {
-    fn default() -> Self {
-        Metrics::new()
-    }
 }
 
 #[cfg(test)]
@@ -1720,87 +1053,197 @@ mod tests {
         assert_eq!(events[0].instance.as_ref(), "c");
     }
 
+    /// One exact JSONL line per kind in the module doc's schema table,
+    /// recorded through [`Tracer::record`] under a simulated clock (so
+    /// `us` is 0) and drained: the guard against a swapped or renamed
+    /// field anywhere between a record site and the rendered line.
+    /// Payloads are written `.into()` so the table does not depend on
+    /// the payload type record sites take.
     #[test]
+    #[allow(clippy::useless_conversion)]
     fn jsonl_escapes_and_renders_all_fields() {
-        let e = TraceEvent {
-            gsn: 7,
-            at_us: 1234,
-            instance: "f\"x".into(),
-            junction: "serve".into(),
-            epoch: 3,
-            kind: TraceKind::Kv(TableEvent::Deliver {
-                key: "Reply".into(),
-                from: "g::run".into(),
-                link_seq: 9,
-                op: 12,
-                applied: true,
-                during_run: true,
-            }),
-        };
-        let line = to_json_line(&e);
-        assert!(line.starts_with("{\"gsn\":7,"));
-        assert!(line.contains("\"i\":\"f\\\"x\""));
-        assert!(line.contains("\"k\":\"kv_deliver\""));
-        assert!(line.contains("\"applied\":true"));
-        assert!(line.ends_with('}'));
-        let w = TraceEvent {
-            gsn: 8,
-            at_us: 0,
-            instance: "f".into(),
-            junction: "serve".into(),
-            epoch: 3,
-            kind: TraceKind::Kv(TableEvent::WindowOpen {
-                token: 0,
-                wop: 5,
-                keys: vec!["A".into(), "B".into()],
-            }),
-        };
-        assert!(to_json_line(&w).contains("\"keys\":[\"A\",\"B\"]"));
-    }
-
-    #[test]
-    fn metrics_render_prometheus_text() {
-        let m = Metrics::new();
-        m.counter("link_send_total").fetch_add(3, Ordering::Relaxed);
-        m.counter("passes_total{junction=\"a\"}").fetch_add(1, Ordering::Relaxed);
-        m.counter("passes_total{junction=\"b\"}").fetch_add(2, Ordering::Relaxed);
-        let h = m.histogram("activation_duration");
-        h.observe_us(3);
-        h.observe_us(1000);
-        let text = m.render_prometheus();
-        assert!(text.contains("# TYPE csaw_link_send_total counter"));
-        assert!(text.contains("csaw_link_send_total 3"));
-        assert_eq!(text.matches("# TYPE csaw_passes_total counter\n").count(), 1);
-        assert!(text.contains("csaw_passes_total{junction=\"b\"} 2\n"));
-        assert!(text.contains("csaw_activation_duration_count 2"));
-        assert!(text.contains("le=\"+Inf\"} 2"));
-        assert_eq!(m.counter_value("link_send_total"), 3);
-        assert_eq!(m.counter_value("missing"), 0);
-    }
-
-    #[test]
-    fn gauge_set_add_read() {
-        let m = Metrics::new();
-        let g = m.gauge("offered_rate");
-        assert_eq!(g.value(), 0.0);
-        g.set(125_000.0);
-        assert_eq!(g.value(), 125_000.0);
-        g.add(-25_000.0);
-        assert_eq!(g.value(), 100_000.0);
-        g.add(0.5);
-        assert_eq!(m.gauge_value("offered_rate"), 100_000.5);
-        assert_eq!(m.gauge_value("missing"), 0.0);
-        // The handle and the registry see the same atomic.
-        m.gauge("offered_rate").set(7.0);
-        assert_eq!(g.value(), 7.0);
-    }
-
-    #[test]
-    fn gauges_render_as_prometheus_gauges() {
-        let m = Metrics::new();
-        m.gauge("live_shards").set(4.0);
-        let text = m.render_prometheus();
-        assert!(text.contains("# TYPE csaw_live_shards gauge"));
-        assert!(text.contains("csaw_live_shards 4"));
+        let cases = vec![
+            (TraceKind::Sched, r#"{"gsn":0,"us":0,"i":"f","j":"serve","ep":3,"k":"sched"}"#),
+            (
+                TraceKind::Unsched { ok: true },
+                r#"{"gsn":1,"us":0,"i":"f","j":"serve","ep":3,"k":"unsched","ok":true}"#,
+            ),
+            (
+                TraceKind::Kv(TableEvent::LocalWrite { key: "Work".into(), op: 4 }),
+                r#"{"gsn":2,"us":0,"i":"f","j":"serve","ep":3,"k":"kv_local_write","key":"Work","op":4}"#,
+            ),
+            (
+                TraceKind::Kv(TableEvent::Deliver {
+                    key: "Re\"ply\n".into(),
+                    from: "g::run".into(),
+                    link_seq: 9,
+                    op: 12,
+                    applied: true,
+                    during_run: false,
+                }),
+                r#"{"gsn":3,"us":0,"i":"f","j":"serve","ep":3,"k":"kv_deliver","key":"Re\"ply\n","from":"g::run","seq":9,"op":12,"applied":true,"run":false}"#,
+            ),
+            (
+                TraceKind::Kv(TableEvent::FlushApply {
+                    key: "Reply".into(),
+                    from: "g::run".into(),
+                    link_seq: 10,
+                    op: 13,
+                    during_run: true,
+                }),
+                r#"{"gsn":4,"us":0,"i":"f","j":"serve","ep":3,"k":"kv_flush_apply","key":"Reply","from":"g::run","seq":10,"op":13,"run":true}"#,
+            ),
+            (
+                TraceKind::Kv(TableEvent::ShadowDrop {
+                    key: "Reply".into(),
+                    from: "g::run".into(),
+                    link_seq: 11,
+                    op: 14,
+                    lop: 15,
+                    during_run: true,
+                }),
+                r#"{"gsn":5,"us":0,"i":"f","j":"serve","ep":3,"k":"kv_shadow_drop","key":"Reply","from":"g::run","seq":11,"op":14,"lop":15,"run":true}"#,
+            ),
+            (
+                TraceKind::Kv(TableEvent::RetroApply {
+                    key: "Reply".into(),
+                    from: "g::run".into(),
+                    link_seq: 12,
+                    op: 16,
+                }),
+                r#"{"gsn":6,"us":0,"i":"f","j":"serve","ep":3,"k":"kv_retro_apply","key":"Reply","from":"g::run","seq":12,"op":16}"#,
+            ),
+            (
+                TraceKind::Kv(TableEvent::WindowOpen {
+                    token: 2,
+                    wop: 17,
+                    keys: vec!["A".into(), "B".into()],
+                }),
+                r#"{"gsn":7,"us":0,"i":"f","j":"serve","ep":3,"k":"kv_window_open","tok":2,"wop":17,"keys":["A","B"]}"#,
+            ),
+            (
+                TraceKind::Kv(TableEvent::WindowClose { token: 2 }),
+                r#"{"gsn":8,"us":0,"i":"f","j":"serve","ep":3,"k":"kv_window_close","tok":2}"#,
+            ),
+            (
+                TraceKind::Kv(TableEvent::KeepDrop {
+                    key: "Reply".into(),
+                    from: "g::run".into(),
+                    link_seq: 13,
+                }),
+                r#"{"gsn":9,"us":0,"i":"f","j":"serve","ep":3,"k":"kv_keep_drop","key":"Reply","from":"g::run","seq":13}"#,
+            ),
+            (
+                TraceKind::LinkSend { to: "g::run".into(), key: "Req".into(), seq: 21, bytes: 64 },
+                r#"{"gsn":10,"us":0,"i":"f","j":"serve","ep":3,"k":"link_send","to":"g::run","key":"Req","seq":21,"n":64}"#,
+            ),
+            (
+                TraceKind::LinkRetry { to: "g::run".into(), seq: 22, attempt: 2 },
+                r#"{"gsn":11,"us":0,"i":"f","j":"serve","ep":3,"k":"link_retry","to":"g::run","seq":22,"n":2}"#,
+            ),
+            (
+                TraceKind::LinkDrop { to: "g::run".into(), seq: 23 },
+                r#"{"gsn":12,"us":0,"i":"f","j":"serve","ep":3,"k":"link_drop","to":"g::run","seq":23}"#,
+            ),
+            (
+                TraceKind::LinkDup { to: "g::run".into(), seq: 24 },
+                r#"{"gsn":13,"us":0,"i":"f","j":"serve","ep":3,"k":"link_dup","to":"g::run","seq":24}"#,
+            ),
+            (
+                TraceKind::LinkPartition { to: "g::run".into(), seq: 25 },
+                r#"{"gsn":14,"us":0,"i":"f","j":"serve","ep":3,"k":"link_partition","to":"g::run","seq":25}"#,
+            ),
+            (
+                TraceKind::LinkDedup { from: "o".into(), seq: 26 },
+                r#"{"gsn":15,"us":0,"i":"f","j":"serve","ep":3,"k":"link_dedup","from":"o","seq":26}"#,
+            ),
+            (
+                TraceKind::LinkFenced { from: "o".into(), seq: 27 },
+                r#"{"gsn":16,"us":0,"i":"f","j":"serve","ep":3,"k":"link_fenced","from":"o","seq":27}"#,
+            ),
+            (
+                TraceKind::LinkShed { to: "g::run".into(), seq: 28 },
+                r#"{"gsn":17,"us":0,"i":"f","j":"serve","ep":3,"k":"link_shed","to":"g::run","seq":28}"#,
+            ),
+            (
+                TraceKind::LinkQueueFull { to: "g::run".into(), seq: 29 },
+                r#"{"gsn":18,"us":0,"i":"f","j":"serve","ep":3,"k":"link_queue_full","to":"g::run","seq":29}"#,
+            ),
+            (
+                TraceKind::LinkHeartbeat { to: "g".into() },
+                r#"{"gsn":19,"us":0,"i":"f","j":"serve","ep":3,"k":"link_hb","to":"g"}"#,
+            ),
+            (TraceKind::Crash, r#"{"gsn":20,"us":0,"i":"f","j":"serve","ep":3,"k":"crash"}"#),
+            (TraceKind::Restart, r#"{"gsn":21,"us":0,"i":"f","j":"serve","ep":3,"k":"restart"}"#),
+            (
+                TraceKind::ReconfigPlan { footprint: 3 },
+                r#"{"gsn":22,"us":0,"i":"f","j":"serve","ep":3,"k":"reconfig_plan","n":3}"#,
+            ),
+            (
+                TraceKind::ReconfigQuiesce { paused_us: 40 },
+                r#"{"gsn":23,"us":0,"i":"f","j":"serve","ep":3,"k":"reconfig_quiesce","n":40}"#,
+            ),
+            (
+                TraceKind::ReconfigMigrate { bytes: 512 },
+                r#"{"gsn":24,"us":0,"i":"f","j":"serve","ep":3,"k":"reconfig_migrate","n":512}"#,
+            ),
+            (
+                TraceKind::ReconfigCut,
+                r#"{"gsn":25,"us":0,"i":"f","j":"serve","ep":3,"k":"reconfig_cut"}"#,
+            ),
+            (
+                TraceKind::ReconfigResume { flushed: 5 },
+                r#"{"gsn":26,"us":0,"i":"f","j":"serve","ep":3,"k":"reconfig_resume","n":5}"#,
+            ),
+            (
+                TraceKind::ReconfigDone { bytes: 1024 },
+                r#"{"gsn":27,"us":0,"i":"f","j":"serve","ep":3,"k":"reconfig_done","n":1024}"#,
+            ),
+            (
+                TraceKind::RepairDetect { class: "crash".into(), id: 7 },
+                r#"{"gsn":28,"us":0,"i":"f","j":"serve","ep":3,"k":"repair_detect","to":"crash","n":7}"#,
+            ),
+            (
+                TraceKind::RepairPlan { action: "restart".into(), id: 7, rung: 1 },
+                r#"{"gsn":29,"us":0,"i":"f","j":"serve","ep":3,"k":"repair_plan","to":"restart","n":7,"seq":1}"#,
+            ),
+            (
+                TraceKind::RepairFence { epoch: 9, id: 7 },
+                r#"{"gsn":30,"us":0,"i":"f","j":"serve","ep":3,"k":"repair_fence","seq":9,"n":7}"#,
+            ),
+            (
+                TraceKind::RepairVerify { ok: false, id: 7 },
+                r#"{"gsn":31,"us":0,"i":"f","j":"serve","ep":3,"k":"repair_verify","ok":false,"n":7}"#,
+            ),
+            (
+                TraceKind::RepairDone { id: 7, mttr_us: 1500 },
+                r#"{"gsn":32,"us":0,"i":"f","j":"serve","ep":3,"k":"repair_done","n":7,"seq":1500}"#,
+            ),
+            (
+                TraceKind::RepairFailed { id: 8 },
+                r#"{"gsn":33,"us":0,"i":"f","j":"serve","ep":3,"k":"repair_failed","n":8}"#,
+            ),
+            (
+                TraceKind::RepairEscalate { rung: 2, id: 8 },
+                r#"{"gsn":34,"us":0,"i":"f","j":"serve","ep":3,"k":"repair_escalate","seq":2,"n":8}"#,
+            ),
+        ];
+        assert_eq!(cases.len(), 35, "one case per kind in the schema table");
+        let t = Tracer::with_clock(crate::clock::Clock::simulated());
+        t.set_enabled(true);
+        let mut expected = Vec::new();
+        for (kind, line) in cases {
+            t.record("f", "serve", 3, kind);
+            expected.push(line);
+        }
+        let jsonl = t.drain_jsonl();
+        let got: Vec<&str> = jsonl.lines().collect();
+        for (got, want) in got.iter().zip(&expected) {
+            assert_eq!(got, want);
+        }
+        assert_eq!(got.len(), expected.len());
+        // Escaped identities render through the same path as payloads.
+        t.record("f\"x", "serve", 3, TraceKind::Sched);
+        assert!(t.drain_jsonl().contains(r#""i":"f\"x""#));
     }
 }

@@ -16,7 +16,7 @@ use parking_lot::{Condvar, Mutex};
 use super::{sender_of, DeliverFn, RouteState};
 use crate::cell::JunctionId;
 use crate::overload::OverloadState;
-use crate::trace::{LinkEv, Tracer};
+use crate::trace::{TraceKind, Tracer};
 
 struct SimPacket {
     arrival: Instant,
@@ -148,7 +148,7 @@ impl RouteState {
 pub(super) fn trace_shed(tracer: &Tracer, to: &JunctionId, u: &Update) {
     if tracer.is_enabled() {
         let (fi, fj) = sender_of(u);
-        tracer.record_link_at(fi, fj, 0, LinkEv::Shed { to: &to.qualified(), seq: u.seq });
+        tracer.record(fi, fj, 0, TraceKind::LinkShed { to: &to.qualified(), seq: u.seq });
     }
 }
 

@@ -53,7 +53,8 @@ use crate::cell::JunctionId;
 use crate::clock::Clock;
 use crate::fault::{FaultDecision, FaultPlan, LinkFaults, RetryPolicy};
 use crate::overload::{OverloadConfig, OverloadState, OverloadStats, RetryBudgetPolicy};
-use crate::trace::{Gauge, LinkEv, Metrics, Tracer};
+use crate::metrics::{Gauge, Metrics};
+use crate::trace::{TraceKind, Tracer};
 
 /// The kind of channel between a pair of instances.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -404,11 +405,11 @@ impl Network {
     /// is only called while tracing is on.
     fn emit<F>(&self, route: &RouteState, to: &JunctionId, update: &Update, ev: F)
     where
-        F: for<'a> FnOnce(&'a str, &'a Update) -> LinkEv<'a>,
+        F: for<'a> FnOnce(&'a str, &'a Update) -> TraceKind<&'a str>,
     {
         if self.tracer.is_enabled() {
             let (fi, fj, to_q) = route.trace_ids(update, to);
-            self.tracer.record_link(&fi, &fj, 0, ev(&to_q, update));
+            self.tracer.record_ids(&fi, &fj, 0, ev(&to_q, update));
         }
     }
 
@@ -639,7 +640,7 @@ impl Network {
     ) -> Result<(), (SendError, Update)> {
         if self.overload.refuses_send(data_plane, || route.fifo.lock().inflight, to) {
             self.overload.note_queue_full();
-            self.emit(route, to, &update, |to, u| LinkEv::QueueFull { to, seq: u.seq });
+            self.emit(route, to, &update, |to, u| TraceKind::LinkQueueFull { to, seq: u.seq });
             return Err((SendError::QueueFull, update));
         }
         let decision = {
@@ -656,19 +657,19 @@ impl Network {
         match decision {
             FaultDecision::Partitioned => {
                 self.partitioned.fetch_add(1, Ordering::Relaxed);
-                self.emit(route, to, &update, |to, u| LinkEv::Partition { to, seq: u.seq });
+                self.emit(route, to, &update, |to, u| TraceKind::LinkPartition { to, seq: u.seq });
                 Err((SendError::PartitionedAway, update))
             }
             FaultDecision::Drop => {
                 self.drops.fetch_add(1, Ordering::Relaxed);
-                self.emit(route, to, &update, |to, u| LinkEv::Drop { to, seq: u.seq });
+                self.emit(route, to, &update, |to, u| TraceKind::LinkDrop { to, seq: u.seq });
                 Err((SendError::LinkDropped, update))
             }
             FaultDecision::Deliver { delay, duplicate, reorder } => {
                 let bytes = wire_size(&update) as u64;
                 self.msgs_sent.fetch_add(1, Ordering::Relaxed);
                 self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                self.emit(route, to, &update, |to, u| LinkEv::Send {
+                self.emit(route, to, &update, |to, u| TraceKind::LinkSend {
                     to,
                     key: &u.key,
                     seq: u.seq,
@@ -690,7 +691,7 @@ impl Network {
                 self.dispatch(route, to, update, delay, !reorder, deadline)?;
                 if let Some(copy) = dup_copy {
                     self.dups.fetch_add(1, Ordering::Relaxed);
-                    self.emit(route, to, &copy, |to, u| LinkEv::Dup { to, seq: u.seq });
+                    self.emit(route, to, &copy, |to, u| TraceKind::LinkDup { to, seq: u.seq });
                     let _ = self.dispatch(route, to, copy, delay, !reorder, deadline);
                 }
                 Ok(())
@@ -708,7 +709,7 @@ impl Network {
     ) -> (SendError, Update) {
         self.overload.note_shed();
         self.overload.note_deadline_expired();
-        self.emit(route, to, &update, |to, u| LinkEv::Shed { to, seq: u.seq });
+        self.emit(route, to, &update, |to, u| TraceKind::LinkShed { to, seq: u.seq });
         (SendError::DeadlineExpired, update)
     }
 

@@ -15,7 +15,8 @@ use super::{sender_of, Network, RouteState, Routes};
 use crate::cell::JunctionId;
 use crate::fault::RetryPolicy;
 use crate::overload::OverloadState;
-use crate::trace::{LinkEv, Metrics, Tracer};
+use crate::metrics::Metrics;
+use crate::trace::{TraceKind, Tracer};
 
 /// Sequence numbers are
 /// `(fence_epoch << FENCE_EPOCH_SHIFT) | (generation << ROUTE_GEN_SHIFT) | counter`:
@@ -228,8 +229,8 @@ impl DeliveryFilter {
             let (_, floor) = self.fence.of(sender);
             if floor != 0 && (u.seq >> FENCE_EPOCH_SHIFT) < floor {
                 self.fence.fenced.fetch_add(1, Ordering::Relaxed);
-                let ev = LinkEv::Fenced { from: sender, seq: u.seq };
-                self.tracer.record_link_at(&to.instance, &to.junction, 0, ev);
+                let ev = TraceKind::LinkFenced { from: sender, seq: u.seq };
+                self.tracer.record(&to.instance, &to.junction, 0, ev);
                 return false;
             }
         }
@@ -248,8 +249,8 @@ impl DeliveryFilter {
             let fresh = route.seen.lock().insert(u.seq);
             if !fresh {
                 self.deduped.fetch_add(1, Ordering::Relaxed);
-                let ev = LinkEv::Dedup { from: sender, seq: u.seq };
-                self.tracer.record_link_at(&to.instance, &to.junction, 0, ev);
+                let ev = TraceKind::LinkDedup { from: sender, seq: u.seq };
+                self.tracer.record(&to.instance, &to.junction, 0, ev);
                 return false;
             }
         }
@@ -361,8 +362,8 @@ impl Network {
         if stamp < floor && self.fence.enabled.load(Ordering::Relaxed) {
             self.fence.fenced.fetch_add(1, Ordering::Relaxed);
             let (fi, fj) = sender_of(update);
-            let ev = LinkEv::Fenced { from: route.from.as_ref(), seq: update.seq };
-            self.tracer.record_link_at(fi, fj, 0, ev);
+            let ev = TraceKind::LinkFenced { from: route.from.as_ref(), seq: update.seq };
+            self.tracer.record(fi, fj, 0, ev);
             return Err(SendError::Fenced);
         }
         Ok(())
@@ -409,7 +410,7 @@ impl Network {
                     update = back;
                     attempt += 1;
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.emit(route, to, &update, |to, u| LinkEv::Retry {
+                    self.emit(route, to, &update, |to, u| TraceKind::LinkRetry {
                         to,
                         seq: u.seq,
                         attempt: attempt as u64,

@@ -57,24 +57,18 @@ fn per_event_costs() {
             &inst,
             &junc,
             7,
-            TraceKind::Kv(TableEvent::LocalWrite { key: "Work".to_string(), op: 3 }),
+            TraceKind::Kv(TableEvent::LocalWrite { key: "Work", op: 3 }),
         );
     });
 
     let tracer3 = Tracer::with_capacity(32 * n as usize);
     tracer3.set_enabled(true);
-    let to_q: Arc<str> = Arc::from("Bck1::junction");
     let send = time(n, || {
         tracer3.record_ids(
             &inst,
             &junc,
             0,
-            TraceKind::LinkSend {
-                to: Arc::clone(&to_q),
-                key: "k17".to_string(),
-                seq: 42,
-                bytes: 64,
-            },
+            TraceKind::LinkSend { to: "Bck1::junction", key: "k17", seq: 42, bytes: 64 },
         );
     });
 
@@ -87,7 +81,8 @@ fn per_event_costs() {
     println!("kv local_write:       {kv:.0} ns/event");
     println!("link_send:            {send:.0} ns/event");
     println!("disabled:             {disabled:.1} ns/event");
-    println!("trace_event size:     {} bytes", std::mem::size_of::<csaw_runtime::TraceEvent>());
+    let ring_event = std::mem::size_of::<csaw_runtime::TraceEvent<u32>>();
+    println!("ring event size:      {ring_event} bytes");
 }
 
 #[test]

@@ -17,7 +17,7 @@ struct Fwd {
 }
 
 impl TableObserver for Fwd {
-    fn on_event(&self, epoch: u64, event: TableEvent) {
+    fn on_event(&self, epoch: u64, event: TableEvent<&str>) {
         self.tracer.record("t", "j", epoch, TraceKind::Kv(event));
     }
 }

@@ -21,12 +21,9 @@ use crate::schema::{Prim, Registry, TypeDesc};
 
 /// Run codec work on a dedicated large-stack thread.
 ///
-/// The schema-directed encoder/decoder recurses once per pointer hop, so
-/// serializing a C-like linked list of N nodes needs O(N) stack — exactly
-/// the shape the paper's depth cap protects the *buffer* against, but the
-/// traversal itself needs stack too. Checkpointing a whole store (tens of
-/// thousands of list nodes) must run under this helper; the default 2 MiB
-/// thread stack overflows around ~10k nodes.
+/// The codec walks list tails (a pointee, a struct's last field) in a
+/// loop, so a linked list of any length needs constant stack; what
+/// still recurses is non-tail nesting, one frame per level.
 pub fn with_big_stack<T: Send>(f: impl FnOnce() -> T + Send) -> T {
     std::thread::scope(|s| {
         std::thread::Builder::new()
@@ -129,73 +126,90 @@ fn check_len(out: &BytesMut, cfg: &CodecConfig) -> Result<(), CodecError> {
     }
 }
 
-fn encode_inner(
-    value: &HeapValue,
-    ty: &TypeDesc,
-    reg: &Registry,
+/// Encode `value` against `ty`. The last field of a struct, a pointee
+/// and a named type's body are tail positions: this loop walks them
+/// instead of recursing, so a linked list of any length encodes in
+/// constant stack. Recursion is left for the other fields, bounded by
+/// the schema's nesting.
+fn encode_inner<'t>(
+    mut value: &HeapValue,
+    mut ty: &'t TypeDesc,
+    reg: &'t Registry,
     cfg: &CodecConfig,
-    depth: usize,
+    mut depth: usize,
     out: &mut BytesMut,
 ) -> Result<(), CodecError> {
-    match (value, ty) {
-        (v, TypeDesc::Prim(p)) => encode_prim(v, *p, out),
-        (HeapValue::Struct(vals), TypeDesc::Struct { fields, name }) => {
-            if vals.len() != fields.len() {
-                return Err(CodecError::Shape(format!(
-                    "struct {name}: {} values for {} fields",
-                    vals.len(),
-                    fields.len()
-                )));
+    loop {
+        match (value, ty) {
+            (v, TypeDesc::Prim(p)) => {
+                encode_prim(v, *p, out)?;
+                break;
             }
-            for (v, (_, t)) in vals.iter().zip(fields.iter()) {
-                encode_inner(v, t, reg, cfg, depth, out)?;
-            }
-            check_len(out, cfg)
-        }
-        (HeapValue::Array(vals), TypeDesc::Array { elem, len }) => {
-            if vals.len() != *len {
-                return Err(CodecError::Shape(format!(
-                    "array: {} values for length {len}",
-                    vals.len()
-                )));
-            }
-            for v in vals {
-                encode_inner(v, elem, reg, cfg, depth, out)?;
-            }
-            check_len(out, cfg)
-        }
-        (HeapValue::Ptr(opt), TypeDesc::Ptr(inner)) => {
-            match opt {
-                // Depth cap: deeper structure truncates to null.
-                Some(v) if depth < cfg.max_depth => {
-                    out.put_u8(1);
-                    encode_inner(v, inner, reg, cfg, depth + 1, out)?;
+            (HeapValue::Struct(vals), TypeDesc::Struct { fields, name }) => {
+                if vals.len() != fields.len() {
+                    return Err(CodecError::Shape(format!(
+                        "struct {name}: {} values for {} fields",
+                        vals.len(),
+                        fields.len()
+                    )));
                 }
-                _ => out.put_u8(0),
+                let (Some((tail_v, init_v)), Some(((_, tail_t), init_t))) =
+                    (vals.split_last(), fields.split_last())
+                else {
+                    break;
+                };
+                for (v, (_, t)) in init_v.iter().zip(init_t) {
+                    encode_inner(v, t, reg, cfg, depth, out)?;
+                }
+                (value, ty) = (tail_v, tail_t);
             }
-            check_len(out, cfg)
+            (HeapValue::Array(vals), TypeDesc::Array { elem, len }) => {
+                if vals.len() != *len {
+                    return Err(CodecError::Shape(format!(
+                        "array: {} values for length {len}",
+                        vals.len()
+                    )));
+                }
+                for v in vals {
+                    encode_inner(v, elem, reg, cfg, depth, out)?;
+                }
+                break;
+            }
+            (HeapValue::Ptr(opt), TypeDesc::Ptr(inner)) => {
+                match opt {
+                    // Depth cap: deeper structure truncates to null.
+                    Some(v) if depth < cfg.max_depth => {
+                        out.put_u8(1);
+                        (value, ty, depth) = (v, inner, depth + 1);
+                    }
+                    _ => {
+                        out.put_u8(0);
+                        break;
+                    }
+                }
+            }
+            (HeapValue::CString(s), TypeDesc::CString { max_len }) => {
+                let bytes = s.as_bytes();
+                let take = bytes.len().min(*max_len);
+                out.put_u32_le(take as u32);
+                out.put_slice(&bytes[..take]);
+                break;
+            }
+            (HeapValue::Blob(b), TypeDesc::Blob { max_len }) => {
+                let take = b.len().min(*max_len);
+                out.put_u32_le(take as u32);
+                out.put_slice(&b[..take]);
+                break;
+            }
+            (_, TypeDesc::Named(n)) => {
+                ty = reg
+                    .get(n)
+                    .ok_or_else(|| CodecError::UnknownType(n.clone()))?;
+            }
+            (v, t) => return Err(CodecError::Shape(format!("{v:?} vs {t}"))),
         }
-        (HeapValue::CString(s), TypeDesc::CString { max_len }) => {
-            let bytes = s.as_bytes();
-            let take = bytes.len().min(*max_len);
-            out.put_u32_le(take as u32);
-            out.put_slice(&bytes[..take]);
-            check_len(out, cfg)
-        }
-        (HeapValue::Blob(b), TypeDesc::Blob { max_len }) => {
-            let take = b.len().min(*max_len);
-            out.put_u32_le(take as u32);
-            out.put_slice(&b[..take]);
-            check_len(out, cfg)
-        }
-        (v, TypeDesc::Named(n)) => {
-            let t = reg
-                .get(n)
-                .ok_or_else(|| CodecError::UnknownType(n.clone()))?;
-            encode_inner(v, t, reg, cfg, depth, out)
-        }
-        (v, t) => Err(CodecError::Shape(format!("{v:?} vs {t}"))),
     }
+    check_len(out, cfg)
 }
 
 fn encode_prim(v: &HeapValue, p: Prim, out: &mut BytesMut) -> Result<(), CodecError> {
@@ -234,63 +248,88 @@ pub fn decode(
     Ok(v)
 }
 
-fn decode_inner(
+/// Decode one value of type `ty`. Tail positions are walked by a loop,
+/// as in [`encode_inner`]: `slot` is the hole the next tail value
+/// fills, so a linked list of any length decodes in constant stack.
+fn decode_inner<'t>(
     buf: &mut &[u8],
-    ty: &TypeDesc,
-    reg: &Registry,
+    mut ty: &'t TypeDesc,
+    reg: &'t Registry,
     cfg: &CodecConfig,
-    depth: usize,
+    mut depth: usize,
 ) -> Result<HeapValue, CodecError> {
-    match ty {
-        TypeDesc::Prim(p) => decode_prim(buf, *p),
-        TypeDesc::Struct { fields, .. } => {
-            let mut vals = Vec::with_capacity(fields.len());
-            for (_, t) in fields {
-                vals.push(decode_inner(buf, t, reg, cfg, depth)?);
+    let mut root = HeapValue::null();
+    let mut slot = &mut root;
+    loop {
+        match ty {
+            TypeDesc::Prim(p) => {
+                *slot = decode_prim(buf, *p)?;
+                break;
             }
-            Ok(HeapValue::Struct(vals))
-        }
-        TypeDesc::Array { elem, len } => {
-            let mut vals = Vec::with_capacity(*len);
-            for _ in 0..*len {
-                vals.push(decode_inner(buf, elem, reg, cfg, depth)?);
-            }
-            Ok(HeapValue::Array(vals))
-        }
-        TypeDesc::Ptr(inner) => {
-            if buf.remaining() < 1 {
-                return Err(CodecError::Truncated);
-            }
-            let tag = buf.get_u8();
-            match tag {
-                0 => Ok(HeapValue::null()),
-                1 => {
-                    if depth >= cfg.max_depth {
-                        return Err(CodecError::Corrupt(
-                            "pointer depth exceeds configured maximum".into(),
-                        ));
-                    }
-                    Ok(HeapValue::ptr_to(decode_inner(buf, inner, reg, cfg, depth + 1)?))
+            TypeDesc::Struct { fields, .. } => {
+                let Some(((_, tail), init)) = fields.split_last() else {
+                    *slot = HeapValue::Struct(Vec::new());
+                    break;
+                };
+                let mut vals = Vec::with_capacity(fields.len());
+                for (_, t) in init {
+                    vals.push(decode_inner(buf, t, reg, cfg, depth)?);
                 }
-                t => Err(CodecError::Corrupt(format!("bad pointer tag {t}"))),
+                vals.push(HeapValue::null());
+                *slot = HeapValue::Struct(vals);
+                let HeapValue::Struct(vals) = slot else { unreachable!("just stored") };
+                slot = vals.last_mut().expect("tail pushed");
+                ty = tail;
             }
-        }
-        TypeDesc::CString { max_len } => {
-            let bytes = decode_len_prefixed(buf, *max_len)?;
-            String::from_utf8(bytes)
-                .map(HeapValue::CString)
-                .map_err(|_| CodecError::Corrupt("non-UTF-8 C string".into()))
-        }
-        TypeDesc::Blob { max_len } => {
-            Ok(HeapValue::Blob(decode_len_prefixed(buf, *max_len)?))
-        }
-        TypeDesc::Named(n) => {
-            let t = reg
-                .get(n)
-                .ok_or_else(|| CodecError::UnknownType(n.clone()))?;
-            decode_inner(buf, t, reg, cfg, depth)
+            TypeDesc::Array { elem, len } => {
+                let mut vals = Vec::with_capacity(*len);
+                for _ in 0..*len {
+                    vals.push(decode_inner(buf, elem, reg, cfg, depth)?);
+                }
+                *slot = HeapValue::Array(vals);
+                break;
+            }
+            TypeDesc::Ptr(inner) => {
+                if buf.remaining() < 1 {
+                    return Err(CodecError::Truncated);
+                }
+                match buf.get_u8() {
+                    // The slot already holds null.
+                    0 => break,
+                    1 => {
+                        if depth >= cfg.max_depth {
+                            return Err(CodecError::Corrupt(
+                                "pointer depth exceeds configured maximum".into(),
+                            ));
+                        }
+                        *slot = HeapValue::ptr_to(HeapValue::null());
+                        let HeapValue::Ptr(Some(pointee)) = slot else {
+                            unreachable!("just stored")
+                        };
+                        (slot, ty, depth) = (&mut **pointee, inner, depth + 1);
+                    }
+                    t => return Err(CodecError::Corrupt(format!("bad pointer tag {t}"))),
+                }
+            }
+            TypeDesc::CString { max_len } => {
+                let bytes = decode_len_prefixed(buf, *max_len)?;
+                *slot = String::from_utf8(bytes)
+                    .map(HeapValue::CString)
+                    .map_err(|_| CodecError::Corrupt("non-UTF-8 C string".into()))?;
+                break;
+            }
+            TypeDesc::Blob { max_len } => {
+                *slot = HeapValue::Blob(decode_len_prefixed(buf, *max_len)?);
+                break;
+            }
+            TypeDesc::Named(n) => {
+                ty = reg
+                    .get(n)
+                    .ok_or_else(|| CodecError::UnknownType(n.clone()))?;
+            }
         }
     }
+    Ok(root)
 }
 
 fn decode_len_prefixed(buf: &mut &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {

@@ -111,6 +111,27 @@ impl HeapValue {
     }
 }
 
+/// Drops a pointee, and a struct's last field, in a loop rather than by
+/// recursion — the tail positions a linked list grows through — so a
+/// list of any length drops in constant stack.
+impl Drop for HeapValue {
+    fn drop(&mut self) {
+        let mut tail = take_tail(self);
+        while let Some(mut v) = tail {
+            tail = take_tail(&mut v);
+        }
+    }
+}
+
+/// Detach `v`'s tail position, leaving the rest of `v` to drop alone.
+fn take_tail(v: &mut HeapValue) -> Option<HeapValue> {
+    match v {
+        HeapValue::Ptr(p) => p.take().map(|b| *b),
+        HeapValue::Struct(fields) => fields.pop(),
+        _ => None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

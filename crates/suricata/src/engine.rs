@@ -262,7 +262,7 @@ impl Engine {
         let cfg = CodecConfig { max_depth: 1 << 22, max_bytes: 64 << 20 };
         let state = ser_decode(bytes, &TypeDesc::Named("engine_state".into()), &reg, &cfg)
             .map_err(|e| e.to_string())?;
-        let HeapValue::Struct(fields) = state else {
+        let HeapValue::Struct(fields) = &state else {
             return Err("bad engine state".into());
         };
         let uint = |v: &HeapValue| -> Result<u64, String> {
