@@ -53,7 +53,7 @@ pub fn transports(msgs: usize) -> Report {
                     &to,
                     csaw_kv::Update::data(
                         format!("k{i}"),
-                        Value::Bytes(vec![0; payload]),
+                        Value::from(vec![0; payload]),
                         "a::j",
                     ),
                 )

@@ -816,7 +816,7 @@ impl InstanceApp for StormPump {
     }
     fn save(&mut self, _key: &str) -> Result<Value, String> {
         self.next += 1;
-        Ok(Value::Bytes(format!("{}:{}", self.prefix, self.next).into_bytes()))
+        Ok(Value::from(format!("{}:{}", self.prefix, self.next).into_bytes()))
     }
     fn restore(&mut self, _key: &str, _value: &Value) -> Result<(), String> {
         Ok(())

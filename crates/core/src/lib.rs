@@ -61,7 +61,7 @@ pub use program::{
     CompiledInstance, CompiledProgram, FuncDef, InstanceType, JunctionDef, LoadConfig, MainDef,
     Program,
 };
-pub use value::Value;
+pub use value::{Bytes, Value};
 
 /// Compile a program: validate it, then expand all templates
 /// (function calls, `for` loops, derived declarations) against the

@@ -42,7 +42,7 @@ impl InstanceApp for CurlApp {
 
     fn save(&mut self, key: &str) -> Result<Value, String> {
         match key {
-            "n" => Ok(Value::Bytes(self.client.lock().state.to_bytes()?)),
+            "n" => Ok(Value::from(self.client.lock().state.to_bytes()?)),
             other => Err(format!("curl: unexpected save({other})")),
         }
     }
@@ -141,7 +141,7 @@ mod tests {
             checksum: 1,
             invocation: 1,
         };
-        aud.restore("n", &Value::Bytes(state.to_bytes().unwrap())).unwrap();
+        aud.restore("n", &Value::from(state.to_bytes().unwrap())).unwrap();
         let mut t = table();
         let writes: Vec<String> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "Aud", "junction");

@@ -52,7 +52,7 @@ fn random_value(rng: &mut StdRng) -> Value {
     match rng.gen_range(0..4usize) {
         0 => Value::Int(rng.gen_range(-100..100i64)),
         1 => Value::Str(format!("s{}", rng.gen_range(0..1000u32))),
-        2 => Value::Bytes((0..rng.gen_range(0..16usize)).map(|_| rng.gen::<u8>()).collect()),
+        2 => Value::from((0..rng.gen_range(0..16usize)).map(|_| rng.gen::<u8>()).collect::<Vec<u8>>()),
         _ => Value::Bool(rng.gen_bool(0.5)),
     }
 }

@@ -74,7 +74,7 @@ impl ServerApp {
 
     fn execute_pending(&mut self) -> Result<(), String> {
         let cmd = self.pending.take().ok_or("no pending command")?;
-        let reply = cmd.execute(&mut self.store.lock());
+        let reply = cmd.execute_owned(&mut self.store.lock());
         self.handled.fetch_add(1, Ordering::Relaxed);
         self.last_reply = Some(reply);
         Ok(())
@@ -106,7 +106,7 @@ impl InstanceApp for ServerApp {
                     .encode(),
             )),
             // Full-state checkpoint.
-            "state" => Ok(Value::Bytes(self.store.lock().checkpoint()?)),
+            "state" => Ok(Value::from(self.store.lock().checkpoint()?)),
             other => Err(format!("server: unexpected save({other})")),
         }
     }
@@ -605,7 +605,7 @@ impl InstanceApp for FailoverFrontApp {
                     }
                     self.advanced = true;
                 }
-                Ok(Value::Bytes(self.mirror.checkpoint()?))
+                Ok(Value::from(self.mirror.checkpoint()?))
             }
             other => Err(format!("failover-front: unexpected save({other})")),
         }
@@ -656,7 +656,7 @@ impl InstanceApp for CheckpointStoreApp {
         Ok(())
     }
     fn save(&mut self, _key: &str) -> Result<Value, String> {
-        Ok(Value::Bytes(
+        Ok(Value::from(
             self.latest.lock().clone().ok_or("no checkpoint stored")?,
         ))
     }
@@ -854,7 +854,7 @@ mod tests {
     fn checkpoint_store_round_trip() {
         let mut app = CheckpointStoreApp::new();
         assert!(app.save("state").is_err());
-        app.restore("state", &Value::Bytes(vec![1, 2, 3])).unwrap();
-        assert_eq!(app.save("state").unwrap(), Value::Bytes(vec![1, 2, 3]));
+        app.restore("state", &Value::from(vec![1, 2, 3])).unwrap();
+        assert_eq!(app.save("state").unwrap(), Value::from(vec![1, 2, 3]));
     }
 }

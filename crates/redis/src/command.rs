@@ -1,6 +1,8 @@
 //! The command protocol: a Redis-like inline syntax with binary-safe
 //! encode/decode for shipping commands through junction data.
 
+use csaw_core::value::Bytes;
+
 use crate::store::Store;
 
 /// A client command.
@@ -46,6 +48,18 @@ impl Command {
         )
     }
 
+    /// Execute against a store, moving a `SET`'s value into it rather
+    /// than copying it.
+    pub fn execute_owned(self, store: &mut Store) -> Reply {
+        match self {
+            Command::Set(k, v) => {
+                store.set(&k, v);
+                Reply::Ok
+            }
+            other => other.execute(store),
+        }
+    }
+
     /// Execute against a store.
     pub fn execute(&self, store: &mut Store) -> Reply {
         match self {
@@ -73,8 +87,8 @@ impl Command {
     }
 
     /// Binary-safe encoding: `verb\nkey-len\nkey\nval-len\nval`.
-    pub fn encode(&self) -> Vec<u8> {
-        fn frame(verb: &str, key: &str, val: &[u8]) -> Vec<u8> {
+    pub fn encode(&self) -> Bytes {
+        fn frame(verb: &str, key: &str, val: &[u8]) -> Bytes {
             let mut out = Vec::with_capacity(verb.len() + key.len() + val.len() + 16);
             out.extend_from_slice(verb.as_bytes());
             out.push(b'\n');
@@ -82,7 +96,7 @@ impl Command {
             out.extend_from_slice(key.as_bytes());
             out.extend_from_slice(&(val.len() as u32).to_le_bytes());
             out.extend_from_slice(val);
-            out
+            out.into()
         }
         match self {
             Command::Get(k) => frame("GET", k, b""),
@@ -151,26 +165,22 @@ pub enum Reply {
 
 impl Reply {
     /// Binary-safe encoding (1 tag byte + payload).
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Reply::Ok => vec![b'+'],
+    pub fn encode(&self) -> Bytes {
+        let int;
+        let (tag, payload): (u8, &[u8]) = match self {
+            Reply::Ok => (b'+', b""),
             Reply::Int(i) => {
-                let mut out = vec![b':'];
-                out.extend_from_slice(&i.to_le_bytes());
-                out
+                int = i.to_le_bytes();
+                (b':', &int)
             }
-            Reply::Bulk(v) => {
-                let mut out = vec![b'$'];
-                out.extend_from_slice(v);
-                out
-            }
-            Reply::Nil => vec![b'-'],
-            Reply::Error(e) => {
-                let mut out = vec![b'!'];
-                out.extend_from_slice(e.as_bytes());
-                out
-            }
-        }
+            Reply::Bulk(v) => (b'$', v),
+            Reply::Nil => (b'-', b""),
+            Reply::Error(e) => (b'!', e.as_bytes()),
+        };
+        let mut out = Vec::with_capacity(1 + payload.len());
+        out.push(tag);
+        out.extend_from_slice(payload);
+        out.into()
     }
 
     /// Decode from [`Reply::encode`]'s format.

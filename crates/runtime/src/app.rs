@@ -158,7 +158,7 @@ impl InstanceApp for NoopApp {
         Ok(())
     }
     fn save(&mut self, _key: &str) -> Result<Value, AppError> {
-        Ok(Value::Bytes(Vec::new()))
+        Ok(Value::from(Vec::new()))
     }
     fn restore(&mut self, _key: &str, _value: &Value) -> Result<(), AppError> {
         Ok(())
@@ -215,7 +215,7 @@ mod tests {
         let writes: Vec<String> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "a", "j");
         app.host_call("anything", &mut ctx).unwrap();
-        assert_eq!(app.save("n").unwrap(), Value::Bytes(vec![]));
+        assert_eq!(app.save("n").unwrap(), Value::from(vec![]));
         app.restore("n", &Value::Int(3)).unwrap();
     }
 }

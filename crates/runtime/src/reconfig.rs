@@ -53,7 +53,7 @@ use csaw_core::diff_programs;
 use csaw_core::expr::Arg;
 use csaw_core::program::CompiledProgram;
 use csaw_kv::{TableState, Update};
-use csaw_serial::{decode_table_state, encode_table_state_bytes};
+use csaw_serial::{decode_table_state, encode_table_state};
 
 use crate::app::InstanceApp;
 use crate::error::Failure;
@@ -381,9 +381,7 @@ impl Runtime {
             let inst = &old_states[name];
             for jrt in &inst.junctions {
                 let state = jrt.cell.table().export_state();
-                // Frozen buffer: encoded once; were this fanned out to
-                // N replicas each would get a refcount bump, not a copy.
-                let bytes = match encode_table_state_bytes(&state) {
+                let bytes = match encode_table_state(&state) {
                     Ok(b) => b,
                     Err(e) => {
                         snapshot_err = Some(Failure::Internal(format!(

@@ -362,7 +362,7 @@ mod tests {
         net.send(
             "f",
             &to,
-            Update::data("n", Value::Bytes(vec![0; 1000]), "f::j"),
+            Update::data("n", Value::from(vec![0; 1000]), "f::j"),
         )
         .unwrap();
         rx.recv_timeout(Duration::from_secs(2)).unwrap();

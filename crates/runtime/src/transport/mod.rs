@@ -851,20 +851,20 @@ mod tests {
         net.send(
             "f",
             &to,
-            Update::data("state", Value::Bytes(vec![7; 300]), "f::c"),
+            Update::data("state", Value::from(vec![7; 300]), "f::c"),
         )
         .unwrap();
         let (got_to, got) = rx.recv_timeout(Duration::from_secs(5)).unwrap();
         assert_eq!(got_to, to);
         assert_eq!(got.key, "state");
         assert_eq!(got.from, "f::c");
-        assert_eq!(got.kind, UpdateKind::Data(Value::Bytes(vec![7; 300])));
+        assert_eq!(got.kind, UpdateKind::Data(Value::from(vec![7; 300])));
     }
 
     #[test]
     fn wire_size_scales_with_payload() {
         let small = Update::assert("Work", "f::j");
-        let big = Update::data("n", Value::Bytes(vec![0; 10_000]), "f::j");
+        let big = Update::data("n", Value::from(vec![0; 10_000]), "f::j");
         assert!(wire_size(&big) > wire_size(&small) + 9000);
     }
 }

@@ -188,7 +188,7 @@ impl InstanceApp for CannedApp {
         Ok(())
     }
     fn save(&mut self, _key: &str) -> Result<Value, String> {
-        Ok(Value::Bytes(vec![1, 2, 3]))
+        Ok(Value::from(vec![1, 2, 3]))
     }
     fn restore(&mut self, _key: &str, _value: &Value) -> Result<(), String> {
         Ok(())

@@ -217,8 +217,8 @@ fn failed_snapshot_aborts_reconfigure_before_cut_and_releases_holds() {
     // Two 32 MB blobs push the table snapshot past the codec's 64 MB
     // byte budget, so exporting `w` fails deterministically.
     let blob = vec![0u8; 32 << 20];
-    rt.deliver_for_test("w", "j", Update::data("b1", Value::Bytes(blob.clone()), "test::j"));
-    rt.deliver_for_test("w", "j", Update::data("b2", Value::Bytes(blob), "test::j"));
+    rt.deliver_for_test("w", "j", Update::data("b1", Value::from(blob.clone()), "test::j"));
+    rt.deliver_for_test("w", "j", Update::data("b2", Value::from(blob), "test::j"));
 
     let err = rt.reconfigure(&b, ReconfigSpec::default()).unwrap_err();
     assert!(matches!(err, Failure::Internal(_)), "unexpected failure: {err:?}");

@@ -35,7 +35,7 @@ impl InstanceApp for TraceApp {
     }
     fn save(&mut self, key: &str) -> Result<Value, String> {
         self.log.lock().unwrap().push(format!("save:{key}"));
-        Ok(Value::Bytes(vec![1, 2, 3]))
+        Ok(Value::from(vec![1, 2, 3]))
     }
     fn restore(&mut self, key: &str, value: &Value) -> Result<(), String> {
         self.log
@@ -88,7 +88,7 @@ fn fig3_h1_h2_coordination() {
     // g's table received the datum.
     assert_eq!(
         rt.peek_data("g", "junction", "n"),
-        Some(Value::Bytes(vec![1, 2, 3]))
+        Some(Value::from(vec![1, 2, 3]))
     );
     rt.shutdown();
 }
@@ -223,7 +223,7 @@ fn fig4_auditor_retries_once_when_actor_is_dead() {
     rt.deliver_for_test(
         "Aud",
         "junction",
-        csaw_kv::Update::data("n", Value::Bytes(vec![9, 9]), "Act::junction"),
+        csaw_kv::Update::data("n", Value::from(vec![9, 9]), "Act::junction"),
     );
     rt.deliver_for_test(
         "Aud",

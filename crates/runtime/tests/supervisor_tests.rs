@@ -182,7 +182,7 @@ impl InstanceApp for CountingApp {
         Ok(())
     }
     fn save(&mut self, _: &str) -> Result<Value, AppError> {
-        Ok(Value::Bytes(Vec::new()))
+        Ok(Value::from(Vec::new()))
     }
     fn restore(&mut self, _: &str, _: &Value) -> Result<(), AppError> {
         Ok(())

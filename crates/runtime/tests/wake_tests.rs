@@ -31,7 +31,7 @@ impl InstanceApp for RoundRobin {
         Ok(())
     }
     fn save(&mut self, _key: &str) -> Result<Value, String> {
-        Ok(Value::Bytes(vec![7; 16]))
+        Ok(Value::from(vec![7; 16]))
     }
     fn restore(&mut self, _key: &str, _value: &Value) -> Result<(), String> {
         Ok(())

@@ -14,8 +14,6 @@
 //! serialized up to a maximum length" truncation. Output larger than
 //! [`CodecConfig::max_bytes`] is an error (buffer-overflow protection).
 
-use bytes::{Buf, BufMut, BytesMut};
-
 use crate::heap::HeapValue;
 use crate::schema::{Prim, Registry, TypeDesc};
 
@@ -88,37 +86,19 @@ impl std::fmt::Display for CodecError {
 
 impl std::error::Error for CodecError {}
 
-/// Encode a value against a schema. The buffer's backing storage moves
-/// into the returned `Vec` — no terminal copy.
+/// Encode a value against a schema.
 pub fn encode(
     value: &HeapValue,
     ty: &TypeDesc,
     reg: &Registry,
     cfg: &CodecConfig,
 ) -> Result<Vec<u8>, CodecError> {
-    let mut out = BytesMut::new();
-    encode_into(value, ty, reg, cfg, &mut out)?;
-    Ok(out.into())
+    let mut out = Vec::new();
+    encode_inner(value, ty, reg, cfg, 0, &mut out)?;
+    Ok(out)
 }
 
-/// Encode a value against a schema, appending to a caller-owned buffer
-/// — the zero-copy entry point: hot paths reuse one buffer across
-/// frames (or [`bytes::BytesMut::freeze`] the result to fan it out).
-pub fn encode_into(
-    value: &HeapValue,
-    ty: &TypeDesc,
-    reg: &Registry,
-    cfg: &CodecConfig,
-    out: &mut BytesMut,
-) -> Result<(), CodecError> {
-    encode_inner(value, ty, reg, cfg, 0, out)?;
-    if out.len() > cfg.max_bytes {
-        return Err(CodecError::BufferOverflow { limit: cfg.max_bytes });
-    }
-    Ok(())
-}
-
-fn check_len(out: &BytesMut, cfg: &CodecConfig) -> Result<(), CodecError> {
+fn check_len(out: &[u8], cfg: &CodecConfig) -> Result<(), CodecError> {
     if out.len() > cfg.max_bytes {
         Err(CodecError::BufferOverflow { limit: cfg.max_bytes })
     } else {
@@ -137,7 +117,7 @@ fn encode_inner<'t>(
     reg: &'t Registry,
     cfg: &CodecConfig,
     mut depth: usize,
-    out: &mut BytesMut,
+    out: &mut Vec<u8>,
 ) -> Result<(), CodecError> {
     loop {
         match (value, ty) {
@@ -179,11 +159,11 @@ fn encode_inner<'t>(
                 match opt {
                     // Depth cap: deeper structure truncates to null.
                     Some(v) if depth < cfg.max_depth => {
-                        out.put_u8(1);
+                        out.push(1);
                         (value, ty, depth) = (v, inner, depth + 1);
                     }
                     _ => {
-                        out.put_u8(0);
+                        out.push(0);
                         break;
                     }
                 }
@@ -191,14 +171,14 @@ fn encode_inner<'t>(
             (HeapValue::CString(s), TypeDesc::CString { max_len }) => {
                 let bytes = s.as_bytes();
                 let take = bytes.len().min(*max_len);
-                out.put_u32_le(take as u32);
-                out.put_slice(&bytes[..take]);
+                out.extend_from_slice(&(take as u32).to_le_bytes());
+                out.extend_from_slice(&bytes[..take]);
                 break;
             }
             (HeapValue::Blob(b), TypeDesc::Blob { max_len }) => {
                 let take = b.len().min(*max_len);
-                out.put_u32_le(take as u32);
-                out.put_slice(&b[..take]);
+                out.extend_from_slice(&(take as u32).to_le_bytes());
+                out.extend_from_slice(&b[..take]);
                 break;
             }
             (_, TypeDesc::Named(n)) => {
@@ -212,19 +192,19 @@ fn encode_inner<'t>(
     check_len(out, cfg)
 }
 
-fn encode_prim(v: &HeapValue, p: Prim, out: &mut BytesMut) -> Result<(), CodecError> {
+fn encode_prim(v: &HeapValue, p: Prim, out: &mut Vec<u8>) -> Result<(), CodecError> {
     match (v, p) {
-        (HeapValue::Int(i), Prim::I8) => out.put_i8(*i as i8),
-        (HeapValue::Int(i), Prim::I16) => out.put_i16_le(*i as i16),
-        (HeapValue::Int(i), Prim::I32) => out.put_i32_le(*i as i32),
-        (HeapValue::Int(i), Prim::I64) => out.put_i64_le(*i),
-        (HeapValue::UInt(u), Prim::U8) => out.put_u8(*u as u8),
-        (HeapValue::UInt(u), Prim::U16) => out.put_u16_le(*u as u16),
-        (HeapValue::UInt(u), Prim::U32) => out.put_u32_le(*u as u32),
-        (HeapValue::UInt(u), Prim::U64) => out.put_u64_le(*u),
-        (HeapValue::Float(f), Prim::F32) => out.put_f32_le(*f as f32),
-        (HeapValue::Float(f), Prim::F64) => out.put_f64_le(*f),
-        (HeapValue::Bool(b), Prim::Bool) => out.put_u8(u8::from(*b)),
+        (HeapValue::Int(i), Prim::I8) => out.extend_from_slice(&(*i as i8).to_le_bytes()),
+        (HeapValue::Int(i), Prim::I16) => out.extend_from_slice(&(*i as i16).to_le_bytes()),
+        (HeapValue::Int(i), Prim::I32) => out.extend_from_slice(&(*i as i32).to_le_bytes()),
+        (HeapValue::Int(i), Prim::I64) => out.extend_from_slice(&i.to_le_bytes()),
+        (HeapValue::UInt(u), Prim::U8) => out.push(*u as u8),
+        (HeapValue::UInt(u), Prim::U16) => out.extend_from_slice(&(*u as u16).to_le_bytes()),
+        (HeapValue::UInt(u), Prim::U32) => out.extend_from_slice(&(*u as u32).to_le_bytes()),
+        (HeapValue::UInt(u), Prim::U64) => out.extend_from_slice(&u.to_le_bytes()),
+        (HeapValue::Float(f), Prim::F32) => out.extend_from_slice(&(*f as f32).to_le_bytes()),
+        (HeapValue::Float(f), Prim::F64) => out.extend_from_slice(&f.to_le_bytes()),
+        (HeapValue::Bool(b), Prim::Bool) => out.push(u8::from(*b)),
         (v, p) => return Err(CodecError::Shape(format!("{v:?} vs {}", p.c_name()))),
     }
     Ok(())
@@ -290,10 +270,7 @@ fn decode_inner<'t>(
                 break;
             }
             TypeDesc::Ptr(inner) => {
-                if buf.remaining() < 1 {
-                    return Err(CodecError::Truncated);
-                }
-                match buf.get_u8() {
+                match take::<1>(buf)?[0] {
                     // The slot already holds null.
                     0 => break,
                     1 => {
@@ -332,40 +309,43 @@ fn decode_inner<'t>(
     Ok(root)
 }
 
-fn decode_len_prefixed(buf: &mut &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
-    if buf.remaining() < 4 {
+/// Split `n` bytes off the front of `buf`, or fail without consuming.
+fn take_slice<'b>(buf: &mut &'b [u8], n: usize) -> Result<&'b [u8], CodecError> {
+    if buf.len() < n {
         return Err(CodecError::Truncated);
     }
-    let len = buf.get_u32_le() as usize;
+    let (head, tail) = buf.split_at(n);
+    *buf = tail;
+    Ok(head)
+}
+
+fn take<const N: usize>(buf: &mut &[u8]) -> Result<[u8; N], CodecError> {
+    Ok(take_slice(buf, N)?.try_into().expect("took N bytes"))
+}
+
+fn decode_len_prefixed(buf: &mut &[u8], max_len: usize) -> Result<Vec<u8>, CodecError> {
+    let len = u32::from_le_bytes(take(buf)?) as usize;
     if len > max_len {
         return Err(CodecError::Corrupt(format!(
             "length {len} exceeds schema maximum {max_len}"
         )));
     }
-    if buf.remaining() < len {
-        return Err(CodecError::Truncated);
-    }
-    let out = buf[..len].to_vec();
-    buf.advance(len);
-    Ok(out)
+    Ok(take_slice(buf, len)?.to_vec())
 }
 
 fn decode_prim(buf: &mut &[u8], p: Prim) -> Result<HeapValue, CodecError> {
-    if buf.remaining() < p.width() {
-        return Err(CodecError::Truncated);
-    }
     Ok(match p {
-        Prim::I8 => HeapValue::Int(buf.get_i8() as i64),
-        Prim::I16 => HeapValue::Int(buf.get_i16_le() as i64),
-        Prim::I32 => HeapValue::Int(buf.get_i32_le() as i64),
-        Prim::I64 => HeapValue::Int(buf.get_i64_le()),
-        Prim::U8 => HeapValue::UInt(buf.get_u8() as u64),
-        Prim::U16 => HeapValue::UInt(buf.get_u16_le() as u64),
-        Prim::U32 => HeapValue::UInt(buf.get_u32_le() as u64),
-        Prim::U64 => HeapValue::UInt(buf.get_u64_le()),
-        Prim::F32 => HeapValue::Float(buf.get_f32_le() as f64),
-        Prim::F64 => HeapValue::Float(buf.get_f64_le()),
-        Prim::Bool => match buf.get_u8() {
+        Prim::I8 => HeapValue::Int(i8::from_le_bytes(take(buf)?) as i64),
+        Prim::I16 => HeapValue::Int(i16::from_le_bytes(take(buf)?) as i64),
+        Prim::I32 => HeapValue::Int(i32::from_le_bytes(take(buf)?) as i64),
+        Prim::I64 => HeapValue::Int(i64::from_le_bytes(take(buf)?)),
+        Prim::U8 => HeapValue::UInt(take::<1>(buf)?[0] as u64),
+        Prim::U16 => HeapValue::UInt(u16::from_le_bytes(take(buf)?) as u64),
+        Prim::U32 => HeapValue::UInt(u32::from_le_bytes(take(buf)?) as u64),
+        Prim::U64 => HeapValue::UInt(u64::from_le_bytes(take(buf)?)),
+        Prim::F32 => HeapValue::Float(f32::from_le_bytes(take(buf)?) as f64),
+        Prim::F64 => HeapValue::Float(f64::from_le_bytes(take(buf)?)),
+        Prim::Bool => match take::<1>(buf)?[0] {
             0 => HeapValue::Bool(false),
             1 => HeapValue::Bool(true),
             t => return Err(CodecError::Corrupt(format!("bad bool byte {t}"))),

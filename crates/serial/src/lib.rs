@@ -31,4 +31,4 @@ pub mod snapshot;
 pub use codec::{decode, encode, CodecConfig, CodecError};
 pub use heap::HeapValue;
 pub use schema::{Prim, Registry, TypeDesc};
-pub use snapshot::{decode_table_state, encode_table_state, encode_table_state_bytes};
+pub use snapshot::{decode_table_state, encode_table_state};

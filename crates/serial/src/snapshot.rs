@@ -19,9 +19,7 @@ use csaw_core::value::Value;
 use csaw_kv::table::{PendingState, TableState};
 use csaw_kv::{Update, UpdateKind};
 
-use bytes::{Bytes, BytesMut};
-
-use crate::codec::{decode, encode_into, CodecConfig, CodecError};
+use crate::codec::{decode, encode, CodecConfig, CodecError};
 use crate::heap::HeapValue;
 use crate::schema::{Prim, Registry, TypeDesc};
 
@@ -198,7 +196,7 @@ fn lower_value(v: &Value) -> HeapValue {
         Value::Bool(b) => (1, *b as i64, String::new(), Vec::new(), HeapValue::null()),
         Value::Int(n) => (2, *n, String::new(), Vec::new(), HeapValue::null()),
         Value::Str(x) => (3, 0, x.clone(), Vec::new(), HeapValue::null()),
-        Value::Bytes(b) => (4, 0, String::new(), b.clone(), HeapValue::null()),
+        Value::Bytes(b) => (4, 0, String::new(), b.to_vec(), HeapValue::null()),
         Value::Duration(d) => (5, d.as_micros() as i64, String::new(), Vec::new(), HeapValue::null()),
         Value::Target(t) => (6, 0, t.clone(), Vec::new(), HeapValue::null()),
         Value::Set(es) => (7, 0, String::new(), Vec::new(), lower_selems(es)),
@@ -346,7 +344,7 @@ fn raise_value(v: &HeapValue) -> Result<Value, CodecError> {
         1 => Value::Bool(as_i64(&f[1], "value.i")? != 0),
         2 => Value::Int(as_i64(&f[1], "value.i")?),
         3 => Value::Str(as_str(&f[2], "value.s")?),
-        4 => Value::Bytes(as_blob(&f[3], "value.bytes")?),
+        4 => Value::Bytes(as_blob(&f[3], "value.bytes")?.into()),
         5 => Value::Duration(std::time::Duration::from_micros(
             as_i64(&f[1], "value.i")? as u64,
         )),
@@ -449,17 +447,8 @@ fn schema() -> &'static (Registry, TypeDesc) {
 
 /// Encode an exported table state through the §9 codec.
 pub fn encode_table_state(state: &TableState) -> Result<Vec<u8>, CodecError> {
-    Ok(encode_table_state_bytes(state)?.into())
-}
-
-/// Encode an exported table state into a frozen [`Bytes`] buffer: the
-/// zero-copy variant for migration fan-out — one encode, N cheap
-/// clones, no per-target buffer copies.
-pub fn encode_table_state_bytes(state: &TableState) -> Result<Bytes, CodecError> {
     let (reg, root) = schema();
-    let mut out = BytesMut::new();
-    encode_into(&lower(state), root, reg, &snapshot_config(), &mut out)?;
-    Ok(out.freeze())
+    encode(&lower(state), root, reg, &snapshot_config())
 }
 
 /// Decode bytes produced by [`encode_table_state`].
@@ -497,7 +486,7 @@ mod tests {
         t.begin_activation();
         t.set_prop_local("Work", true).unwrap();
         t.set_data_local("n", Value::Int(-42)).unwrap();
-        t.set_data_local("blob", Value::Bytes(vec![0, 1, 2, 255])).unwrap();
+        t.set_data_local("blob", Value::from(vec![0, 1, 2, 255])).unwrap();
         t.deliver(Update::data("n", Value::Str("queued".into()), "peer::j"));
         t.deliver(Update::assert("Work", "peer::j"));
         t.end_activation();
@@ -527,7 +516,7 @@ mod tests {
             Value::Bool(true),
             Value::Int(i64::MIN + 1),
             Value::Str("héllo".into()),
-            Value::Bytes(vec![9; 100]),
+            Value::from(vec![9; 100]),
             Value::Duration(std::time::Duration::from_millis(1500)),
             Value::Target("b1::serve".into()),
             Value::Set(vec![

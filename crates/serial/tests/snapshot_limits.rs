@@ -50,7 +50,7 @@ fn small_state() -> TableState {
         subsets: vec![("live".into(), base.clone(), Some(vec![base[0].clone()]))],
         idxs: vec![("tgt".into(), base, Some("b1".into()))],
         pending: vec![PendingState {
-            update: Update::data("n", Value::Bytes(vec![1, 2, 3]), "g::run"),
+            update: Update::data("n", Value::from(vec![1, 2, 3]), "g::run"),
             during_run: true,
             seq: 5,
         }],

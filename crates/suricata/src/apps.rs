@@ -69,7 +69,7 @@ impl InstanceApp for EngineApp {
             // Response: number of alerts the packet raised.
             "m" | "preresp" => Ok(Value::Int(self.last_alerts as i64)),
             // Full engine checkpoint.
-            "state" => Ok(Value::Bytes(self.engine.lock().checkpoint()?)),
+            "state" => Ok(Value::from(self.engine.lock().checkpoint()?)),
             other => Err(format!("engine: unexpected save({other})")),
         }
     }
@@ -150,7 +150,7 @@ impl InstanceApp for SteeringApp {
 
     fn save(&mut self, key: &str) -> Result<Value, String> {
         match key {
-            "n" => Ok(Value::Bytes(
+            "n" => Ok(Value::from(
                 self.current.as_ref().ok_or("no current packet")?.encode(),
             )),
             other => Err(format!("steering: unexpected save({other})")),
@@ -204,7 +204,7 @@ mod tests {
     #[test]
     fn engine_app_processes_routed_packets() {
         let mut app = EngineApp::new();
-        app.restore("n", &Value::Bytes(pkt(1000).encode())).unwrap();
+        app.restore("n", &Value::from(pkt(1000).encode())).unwrap();
         let mut t = idx_table(4);
         let writes: Vec<String> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "b", "j");
