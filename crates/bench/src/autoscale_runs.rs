@@ -37,8 +37,6 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csaw_arch::sharding::{sharding, sharding_cached, CachedShardingSpec, ShardingSpec};
-use csaw_core::expr::Arg;
-use csaw_core::names::JRef;
 use csaw_core::plan::{PlanConstraints, PlanPhase};
 use csaw_core::program::{CompiledProgram, LoadConfig};
 use csaw_core::value::Value;
@@ -56,9 +54,9 @@ use parking_lot::Mutex;
 
 use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
 use crate::harness::{
-    command_for, drive_one, lost_acked_sets, wait_until, DriveStats, FRONT_TIMEOUT,
+    command_for, drive_one, drive_until, join_shard, lost_acked_sets, wait_until, FRONT_TIMEOUT,
 };
-use crate::report::Report;
+use crate::report::{Outcome, Report};
 
 /// Smallest / largest shard count the scaler may reach.
 const MIN_SHARDS: usize = 2;
@@ -165,20 +163,7 @@ impl AutoscaleDriver for ShardDriver {
                 .strip_prefix("Bck")
                 .and_then(|s| s.parse().ok())
                 .expect("the autoscale architecture only adds Bck shards");
-            rs.apps.push((
-                added.clone(),
-                Box::new(ServerApp::with_store(Arc::clone(&self.stores[i - 1]))),
-            ));
-            rs.start.push((
-                added.clone(),
-                vec![(
-                    None,
-                    vec![
-                        Arg::Junction(JRef::qualified("Fnt", "junction")),
-                        Arg::Value(Value::Duration(FRONT_TIMEOUT)),
-                    ],
-                )],
-            ));
+            join_shard(&mut rs, i, &self.stores[i - 1], FRONT_TIMEOUT);
         }
         if phase.diff.changed.iter().any(|c| c.name == "Fnt") {
             rs.apps.push(("Fnt".to_string(), self.front_over(goal)));
@@ -326,11 +311,6 @@ pub struct DiurnalOutcome {
 }
 
 impl DiurnalOutcome {
-    /// Whether the day's invariants all held.
-    pub fn ok(&self) -> bool {
-        self.failures.is_empty()
-    }
-
     /// Fold the outcome into the bench report as notes.
     pub fn note_into(&self, r: &mut Report) {
         for s in &self.stages {
@@ -361,6 +341,56 @@ impl DiurnalOutcome {
         r.note("conformance_events", self.conformance.events as f64);
         r.note("conformance_violations", self.conformance.violations as f64);
     }
+}
+
+/// The `autoscale` command: one diurnal day into
+/// `results/autoscale.json`. Fewer than four transitions, a plan the
+/// executor's `check_plan` refused, a phase over the quiesce bound, a
+/// lost acknowledged write, a permanently refused request, an
+/// unverified crash repair or a cross-epoch conformance violation fails
+/// the run and dumps the trace to
+/// `results/autoscale_offending_trace.jsonl`.
+pub fn command(smoke: bool) -> Outcome {
+    let day = run_diurnal(knobs(smoke));
+    let mut report = Report::new(
+        "autoscale",
+        "metrics-driven autoscaler: planner-driven reshard over a diurnal day",
+    );
+    report.remark(if smoke {
+        "smoke run (compressed traffic holds)"
+    } else {
+        "full run"
+    });
+    report.remark(
+        "six-stage diurnal model; every transition is planned under \
+         max_concurrent_quiesce=1, independently validated by check_plan, \
+         and executed as phased reconfigurations under live traffic",
+    );
+    for v in &day.validations {
+        report.remark(format!("plan: {v}"));
+    }
+    for s in &day.stages {
+        println!("{}", s.line());
+    }
+    println!(
+        "day: {} transitions, max phase quiesce {}/{}, {} plans validated, \
+         cache {}h/{}m, {} acked SETs ({} lost), {} refused, conformance {}",
+        day.transitions,
+        day.max_phase_quiesce,
+        day.quiesce_bound,
+        day.plans_validated,
+        day.cache_hits,
+        day.cache_misses,
+        day.acked_sets,
+        day.lost_acked_sets,
+        day.refused,
+        if day.conformance.ok { "ok" } else { "VIOLATED" },
+    );
+    day.note_into(&mut report);
+    let mut out = Outcome::from(report);
+    let dump = "autoscale_offending_trace.jsonl".into();
+    out.fail_run("autoscale", day.failures, dump, day.trace_jsonl);
+    out
 }
 
 /// Run the six-stage diurnal day and judge it.
@@ -453,20 +483,12 @@ pub fn run_diurnal(k: DiurnalKnobs) -> DiurnalOutcome {
             let stop_ref = &stop;
             let next_ref = &next_i;
             let driver_thread = s.spawn(move || {
-                let mut t = DriveStats::default();
-                while !stop_ref.load(Ordering::Relaxed) {
+                // The command index runs on across stages.
+                drive_until(stop_ref, k.pace, |_, t| {
                     let cmd = command_for(next_ref.fetch_add(1, Ordering::Relaxed));
-                    drive_one(
-                        rt_ref,
-                        ("Fnt", "junction"),
-                        requests,
-                        || replies.lock().len(),
-                        &cmd,
-                        &mut t,
-                    );
-                    std::thread::sleep(k.pace);
-                }
-                t
+                    let replies_len = || replies.lock().len();
+                    drive_one(rt_ref, ("Fnt", "junction"), requests, replies_len, &cmd, t);
+                })
             });
 
             let mut repair_ok = None;

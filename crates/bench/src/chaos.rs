@@ -20,7 +20,7 @@
 //! invariants — that asymmetry is the point of the harness.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -38,8 +38,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
-use crate::harness::{wait_until, BlobStoreApp, CounterApp};
-use crate::report::Report;
+use crate::harness::{boot_checkpoint, wait_until, CheckpointRig};
+use crate::report::{Outcome, Report};
 
 /// The soak keyspace: all generated commands target these keys, so
 /// convergence can be checked per key.
@@ -300,6 +300,59 @@ impl SoakOutcome {
     }
 }
 
+/// The `chaos` command: the three soaks under the acceptance schedule
+/// at `seed` with `requests` requests, one `results/chaos_<arch>.json`
+/// each. With `conformance`, each trace is also replayed through the
+/// conformance checker and a rejected one is dumped to
+/// `results/trace_<arch>.jsonl`. Any broken invariant fails the run;
+/// with `unreliable` (retry and dedup off) the expectation inverts: at
+/// least one invariant must break, or the harness proves nothing.
+pub fn command(seed: u64, requests: usize, unreliable: bool, conformance: bool) -> Outcome {
+    let mut schedule = ChaosSchedule::acceptance(seed)
+        .with_requests(requests)
+        .with_conformance(conformance && !unreliable);
+    if unreliable {
+        schedule = schedule.without_reliability();
+    }
+    let soaks = [soak_watched(&schedule), soak_failover(&schedule), soak_checkpoint(&schedule)];
+    let mut out = Outcome::default();
+    for o in &soaks {
+        out.reports.push(o.report());
+        if let Some(c) = &o.conformance {
+            println!(
+                "{}: conformance {} ({} events, {} violations)",
+                o.arch,
+                if c.ok { "ok" } else { "VIOLATED" },
+                c.events,
+                c.violations
+            );
+            if !c.ok {
+                println!("{}", c.detail);
+                let jsonl = o.trace_jsonl.clone().unwrap_or_default();
+                out.dumps.push((format!("trace_{}.jsonl", o.arch), jsonl));
+            }
+        }
+        if !unreliable {
+            out.require(
+                o.invariants_hold(),
+                format!("chaos_{}: invariant violated; reproduce with --seed {seed}", o.arch),
+            );
+        }
+    }
+    if unreliable {
+        let demonstrated = soaks.iter().any(|o| !o.invariants_hold());
+        println!(
+            "unreliable run: invariant violation {}",
+            if demonstrated { "demonstrated" } else { "NOT demonstrated" }
+        );
+        out.require(
+            demonstrated,
+            format!("no invariant broke; reproduce with --seed {seed} --unreliable"),
+        );
+    }
+    out
+}
+
 /// Per-key comparison over the soak keyspace (checkpoint blobs are not
 /// byte-stable across hash-map iteration orders).
 fn stores_agree(a: &Store, b: &Store) -> bool {
@@ -358,6 +411,27 @@ impl InstanceApp for KvFront {
     }
 }
 
+/// The watched architecture's apps, bound: a [`KvFront`] at `f` and
+/// [`ServerApp`] back-ends at `o` and `s`.
+pub(crate) struct WatchedApps {
+    pub(crate) requests: Arc<Mutex<VecDeque<Command>>>,
+    pub(crate) replies: Arc<Mutex<Vec<Reply>>>,
+    pub(crate) store_o: Arc<Mutex<Store>>,
+    pub(crate) store_s: Arc<Mutex<Store>>,
+}
+
+/// Bind [`WatchedApps`] on `rt`.
+pub(crate) fn bind_watched(rt: &Runtime) -> WatchedApps {
+    let front = KvFront::new();
+    let (requests, replies) = (Arc::clone(&front.requests), Arc::clone(&front.replies));
+    rt.bind_app("f", Box::new(front));
+    let (o, s) = (ServerApp::new(), ServerApp::new());
+    let (store_o, store_s) = (Arc::clone(&o.store), Arc::clone(&s.store));
+    rt.bind_app("o", Box::new(o));
+    rt.bind_app("s", Box::new(s));
+    WatchedApps { requests, replies, store_o, store_s }
+}
+
 // ---------------------------------------------------------------------
 // §7.3 write-to-all fail-over soak
 // ---------------------------------------------------------------------
@@ -373,9 +447,7 @@ pub fn soak_failover(schedule: &ChaosSchedule) -> SoakOutcome {
     let spec = FailoverSpec::default();
     let cp = csaw_core::compile(failover(&spec), &LoadConfig::new()).unwrap();
     let rt = Runtime::new(&cp, RuntimeConfig::default());
-    if schedule.conformance {
-        rt.set_tracing(true);
-    }
+    rt.set_tracing(schedule.conformance);
 
     let front = FailoverFrontApp::new();
     let requests = Arc::clone(&front.requests);
@@ -464,12 +536,8 @@ pub fn soak_failover(schedule: &ChaosSchedule) -> SoakOutcome {
     };
     let stats = rt.link_stats();
     rt.shutdown();
-    let (conformance, trace_jsonl) = if schedule.conformance {
-        let (summary, jsonl) = check_runtime_trace(&rt, false);
-        (Some(summary), Some(jsonl))
-    } else {
-        (None, None)
-    };
+    let (conformance, trace_jsonl) =
+        schedule.conformance.then(|| check_runtime_trace(&rt, false)).unzip();
 
     SoakOutcome {
         arch: "failover".into(),
@@ -506,20 +574,8 @@ pub fn soak_watched(schedule: &ChaosSchedule) -> SoakOutcome {
     let spec = WatchedSpec::default();
     let cp = csaw_core::compile(watched_failover(&spec), &LoadConfig::new()).unwrap();
     let rt = Runtime::new(&cp, RuntimeConfig::default());
-    if schedule.conformance {
-        rt.set_tracing(true);
-    }
-
-    let front = KvFront::new();
-    let requests = Arc::clone(&front.requests);
-    let replies = Arc::clone(&front.replies);
-    rt.bind_app("f", Box::new(front));
-    let o = ServerApp::new();
-    let s = ServerApp::new();
-    let store_o = Arc::clone(&o.store);
-    let store_s = Arc::clone(&s.store);
-    rt.bind_app("o", Box::new(o));
-    rt.bind_app("s", Box::new(s));
+    rt.set_tracing(schedule.conformance);
+    let WatchedApps { requests, replies, store_o, store_s } = bind_watched(&rt);
 
     watched::configure_policies(&rt, &spec, Duration::from_millis(30));
     rt.run_main(vec![Value::Duration(Duration::from_millis(800))])
@@ -602,12 +658,8 @@ pub fn soak_watched(schedule: &ChaosSchedule) -> SoakOutcome {
     };
     let stats = rt.link_stats();
     rt.shutdown();
-    let (conformance, trace_jsonl) = if schedule.conformance {
-        let (summary, jsonl) = check_runtime_trace(&rt, false);
-        (Some(summary), Some(jsonl))
-    } else {
-        (None, None)
-    };
+    let (conformance, trace_jsonl) =
+        schedule.conformance.then(|| check_runtime_trace(&rt, false)).unzip();
 
     SoakOutcome {
         arch: "watched".into(),
@@ -636,36 +688,9 @@ pub fn soak_watched(schedule: &ChaosSchedule) -> SoakOutcome {
 /// lossy primary↔store link while the counter advances; then the primary
 /// crashes and must recover a state that was genuinely checkpointed.
 pub fn soak_checkpoint(schedule: &ChaosSchedule) -> SoakOutcome {
-    use csaw_arch::checkpoint::{checkpoint, CheckpointSpec};
-
     let t0 = Instant::now();
-    let spec = CheckpointSpec::default();
-    let cp = csaw_core::compile(checkpoint(&spec), &LoadConfig::new()).unwrap();
-    let rt = Runtime::new(&cp, RuntimeConfig::default());
-    if schedule.conformance {
-        rt.set_tracing(true);
-    }
-
-    let counter = Arc::new(AtomicU64::new(0));
-    let checkpointed = Arc::new(Mutex::new(Vec::new()));
-    let recovered = Arc::new(Mutex::new(None));
-    let latest = Arc::new(Mutex::new(None));
-    rt.bind_app(
-        "Prim",
-        Box::new(CounterApp {
-            counter: Arc::clone(&counter),
-            checkpointed: Arc::clone(&checkpointed),
-            recovered: Arc::clone(&recovered),
-        }),
-    );
-    rt.bind_app("Store", Box::new(BlobStoreApp { latest: Arc::clone(&latest) }));
-    rt.set_policy(
-        "Prim",
-        "checkpoint",
-        csaw_runtime::runtime::Policy::Periodic(Duration::from_millis(20)),
-    );
-    rt.run_main(vec![Value::Duration(Duration::from_millis(600))])
-        .unwrap();
+    let CheckpointRig { rt, counter, checkpointed, recovered, latest } =
+        boot_checkpoint(schedule.conformance);
 
     schedule.apply(&rt, &[("Prim", "Store"), ("Store", "Prim")], None);
 
@@ -698,12 +723,8 @@ pub fn soak_checkpoint(schedule: &ChaosSchedule) -> SoakOutcome {
     let answered = if recovered_ok { accepted } else { 0 };
     let stats = rt.link_stats();
     rt.shutdown();
-    let (conformance, trace_jsonl) = if schedule.conformance {
-        let (summary, jsonl) = check_runtime_trace(&rt, false);
-        (Some(summary), Some(jsonl))
-    } else {
-        (None, None)
-    };
+    let (conformance, trace_jsonl) =
+        schedule.conformance.then(|| check_runtime_trace(&rt, false)).unzip();
 
     SoakOutcome {
         arch: "checkpoint".into(),

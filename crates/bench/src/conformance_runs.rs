@@ -25,11 +25,12 @@ use csaw_semantics::{
 };
 use mini_curl::apps::{AuditorApp, CurlApp};
 use mini_curl::LinkModel;
-use mini_redis::apps::{CacheApp, ServerApp, ShardFrontApp, ShardMode};
+use mini_redis::apps::{CacheApp, ServerApp, ShardMode};
 use mini_redis::Command;
 
 use crate::chaos::{soak_checkpoint, soak_failover, soak_watched, ChaosSchedule, SoakOutcome};
-use crate::harness::wait_until;
+use crate::harness::{boot_sharded, wait_until, Sharded};
+use crate::report::Outcome;
 
 /// The digest of one conformance replay.
 #[derive(Clone, Debug, Default)]
@@ -170,22 +171,8 @@ pub fn conf_snapshot() -> ArchConformance {
 
 /// A dozen key-hash-sharded commands.
 pub fn conf_sharding() -> ArchConformance {
-    use csaw_arch::sharding::{sharding, ShardingSpec};
-
-    let n = 4;
-    let spec = ShardingSpec { n_backends: n, ..Default::default() };
-    let cp = csaw_core::compile(sharding(&spec), &LoadConfig::new()).unwrap();
-    let rt = Runtime::new(&cp, RuntimeConfig::default());
-    rt.set_tracing(true);
-    let front = ShardFrontApp::new(ShardMode::ByKey, n);
-    let requests = Arc::clone(&front.requests);
-    let replies = Arc::clone(&front.replies);
-    rt.bind_app("Fnt", Box::new(front));
-    for i in 1..=n {
-        rt.bind_app(&format!("Bck{i}"), Box::new(ServerApp::new()));
-    }
-    rt.set_policy("Fnt", "junction", Policy::OnDemand);
-    rt.run_main(vec![Value::Duration(Duration::from_secs(5))]).unwrap();
+    let Sharded { rt, requests, replies, .. } =
+        boot_sharded(4, ShardMode::ByKey, true, Duration::from_secs(5));
 
     let mut sent = 0usize;
     for i in 0..12u8 {
@@ -343,6 +330,22 @@ fn from_soak(outcome: SoakOutcome) -> ArchConformance {
         summary,
         jsonl: outcome.trace_jsonl.unwrap_or_default(),
     }
+}
+
+/// The `conformance` command: all seven architectures at `seed`; any
+/// rejected trace fails the run and is dumped to
+/// `results/trace_<arch>.jsonl`.
+pub fn command(seed: u64) -> Outcome {
+    let runs = conformance_all(seed);
+    let (conform, total) = (runs.iter().filter(|r| r.summary.ok).count(), runs.len());
+    let mut out = Outcome::default();
+    for run in runs {
+        println!("{}", run.line());
+        let broke = if run.summary.ok { vec![] } else { vec![run.summary.detail] };
+        out.fail_run(&run.arch, broke, format!("trace_{}.jsonl", run.arch), run.jsonl);
+    }
+    println!("{conform}/{total} architectures conform (seed {seed})");
+    out
 }
 
 /// Run all seven catalogue architectures and collect their verdicts.

@@ -144,8 +144,8 @@ pub fn fig25ab(reps: usize) -> Report {
     )
 }
 
-/// Fig. 26a: large files, 20MB–1.2GB (scaled down by default; pass
-/// `--full` to the binary for the full sweep).
+/// Fig. 26a: large files, 20MB–1.2GB (scaled down to 20–100MB unless
+/// `full`; `csaw-bench fig26a --full` runs the whole sweep).
 pub fn fig26a(reps: usize, full: bool) -> Report {
     let sizes: &[f64] = if full {
         &[20.0, 50.0, 100.0, 400.0, 700.0, 1200.0]

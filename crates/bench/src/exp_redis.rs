@@ -5,20 +5,19 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csaw_arch::caching::{caching, CachingSpec};
-use csaw_arch::checkpoint::{checkpoint, CheckpointSpec};
-use csaw_arch::sharding::{sharding, ShardingSpec};
 use csaw_core::program::LoadConfig;
 use csaw_core::value::Value;
 use csaw_kv::Update;
 use csaw_runtime::runtime::Policy;
 use csaw_runtime::{Runtime, RuntimeConfig};
-use mini_redis::apps::{CacheApp, CheckpointStoreApp, ServerApp, ShardFrontApp, ShardMode};
+use mini_redis::apps::{CacheApp, ServerApp, ShardMode};
 use mini_redis::hash::shard_of;
 use mini_redis::metrics::{CumulativeByClass, Latencies, Throughput};
 use mini_redis::workload::{KeyDist, Workload, WorkloadSpec};
 use mini_redis::{Command, Store};
 use parking_lot::Mutex;
 
+use crate::harness::{boot_redis_checkpoint, boot_sharded, Sharded};
 use crate::report::Report;
 
 fn preload(store: &Arc<Mutex<Store>>, keys: usize, value_size: usize) {
@@ -36,16 +35,8 @@ fn preload(store: &Arc<Mutex<Store>>, keys: usize, value_size: usize) {
 /// and simulate a Redis crash to observe its recovery" (§10.1), with
 /// time compressed: checkpoints every `seconds/8`, crash at 55%.
 pub fn fig23a(seconds: f64) -> Report {
-    let spec = CheckpointSpec::default();
-    let cp = csaw_core::compile(checkpoint(&spec), &LoadConfig::new()).unwrap();
-    let rt = Runtime::new(&cp, RuntimeConfig::default());
-    let prim = ServerApp::new();
-    let store = Arc::clone(&prim.store);
-    rt.bind_app("Prim", Box::new(prim));
-    rt.bind_app("Store", Box::new(CheckpointStoreApp::new()));
     let interval = Duration::from_secs_f64(seconds / 8.0);
-    rt.set_policy("Prim", "checkpoint", Policy::Periodic(interval));
-    rt.run_main(vec![Value::Duration(Duration::from_secs(5))]).unwrap();
+    let (rt, store) = boot_redis_checkpoint(interval, false);
 
     preload(&store, 20_000, 128);
     let mut wl = Workload::new(WorkloadSpec {
@@ -115,21 +106,8 @@ fn sharded_cumulative(
     seconds: f64,
 ) -> Report {
     let n = 4;
-    let spec = ShardingSpec { n_backends: n, ..Default::default() };
-    let cp = csaw_core::compile(sharding(&spec), &LoadConfig::new()).unwrap();
-    let rt = Runtime::new(&cp, RuntimeConfig::default());
-    let front = ShardFrontApp::new(mode, n);
-    let requests = Arc::clone(&front.requests);
-    let replies = Arc::clone(&front.replies);
-    rt.bind_app("Fnt", Box::new(front));
-    let mut handled = Vec::new();
-    for i in 1..=n {
-        let app = ServerApp::new();
-        handled.push(Arc::clone(&app.handled));
-        rt.bind_app(&format!("Bck{i}"), Box::new(app));
-    }
-    rt.set_policy("Fnt", "junction", Policy::OnDemand);
-    rt.run_main(vec![Value::Duration(Duration::from_secs(5))]).unwrap();
+    let Sharded { rt, requests, replies, backends } =
+        boot_sharded(n, mode, false, Duration::from_secs(5));
 
     let mut wl = Workload::new(WorkloadSpec {
         keyspace: 4000,
@@ -173,10 +151,10 @@ fn sharded_cumulative(
     }
     let replies_n = replies.lock().len();
     report.note("replies", replies_n as f64);
-    for (i, h) in handled.iter().enumerate() {
+    for (i, (_, handled)) in backends.iter().enumerate() {
         report.note(
             &format!("handled_bck{}", i + 1),
-            h.load(std::sync::atomic::Ordering::Relaxed) as f64,
+            handled.load(std::sync::atomic::Ordering::Relaxed) as f64,
         );
     }
     rt.shutdown();
@@ -293,53 +271,19 @@ fn latency_cdf(ops: usize, reads: bool) -> Vec<(String, Latencies)> {
     {
         let store = Arc::new(Mutex::new(Store::new()));
         preload(&store, 5000, 128);
-        let mut wl = Workload::new(wl_spec.clone());
-        let mut lat = Latencies::new();
-        let end = Instant::now() + Duration::from_secs(2);
-        let mut i = 0u64;
-        while Instant::now() < end {
-            let cmd = wl.next();
-            let t0 = Instant::now();
-            let _ = cmd.execute(&mut store.lock());
-            let dt = t0.elapsed();
-            if i.is_multiple_of(97) && lat.len() < ops * 4 {
-                lat.record(dt);
-            }
-            i += 1;
-        }
+        let lat = sample_direct(&store, Workload::new(wl_spec.clone()), ops, false);
         out.push(("Baseline".to_string(), lat));
     }
 
     // Replication (checkpoint-based): ops race with periodic full-state
     // serialization — low average, long tail (paper Fig. 25c).
     {
-        let spec = CheckpointSpec::default();
-        let cp = csaw_core::compile(checkpoint(&spec), &LoadConfig::new()).unwrap();
-        let rt = Runtime::new(&cp, RuntimeConfig::default());
-        let prim = ServerApp::new();
-        let store = Arc::clone(&prim.store);
-        rt.bind_app("Prim", Box::new(prim));
-        rt.bind_app("Store", Box::new(CheckpointStoreApp::new()));
-        rt.set_policy("Prim", "checkpoint", Policy::Periodic(Duration::from_millis(100)));
-        rt.run_main(vec![Value::Duration(Duration::from_secs(5))]).unwrap();
+        let (rt, store) = boot_redis_checkpoint(Duration::from_millis(100), false);
         // A heavier keyspace makes each checkpoint hold the store lock
         // long enough to produce the paper's replication tail.
         preload(&store, 30_000, 256);
-        let mut wl = Workload::new(WorkloadSpec { keyspace: 30_000, ..wl_spec.clone() });
-        let mut lat = Latencies::new();
-        let end = Instant::now() + Duration::from_secs(2);
-        let mut i = 0u64;
-        while Instant::now() < end {
-            let cmd = wl.next();
-            let t0 = Instant::now();
-            let _ = cmd.execute(&mut store.lock());
-            let dt = t0.elapsed();
-            // Keep every slow sample (the tail) plus a uniform subsample.
-            if dt > Duration::from_micros(100) || (i.is_multiple_of(97) && lat.len() < ops * 4) {
-                lat.record(dt);
-            }
-            i += 1;
-        }
+        let wl = Workload::new(WorkloadSpec { keyspace: 30_000, ..wl_spec.clone() });
+        let lat = sample_direct(&store, wl, ops, true);
         rt.shutdown();
         out.push(("Replication".to_string(), lat));
     }
@@ -349,23 +293,11 @@ fn latency_cdf(ops: usize, reads: bool) -> Vec<(String, Latencies)> {
         ("Shard by Key Hash", ShardMode::ByKey),
         ("Shard by Object Size", ShardMode::BySize),
     ] {
-        let spec = ShardingSpec::default();
-        let cp = csaw_core::compile(sharding(&spec), &LoadConfig::new()).unwrap();
-        let rt = Runtime::new(&cp, RuntimeConfig::default());
-        let front = ShardFrontApp::new(mode, 4);
-        let requests = Arc::clone(&front.requests);
-        rt.bind_app("Fnt", Box::new(front));
-        let mut stores = Vec::new();
-        for i in 1..=4 {
-            let app = ServerApp::new();
-            stores.push(Arc::clone(&app.store));
-            rt.bind_app(&format!("Bck{i}"), Box::new(app));
-        }
-        rt.set_policy("Fnt", "junction", Policy::OnDemand);
-        rt.run_main(vec![Value::Duration(Duration::from_secs(5))]).unwrap();
+        let Sharded { rt, requests, backends, .. } =
+            boot_sharded(4, mode, false, Duration::from_secs(5));
         // Preload every shard so GETs hit regardless of routing.
-        for s in &stores {
-            preload(s, 5000, 128);
+        for (store, _) in &backends {
+            preload(store, 5000, 128);
         }
         wl_spec.seed += 1;
         let mut wl = Workload::new(wl_spec.clone());
@@ -384,9 +316,33 @@ fn latency_cdf(ops: usize, reads: bool) -> Vec<(String, Latencies)> {
     out
 }
 
-fn cdf_report(id: &str, title: &str, ops: usize, reads: bool) -> Report {
+/// Operations each configuration's CDF is drawn from.
+pub const CDF_OPS: usize = 1500;
+
+/// Execute `wl` directly against `store` for 2 s, timing each command:
+/// a uniform 1-in-97 subsample (at most `4 * ops` samples), plus, with
+/// `keep_slow`, every command over 100 µs (the tail).
+fn sample_direct(store: &Mutex<Store>, mut wl: Workload, ops: usize, keep_slow: bool) -> Latencies {
+    let mut lat = Latencies::new();
+    let end = Instant::now() + Duration::from_secs(2);
+    let mut i = 0u64;
+    while Instant::now() < end {
+        let cmd = wl.next();
+        let t0 = Instant::now();
+        let _ = cmd.execute(&mut store.lock());
+        let dt = t0.elapsed();
+        let slow = keep_slow && dt > Duration::from_micros(100);
+        if slow || (i.is_multiple_of(97) && lat.len() < ops * 4) {
+            lat.record(dt);
+        }
+        i += 1;
+    }
+    lat
+}
+
+fn cdf_report(id: &str, title: &str, reads: bool) -> Report {
     let mut report = Report::new(id, title);
-    for (name, lat) in latency_cdf(ops, reads) {
+    for (name, lat) in latency_cdf(CDF_OPS, reads) {
         report.series(&name, "latency (ms)", "cumulative probability", {
             lat.cdf(100)
         });
@@ -403,11 +359,11 @@ fn cdf_report(id: &str, title: &str, ops: usize, reads: bool) -> Report {
 }
 
 /// Fig. 25c: GET latency CDFs.
-pub fn fig25c(ops: usize) -> Report {
-    cdf_report("fig25c", "Redis GET latency CDFs", ops, true)
+pub fn fig25c() -> Report {
+    cdf_report("fig25c", "Redis GET latency CDFs", true)
 }
 
 /// Fig. 26b: SET latency CDFs.
-pub fn fig26b(ops: usize) -> Report {
-    cdf_report("fig26b", "Redis SET latency CDFs", ops, false)
+pub fn fig26b() -> Report {
+    cdf_report("fig26b", "Redis SET latency CDFs", false)
 }

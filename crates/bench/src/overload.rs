@@ -18,7 +18,7 @@
 //!   load past saturation collapses goodput toward zero — the classic
 //!   congestion collapse the overload layer exists to prevent.
 //!
-//! The binary gates on the two headline ratios (see [`StormOutcome::ok`]):
+//! [`command`] gates on the two headline ratios (see [`StormOutcome::ok`]):
 //! with shedding, goodput at 2× offered must hold ≥ 80% of saturation
 //! throughput; without, it must collapse below 50% — otherwise the
 //! comparison is vacuous and the run fails.
@@ -32,7 +32,7 @@ use csaw_runtime::cell::JunctionId;
 use csaw_runtime::transport::{DeliverFn, Network, SendError};
 use csaw_runtime::{LinkKind, OverloadConfig, RetryPolicy};
 
-use crate::report::Report;
+use crate::report::{Outcome, Report};
 
 /// Storm parameters. [`knobs`] builds the standard set; `--smoke`
 /// compresses the per-point hold for CI.
@@ -58,7 +58,7 @@ pub struct StormKnobs {
 /// Standard knobs; `smoke` compresses each point's hold for CI.
 pub fn knobs(smoke: bool) -> StormKnobs {
     StormKnobs {
-        secs: if smoke { 0.35 } else { crate::exp_seconds(1.5) },
+        secs: if smoke { 0.35 } else { 1.5 },
         budget: Duration::from_millis(25),
         bandwidth: 40_000,
         latency: Duration::from_millis(2),
@@ -199,8 +199,6 @@ pub fn run_point(shedding: bool, mult: f64, k: &StormKnobs) -> PointOutcome {
 /// acceptance gates.
 #[derive(Clone, Debug)]
 pub struct StormOutcome {
-    /// Knobs the storm ran with.
-    pub knobs: StormKnobs,
     /// Shedding-on points, one per multiplier.
     pub with_shedding: Vec<PointOutcome>,
     /// Shedding-off points, one per multiplier.
@@ -250,27 +248,16 @@ impl StormOutcome {
 
 /// Run the full storm sweep and evaluate the acceptance gates.
 pub fn run_storm(k: &StormKnobs) -> StormOutcome {
-    let mut with_shedding = Vec::new();
-    let mut without_shedding = Vec::new();
+    let (mut with_shedding, mut without_shedding) = (Vec::new(), Vec::new());
     for &mult in &k.multipliers {
         with_shedding.push(run_point(true, mult, k));
         without_shedding.push(run_point(false, mult, k));
     }
-    let saturation = with_shedding
-        .iter()
-        .find(|p| (p.mult - 1.0).abs() < 1e-9)
-        .map(|p| p.goodput)
-        .unwrap_or(0.0);
-
+    let mut out =
+        StormOutcome { with_shedding, without_shedding, saturation: 0.0, failures: Vec::new() };
+    let saturation = out.at(true, 1.0).goodput;
+    let (on2, off2) = (out.at(true, 2.0), out.at(false, 2.0));
     let mut failures = Vec::new();
-    let find = |side: &[PointOutcome], mult: f64| -> PointOutcome {
-        side.iter()
-            .find(|p| (p.mult - mult).abs() < 1e-9)
-            .cloned()
-            .expect("multiplier was swept")
-    };
-    let on2 = find(&with_shedding, 2.0);
-    let off2 = find(&without_shedding, 2.0);
     if saturation <= 0.0 {
         failures.push("saturation throughput is zero — the storm never delivered".into());
     } else {
@@ -292,13 +279,64 @@ pub fn run_storm(k: &StormKnobs) -> StormOutcome {
     if on2.refused + on2.shed == 0 {
         failures.push("overload controls never engaged at 2x offered — vacuous".into());
     }
-    StormOutcome {
-        knobs: k.clone(),
-        with_shedding,
-        without_shedding,
-        saturation,
-        failures,
+    out.saturation = saturation;
+    out.failures = failures;
+    out
+}
+
+/// The `overload` command: the storm sweep into
+/// `results/overload.json`. The run fails if, at 2× offered, shedding
+/// holds less than 80% of saturation goodput, if the no-control
+/// baseline does not collapse below 50% (the comparison would be
+/// vacuous), or if the controls never engaged.
+pub fn command(smoke: bool) -> Outcome {
+    let k = knobs(smoke);
+    let out = run_storm(&k);
+    let mut report = Report::new(
+        "overload",
+        "open-loop storm: offered load vs in-deadline goodput, shedding on vs off",
+    );
+    report.remark(if smoke { "smoke run (compressed holds)" } else { "full run" });
+    report.remark(format!(
+        "one saturable route, {} ms budget, outbox bound {}, open-loop pacing at \
+         0.5x/1x/2x/4x of ~{:.0} units/s capacity; goodput counts only in-budget arrivals",
+        k.budget.as_millis(),
+        k.outbox_bound,
+        k.unit_rate,
+    ));
+    for p in &out.with_shedding {
+        println!("{}", p.line("shed on "));
     }
+    for p in &out.without_shedding {
+        println!("{}", p.line("shed off"));
+    }
+    println!(
+        "saturation {:.1}/s; 2x offered: shedding holds {:.1}/s ({:.0}%), \
+         no-control collapses to {:.1}/s ({:.0}%)",
+        out.saturation,
+        out.at(true, 2.0).goodput,
+        100.0 * out.at(true, 2.0).goodput / out.saturation.max(1e-9),
+        out.at(false, 2.0).goodput,
+        100.0 * out.at(false, 2.0).goodput / out.saturation.max(1e-9),
+    );
+    for (side, points) in [("on", &out.with_shedding), ("off", &out.without_shedding)] {
+        report.series(
+            &format!("shedding {side}"),
+            "offered (x saturation)",
+            "goodput (units/s in budget)",
+            points.iter().map(|p| (p.mult, p.goodput)).collect(),
+        );
+    }
+    for (side, points) in [("on", &out.with_shedding), ("off", &out.without_shedding)] {
+        report.series(
+            &format!("shedding {side} p99"),
+            "offered (x saturation)",
+            "delivery p99 (ms)",
+            points.iter().map(|p| (p.mult, p.p99_ms)).collect(),
+        );
+    }
+    out.note_into(&mut report);
+    Outcome { reports: vec![report], failures: out.failures, dumps: Vec::new() }
 }
 
 #[cfg(test)]

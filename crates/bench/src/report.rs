@@ -156,20 +156,78 @@ impl Report {
         fs::write(&path, self.to_json())?;
         Ok(path)
     }
+}
 
-    /// Print and persist.
-    pub fn finish(&self) {
-        self.print();
-        match self.write_json() {
-            Ok(p) => println!("[written {}]", p.display()),
-            Err(e) => eprintln!("[could not write results: {e}]"),
+/// What one command hands back to `csaw-bench`'s exit path: the
+/// reports to print and write as `results/<id>.json`, the lines that
+/// fail the run, and files (offending traces, schedule artifacts) to
+/// dump under `results/`.
+#[derive(Debug, Default)]
+pub struct Outcome {
+    /// Reports, in the order they are printed and written.
+    pub reports: Vec<Report>,
+    /// One line per broken gate or invariant; any line fails the run.
+    pub failures: Vec<String>,
+    /// `(path under results/, contents)`.
+    pub dumps: Vec<(String, String)>,
+}
+
+impl Outcome {
+    /// Record `line` as a failure unless `ok`.
+    pub fn require(&mut self, ok: bool, line: impl Into<String>) {
+        if !ok {
+            self.failures.push(line.into());
+        }
+    }
+
+    /// Record what broke in the run called `run`, one failure per line
+    /// prefixed with its name, and when anything did, dump its `trace`
+    /// to `results/<dump>`.
+    pub fn fail_run(&mut self, run: &str, broke: Vec<String>, dump: String, trace: String) {
+        if !broke.is_empty() {
+            self.failures.extend(broke.into_iter().map(|line| format!("{run}: {line}")));
+            self.dumps.push((dump, trace));
         }
     }
 }
 
+impl From<Report> for Outcome {
+    fn from(report: Report) -> Outcome {
+        Outcome { reports: vec![report], ..Default::default() }
+    }
+}
+
+/// Re-check `fresh` against the baseline report at `path`: each
+/// `(note, higher_is_better)` metric fails when it is more than 25%
+/// worse than the baseline's (improvements always pass) or missing
+/// from the baseline. Prints one PASS/FAIL line per metric and returns
+/// the failures.
+pub fn check_baseline(fresh: &Report, path: &str, metrics: &[(&str, bool)]) -> Vec<String> {
+    let base = read_notes(path);
+    let find =
+        |notes: &[(String, f64)], k: &str| notes.iter().find(|(n, _)| n == k).map(|(_, v)| *v);
+    println!("baseline regression check ({path}, 25% tolerance):");
+    let mut failures = Vec::new();
+    for &(name, higher_better) in metrics {
+        let cur = find(&fresh.notes, name).unwrap_or(f64::NAN);
+        let (ok, line) = match find(&base, name) {
+            None => (false, format!("{name}: missing from baseline")),
+            Some(b) => (
+                if higher_better { cur >= b * 0.75 } else { cur <= b * 1.25 },
+                format!("{name}: {cur:.1} vs baseline {b:.1}"),
+            ),
+        };
+        println!("  [{}] {line}", if ok { "PASS" } else { "FAIL" });
+        if !ok {
+            failures.push(line);
+        }
+    }
+    failures
+}
+
 /// Pull the `["name", value]` note pairs back out of a previously
-/// written `Report` JSON file — the perf-smoke CI job reads committed
-/// baseline reports with this to check fresh runs against them.
+/// written `Report` JSON file — [`check_baseline`] reads committed
+/// baseline reports with this.
 pub fn read_notes(path: &str) -> Vec<(String, f64)> {
     let text = fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
@@ -232,6 +290,30 @@ mod tests {
         assert!(json.contains("figX"));
         assert!(json.contains("[0, 1]"));
         assert!(json.contains("[\"total\", 3]"));
+    }
+
+    /// The 25% rule in both directions, and a metric the baseline lacks.
+    #[test]
+    fn baseline_check_fails_only_past_a_quarter() {
+        let mut base = Report::new("perf", "baseline");
+        base.note("qps", 100.0).note("ns", 100.0);
+        let name = format!("csaw_baseline_{}.json", std::process::id());
+        let path = std::env::temp_dir().join(name);
+        fs::write(&path, base.to_json()).unwrap();
+        let path = path.to_str().unwrap();
+        let check = |qps: f64, ns: f64| {
+            let mut fresh = Report::new("perf", "fresh");
+            fresh.note("qps", qps).note("ns", ns).note("new", 1.0);
+            check_baseline(&fresh, path, &[("qps", true), ("ns", false)]).len()
+        };
+        assert_eq!(check(76.0, 124.0), 0);
+        assert_eq!(check(500.0, 1.0), 0, "improvements always pass");
+        assert_eq!(check(74.0, 124.0), 1);
+        assert_eq!(check(76.0, 126.0), 1);
+        let mut fresh = Report::new("perf", "fresh");
+        fresh.note("new", 1.0);
+        assert_eq!(check_baseline(&fresh, path, &[("new", true)]).len(), 1);
+        fs::remove_file(path).unwrap();
     }
 
     #[test]

@@ -28,11 +28,10 @@
 //! runtime's own epoch chain
 //! ([`crate::conformance_runs::check_runtime_trace`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use csaw_arch::checkpoint::{checkpoint, CheckpointSpec};
 use csaw_arch::sharding::{sharding, ShardingSpec};
 use csaw_arch::watched::{promoted, supervised_failover, WatchedSpec};
 use csaw_core::program::LoadConfig;
@@ -42,33 +41,24 @@ use csaw_runtime::runtime::Policy;
 use csaw_runtime::supervisor::{RebuildFn, RepairAction, RepairHook};
 use csaw_runtime::{
     FailureClass, FaultPlan, HeartbeatConfig, ReconfigSpec, RepairPolicy, RepairRecord, Runtime,
-    RuntimeConfig, SupervisorConfig,
+    RuntimeConfig, Supervisor, SupervisorConfig,
 };
-use mini_redis::apps::{ServerApp, ShardFrontApp, ShardMode};
+use mini_redis::apps::{RequestQueue, ServerApp, ShardFrontApp, ShardMode};
 use mini_redis::hash::shard_of;
 use mini_redis::Store;
 use parking_lot::Mutex;
 
-use crate::chaos::KvFront;
+use crate::chaos::{bind_watched, WatchedApps};
 use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
 use crate::harness::{
-    command_for, drive_one, lost_acked_sets, wait_until, BlobStoreApp, CounterApp, DriveStats,
-    FRONT_TIMEOUT,
+    boot_checkpoint, command_for, drive_one, drive_until, lost_acked_sets, rehome, wait_until,
+    CheckpointRig, DriveStats, FRONT_TIMEOUT,
 };
-use crate::report::Report;
+use crate::reconfig_runs::BenchKnobs;
+use crate::report::{Outcome, Report};
 
-/// Timing knobs. Smoke mode (CI) compresses the traffic windows.
-#[derive(Clone, Copy, Debug)]
-pub struct BenchKnobs {
-    /// Traffic before the fault is injected.
-    pub warm: Duration,
-    /// Traffic after the repair verified.
-    pub after: Duration,
-    /// Driver pacing between requests.
-    pub pace: Duration,
-}
-
-/// Knobs for full vs smoke runs.
+/// Knobs for full vs smoke runs: `warm` runs before the fault, `after`
+/// once the repair verified.
 pub fn knobs(smoke: bool) -> BenchKnobs {
     if smoke {
         BenchKnobs {
@@ -133,14 +123,27 @@ pub struct RepairOutcome {
 }
 
 impl RepairOutcome {
+    /// Every invariant the scenario broke, one line each.
+    pub fn broke(&self) -> Vec<String> {
+        let (lost, refused, c) = (self.lost_acked_sets, self.refused, &self.conformance);
+        [
+            (!self.repair_ok).then(|| {
+                format!("repair never verified (class={}, action={})", self.class, self.action)
+            }),
+            (!self.served_after_repair).then(|| "no traffic served after the repair".into()),
+            (lost > 0).then(|| format!("{lost} acknowledged SETs lost")),
+            (refused > 0).then(|| format!("{refused} requests permanently refused")),
+            self.stale_applied.then(|| "a fenced zombie's stale ack landed (split-brain)".into()),
+            (!c.ok).then(|| format!("cross-epoch violations:\n{}", c.detail)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
     /// Whether the scenario's invariants held.
     pub fn ok(&self) -> bool {
-        self.repair_ok
-            && self.lost_acked_sets == 0
-            && self.refused == 0
-            && self.served_after_repair
-            && !self.stale_applied
-            && self.conformance.ok
+        self.broke().is_empty()
     }
 
     /// One console status line.
@@ -258,20 +261,7 @@ pub fn scenario_crash_rehoming(k: BenchKnobs) -> RepairOutcome {
             let mig = stores.clone();
             // Survivor homes by 2-way shard index: 0 → Bck1, 1 → Bck3.
             spec.migrate = Some(Box::new(move |ctx| {
-                let homes = [0usize, 2usize];
-                let mut moved = 0u64;
-                let mut bytes = 0u64;
-                for idx in 0..3 {
-                    let drained: Vec<(String, Vec<u8>)> = mig[idx].lock().drain_entries();
-                    for (key, val) in drained {
-                        let home = homes[shard_of(&key, 2)];
-                        if home != idx {
-                            moved += 1;
-                            bytes += (key.len() + val.len()) as u64;
-                        }
-                        mig[home].lock().set(&key, val);
-                    }
-                }
+                let (moved, bytes) = rehome(&mig, 3, |key| [0, 2][shard_of(key, 2)]);
                 ctx.note_moved(moved, bytes);
                 Ok(())
             }));
@@ -286,44 +276,11 @@ pub fn scenario_crash_rehoming(k: BenchKnobs) -> RepairOutcome {
         ..Default::default()
     });
 
-    let stop = AtomicBool::new(false);
-    let (stats, injected_at, record) = std::thread::scope(|s| {
-        let rt_ref = &rt;
-        let requests = &requests;
-        let replies = &replies;
-        let stop_ref = &stop;
-        let driver = s.spawn(move || {
-            let mut stats = DriveStats::default();
-            let mut i = 0usize;
-            while !stop_ref.load(Ordering::Relaxed) {
-                let cmd = command_for(i);
-                drive_one(
-                    rt_ref,
-                    ("Fnt", "junction"),
-                    requests,
-                    || replies.lock().len(),
-                    &cmd,
-                    &mut stats,
-                );
-                i += 1;
-                std::thread::sleep(k.pace);
-            }
-            stats
+    let replies_len = || replies.lock().len();
+    let (stats, injected_at, record) =
+        drive_through_repair(&rt, &sup, ("Fnt", &requests), &replies_len, "Bck2", k, || {
+            rt.crash("Bck2")
         });
-        std::thread::sleep(k.warm);
-        let injected_at = Instant::now();
-        rt.crash("Bck2");
-        let repaired = wait_until(Duration::from_secs(10), || {
-            sup.records().iter().any(|r| r.instance == "Bck2" && r.ok)
-        });
-        if repaired {
-            std::thread::sleep(k.after);
-        }
-        stop.store(true, Ordering::Relaxed);
-        let stats = driver.join().expect("driver thread");
-        let record = sup.records().into_iter().find(|r| r.instance == "Bck2");
-        (stats, injected_at, record)
-    });
     sup.stop();
 
     let lost = lost_acked_sets(&stats.acked_sets, &stores);
@@ -351,16 +308,7 @@ pub fn scenario_partition_promote(k: BenchKnobs) -> RepairOutcome {
     let b = csaw_core::compile(promoted(&spec), &LoadConfig::new()).unwrap();
     let rt = Runtime::new(&a, RuntimeConfig::default());
     rt.set_tracing(true);
-    let front = KvFront::new();
-    let requests = Arc::clone(&front.requests);
-    let replies = Arc::clone(&front.replies);
-    rt.bind_app("f", Box::new(front));
-    let o = ServerApp::new();
-    let s_app = ServerApp::new();
-    let store_o = Arc::clone(&o.store);
-    let store_s = Arc::clone(&s_app.store);
-    rt.bind_app("o", Box::new(o));
-    rt.bind_app("s", Box::new(s_app));
+    let WatchedApps { requests, replies, store_o, store_s } = bind_watched(&rt);
     rt.set_policy("f", "junction", Policy::OnDemand);
     rt.run_main(vec![Value::Duration(FRONT_TIMEOUT)]).unwrap();
     rt.enable_heartbeats(HeartbeatConfig {
@@ -384,46 +332,13 @@ pub fn scenario_partition_promote(k: BenchKnobs) -> RepairOutcome {
         ..Default::default()
     });
 
-    let stop = AtomicBool::new(false);
-    let (stats, injected_at, record) = std::thread::scope(|sc| {
-        let rt_ref = &rt;
-        let requests = &requests;
-        let replies = &replies;
-        let stop_ref = &stop;
-        let driver = sc.spawn(move || {
-            let mut stats = DriveStats::default();
-            let mut i = 0usize;
-            while !stop_ref.load(Ordering::Relaxed) {
-                let cmd = command_for(i);
-                drive_one(
-                    rt_ref,
-                    ("f", "junction"),
-                    requests,
-                    || replies.lock().len(),
-                    &cmd,
-                    &mut stats,
-                );
-                i += 1;
-                std::thread::sleep(k.pace);
+    let replies_len = || replies.lock().len();
+    let (stats, injected_at, record) =
+        drive_through_repair(&rt, &sup, ("f", &requests), &replies_len, "o", k, || {
+            for (from, to) in O_LINKS {
+                rt.set_fault_plan(from, to, FaultPlan::none().with_drop(1.0));
             }
-            stats
         });
-        std::thread::sleep(k.warm);
-        let injected_at = Instant::now();
-        for (from, to) in O_LINKS {
-            rt.set_fault_plan(from, to, FaultPlan::none().with_drop(1.0));
-        }
-        let repaired = wait_until(Duration::from_secs(10), || {
-            sup.records().iter().any(|r| r.instance == "o" && r.ok)
-        });
-        if repaired {
-            std::thread::sleep(k.after);
-        }
-        stop.store(true, Ordering::Relaxed);
-        let stats = driver.join().expect("driver thread");
-        let record = sup.records().into_iter().find(|r| r.instance == "o");
-        (stats, injected_at, record)
-    });
 
     // Heal the partition and poke the fenced zombie into replaying its
     // last request; with the fence up its acks are dead on the wire.
@@ -454,26 +369,7 @@ pub fn scenario_partition_promote(k: BenchKnobs) -> RepairOutcome {
 /// the verify predicate holds out until the restored state is live.
 /// The recovered value must be one that was genuinely checkpointed.
 pub fn scenario_crash_restore(k: BenchKnobs) -> RepairOutcome {
-    let spec = CheckpointSpec::default();
-    let a = csaw_core::compile(checkpoint(&spec), &LoadConfig::new()).unwrap();
-    let rt = Runtime::new(&a, RuntimeConfig::default());
-    rt.set_tracing(true);
-
-    let counter = Arc::new(AtomicU64::new(0));
-    let checkpointed = Arc::new(Mutex::new(Vec::new()));
-    let recovered = Arc::new(Mutex::new(None));
-    let latest = Arc::new(Mutex::new(None));
-    rt.bind_app(
-        "Prim",
-        Box::new(CounterApp {
-            counter: Arc::clone(&counter),
-            checkpointed: Arc::clone(&checkpointed),
-            recovered: Arc::clone(&recovered),
-        }),
-    );
-    rt.bind_app("Store", Box::new(BlobStoreApp { latest: Arc::clone(&latest) }));
-    rt.set_policy("Prim", "checkpoint", Policy::Periodic(Duration::from_millis(20)));
-    rt.run_main(vec![Value::Duration(Duration::from_millis(600))]).unwrap();
+    let CheckpointRig { rt, counter, checkpointed, recovered, latest } = boot_checkpoint(true);
 
     // The repair: restart, then trigger the §10.1 restore protocol. The
     // verify predicate keeps the repair open until the state is back.
@@ -615,6 +511,41 @@ fn outcome_from(
     }
 }
 
+/// Drive traffic through `front`'s junction from a second thread while
+/// this one waits out the warm window, runs `inject`, waits for the
+/// supervisor to repair `victim`, and lets traffic run `k.after` more.
+/// Returns the traffic, the injection instant and `victim`'s record.
+fn drive_through_repair(
+    rt: &Runtime,
+    sup: &Supervisor,
+    (front, requests): (&str, &RequestQueue),
+    replies_len: &(dyn Fn() -> usize + Sync),
+    victim: &str,
+    k: BenchKnobs,
+    inject: impl FnOnce(),
+) -> (DriveStats, Instant, Option<RepairRecord>) {
+    let stop = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let driver = s.spawn(|| {
+            drive_until(&stop, k.pace, |i, stats| {
+                drive_one(rt, (front, "junction"), requests, replies_len, &command_for(i), stats)
+            })
+        });
+        std::thread::sleep(k.warm);
+        let injected_at = Instant::now();
+        inject();
+        let repaired = wait_until(Duration::from_secs(10), || {
+            sup.records().iter().any(|r| r.instance == victim && r.ok)
+        });
+        if repaired {
+            std::thread::sleep(k.after);
+        }
+        stop.store(true, Ordering::Relaxed);
+        let stats = driver.join().expect("driver thread");
+        (stats, injected_at, sup.records().into_iter().find(|r| r.instance == victim))
+    })
+}
+
 /// Run all three scenarios in sequence.
 pub fn run_all(k: BenchKnobs) -> Vec<RepairOutcome> {
     vec![
@@ -622,6 +553,38 @@ pub fn run_all(k: BenchKnobs) -> Vec<RepairOutcome> {
         scenario_partition_promote(k),
         scenario_crash_restore(k),
     ]
+}
+
+/// The `self-healing` command: all three failure classes into
+/// `results/self_healing.json`. A scenario whose repair never verifies,
+/// that loses an acknowledged write, permanently refuses a request,
+/// lets a fenced zombie's stale ack land or fails cross-epoch
+/// conformance fails the run and dumps its trace to
+/// `results/self_healing_offending_trace_<name>.jsonl`.
+pub fn command(smoke: bool) -> Outcome {
+    let mut report = Report::new(
+        "self_healing",
+        "self-healing supervisor: MTTR per failure class under traffic",
+    );
+    report.remark(if smoke {
+        "smoke run (compressed traffic windows)"
+    } else {
+        "full run"
+    });
+    report.remark(
+        "mttr_ms measures fault injection -> repair verified; detect_ms is \
+         injection -> anomaly confirmed+planned (includes the detector's \
+         silence window), repair_ms is plan -> verified convergence",
+    );
+    let mut out = Outcome::default();
+    for o in run_all(knobs(smoke)) {
+        println!("{}", o.line());
+        o.note_into(&mut report);
+        let dump = format!("self_healing_offending_trace_{}.jsonl", o.name);
+        out.fail_run(&o.name, o.broke(), dump, o.trace_jsonl);
+    }
+    out.reports.push(report);
+    out
 }
 
 #[cfg(test)]

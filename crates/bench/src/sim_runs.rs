@@ -59,10 +59,9 @@
 //! conforms).
 //!
 //! Each scenario carries a deliberate *fence-off* bug mode
-//! ([`ScheduleSpec::with_fence_off`], or the `fence-off-bug` cargo
-//! feature which compiles the bug in unconditionally): fail-over skips
-//! zombie fencing (split-brain), the single-step sharded waves copy
-//! instead of drain re-homed entries (double-homed keys), the planned
+//! ([`ScheduleSpec::with_fence_off`]): fail-over skips zombie fencing
+//! (split-brain), the single-step sharded waves copy instead of drain
+//! re-homed entries (double-homed keys), the planned
 //! waves run a break-before-make plan (refused by the plan check),
 //! restore skips re-arming recovery after the restart (recovery never
 //! completes), overload drops the control-plane priority lane
@@ -78,7 +77,7 @@
 //! bounded DFS/DPOR explorer for exhaustive small-model checking.
 
 use std::collections::{BTreeMap, HashSet, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -86,8 +85,6 @@ use csaw_arch::checkpoint::{checkpoint_mesh, mesh_primary, mesh_store};
 use csaw_arch::overload::{storm_names, storm_pipeline};
 use csaw_arch::sharding::{sharding, ShardingSpec};
 use csaw_arch::watched::supervised_failover_groups;
-use csaw_core::expr::Arg;
-use csaw_core::names::JRef;
 use csaw_core::plan::{plan_break_before_make, plan_reconfiguration, PlanConstraints};
 use csaw_core::program::{CompiledProgram, LoadConfig};
 use csaw_core::value::Value;
@@ -107,6 +104,7 @@ use parking_lot::Mutex;
 
 use crate::chaos::KvFront;
 use crate::conformance_runs::{check_runtime_trace, ConformanceSummary};
+use crate::harness::{join_shard, BlobStoreApp, CounterApp};
 
 /// Front-end `wait` deadline (virtual).
 const FRONT_TIMEOUT: Duration = Duration::from_millis(200);
@@ -244,14 +242,6 @@ impl ScheduleSpec {
         self.max_steps = max_steps;
         self
     }
-}
-
-/// Whether the spec's fence survives the build. The `fence-off-bug`
-/// cargo feature compiles every scenario's deliberate ordering bug in
-/// unconditionally, so CI can prove the oracles catch it on an
-/// otherwise-default spec.
-fn fence_enabled(spec: &ScheduleSpec) -> bool {
-    !cfg!(feature = "fence-off-bug") && spec.fence
 }
 
 /// What one schedule run produced, plus the oracle's verdict.
@@ -661,7 +651,7 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
         });
     }
 
-    let fence = fence_enabled(spec);
+    let fence = spec.fence;
     let chaos = spec.chaos;
     let seed = spec.seed;
     let start = move |rt: &Runtime, st: &Arc<FoRun>| {
@@ -925,7 +915,7 @@ fn wire_overload(spec: &ScheduleSpec) -> Scene {
         // network-wide default.
         ingress_deadline: None,
         shed_expired: true,
-        priority_lane: fence_enabled(spec),
+        priority_lane: spec.fence,
     };
     let identity = boot.clone();
     let start = move |rt: &Runtime, st: &Arc<OvRun>| {
@@ -1125,19 +1115,7 @@ impl ShardRun {
     /// Add back-end `Bck{i}` on its pre-created store, started against
     /// the front.
     fn join(&self, rs: &mut ReconfigSpec, i: usize) {
-        let name = format!("Bck{i}");
-        rs.apps
-            .push((name.clone(), Box::new(ServerApp::with_store(Arc::clone(&self.stores[i - 1])))));
-        rs.start.push((
-            name,
-            vec![(
-                None,
-                vec![
-                    Arg::Junction(JRef::qualified("Fnt", "junction")),
-                    Arg::Value(Value::Duration(FRONT_TIMEOUT)),
-                ],
-            )],
-        ));
+        join_shard(rs, i, &self.stores[i - 1], FRONT_TIMEOUT);
     }
 
     /// Migrate every store entry to its `shard_of(key, to_n)` home.
@@ -1266,7 +1244,7 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
         });
     }
 
-    let fence = fence_enabled(spec);
+    let fence = spec.fence;
     let label = if planned { "plan-wave" } else { "wave" };
     for (w, &(at, to_n)) in sc.waves.iter().enumerate() {
         let sc = Arc::clone(&sc);
@@ -1509,78 +1487,13 @@ fn planned_wave(
 // Checkpoint/restore mesh
 // =====================================================================
 
-/// Counter app for the mesh primaries: `save` checkpoints the counter
-/// and records what was captured, so recovery can be validated against
-/// genuinely checkpointed states only.
-struct MeshCounterApp {
-    counter: Arc<AtomicUsize>,
-    checkpointed: Arc<Mutex<Vec<i64>>>,
-    recovered: Arc<Mutex<Option<i64>>>,
-}
-
-impl InstanceApp for MeshCounterApp {
-    fn host_call(&mut self, _name: &str, _ctx: &mut HostCtx<'_>) -> Result<(), String> {
-        Ok(())
-    }
-    fn save(&mut self, _key: &str) -> Result<Value, String> {
-        let v = self.counter.load(Ordering::SeqCst) as i64;
-        self.checkpointed.lock().push(v);
-        Ok(Value::Int(v))
-    }
-    fn restore(&mut self, _key: &str, value: &Value) -> Result<(), String> {
-        let v = value.as_int().ok_or("bad checkpoint")?;
-        self.counter.store(v as usize, Ordering::SeqCst);
-        *self.recovered.lock() = Some(v);
-        Ok(())
-    }
-    // The counter and recovery mark drive behavior the DFS fingerprint
-    // must see, or hash-pruning could collapse genuinely distinct
-    // states.
-    fn sim_digest(&self) -> u64 {
-        let mut h = 0xcbf29ce484222325u64;
-        for word in [
-            self.counter.load(Ordering::SeqCst) as u64,
-            self.checkpointed.lock().len() as u64,
-            self.recovered.lock().map_or(u64::MAX, |v| v as u64),
-        ] {
-            h = (h ^ word).wrapping_mul(0x100000001b3);
-        }
-        h
-    }
-}
-
-/// Blob store app: keeps the latest checkpoint value.
-struct MeshBlobApp {
-    latest: Arc<Mutex<Option<Value>>>,
-}
-
-impl InstanceApp for MeshBlobApp {
-    fn host_call(&mut self, _name: &str, _ctx: &mut HostCtx<'_>) -> Result<(), String> {
-        Ok(())
-    }
-    fn save(&mut self, _key: &str) -> Result<Value, String> {
-        self.latest.lock().clone().ok_or("no checkpoint stored".into())
-    }
-    fn restore(&mut self, _key: &str, value: &Value) -> Result<(), String> {
-        *self.latest.lock() = Some(value.clone());
-        Ok(())
-    }
-    fn sim_digest(&self) -> u64 {
-        self.latest
-            .lock()
-            .as_ref()
-            .and_then(|v| v.as_int())
-            .map_or(0x9e3779b97f4a7c15, |v| (v as u64).wrapping_mul(0x100000001b3))
-    }
-}
-
 /// Scripted virtual times (ms) for the restore scenario.
 const RS_CRASH_AT: u64 = 260;
 const RS_RESUME_AT: u64 = 700;
 
 /// One restore run's state.
 struct RsRun {
-    counters: Vec<Arc<AtomicUsize>>,
+    counters: Vec<Arc<AtomicU64>>,
     checkpointed: Vec<Arc<Mutex<Vec<i64>>>>,
     recovered: Vec<Arc<Mutex<Option<i64>>>>,
     /// `blobs[i][j]`: store `d{i+1}_{j+1}`'s latest checkpoint.
@@ -1666,12 +1579,12 @@ fn wire_restore(spec: &ScheduleSpec) -> Scene {
         st.parked.store(false, Ordering::SeqCst);
     });
 
-    let fence = fence_enabled(spec);
+    let fence = spec.fence;
     let start = move |rt: &Runtime, st: &Arc<RsRun>| {
         for i in 1..=n {
             rt.bind_app(
                 &mesh_primary(i),
-                Box::new(MeshCounterApp {
+                Box::new(CounterApp {
                     counter: Arc::clone(&st.counters[i - 1]),
                     checkpointed: Arc::clone(&st.checkpointed[i - 1]),
                     recovered: Arc::clone(&st.recovered[i - 1]),
@@ -1680,7 +1593,7 @@ fn wire_restore(spec: &ScheduleSpec) -> Scene {
             for j in 1..=k {
                 rt.bind_app(
                     &mesh_store(i, j),
-                    Box::new(MeshBlobApp { latest: Arc::clone(&st.blobs[i - 1][j - 1]) }),
+                    Box::new(BlobStoreApp { latest: Arc::clone(&st.blobs[i - 1][j - 1]) }),
                 );
             }
             rt.set_policy(&mesh_primary(i), "checkpoint", Policy::OnDemand);

@@ -10,8 +10,8 @@
 //!
 //! The base seed honors `CSAW_SEED`, so a failing block reported by CI
 //! can be reproduced locally with the same environment variable; every
-//! red schedule prints its seed (and the `csaw_sim` CLI can then shrink
-//! and persist it as a JSON artifact).
+//! red schedule prints its seed (and `csaw-bench sim explore` can then
+//! shrink and persist it as a JSON artifact).
 
 use csaw_bench::sim_runs::{
     dfs_schedule, replay_schedule, run_schedule, shrink_failure, Scenario, ScheduleSpec,
@@ -71,7 +71,7 @@ fn sweep_reconfigure_during_repair_stays_green() {
         assert!(
             out.failure.is_none(),
             "seed {seed} went red: {:?} (CSAW_SEED={seed} reproduces; \
-             `csaw_sim explore --seed {seed} --schedules 1` shrinks it)",
+             `csaw-bench sim explore --seed {seed} --schedules 1` shrinks it)",
             out.failure
         );
         assert!(out.repair_ok, "seed {seed}: promotion repair did not verify: {:?}", out.repairs);
@@ -330,30 +330,3 @@ fn dfs_exploration_is_deterministic() {
     assert_eq!(a.states, b.states, "DFS state count diverged across runs");
 }
 
-/// With the `fence-off-bug` feature compiled in, even a spec that asks
-/// for the fence gets the buggy build — proving the cfg gate forces the
-/// bug into every scenario and the oracles still catch it. (CI builds
-/// the bench tests once with the feature and runs exactly this test.)
-#[cfg(feature = "fence-off-bug")]
-#[test]
-fn feature_gate_forces_every_bug_on() {
-    for (scenario, expect) in [
-        (Scenario::Failover, "split-brain"),
-        (Scenario::Reshard, "double-homed"),
-        (Scenario::Restore, "crash recovery never completed"),
-        (Scenario::Churn, "double-homed"),
-        (Scenario::Planned, "plan invalid"),
-        (Scenario::Overload, "false crash classification"),
-    ] {
-        let seed = if scenario == Scenario::Failover { 3 } else { 1 };
-        let out = run_schedule(&ScheduleSpec::new(scenario, 1, 1, seed));
-        let reason = out.failure.unwrap_or_else(|| {
-            panic!("{}: feature-gated bug not caught", scenario.label())
-        });
-        assert!(
-            reason.contains(expect),
-            "{}: wrong failure `{reason}` (expected `{expect}`)",
-            scenario.label()
-        );
-    }
-}

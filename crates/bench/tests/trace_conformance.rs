@@ -1,7 +1,7 @@
 //! Fast conformance smoke tests: a subset of the architecture catalogue
 //! runs with tracing on and the recorded traces must replay cleanly
 //! through the semantics checker. The full seven-architecture sweep is
-//! the `trace_conformance` binary (CI runs it at a fixed seed).
+//! `csaw-bench conformance` (CI runs it at a fixed seed).
 
 use csaw_bench::chaos::{soak_checkpoint, soak_failover, ChaosSchedule};
 use csaw_bench::conformance_runs::{conf_caching, conf_sharding};

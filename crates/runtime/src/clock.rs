@@ -267,21 +267,14 @@ impl Clock {
     }
 }
 
-/// The unified seed override (satellite of ISSUE 6): every seeded
-/// harness — chaos soaks, property tests, the sim explorer — calls
-/// this so one `CSAW_SEED=n` environment variable steers them all.
-/// Falls back to the legacy `CSAW_CHAOS_SEED` name, then `default`.
+/// The unified seed override: every seeded harness — chaos soaks,
+/// property tests, the sim explorer, `csaw-bench` commands without a
+/// `--seed` — calls this so one `CSAW_SEED=n` environment variable
+/// steers them all; `default` when it is unset or not a number.
 /// Harnesses print the active seed on every failure so any red run is
 /// replayable.
 pub fn env_seed(default: u64) -> u64 {
-    for key in ["CSAW_SEED", "CSAW_CHAOS_SEED"] {
-        if let Ok(v) = std::env::var(key) {
-            if let Ok(n) = v.trim().parse::<u64>() {
-                return n;
-            }
-        }
-    }
-    default
+    std::env::var("CSAW_SEED").ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
 }
 
 #[cfg(test)]
