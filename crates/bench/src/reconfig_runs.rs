@@ -40,7 +40,7 @@ use csaw_core::names::JRef;
 use csaw_core::program::{CompiledProgram, InstanceType, JunctionDef, LoadConfig, Program};
 use csaw_core::value::Value;
 use csaw_runtime::runtime::Policy;
-use csaw_runtime::{PhaseTimings, ReconfigReport, ReconfigSpec, Runtime, RuntimeConfig};
+use csaw_runtime::{ReconfigReport, ReconfigSpec, Runtime, RuntimeConfig};
 use mini_redis::apps::{CacheApp, ServerApp, ShardFrontApp, ShardMode};
 use mini_redis::hash::shard_of;
 use mini_redis::Store;
@@ -185,35 +185,15 @@ pub struct TransitionOutcome {
     pub acked_sets: usize,
     /// Acknowledged SETs missing from every store — must be 0.
     pub lost_acked_sets: usize,
-    /// Worst per-instance hold window (affected instances only).
-    pub pause_max_us: u64,
     /// The unaffected instance the probe watched.
     pub bystander: String,
     /// Largest probe read gap while the reconfiguration ran.
     pub bystander_gap_us: u64,
     /// Largest probe read gap outside the window (noise floor).
     pub baseline_gap_us: u64,
-    /// Serial-codec bytes carried across the cut (junction tables).
-    pub migrated_bytes: u64,
-    /// App-level entries re-homed by the migrate closure.
-    pub moved_entries: u64,
-    /// App-level bytes re-homed by the migrate closure.
-    pub moved_bytes: u64,
-    /// Updates buffered during quiescence and flushed at resume.
-    pub held_updates: u64,
-    /// Buffered updates with no home in the new program.
-    pub dropped_updates: u64,
-    /// Wall time of the whole transition.
-    pub total_us: u64,
-    /// Where the transition spent its time: the engine's per-phase
-    /// split (diff / quiesce / migrate / cut / resume).
-    pub timings: PhaseTimings,
-    /// Plan shape: instances added.
-    pub added: usize,
-    /// Instances removed by the plan.
-    pub removed: usize,
-    /// Instances re-planned in place.
-    pub changed: usize,
+    /// The engine's report: plan shape, pauses, migration accounting
+    /// and the per-phase timing split.
+    pub report: ReconfigReport,
     /// Transition-specific extras (cache hits, fail-over engaged, …).
     pub extra: Vec<(String, f64)>,
     /// Cross-epoch conformance verdict for the recorded trace.
@@ -260,10 +240,10 @@ impl TransitionOutcome {
             self.retried,
             self.refused,
             self.lost_acked_sets,
-            self.pause_max_us,
+            self.report.max_pause().as_micros(),
             self.bystander_gap_us,
-            self.migrated_bytes,
-            self.moved_entries,
+            self.report.migrated_bytes,
+            self.report.moved_entries,
             if self.conformance.ok { "ok" } else { "VIOLATED" },
         )
     }
@@ -277,21 +257,22 @@ impl TransitionOutcome {
         r.note(&p("refused"), self.refused as f64);
         r.note(&p("acked_sets"), self.acked_sets as f64);
         r.note(&p("lost_acked_sets"), self.lost_acked_sets as f64);
-        r.note(&p("pause_max_us"), self.pause_max_us as f64);
+        let rep = &self.report;
+        r.note(&p("pause_max_us"), rep.max_pause().as_micros() as f64);
         r.note(&p("bystander_gap_us"), self.bystander_gap_us as f64);
         r.note(&p("baseline_gap_us"), self.baseline_gap_us as f64);
-        r.note(&p("migrated_bytes"), self.migrated_bytes as f64);
-        r.note(&p("moved_entries"), self.moved_entries as f64);
-        r.note(&p("moved_bytes"), self.moved_bytes as f64);
-        r.note(&p("held_updates"), self.held_updates as f64);
-        r.note(&p("dropped_updates"), self.dropped_updates as f64);
-        r.note(&p("total_us"), self.total_us as f64);
-        for (phase, d) in self.timings.phases() {
+        r.note(&p("migrated_bytes"), rep.migrated_bytes as f64);
+        r.note(&p("moved_entries"), rep.moved_entries as f64);
+        r.note(&p("moved_bytes"), rep.moved_bytes as f64);
+        r.note(&p("held_updates"), rep.held_updates as f64);
+        r.note(&p("dropped_updates"), rep.dropped_updates as f64);
+        r.note(&p("total_us"), rep.total.as_micros() as f64);
+        for (phase, d) in rep.timings.phases() {
             r.note(&p(&format!("t_{phase}_us")), d.as_micros() as f64);
         }
-        r.note(&p("plan_added"), self.added as f64);
-        r.note(&p("plan_removed"), self.removed as f64);
-        r.note(&p("plan_changed"), self.changed as f64);
+        r.note(&p("plan_added"), rep.plan.added.len() as f64);
+        r.note(&p("plan_removed"), rep.plan.removed.len() as f64);
+        r.note(&p("plan_changed"), rep.plan.changed.len() as f64);
         r.note(&p("conformance_ok"), if self.conformance.ok { 1.0 } else { 0.0 });
         r.note(&p("conformance_events"), self.conformance.events as f64);
         r.note(&p("conformance_violations"), self.conformance.violations as f64);
@@ -318,20 +299,10 @@ fn build_outcome(
         refused: run.stats.refused,
         acked_sets: run.stats.acked_sets.len(),
         lost_acked_sets: lost,
-        pause_max_us: run.report.max_pause().as_micros() as u64,
         bystander: bystander.to_string(),
         bystander_gap_us: run.during_gap.as_micros() as u64,
         baseline_gap_us: run.baseline_gap.as_micros() as u64,
-        migrated_bytes: run.report.migrated_bytes,
-        moved_entries: run.report.moved_entries,
-        moved_bytes: run.report.moved_bytes,
-        held_updates: run.report.held_updates,
-        dropped_updates: run.report.dropped_updates,
-        total_us: run.report.total.as_micros() as u64,
-        timings: run.report.timings,
-        added: run.report.plan.added.len(),
-        removed: run.report.plan.removed.len(),
-        changed: run.report.plan.changed.len(),
+        report: run.report,
         extra,
         conformance,
         trace_jsonl,
@@ -707,7 +678,7 @@ mod tests {
         assert_eq!(out.refused, 0, "refused requests");
         assert!(out.acked > 0, "no traffic was acknowledged");
         assert!(out.conformance.ok, "cross-epoch violations:\n{}", out.conformance.detail);
-        assert_eq!(out.added, 1);
-        assert_eq!(out.changed, 1);
+        assert_eq!(out.report.plan.added.len(), 1);
+        assert_eq!(out.report.plan.changed.len(), 1);
     }
 }

@@ -1,13 +1,11 @@
 //! Declarative reconfiguration planning.
 //!
-//! `Runtime::reconfigure` executes *one* structural diff; callers who
-//! need a multi-step transition (grow a shard set, then re-point the
-//! router, then retire the old shards) have so far sequenced the phases
-//! by hand. This module lifts that sequencing into the DSL layer: a
-//! caller states a **target architecture** plus operational
-//! **constraints** — how many instances may quiesce concurrently, which
-//! instances must transition together (colocation), which must never
-//! pause together (anti-affinity), and a per-phase pause budget — and
+//! A multi-step transition (grow a shard set, then re-point the router,
+//! then retire the old shards) is a [`Plan`]. A caller states a
+//! **target architecture** plus operational **constraints** — how many
+//! instances may quiesce concurrently, which instances must transition
+//! together (colocation), and which must never pause together
+//! (anti-affinity) — and
 //! [`plan_reconfiguration`] emits a validated, minimal-disruption
 //! [`Plan`]: an ordered sequence of phased [`ProgramDiff`]s whose
 //! targets walk the system from A to B make-before-make-do-before-break:
@@ -19,16 +17,14 @@
 //! 3. **Break** — removed instances retire last, again chunked, after
 //!    no live instance routes to them.
 //!
-//! The planner shares one differ with the executor ([`diff_programs`]):
-//! each phase's recorded diff is exactly what `Runtime::reconfigure`
-//! will recompute when handed that phase's target. [`check_plan`]
-//! (in [`crate::plan_check`]) judges a plan against its declared
-//! constraints without trusting the planner that built it, and
-//! `Runtime::reconfigure_plan` runs it on every plan before phase 0.
+//! A single-step change is [`Plan::step`]: the whole diff in one phase.
+//! [`check_plan`] (in [`crate::plan_check`]) judges a plan against its
+//! declared constraints without trusting the planner that built it,
+//! and `Runtime::reconfigure_plan` — the one executor, which every live
+//! change goes through — runs it on every plan before phase 0.
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::time::Duration;
 
 use crate::diff::{diff_programs, ProgramDiff};
 use crate::program::{CompiledInstance, CompiledProgram, Program};
@@ -50,9 +46,6 @@ pub struct PlanConstraints {
     /// Pairs of instances that must never be quiesced in the same phase
     /// (e.g. a primary and its replica — one side must stay live).
     pub anti_affinity: Vec<(String, String)>,
-    /// Per-phase SLO pause budget. The planner records it; the executor
-    /// reports phases whose measured pause exceeded it.
-    pub phase_pause_budget: Option<Duration>,
 }
 
 impl Default for PlanConstraints {
@@ -61,7 +54,6 @@ impl Default for PlanConstraints {
             max_concurrent_quiesce: 1,
             colocate: Vec::new(),
             anti_affinity: Vec::new(),
-            phase_pause_budget: None,
         }
     }
 }
@@ -83,12 +75,6 @@ impl PlanConstraints {
         self.anti_affinity.push((a.to_string(), b.to_string()));
         self
     }
-
-    /// Set the per-phase pause budget.
-    pub fn with_pause_budget(mut self, budget: Duration) -> Self {
-        self.phase_pause_budget = Some(budget);
-        self
-    }
 }
 
 /// One phase of a plan: a target program one reconfiguration step away
@@ -97,8 +83,10 @@ impl PlanConstraints {
 pub struct PlanPhase {
     /// Phase position, `0..plan.phases.len()`.
     pub index: usize,
-    /// The structural diff this phase executes — exactly what
-    /// `Runtime::reconfigure` recomputes when handed [`PlanPhase::target`].
+    /// The structural diff this phase executes. The executor runs this
+    /// diff as recorded, once [`check_plan`] has confirmed it is the
+    /// diff from the previous target (or the serving program) to
+    /// [`PlanPhase::target`].
     pub diff: ProgramDiff,
     /// The compiled program this phase transitions to. The final
     /// phase's target is the caller's B, verbatim.
@@ -115,8 +103,8 @@ impl PlanPhase {
 /// A validated, ordered sequence of phased reconfigurations from A to B.
 #[derive(Clone, Debug)]
 pub struct Plan {
-    /// The phases, in execution order. Empty when A and B are
-    /// structurally identical.
+    /// The phases, in execution order. A planned identity transition
+    /// has none; an identity [`Plan::step`] has one empty phase.
     pub phases: Vec<PlanPhase>,
     /// The constraints the plan was computed under.
     pub constraints: PlanConstraints,
@@ -125,6 +113,19 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// The one-phase plan from `a` to `b`: the whole diff in a single
+    /// phase under no quiesce bound, so it passes [`check_plan`] from
+    /// `a` by construction. An identity step keeps its one empty phase:
+    /// running it still cuts and adds an epoch.
+    pub fn step(a: &CompiledProgram, b: &CompiledProgram) -> Plan {
+        let diff = diff_programs(a, b);
+        Plan {
+            phases: vec![PlanPhase { index: 0, diff: diff.clone(), target: b.clone() }],
+            constraints: PlanConstraints::max_quiesce(usize::MAX),
+            full_diff: diff,
+        }
+    }
+
     /// Largest per-phase quiesce set in the plan.
     pub fn max_phase_quiesce(&self) -> usize {
         self.phases.iter().map(|p| p.diff.quiesce_set().len()).max().unwrap_or(0)
@@ -132,7 +133,7 @@ impl Plan {
 
     /// Whether the plan is a no-op (A and B structurally identical).
     pub fn is_identity(&self) -> bool {
-        self.phases.is_empty()
+        self.full_diff.is_identity()
     }
 }
 
@@ -370,42 +371,18 @@ pub fn plan_reconfiguration(
     phase_groups.extend(pack(change_groups, max, anti));
     phase_groups.extend(pack(remove_groups, max, anti));
 
-    // Walk the phases, materializing each intermediate target from A's
-    // instance list progressively rewritten toward B.
-    let mut cur: Vec<CompiledInstance> = a.instances.clone();
-    let mut phases: Vec<PlanPhase> = Vec::new();
-    let total = phase_groups.len();
-    let mut prev: CompiledProgram = a.clone();
-    for (pi, pgroups) in phase_groups.into_iter().enumerate() {
-        for g in pgroups {
-            for name in &g.members {
-                if is_removed(name) {
-                    cur.retain(|i| &i.name != name);
-                } else if is_changed(name) {
-                    let nb = b.instance(name).expect("changed instance exists in B").clone();
-                    if let Some(slot) = cur.iter_mut().find(|i| &i.name == name) {
-                        *slot = nb;
-                    }
-                } else {
-                    // Added: append in B order within the group.
-                    cur.push(b.instance(name).expect("added instance exists in B").clone());
-                }
-            }
-        }
-        let target = if pi + 1 == total { b.clone() } else { synth_target(a, b, &cur) };
-        let diff = diff_programs(&prev, &target);
-        prev = target.clone();
-        phases.push(PlanPhase { index: pi, diff, target });
-    }
-
-    Ok(Plan { phases, constraints: constraints.clone(), full_diff: full })
+    let waves = phase_groups
+        .into_iter()
+        .map(|pgroups| pgroups.iter().flat_map(|g| g.members.iter().cloned()).collect())
+        .collect();
+    Ok(Plan { phases: walk(a, b, waves), constraints: constraints.clone(), full_diff: full })
 }
 
 /// Deliberately *wrong* baseline planner: break-before-make. Removals
 /// all come first in one unbounded phase (live routers still point at
 /// the retired instances), then every change at once, then additions
 /// last. Exists so the plan-validity checker and the sim oracles have a
-/// realistic bug to catch — see the `fence-off-bug` scenario family.
+/// realistic bug to catch — see the `planned` sim scenario run `--buggy`.
 pub fn plan_break_before_make(
     a: &CompiledProgram,
     b: &CompiledProgram,
@@ -415,10 +392,6 @@ pub fn plan_break_before_make(
     if full.is_identity() {
         return Plan { phases: Vec::new(), constraints: constraints.clone(), full_diff: full };
     }
-    let mut cur: Vec<CompiledInstance> = a.instances.clone();
-    let mut phases: Vec<PlanPhase> = Vec::new();
-    let mut prev = a.clone();
-
     // Wave layout: [removals] [changes] [adds] — each unbounded.
     let mut waves: Vec<Vec<String>> = Vec::new();
     if !full.removed.is_empty() {
@@ -430,19 +403,25 @@ pub fn plan_break_before_make(
     if !full.added.is_empty() {
         waves.push(full.added.clone());
     }
+    Plan { phases: walk(a, b, waves), constraints: constraints.clone(), full_diff: full }
+}
+
+/// One phase per wave of touched instance names, each target
+/// materialized from A's instance list progressively rewritten toward
+/// B: a name B lacks is removed, one already listed is replaced by B's
+/// version, any other is appended in wave order. The last phase's
+/// target is B verbatim.
+fn walk(a: &CompiledProgram, b: &CompiledProgram, waves: Vec<Vec<String>>) -> Vec<PlanPhase> {
+    let mut cur: Vec<CompiledInstance> = a.instances.clone();
+    let mut prev = a.clone();
     let total = waves.len();
+    let mut phases = Vec::new();
     for (pi, wave) in waves.into_iter().enumerate() {
         for name in &wave {
-            if full.removed.contains(name) {
-                cur.retain(|i| &i.name != name);
-            } else if let Some(nb) = b.instance(name) {
-                if cur.iter().any(|i| &i.name == name) {
-                    if let Some(slot) = cur.iter_mut().find(|i| &i.name == name) {
-                        *slot = nb.clone();
-                    }
-                } else {
-                    cur.push(nb.clone());
-                }
+            match (b.instance(name), cur.iter_mut().find(|i| &i.name == name)) {
+                (None, _) => cur.retain(|i| &i.name != name),
+                (Some(nb), Some(slot)) => *slot = nb.clone(),
+                (Some(nb), None) => cur.push(nb.clone()),
             }
         }
         let target = if pi + 1 == total { b.clone() } else { synth_target(a, b, &cur) };
@@ -450,7 +429,7 @@ pub fn plan_break_before_make(
         prev = target.clone();
         phases.push(PlanPhase { index: pi, diff, target });
     }
-    Plan { phases, constraints: constraints.clone(), full_diff: full }
+    phases
 }
 
 /// Synthesize an intermediate compiled program over `cur`'s instance

@@ -30,11 +30,13 @@
 //!    recomputes each diff; a plan whose record disagrees would execute
 //!    something other than what was validated.
 //!
-//! `Runtime::reconfigure_plan` runs this check on every plan, from the
-//! program it is serving to the plan's last target under the plan's
-//! own constraints, before any phase quiesces anything. A *stale*
-//! plan — built from a program that is no longer current — fails
-//! obligation 6 at phase 0 and is refused there.
+//! `Runtime::reconfigure_plan` runs this check on every plan — a
+//! single-step `Runtime::reconfigure` is the one-phase [`Plan::step`] —
+//! from the program it is serving to the plan's last target under the
+//! plan's own constraints, holding the reconfiguration lock from the
+//! check through the last phase. A *stale* plan — built from a program
+//! that is no longer current — fails obligation 6 at phase 0 and is
+//! refused there.
 
 use std::fmt;
 
@@ -421,6 +423,25 @@ mod tests {
             .violations
             .iter()
             .any(|v| matches!(v, PlanViolation::ColocationSplit { .. })));
+    }
+
+    #[test]
+    fn step_plan_is_one_phase_and_valid_by_construction() {
+        let (a, b) = shrink();
+        for (from, to) in [(&a, &b), (&b, &a), (&a, &a)] {
+            let step = Plan::step(from, to);
+            assert_eq!(step.phases.len(), 1, "an identity step keeps its phase");
+            assert_eq!(step.phases[0].diff, diff_programs(from, to));
+            let report = check_plan(from, to, &step, &step.constraints);
+            assert!(report.is_valid(), "{report}");
+        }
+        assert!(Plan::step(&a, &a).is_identity());
+        // Checked from any other program, a step is stale at phase 0.
+        let stale = check_plan(&b, &b, &Plan::step(&a, &b), &PlanConstraints::max_quiesce(9));
+        assert!(stale
+            .violations
+            .iter()
+            .any(|v| matches!(v, PlanViolation::ContinuityBroken { phase: 0, .. })));
     }
 
     #[test]

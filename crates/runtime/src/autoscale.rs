@@ -31,8 +31,7 @@ use parking_lot::Mutex;
 use csaw_core::plan::{plan_reconfiguration, PlanConstraints, PlanPhase};
 use csaw_core::program::CompiledProgram;
 
-use crate::planner::PlanReport;
-use crate::reconfig::ReconfigSpec;
+use crate::reconfig::{PlanReport, ReconfigSpec};
 use crate::runtime::Runtime;
 use crate::supervisor::AntiFlap;
 

@@ -38,7 +38,6 @@ pub mod health;
 pub mod interp;
 pub mod metrics;
 pub mod overload;
-pub mod planner;
 pub mod reconfig;
 pub mod runtime;
 pub mod sim;
@@ -56,8 +55,7 @@ pub use error::{Failure, RtResult};
 pub use fault::{FaultPlan, FaultWindow, RetryPolicy};
 pub use health::HeartbeatConfig;
 pub use overload::{OverloadConfig, OverloadStats, RetryBudgetPolicy};
-pub use planner::{PhaseOutcome, PlanReport};
-pub use reconfig::{MigrationCtx, PhaseTimings, ReconfigReport, ReconfigSpec};
+pub use reconfig::{MigrationCtx, PhaseTimings, PlanReport, ReconfigReport, ReconfigSpec};
 pub use runtime::{InstanceStatus, Runtime, RuntimeConfig};
 pub use sim::{
     Artifact, DfsConfig, DfsStats, SimConfig, SimExecutor, SimOutcome, StepRecord,

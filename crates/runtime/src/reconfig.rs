@@ -2,14 +2,25 @@
 //!
 //! The paper's title promises *reconfigurable* distributed software
 //! architecture; this module delivers the runtime half of that promise.
-//! [`crate::Runtime::reconfigure`] takes a running runtime from its
-//! current compiled program A to a target program B **while the system
-//! serves traffic**:
+//! Every live change — a direct [`crate::Runtime::reconfigure`], a
+//! planned [`crate::Runtime::reconfigure_plan`], a supervisor repair,
+//! an autoscaler transition — is a [`csaw_core::plan::Plan`] run by one
+//! executor. It takes the reconfiguration lock, reads the serving
+//! program, judges the plan with [`check_plan`] (a single-step change
+//! is the one-phase [`Plan::step`]) and runs every phase before it lets
+//! go. A plan that fails the check — including a *stale* one, built
+//! from a program that is no longer current — is refused before phase
+//! 0: nothing quiesces, no `reconfig_*` event is traced, the epoch
+//! chain does not grow and no phase spec is built. No other change can
+//! cut between the check and a phase, or between two phases.
 //!
-//! 1. **Plan** — [`csaw_core::diff_programs`] computes the structural
-//!    diff at instance/junction granularity. Only instances in the
-//!    diff's *footprint* are touched; everything else keeps running
-//!    without ever pausing (the bench measures this path at ≈ 0 pause).
+//! Each phase takes the running system from its current program A to
+//! the phase target B **while the system serves traffic**:
+//!
+//! 1. **Plan** — the phase's checked [`csaw_core::diff::ProgramDiff`] at
+//!    instance/junction granularity. Only instances in the diff's
+//!    *footprint* are touched; everything else keeps running without
+//!    ever pausing (the bench measures this path at ≈ 0 pause).
 //! 2. **Quiesce** — each affected instance gets a *hold*: the network
 //!    delivery closure buffers its inbound updates instead of delivering
 //!    them (senders never see an error; nothing is lost). Then the
@@ -32,25 +43,33 @@
 //!    the new records under a brief write lock. A `reconfig_cut` trace
 //!    event marks the epoch boundary for cross-epoch conformance.
 //! 5. **Resume** — application-level migration (the caller's closure,
-//!    e.g. re-sharding a KV store by the new shard formula), link/policy
-//!    rewires, starts of added instances, then each hold is released and
-//!    its buffered updates flush — in arrival order — into the *new*
+//!    e.g. re-sharding a KV store by the new shard formula), policy
+//!    overrides, starts of added instances, then each hold is released
+//!    and its buffered updates flush — in arrival order — into the *new*
 //!    cells.
 //!
 //! The executor emits `reconfig_*` trace events throughout, and every
 //! cut appends its target to [`crate::Runtime::epoch_chain`], so a
-//! trace spanning any number of reconfigurations can be validated
-//! against the event structures of the program each epoch embodied
+//! trace spanning any number of reconfigurations — an N-phase plan
+//! checks as N+1 epochs — can be validated against the event
+//! structures of the program each epoch embodied
 //! (`csaw-semantics::conformance::check_trace` over the chain).
+//!
+//! Execution is fail-fast: a phase that errors (pre-cut abort) or
+//! reports a post-cut migration error stops the walk. The
+//! [`PlanReport`] says how far the plan got; the system keeps serving
+//! the last committed target, which by plan construction is a valid
+//! architecture.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csaw_core::diff::ProgramDiff;
-use csaw_core::diff_programs;
 use csaw_core::expr::Arg;
+use csaw_core::plan::{check_plan, Plan, PlanCheckReport, PlanPhase, PlanViolation};
 use csaw_core::program::CompiledProgram;
 use csaw_kv::{TableState, Update};
 use csaw_serial::{decode_table_state, encode_table_state};
@@ -61,7 +80,6 @@ use crate::runtime::{
     build_instance_state, spawn_schedulers, InstanceState, InstanceStatus, Policy, Runtime,
 };
 use crate::trace::TraceKind;
-use crate::transport::LinkKind;
 
 /// Application-level migration hook, run after the cut (new instances
 /// and carried apps are in place) and before holds release.
@@ -82,9 +100,6 @@ pub struct ReconfigSpec {
     pub start: Vec<(String, StartList)>,
     /// Scheduling-policy overrides applied after the cut.
     pub policies: Vec<(String, String, Policy)>,
-    /// Link rewires applied after the cut (routes are flushed: stale
-    /// per-link sequencing state never leaks into the new topology).
-    pub links: Vec<(String, String, LinkKind)>,
     /// Application-state migration (e.g. redistribute store entries by
     /// the new sharding formula). Runs while affected instances are
     /// still held, so migrated state is in place before traffic resumes.
@@ -116,14 +131,14 @@ impl MigrationCtx<'_> {
 }
 
 /// Wall time spent in each phase of a reconfiguration — the split
-/// behind [`ReconfigReport::total`]. "Diff" is the structural plan,
-/// "quiesce" hold-install through activation drain, "migrate" the
-/// snapshot round-trip plus materializing target instances, "cut" the
-/// registry swap + scheduler respawn, and "resume" the app-level
-/// migration, rewires, starts and hold release.
+/// behind [`ReconfigReport::total`]. "Diff" is taking and tracing the
+/// checked structural plan, "quiesce" hold-install through activation
+/// drain, "migrate" the snapshot round-trip plus materializing target
+/// instances, "cut" the registry swap + scheduler respawn, and
+/// "resume" the app-level migration, binds, starts and hold release.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PhaseTimings {
-    /// Structural diff + plan trace.
+    /// Checked diff taken + plan trace.
     pub diff: Duration,
     /// Hold install → every affected activation lock acquired.
     pub quiesce: Duration,
@@ -131,7 +146,7 @@ pub struct PhaseTimings {
     pub migrate: Duration,
     /// Retire + registry swap + program advance + scheduler spawn.
     pub cut: Duration,
-    /// Migration closure, app binds, rewires, starts, hold release.
+    /// Migration closure, app binds, policies, starts, hold release.
     pub resume: Duration,
 }
 
@@ -189,6 +204,33 @@ impl ReconfigReport {
     /// The worst per-instance pause (the headline "downtime" number).
     pub fn max_pause(&self) -> Duration {
         self.pauses.iter().map(|(_, d)| *d).max().unwrap_or_default()
+    }
+}
+
+/// Outcome of executing a whole plan.
+#[derive(Clone, Debug, Default)]
+pub struct PlanReport {
+    /// Each executed phase's report, in plan order. Shorter than the
+    /// plan's phase list iff `error` is set.
+    pub phases: Vec<ReconfigReport>,
+    /// The phase that stopped the walk, if any: its index and failure.
+    /// A pre-cut failure means that phase's target was *not* installed;
+    /// a post-cut migration error means it was, with the application
+    /// follow-up incomplete.
+    pub error: Option<(usize, Failure)>,
+    /// Wall time across all executed phases.
+    pub total: Duration,
+}
+
+impl PlanReport {
+    /// Whether every phase executed cleanly.
+    pub fn ok(&self) -> bool {
+        self.error.is_none()
+    }
+
+    /// Largest quiesce set any executed phase used.
+    pub fn max_phase_quiesce(&self) -> usize {
+        self.phases.iter().map(|p| p.plan.quiesce_set().len()).max().unwrap_or(0)
     }
 }
 
@@ -282,12 +324,14 @@ fn merge_states(fresh: &TableState, old: &TableState) -> TableState {
 
 impl Runtime {
     /// Take the running system from its current program to `target`
-    /// while serving traffic. See the module docs for the phase plan.
+    /// while serving traffic: the one-phase [`Plan::step`] from the
+    /// serving program, run by [`Runtime::reconfigure_plan`]'s
+    /// executor. See the module docs for the phase plan.
     ///
     /// Returns a [`ReconfigReport`] with per-instance pause windows and
     /// migration accounting. Reconfigurations serialize: a second call
-    /// blocks until the first completes. Holds are released on **every**
-    /// exit path:
+    /// blocks until the first — or a whole plan — completes. Holds are
+    /// released on **every** exit path:
     ///
     /// * `Err` means *not applied* — a pre-cut failure (snapshot
     ///   encode/decode) aborted the transition; buffered updates were
@@ -302,10 +346,108 @@ impl Runtime {
         target: &CompiledProgram,
         spec: ReconfigSpec,
     ) -> Result<ReconfigReport, Failure> {
-        let started = self.inner.clock().now();
+        self.reconfigure_at(None, target, spec)
+    }
+
+    /// [`Runtime::reconfigure`], refused as stale unless `epoch` (see
+    /// [`Runtime::serving`]) is still serving when the lock is taken —
+    /// for a caller that built `target` and `spec` from the state it
+    /// saw then, as a supervisor repair does.
+    pub(crate) fn reconfigure_at(
+        &self,
+        epoch: Option<usize>,
+        target: &CompiledProgram,
+        spec: ReconfigSpec,
+    ) -> Result<ReconfigReport, Failure> {
+        let mut spec = Some(spec);
+        let PlanReport { mut phases, error, .. } = self
+            .execute(
+                epoch,
+                |serving| Cow::Owned(Plan::step(serving, target)),
+                |_| spec.take().unwrap_or_default(),
+            )
+            .map_err(|verdict| Failure::Internal(format!("reconfigure refused: {verdict}")))?;
+        phases.pop().ok_or_else(|| error.expect("a one-step plan runs its phase or fails it").1)
+    }
+
+    /// Execute `plan` phase by phase. `spec_for` builds each phase's
+    /// [`ReconfigSpec`] (apps and starts for that phase's added
+    /// instances, the migration closure for the phase that re-homes
+    /// application state, …) just before the phase runs, so it sees the
+    /// system state the previous phases left. It runs under the
+    /// reconfiguration lock: starting another reconfiguration from it
+    /// waits until this plan is done.
+    ///
+    /// The plan is first checked against `plan.constraints`, from
+    /// [`Runtime::current_program`] to its last phase's target (the
+    /// current program for an identity plan); a failing verdict is
+    /// returned as `Err` before anything runs. Otherwise execution stops
+    /// at the first phase that fails (pre-cut `Err`) or reports a
+    /// post-cut `migration_error`, and the report records how far it
+    /// got. An empty (identity) plan yields an empty report.
+    pub fn reconfigure_plan(
+        &self,
+        plan: &Plan,
+        spec_for: impl FnMut(&PlanPhase) -> ReconfigSpec,
+    ) -> Result<PlanReport, PlanCheckReport> {
+        self.execute(None, |_| Cow::Borrowed(plan), spec_for)
+    }
+
+    /// The one executor. Under the reconfiguration lock — taken here
+    /// and nowhere else — it reads the serving program, builds the plan
+    /// from it, checks the plan (and, with `epoch`, that no cut landed
+    /// since that epoch) and runs every phase.
+    fn execute<'p>(
+        &self,
+        epoch: Option<usize>,
+        plan_for: impl FnOnce(&CompiledProgram) -> Cow<'p, Plan>,
+        mut spec_for: impl FnMut(&PlanPhase) -> ReconfigSpec,
+    ) -> Result<PlanReport, PlanCheckReport> {
         let _serial = self.inner.reconfig_lock.lock();
+        let (serving_epoch, serving) = self.serving();
+        let plan = plan_for(&serving);
+        let end = plan.phases.last().map_or(&*serving, |p| &p.target);
+        let mut verdict = check_plan(&serving, end, &plan, &plan.constraints);
+        if let Some(seen) = epoch.filter(|&e| e != serving_epoch) {
+            verdict.violations.push(PlanViolation::ContinuityBroken {
+                phase: 0,
+                detail: format!("stale: built at epoch {seen}, epoch {serving_epoch} is serving"),
+            });
+        }
+        if !verdict.is_valid() {
+            return Err(verdict);
+        }
+        let started = self.clock().now();
+        let mut out = PlanReport::default();
+        for phase in &plan.phases {
+            let failed = match self.run_phase(phase, spec_for(phase)) {
+                Ok(report) => {
+                    let failed = report.migration_error.clone();
+                    out.phases.push(report);
+                    failed
+                }
+                Err(f) => Some(f),
+            };
+            if let Some(f) = failed {
+                out.error = Some((phase.index, f));
+                break;
+            }
+        }
+        out.total = self.clock().now().saturating_duration_since(started);
+        Ok(out)
+    }
+
+    /// One checked phase, from the serving program to `phase.target`.
+    /// The caller holds the reconfiguration lock.
+    fn run_phase(
+        &self,
+        phase: &PlanPhase,
+        spec: ReconfigSpec,
+    ) -> Result<ReconfigReport, Failure> {
+        let started = self.inner.clock().now();
         let current = self.current_program();
-        let plan = diff_programs(&current, target);
+        let target = &phase.target;
+        let plan = phase.diff.clone();
         self.inner.tracer.record(
             "",
             "",
@@ -521,7 +663,7 @@ impl Runtime {
         let t_cut = self.inner.clock().now();
         timings.cut = t_cut.saturating_duration_since(t_migrate);
 
-        // Phase 6: app-level migration and topology rewires, while the
+        // Phase 6: app-level migration, binds and policies, while the
         // affected instances are still held. The cut is committed at
         // this point, so errors here cannot abort the transition — they
         // are carried into the report's `migration_error` (the caller
@@ -537,9 +679,6 @@ impl Runtime {
         }
         for (name, app) in spec.apps {
             self.bind_app(&name, app);
-        }
-        for (from, to, kind) in &spec.links {
-            self.set_link(from, to, *kind);
         }
         for (instance, junction, policy) in &spec.policies {
             self.set_policy(instance, junction, *policy);
@@ -650,8 +789,15 @@ impl Runtime {
     /// The compiled program the registry currently embodies: the last
     /// entry of [`Runtime::epoch_chain`].
     pub fn current_program(&self) -> Arc<CompiledProgram> {
+        self.serving().1
+    }
+
+    /// The serving epoch — its index in [`Runtime::epoch_chain`], which
+    /// every cut advances, an identity cut included — and its program.
+    pub(crate) fn serving(&self) -> (usize, Arc<CompiledProgram>) {
         let chain = self.inner.epoch_chain.lock();
-        Arc::clone(chain.last().expect("the epoch chain starts at the boot program"))
+        let program = chain.last().expect("the epoch chain starts at the boot program");
+        (chain.len() - 1, Arc::clone(program))
     }
 
     /// Every program this runtime has embodied, in cut order: the boot

@@ -381,12 +381,13 @@ pub(crate) struct RuntimeInner {
     /// so no delivery that read the flag as false can land in an old
     /// cell after its state was exported.
     pub(crate) deliveries_inflight: Arc<AtomicU64>,
-    /// Serializes live reconfigurations (one at a time).
+    /// Serializes live reconfigurations: held by the one executor from
+    /// its plan check through the plan's last phase.
     pub(crate) reconfig_lock: Mutex<()>,
     /// Every program the registry has embodied, in cut order: the boot
     /// program first, then one entry per committed cut. Never empty;
-    /// the last entry is the program currently served. Only
-    /// [`crate::Runtime::reconfigure`] pushes, at the cut.
+    /// the last entry is the program currently served. Only the
+    /// executor's phase step (`reconfig.rs`) pushes, at the cut.
     pub(crate) epoch_chain: Mutex<Vec<Arc<CompiledProgram>>>,
     pub(crate) network: Network,
     pub(crate) config: RuntimeConfig,

@@ -9,10 +9,10 @@
 //! observer-relative suspicions and the instance registry, classifies
 //! anomalies into failure classes, consults a user-registered
 //! [`RepairPolicy`] for an escalation ladder of [`RepairAction`]s, and
-//! executes the chosen repair through the phased
+//! executes the chosen repair through the checked
 //! [`crate::Runtime::reconfigure`] — with bounded-backoff retry on
-//! post-cut migration errors — before verifying the system converged
-//! back to health.
+//! refusals and migration errors — before verifying the system
+//! converged back to health.
 //!
 //! ## Loop phases
 //!
@@ -34,9 +34,10 @@
 //!    [`RepairAction::Reconfigure`] first *fences* the failed instance
 //!    (bumping the supervisor epoch carried in the high bits of every
 //!    send's sequence number, so a partitioned-away zombie can neither
-//!    ack writes nor be double-promoted), then drives
-//!    `Runtime::reconfigure` toward the policy-built target program,
-//!    retrying with bounded backoff while the report carries a
+//!    ack writes nor be double-promoted), then submits the one-step
+//!    plan to the policy-built target program, checked against the
+//!    epoch it was built in, retrying with bounded backoff while the
+//!    plan is refused as stale or the report carries a
 //!    [`crate::ReconfigReport::migration_error`];
 //!    [`RepairAction::Quarantine`] fences and writes the instance off.
 //! 4. **Verify.** The loop waits up to
@@ -784,12 +785,13 @@ impl SupervisorCore {
                             }
                         }
                         attempts += 1;
+                        // The target and spec are built from the state
+                        // this epoch serves: a cut that lands while the
+                        // builder runs makes the attempt stale, and the
+                        // executor refuses it before it quiesces.
+                        let (built_at, _) = rt.serving();
                         let (target, spec) = build(&rt, &name);
-                        // The single-step engine, not `reconfigure_plan`:
-                        // a repair is one phase from the serving program
-                        // under no declared constraint, so the plan
-                        // checker's obligations 1–6 hold by construction.
-                        match rt.reconfigure(&target, spec) {
+                        match rt.reconfigure_at(Some(built_at), &target, spec) {
                             Ok(report) => {
                                 reconfig_pause = reconfig_pause.max(report.max_pause());
                                 if report.migration_error.is_none() {
@@ -802,8 +804,9 @@ impl SupervisorCore {
                                 // sees (and can finish) that state.
                             }
                             Err(_) => {
-                                // Pre-cut failure: nothing applied,
-                                // retry from scratch.
+                                // Refused as stale, or a pre-cut
+                                // failure: nothing applied, retry from
+                                // scratch.
                             }
                         }
                     }

@@ -430,6 +430,57 @@ fn reconfigure_plan_refuses_a_stale_plan() {
     rt.shutdown();
 }
 
+/// Regression: a plan is atomic against every other live change. Phase
+/// 0's spec callback starts a single-step `reconfigure` on another
+/// thread and waits (bounded) for it to finish. The executor holds the
+/// reconfiguration lock from the check through the last phase, so the
+/// other change waits for the whole plan and cuts last. (The plan used
+/// to release the lock between phases and build specs outside it, so
+/// the other cut landed inside the plan, which then ran its phases on
+/// a program it was never checked against.)
+#[test]
+fn reconfigure_plan_holds_the_lock_across_all_phases() {
+    let a = compile(two_instance_program(false), &LoadConfig::new()).unwrap();
+    let other = compile(two_instance_program(true), &LoadConfig::new()).unwrap();
+    let b = compile(three_instance_program(), &LoadConfig::new()).unwrap();
+    let plan = plan_reconfiguration(&a, &b, &PlanConstraints::default()).unwrap();
+    assert_eq!(plan.phases.len(), 2, "add `extra`, then change `w`");
+
+    let rt = Runtime::new(&a, RuntimeConfig::default());
+    rt.run_main(vec![]).unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let mut early = None;
+    std::thread::scope(|s| {
+        let report = rt
+            .reconfigure_plan(&plan, |phase| {
+                if phase.index == 0 {
+                    let (rt, other, tx) = (&rt, &other, tx.clone());
+                    s.spawn(move || {
+                        let landed = rt.reconfigure(other, ReconfigSpec::default()).is_ok();
+                        tx.send(landed).unwrap();
+                    });
+                    // Returns at once if the other change can cut now.
+                    early = rx.recv_timeout(Duration::from_secs(1)).ok();
+                }
+                ReconfigSpec::default()
+            })
+            .expect("a planner-built plan passes the check");
+        assert!(report.ok(), "{:?}", report.error);
+    });
+    let landed = early.or_else(|| rx.try_recv().ok());
+    assert_eq!(landed, Some(true), "the other change must land");
+
+    let names =
+        [(&a, "boot"), (&plan.phases[0].target, "phase0"), (&b, "phase1"), (&other, "other")];
+    let chain: Vec<&str> = rt
+        .epoch_chain()
+        .iter()
+        .map(|p| names.iter().find(|(q, _)| **q == **p).map_or("?", |(_, n)| *n))
+        .collect();
+    assert_eq!(chain, ["boot", "phase0", "phase1", "other"]);
+    rt.shutdown();
+}
+
 /// Regression (satellite): `Runtime::restart` must re-prime the
 /// heartbeat failure detector. With sparse pings, a restarted instance
 /// would otherwise stay suspected until the next ping round even though

@@ -551,6 +551,63 @@ fn repair_that_succeeds_on_its_second_attempt_leaves_a_complete_epoch_chain() {
     rt.shutdown();
 }
 
+/// Regression: a supervisor repair is a checked plan. The repair's
+/// target and spec are built from the epoch the supervisor saw before it
+/// called the builder; here the builder's first call cuts an identity
+/// `reconfigure` before it returns, so that attempt is stale. The
+/// executor refuses it — no cut of its own, no epoch — and the retry
+/// loop's second attempt lands. (Repairs used to call the unchecked
+/// single-step engine, so the stale attempt cut anyway.)
+#[test]
+fn repair_built_across_another_cut_is_refused_as_stale_and_retried() {
+    use csaw_runtime::ReconfigSpec;
+
+    let cp = compile(two_instance_program(), &LoadConfig::new()).unwrap();
+    let rt = Runtime::new(&cp, RuntimeConfig::default());
+    rt.set_tracing(true);
+    rt.run_main(vec![]).unwrap();
+
+    let calls = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&calls);
+    let target = cp.clone();
+    let sup = rt.supervise(SupervisorConfig {
+        backoff: Duration::from_millis(5),
+        ..quick_supervisor(RepairPolicy::new().on(
+            FailureClass::Crash,
+            vec![RepairAction::Reconfigure(Arc::new(move |rt, _inst| {
+                if seen.fetch_add(1, Ordering::SeqCst) == 0 {
+                    rt.reconfigure(&rt.current_program(), ReconfigSpec::default())
+                        .expect("the identity cut lands");
+                }
+                (target.clone(), ReconfigSpec::default())
+            }))],
+        ))
+    });
+
+    rt.crash("z");
+    assert!(
+        wait_until(Duration::from_secs(5), || sup.records().iter().any(|r| r.ok)),
+        "the second attempt must verify: {:?}",
+        sup.records()
+    );
+    sup.stop();
+    let records = sup.records();
+    assert_eq!(records.len(), 1, "{records:?}");
+    assert_eq!(records[0].attempts, 2, "the stale first attempt is retried");
+    assert_eq!(calls.load(Ordering::SeqCst), 2);
+
+    // Two cuts: the builder's identity cut and attempt 2. Attempt 1
+    // added neither a `reconfig_cut` nor an epoch.
+    let cuts = rt
+        .trace_events()
+        .iter()
+        .filter(|e| matches!(e.kind, TraceKind::ReconfigCut))
+        .count();
+    assert_eq!(cuts, 2, "the stale attempt must not cut");
+    assert_eq!(rt.epoch_chain().len(), 1 + cuts, "one program per cut");
+    rt.shutdown();
+}
+
 /// A supervisor parked between detection polls (60 s period) must exit
 /// promptly on stop — the poll sleep is interruptible too.
 #[test]
