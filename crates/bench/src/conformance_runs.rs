@@ -1,9 +1,10 @@
 //! Trace-conformance validation across the architecture catalogue.
 //!
 //! Every §5/§7 architecture is driven live with tracing enabled; the
-//! recorded JSONL trace is then replayed through the
+//! recorded `TraceEvent`s are then replayed, as drained, through the
 //! `csaw-semantics` conformance checker against the event structure
-//! denoted from the *same* compiled program. A passing run means the
+//! denoted from the *same* compiled program. JSONL is rendered only for
+//! the dump a failing run writes under `results/`. A passing run means the
 //! observed execution was a valid configuration: causally closed,
 //! conflict-free, and obeying the §8 local-priority update rule.
 //!
@@ -19,9 +20,10 @@ use std::time::Duration;
 use csaw_core::program::LoadConfig;
 use csaw_core::value::Value;
 use csaw_runtime::runtime::Policy;
+use csaw_runtime::trace::to_jsonl;
 use csaw_runtime::{HostCtx, InstanceApp, Runtime, RuntimeConfig};
 use csaw_semantics::{
-    check_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
+    check_trace, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
 };
 use mini_curl::apps::{AuditorApp, CurlApp};
 use mini_curl::LinkModel;
@@ -35,7 +37,7 @@ use crate::report::Outcome;
 /// The digest of one conformance replay.
 #[derive(Clone, Debug, Default)]
 pub struct ConformanceSummary {
-    /// No violations (parse errors count as violations).
+    /// No violations.
     pub ok: bool,
     /// Trace records replayed.
     pub events: usize,
@@ -47,7 +49,7 @@ pub struct ConformanceSummary {
     pub unmatched: usize,
     /// Events evicted from the trace ring before draining.
     pub dropped: u64,
-    /// First few violations (or the parse error), one per line.
+    /// First few violations, one per line.
     pub detail: String,
 }
 
@@ -57,10 +59,10 @@ pub struct ConformanceSummary {
 /// autoscaler transition cut to, each judging its own epoch — plus the
 /// repair-event protocol rules. `injected_applies` says the driver
 /// delivered updates directly (a zombie poke, a recovery trigger), so
-/// some applies have no matching send. Returns the digest and the raw
-/// JSONL (for artifact dumps on failure).
+/// some applies have no matching send. Returns the digest and the
+/// trace rendered as JSONL (for artifact dumps on failure).
 pub fn check_runtime_trace(rt: &Runtime, injected_applies: bool) -> (ConformanceSummary, String) {
-    let jsonl = rt.trace_jsonl();
+    let events = rt.trace_events();
     let dropped = rt.trace_dropped();
     let sems: Vec<ProgramSemantics> = rt
         .epoch_chain()
@@ -74,33 +76,23 @@ pub fn check_runtime_trace(rt: &Runtime, injected_applies: bool) -> (Conformance
     let opts = ConformanceOptions {
         require_send_for_apply: dropped == 0 && !injected_applies,
     };
-    let summary = match check_jsonl(&jsonl, &chain, &opts) {
-        Ok(report) => ConformanceSummary {
-            ok: report.ok(),
-            events: report.events,
-            violations: report.violations.len(),
-            matched: report.matched_labels,
-            unmatched: report.unmatched_labels,
-            dropped,
-            detail: report
-                .violations
-                .iter()
-                .take(5)
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join("\n"),
-        },
-        Err(e) => ConformanceSummary {
-            ok: false,
-            events: 0,
-            violations: 1,
-            matched: 0,
-            unmatched: 0,
-            dropped,
-            detail: format!("trace parse error: {e}"),
-        },
+    let report = check_trace(&events, &chain, &opts);
+    let summary = ConformanceSummary {
+        ok: report.ok(),
+        events: report.events,
+        violations: report.violations.len(),
+        matched: report.matched_labels,
+        unmatched: report.unmatched_labels,
+        dropped,
+        detail: report
+            .violations
+            .iter()
+            .take(5)
+            .map(|v| v.to_string())
+            .collect::<Vec<_>>()
+            .join("\n"),
     };
-    (summary, jsonl)
+    (summary, to_jsonl(&events))
 }
 
 /// One architecture's conformance verdict.

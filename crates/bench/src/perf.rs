@@ -278,7 +278,7 @@ fn saturation_once(tracing: bool, requests: usize) -> (f64, usize) {
         let _ = rt.invoke("Fnt", "junction");
     }
     let rate = requests as f64 / start.elapsed().as_secs_f64();
-    let events = if tracing { rt.trace_jsonl().lines().count() } else { rt.trace_events().len() };
+    let events = rt.trace_events().len();
     rt.shutdown();
     (rate, events)
 }

@@ -3,6 +3,8 @@
 use std::fs;
 use std::path::PathBuf;
 
+use csaw_runtime::json::str_lit;
+
 /// A generic experiment result: named series of (x, y) points plus
 /// free-form annotations (crash times, checkpoint times, totals…).
 #[derive(Debug, Default)]
@@ -100,17 +102,17 @@ impl Report {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(1024);
         out.push_str("{\n");
-        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
-        out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
+        out.push_str(&format!("  \"id\": {},\n", str_lit(&self.id)));
+        out.push_str(&format!("  \"title\": {},\n", str_lit(&self.title)));
         out.push_str("  \"series\": [");
         for (i, s) in self.series.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
             out.push_str("\n    {\n");
-            out.push_str(&format!("      \"name\": {},\n", json_str(&s.name)));
-            out.push_str(&format!("      \"x\": {},\n", json_str(&s.x)));
-            out.push_str(&format!("      \"y\": {},\n", json_str(&s.y)));
+            out.push_str(&format!("      \"name\": {},\n", str_lit(&s.name)));
+            out.push_str(&format!("      \"x\": {},\n", str_lit(&s.x)));
+            out.push_str(&format!("      \"y\": {},\n", str_lit(&s.y)));
             out.push_str("      \"points\": [");
             for (j, (x, y)) in s.points.iter().enumerate() {
                 if j > 0 {
@@ -128,7 +130,7 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    [{}, {}]", json_str(k), json_num(*v)));
+            out.push_str(&format!("\n    [{}, {}]", str_lit(k), json_num(*v)));
         }
         if !self.notes.is_empty() {
             out.push_str("\n  ");
@@ -138,7 +140,7 @@ impl Report {
             if i > 0 {
                 out.push(',');
             }
-            out.push_str(&format!("\n    {}", json_str(r)));
+            out.push_str(&format!("\n    {}", str_lit(r)));
         }
         if !self.remarks.is_empty() {
             out.push_str("\n  ");
@@ -246,25 +248,6 @@ pub fn read_notes(path: &str) -> Vec<(String, f64)> {
     notes
 }
 
-/// JSON string literal with escaping.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// JSON number (JSON has no NaN/Infinity; emit null like serde_json).
 fn json_num(v: f64) -> String {
     if v.is_finite() {
@@ -318,7 +301,7 @@ mod tests {
 
     #[test]
     fn json_escapes_specials() {
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(str_lit("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_num(f64::NAN), "null");
         assert_eq!(json_num(2.5), "2.5");
     }

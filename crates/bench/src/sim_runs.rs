@@ -427,9 +427,9 @@ impl<R: 'static> Harness<R> {
     }
 
     /// Schedule `f` against the runtime and the current run's state.
-    fn inject(&mut self, at: Duration, label: &str, f: impl Fn(&Runtime, &R) + 'static) {
+    fn inject(&mut self, at: Duration, f: impl Fn(&Runtime, &R) + 'static) {
         let slot = Arc::clone(&self.slot);
-        self.exec.inject_at(at, label, move |rt| {
+        self.exec.inject_at(at, move |rt| {
             let st = Arc::clone(&slot.lock());
             f(rt, &st)
         });
@@ -598,7 +598,7 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
     for g in 1..=n {
         for (i, at_ms) in FO_REQUEST_TIMES.iter().enumerate() {
             let at = ms(at_ms + 3 * (g as u64 - 1));
-            h.inject(at, &format!("request-{g}-{i}"), move |rt, st| {
+            h.inject(at, move |rt, st| {
                 let cmd = fo_command(g, i);
                 {
                     let mut q = st.requests[g - 1].lock();
@@ -620,7 +620,7 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
     // supervisor's detect → repair machinery.
     {
         let boot = boot.clone();
-        h.inject(ms(100), "reconfig-identity", move |rt, _| {
+        h.inject(ms(100), move |rt, _| {
             let _ = rt.reconfigure(&boot, ReconfigSpec::default());
         });
     }
@@ -628,14 +628,14 @@ fn wire_failover(spec: &ScheduleSpec) -> Scene {
     // The partitions, then the heals + zombie pokes, staggered 30 ms
     // per partitioned group.
     for g in 1..=cut {
-        h.inject(ms(60 + 30 * (g as u64 - 1)), &format!("partition-o{g}"), move |rt, _| {
+        h.inject(ms(60 + 30 * (g as u64 - 1)), move |rt, _| {
             for (from, to) in fo_links(g) {
                 rt.set_fault_plan(&from, &to, FaultPlan::none().with_drop(1.0));
             }
         });
     }
     for g in 1..=cut {
-        h.inject(ms(900 + 30 * (g as u64 - 1)), &format!("heal-and-poke-{g}"), move |rt, st| {
+        h.inject(ms(900 + 30 * (g as u64 - 1)), move |rt, st| {
             st.poke_reply_before.lock()[g - 1] =
                 Some(rt.peek_prop(&format!("f{g}"), "junction", "Reply") == Some(true));
             for (from, to) in fo_links(g) {
@@ -878,7 +878,7 @@ fn wire_overload(spec: &ScheduleSpec) -> Scene {
             let at = Duration::from_micros(
                 OV_STORM_START_MS * 1000 + i * spacing + 137 * (g as u64 - 1),
             );
-            h.inject(at, &format!("storm-{g}-{i}"), move |rt, st| {
+            h.inject(at, move |rt, st| {
                 st.offered[g - 1].fetch_add(1, Ordering::SeqCst);
                 let deadline = rt.clock().now() + OV_BUDGET;
                 let _ = rt.invoke_deadline(&format!("p{g}"), "junction", deadline);
@@ -889,15 +889,15 @@ fn wire_overload(spec: &ScheduleSpec) -> Scene {
     // Post-storm probes: the congestion-collapse oracle. Once the
     // storm stops, the bounded queues must have drained — a fresh
     // trickle of units must land comfortably inside the same budget.
-    h.inject(ms(460), "probe-baseline", |_rt, st| {
+    h.inject(ms(460), |_rt, st| {
         let mut pre = st.pre_probe.lock();
         for (p, g) in pre.iter_mut().zip(&st.goodput) {
             *p = g.load(Ordering::SeqCst);
         }
     });
     for g in 1..=n {
-        for (j, at) in [470u64, 485, 500].into_iter().enumerate() {
-            h.inject(ms(at + 2 * (g as u64 - 1)), &format!("probe-{g}-{j}"), move |rt, _| {
+        for at in [470u64, 485, 500] {
+            h.inject(ms(at + 2 * (g as u64 - 1)), move |rt, _| {
                 let deadline = rt.clock().now() + OV_BUDGET;
                 let _ = rt.invoke_deadline(&format!("p{g}"), "junction", deadline);
             });
@@ -1228,7 +1228,7 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
 
     for (i, r) in sc.reqs.iter().enumerate() {
         let sc = Arc::clone(&sc);
-        h.inject(r.at, &format!("request-{i}"), move |rt, st| {
+        h.inject(r.at, move |rt, st| {
             let r = &sc.reqs[i];
             {
                 let mut q = st.requests.lock();
@@ -1245,10 +1245,9 @@ fn wire_sharded(spec: &ScheduleSpec) -> Scene {
     }
 
     let fence = spec.fence;
-    let label = if planned { "plan-wave" } else { "wave" };
     for (w, &(at, to_n)) in sc.waves.iter().enumerate() {
         let sc = Arc::clone(&sc);
-        h.inject(at, &format!("{label}-{}-to-{to_n}", w + 1), move |rt, st| {
+        h.inject(at, move |rt, st| {
             if *st.cur_n.lock() == to_n {
                 return;
             }
@@ -1532,7 +1531,7 @@ fn wire_restore(spec: &ScheduleSpec) -> Scene {
     let mut tick_times: Vec<u64> = (1..=24).map(|i| i * 10).collect();
     tick_times.extend((21..=30).map(|i| i * 20));
     for t in tick_times {
-        h.inject(ms(t), &format!("tick-{t}"), move |_rt, st| {
+        h.inject(ms(t), move |_rt, st| {
             for c in &st.counters {
                 c.fetch_add(1, Ordering::SeqCst);
             }
@@ -1551,7 +1550,7 @@ fn wire_restore(spec: &ScheduleSpec) -> Scene {
     ckpt_times.extend((0..15).map(|i| RS_CRASH_AT + i * 10));
     ckpt_times.extend([RS_RESUME_AT, RS_RESUME_AT + 20, RS_RESUME_AT + 40]);
     for t in ckpt_times {
-        h.inject(ms(t), &format!("ckpt-{t}"), move |rt, st| {
+        h.inject(ms(t), move |rt, st| {
             for i in 1..=n {
                 if i == 1 && st.parked.load(Ordering::SeqCst) {
                     continue;
@@ -1561,7 +1560,7 @@ fn wire_restore(spec: &ScheduleSpec) -> Scene {
             }
         });
     }
-    h.inject(ms(RS_CRASH_AT), "crash-p1", |rt, st| {
+    h.inject(ms(RS_CRASH_AT), |rt, st| {
         st.parked.store(true, Ordering::SeqCst);
         st.crashed.store(true, Ordering::SeqCst);
         // The durable floor: the blob `p1`'s first store replica has
@@ -1575,7 +1574,7 @@ fn wire_restore(spec: &ScheduleSpec) -> Scene {
         // from the checkpoint mesh.
         st.counters[0].store(0, Ordering::SeqCst);
     });
-    h.inject(ms(RS_RESUME_AT), "resume-checkpoints", |_rt, st| {
+    h.inject(ms(RS_RESUME_AT), |_rt, st| {
         st.parked.store(false, Ordering::SeqCst);
     });
 

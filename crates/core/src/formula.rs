@@ -59,10 +59,6 @@ impl Ternary {
             Ternary::False
         }
     }
-    /// True iff definitely true.
-    pub fn is_true(self) -> bool {
-        self == Ternary::True
-    }
 }
 
 /// A propositional formula.

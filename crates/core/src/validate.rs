@@ -8,7 +8,8 @@
 //! * host code `⌊·⌉` is not allowed inside transaction blocks `⟨|·|⟩`;
 //! * junctions may not communicate with themselves (`write`/`assert`/
 //!   `retract` targeting `me::junction`);
-//! * sets may not contain sets (enforced structurally by [`SetElem`]);
+//! * sets may not contain sets (enforced structurally by
+//!   [`SetElem`](crate::names::SetElem));
 //! * names must be declared before use, and instance/type references must
 //!   resolve;
 //! * definitions must receive the right number of parameters.
@@ -19,7 +20,7 @@ use crate::decl::{Decl, ParamKind};
 use crate::error::{CoreError, CoreResult};
 use crate::expr::{Arg, CaseGuard, Expr, Terminator};
 use crate::formula::Formula;
-use crate::names::{JRef, NameRef, SetElem, SetRef};
+use crate::names::{JRef, NameRef, SetRef};
 use crate::program::{CompiledProgram, JunctionDef, Program};
 
 /// Validate a source-level program (before expansion).
@@ -573,14 +574,6 @@ fn check_start_arity(p: &Program, e: &Expr, loc: &str) -> CoreResult<()> {
         }
     });
     err.map_or(Ok(()), Err)
-}
-
-/// Check that no set literal anywhere nests sets — structural with the
-/// current [`SetElem`], kept as an explicit invariant check for
-/// forward-compatibility.
-pub fn check_set_elems(elems: &[SetElem]) -> CoreResult<()> {
-    let _ = elems;
-    Ok(())
 }
 
 #[cfg(test)]

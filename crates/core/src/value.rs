@@ -164,14 +164,6 @@ impl Value {
         }
     }
 
-    /// Set payload.
-    pub fn as_set(&self) -> Option<&[SetElem]> {
-        match self {
-            Value::Set(s) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Approximate serialized size in bytes (used for accounting and the
     /// object-size sharding experiments).
     pub fn approx_size(&self) -> usize {

@@ -36,6 +36,7 @@ mod eventcount;
 pub mod fault;
 pub mod health;
 pub mod interp;
+pub mod json;
 pub mod metrics;
 pub mod overload;
 pub mod reconfig;

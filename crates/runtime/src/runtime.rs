@@ -1507,18 +1507,13 @@ impl Runtime {
         self.inner.tracer.set_enabled(enabled);
     }
 
-    /// Whether trace recording is currently on.
-    pub fn tracing_enabled(&self) -> bool {
-        self.inner.tracer.is_enabled()
-    }
-
     /// Drain recorded trace events, sorted by global sequence number.
     pub fn trace_events(&self) -> Vec<TraceEvent> {
         self.inner.tracer.drain()
     }
 
-    /// Drain recorded trace events as JSONL (the interchange format
-    /// `csaw-semantics::conformance` replays).
+    /// Drain recorded trace events as JSONL, the file format
+    /// ([`crate::trace::parse_jsonl`] reads it back).
     pub fn trace_jsonl(&self) -> String {
         self.inner.tracer.drain_jsonl()
     }

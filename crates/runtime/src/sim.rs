@@ -82,6 +82,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::clock::{Clock, SimHook};
+use crate::json;
 use crate::runtime::{InstanceState, InstanceStatus, JunctionRt, Policy, Runtime, RuntimeInner};
 
 /// One recorded scheduling decision, in compact string form:
@@ -147,7 +148,6 @@ pub struct Artifact {
 
 struct Injection {
     at: Duration,
-    label: String,
     f: Box<dyn Fn(&Runtime)>,
 }
 
@@ -347,20 +347,9 @@ impl SimExecutor {
     /// fire between top-level events, in registration order; use them
     /// for fault-plan installs, client `invoke`s, live `reconfigure`s,
     /// crashes — anything a test driver would do from outside.
-    pub fn inject_at(
-        &mut self,
-        at: Duration,
-        label: &str,
-        f: impl Fn(&Runtime) + 'static,
-    ) -> &mut Self {
-        self.injections.push(Injection { at, label: label.to_string(), f: Box::new(f) });
+    pub fn inject_at(&mut self, at: Duration, f: impl Fn(&Runtime) + 'static) -> &mut Self {
+        self.injections.push(Injection { at, f: Box::new(f) });
         self
-    }
-
-    /// Labels of the registered injections, in index order (index `i`
-    /// is what an `inj:i` record refers to).
-    pub fn injection_labels(&self) -> Vec<String> {
-        self.injections.iter().map(|i| i.label.clone()).collect()
     }
 
     /// Random-walk one schedule from the configured seed.
@@ -1299,179 +1288,40 @@ impl SimExecutor {
 }
 
 // ---------------------------------------------------------------------
-// Artifact serialization (hand-rolled JSON: no serde in this tree).
+// Artifact serialization (through the shared `crate::json` codec).
 // ---------------------------------------------------------------------
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parse one JSON string starting at `s[i]` (which must be `"`).
-/// Returns (value, index after closing quote).
-fn json_string(s: &[u8], mut i: usize) -> Option<(String, usize)> {
-    if s.get(i) != Some(&b'"') {
-        return None;
-    }
-    i += 1;
-    let mut out = String::new();
-    while i < s.len() {
-        match s[i] {
-            b'"' => return Some((out, i + 1)),
-            b'\\' => {
-                i += 1;
-                match s.get(i)? {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = std::str::from_utf8(s.get(i + 1..i + 5)?).ok()?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        i += 4;
-                    }
-                    _ => return None,
-                }
-                i += 1;
-            }
-            b => {
-                // Multi-byte UTF-8: copy the whole scalar.
-                let start = i;
-                let len = match b {
-                    b if b < 0x80 => 1,
-                    b if b >= 0xf0 => 4,
-                    b if b >= 0xe0 => 3,
-                    _ => 2,
-                };
-                out.push_str(std::str::from_utf8(s.get(start..start + len)?).ok()?);
-                i += len;
-            }
-        }
-    }
-    None
-}
-
-fn skip_ws(s: &[u8], mut i: usize) -> usize {
-    while i < s.len() && (s[i] as char).is_ascii_whitespace() {
-        i += 1;
-    }
-    i
-}
-
-/// Parse a JSON array of strings starting at `s[i]` (which must be
-/// `[`). Returns (items, index after the closing bracket).
-fn json_string_array(s: &[u8], mut i: usize) -> Option<(Vec<String>, usize)> {
-    if s.get(i) != Some(&b'[') {
-        return None;
-    }
-    i = skip_ws(s, i + 1);
-    let mut v = Vec::new();
-    while s.get(i)? != &b']' {
-        let (item, ni) = json_string(s, i)?;
-        v.push(item);
-        i = skip_ws(s, ni);
-        if s.get(i) == Some(&b',') {
-            i = skip_ws(s, i + 1);
-        }
-    }
-    Some((v, i + 1))
-}
 
 impl Artifact {
     /// Serialize to a single-line JSON object.
     pub fn to_json(&self) -> String {
-        let arr = |items: &[String]| {
-            items
-                .iter()
-                .map(|s| format!("\"{}\"", json_escape(s)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
+        let arr = |items: &[String]| items.iter().map(|s| json::str_lit(s)).collect::<Vec<_>>();
         format!(
-            "{{\"seed\":{},\"reason\":\"{}\",\"instances\":[{}],\"steps\":[{}]}}",
+            "{{\"seed\":{},\"reason\":{},\"instances\":[{}],\"steps\":[{}]}}",
             self.seed,
-            json_escape(&self.reason),
-            arr(&self.instances),
-            arr(&self.steps)
+            json::str_lit(&self.reason),
+            arr(&self.instances).join(","),
+            arr(&self.steps).join(",")
         )
     }
 
     /// Parse what [`Artifact::to_json`] wrote (tolerant of whitespace
-    /// and key order).
+    /// and key order; an unknown key is an error).
     pub fn from_json(text: &str) -> Option<Artifact> {
-        let s = text.as_bytes();
-        let mut i = skip_ws(s, 0);
-        if s.get(i) != Some(&b'{') {
+        let o = json::Object::parse(text).ok()?;
+        if o.names().any(|n| !matches!(n, "seed" | "reason" | "instances" | "steps")) {
             return None;
         }
-        i += 1;
-        let mut seed = None;
-        let mut reason = None;
-        let mut instances: Option<Vec<String>> = None;
-        let mut steps: Option<Vec<String>> = None;
-        loop {
-            i = skip_ws(s, i);
-            match s.get(i)? {
-                b'}' => break,
-                b',' => {
-                    i += 1;
-                    continue;
-                }
-                b'"' => {}
-                _ => return None,
-            }
-            let (key, ni) = json_string(s, i)?;
-            i = skip_ws(s, ni);
-            if s.get(i) != Some(&b':') {
-                return None;
-            }
-            i = skip_ws(s, i + 1);
-            match key.as_str() {
-                "seed" => {
-                    let start = i;
-                    while i < s.len() && s[i].is_ascii_digit() {
-                        i += 1;
-                    }
-                    seed = std::str::from_utf8(&s[start..i]).ok()?.parse().ok();
-                }
-                "reason" => {
-                    let (v, ni) = json_string(s, i)?;
-                    reason = Some(v);
-                    i = ni;
-                }
-                "instances" => {
-                    let (v, ni) = json_string_array(s, i)?;
-                    instances = Some(v);
-                    i = ni;
-                }
-                "steps" => {
-                    let (v, ni) = json_string_array(s, i)?;
-                    steps = Some(v);
-                    i = ni;
-                }
-                _ => return None,
-            }
-        }
         Some(Artifact {
-            seed: seed?,
-            reason: reason?,
+            seed: o.num("seed").ok()?,
+            reason: o.str("reason").ok()?.to_string(),
             // Absent in artifacts from before the field existed: the
             // replay-time instance-set check is then skipped.
-            instances: instances.unwrap_or_default(),
-            steps: steps?,
+            instances: if o.has("instances") {
+                o.strs("instances").ok()?.to_vec()
+            } else {
+                Vec::new()
+            },
+            steps: o.strs("steps").ok()?.to_vec(),
         })
     }
 }

@@ -4,9 +4,11 @@
 //! be recorded as a structured causal event — carrying the instance,
 //! junction, table epoch, table operation sequence, and per-link
 //! transport sequence — into a lock-cheap sharded ring buffer owned by
-//! the [`Tracer`]. Traces drain as JSONL (one event per line, a stable
-//! flat schema) and feed `csaw-semantics::conformance`, which replays
-//! them against the program's §8 event-structure semantics. The
+//! the [`Tracer`]. Drained [`TraceEvent`]s feed
+//! `csaw-semantics::conformance` as they are, which replays them
+//! against the program's §8 event-structure semantics; they render as
+//! JSONL (one event per line, a stable flat schema) for files, and
+//! [`parse_jsonl`] reads such a file back into the same events. The
 //! [`crate::metrics::Metrics`] registry aggregates the same
 //! instrumentation points into Prometheus-style counters and log₂
 //! histograms.
@@ -38,6 +40,13 @@
 //! number chosen at flush time, breaking exactly that property.)
 //!
 //! ## JSONL schema
+//!
+//! The table is the spec of both [`to_json_line`] and [`parse_jsonl`],
+//! which invert each other exactly: the writer emits exactly these
+//! fields, in this order; the reader requires every field listed for a
+//! line's kind (and the common ones), rejects an unknown `k`, and
+//! ignores fields it does not know. Strings escape through
+//! [`crate::json`].
 //!
 //! Common fields: `gsn` (global sequence, total order of recording),
 //! `us` (µs since tracer creation), `i` (instance), `j` (junction, may
@@ -88,6 +97,8 @@ use std::time::Instant;
 
 use csaw_kv::TableEvent;
 use parking_lot::Mutex;
+
+use crate::json;
 
 /// What happened: one activation, KV, link, or lifecycle observation.
 /// `S` is the string payload: `&str` at record sites, an interned `u32`
@@ -812,22 +823,6 @@ impl Default for Tracer {
     }
 }
 
-fn esc(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Appends `,"name":value` fields to a JSON line.
 struct Fields<'a>(&'a mut String);
 
@@ -840,7 +835,7 @@ impl Fields<'_> {
     }
 
     fn str(&mut self, name: &str, value: &str) -> &mut Self {
-        esc(value, self.name(name));
+        json::write_str(self.name(name), value);
         self
     }
 
@@ -861,7 +856,7 @@ impl Fields<'_> {
             if i > 0 {
                 out.push(',');
             }
-            esc(v, out);
+            json::write_str(out, v);
         }
         out.push(']');
         self
@@ -968,6 +963,106 @@ pub fn to_jsonl(events: &[TraceEvent]) -> String {
     out
 }
 
+/// Parse a JSONL trace back into events (blank lines skipped): the
+/// exact inverse of [`to_jsonl`]. Strict per the module doc's schema
+/// table — an unknown `k`, or a missing or mistyped field that the
+/// kind requires, is an error naming the line; unknown extra fields
+/// are ignored.
+pub fn parse_jsonl(jsonl: &str) -> Result<Vec<TraceEvent>, String> {
+    jsonl
+        .lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(n, line)| from_json_line(line).map_err(|e| format!("line {}: {e}", n + 1)))
+        .collect()
+}
+
+fn from_json_line(line: &str) -> Result<TraceEvent, String> {
+    use TableEvent as T;
+    use TraceKind as K;
+    let o = json::Object::parse(line)?;
+    let s = |name: &str| o.str(name).map(Arc::<str>::from);
+    let n = |name: &str| o.num(name);
+    let b = |name: &str| o.bool(name);
+    let kind = match o.str("k")? {
+        "sched" => K::Sched,
+        "unsched" => K::Unsched { ok: b("ok")? },
+        "kv_local_write" => K::Kv(T::LocalWrite { key: s("key")?, op: n("op")? }),
+        "kv_deliver" => K::Kv(T::Deliver {
+            key: s("key")?,
+            from: s("from")?,
+            link_seq: n("seq")?,
+            op: n("op")?,
+            applied: b("applied")?,
+            during_run: b("run")?,
+        }),
+        "kv_flush_apply" => K::Kv(T::FlushApply {
+            key: s("key")?,
+            from: s("from")?,
+            link_seq: n("seq")?,
+            op: n("op")?,
+            during_run: b("run")?,
+        }),
+        "kv_shadow_drop" => K::Kv(T::ShadowDrop {
+            key: s("key")?,
+            from: s("from")?,
+            link_seq: n("seq")?,
+            op: n("op")?,
+            lop: n("lop")?,
+            during_run: b("run")?,
+        }),
+        "kv_retro_apply" => K::Kv(T::RetroApply {
+            key: s("key")?,
+            from: s("from")?,
+            link_seq: n("seq")?,
+            op: n("op")?,
+        }),
+        "kv_window_open" => K::Kv(T::WindowOpen {
+            token: n("tok")?,
+            wop: n("wop")?,
+            keys: o.strs("keys")?.iter().map(|k| Arc::from(k.as_str())).collect(),
+        }),
+        "kv_window_close" => K::Kv(T::WindowClose { token: n("tok")? }),
+        "kv_keep_drop" => {
+            K::Kv(T::KeepDrop { key: s("key")?, from: s("from")?, link_seq: n("seq")? })
+        }
+        "link_send" => K::LinkSend { to: s("to")?, key: s("key")?, seq: n("seq")?, bytes: n("n")? },
+        "link_retry" => K::LinkRetry { to: s("to")?, seq: n("seq")?, attempt: n("n")? },
+        "link_drop" => K::LinkDrop { to: s("to")?, seq: n("seq")? },
+        "link_dup" => K::LinkDup { to: s("to")?, seq: n("seq")? },
+        "link_partition" => K::LinkPartition { to: s("to")?, seq: n("seq")? },
+        "link_dedup" => K::LinkDedup { from: s("from")?, seq: n("seq")? },
+        "link_fenced" => K::LinkFenced { from: s("from")?, seq: n("seq")? },
+        "link_shed" => K::LinkShed { to: s("to")?, seq: n("seq")? },
+        "link_queue_full" => K::LinkQueueFull { to: s("to")?, seq: n("seq")? },
+        "link_hb" => K::LinkHeartbeat { to: s("to")? },
+        "crash" => K::Crash,
+        "restart" => K::Restart,
+        "reconfig_plan" => K::ReconfigPlan { footprint: n("n")? },
+        "reconfig_quiesce" => K::ReconfigQuiesce { paused_us: n("n")? },
+        "reconfig_migrate" => K::ReconfigMigrate { bytes: n("n")? },
+        "reconfig_cut" => K::ReconfigCut,
+        "reconfig_resume" => K::ReconfigResume { flushed: n("n")? },
+        "reconfig_done" => K::ReconfigDone { bytes: n("n")? },
+        "repair_detect" => K::RepairDetect { class: s("to")?, id: n("n")? },
+        "repair_plan" => K::RepairPlan { action: s("to")?, id: n("n")?, rung: n("seq")? },
+        "repair_fence" => K::RepairFence { epoch: n("seq")?, id: n("n")? },
+        "repair_verify" => K::RepairVerify { ok: b("ok")?, id: n("n")? },
+        "repair_done" => K::RepairDone { id: n("n")?, mttr_us: n("seq")? },
+        "repair_failed" => K::RepairFailed { id: n("n")? },
+        "repair_escalate" => K::RepairEscalate { rung: n("seq")?, id: n("n")? },
+        other => return Err(format!("unknown kind `{other}`")),
+    };
+    Ok(TraceEvent {
+        gsn: n("gsn")?,
+        at_us: n("us")?,
+        instance: s("i")?,
+        junction: s("j")?,
+        epoch: n("ep")?,
+        kind,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1053,15 +1148,12 @@ mod tests {
         assert_eq!(events[0].instance.as_ref(), "c");
     }
 
-    /// One exact JSONL line per kind in the module doc's schema table,
-    /// recorded through [`Tracer::record`] under a simulated clock (so
-    /// `us` is 0) and drained: the guard against a swapped or renamed
-    /// field anywhere between a record site and the rendered line.
-    /// Payloads are written `.into()` so the table does not depend on
-    /// the payload type record sites take.
-    #[test]
+    /// One event per kind in the module doc's schema table, with its
+    /// exact JSONL line as recorded by `f`/`serve` at epoch 3 under a
+    /// simulated clock (so `us` is 0). Payloads are written `.into()` so
+    /// the table does not depend on the payload type record sites take.
     #[allow(clippy::useless_conversion)]
-    fn jsonl_escapes_and_renders_all_fields() {
+    fn one_per_kind() -> Vec<(TraceKind<&'static str>, &'static str)> {
         let cases = vec![
             (TraceKind::Sched, r#"{"gsn":0,"us":0,"i":"f","j":"serve","ep":3,"k":"sched"}"#),
             (
@@ -1229,10 +1321,19 @@ mod tests {
             ),
         ];
         assert_eq!(cases.len(), 35, "one case per kind in the schema table");
+        cases
+    }
+
+    /// One exact JSONL line per kind, recorded through
+    /// [`Tracer::record`] and drained: the guard against a swapped or
+    /// renamed field anywhere between a record site and the rendered
+    /// line.
+    #[test]
+    fn jsonl_escapes_and_renders_all_fields() {
         let t = Tracer::with_clock(crate::clock::Clock::simulated());
         t.set_enabled(true);
         let mut expected = Vec::new();
-        for (kind, line) in cases {
+        for (kind, line) in one_per_kind() {
             t.record("f", "serve", 3, kind);
             expected.push(line);
         }
@@ -1245,5 +1346,124 @@ mod tests {
         // Escaped identities render through the same path as payloads.
         t.record("f\"x", "serve", 3, TraceKind::Sched);
         assert!(t.drain_jsonl().contains(r#""i":"f\"x""#));
+    }
+
+    /// Every kind survives `to_json_line` → `parse_jsonl` unchanged, and
+    /// re-rendering the parsed event gives back the same bytes. Every
+    /// string — identities, payloads, `keys` items — carries a quote, a
+    /// backslash, a control char and non-ASCII text.
+    #[test]
+    fn every_kind_round_trips_through_the_reader() {
+        let hard = |s: &str| Arc::<str>::from(format!("{s}\"\\\u{1}\té😀"));
+        let mut kinds: Vec<TraceKind> =
+            one_per_kind().into_iter().map(|(kind, _)| kind.map(hard)).collect();
+        kinds.push(TraceKind::Kv(TableEvent::WindowOpen { token: 0, wop: 1, keys: vec![] }));
+        for (gsn, kind) in kinds.into_iter().enumerate() {
+            let event = TraceEvent {
+                gsn: gsn as u64,
+                at_us: 17 + gsn as u64,
+                instance: hard("f"),
+                junction: hard(""),
+                epoch: u64::MAX,
+                kind,
+            };
+            let line = to_json_line(&event);
+            let back = parse_jsonl(&format!("\n{line}\n")).expect(&line);
+            assert_eq!(back, [event], "{line}");
+            assert_eq!(to_json_line(&back[0]), line);
+        }
+    }
+
+    #[test]
+    fn parser_roundtrips_fields_and_escapes() {
+        let r = &parse_jsonl(
+            r#"{"gsn":7,"us":12,"i":"f\"x","j":"serve","ep":3,"k":"kv_deliver","key":"Reply","from":"g::run","seq":9,"op":12,"applied":true,"run":false}"#,
+        )
+        .unwrap()[0];
+        assert_eq!(r.gsn, 7);
+        assert_eq!(&*r.instance, "f\"x");
+        let TraceKind::Kv(TableEvent::Deliver { link_seq, applied, during_run, .. }) = r.kind
+        else {
+            panic!("{r:?}")
+        };
+        assert_eq!(link_seq, 9);
+        assert!(applied);
+        assert!(!during_run);
+        let w = &parse_jsonl(
+            r#"{"gsn":1,"us":0,"i":"f","j":"serve","ep":1,"k":"kv_window_open","tok":0,"wop":5,"keys":["A","B"]}"#,
+        )
+        .unwrap()[0];
+        let TraceKind::Kv(TableEvent::WindowOpen { wop, keys, .. }) = &w.kind else {
+            panic!("{w:?}")
+        };
+        assert_eq!(keys.iter().map(|k| &**k).collect::<Vec<_>>(), ["A", "B"]);
+        assert_eq!(*wop, 5);
+        // Strict: a line without the common fields and `k` is an error.
+        assert!(parse_jsonl("{}").is_err());
+        assert!(parse_jsonl("{bad").is_err());
+    }
+
+    #[test]
+    fn unknown_fields_are_ignored() {
+        let r = &parse_jsonl(
+            r#"{"gsn":1,"us":0,"i":"f","j":"x","ep":1,"k":"sched","future":"y","extra":3,"flag":true,"list":["z"]}"#,
+        )
+        .unwrap()[0];
+        assert_eq!(r.kind, TraceKind::Sched);
+    }
+
+    #[test]
+    fn unknown_kind_or_missing_field_names_the_line() {
+        let ok = r#"{"gsn":1,"us":0,"i":"f","j":"x","ep":1,"k":"sched"}"#;
+        let bad_kind = ok.replace("sched", "schedule");
+        let err = parse_jsonl(&format!("{ok}\n\n{bad_kind}")).unwrap_err();
+        assert!(err.starts_with("line 3:") && err.contains("`schedule`"), "{err}");
+        let err = parse_jsonl(&ok.replace("sched", "unsched")).unwrap_err();
+        assert!(err.starts_with("line 1:") && err.contains("`ok`"), "{err}");
+    }
+
+    /// Traces and schedule artifacts are read from disk: every prefix
+    /// and every single-byte corruption of a valid input is an error or
+    /// a parse, never a panic.
+    #[test]
+    fn reader_survives_truncation_and_corruption() {
+        let artifact = crate::sim::Artifact {
+            seed: 42,
+            reason: "lost \"acked\" write é".into(),
+            instances: vec!["f".into(), "o".into()],
+            steps: vec!["pass:f:main".into(), "inj:0".into()],
+        }
+        .to_json();
+        assert!(crate::sim::Artifact::from_json(&artifact).is_some());
+        let mut inputs: Vec<String> =
+            one_per_kind().into_iter().map(|(_, line)| line.to_string()).collect();
+        inputs.push(to_json_line(&TraceEvent {
+            gsn: 0,
+            at_us: 0,
+            instance: "é\u{1}".into(),
+            junction: "\\".into(),
+            epoch: 0,
+            kind: TraceKind::Sched,
+        }));
+        inputs.push(artifact);
+        for input in &inputs {
+            let bytes = input.as_bytes();
+            let read = |b: &[u8]| {
+                let text = String::from_utf8_lossy(b);
+                let _ = parse_jsonl(&text);
+                let _ = crate::sim::Artifact::from_json(&text);
+            };
+            for end in 0..bytes.len() {
+                read(&bytes[..end]);
+            }
+            let mut corrupt = bytes.to_vec();
+            for i in 0..bytes.len() {
+                for b in 0..=255u8 {
+                    corrupt[i] = b;
+                    read(&corrupt);
+                }
+                corrupt[i] = bytes[i];
+            }
+        }
     }
 }

@@ -300,21 +300,11 @@ impl Network {
         stamp < floor
     }
 
-    /// The current fence floor of an instance (0 = never fenced).
-    pub fn fence_floor(&self, instance: &str) -> u64 {
-        self.fence.of(instance).1
-    }
-
     /// Toggle fence enforcement (ablations and the split-brain
     /// fail-before/pass-after test). Stamping continues either way;
     /// only the reject checks are gated.
     pub fn set_fencing(&self, enabled: bool) {
         self.fence.enabled.store(enabled, Ordering::Relaxed);
-    }
-
-    /// Whether fence enforcement is on (default true).
-    pub fn fencing_enabled(&self) -> bool {
-        self.fence.enabled.load(Ordering::Relaxed)
     }
 
     /// Flush all per-route transport state for the directed pair

@@ -1,10 +1,12 @@
 //! Trace conformance: replay a recorded runtime trace against the §8
 //! semantics and check it describes a *valid configuration*.
 //!
-//! `csaw-runtime` records causal traces as JSONL (see its `trace`
-//! module for the schema). This module parses that format — a minimal
-//! flat-JSON reader, no external dependency — and checks three families
-//! of rules:
+//! The checker reads the events `csaw-runtime`'s recorder produces —
+//! `&[TraceEvent]`, matched on the typed `TraceKind`/`TableEvent`
+//! variants — so an in-process caller passes `Runtime::trace_events()`
+//! as is. A trace dumped as JSONL reads back through
+//! `csaw_runtime::trace::parse_jsonl`, the writer's exact inverse. It
+//! checks three families of rules:
 //!
 //! 1. **Structural causality** (`rule: "causality"`). Per junction,
 //!    `sched`/`unsched` alternate and epochs strictly increase; every
@@ -29,8 +31,8 @@
 //!    events *all* conflict pairwise contradict the semantics: no
 //!    valid configuration contains both (conflict-freeness, §8.1).
 //!
-//! There is one entry point, [`check_trace`] (and [`check_jsonl`], which
-//! parses first). It takes the trace and the **epoch chain**: the
+//! There is one entry point, [`check_trace`]. It takes the trace and
+//! the **epoch chain**: the
 //! programs the system embodied, in cut order — `csaw-runtime` keeps
 //! exactly this as `Runtime::epoch_chain`. What it does depends on how
 //! many `reconfig_cut` records the trace holds:
@@ -57,273 +59,14 @@
 //! Violations carry the offending `gsn` so the JSONL line can be
 //! located directly.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::sync::Arc;
+
+use csaw_kv::TableEvent;
+use csaw_runtime::{TraceEvent, TraceKind};
 
 use crate::denote::ProgramSemantics;
 use crate::event::{EventId, Label};
-
-/// One parsed trace line. Fields absent from a line stay `None`/empty;
-/// unknown fields are ignored (schema growth stays compatible).
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct TraceRecord {
-    /// Global sequence number (total recording order).
-    pub gsn: u64,
-    /// Microseconds since tracer creation.
-    pub us: u64,
-    /// Instance.
-    pub instance: String,
-    /// Junction (may be empty or `-`).
-    pub junction: String,
-    /// Table epoch (0 when not applicable).
-    pub epoch: u64,
-    /// Event kind (`sched`, `kv_deliver`, `link_send`, …).
-    pub kind: String,
-    /// Update key.
-    pub key: Option<String>,
-    /// Sender, `instance::junction`.
-    pub from: Option<String>,
-    /// Target, `instance::junction` (or instance for heartbeats).
-    pub to: Option<String>,
-    /// Per-link sequence number (0 = unsequenced).
-    pub seq: Option<u64>,
-    /// Table operation sequence of the event.
-    pub op: Option<u64>,
-    /// Table operation sequence of the shadowing local write.
-    pub lop: Option<u64>,
-    /// Window token.
-    pub tok: Option<u64>,
-    /// Table operation sequence at window opening.
-    pub wop: Option<u64>,
-    /// Window keys.
-    pub keys: Vec<String>,
-    /// Generic count (bytes, attempt).
-    pub n: Option<u64>,
-    /// Activation outcome.
-    pub ok: Option<bool>,
-    /// Whether a delivery applied immediately.
-    pub applied: Option<bool>,
-    /// Whether the table was mid-activation.
-    pub run: Option<bool>,
-}
-
-// ---------------------------------------------------------------------
-// Flat-JSON line parser
-// ---------------------------------------------------------------------
-
-struct Parser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.i += 1;
-        }
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!("expected `{}` at byte {}", c as char, self.i))
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err("unterminated string".into()),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .s
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|e| e.to_string())?,
-                                16,
-                            )
-                            .map_err(|e| e.to_string())?;
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.i += 4;
-                        }
-                        other => return Err(format!("bad escape {other:?}")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (continuation bytes too).
-                    let start = self.i;
-                    self.i += 1;
-                    while self
-                        .s
-                        .get(self.i)
-                        .is_some_and(|b| (b & 0xC0) == 0x80)
-                    {
-                        self.i += 1;
-                    }
-                    out.push_str(
-                        std::str::from_utf8(&self.s[start..self.i])
-                            .map_err(|e| e.to_string())?,
-                    );
-                }
-            }
-        }
-    }
-
-    fn parse_u64(&mut self) -> Result<u64, String> {
-        let start = self.i;
-        while self.peek().is_some_and(|b| b.is_ascii_digit()) {
-            self.i += 1;
-        }
-        if start == self.i {
-            return Err(format!("expected number at byte {start}"));
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .map_err(|e| e.to_string())?
-            .parse()
-            .map_err(|e: std::num::ParseIntError| e.to_string())
-    }
-
-    fn parse_bool(&mut self) -> Result<bool, String> {
-        if self.s[self.i..].starts_with(b"true") {
-            self.i += 4;
-            Ok(true)
-        } else if self.s[self.i..].starts_with(b"false") {
-            self.i += 5;
-            Ok(false)
-        } else {
-            Err(format!("expected bool at byte {}", self.i))
-        }
-    }
-
-    fn parse_string_array(&mut self) -> Result<Vec<String>, String> {
-        self.expect(b'[')?;
-        let mut out = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(out);
-        }
-        loop {
-            self.skip_ws();
-            out.push(self.parse_string()?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                other => return Err(format!("bad array separator {other:?}")),
-            }
-        }
-    }
-}
-
-/// Parse one JSONL trace line.
-pub fn parse_json_line(line: &str) -> Result<TraceRecord, String> {
-    let mut p = Parser { s: line.as_bytes(), i: 0 };
-    p.skip_ws();
-    p.expect(b'{')?;
-    let mut rec = TraceRecord::default();
-    p.skip_ws();
-    if p.peek() == Some(b'}') {
-        return Ok(rec);
-    }
-    loop {
-        p.skip_ws();
-        let name = p.parse_string()?;
-        p.skip_ws();
-        p.expect(b':')?;
-        p.skip_ws();
-        match p.peek() {
-            Some(b'"') => {
-                let v = p.parse_string()?;
-                match name.as_str() {
-                    "i" => rec.instance = v,
-                    "j" => rec.junction = v,
-                    "k" => rec.kind = v,
-                    "key" => rec.key = Some(v),
-                    "from" => rec.from = Some(v),
-                    "to" => rec.to = Some(v),
-                    _ => {}
-                }
-            }
-            Some(b'[') => {
-                let v = p.parse_string_array()?;
-                if name == "keys" {
-                    rec.keys = v;
-                }
-            }
-            Some(b't') | Some(b'f') => {
-                let v = p.parse_bool()?;
-                match name.as_str() {
-                    "ok" => rec.ok = Some(v),
-                    "applied" => rec.applied = Some(v),
-                    "run" => rec.run = Some(v),
-                    _ => {}
-                }
-            }
-            Some(c) if c.is_ascii_digit() => {
-                let v = p.parse_u64()?;
-                match name.as_str() {
-                    "gsn" => rec.gsn = v,
-                    "us" => rec.us = v,
-                    "ep" => rec.epoch = v,
-                    "seq" => rec.seq = Some(v),
-                    "op" => rec.op = Some(v),
-                    "lop" => rec.lop = Some(v),
-                    "tok" => rec.tok = Some(v),
-                    "wop" => rec.wop = Some(v),
-                    "n" => rec.n = Some(v),
-                    _ => {}
-                }
-            }
-            other => return Err(format!("unexpected value start {other:?}")),
-        }
-        p.skip_ws();
-        match p.peek() {
-            Some(b',') => p.i += 1,
-            Some(b'}') => return Ok(rec),
-            other => return Err(format!("bad field separator {other:?}")),
-        }
-    }
-}
-
-/// Parse a JSONL trace (empty lines skipped).
-pub fn parse_jsonl(jsonl: &str) -> Result<Vec<TraceRecord>, String> {
-    let mut out = Vec::new();
-    for (n, line) in jsonl.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        out.push(
-            parse_json_line(line).map_err(|e| format!("line {}: {e}", n + 1))?,
-        );
-    }
-    Ok(out)
-}
 
 // ---------------------------------------------------------------------
 // Conformance checking
@@ -386,6 +129,10 @@ impl ConformanceReport {
         self.violations.is_empty()
     }
 
+    fn flag(&mut self, gsn: u64, rule: &'static str, detail: String) {
+        self.violations.push(Violation { gsn, rule, detail });
+    }
+
     /// Render violations one per line (empty string when `ok`).
     pub fn describe(&self) -> String {
         self.violations
@@ -406,13 +153,13 @@ fn norm_key(key: &str) -> &str {
     key.split('[').next().unwrap_or(key)
 }
 
-/// Per-junction §8 replay state.
+/// Per-junction §8 replay state; keys borrow from the trace.
 #[derive(Default)]
-struct JunctionReplay {
+struct JunctionReplay<'a> {
     /// Latest local-write op per key.
-    lop: HashMap<String, u64>,
+    lop: HashMap<&'a str, u64>,
     /// Open windows: token → (wop, keys).
-    windows: HashMap<u64, (u64, Vec<String>)>,
+    windows: HashMap<u64, (u64, &'a [Arc<str>])>,
     /// Inside a `sched`..`unsched` bracket, and its epoch.
     active: Option<u64>,
     /// Gsn of the bracket-opening `sched` (selects the reconfiguration
@@ -421,28 +168,27 @@ struct JunctionReplay {
     /// Highest `sched` epoch seen.
     last_epoch: u64,
     /// Labels observed in the current activation, with candidate gsn.
-    labels: Vec<(u64, ObservedLabel)>,
+    labels: Vec<(u64, ObservedLabel<'a>)>,
 }
 
 #[derive(Clone, Debug, PartialEq, Eq, Hash)]
-enum ObservedLabel {
+enum ObservedLabel<'a> {
     /// This junction sent an update for `key` (normalized).
-    Wr(String),
+    Wr(&'a str),
     /// This junction admitted a remote update for `key` through a
     /// window — the runtime footprint of the §8 `wait` read.
-    Rd(String),
+    Rd(&'a str),
 }
 
-impl JunctionReplay {
+impl JunctionReplay<'_> {
     fn admits(&self, key: &str) -> bool {
         self.windows.values().any(|(wop, keys)| {
-            keys.iter().any(|k| k == key)
-                && self.lop.get(key).is_none_or(|s| s < wop)
+            keys.iter().any(|k| &**k == key) && self.lop.get(key).is_none_or(|s| s < wop)
         })
     }
 }
 
-/// Check a parsed trace against the epoch chain it was recorded under.
+/// Check a recorded trace against the epoch chain it was recorded under.
 ///
 /// `chain[0]` is the boot program's semantics (from
 /// [`crate::denote::denote_program`]) and `chain[k]` the semantics of
@@ -473,22 +219,22 @@ impl JunctionReplay {
 /// plan → (fence) → verify → done/failed in order, and `repair_done`
 /// requires a passed verification.
 pub fn check_trace(
-    records: &[TraceRecord],
+    events: &[TraceEvent],
     chain: &[Option<&ProgramSemantics>],
     opts: &ConformanceOptions,
 ) -> ConformanceReport {
-    let mut cuts: Vec<u64> = records
+    let mut cuts: Vec<u64> = events
         .iter()
-        .filter(|r| r.kind == "reconfig_cut")
-        .map(|r| r.gsn)
+        .filter(|e| matches!(e.kind, TraceKind::ReconfigCut))
+        .map(|e| e.gsn)
         .collect();
     cuts.sort_unstable();
     let n_cuts = cuts.len();
     let mut report = if cuts.is_empty() {
         let boot = chain.first().copied().flatten();
-        check_trace_with(records, opts, false, &|_| (0, boot))
+        check_trace_with(events, opts, false, &|_| (0, boot))
     } else {
-        check_trace_with(records, opts, true, &|gsn| {
+        check_trace_with(events, opts, true, &|gsn| {
             // The epoch side of a gsn is how many cuts precede it.
             let side = cuts.partition_point(|&c| c <= gsn);
             let ix = side.min(chain.len().saturating_sub(1));
@@ -496,19 +242,19 @@ pub fn check_trace(
         })
     };
     if n_cuts > 0 && chain.len() != n_cuts + 1 {
-        report.violations.push(Violation {
-            gsn: 0,
-            rule: "reconfig",
-            detail: format!(
+        report.flag(
+            0,
+            "reconfig",
+            format!(
                 "trace has {n_cuts} cut(s) but {} program semantics were \
                  provided (expected {}); later epochs were validated \
                  against the last one",
                 chain.len(),
                 n_cuts + 1
             ),
-        });
+        );
     }
-    report.violations.extend(check_repair_events(records));
+    report.violations.extend(check_repair_events(events));
     report.violations.sort_by_key(|v| v.gsn);
     report
 }
@@ -521,7 +267,8 @@ pub fn check_trace(
 /// exactly the lie this rule exists to catch. A detection with no
 /// terminal is *not* a violation: the trace may end mid-repair, and a
 /// class with no registered ladder detects without repairing.
-pub fn check_repair_events(records: &[TraceRecord]) -> Vec<Violation> {
+pub fn check_repair_events(events: &[TraceEvent]) -> Vec<Violation> {
+    use TraceKind::*;
     #[derive(Default)]
     struct RepairState {
         detect: bool,
@@ -529,67 +276,70 @@ pub fn check_repair_events(records: &[TraceRecord]) -> Vec<Violation> {
         verify_passed: bool,
         terminal: bool,
     }
-    let mut sorted: Vec<&TraceRecord> = records
+    let mut sorted: Vec<(&TraceEvent, u64)> = events
         .iter()
-        .filter(|r| r.kind.starts_with("repair_"))
+        .filter_map(|e| match e.kind {
+            RepairDetect { id, .. }
+            | RepairEscalate { id, .. }
+            | RepairPlan { id, .. }
+            | RepairFence { id, .. }
+            | RepairVerify { id, .. }
+            | RepairDone { id, .. }
+            | RepairFailed { id } => Some((e, id)),
+            _ => None,
+        })
         .collect();
-    sorted.sort_by_key(|r| r.gsn);
+    sorted.sort_by_key(|(e, _)| e.gsn);
     let mut state: BTreeMap<u64, RepairState> = BTreeMap::new();
     let mut out = Vec::new();
     let mut flag = |gsn: u64, detail: String| {
         out.push(Violation { gsn, rule: "repair", detail });
     };
-    for r in sorted {
-        let Some(id) = r.n else {
-            flag(r.gsn, format!("`{}` carries no repair id", r.kind));
-            continue;
-        };
+    for (e, id) in sorted {
         let st = state.entry(id).or_default();
-        match r.kind.as_str() {
-            "repair_detect" => {
+        match e.kind {
+            RepairDetect { .. } => {
                 if st.detect {
-                    flag(r.gsn, format!("repair {id} detected twice"));
+                    flag(e.gsn, format!("repair {id} detected twice"));
                 }
                 st.detect = true;
             }
-            "repair_escalate" if !st.detect => {
-                flag(r.gsn, format!("repair {id} escalated before detection"));
+            RepairEscalate { .. } if !st.detect => {
+                flag(e.gsn, format!("repair {id} escalated before detection"));
             }
-            "repair_escalate" => {}
-            "repair_plan" => {
+            RepairPlan { .. } => {
                 if !st.detect {
-                    flag(r.gsn, format!("repair {id} planned before detection"));
+                    flag(e.gsn, format!("repair {id} planned before detection"));
                 }
                 if st.plan {
-                    flag(r.gsn, format!("repair {id} planned twice"));
+                    flag(e.gsn, format!("repair {id} planned twice"));
                 }
                 st.plan = true;
             }
-            "repair_fence" if !st.plan => {
-                flag(r.gsn, format!("repair {id} fenced before a plan"));
+            RepairFence { .. } if !st.plan => {
+                flag(e.gsn, format!("repair {id} fenced before a plan"));
             }
-            "repair_fence" => {}
-            "repair_verify" => {
+            RepairVerify { ok, .. } => {
                 if !st.plan {
-                    flag(r.gsn, format!("repair {id} verified before a plan"));
+                    flag(e.gsn, format!("repair {id} verified before a plan"));
                 }
-                st.verify_passed = r.ok == Some(true);
+                st.verify_passed = ok;
             }
-            "repair_done" => {
+            RepairDone { .. } => {
                 if st.terminal {
-                    flag(r.gsn, format!("repair {id} terminated twice"));
+                    flag(e.gsn, format!("repair {id} terminated twice"));
                 }
                 if !st.verify_passed {
                     flag(
-                        r.gsn,
+                        e.gsn,
                         format!("repair {id} declared done without passed verification"),
                     );
                 }
                 st.terminal = true;
             }
-            "repair_failed" => {
+            RepairFailed { .. } => {
                 if st.terminal {
-                    flag(r.gsn, format!("repair {id} terminated twice"));
+                    flag(e.gsn, format!("repair {id} terminated twice"));
                 }
                 st.terminal = true;
             }
@@ -604,84 +354,67 @@ pub fn check_repair_events(records: &[TraceRecord]) -> Vec<Violation> {
 /// additionally requires every scheduled junction to exist in its
 /// epoch's program (reconfiguration mode).
 fn check_trace_with<'s>(
-    records: &[TraceRecord],
+    events: &[TraceEvent],
     opts: &ConformanceOptions,
     strict_epoch: bool,
     pick: &dyn Fn(u64) -> (usize, Option<&'s ProgramSemantics>),
 ) -> ConformanceReport {
-    let mut report = ConformanceReport { events: records.len(), ..Default::default() };
+    use TableEvent as T;
+    use TraceKind as K;
+    let mut report = ConformanceReport { events: events.len(), ..Default::default() };
 
-    let mut sorted: Vec<&TraceRecord> = records.iter().collect();
-    sorted.sort_by_key(|r| r.gsn);
+    let mut sorted: Vec<&TraceEvent> = events.iter().collect();
+    sorted.sort_by_key(|e| e.gsn);
 
     // Pass 1: index link sends by (sender instance, receiver instance,
     // seq) → earliest gsn.
-    let mut sends: HashMap<(String, String, u64), u64> = HashMap::new();
-    for r in &sorted {
-        if r.kind == "link_send" {
-            let (Some(to), Some(seq)) = (&r.to, r.seq) else { continue };
-            if seq == 0 {
-                continue;
+    let mut sends: HashMap<(&str, &str, u64), u64> = HashMap::new();
+    for &e in &sorted {
+        if let K::LinkSend { to, seq, .. } = &e.kind {
+            if *seq != 0 {
+                sends.entry((&e.instance, instance_of(to), *seq)).or_insert(e.gsn);
             }
-            sends
-                .entry((r.instance.clone(), instance_of(to).to_string(), seq))
-                .or_insert(r.gsn);
         }
     }
 
     // Full-conflict relations, computed lazily per (epoch side,
     // junction) — the same junction may denote differently in the pre-
     // and post-reconfiguration programs.
-    let mut conflicts: HashMap<(usize, String), std::collections::BTreeSet<(EventId, EventId)>> =
-        HashMap::new();
+    let mut conflicts: HashMap<(usize, String), BTreeSet<(EventId, EventId)>> = HashMap::new();
 
-    let mut replays: BTreeMap<(String, String), JunctionReplay> = BTreeMap::new();
-    let mut applied_once: HashSet<(String, String, u64)> = HashSet::new();
+    let mut replays: BTreeMap<(&str, &str), JunctionReplay> = BTreeMap::new();
+    let mut applied_once: HashSet<(&str, &str, u64)> = HashSet::new();
 
-    for r in &sorted {
-        let is_apply = match r.kind.as_str() {
-            "kv_deliver" => r.applied == Some(true),
-            "kv_flush_apply" | "kv_retro_apply" => true,
-            _ => false,
+    for &e in &sorted {
+        let (gsn, instance, junction) = (e.gsn, &*e.instance, &*e.junction);
+        let applied = match &e.kind {
+            K::Kv(T::Deliver { from, link_seq, applied: true, .. })
+            | K::Kv(T::FlushApply { from, link_seq, .. })
+            | K::Kv(T::RetroApply { from, link_seq, .. }) => Some((from, *link_seq)),
+            _ => None,
         };
-        if is_apply {
-            if let (Some(from), Some(seq)) = (&r.from, r.seq) {
-                if seq != 0 {
-                    let triple = (
-                        instance_of(from).to_string(),
-                        r.instance.clone(),
-                        seq,
-                    );
-                    if !applied_once.insert(triple.clone()) {
-                        report.violations.push(Violation {
-                            gsn: r.gsn,
-                            rule: "causality",
-                            detail: format!(
-                                "duplicate apply of seq {seq} from {} at {}",
-                                triple.0, r.instance
-                            ),
-                        });
-                    }
-                    if opts.require_send_for_apply {
-                        match sends.get(&triple) {
-                            Some(&sg) if sg < r.gsn => {}
-                            Some(&sg) => report.violations.push(Violation {
-                                gsn: r.gsn,
-                                rule: "causality",
-                                detail: format!(
-                                    "apply of seq {seq} precedes its send (gsn {sg})"
-                                ),
-                            }),
-                            None => report.violations.push(Violation {
-                                gsn: r.gsn,
-                                rule: "causality",
-                                detail: format!(
-                                    "apply of seq {seq} from {} with no recorded send",
-                                    triple.0
-                                ),
-                            }),
-                        }
-                    }
+        if let Some((from, seq)) = applied.filter(|&(_, seq)| seq != 0) {
+            let triple = (instance_of(from), instance, seq);
+            if !applied_once.insert(triple) {
+                report.flag(
+                    gsn,
+                    "causality",
+                    format!("duplicate apply of seq {seq} from {} at {instance}", triple.0),
+                );
+            }
+            if opts.require_send_for_apply {
+                match sends.get(&triple) {
+                    Some(&sg) if sg < gsn => {}
+                    Some(&sg) => report.flag(
+                        gsn,
+                        "causality",
+                        format!("apply of seq {seq} precedes its send (gsn {sg})"),
+                    ),
+                    None => report.flag(
+                        gsn,
+                        "causality",
+                        format!("apply of seq {seq} from {} with no recorded send", triple.0),
+                    ),
                 }
             }
         }
@@ -691,191 +424,143 @@ fn check_trace_with<'s>(
         // `link_send` precedes it), and it never counts as an apply.
         // Sheds of sequenced updates only; seq 0 marks unsequenced
         // control traffic, which the data-plane shed paths never touch.
-        if r.kind == "link_shed" {
+        if let K::LinkShed { to, seq } = &e.kind {
             report.sheds += 1;
-            if let (Some(to), Some(seq)) = (&r.to, r.seq) {
-                if seq != 0 && opts.require_send_for_apply {
-                    let triple =
-                        (r.instance.clone(), instance_of(to).to_string(), seq);
-                    match sends.get(&triple) {
-                        Some(&sg) if sg <= r.gsn => {}
-                        Some(&sg) => report.violations.push(Violation {
-                            gsn: r.gsn,
-                            rule: "overload",
-                            detail: format!(
-                                "shed of seq {seq} precedes its send (gsn {sg})"
-                            ),
-                        }),
-                        None => report.violations.push(Violation {
-                            gsn: r.gsn,
-                            rule: "overload",
-                            detail: format!(
-                                "shed of seq {seq} to {to} with no recorded send"
-                            ),
-                        }),
-                    }
+            if *seq != 0 && opts.require_send_for_apply {
+                match sends.get(&(instance, instance_of(to), *seq)) {
+                    Some(&sg) if sg <= gsn => {}
+                    Some(&sg) => report.flag(
+                        gsn,
+                        "overload",
+                        format!("shed of seq {seq} precedes its send (gsn {sg})"),
+                    ),
+                    None => report.flag(
+                        gsn,
+                        "overload",
+                        format!("shed of seq {seq} to {to} with no recorded send"),
+                    ),
                 }
             }
         }
 
-        let jr = replays
-            .entry((r.instance.clone(), r.junction.clone()))
-            .or_default();
-        match r.kind.as_str() {
-            "sched" => {
+        let jr = replays.entry((instance, junction)).or_default();
+        match &e.kind {
+            K::Sched => {
                 if jr.active.is_some() {
-                    report.violations.push(Violation {
-                        gsn: r.gsn,
-                        rule: "causality",
-                        detail: format!(
-                            "{}::{} scheduled while already active",
-                            r.instance, r.junction
-                        ),
-                    });
+                    report.flag(
+                        gsn,
+                        "causality",
+                        format!("{instance}::{junction} scheduled while already active"),
+                    );
                 }
-                if r.epoch <= jr.last_epoch {
-                    report.violations.push(Violation {
-                        gsn: r.gsn,
-                        rule: "causality",
-                        detail: format!(
-                            "{}::{} epoch did not advance ({} after {})",
-                            r.instance, r.junction, r.epoch, jr.last_epoch
+                if e.epoch <= jr.last_epoch {
+                    report.flag(
+                        gsn,
+                        "causality",
+                        format!(
+                            "{instance}::{junction} epoch did not advance ({} after {})",
+                            e.epoch, jr.last_epoch
                         ),
-                    });
+                    );
                 }
-                jr.last_epoch = r.epoch;
-                jr.active = Some(r.epoch);
-                jr.active_gsn = r.gsn;
+                jr.last_epoch = e.epoch;
+                jr.active = Some(e.epoch);
+                jr.active_gsn = gsn;
                 jr.labels.clear();
-                if strict_epoch {
-                    let (_, sem) = pick(r.gsn);
-                    if let Some(sem) = sem {
-                        let qualified = format!("{}::{}", r.instance, r.junction);
-                        if !sem.junctions.contains_key(&qualified) {
-                            report.violations.push(Violation {
-                                gsn: r.gsn,
-                                rule: "reconfig",
-                                detail: format!(
-                                    "{qualified} scheduled in an epoch whose \
-                                     program does not define it"
-                                ),
-                            });
-                        }
+                let sem = if strict_epoch { pick(gsn).1 } else { None };
+                if let Some(sem) = sem {
+                    let qualified = format!("{instance}::{junction}");
+                    if !sem.junctions.contains_key(&qualified) {
+                        report.flag(
+                            gsn,
+                            "reconfig",
+                            format!(
+                                "{qualified} scheduled in an epoch whose \
+                                 program does not define it"
+                            ),
+                        );
                     }
                 }
             }
-            "unsched" => {
+            K::Unsched { .. } => {
                 if jr.active.is_none() {
-                    report.violations.push(Violation {
-                        gsn: r.gsn,
-                        rule: "causality",
-                        detail: format!(
-                            "{}::{} unscheduled while not active",
-                            r.instance, r.junction
-                        ),
-                    });
+                    report.flag(
+                        gsn,
+                        "causality",
+                        format!("{instance}::{junction} unscheduled while not active"),
+                    );
                 }
                 jr.active = None;
                 // Windows do not survive the activation.
                 jr.windows.clear();
-                let (side, sem) = pick(jr.active_gsn);
-                if let Some(sem) = sem {
+                let labels = std::mem::take(&mut jr.labels);
+                if let (side, Some(sem)) = pick(jr.active_gsn) {
                     check_activation_labels(
-                        &r.instance,
-                        &r.junction,
-                        std::mem::take(&mut jr.labels),
+                        instance,
+                        junction,
+                        labels,
                         sem,
                         side,
                         &mut conflicts,
                         &mut report,
                     );
-                } else {
-                    jr.labels.clear();
                 }
             }
-            "kv_local_write" => {
-                if let (Some(key), Some(op)) = (&r.key, r.op) {
-                    jr.lop.insert(key.clone(), op);
-                }
+            K::Kv(T::LocalWrite { key, op }) => {
+                jr.lop.insert(key, *op);
             }
-            "kv_window_open" => {
-                if let (Some(tok), Some(wop)) = (r.tok, r.wop) {
-                    jr.windows.insert(tok, (wop, r.keys.clone()));
-                }
+            K::Kv(T::WindowOpen { token, wop, keys }) => {
+                jr.windows.insert(*token, (*wop, keys));
             }
-            "kv_window_close" => {
-                if let Some(tok) = r.tok {
-                    jr.windows.remove(&tok);
-                }
+            K::Kv(T::WindowClose { token }) => {
+                jr.windows.remove(token);
             }
-            "kv_deliver" => {
-                let key = r.key.as_deref().unwrap_or("");
-                if r.applied == Some(true) {
-                    if !jr.admits(key) {
-                        report.violations.push(Violation {
-                            gsn: r.gsn,
-                            rule: "update-rule",
-                            detail: format!(
-                                "update to `{key}` applied mid-run with no \
-                                 admitting window newer than the local write"
-                            ),
-                        });
-                    }
-                    jr.labels.push((r.gsn, ObservedLabel::Rd(norm_key(key).to_string())));
-                }
-            }
-            "kv_flush_apply" if r.run == Some(true) => {
-                if let (Some(key), Some(op)) = (&r.key, r.op) {
-                    if jr.lop.get(key).is_some_and(|&l| l > op) {
-                        report.violations.push(Violation {
-                            gsn: r.gsn,
-                            rule: "update-rule",
-                            detail: format!(
-                                "pending update to `{key}` applied though a \
-                                 local write overtook it (should shadow-drop)"
-                            ),
-                        });
-                    }
-                }
-            }
-            "kv_shadow_drop" => {
-                let shadowed = r.run == Some(true)
-                    && match (&r.key, r.op, r.lop) {
-                        (Some(key), Some(op), Some(lop)) => {
-                            lop > op && jr.lop.get(key).copied() == Some(lop)
-                        }
-                        _ => false,
-                    };
-                if !shadowed {
-                    report.violations.push(Violation {
-                        gsn: r.gsn,
-                        rule: "update-rule",
-                        detail: format!(
-                            "shadow drop of `{}` without a shadowing local write",
-                            r.key.as_deref().unwrap_or("?")
+            K::Kv(T::Deliver { key, applied: true, .. }) => {
+                if !jr.admits(key) {
+                    report.flag(
+                        gsn,
+                        "update-rule",
+                        format!(
+                            "update to `{key}` applied mid-run with no \
+                             admitting window newer than the local write"
                         ),
-                    });
+                    );
                 }
+                jr.labels.push((gsn, ObservedLabel::Rd(norm_key(key))));
             }
-            "kv_retro_apply" => {
-                if let (Some(key), Some(op)) = (&r.key, r.op) {
-                    if jr.lop.get(key).is_some_and(|&l| op <= l) {
-                        report.violations.push(Violation {
-                            gsn: r.gsn,
-                            rule: "update-rule",
-                            detail: format!(
-                                "retroactive apply of `{key}` older than the \
-                                 local write it should defer to"
-                            ),
-                        });
-                    }
-                }
+            K::Kv(T::FlushApply { key, op, during_run: true, .. })
+                if jr.lop.get(&**key).is_some_and(|l| l > op) =>
+            {
+                report.flag(
+                    gsn,
+                    "update-rule",
+                    format!(
+                        "pending update to `{key}` applied though a \
+                         local write overtook it (should shadow-drop)"
+                    ),
+                );
             }
-            "link_send" if jr.active.is_some() => {
-                if let Some(key) = &r.key {
-                    jr.labels
-                        .push((r.gsn, ObservedLabel::Wr(norm_key(key).to_string())));
-                }
+            K::Kv(T::ShadowDrop { key, op, lop, during_run, .. })
+                if !(*during_run && lop > op && jr.lop.get(&**key) == Some(lop)) =>
+            {
+                report.flag(
+                    gsn,
+                    "update-rule",
+                    format!("shadow drop of `{key}` without a shadowing local write"),
+                );
+            }
+            K::Kv(T::RetroApply { key, op, .. }) if jr.lop.get(&**key).is_some_and(|l| op <= l) => {
+                report.flag(
+                    gsn,
+                    "update-rule",
+                    format!(
+                        "retroactive apply of `{key}` older than the \
+                         local write it should defer to"
+                    ),
+                );
+            }
+            K::LinkSend { key, .. } if jr.active.is_some() => {
+                jr.labels.push((gsn, ObservedLabel::Wr(norm_key(key))));
             }
             _ => {}
         }
@@ -892,7 +577,7 @@ fn check_activation_labels(
     labels: Vec<(u64, ObservedLabel)>,
     sem: &ProgramSemantics,
     side: usize,
-    conflicts: &mut HashMap<(usize, String), std::collections::BTreeSet<(EventId, EventId)>>,
+    conflicts: &mut HashMap<(usize, String), BTreeSet<(EventId, EventId)>>,
     report: &mut ConformanceReport,
 ) {
     if labels.is_empty() {
@@ -908,16 +593,16 @@ fn check_activation_labels(
         .map(|(gsn, l)| {
             let ids = match l {
                 ObservedLabel::Wr(key) => es.find(|lab| {
-                    matches!(lab, Label::Wr { key: k, .. } if norm_key(k) == key)
+                    matches!(lab, Label::Wr { key: k, .. } if norm_key(k) == *key)
                 }),
                 ObservedLabel::Rd(key) => es.find(|lab| {
                     matches!(
                         lab,
-                        Label::Rd { key: k, .. } if norm_key(k) == key
+                        Label::Rd { key: k, .. } if norm_key(k) == *key
                     ) || matches!(
                         lab,
                         Label::Wait { data, .. }
-                            if data.iter().any(|k| norm_key(k) == key)
+                            if data.iter().any(|k| norm_key(k) == *key)
                     )
                 }),
             };
@@ -943,65 +628,25 @@ fn check_activation_labels(
                 cb.iter().all(|y| x != y && conf.contains(&(*x, *y)))
             });
             if all_conflict {
-                report.violations.push(Violation {
-                    gsn: *gsn_b.max(gsn_a),
-                    rule: "event-structure",
-                    detail: format!(
+                report.flag(
+                    *gsn_b.max(gsn_a),
+                    "event-structure",
+                    format!(
                         "labels {la:?} and {lb:?} co-occur in one activation of \
                          {qualified} but every candidate event pair conflicts"
                     ),
-                });
+                );
             }
         }
     }
-}
-
-/// Parse a JSONL trace and check it in one call (see [`check_trace`]).
-pub fn check_jsonl(
-    jsonl: &str,
-    chain: &[Option<&ProgramSemantics>],
-    opts: &ConformanceOptions,
-) -> Result<ConformanceReport, String> {
-    Ok(check_trace(&parse_jsonl(jsonl)?, chain, opts))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn parser_roundtrips_fields_and_escapes() {
-        let r = parse_json_line(
-            r#"{"gsn":7,"us":12,"i":"f\"x","j":"serve","ep":3,"k":"kv_deliver","key":"Reply","from":"g::run","seq":9,"op":12,"applied":true,"run":false}"#,
-        )
-        .unwrap();
-        assert_eq!(r.gsn, 7);
-        assert_eq!(r.instance, "f\"x");
-        assert_eq!(r.kind, "kv_deliver");
-        assert_eq!(r.seq, Some(9));
-        assert_eq!(r.applied, Some(true));
-        assert_eq!(r.run, Some(false));
-        let w = parse_json_line(
-            r#"{"gsn":1,"us":0,"i":"f","j":"serve","ep":1,"k":"kv_window_open","tok":0,"wop":5,"keys":["A","B"]}"#,
-        )
-        .unwrap();
-        assert_eq!(w.keys, vec!["A", "B"]);
-        assert_eq!(w.wop, Some(5));
-        assert!(parse_json_line("{}").is_ok());
-        assert!(parse_json_line("{bad").is_err());
-    }
-
-    #[test]
-    fn unknown_fields_are_ignored() {
-        let r = parse_json_line(
-            r#"{"gsn":1,"us":0,"i":"f","j":"x","ep":1,"k":"sched","future":"y","extra":3,"flag":true,"list":["z"]}"#,
-        )
-        .unwrap();
-        assert_eq!(r.kind, "sched");
-    }
-
-    fn lines(ls: &[&str]) -> Vec<TraceRecord> {
-        parse_jsonl(&ls.join("\n")).unwrap()
+    fn lines(ls: &[&str]) -> Vec<TraceEvent> {
+        csaw_runtime::trace::parse_jsonl(&ls.join("\n")).unwrap()
     }
 
     #[test]

@@ -14,11 +14,14 @@
 //!   `Synch`-prefixed read events, and the staged expansion of `wait`;
 //! * [`topology()`] — the `Topo` derivation of §8.7 (the communication
 //!   graph between junctions) with DOT export;
-//! * [`conformance`] — replay of recorded `csaw-runtime` JSONL traces
-//!   against the denoted event structures of the epoch chain they were
-//!   recorded under: structural causality, the §8 local-priority update
-//!   rule, and conflict-freeness of observed configurations, epoch by
-//!   epoch across live reconfigurations.
+//! * [`conformance`] — replay of the `TraceEvent`s `csaw-runtime`
+//!   records (in process, or read back from JSONL with
+//!   `csaw_runtime::trace::parse_jsonl`) against the denoted event
+//!   structures of the epoch chain they were recorded under: structural
+//!   causality, the §8 local-priority update rule, and conflict-freeness
+//!   of observed configurations, epoch by epoch across live
+//!   reconfigurations. The checker depends on the runtime for that one
+//!   event type; the runtime does not depend on this crate.
 //!
 //! The §8.5 semantics is explicitly "a general, infinitary version"; like
 //! the paper's implementation, we compute the weaker finite version,
@@ -31,8 +34,7 @@ pub mod event;
 pub mod topology;
 
 pub use conformance::{
-    check_jsonl, check_repair_events, check_trace, parse_json_line, parse_jsonl,
-    ConformanceOptions, ConformanceReport, TraceRecord, Violation,
+    check_repair_events, check_trace, ConformanceOptions, ConformanceReport, Violation,
 };
 pub use denote::{denote_junction, denote_program, DenoteConfig, ProgramSemantics};
 pub use event::{Event, EventId, EventStructure, Label};

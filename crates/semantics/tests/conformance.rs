@@ -7,8 +7,9 @@
 use std::sync::Arc;
 
 use csaw_kv::{Table, TableEvent, TableObserver, Update};
+use csaw_runtime::trace::{parse_jsonl, to_jsonl};
 use csaw_runtime::{TraceKind, Tracer};
-use csaw_semantics::{check_jsonl, ConformanceOptions};
+use csaw_semantics::{check_trace, ConformanceOptions};
 
 /// Forwards table events into a tracer under a fixed identity, the way
 /// the runtime's cell observer does.
@@ -111,13 +112,14 @@ fn table_interleavings_conform_to_update_rule() {
             tracer.record("t", "j", table.epoch(), TraceKind::Unsched { ok: true });
         }
 
-        let jsonl = tracer.drain_jsonl();
+        let events = tracer.drain();
         let opts = ConformanceOptions { require_send_for_apply: false };
-        let report = check_jsonl(&jsonl, &[], &opts).unwrap();
+        let report = check_trace(&events, &[], &opts);
         assert!(
             report.ok(),
-            "seed {seed}: {}\ntrace:\n{jsonl}",
-            report.describe()
+            "seed {seed}: {}\ntrace:\n{}",
+            report.describe(),
+            to_jsonl(&events)
         );
         assert!(report.events > 0);
     }
@@ -130,7 +132,7 @@ fn table_interleavings_conform_to_update_rule() {
 fn pre_fix_window_clobber_fixture_is_rejected() {
     let jsonl = include_str!("fixtures/deliver_window_clobber.jsonl");
     let opts = ConformanceOptions { require_send_for_apply: false };
-    let report = check_jsonl(jsonl, &[], &opts).unwrap();
+    let report = check_trace(&parse_jsonl(jsonl).unwrap(), &[], &opts);
     assert!(!report.ok(), "fixture must be rejected");
     assert_eq!(report.violations.len(), 1);
     assert_eq!(report.violations[0].rule, "update-rule");

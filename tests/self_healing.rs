@@ -21,10 +21,10 @@ use csaw::runtime::runtime::Policy;
 use csaw::runtime::supervisor::RepairAction;
 use csaw::runtime::{
     FailureClass, FaultPlan, HeartbeatConfig, HostCtx, InstanceApp, ReconfigSpec, RepairPolicy,
-    RepairRecord, Runtime, RuntimeConfig, SupervisorConfig,
+    RepairRecord, Runtime, RuntimeConfig, SupervisorConfig, TraceEvent,
 };
 use csaw::semantics::{
-    check_jsonl, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
+    check_trace, denote_program, ConformanceOptions, DenoteConfig, ProgramSemantics,
 };
 
 const FRONT_TIMEOUT: Duration = Duration::from_millis(300);
@@ -119,7 +119,7 @@ struct Outcome {
     /// Acked SETs missing from both stores.
     lost_acked_sets: usize,
     fenced_sends: u64,
-    trace_jsonl: String,
+    trace: Vec<TraceEvent>,
     trace_dropped: u64,
     /// The runtime's epoch chain, denoted, for cross-epoch conformance.
     sems: Vec<ProgramSemantics>,
@@ -246,7 +246,7 @@ fn run_split_brain(fencing: bool, seed: u64) -> Outcome {
         .collect();
     sup.stop();
     let fenced_sends = rt.link_stats().fenced;
-    let trace_jsonl = rt.trace_jsonl();
+    let trace = rt.trace_events();
     let trace_dropped = rt.trace_dropped();
     rt.shutdown();
 
@@ -264,7 +264,7 @@ fn run_split_brain(fencing: bool, seed: u64) -> Outcome {
         post_heal_reply,
         lost_acked_sets,
         fenced_sends,
-        trace_jsonl,
+        trace,
         trace_dropped,
         sems,
     }
@@ -303,7 +303,7 @@ fn split_brain_is_prevented_by_the_supervisor_fence() {
     // send/apply pairing rule is off; everything else is in force.
     let opts = ConformanceOptions { require_send_for_apply: false };
     assert_eq!(out.trace_dropped, 0, "trace evicted records; buffer too small");
-    let report = check_jsonl(&out.trace_jsonl, &chain, &opts).expect("trace parses");
+    let report = check_trace(&out.trace, &chain, &opts);
     assert!(
         report.ok(),
         "cross-epoch violations:\n{}",
