@@ -389,6 +389,11 @@ pub struct LoweredJunction {
     pub keys: Vec<KeyParts>,
     /// Every remote atom of every formula; each [`Prog`] reads a range.
     pub remotes: Vec<Remote>,
+    /// Whether the body can block on another junction or thread: it
+    /// holds a `wait`, `+`, `∥n`, `start` or `stop`. Only a body that
+    /// cannot may run nested under another junction's blocked `wait`
+    /// on the wall clock, which keeps that nesting one level deep.
+    pub may_park: bool,
 }
 
 impl LoweredJunction {
@@ -506,6 +511,17 @@ pub fn lower(instance: &str, jd: &JunctionDef) -> LoweredJunction {
     };
     let guard = jd.guard().map(|f| cx.prog(f));
     let body = cx.stmt(&jd.body);
+    let mut may_park = false;
+    jd.body.walk(&mut |e| {
+        may_park |= matches!(
+            e,
+            Expr::Wait { .. }
+                | Expr::Par(_)
+                | Expr::Rep { .. }
+                | Expr::Start { .. }
+                | Expr::Stop(_)
+        )
+    });
     let late_props = jd.decls.iter().filter_map(|d| match d {
         Decl::Prop { prop, init } if !is_static(prop) => Some((prop.clone(), *init)),
         _ => None,
@@ -519,6 +535,7 @@ pub fn lower(instance: &str, jd: &JunctionDef) -> LoweredJunction {
         vars: cx.vars,
         keys: cx.keys,
         remotes: cx.remotes,
+        may_park,
     }
 }
 

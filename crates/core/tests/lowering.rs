@@ -390,3 +390,18 @@ fn keys_built_from_bindings_follow_them() {
     assert_eq!(eval(&b), Ternary::Unknown, "undeclared key");
     assert_eq!(lj.unbound(&Bindings::new(&lj), &Name::Key(0)), Some("i"));
 }
+
+#[test]
+fn only_bodies_that_can_block_may_park() {
+    let may_park = |body: Expr| lower("me", &junction(vec![], body)).may_park;
+    let nested = |e: Expr| seq([host("H"), if_then_else(Formula::prop("A"), skip(), e)]);
+    assert!(!may_park(seq([host("H"), assert_local("A"), skip()])));
+    assert!(may_park(nested(wait(
+        Vec::<String>::new(),
+        Formula::prop("A")
+    ))));
+    assert!(may_park(nested(par([skip(), skip()]))));
+    assert!(may_park(nested(rep(2, skip()))));
+    assert!(may_park(nested(start("other", vec![]))));
+    assert!(may_park(nested(stop("other"))));
+}

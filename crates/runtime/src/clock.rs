@@ -17,6 +17,13 @@
 //! or advances virtual time — one unit of schedule progress per call,
 //! chosen by the executor's seeded PRNG and recorded so the schedule
 //! can be replayed byte-for-byte.
+//!
+//! Both clocks share one nesting rule: a blocked `wait` may run another
+//! junction's pass on its own thread, and a junction already
+//! mid-activation counts as not runnable. Under a wall clock the `wait`
+//! runs, before it parks, the passes its own activation's sends made
+//! due (`RuntimeInner::run_held`), but only of junctions whose body
+//! cannot park; then it sleeps for real.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -752,7 +752,7 @@ impl Runtime {
                         for (to, update) in buffered {
                             match inst.junction(&to.junction) {
                                 Some(jrt) if inst.status() == InstanceStatus::Running => {
-                                    jrt.deliver(update);
+                                    jrt.deliver(inst, update);
                                     flushed += 1;
                                 }
                                 _ => dropped_updates += 1,

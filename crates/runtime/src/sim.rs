@@ -24,7 +24,13 @@
 //! supervisor polls and injections fire only at top level (a repair's
 //! `reconfigure` must never run above a blocked activation holding the
 //! lock it needs), and re-entering a mid-activation junction is treated
-//! as "not runnable" (`Cell::try_lock_activation`).
+//! as "not runnable" (`Cell::try_lock_activation`). The wall-clock
+//! runtime nests by the same rule: a `wait` about to park first runs the
+//! pass its own activation's sends made due, on its own thread
+//! (`RuntimeInner::run_held`). There the nested junction's body may not
+//! park (`LoweredJunction::may_park`), which keeps nesting one level
+//! deep without a hook. The two clocks differ only in who picks the
+//! nested pass: here the PRNG, there the held set.
 //!
 //! Because every source of nondeterminism — event order, virtual time,
 //! fault dice, retry jitter — is derived from seeds, a schedule is
@@ -83,7 +89,9 @@ use rand::{Rng, SeedableRng};
 
 use crate::clock::{Clock, SimHook};
 use crate::json;
-use crate::runtime::{InstanceState, InstanceStatus, JunctionRt, Policy, Runtime, RuntimeInner};
+use crate::runtime::{
+    InstanceState, InstanceStatus, JunctionRt, Nesting, Policy, Runtime, RuntimeInner,
+};
 
 /// One recorded scheduling decision, in compact string form:
 /// `pass:inst:junction`, `pump`, `hb`, `sup:i`, `adv:ns`, `inj:i`.
@@ -968,7 +976,7 @@ impl SimShared {
     /// blocks; nothing here may hold `st` across the call.
     fn execute(&self, c: &Choice) -> bool {
         match c {
-            Choice::Pass(inst, jrt) => self.inner.scheduler_pass(inst, jrt),
+            Choice::Pass(inst, jrt) => self.inner.scheduler_pass(inst, jrt, Nesting::Top),
             Choice::Pump => self.inner.network.pump_due() > 0,
             Choice::Hb => {
                 self.inner.heartbeat_round();
@@ -1019,7 +1027,7 @@ impl SimShared {
             }
         }
         for (inst, jrt) in self.pass_candidates(now) {
-            if self.inner.scheduler_pass(&inst, &jrt) {
+            if self.inner.scheduler_pass(&inst, &jrt, Nesting::Top) {
                 return true;
             }
         }

@@ -408,7 +408,11 @@ impl Network {
                     let backoff = p.backoff(attempt, &mut self.backoff_dice.lock());
                     // Virtual clocks turn this into schedulable
                     // progress (the sim hook runs other events while
-                    // the sender "waits"); wall clocks park as before.
+                    // the sender "waits"); wall clocks park, after
+                    // signalling the wakes the sending activation
+                    // holds, so its earlier sends need not wait out
+                    // the backoff.
+                    crate::runtime::signal_held();
                     self.clock.sleep(backoff);
                 }
                 Err((e, _)) => return Err(e),
