@@ -2,7 +2,7 @@
 //! registry back into planned reconfigurations.
 //!
 //! The supervisor reacts to *failures*; the autoscaler reacts to
-//! *load*. A monitor thread samples two gauges from the runtime's
+//! *load*. A service loop samples two gauges from the runtime's
 //! [`crate::metrics::Metrics`] registry — the offered request rate and
 //! the read fraction — and derives a desired [`AutoscaleGoal`]: how
 //! many shards the backend set should have and whether a cache tier
@@ -22,7 +22,7 @@
 //! [`crate::Runtime::epoch_chain`], so a trace spanning the
 //! autoscaler's lifetime checks as one epoch chain.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -33,7 +33,7 @@ use csaw_core::program::CompiledProgram;
 
 use crate::reconfig::{PlanReport, ReconfigSpec};
 use crate::runtime::Runtime;
-use crate::supervisor::AntiFlap;
+use crate::supervisor::{AntiFlap, ControlShared};
 
 /// What the autoscaler wants the architecture to look like.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -180,43 +180,36 @@ pub struct AutoscaleStats {
     pub failed: u64,
 }
 
-#[derive(Default)]
-struct Shared {
-    stop: AtomicBool,
-    next_id: AtomicU64,
-    records: Mutex<Vec<ScaleRecord>>,
-    stats: Mutex<AutoscaleStats>,
-    goal: Mutex<Option<AutoscaleGoal>>,
-}
+/// What an [`Autoscaler`] shares with its loop; the loop's own state
+/// is the goal the system currently embodies.
+type Shared = ControlShared<ScaleRecord, AutoscaleStats, Mutex<Option<AutoscaleGoal>>>;
 
 /// Handle to a running autoscaler (returned by
 /// [`Runtime::autoscale`]). Stop it explicitly or let runtime shutdown
-/// end the monitor thread.
+/// end its loop.
 pub struct Autoscaler {
     shared: Arc<Shared>,
-    clock: crate::clock::Clock,
 }
 
 impl Autoscaler {
-    /// Ask the monitor thread to exit after its current sample.
+    /// Ask the autoscaler to exit after its current sample.
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.clock.interrupt_sleepers();
+        self.shared.stop();
     }
 
     /// Snapshot of every transition so far.
     pub fn records(&self) -> Vec<ScaleRecord> {
-        self.shared.records.lock().clone()
+        self.shared.records()
     }
 
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> AutoscaleStats {
-        *self.shared.stats.lock()
+        self.shared.stats()
     }
 
     /// The goal the system currently embodies.
     pub fn goal(&self) -> Option<AutoscaleGoal> {
-        *self.shared.goal.lock()
+        *self.shared.state.lock()
     }
 }
 
@@ -227,35 +220,36 @@ impl Runtime {
     /// reconfigurations. `initial` must describe the architecture the
     /// runtime is currently serving.
     ///
-    /// The monitor thread joins on [`Runtime::shutdown`]; use the
-    /// returned [`Autoscaler`] to stop earlier or to read records.
-    /// Under a simulated clock no thread is spawned and the autoscaler
-    /// never fires — the sim scenario family drives the planner
-    /// directly through [`Runtime::reconfigure_plan`] instead.
+    /// The loop ends on [`Runtime::shutdown`]; use the returned
+    /// [`Autoscaler`] to stop earlier or to read records. Under a
+    /// simulated clock no thread starts and the autoscaler never fires
+    /// — the sim scenario family drives the planner directly through
+    /// [`Runtime::reconfigure_plan`] instead.
     pub fn autoscale(
         &self,
         config: AutoscaleConfig,
         initial: AutoscaleGoal,
         driver: Arc<dyn AutoscaleDriver>,
     ) -> Autoscaler {
-        let shared = Arc::new(Shared::default());
-        *shared.goal.lock() = Some(initial);
+        let shared = Shared::new(self, Mutex::new(Some(initial)));
         let clock = self.inner.clock().clone();
-        let core = AutoscaleCore {
+        let poll = config.poll;
+        let mut core = AutoscaleCore {
             rt: self.handle(),
+            flap: AntiFlap::new(config.confirm_polls, config.cooldown),
             config,
             shared: Arc::clone(&shared),
             driver,
-            flap: AntiFlap::new(0, Duration::ZERO), // rebuilt in run()
         };
-        if !clock.is_simulated() {
-            let handle = std::thread::Builder::new()
-                .name("csaw-autoscaler".into())
-                .spawn(move || core.run())
-                .expect("spawn autoscaler monitor");
-            self.threads.lock().push(handle);
-        }
-        Autoscaler { shared, clock }
+        let stop = {
+            let shared = Arc::clone(&shared);
+            move || shared.stopped()
+        };
+        self.spawn_service("csaw-autoscaler", &shared.wake, stop, move || {
+            core.sample_once();
+            Some(clock.now() + poll)
+        });
+        Autoscaler { shared }
     }
 }
 
@@ -298,30 +292,6 @@ struct AutoscaleCore {
 }
 
 impl AutoscaleCore {
-    fn stopped(&self) -> bool {
-        self.rt.inner.shutdown.load(Ordering::SeqCst)
-            || self.shared.stop.load(Ordering::SeqCst)
-    }
-
-    fn run(mut self) {
-        self.flap = AntiFlap::new(self.config.confirm_polls, self.config.cooldown);
-        let clock = self.rt.inner.clock().clone();
-        let inner = Arc::clone(&self.rt.inner);
-        let shared = Arc::clone(&self.shared);
-        loop {
-            if self.stopped() {
-                break;
-            }
-            self.sample_once();
-            let deadline = clock.now() + self.config.poll;
-            if !clock.sleep_until_interruptible(deadline, &mut || {
-                inner.shutdown.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst)
-            }) {
-                break;
-            }
-        }
-    }
-
     fn sample_once(&mut self) {
         let clock = self.rt.inner.clock().clone();
         let now = clock.now();
@@ -329,7 +299,7 @@ impl AutoscaleCore {
         let metrics = self.rt.metrics();
         let rate = metrics.gauge_value(&self.config.rate_gauge);
         let read_frac = metrics.gauge_value(&self.config.read_fraction_gauge);
-        let Some(cur) = *self.shared.goal.lock() else { return };
+        let Some(cur) = *self.shared.state.lock() else { return };
         let want = desired_goal(&self.config, cur, rate, read_frac);
         let signal = (want != cur).then_some(want);
         let Some(confirmed) = self.flap.observe("goal", signal, now) else {
@@ -399,7 +369,7 @@ impl AutoscaleCore {
                                         ScaleError::Execution(*idx, format!("{f:?}")),
                                     );
                                 } else {
-                                    *self.shared.goal.lock() = Some(to);
+                                    *self.shared.state.lock() = Some(to);
                                 }
                                 record.report = Some(report);
                             }
@@ -513,5 +483,63 @@ mod tests {
         assert_eq!(rec(G2, hot).kind(), "cache_in");
         assert_eq!(rec(hot, G2).kind(), "cache_out");
         assert_eq!(rec(G2, G2).kind(), "noop");
+    }
+
+    /// A stop ends the autoscaler's 60 s poll at once, and the runtime
+    /// then shuts down without waiting it out either.
+    #[test]
+    fn service_loop_autoscaler_with_long_poll_stops_promptly() {
+        use csaw_core::builder::*;
+        use csaw_core::program::{InstanceType, JunctionDef, LoadConfig};
+
+        struct Fixed(CompiledProgram);
+        impl AutoscaleDriver for Fixed {
+            fn program(&self, _: &AutoscaleGoal) -> Result<CompiledProgram, String> {
+                Ok(self.0.clone())
+            }
+            fn phase_spec(&self, _: &AutoscaleGoal, _: &PlanPhase) -> ReconfigSpec {
+                ReconfigSpec::default()
+            }
+        }
+        fn within(timeout: Duration, f: impl Fn() -> bool) -> bool {
+            let deadline = Instant::now() + timeout;
+            while Instant::now() < deadline {
+                if f() {
+                    return true;
+                }
+                std::thread::sleep(Duration::from_millis(2));
+            }
+            false
+        }
+
+        let junction = JunctionDef::new("j", vec![], vec![], skip());
+        let program = ProgramBuilder::new()
+            .ty(InstanceType::new("t", vec![junction]))
+            .instance("a", "t")
+            .main(vec![], start("a", vec![]))
+            .build();
+        let cp = csaw_core::compile(program, &LoadConfig::new()).expect("compiles");
+        let rt = Runtime::new(&cp, crate::RuntimeConfig::default());
+        rt.run_main(vec![]).expect("main runs");
+        let mut config = cfg();
+        config.poll = Duration::from_secs(60);
+        let scaler = rt.autoscale(config, G2, Arc::new(Fixed(cp.clone())));
+        assert!(within(Duration::from_secs(5), || scaler.stats().samples == 1));
+        let running = || {
+            rt.threads
+                .lock()
+                .iter()
+                .any(|t| t.thread().name() == Some("csaw-autoscaler") && !t.is_finished())
+        };
+        let started = Instant::now();
+        scaler.stop();
+        assert!(
+            within(Duration::from_secs(5), || !running()),
+            "the stopped autoscaler slept on through its poll"
+        );
+        rt.shutdown();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(5), "took {took:?}");
+        assert_eq!(scaler.stats().samples, 1);
     }
 }

@@ -4,10 +4,16 @@
 //! deadlines, heartbeat windows, supervisor backoff, transport jitter —
 //! goes through a [`Clock`] instead of calling `Instant::now()` or
 //! `thread::sleep` directly. A wall clock behaves exactly like the raw
-//! primitives (plus interruptible sleeps, so `Runtime::shutdown` never
-//! waits out a backoff). A *virtual* clock decouples the time the
-//! runtime observes from the time the host spends: `now()` reads a
-//! counter, and "sleeping" advances the counter — instantly.
+//! primitives. A *virtual* clock decouples the time the runtime
+//! observes from the time the host spends: `now()` reads a counter, and
+//! "sleeping" advances the counter — instantly.
+//!
+//! A clock has no wake-up mechanism of its own. A sleep that something
+//! must be able to cut short — a background service's period, the
+//! supervisor's backoff and verify windows — parks on the service's
+//! event count instead (`eventcount.rs`), and under a virtual
+//! clock drives the same [`Clock::block_until`] calls as
+//! [`Clock::sleep_until`].
 //!
 //! Under a virtual clock the runtime is expected to run single-threaded
 //! inside a [`crate::sim::SimExecutor`]. Code that blocks (a `wait`
@@ -30,7 +36,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 /// Progress callback for virtual-time blocking. Installed by the sim
 /// executor; see module docs. One call makes one unit of progress
@@ -56,25 +62,16 @@ struct VirtualState {
     hook: Mutex<Option<Arc<dyn SimHook>>>,
 }
 
-/// Interruptible-sleep gate shared by all clones of a clock. Sleepers
-/// wait on the condvar; [`Clock::interrupt_sleepers`] bumps the epoch
-/// and wakes everyone, and each sleeper re-checks its stop predicate.
-struct SleepGate {
-    epoch: Mutex<u64>,
-    cond: Condvar,
-}
-
 enum Mode {
     Wall,
     Virtual(Arc<VirtualState>),
 }
 
 /// A source of time plus sleep. Cheap to clone; all clones share the
-/// same timeline and interrupt gate.
+/// same timeline.
 #[derive(Clone)]
 pub struct Clock {
     mode: Arc<Mode>,
-    gate: Arc<SleepGate>,
 }
 
 impl fmt::Debug for Clock {
@@ -98,11 +95,10 @@ impl Default for Clock {
 
 impl Clock {
     /// The real clock: `now` is `Instant::now`, sleeps block the OS
-    /// thread (interruptibly).
+    /// thread.
     pub fn wall() -> Clock {
         Clock {
             mode: Arc::new(Mode::Wall),
-            gate: Arc::new(SleepGate { epoch: Mutex::new(0), cond: Condvar::new() }),
         }
     }
 
@@ -116,7 +112,6 @@ impl Clock {
                 offset_ns: AtomicU64::new(0),
                 hook: Mutex::new(None),
             }))),
-            gate: Arc::new(SleepGate { epoch: Mutex::new(0), cond: Condvar::new() }),
         }
     }
 
@@ -177,10 +172,17 @@ impl Clock {
         }
     }
 
-    /// Block until `deadline`. On a wall clock this parks the thread;
+    /// Block until `deadline`. On a wall clock this sleeps the thread;
     /// on a virtual clock it drives the sim hook (or auto-advances).
     pub fn sleep_until(&self, deadline: Instant) {
-        self.sleep_until_interruptible(deadline, &mut || false);
+        match &*self.mode {
+            Mode::Wall => std::thread::sleep(deadline.saturating_duration_since(Instant::now())),
+            Mode::Virtual(_) => {
+                while self.now() < deadline {
+                    self.block_until(deadline);
+                }
+            }
+        }
     }
 
     /// Sleep for `d` from now.
@@ -189,80 +191,11 @@ impl Clock {
         self.sleep_until(deadline);
     }
 
-    /// Sleep until `deadline`, waking early if `stop()` turns true or
-    /// [`Clock::interrupt_sleepers`] fires (the predicate is re-checked
-    /// on every wakeup). Returns `true` if the sleep ran to its
-    /// deadline, `false` if it was interrupted.
-    pub fn sleep_until_interruptible(
-        &self,
-        deadline: Instant,
-        stop: &mut dyn FnMut() -> bool,
-    ) -> bool {
-        match &*self.mode {
-            Mode::Wall => loop {
-                if stop() {
-                    return false;
-                }
-                let now = Instant::now();
-                if now >= deadline {
-                    return true;
-                }
-                let mut epoch = self.gate.epoch.lock();
-                // Re-check under the lock so an interrupt between the
-                // predicate check and the wait is not lost: interrupt
-                // bumps the epoch under this same lock.
-                let before = *epoch;
-                if stop() {
-                    return false;
-                }
-                let res = self.gate.cond.wait_until(&mut epoch, deadline);
-                if !res.timed_out() && *epoch != before && stop() {
-                    return false;
-                }
-            },
-            Mode::Virtual(_) => {
-                loop {
-                    if stop() {
-                        return false;
-                    }
-                    if self.now() >= deadline {
-                        return true;
-                    }
-                    match self.hook() {
-                        Some(h) => h.block(deadline),
-                        None => self.advance_to(deadline),
-                    }
-                }
-            }
-        }
-    }
-
-    /// Sleep for `d`, interruptibly. See
-    /// [`Clock::sleep_until_interruptible`].
-    pub fn sleep_interruptible(
-        &self,
-        d: Duration,
-        stop: &mut dyn FnMut() -> bool,
-    ) -> bool {
-        let deadline = self.now() + d;
-        self.sleep_until_interruptible(deadline, stop)
-    }
-
-    /// Wake every in-flight interruptible sleep so it re-checks its
-    /// stop predicate. Called by `Runtime::shutdown` and
-    /// `Supervisor::stop`.
-    pub fn interrupt_sleepers(&self) {
-        let mut epoch = self.gate.epoch.lock();
-        *epoch += 1;
-        drop(epoch);
-        self.gate.cond.notify_all();
-    }
-
     /// One unit of blocked progress on a virtual clock: drive the hook
     /// (or auto-advance to `target`). Used by poll loops that re-check
     /// a condition rather than sleeping a fixed duration — e.g. a
     /// `wait`'s formula poll. No-op sleep on wall clocks is *not* the
-    /// intent, so wall clocks park until `target` instead.
+    /// intent, so wall clocks sleep until `target` instead.
     pub fn block_until(&self, target: Instant) {
         match &*self.mode {
             Mode::Wall => self.sleep_until(target),
@@ -287,7 +220,6 @@ pub fn env_seed(default: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     #[test]
     fn wall_clock_tracks_real_time() {
@@ -337,26 +269,6 @@ mod tests {
         c.sleep(Duration::from_millis(35));
         assert_eq!(hook.1.load(Ordering::SeqCst), 4, "10+10+10+5 ms steps");
         c.clear_hook();
-    }
-
-    #[test]
-    fn wall_interruptible_sleep_wakes_on_interrupt() {
-        let c = Clock::wall();
-        let stop = Arc::new(AtomicBool::new(false));
-        let (c2, stop2) = (c.clone(), stop.clone());
-        let h = std::thread::spawn(move || {
-            let t0 = Instant::now();
-            let completed = c2.sleep_interruptible(Duration::from_secs(30), &mut || {
-                stop2.load(Ordering::SeqCst)
-            });
-            (completed, t0.elapsed())
-        });
-        std::thread::sleep(Duration::from_millis(30));
-        stop.store(true, Ordering::SeqCst);
-        c.interrupt_sleepers();
-        let (completed, took) = h.join().unwrap();
-        assert!(!completed, "sleep must report interruption");
-        assert!(took < Duration::from_secs(10), "took {took:?}");
     }
 
     #[test]

@@ -1,10 +1,13 @@
-//! The runtime's one wake-up mechanism: an event count.
+//! The runtime's one blocking primitive: an event count, and the one
+//! loop every background service runs on it.
 //!
-//! A sequence number, a count of parked threads and a condition
-//! variable around the state the parked threads' predicate reads. Both
-//! of a junction's hand-offs use it — `wait`ers park on the one around
-//! the cell's table, the scheduler thread on one around `()` — under
-//! two rules:
+//! An event count is a sequence number, a count of parked threads and a
+//! condition variable around the state the parked threads' predicate
+//! reads. Every thread of the runtime that waits, waits on one: a
+//! `wait`er on the one around its cell's table, a junction's scheduler
+//! thread on its own, and each background service — heartbeat monitor,
+//! supervisor, autoscaler, delay queue — on its own, through
+//! [`spawn_service`]. Two rules hold for all of them:
 //!
 //! * **no waiter, no syscall** — [`EventCount::signal`] always bumps the
 //!   sequence, and notifies (a futex call) only if a thread is
@@ -13,12 +16,19 @@
 //!   sequence still equals the value its caller read *before* it
 //!   evaluated its predicate, so a signal that lands anywhere between
 //!   that read and the sleep makes `park` return at once.
+//!
+//! A service is stopped by setting its stop flag and signalling its
+//! count; nothing else wakes a sleeping service early, so no stop has to
+//! wait out a period, a backoff or a verify window.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Instant;
 
 use parking_lot::{Condvar, Mutex, MutexGuard};
+
+use crate::clock::Clock;
 
 /// An event count around `T` (see the module docs).
 pub(crate) struct EventCount<T> {
@@ -98,11 +108,71 @@ impl<T> EventCount<T> {
         self.parked.fetch_sub(1, Ordering::SeqCst);
         timed_out
     }
+
+    /// Sleep on `clock` until `deadline`, or until `stop` holds (whoever
+    /// makes it hold signals this count). Returns whether the deadline
+    /// passed. A wall clock parks here; a simulated one makes the same
+    /// one-unit [`Clock::block_until`] calls as [`Clock::sleep_until`],
+    /// re-checking `stop` between them.
+    pub(crate) fn sleep_until(
+        &self,
+        clock: &Clock,
+        deadline: Instant,
+        stop: &dyn Fn() -> bool,
+    ) -> bool {
+        loop {
+            let seen = self.current();
+            if stop() {
+                return false;
+            }
+            if clock.now() >= deadline {
+                return true;
+            }
+            if clock.is_simulated() {
+                clock.block_until(deadline);
+            } else {
+                self.park(&mut self.lock(), seen, Some(deadline));
+            }
+        }
+    }
+}
+
+/// Start a background service: a thread named `name` that, until `stop`
+/// holds, calls `step` and then parks on `wake` until it is signalled
+/// or the instant `step` returned passes (`None`: until signalled). So
+/// `step` runs at once, and again whenever it is due or `wake` is
+/// signalled; whoever makes `stop` hold signals `wake`.
+///
+/// This is the body of every heartbeat, supervisor, autoscaler and
+/// delay-queue thread. Under a simulated clock nothing is started: the
+/// sim executor runs the same work as schedulable events.
+pub(crate) fn spawn_service<T: Send + 'static>(
+    clock: &Clock,
+    name: &str,
+    wake: Arc<EventCount<T>>,
+    stop: impl Fn() -> bool + Send + 'static,
+    mut step: impl FnMut() -> Option<Instant> + Send + 'static,
+) -> Option<JoinHandle<()>> {
+    if clock.is_simulated() {
+        return None;
+    }
+    let body = move || loop {
+        let seen = wake.current();
+        if stop() {
+            return;
+        }
+        let due = step();
+        wake.park(&mut wake.lock(), seen, due);
+    };
+    let thread = std::thread::Builder::new().name(name.into()).spawn(body);
+    Some(thread.expect("spawn service thread"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::SimHook;
+    use std::sync::atomic::AtomicBool;
     use std::time::Duration;
 
     fn count() -> (Arc<EventCount<()>>, Arc<AtomicU64>) {
@@ -201,5 +271,143 @@ mod tests {
             "took {:?}",
             started.elapsed()
         );
+    }
+
+    fn within(timeout: Duration, f: impl Fn() -> bool) -> bool {
+        let deadline = Instant::now() + timeout;
+        while Instant::now() < deadline {
+            if f() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        false
+    }
+
+    /// A wall-clock service counting its steps, with its stop flag.
+    fn counting_service(
+        ec: &Arc<EventCount<()>>,
+        due_in: Option<Duration>,
+    ) -> (JoinHandle<()>, Arc<AtomicBool>, Arc<AtomicU64>) {
+        let stop = Arc::new(AtomicBool::new(false));
+        let steps = Arc::new(AtomicU64::new(0));
+        let (flag, seen) = (Arc::clone(&stop), Arc::clone(&steps));
+        let stopped = move || flag.load(Ordering::SeqCst);
+        let step = move || {
+            seen.fetch_add(1, Ordering::SeqCst);
+            due_in.map(|d| Instant::now() + d)
+        };
+        let handle = spawn_service(&Clock::wall(), "test", Arc::clone(ec), stopped, step);
+        (handle.expect("a wall clock starts a thread"), stop, steps)
+    }
+
+    #[test]
+    fn service_loop_steps_when_due_and_stops_when_signalled() {
+        let (ec, _) = count();
+        let (handle, stop, steps) = counting_service(&ec, Some(Duration::from_millis(5)));
+        assert!(within(Duration::from_secs(5), || steps
+            .load(Ordering::SeqCst)
+            >= 3));
+        // Due a minute out: only the signal can end this one's park.
+        let (ec2, _) = count();
+        let (long, stop2, steps2) = counting_service(&ec2, Some(Duration::from_secs(60)));
+        assert!(within(Duration::from_secs(5), || steps2
+            .load(Ordering::SeqCst)
+            == 1));
+        let started = Instant::now();
+        for (flag, wake) in [(&stop, &ec), (&stop2, &ec2)] {
+            flag.store(true, Ordering::SeqCst);
+            wake.signal();
+        }
+        handle.join().unwrap();
+        long.join().unwrap();
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(5), "took {took:?}");
+        assert_eq!(steps2.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn service_loop_with_nothing_due_steps_only_when_signalled() {
+        let (ec, _) = count();
+        let (handle, stop, steps) = counting_service(&ec, None);
+        assert!(within(Duration::from_secs(5), || steps
+            .load(Ordering::SeqCst)
+            == 1));
+        std::thread::sleep(Duration::from_millis(100));
+        assert_eq!(
+            steps.load(Ordering::SeqCst),
+            1,
+            "an idle service must not poll"
+        );
+        ec.signal();
+        assert!(within(Duration::from_secs(5), || steps
+            .load(Ordering::SeqCst)
+            == 2));
+        stop.store(true, Ordering::SeqCst);
+        ec.signal();
+        handle.join().unwrap();
+        assert_eq!(
+            steps.load(Ordering::SeqCst),
+            2,
+            "a stopped service does not step"
+        );
+    }
+
+    #[test]
+    fn service_loop_starts_no_thread_on_a_simulated_clock() {
+        let (ec, _) = count();
+        let handle = spawn_service(&Clock::simulated(), "test-sim", ec, || false, || None);
+        assert!(handle.is_none());
+    }
+
+    #[test]
+    fn service_loop_sleep_is_cut_short_by_a_stop() {
+        let (ec, _) = count();
+        let stop = Arc::new(AtomicBool::new(false));
+        let (ec2, flag) = (Arc::clone(&ec), Arc::clone(&stop));
+        let sleeper = std::thread::spawn(move || {
+            let clock = Clock::wall();
+            let started = Instant::now();
+            let deadline = clock.now() + Duration::from_secs(30);
+            let slept = ec2.sleep_until(&clock, deadline, &|| flag.load(Ordering::SeqCst));
+            (slept, started.elapsed())
+        });
+        std::thread::sleep(Duration::from_millis(30));
+        stop.store(true, Ordering::SeqCst);
+        ec.signal();
+        let (slept, took) = sleeper.join().unwrap();
+        assert!(!slept, "the sleep must report that it was stopped");
+        assert!(took < Duration::from_secs(10), "took {took:?}");
+        // Unstopped, it runs to its deadline.
+        let clock = Clock::wall();
+        assert!(ec.sleep_until(&clock, clock.now() + Duration::from_millis(5), &|| false));
+    }
+
+    /// Under a virtual clock the sleep makes exactly the hook calls
+    /// `Clock::sleep` makes, so sim schedules do not move.
+    #[test]
+    fn service_loop_sleep_drives_the_sim_hook_like_clock_sleep() {
+        struct Stepper(Clock, AtomicU64);
+        impl SimHook for Stepper {
+            fn block(&self, target: Instant) {
+                self.1.fetch_add(1, Ordering::SeqCst);
+                let step = (self.0.now() + Duration::from_millis(10)).min(target);
+                self.0.advance_to(step);
+            }
+        }
+        let calls = |sleep: &dyn Fn(&Clock)| {
+            let clock = Clock::simulated();
+            let hook = Arc::new(Stepper(clock.clone(), AtomicU64::new(0)));
+            clock.install_hook(hook.clone());
+            sleep(&clock);
+            clock.clear_hook();
+            hook.1.load(Ordering::SeqCst)
+        };
+        let (ec, _) = count();
+        let by_clock = calls(&|c| c.sleep(Duration::from_millis(35)));
+        let by_count = calls(&|c| {
+            assert!(ec.sleep_until(c, c.now() + Duration::from_millis(35), &|| false));
+        });
+        assert_eq!((by_clock, by_count), (4, 4), "10+10+10+5 ms steps");
     }
 }

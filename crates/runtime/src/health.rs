@@ -87,7 +87,9 @@ impl HeartbeatState {
         }
     }
 
-    pub(crate) fn enable(&self, config: HeartbeatConfig) {
+    /// Install `config` and enable the detector. Returns whether it
+    /// was already enabled.
+    pub(crate) fn enable(&self, config: HeartbeatConfig) -> bool {
         {
             let mut inner = self.inner.lock();
             inner.config = config;
@@ -95,7 +97,7 @@ impl HeartbeatState {
             // a fresh suspicion window once re-watched.
             inner.last_heard.clear();
         }
-        self.enabled.store(true, Ordering::SeqCst);
+        self.enabled.swap(true, Ordering::SeqCst)
     }
 
     pub(crate) fn is_enabled(&self) -> bool {

@@ -658,7 +658,7 @@ impl Runtime {
             for inst in &fresh {
                 new_threads.extend(spawn_schedulers(&self.inner, inst));
             }
-            self.threads.lock().extend(new_threads);
+            self.adopt(new_threads);
         }
         let t_cut = self.inner.clock().now();
         timings.cut = t_cut.saturating_duration_since(t_migrate);

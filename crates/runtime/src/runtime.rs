@@ -20,7 +20,7 @@ use crate::app::{InstanceApp, NoopApp};
 use crate::cell::{moves_formulas, Cell, JunctionId};
 use crate::clock::Clock;
 use crate::error::Failure;
-use crate::eventcount::EventCount;
+use crate::eventcount::{spawn_service, EventCount};
 use crate::fault::{FaultPlan, RetryPolicy};
 use crate::health::{HeartbeatConfig, HeartbeatState, HB_JUNCTION};
 use crate::interp::ExecCtx;
@@ -526,16 +526,25 @@ pub(crate) struct RuntimeInner {
     m_activations: Arc<std::sync::atomic::AtomicU64>,
     h_activation: Arc<Histogram>,
     main: MainDef,
-    /// Supervisor cores parked here when the runtime runs under a
-    /// simulated clock: [`crate::Runtime::supervise`] cannot spawn a
-    /// thread, so the sim executor takes the core and polls it as a
-    /// schedulable event instead.
-    pub(crate) sim_supervisors: Mutex<Vec<crate::supervisor::SupervisorCore>>,
+    /// Every supervisor core [`crate::Runtime::supervise`] started. A
+    /// wall clock polls each on its own service thread; under a
+    /// simulated clock the sim executor polls them as schedulable
+    /// events instead.
+    pub(crate) supervisors: Mutex<Vec<Arc<Mutex<crate::supervisor::SupervisorCore>>>>,
+    /// The event counts of the background services
+    /// ([`Runtime::spawn_service`]), signalled by `shutdown`.
+    services: Mutex<Vec<Arc<EventCount<()>>>>,
 }
 
 impl RuntimeInner {
     pub(crate) fn clock(&self) -> &Clock {
         &self.config.clock
+    }
+
+    /// The `wake_signals_total` counter every event count of this
+    /// runtime adds to.
+    pub(crate) fn wake_signals(&self) -> Arc<AtomicU64> {
+        self.metrics.counter("wake_signals_total")
     }
 
     pub(crate) fn instance(&self, name: &str) -> Result<Arc<InstanceState>, Failure> {
@@ -1246,7 +1255,8 @@ impl Runtime {
             tracer,
             metrics,
             main: compiled.program.main.clone(),
-            sim_supervisors: Mutex::new(Vec::new()),
+            supervisors: Mutex::new(Vec::new()),
+            services: Mutex::new(Vec::new()),
         });
 
         // Spawn one scheduler thread per junction: the junctions of an
@@ -1376,51 +1386,68 @@ impl Runtime {
         self.inner.is_live_from(observer, instance)
     }
 
-    /// Enable the heartbeat failure detector: a monitor thread pings
-    /// every ordered pair of running instances through the network (so
-    /// pings experience link faults), and `S(ι)` becomes
-    /// observer-relative (see [`Runtime::is_live_from`]). Idempotent in
-    /// effect: calling again replaces the config and resets suspicion
-    /// clocks, though each call spawns a fresh monitor thread, so prefer
-    /// calling it once.
+    /// Enable the heartbeat failure detector: a monitor pings every
+    /// ordered pair of running instances through the network (so pings
+    /// experience link faults), and `S(ι)` becomes observer-relative
+    /// (see [`Runtime::is_live_from`]). A runtime has one monitor:
+    /// calling again only replaces the config (the interval takes effect
+    /// from the next round) and resets suspicion clocks.
     pub fn enable_heartbeats(&self, config: HeartbeatConfig) {
-        self.inner.hb.enable(config);
-        if self.inner.clock().is_simulated() {
-            // The sim executor notices the enabled detector and fires
-            // `heartbeat_round` as a schedulable event at each tick.
+        if self.inner.hb.enable(config) {
             return;
         }
+        // Under a simulated clock the sim executor notices the enabled
+        // detector and fires `heartbeat_round` as a schedulable event.
         let inner = Arc::clone(&self.inner);
-        let handle = std::thread::Builder::new()
-            .name("csaw-heartbeat".into())
-            .spawn(move || {
-                let clock = inner.clock().clone();
-                // Drift-free cadence: each tick is scheduled off the
-                // previous *target*, not off "now after a round", so a
-                // slow round (large topology, contended links) does not
-                // stretch the ping period and breed false suspicion.
-                let mut next_tick = clock.now();
-                loop {
-                    let mut stop = || inner.shutdown.load(Ordering::SeqCst);
-                    if stop() {
-                        return;
-                    }
-                    if !clock.sleep_until_interruptible(next_tick, &mut stop) {
-                        return;
-                    }
-                    inner.heartbeat_round();
-                    let interval = inner.hb.config().interval;
-                    next_tick += interval;
-                    // If a round overran a whole interval, re-anchor
-                    // instead of firing a burst of catch-up rounds.
-                    let now = clock.now();
-                    if next_tick < now {
-                        next_tick = now;
-                    }
-                }
-            })
-            .expect("spawn heartbeat monitor");
-        self.threads.lock().push(handle);
+        let clock = inner.clock().clone();
+        let wake = Arc::new(EventCount::new((), inner.wake_signals()));
+        let mut next_tick = clock.now();
+        let round = move || {
+            inner.heartbeat_round();
+            // Drift-free cadence: each tick is scheduled off the
+            // previous *target*, not off "now after a round", so a slow
+            // round (large topology, contended links) does not stretch
+            // the ping period and breed false suspicion. A round that
+            // overran a whole interval re-anchors instead of firing a
+            // burst of catch-up rounds.
+            next_tick = (next_tick + inner.hb.config().interval).max(clock.now());
+            Some(next_tick)
+        };
+        self.spawn_service("csaw-heartbeat", &wake, || false, round);
+    }
+
+    /// Start a background service loop ([`crate::eventcount::spawn_service`])
+    /// that stops with the runtime or once `stop` holds: `shutdown`
+    /// signals `wake` and joins the thread. Under a simulated clock no
+    /// thread starts.
+    pub(crate) fn spawn_service(
+        &self,
+        name: &str,
+        wake: &Arc<EventCount<()>>,
+        stop: impl Fn() -> bool + Send + 'static,
+        step: impl FnMut() -> Option<Instant> + Send + 'static,
+    ) {
+        {
+            let mut services = self.inner.services.lock();
+            // A count only this list holds belongs to a loop that ended.
+            services.retain(|w| Arc::strong_count(w) > 1);
+            services.push(Arc::clone(wake));
+        }
+        let inner = Arc::clone(&self.inner);
+        let stop = move || inner.shutdown.load(Ordering::SeqCst) || stop();
+        let handle = spawn_service(self.inner.clock(), name, Arc::clone(wake), stop, step);
+        self.adopt(handle);
+    }
+
+    /// Keep `handles` for `shutdown` to join, joining now the threads
+    /// that already ended (retired schedulers, stopped services), so the
+    /// list does not grow with every reconfiguration.
+    pub(crate) fn adopt(&self, handles: impl IntoIterator<Item = std::thread::JoinHandle<()>>) {
+        let mut threads = self.threads.lock();
+        for ended in threads.extract_if(.., |t| t.is_finished()) {
+            ended.join().ok();
+        }
+        threads.extend(handles);
     }
 
     /// Run `main` with the given parameter values (bound positionally).
@@ -1736,13 +1763,15 @@ impl Runtime {
     /// Shut the runtime down: stop schedulers and background threads.
     pub fn shutdown(&self) {
         self.inner.shutdown.store(true, Ordering::SeqCst);
-        // Every interruptible sleep — supervisor backoff and verify
-        // polls, the heartbeat tick — re-checks its stop predicate now
-        // instead of waiting out its full duration.
-        self.inner.clock().interrupt_sleepers();
-        // Parked supervisor cores each hold a Runtime handle; dropping
-        // them here breaks the Arc cycle back to RuntimeInner.
-        self.inner.sim_supervisors.lock().clear();
+        // Every service loop — and a supervisor's backoff or verify
+        // sleep — re-checks its stop now instead of waiting out its
+        // period.
+        for wake in self.inner.services.lock().drain(..) {
+            wake.signal();
+        }
+        // Supervisor cores each hold a Runtime handle; dropping them
+        // here breaks the Arc cycle back to RuntimeInner.
+        self.inner.supervisors.lock().clear();
         self.inner.wake_all();
         self.inner.network.shutdown();
         for t in self.threads.lock().drain(..) {
@@ -1977,6 +2006,39 @@ mod tests {
     #[test]
     fn wake_inline_skips_a_crashed_target_until_it_restarts() {
         served_after_resume(|rt| rt.crash("b"), |rt| rt.restart("b").unwrap());
+    }
+
+    /// Every reconfiguration that changes `b` retires its scheduler
+    /// thread and starts a fresh one. The retired thread exits; its
+    /// handle must not stay behind until shutdown.
+    #[test]
+    fn service_loop_retired_scheduler_handles_are_dropped() {
+        const K: usize = 10;
+        let bodies = [
+            csaw_core::compile(program(skip()), &LoadConfig::new()).expect("compiles"),
+            csaw_core::compile(program(seq([skip(), skip()])), &LoadConfig::new())
+                .expect("compiles"),
+        ];
+        let rt = Runtime::new(&bodies[0], RuntimeConfig::default());
+        rt.run_main(vec![]).expect("main runs");
+        let live = || {
+            let threads = rt.threads.lock();
+            threads.iter().filter(|t| !t.is_finished()).count()
+        };
+        let live_at_start = live();
+        for i in 1..=K {
+            let target = &bodies[i % 2];
+            rt.reconfigure(target, Default::default()).expect("swaps");
+            assert!(
+                within(Duration::from_secs(5), || live() == live_at_start),
+                "the retired scheduler never exited"
+            );
+        }
+        // What is left: the live schedulers, and the last retired one,
+        // whose handle goes with the next thread the runtime starts.
+        let kept = rt.threads.lock().len();
+        assert!(kept <= live_at_start + 1, "{kept} handles after {K} swaps");
+        rt.shutdown();
     }
 
     /// A live reconfiguration that changes `b` holds it from quiescence

@@ -633,7 +633,8 @@ impl SimShared {
             }
         }
         if top {
-            for core in self.inner.sim_supervisors.lock().iter() {
+            for core in self.inner.supervisors.lock().iter() {
+                let core = core.lock();
                 if !core.stopped() {
                     fold(core.next_poll());
                 }
@@ -661,7 +662,8 @@ impl SimShared {
             timed_due = true;
         }
         if !nested {
-            for (i, core) in self.inner.sim_supervisors.lock().iter().enumerate() {
+            for (i, core) in self.inner.supervisors.lock().iter().enumerate() {
+                let core = core.lock();
                 if !core.stopped() && core.next_poll() <= now {
                     v.push(Choice::Sup(i));
                     timed_due = true;
@@ -842,9 +844,8 @@ impl SimShared {
         }
         if let Some(i) = rec.strip_prefix("sup:") {
             let i: usize = i.parse().ok()?;
-            let cores = self.inner.sim_supervisors.lock();
-            let core = cores.get(i)?;
-            if core.stopped() {
+            let cores = self.inner.supervisors.lock();
+            if cores.get(i)?.lock().stopped() {
                 return None;
             }
             return Some(Choice::Sup(i));
@@ -958,8 +959,8 @@ impl SimShared {
         }
         self.inner.network.sim_fingerprint(origin, &mut |b| f.write(b));
         self.inner.hb.sim_fingerprint(origin, &mut |b| f.write(b));
-        for core in self.inner.sim_supervisors.lock().iter() {
-            core.sim_fingerprint(origin, &mut |b| f.write(b));
+        for core in self.inner.supervisors.lock().iter() {
+            core.lock().sim_fingerprint(origin, &mut |b| f.write(b));
         }
         {
             let st = self.st.lock();
@@ -985,9 +986,9 @@ impl SimShared {
                 true
             }
             Choice::Sup(i) => {
-                let mut cores = self.inner.sim_supervisors.lock();
-                if let Some(core) = cores.get_mut(*i) {
-                    core.poll_once();
+                let cores = self.inner.supervisors.lock();
+                if let Some(core) = cores.get(*i) {
+                    core.lock().poll_once();
                 }
                 true
             }
@@ -1017,10 +1018,11 @@ impl SimShared {
         }
         {
             let due: Option<usize> = {
-                let cores = self.inner.sim_supervisors.lock();
-                cores
-                    .iter()
-                    .position(|c| !c.stopped() && c.next_poll() <= now)
+                let cores = self.inner.supervisors.lock();
+                cores.iter().position(|c| {
+                    let c = c.lock();
+                    !c.stopped() && c.next_poll() <= now
+                })
             };
             if let Some(i) = due {
                 return self.execute(&Choice::Sup(i));

@@ -5,7 +5,7 @@
 //! The paper's fail-over architectures (§5/§7) encode *what* the
 //! degraded topology is, but leave *noticing* the failure and *driving*
 //! the transition to a human. [`crate::Runtime::supervise`] closes that
-//! loop: a monitor thread polls the heartbeat detector's
+//! loop: a service loop polls the heartbeat detector's
 //! observer-relative suspicions and the instance registry, classifies
 //! anomalies into failure classes, consults a user-registered
 //! [`RepairPolicy`] for an escalation ladder of [`RepairAction`]s, and
@@ -59,6 +59,7 @@ use parking_lot::Mutex;
 
 use csaw_core::program::CompiledProgram;
 
+use crate::eventcount::EventCount;
 use crate::reconfig::ReconfigSpec;
 use crate::runtime::{InstanceStatus, Runtime};
 use crate::trace::TraceKind;
@@ -290,46 +291,85 @@ pub struct SupervisorStats {
     pub quarantined: u64,
 }
 
-#[derive(Default)]
-struct Shared {
+/// What a control loop's handle ([`Supervisor`],
+/// [`crate::Autoscaler`]) shares with the loop: the stop flag and the
+/// event count the loop parks on, which a stop signals; the record id
+/// counter, records and lifetime counters; and `state`, the loop's own
+/// state the handle reads (the supervisor's quarantine set, the
+/// autoscaler's goal).
+pub(crate) struct ControlShared<R, S, X> {
     stop: AtomicBool,
-    next_id: AtomicU64,
-    records: Mutex<Vec<RepairRecord>>,
-    stats: Mutex<SupervisorStats>,
-    quarantined: Mutex<HashSet<String>>,
+    pub(crate) wake: Arc<EventCount<()>>,
+    pub(crate) next_id: AtomicU64,
+    pub(crate) records: Mutex<Vec<R>>,
+    pub(crate) stats: Mutex<S>,
+    pub(crate) state: X,
 }
+
+impl<R: Clone, S: Copy + Default, X> ControlShared<R, S, X> {
+    pub(crate) fn new(rt: &Runtime, state: X) -> Arc<Self> {
+        Arc::new(ControlShared {
+            stop: AtomicBool::new(false),
+            wake: Arc::new(EventCount::new((), rt.inner.wake_signals())),
+            next_id: AtomicU64::new(0),
+            records: Mutex::new(Vec::new()),
+            stats: Mutex::new(S::default()),
+            state,
+        })
+    }
+
+    /// Ask the loop to exit: it does so at once if parked, else after
+    /// its current step, and a backoff or verify sleep in that step is
+    /// cut short. The thread is joined by [`Runtime::shutdown`].
+    pub(crate) fn stop(&self) {
+        self.stop.store(true, Ordering::SeqCst);
+        self.wake.signal();
+    }
+
+    /// Whether the handle asked the loop to exit.
+    pub(crate) fn stopped(&self) -> bool {
+        self.stop.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn records(&self) -> Vec<R> {
+        self.records.lock().clone()
+    }
+
+    pub(crate) fn stats(&self) -> S {
+        *self.stats.lock()
+    }
+}
+
+type Shared = ControlShared<RepairRecord, SupervisorStats, Mutex<HashSet<String>>>;
 
 /// Handle to a running supervisor (returned by [`Runtime::supervise`]).
 /// Dropping it does *not* stop the loop; call [`Supervisor::stop`], or
 /// let runtime shutdown end it.
 pub struct Supervisor {
     shared: Arc<Shared>,
-    clock: crate::clock::Clock,
 }
 
 impl Supervisor {
-    /// Ask the monitor thread to exit after its current poll. The
-    /// thread itself is parked in the runtime's thread list and joined
-    /// by [`Runtime::shutdown`]. Any in-flight backoff or verify sleep
-    /// is interrupted so the thread exits promptly.
+    /// Ask the supervisor to exit after its current poll; an in-flight
+    /// backoff or verify sleep is cut short. Its thread is joined by
+    /// [`Runtime::shutdown`].
     pub fn stop(&self) {
-        self.shared.stop.store(true, Ordering::SeqCst);
-        self.clock.interrupt_sleepers();
+        self.shared.stop();
     }
 
     /// Snapshot of all repair records so far.
     pub fn records(&self) -> Vec<RepairRecord> {
-        self.shared.records.lock().clone()
+        self.shared.records()
     }
 
     /// Snapshot of the lifetime counters.
     pub fn stats(&self) -> SupervisorStats {
-        *self.shared.stats.lock()
+        self.shared.stats()
     }
 
     /// Whether the supervisor has quarantined this instance.
     pub fn is_quarantined(&self, instance: &str) -> bool {
-        self.shared.quarantined.lock().contains(instance)
+        self.shared.state.lock().contains(instance)
     }
 }
 
@@ -455,34 +495,37 @@ struct LadderState {
 }
 
 impl Runtime {
-    /// Start the self-healing supervisor: spawns a monitor thread
-    /// running the detect → plan → act → verify loop described in
-    /// [`crate::supervisor`]. The thread joins on [`Runtime::shutdown`];
-    /// use the returned [`Supervisor`] handle to stop it earlier or to
-    /// read repair records, stats, and the installed-program chain.
+    /// Start the self-healing supervisor: a service loop running the
+    /// detect → plan → act → verify cycle described in
+    /// [`crate::supervisor`] once per `config.poll`. The loop ends on
+    /// [`Runtime::shutdown`]; use the returned [`Supervisor`] handle to
+    /// stop it earlier or to read repair records, stats, and the
+    /// installed-program chain.
     ///
     /// Heartbeats should already be enabled
     /// ([`Runtime::enable_heartbeats`]) — without them only registry
     /// crashes are detectable.
     pub fn supervise(&self, config: SupervisorConfig) -> Supervisor {
-        let shared = Arc::new(Shared::default());
-        let clock = self.inner.clock().clone();
+        let shared = Shared::new(self, Mutex::new(HashSet::new()));
+        let poll = config.poll;
         let core = SupervisorCore::new(self.handle(), config, Arc::clone(&shared));
-        if clock.is_simulated() {
-            // No monitor thread under virtual time: the sim executor
-            // owns the core and calls `poll_once` as a schedulable
-            // top-level event (never nested inside a blocked activation,
-            // which would deadlock a reconfigure repair on the
-            // activation lock below it on the stack).
-            self.inner.sim_supervisors.lock().push(core);
-        } else {
-            let handle = std::thread::Builder::new()
-                .name("csaw-supervisor".into())
-                .spawn(move || core.run())
-                .expect("spawn supervisor monitor");
-            self.threads.lock().push(handle);
-        }
-        Supervisor { shared, clock }
+        let core = Arc::new(Mutex::new(core));
+        // Under virtual time no thread starts: the sim executor polls
+        // the registered core as a schedulable top-level event (never
+        // nested inside a blocked activation, which would deadlock a
+        // reconfigure repair on the activation lock below it on the
+        // stack).
+        self.inner.supervisors.lock().push(Arc::clone(&core));
+        let clock = self.inner.clock().clone();
+        let stop = {
+            let shared = Arc::clone(&shared);
+            move || shared.stopped()
+        };
+        self.spawn_service("csaw-supervisor", &shared.wake, stop, move || {
+            core.lock().poll_once();
+            Some(clock.now() + poll)
+        });
+        Supervisor { shared }
     }
 }
 
@@ -506,10 +549,9 @@ fn live_suspectors(rt: &Runtime, peer: &str, ignore: &HashSet<String>) -> usize 
 }
 
 /// The supervisor's detect → plan → act → verify machine, separated
-/// from its driving loop: wall-clock runs spawn a monitor thread
-/// calling [`SupervisorCore::run`]; under a virtual clock the core is
-/// parked in the runtime and the sim executor calls
-/// [`SupervisorCore::poll_once`] as a schedulable top-level event.
+/// from its driving loop: wall-clock runs call
+/// [`SupervisorCore::poll_once`] from a service loop; under a virtual
+/// clock the sim executor calls it as a schedulable top-level event.
 pub(crate) struct SupervisorCore {
     rt: Runtime,
     config: SupervisorConfig,
@@ -541,8 +583,7 @@ impl SupervisorCore {
 
     /// Whether the loop should exit (runtime shutdown or handle stop).
     pub(crate) fn stopped(&self) -> bool {
-        self.rt.inner.shutdown.load(Ordering::SeqCst)
-            || self.shared.stop.load(Ordering::SeqCst)
+        self.rt.inner.shutdown.load(Ordering::SeqCst) || self.shared.stopped()
     }
 
     /// When the next detection poll is due (sim executor scheduling).
@@ -593,43 +634,17 @@ impl SupervisorCore {
         }
     }
 
-    /// Wall-clock driving loop: poll, then sleep one period
-    /// interruptibly so shutdown (or `Supervisor::stop`) never waits
-    /// out a poll, a retry backoff, or a verify window.
-    fn run(mut self) {
-        let clock = self.rt.inner.clock().clone();
-        let inner = Arc::clone(&self.rt.inner);
-        let shared = Arc::clone(&self.shared);
-        loop {
-            if self.stopped() {
-                break;
-            }
-            self.poll_once();
-            let deadline = clock.now() + self.config.poll;
-            if !clock.sleep_until_interruptible(deadline, &mut || {
-                inner.shutdown.load(Ordering::SeqCst) || shared.stop.load(Ordering::SeqCst)
-            }) {
-                break;
-            }
-        }
-    }
-
     /// One detection poll: classify every supervised instance, then
     /// plan + act + verify each confirmed anomaly (one repair at a
-    /// time). All waiting inside goes through the runtime clock and
-    /// bails out early on shutdown/stop.
+    /// time). All waiting inside parks on the supervisor's event count
+    /// and bails out early on shutdown/stop.
     pub(crate) fn poll_once(&mut self) {
         let rt = self.rt.handle();
         let config = self.config.clone();
         let shared = Arc::clone(&self.shared);
         let clock = rt.inner.clock().clone();
-        let mut stopped = {
-            let inner = Arc::clone(&rt.inner);
-            let sh = Arc::clone(&shared);
-            move || {
-                inner.shutdown.load(Ordering::SeqCst) || sh.stop.load(Ordering::SeqCst)
-            }
-        };
+        let stopped = || rt.inner.shutdown.load(Ordering::SeqCst) || shared.stopped();
+        let sleep = |d: Duration| shared.wake.sleep_until(&clock, clock.now() + d, &stopped);
         self.next_poll = clock.now() + config.poll;
         let flap = &mut self.flap;
         let written_off = &mut self.written_off;
@@ -638,7 +653,7 @@ impl SupervisorCore {
         let excluded: HashSet<String> = written_off
             .iter()
             .cloned()
-            .chain(shared.quarantined.lock().iter().cloned())
+            .chain(shared.state.lock().iter().cloned())
             .collect();
 
         // Written-off instances that came back healthy re-enter
@@ -777,10 +792,9 @@ impl SupervisorCore {
                     while attempts < config.max_retries.max(1) {
                         if attempts > 0 {
                             // Bounded backoff: base × 2^(attempt-1),
-                            // interruptible so shutdown never waits a
-                            // full escalated backoff out.
-                            let backoff = config.backoff * (1 << (attempts - 1));
-                            if !clock.sleep_interruptible(backoff, &mut stopped) {
+                            // cut short by a stop, so shutdown never
+                            // waits a full escalated backoff out.
+                            if !sleep(config.backoff * (1 << (attempts - 1))) {
                                 break;
                             }
                         }
@@ -821,7 +835,7 @@ impl SupervisorCore {
                         0,
                         TraceKind::RepairFence { epoch, id },
                     );
-                    shared.quarantined.lock().insert(name.clone());
+                    shared.state.lock().insert(name.clone());
                     shared.stats.lock().quarantined += 1;
                 }
             }
@@ -833,7 +847,7 @@ impl SupervisorCore {
                 let excluded: HashSet<String> = written_off
                     .iter()
                     .cloned()
-                    .chain(shared.quarantined.lock().iter().cloned())
+                    .chain(shared.state.lock().iter().cloned())
                     .collect();
                 let healthy = match action {
                     RepairAction::Restart | RepairAction::RestartThen(_) => {
@@ -861,9 +875,7 @@ impl SupervisorCore {
                     if clock.now() >= deadline || stopped() {
                         break;
                     }
-                    if !clock
-                        .sleep_interruptible(config.poll.min(Duration::from_millis(5)), &mut stopped)
-                    {
+                    if !sleep(config.poll.min(Duration::from_millis(5))) {
                         break;
                     }
                 }

@@ -1,20 +1,21 @@
 //! The delay queue behind simulated links, jitter and reordering: a
-//! min-heap of scheduled arrivals, drained by one scheduler thread
-//! (wall clock) or pumped by the sim executor (virtual clock), plus the
+//! min-heap of scheduled arrivals, drained by one service loop (wall
+//! clock) or pumped by the sim executor (virtual clock), plus the
 //! per-route clocks that keep delayed links FIFO and
 //! bandwidth-serialized.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csaw_kv::Update;
-use parking_lot::{Condvar, Mutex};
 
 use super::{sender_of, DeliverFn, RouteState};
 use crate::cell::JunctionId;
+use crate::clock::Clock;
+use crate::eventcount::{spawn_service, EventCount};
 use crate::overload::OverloadState;
 use crate::trace::{TraceKind, Tracer};
 
@@ -51,19 +52,14 @@ impl Ord for SimPacket {
     }
 }
 
-struct SimState {
-    queue: BinaryHeap<Reverse<SimPacket>>,
-    shutdown: bool,
-}
+type Queue = BinaryHeap<Reverse<SimPacket>>;
 
-impl SimState {
-    /// Pop every packet due at `now` into `due`, in (arrival, seq)
-    /// order.
-    fn pop_due(&mut self, now: Instant, due: &mut Vec<SimPacket>) {
-        while self.queue.peek().is_some_and(|Reverse(head)| head.arrival <= now) {
-            let Reverse(p) = self.queue.pop().expect("peeked a head");
-            due.push(p);
-        }
+/// Pop every packet of `queue` due at `now` into `due`, in (arrival,
+/// seq) order.
+fn pop_due(queue: &mut Queue, now: Instant, due: &mut Vec<SimPacket>) {
+    while queue.peek().is_some_and(|Reverse(head)| head.arrival <= now) {
+        let Reverse(p) = queue.pop().expect("peeked a head");
+        due.push(p);
     }
 }
 
@@ -185,58 +181,44 @@ impl DelaySink {
     }
 }
 
-/// The delay queue behind all delayed deliveries.
+/// The delay queue behind all delayed deliveries, inside the event
+/// count its service loop parks on.
 pub(super) struct SimScheduler {
-    state: Mutex<SimState>,
-    cond: Condvar,
+    queue: Arc<EventCount<Queue>>,
     seq: AtomicU64,
 }
 
 impl SimScheduler {
-    pub(super) fn new() -> Arc<SimScheduler> {
+    pub(super) fn new(wake_signals: Arc<AtomicU64>) -> Arc<SimScheduler> {
         Arc::new(SimScheduler {
-            state: Mutex::new(SimState { queue: BinaryHeap::new(), shutdown: false }),
-            cond: Condvar::new(),
+            queue: Arc::new(EventCount::new(BinaryHeap::new(), wake_signals)),
             seq: AtomicU64::new(0),
         })
     }
 
-    pub(super) fn spawn(self: &Arc<Self>, sink: DelaySink) -> std::thread::JoinHandle<()> {
-        let me = Arc::clone(self);
-        std::thread::Builder::new()
-            .name("csaw-simlink".into())
-            .spawn(move || me.run(sink))
-            .expect("spawn sim scheduler")
-    }
-
-    fn run(&self, sink: DelaySink) {
-        // Scratch reused across wakeups: the drain below leaves the
+    /// Start the delay queue's service loop: each wake-up hands over
+    /// every packet due, then parks until the next arrival or an
+    /// enqueue (with an empty queue, until an enqueue). It exits once
+    /// `stop` is set and [`SimScheduler::shutdown`] signals it.
+    pub(super) fn spawn(&self, clock: &Clock, sink: DelaySink, stop: Arc<AtomicBool>) {
+        let queue = Arc::clone(&self.queue);
+        // Scratch reused across wake-ups: the drain below leaves the
         // allocation in place, so a steady stream of due packets stops
         // allocating after the first burst.
         let mut due: Vec<SimPacket> = Vec::new();
-        let mut state = self.state.lock();
-        loop {
-            if state.shutdown {
-                return;
-            }
-            state.pop_due(Instant::now(), &mut due);
-            if !due.is_empty() {
-                // Deliver without holding the lock.
-                drop(state);
-                due.drain(..).for_each(|p| sink.hand_over(p));
-                state = self.state.lock();
-                continue;
-            }
-            match state.queue.peek() {
-                Some(Reverse(head)) => {
-                    let deadline = head.arrival;
-                    self.cond.wait_until(&mut state, deadline);
-                }
-                None => {
-                    self.cond.wait_for(&mut state, Duration::from_millis(50));
-                }
-            }
-        }
+        let step = move || {
+            let next = {
+                let mut queue = queue.lock();
+                pop_due(&mut queue, Instant::now(), &mut due);
+                queue.peek().map(|Reverse(head)| head.arrival)
+            };
+            // Deliver without holding the lock.
+            due.drain(..).for_each(|p| sink.hand_over(p));
+            next
+        };
+        let stop = move || stop.load(Ordering::Relaxed);
+        // The thread is not joined: it exits on its own once stopped.
+        spawn_service(clock, "csaw-simlink", Arc::clone(&self.queue), stop, step);
     }
 
     /// Deliver every packet due at `now`. Virtual-clock mode: the sim
@@ -244,7 +226,7 @@ impl SimScheduler {
     /// Returns how many packets were handed over.
     pub(super) fn pump_due(&self, now: Instant, sink: &DelaySink) -> usize {
         let mut due = Vec::new();
-        self.state.lock().pop_due(now, &mut due);
+        pop_due(&mut self.queue.lock(), now, &mut due);
         let n = due.len();
         due.into_iter().for_each(|p| sink.hand_over(p));
         n
@@ -258,27 +240,25 @@ impl SimScheduler {
     pub(super) fn fingerprint(&self, origin: Instant, h: &mut dyn FnMut(&[u8])) {
         // (arrival, seq, to, key, from, update seq, kind, deadline)
         type PacketKey = (u64, u64, String, String, String, u64, String, u64);
-        let mut packets: Vec<PacketKey> = {
-            let state = self.state.lock();
-            state
-                .queue
-                .iter()
-                .map(|Reverse(p)| {
-                    (
-                        p.arrival.saturating_duration_since(origin).as_nanos() as u64,
-                        p.seq,
-                        p.to.qualified(),
-                        p.update.key.clone(),
-                        p.update.from.clone(),
-                        p.update.seq,
-                        format!("{:?}", p.update.kind),
-                        p.deadline.map_or(u64::MAX, |d| {
-                            d.saturating_duration_since(origin).as_nanos() as u64
-                        }),
-                    )
-                })
-                .collect()
-        };
+        let mut packets: Vec<PacketKey> = self
+            .queue
+            .lock()
+            .iter()
+            .map(|Reverse(p)| {
+                (
+                    p.arrival.saturating_duration_since(origin).as_nanos() as u64,
+                    p.seq,
+                    p.to.qualified(),
+                    p.update.key.clone(),
+                    p.update.from.clone(),
+                    p.update.seq,
+                    format!("{:?}", p.update.kind),
+                    p.deadline.map_or(u64::MAX, |d| {
+                        d.saturating_duration_since(origin).as_nanos() as u64
+                    }),
+                )
+            })
+            .collect();
         packets.sort_by_key(|a| (a.0, a.1));
         h(&(packets.len() as u64).to_le_bytes());
         for (arr, _seq, to, key, from, useq, kind, dl) in &packets {
@@ -294,7 +274,7 @@ impl SimScheduler {
 
     /// Earliest scheduled arrival still queued, if any.
     pub(super) fn next_due(&self) -> Option<Instant> {
-        self.state.lock().queue.peek().map(|Reverse(p)| p.arrival)
+        self.queue.lock().peek().map(|Reverse(p)| p.arrival)
     }
 
     pub(super) fn enqueue(
@@ -306,18 +286,15 @@ impl SimScheduler {
         deadline: Option<Instant>,
     ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut state = self.state.lock();
-            state
-                .queue
-                .push(Reverse(SimPacket { arrival, seq, to, update, fifo_link, deadline }));
-        }
-        self.cond.notify_all();
+        self.queue
+            .lock()
+            .push(Reverse(SimPacket { arrival, seq, to, update, fifo_link, deadline }));
+        self.queue.signal();
     }
 
+    /// Wake the service loop to see its stop flag (set by the caller).
     pub(super) fn shutdown(&self) {
-        self.state.lock().shutdown = true;
-        self.cond.notify_all();
+        self.queue.signal();
     }
 }
 

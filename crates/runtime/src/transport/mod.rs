@@ -268,7 +268,7 @@ pub struct Network {
     sink: DelaySink,
     /// Time source for arrivals, fault windows and retry backoff. A
     /// simulated clock also switches the delay queue to executor-pumped
-    /// delivery (no scheduler thread).
+    /// delivery (no delay-queue thread).
     clock: Clock,
     default_link: LinkKind,
     /// All per-route transport state (seqs, generations, fault plans,
@@ -366,19 +366,18 @@ impl Network {
             overload: Arc::clone(&overload),
             tracer: Arc::clone(&tracer),
         };
-        let sim = SimScheduler::new();
-        if !clock.is_simulated() {
-            // Virtual time has no place for a wall-clock delay thread:
-            // the sim executor pumps due packets as schedulable events.
-            sim.spawn(sink.clone());
-        }
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let sim = SimScheduler::new(metrics.counter("wake_signals_total"));
+        // Under virtual time no thread starts: the sim executor pumps
+        // due packets as schedulable events.
+        sim.spawn(&clock, sink.clone(), Arc::clone(&shutdown));
         Network {
             sink,
             clock,
             default_link: LinkKind::Direct,
             routes,
             sim,
-            shutdown: Arc::new(AtomicBool::new(false)),
+            shutdown,
             retry: Mutex::new(RetryPolicy::default()),
             backoff_dice: Mutex::new(StdRng::seed_from_u64(0xBAC0FF)),
             dedup_enabled,
@@ -714,8 +713,8 @@ impl Network {
     }
 
     /// Deliver every queued packet due at the clock's current time.
-    /// Virtual-clock mode only (the wall-clock scheduler thread pumps
-    /// its own queue). Returns how many packets landed.
+    /// Virtual-clock mode only (on a wall clock the delay queue's
+    /// service loop pumps it). Returns how many packets landed.
     pub(crate) fn pump_due(&self) -> usize {
         self.sim.pump_due(self.clock.now(), &self.sink)
     }

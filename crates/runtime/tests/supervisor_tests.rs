@@ -633,3 +633,60 @@ fn supervisor_stop_interrupts_long_poll_sleep() {
         t0.elapsed()
     );
 }
+
+/// A runtime runs one heartbeat monitor: a second `enable_heartbeats`
+/// replaces the config and does not start a second monitor, which would
+/// double the ping rate.
+#[test]
+fn service_loop_second_enable_heartbeats_keeps_one_monitor() {
+    const INTERVAL: Duration = Duration::from_millis(10);
+    let cp = compile(two_instance_program(), &LoadConfig::new()).unwrap();
+    let rt = Runtime::new(&cp, RuntimeConfig::default());
+    rt.run_main(vec![]).unwrap();
+    let config = HeartbeatConfig {
+        interval: INTERVAL,
+        ..HeartbeatConfig::default()
+    };
+    rt.enable_heartbeats(config.clone());
+    rt.enable_heartbeats(config);
+    std::thread::sleep(Duration::from_millis(50));
+    // Nothing but pings is sent: two a round (w → z, z → w).
+    let sent = || rt.metrics().counter_value("link_send_total");
+    let (before, started) = (sent(), std::time::Instant::now());
+    std::thread::sleep(Duration::from_millis(500));
+    let (pings, elapsed) = (sent() - before, started.elapsed());
+    // One monitor fires at most one round per interval (plus one each
+    // end of the window); two would fire twice that.
+    let rounds = (elapsed.as_millis() / INTERVAL.as_millis()) as u64 + 2;
+    assert!(
+        pings <= 2 * rounds,
+        "{pings} pings in {elapsed:?}: more than one monitor"
+    );
+    assert!(pings > 0, "no monitor runs");
+    rt.shutdown();
+}
+
+/// The heartbeat monitor parks until its next round; shutdown signals
+/// it instead of waiting that round out.
+#[test]
+fn service_loop_heartbeat_stops_promptly_on_shutdown() {
+    let cp = compile(two_instance_program(), &LoadConfig::new()).unwrap();
+    let rt = Runtime::new(&cp, RuntimeConfig::default());
+    rt.run_main(vec![]).unwrap();
+    rt.enable_heartbeats(HeartbeatConfig {
+        interval: Duration::from_secs(60),
+        ..HeartbeatConfig::default()
+    });
+    let sent = || rt.metrics().counter_value("link_send_total");
+    assert!(
+        wait_until(Duration::from_secs(5), || sent() >= 2),
+        "no first round"
+    );
+    let t0 = std::time::Instant::now();
+    rt.shutdown();
+    assert!(
+        t0.elapsed() < Duration::from_secs(5),
+        "shutdown took {:?} — the heartbeat slept out its interval",
+        t0.elapsed()
+    );
+}
