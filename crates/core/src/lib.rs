@@ -22,6 +22,9 @@
 //! * *lowering* ([`lower`]): each expanded junction compiled once into a
 //!   pre-resolved form — postfix formula programs, resolved keys and
 //!   targets, run-time names as binding slots — which the runtime runs,
+//! * interned names ([`intern`]): the process-wide ids ([`KeyId`],
+//!   [`Sym`]) that lowered code, tables and updates carry instead of
+//!   texts,
 //! * reconfiguration planning ([`plan`]): a phased, make-before-break
 //!   [`plan::Plan`] between two compiled programs, and the checker
 //!   ([`plan_check`]) the runtime runs on every plan before executing it,
@@ -39,6 +42,7 @@ pub mod error;
 pub mod expand;
 pub mod expr;
 pub mod formula;
+pub mod intern;
 pub mod lower;
 pub mod names;
 pub mod plan;
@@ -53,7 +57,8 @@ pub use diff::{compose_diffs, diff_programs, InstanceDiff, JunctionChange, NetCh
 pub use error::{CoreError, CoreResult};
 pub use expr::{Arg, CaseArm, CaseGuard, Expr, ForOp, Terminator};
 pub use formula::Formula;
-pub use names::{Ident, JRef, NameRef, PropRef, SetElem, SetRef};
+pub use intern::{KeyId, Sym};
+pub use names::{Ident, JRef, JunctionId, NameRef, PropRef, Sender, SetElem, SetRef};
 pub use plan::{
     plan_break_before_make, plan_reconfiguration, Plan, PlanConstraints, PlanError, PlanPhase,
 };

@@ -11,12 +11,15 @@
 //!   [`Prog`], a flat postfix program whose local atoms carry resolved
 //!   table keys and whose remote atoms (`γ@P`, `S(ι)`) are entries of the
 //!   junction's [`LoweredJunction::remotes`] list;
-//! * every statement carries its key, target and timeout pre-resolved,
-//!   and the junction's qualified sender name is built once;
+//! * every statement carries its key, target and timeout pre-resolved —
+//!   keys as interned [`KeyId`]s, junctions as interned [`JunctionId`]s —
+//!   and the junction's [`Sender`] is interned once;
 //! * a name only the run time supplies — a definition parameter, an `idx`
 //!   cursor — is a slot of the junction's [`Bindings`], which the runtime
-//!   fills at `start` and on `idx` writes. A key built from one (`P[i]`)
-//!   is rebuilt when the slot changes, never when it is read.
+//!   fills at `start` and on `idx` writes. The slot holds the text
+//!   interned as a key and as a junction reference ([`Bound`]), and a key
+//!   built from one (`P[i]`) is rebuilt when the slot changes, never when
+//!   it is read: a pass looks no name up.
 //!
 //! The runtime evaluates a [`Prog`] in two phases: it resolves the remote
 //! atoms into a scratch of [`Ternary`]s without holding its table lock,
@@ -32,7 +35,8 @@ use std::time::Duration;
 use crate::decl::Decl;
 use crate::expr::{Arg, CaseGuard, Expr, Terminator};
 use crate::formula::{Formula, Ternary};
-use crate::names::{Ident, JRef, JunctionId, NameRef, PropRef, SetRef};
+use crate::intern::{KeyId, Sym};
+use crate::names::{Ident, JRef, JunctionId, NameRef, PropRef, Sender, SetRef};
 use crate::program::JunctionDef;
 
 /// Index of a run-time binding: an entry of [`LoweredJunction::vars`] and
@@ -44,7 +48,7 @@ pub type Slot = usize;
 pub enum Name {
     /// Fixed: a literal, or a variable naming a declared datum or
     /// proposition (which resolves to itself).
-    Lit(String),
+    Lit(KeyId),
     /// The text bound in a slot.
     Var(Slot),
     /// A proposition key built from slots (`P[i]`): an entry of
@@ -59,9 +63,40 @@ pub enum Name {
 pub struct Var {
     /// The variable's name in the program text.
     pub name: Ident,
-    /// The texts an `idx` can take (its literal base set), shared so that
-    /// moving the cursor allocates nothing.
-    pub elems: Vec<Arc<str>>,
+    /// The name as a table key: an unbound variable reads the `idx` or
+    /// the declared key of that name.
+    pub key: KeyId,
+    /// The texts an `idx` can take (its literal base set), interned at
+    /// lowering so that moving the cursor looks nothing up.
+    pub elems: Vec<Bound>,
+}
+
+/// A binding's text, interned as each reader takes it: a table key, or a
+/// junction reference (`ι` or `ι::γ`).
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct Bound {
+    /// The text as a table key.
+    pub key: KeyId,
+    /// The text before `::` (all of it if there is none).
+    pub instance: Sym,
+    /// The text after `::`, if any.
+    pub junction: Option<Sym>,
+}
+
+impl Bound {
+    /// Intern `text` every way.
+    pub fn new(text: &str) -> Bound {
+        let (instance, junction) = match text.split_once("::") {
+            Some((i, j)) => (i, Some(Sym::new(j))),
+            None => (text, None),
+        };
+        Bound { key: KeyId::new(text), instance: Sym::new(instance), junction }
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &'static str {
+        self.key.as_str()
+    }
 }
 
 /// A proposition key with a run-time part: `name[index]`.
@@ -84,16 +119,19 @@ impl KeyParts {
 pub enum Target {
     /// Known at compile time: `ι::γ`, `me::junction`, `me::instance::γ`.
     Fixed(JunctionId),
+    /// A literal bare instance name, which resolves to the instance's
+    /// sole junction when used.
+    Instance(Sym),
     /// `ι::γ` whose instance is a binding.
     Qualified {
         /// The instance's slot.
         instance: Slot,
         /// The junction.
-        junction: Ident,
+        junction: Sym,
     },
-    /// A bare reference (`ι` or `ι::γ` text), looked up when used: a
-    /// single-junction instance resolves to its junction.
-    Bare(Name),
+    /// A binding holding `ι` or `ι::γ`; a bare instance resolves to its
+    /// sole junction when used.
+    Bare(Slot),
     /// `me::instance`, which is not a junction.
     MyInstance,
 }
@@ -122,7 +160,7 @@ enum Op {
     /// `elem ∈ subset` (`Unknown` while the subset is `undef`).
     InSubset {
         elem: Name,
-        subset: Ident,
+        subset: KeyId,
     },
     /// Entry `i` of the remote scratch.
     Remote(usize),
@@ -168,24 +206,22 @@ impl Prog {
         &self,
         bindings: Option<&Bindings>,
         remote: &[Ternary],
-        prop: impl Fn(&str) -> Option<bool>,
-        in_subset: impl Fn(&str, &str) -> Option<bool>,
+        prop: impl Fn(KeyId) -> Option<bool>,
+        in_subset: impl Fn(KeyId, &str) -> Option<bool>,
     ) -> Ternary {
-        fn text<'a>(bindings: Option<&'a Bindings>, n: &'a Name) -> Option<&'a str> {
-            match n {
-                Name::Lit(s) => Some(s),
-                other => bindings?.text(other),
-            }
-        }
+        let key = |n: &Name| match n {
+            Name::Lit(k) => Some(*k),
+            other => bindings?.key(other),
+        };
         let atom = |b: Option<bool>| b.map_or(Ternary::Unknown, Ternary::from_bool);
         with_scratch(self.depth, |stack| {
             let mut top = 0;
             for op in &self.ops {
                 let pushed = match op {
                     Op::Const(t) => *t,
-                    Op::Prop(n) => atom(text(bindings, n).and_then(&prop)),
+                    Op::Prop(n) => atom(key(n).and_then(&prop)),
                     Op::InSubset { elem, subset } => {
-                        atom(text(bindings, elem).and_then(|e| in_subset(subset, e)))
+                        atom(key(elem).and_then(|e| in_subset(*subset, e.as_str())))
                     }
                     Op::Remote(i) => remote[*i],
                     Op::Not => {
@@ -228,7 +264,7 @@ pub fn with_scratch<R>(n: usize, f: impl FnOnce(&mut [Ternary]) -> R) -> R {
 #[derive(Clone, Debug, PartialEq)]
 pub enum Keys {
     /// All known at compile time.
-    Fixed(Arc<[String]>),
+    Fixed(Arc<[KeyId]>),
     /// Some read bindings.
     Bound(Vec<Name>),
 }
@@ -255,7 +291,7 @@ pub enum Stmt {
         /// Registered host-function name.
         name: Ident,
         /// The write set.
-        writes: Vec<Ident>,
+        writes: Vec<KeyId>,
         /// Slots of the `idx` cursors in the write set.
         idx: Vec<Slot>,
     },
@@ -371,8 +407,8 @@ pub enum Stmt {
 /// definition.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LoweredJunction {
-    /// `instance::junction`, the sender name of every update it pushes.
-    pub sender: String,
+    /// `instance::junction`, the sender of every update it pushes.
+    pub sender: Sender,
     /// The definition parameters' names, bound positionally at `start`.
     pub params: Vec<Ident>,
     /// Propositions whose key names a parameter (`Running[self]`), with
@@ -401,7 +437,7 @@ impl LoweredJunction {
     pub fn unbound(&self, bindings: &Bindings, n: &Name) -> Option<&str> {
         match n {
             Name::Lit(_) => None,
-            Name::Var(s) => bindings.texts[*s]
+            Name::Var(s) => bindings.bound[*s]
                 .is_none()
                 .then(|| self.vars[*s].name.as_str()),
             Name::Key(k) => {
@@ -418,10 +454,10 @@ impl LoweredJunction {
 /// [`KeyParts`] key built from them.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Bindings {
-    texts: Vec<Option<Arc<str>>>,
+    bound: Vec<Option<Bound>>,
     pinned: Vec<bool>,
     durations: Vec<Option<Duration>>,
-    keys: Vec<Option<Arc<str>>>,
+    keys: Vec<Option<KeyId>>,
 }
 
 impl Bindings {
@@ -429,7 +465,7 @@ impl Bindings {
     pub fn new(lowered: &LoweredJunction) -> Bindings {
         let n = lowered.vars.len();
         Bindings {
-            texts: vec![None; n],
+            bound: vec![None; n],
             pinned: vec![false; n],
             durations: vec![None; n],
             keys: vec![None; lowered.keys.len()],
@@ -438,25 +474,21 @@ impl Bindings {
 
     /// Bind `slot` to `text` (`None`: unbound) and rebuild the keys that
     /// read it. `pinned` records that a parameter bound it, so `idx`
-    /// writes leave it alone. An `idx` element's text is shared, not
-    /// copied.
+    /// writes leave it alone. An `idx` element was interned at lowering;
+    /// any other text is interned here.
     pub fn set(&mut self, lowered: &LoweredJunction, slot: Slot, text: Option<&str>, pinned: bool) {
         self.pinned[slot] = pinned;
-        if self.texts[slot].as_deref() == text {
+        if self.bound[slot].map(|b| b.as_str()) == text {
             return;
         }
-        self.texts[slot] = text.map(|t| {
+        self.bound[slot] = text.map(|t| {
             let elems = &lowered.vars[slot].elems;
-            elems
-                .iter()
-                .find(|e| ***e == *t)
-                .cloned()
-                .unwrap_or_else(|| Arc::from(t))
+            elems.iter().find(|e| e.as_str() == t).copied().unwrap_or_else(|| Bound::new(t))
         });
         for (k, parts) in lowered.keys.iter().enumerate() {
             if parts.reads(slot) {
                 let key = match (self.text(&parts.name), self.text(&parts.index)) {
-                    (Some(name), Some(index)) => Some(Arc::from(format!("{name}[{index}]"))),
+                    (Some(name), Some(index)) => Some(KeyId::new(&format!("{name}[{index}]"))),
                     _ => None,
                 };
                 self.keys[k] = key;
@@ -479,23 +511,23 @@ impl Bindings {
         self.durations.get(slot).copied().flatten()
     }
 
-    /// A name's text, if bound.
-    pub fn text<'a>(&'a self, n: &'a Name) -> Option<&'a str> {
+    /// What `slot` holds, if bound.
+    pub fn bound(&self, slot: Slot) -> Option<Bound> {
+        self.bound.get(slot).copied().flatten()
+    }
+
+    /// A name as a table key, if bound.
+    pub fn key(&self, n: &Name) -> Option<KeyId> {
         match n {
-            Name::Lit(s) => Some(s),
-            Name::Var(s) => self.texts.get(*s)?.as_deref(),
-            Name::Key(k) => self.keys.get(*k)?.as_deref(),
+            Name::Lit(k) => Some(*k),
+            Name::Var(s) => self.bound(*s).map(|b| b.key),
+            Name::Key(k) => self.keys.get(*k).copied().flatten(),
         }
     }
 
-    /// A bound name's text, shared (no copy) so it outlives the lock the
-    /// bindings sit behind. `None` for literals and unbound names.
-    pub fn shared(&self, n: &Name) -> Option<Arc<str>> {
-        match n {
-            Name::Lit(_) => None,
-            Name::Var(s) => self.texts.get(*s)?.clone(),
-            Name::Key(k) => self.keys.get(*k)?.clone(),
-        }
+    /// A name's text, if bound.
+    pub fn text(&self, n: &Name) -> Option<&'static str> {
+        self.key(n).map(KeyId::as_str)
     }
 }
 
@@ -527,7 +559,7 @@ pub fn lower(instance: &str, jd: &JunctionDef) -> LoweredJunction {
         _ => None,
     });
     LoweredJunction {
-        sender: format!("{instance}::{}", jd.name),
+        sender: Sender::of(&JunctionId::new(instance, jd.name.as_str())),
         params: jd.params.iter().map(|p| p.name.clone()).collect(),
         late_props: late_props.collect(),
         guard,
@@ -582,12 +614,13 @@ impl Lowering<'_> {
         }
         let elems = match self.idx_base(v) {
             Some(SetRef::Lit(es)) if !self.is_param(v) => {
-                es.iter().map(|e| Arc::from(e.key())).collect()
+                es.iter().map(|e| Bound::new(&e.key())).collect()
             }
             _ => Vec::new(),
         };
         self.vars.push(Var {
             name: v.to_string(),
+            key: KeyId::new(v),
             elems,
         });
         self.vars.len() - 1
@@ -595,13 +628,13 @@ impl Lowering<'_> {
 
     fn name(&mut self, n: &NameRef) -> Name {
         match n {
-            NameRef::Lit(s) => Name::Lit(s.clone()),
+            NameRef::Lit(s) => Name::Lit(KeyId::new(s)),
             NameRef::Var(v) => match self.vars.iter().position(|x| x.name == *v) {
                 Some(s) => Name::Var(s),
                 // A variable that is neither parameter nor cursor but
                 // names declared state resolves to itself.
                 None if !self.is_param(v) && self.idx_base(v).is_none() && self.declared(v) => {
-                    Name::Lit(v.clone())
+                    Name::Lit(KeyId::new(v))
                 }
                 None => Name::Var(self.slot(v)),
             },
@@ -612,7 +645,7 @@ impl Lowering<'_> {
         let name = self.name(&p.name);
         let Some(ix) = &p.index else { return name };
         match (name, self.name(ix)) {
-            (Name::Lit(n), Name::Lit(i)) => Name::Lit(format!("{n}[{i}]")),
+            (Name::Lit(n), Name::Lit(i)) => Name::Lit(KeyId::new(&format!("{n}[{i}]"))),
             (name, index) => {
                 self.keys.push(KeyParts { name, index });
                 Name::Key(self.keys.len() - 1)
@@ -623,24 +656,36 @@ impl Lowering<'_> {
     fn target(&mut self, j: &JRef) -> Target {
         match j {
             JRef::Qualified { instance, junction } => match self.name(instance) {
-                Name::Lit(i) => Target::Fixed(JunctionId::new(i, junction.clone())),
+                Name::Lit(i) => Target::Fixed(JunctionId::new(i.as_str(), junction)),
                 Name::Var(instance) => Target::Qualified {
                     instance,
-                    junction: junction.clone(),
+                    junction: Sym::new(junction),
                 },
                 Name::Key(_) => unreachable!("only a proposition builds a key"),
             },
-            JRef::Bare(n) => Target::Bare(self.name(n)),
-            JRef::MyJunction => Target::Fixed(JunctionId::new(self.instance, self.jd.name.clone())),
+            JRef::Bare(n) => match self.name(n) {
+                Name::Lit(text) => {
+                    let b = Bound::new(&text);
+                    match b.junction {
+                        Some(junction) => {
+                            Target::Fixed(JunctionId { instance: b.instance, junction })
+                        }
+                        None => Target::Instance(b.instance),
+                    }
+                }
+                Name::Var(slot) => Target::Bare(slot),
+                Name::Key(_) => unreachable!("only a proposition builds a key"),
+            },
+            JRef::MyJunction => Target::Fixed(JunctionId::new(self.instance, &self.jd.name)),
             JRef::MyInstance => Target::MyInstance,
-            JRef::Sibling(j) => Target::Fixed(JunctionId::new(self.instance, j.clone())),
+            JRef::Sibling(j) => Target::Fixed(JunctionId::new(self.instance, j)),
         }
     }
 
     fn fixed_keys(&self, names: Vec<Name>) -> Keys {
         if names.iter().all(|n| matches!(n, Name::Lit(_))) {
             let lits = names.into_iter().map(|n| match n {
-                Name::Lit(s) => s,
+                Name::Lit(k) => k,
                 _ => unreachable!("all literal"),
             });
             Keys::Fixed(lits.collect())
@@ -689,7 +734,7 @@ impl Lowering<'_> {
                 p.reads(&elem);
                 p.push(Op::InSubset {
                     elem,
-                    subset: subset.raw().to_string(),
+                    subset: KeyId::new(subset.raw()),
                 });
             }
             // Unexpanded: never true.
@@ -753,7 +798,7 @@ impl Lowering<'_> {
                 }
                 Stmt::Host {
                     name: name.clone(),
-                    writes: writes.clone(),
+                    writes: writes.iter().map(|w| KeyId::new(w)).collect(),
                     idx,
                 }
             }

@@ -10,6 +10,8 @@
 
 use std::fmt;
 
+use crate::intern::Sym;
+
 /// Plain identifier. The DSL has a flat namespace per kind of entity.
 pub type Ident = String;
 
@@ -117,18 +119,19 @@ impl fmt::Display for JRef {
     }
 }
 
-/// A resolved junction: the runtime identity of `instance::junction`.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+/// A resolved junction: the runtime identity of `instance::junction`,
+/// both names interned, so it is `Copy` and compares as two integers.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct JunctionId {
     /// Instance name.
-    pub instance: String,
+    pub instance: Sym,
     /// Junction name.
-    pub junction: String,
+    pub junction: Sym,
 }
 
 impl JunctionId {
     /// Construct from parts.
-    pub fn new(instance: impl Into<String>, junction: impl Into<String>) -> Self {
+    pub fn new(instance: impl Into<Sym>, junction: impl Into<Sym>) -> Self {
         JunctionId { instance: instance.into(), junction: junction.into() }
     }
     /// `instance::junction` rendering.
@@ -140,6 +143,65 @@ impl JunctionId {
 impl fmt::Display for JunctionId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}::{}", self.instance, self.junction)
+    }
+}
+
+/// The sender of an update: a junction's `instance::junction` text, or
+/// a bare name (a client pushing requests in), interned together with
+/// its instance — the scope at which the transport sequences, dedups
+/// and fences.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub struct Sender {
+    /// The whole text, as traces, frames and snapshots carry it.
+    pub name: Sym,
+    /// The part before `::` (the whole text if there is none).
+    pub instance: Sym,
+}
+
+impl Sender {
+    /// Intern `text`, `instance::junction` or a bare name.
+    pub fn new(text: &str) -> Sender {
+        let instance = text.split("::").next().unwrap_or(text);
+        Sender { name: Sym::new(text), instance: Sym::new(instance) }
+    }
+
+    /// The sender a junction's updates carry.
+    pub fn of(id: &JunctionId) -> Sender {
+        Sender { name: Sym::new(&id.qualified()), instance: id.instance }
+    }
+
+    /// The whole text.
+    pub fn as_str(&self) -> &'static str {
+        self.name.as_str()
+    }
+
+    /// The part after `::` (empty for a bare name).
+    pub fn junction(&self) -> &'static str {
+        self.as_str().split_once("::").map_or("", |(_, j)| j)
+    }
+}
+
+impl fmt::Display for Sender {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.as_str())
+    }
+}
+
+impl PartialEq<&str> for Sender {
+    fn eq(&self, other: &&str) -> bool {
+        self.as_str() == *other
+    }
+}
+
+impl From<&str> for Sender {
+    fn from(text: &str) -> Sender {
+        Sender::new(text)
+    }
+}
+
+impl From<String> for Sender {
+    fn from(text: String) -> Sender {
+        Sender::new(&text)
     }
 }
 
@@ -327,6 +389,16 @@ mod tests {
         let id = JunctionId::new("f", "b");
         assert_eq!(id.qualified(), "f::b");
         assert_eq!(id.to_string(), "f::b");
+        assert_eq!(id, JunctionId::new("f".to_string(), Sym::new("b")));
+    }
+
+    #[test]
+    fn senders_split_at_the_first_separator() {
+        let s = Sender::new("f::b");
+        assert_eq!((s.as_str(), s.instance.as_str(), s.junction()), ("f::b", "f", "b"));
+        assert_eq!(s, Sender::of(&JunctionId::new("f", "b")));
+        let bare = Sender::new("client");
+        assert_eq!((bare.instance.as_str(), bare.junction()), ("client", ""));
     }
 
     #[test]

@@ -12,6 +12,7 @@ use csaw_core::builder::*;
 use csaw_core::decl::{Decl, Param, ParamKind};
 use csaw_core::expr::{Expr, Terminator};
 use csaw_core::formula::{Formula, Ternary};
+use csaw_core::intern::{KeyId, Sym};
 use csaw_core::lower::{lower, Bindings, Keys, LoweredJunction, Name, Prog, Remote, Stmt, Target};
 use csaw_core::names::{JRef, NameRef, PropRef};
 use csaw_core::program::JunctionDef;
@@ -203,7 +204,8 @@ fn resolve(atom: &Remote, b: &Bindings, w: &World) -> Ternary {
         Remote::Prop { at, key } => {
             let label = match at {
                 Target::Fixed(id) => Some(id.to_string()),
-                Target::Bare(n) => b.text(n).map(str::to_string),
+                Target::Instance(i) => Some(i.to_string()),
+                Target::Bare(slot) => b.text(&Name::Var(*slot)).map(str::to_string),
                 Target::Qualified { instance, junction } => b
                     .text(&Name::Var(*instance))
                     .map(|i| format!("{i}::{junction}")),
@@ -230,7 +232,7 @@ fn lowered_truth(lj: &LoweredJunction, prog: &Prog, w: &World) -> Ternary {
         .iter()
         .map(|a| resolve(a, &b, w))
         .collect();
-    prog.eval(Some(&b), &remote, |k| w.local(k), |s, e| w.in_subset(s, e))
+    prog.eval(Some(&b), &remote, |k| w.local(&k), |s, e| w.in_subset(&s, e))
 }
 
 fn junction(decls: Vec<Decl>, body: Expr) -> JunctionDef {
@@ -316,11 +318,11 @@ fn names_resolve_at_compile_time_where_they_can() {
     assert_eq!(lj.vars[tgt].name, "tgt");
     // `n` is declared, so the variable resolves to itself.
     assert!(
-        matches!(&body[1], Stmt::Write { data: Name::Lit(n), to: Target::Bare(Name::Var(s)) }
-        if n == "n" && *s == tgt)
+        matches!(&body[1], Stmt::Write { data: Name::Lit(n), to: Target::Bare(s) }
+        if *n == "n" && *s == tgt)
     );
     assert!(
-        matches!(&body[2], Stmt::Assert { key: Name::Lit(k), value: true, .. } if k == "Backend[b1]")
+        matches!(&body[2], Stmt::Assert { key: Name::Lit(k), value: true, .. } if *k == "Backend[b1]")
     );
     let Stmt::Otherwise {
         body: wait,
@@ -339,17 +341,20 @@ fn names_resolve_at_compile_time_where_they_can() {
     else {
         panic!("wait")
     };
-    assert_eq!(&keys[..], ["Work".to_string(), "n".to_string()]);
+    assert_eq!(&keys[..], [KeyId::new("Work"), KeyId::new("n")]);
     assert!(!prog.has_remotes() && !prog.reads_bindings());
 
-    // A cursor's texts are shared, and a key built from one follows it.
+    // A cursor's texts were interned at lowering, as a key and as a
+    // junction reference.
     let mut b = Bindings::new(&lj);
     b.set(&lj, tgt, Some("b2"), false);
     assert_eq!(b.text(&Name::Var(tgt)), Some("b2"));
-    assert!(std::sync::Arc::ptr_eq(
-        &b.shared(&Name::Var(tgt)).unwrap(),
-        &lj.vars[tgt].elems[1]
-    ));
+    assert_eq!(b.bound(tgt), Some(lj.vars[tgt].elems[1]));
+    let bound = lj.vars[tgt].elems[1];
+    assert_eq!(
+        (bound.key, bound.instance, bound.junction),
+        (KeyId::new("b2"), Sym::new("b2"), None)
+    );
 }
 
 #[test]
@@ -381,7 +386,7 @@ fn keys_built_from_bindings_follow_them() {
     let prog = lj.guard.as_ref().unwrap();
     assert!(prog.reads_bindings());
     let mut b = Bindings::new(&lj);
-    let table = |k: &str| (k == "Ready[y]").then_some(true);
+    let table = |k: KeyId| (k == "Ready[y]").then_some(true);
     let eval = |b: &Bindings| prog.eval(Some(b), &[], table, |_, _| None);
     assert_eq!(eval(&b), Ternary::Unknown, "unbound");
     b.set(&lj, 0, Some("y"), true);

@@ -105,6 +105,7 @@ impl InstanceApp for AuditorApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csaw_kv::KeyId;
     use std::time::Duration;
 
     fn table() -> csaw_kv::Table {
@@ -122,7 +123,7 @@ mod tests {
         });
         app.jobs.lock().push(("http://x/1".into(), 8192));
         let mut t = table();
-        let writes: Vec<String> = vec![];
+        let writes: Vec<KeyId> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "Act", "junction");
         app.host_call("H1", &mut ctx).unwrap();
         let snap = app.save("n").unwrap();
@@ -143,7 +144,7 @@ mod tests {
         };
         aud.restore("n", &Value::from(state.to_bytes().unwrap())).unwrap();
         let mut t = table();
-        let writes: Vec<String> = vec![];
+        let writes: Vec<KeyId> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "Aud", "junction");
         aud.host_call("H2", &mut ctx).unwrap();
         assert_eq!(aud.log.lock().len(), 1);
@@ -155,7 +156,7 @@ mod tests {
     fn curl_app_requires_a_job() {
         let mut app = CurlApp::new(LinkModel::gigabit_scaled());
         let mut t = table();
-        let writes: Vec<String> = vec![];
+        let writes: Vec<KeyId> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "Act", "junction");
         assert!(app.host_call("H1", &mut ctx).is_err());
     }

@@ -22,9 +22,15 @@
 //!   whole-table snapshot is only right in the sequential case.
 //! * [`Update`] — the unit of junction↔junction synchronization
 //!   (`write` for data, `assert`/`retract` for propositions).
+//!
+//! Keys are interned [`KeyId`]s and senders interned [`Sender`]s
+//! (`csaw_core::intern`): a table indexes its entries by key id, and an
+//! update carries no `String`. Exports ([`TableState`]) carry texts.
 
 pub mod table;
 
+pub use csaw_core::intern::KeyId;
+pub use csaw_core::names::Sender;
 pub use table::{
     Delivery, PendingState, Table, TableError, TableEvent, TableObserver, TableState,
     Update, UpdateKind,

@@ -1,9 +1,9 @@
 //! One junction's key-value table.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
+use std::collections::VecDeque;
 
-use csaw_core::names::SetElem;
+use csaw_core::intern::KeyId;
+use csaw_core::names::{Sender, SetElem};
 use csaw_core::value::Value;
 
 /// The kind of a pushed update.
@@ -17,15 +17,17 @@ pub enum UpdateKind {
     Data(Value),
 }
 
-/// A pushed update from another junction.
+/// A pushed update from another junction. Its names are interned, so
+/// building, moving or dropping one allocates nothing beyond its value.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Update {
     /// Target key (proposition key or datum name).
-    pub key: String,
+    pub key: KeyId,
     /// What to do.
     pub kind: UpdateKind,
-    /// Fully-qualified sender junction (diagnostics only).
-    pub from: String,
+    /// The sending junction (`instance::junction`), whose instance is
+    /// the scope at which the transport sequences and dedups.
+    pub from: Sender,
     /// Per-link sequence number assigned by the transport for
     /// receiver-side deduplication of retried/duplicated deliveries.
     /// `0` means unsequenced (local or test delivery): never deduped.
@@ -34,21 +36,16 @@ pub struct Update {
 
 impl Update {
     /// Convenience constructor for an assertion.
-    pub fn assert(key: impl Into<String>, from: impl Into<String>) -> Update {
+    pub fn assert(key: impl Into<KeyId>, from: impl Into<Sender>) -> Update {
         Update { key: key.into(), kind: UpdateKind::Assert, from: from.into(), seq: 0 }
     }
     /// Convenience constructor for a retraction.
-    pub fn retract(key: impl Into<String>, from: impl Into<String>) -> Update {
+    pub fn retract(key: impl Into<KeyId>, from: impl Into<Sender>) -> Update {
         Update { key: key.into(), kind: UpdateKind::Retract, from: from.into(), seq: 0 }
     }
     /// Convenience constructor for a data write.
-    pub fn data(key: impl Into<String>, value: Value, from: impl Into<String>) -> Update {
+    pub fn data(key: impl Into<KeyId>, value: Value, from: impl Into<Sender>) -> Update {
         Update { key: key.into(), kind: UpdateKind::Data(value), from: from.into(), seq: 0 }
-    }
-    /// The sending *instance* (prefix of `from` before `::`), the scope
-    /// at which the transport sequences and dedups.
-    pub fn sender_instance(&self) -> &str {
-        self.from.split("::").next().unwrap_or(&self.from)
     }
 }
 
@@ -307,7 +304,9 @@ pub struct TableState {
 #[derive(Clone, Debug)]
 struct Window {
     token: u64,
-    keys: Arc<[String]>,
+    /// The admitted keys, in a buffer recycled through
+    /// `Table::spare_keys` once the window closes.
+    keys: Vec<KeyId>,
     /// Operation sequence at open time. A remote update may apply
     /// through this window only when no local write to its key happened
     /// at or after the open (`lop < wop`): the window admits replies
@@ -317,35 +316,64 @@ struct Window {
     wop: u64,
 }
 
+/// Everything a table holds under one key. Propositions, data, subsets
+/// and `idx` cursors are separate namespaces, so a key may hold several.
+#[derive(Clone, Debug)]
+struct Entry {
+    key: KeyId,
+    /// The proposition's slot in `Table::prop_values`.
+    prop: Option<usize>,
+    /// The datum (`Value::Undef` once declared).
+    data: Option<Value>,
+    /// (epoch, op-sequence) of the most recent local write.
+    written: Option<(u64, u64)>,
+    /// A subset's base set and current value.
+    subset: Option<(Vec<SetElem>, Option<Vec<SetElem>>)>,
+    /// An `idx`'s base set and current element key.
+    idx: Option<(Vec<SetElem>, Option<String>)>,
+}
+
+impl Entry {
+    fn new(key: KeyId) -> Entry {
+        Entry { key, prop: None, data: None, written: None, subset: None, idx: None }
+    }
+}
+
+/// A [`Table::slots`] value for a key the table has no entry for.
+const NO_ENTRY: u32 = u32::MAX;
+
 /// One junction's key-value table.
 ///
 /// All mutation of *visible* state goes through `set_*_local` (local
 /// operations: `save`, local `assert`/`retract`) or [`Table::deliver`]
 /// (remote pushes). The runtime brackets junction activations with
 /// [`Table::begin_activation`] / [`Table::end_activation`].
+///
+/// Keys are [`KeyId`]s: a lookup indexes a `Vec` by the key's id, and a
+/// window's admission check compares integers. Every method taking a key
+/// also takes its text, interned on the way in (one interner lookup).
 #[derive(Debug)]
 pub struct Table {
-    /// Proposition key → its slot in `prop_values`. Propositions are only
-    /// ever added, so a slot keeps naming the same key (see
+    /// Key id → its entry in `entries` (`NO_ENTRY`: none). An entry is
+    /// made when the table first sees the key — a declaration, or a
+    /// delivery to an undeclared key — and lives as long as the table.
+    slots: Vec<u32>,
+    entries: Vec<Entry>,
+    /// Every proposition's value, by slot. Propositions are only ever
+    /// added, so a slot keeps naming the same key (see
     /// [`Table::prop_values`]).
-    prop_slots: HashMap<String, usize>,
     prop_values: Vec<bool>,
-    data: HashMap<String, Value>,
-    subsets: HashMap<String, Option<Vec<SetElem>>>,
-    subset_bases: HashMap<String, Vec<SetElem>>,
-    idxs: HashMap<String, Option<String>>,
-    idx_bases: HashMap<String, Vec<SetElem>>,
     pending: VecDeque<Pending>,
     epoch: u64,
     running: bool,
-    /// key → (epoch, op-sequence) of the most recent local write.
-    locally_written: HashMap<String, (u64, u64)>,
     /// Monotonic operation counter ordering local writes vs deliveries.
     op_seq: u64,
     /// Keys currently admitted by active `wait`s. Multiple windows may be
     /// open at once: parallel composition can run several `wait`s in one
     /// activation (Fig. 13's back-end fan-out).
     windows: Vec<Window>,
+    /// Key buffers of closed windows, for the next ones to reuse.
+    spare_keys: Vec<Vec<KeyId>>,
     next_window: u64,
     observer: ObserverSlot,
 }
@@ -354,19 +382,15 @@ impl Table {
     /// Create an empty table.
     pub fn new() -> Table {
         Table {
-            prop_slots: HashMap::new(),
+            slots: Vec::new(),
+            entries: Vec::new(),
             prop_values: Vec::new(),
-            data: HashMap::new(),
-            subsets: HashMap::new(),
-            subset_bases: HashMap::new(),
-            idxs: HashMap::new(),
-            idx_bases: HashMap::new(),
             pending: VecDeque::new(),
             epoch: 0,
             running: false,
-            locally_written: HashMap::new(),
             op_seq: 0,
             windows: Vec::new(),
+            spare_keys: Vec::new(),
             next_window: 0,
             observer: ObserverSlot(None),
         }
@@ -386,39 +410,64 @@ impl Table {
         }
     }
 
+    fn entry(&self, key: KeyId) -> Option<&Entry> {
+        let at = *self.slots.get(key.index())?;
+        self.entries.get(at as usize)
+    }
+
+    fn entry_mut(&mut self, key: KeyId) -> Option<&mut Entry> {
+        let at = *self.slots.get(key.index())?;
+        self.entries.get_mut(at as usize)
+    }
+
+    /// The position of `key`'s entry, made if new.
+    fn entry_at(&mut self, key: KeyId) -> usize {
+        let i = key.index();
+        if i >= self.slots.len() {
+            self.slots.resize(i + 1, NO_ENTRY);
+        }
+        if self.slots[i] == NO_ENTRY {
+            self.slots[i] = u32::try_from(self.entries.len()).expect("fewer than 2^32 keys");
+            self.entries.push(Entry::new(key));
+        }
+        self.slots[i] as usize
+    }
+
+    fn entry_or_insert(&mut self, key: KeyId) -> &mut Entry {
+        let at = self.entry_at(key);
+        &mut self.entries[at]
+    }
+
     /// Declare a proposition with its initial value.
-    pub fn declare_prop(&mut self, key: impl Into<String>, init: bool) {
+    pub fn declare_prop(&mut self, key: impl Into<KeyId>, init: bool) {
         self.put_prop(key.into(), init);
     }
 
-    /// Set a proposition, adding it if new (the key is copied only then).
-    fn put_prop(&mut self, key: impl AsRef<str> + Into<String>, value: bool) {
-        match self.prop_slots.get(key.as_ref()) {
-            Some(&slot) => self.prop_values[slot] = value,
+    /// Set a proposition, adding it if new.
+    fn put_prop(&mut self, key: KeyId, value: bool) {
+        let at = self.entry_at(key);
+        match self.entries[at].prop {
+            Some(slot) => self.prop_values[slot] = value,
             None => {
-                self.prop_slots.insert(key.into(), self.prop_values.len());
+                self.entries[at].prop = Some(self.prop_values.len());
                 self.prop_values.push(value);
             }
         }
     }
 
     /// Declare a datum (initialized to `undef`).
-    pub fn declare_data(&mut self, key: impl Into<String>) {
-        self.data.insert(key.into(), Value::Undef);
+    pub fn declare_data(&mut self, key: impl Into<KeyId>) {
+        self.entry_or_insert(key.into()).data = Some(Value::Undef);
     }
 
     /// Declare a subset over the given base set (initialized to `undef`).
-    pub fn declare_subset(&mut self, name: impl Into<String>, base: Vec<SetElem>) {
-        let name = name.into();
-        self.subsets.insert(name.clone(), None);
-        self.subset_bases.insert(name, base);
+    pub fn declare_subset(&mut self, name: impl Into<KeyId>, base: Vec<SetElem>) {
+        self.entry_or_insert(name.into()).subset = Some((base, None));
     }
 
     /// Declare an index over the given base set (initialized to `undef`).
-    pub fn declare_idx(&mut self, name: impl Into<String>, base: Vec<SetElem>) {
-        let name = name.into();
-        self.idxs.insert(name.clone(), None);
-        self.idx_bases.insert(name, base);
+    pub fn declare_idx(&mut self, name: impl Into<KeyId>, base: Vec<SetElem>) {
+        self.entry_or_insert(name.into()).idx = Some((base, None));
     }
 
     /// Current epoch (activation counter).
@@ -446,8 +495,14 @@ impl Table {
         let mut windows = std::mem::take(&mut self.windows);
         for w in windows.drain(..) {
             self.emit(|| TableEvent::WindowClose { token: w.token });
+            self.recycle(w.keys);
         }
         self.windows = windows;
+    }
+
+    /// The op-sequence of the latest local write to `key`, if any.
+    fn lop(&self, key: KeyId) -> Option<u64> {
+        self.entry(key).and_then(|e| e.written).map(|(_, s)| s)
     }
 
     /// Apply all eligible pending updates. An update that arrived at a
@@ -459,12 +514,12 @@ impl Table {
         // Drained in place, so the queue keeps its buffer.
         let mut pending = std::mem::take(&mut self.pending);
         for p in pending.drain(..) {
-            let lop = self.locally_written.get(&p.update.key).map(|&(_, s)| s);
+            let lop = self.lop(p.update.key);
             let shadowed = p.during_run && lop.is_some_and(|s| s > p.seq);
             if shadowed {
                 self.emit(|| TableEvent::ShadowDrop {
-                    key: &p.update.key,
-                    from: &p.update.from,
+                    key: p.update.key.as_str(),
+                    from: p.update.from.as_str(),
                     link_seq: p.update.seq,
                     op: p.seq,
                     lop: lop.unwrap_or(0),
@@ -473,8 +528,8 @@ impl Table {
             } else {
                 self.apply(&p.update);
                 self.emit(|| TableEvent::FlushApply {
-                    key: &p.update.key,
-                    from: &p.update.from,
+                    key: p.update.key.as_str(),
+                    from: p.update.from.as_str(),
                     link_seq: p.update.seq,
                     op: p.seq,
                     during_run: p.during_run,
@@ -486,14 +541,9 @@ impl Table {
 
     fn apply(&mut self, u: &Update) {
         match &u.kind {
-            UpdateKind::Assert => self.put_prop(u.key.as_str(), true),
-            UpdateKind::Retract => self.put_prop(u.key.as_str(), false),
-            UpdateKind::Data(v) => match self.data.get_mut(&u.key) {
-                Some(slot) => *slot = v.clone(),
-                None => {
-                    self.data.insert(u.key.clone(), v.clone());
-                }
-            },
+            UpdateKind::Assert => self.put_prop(u.key, true),
+            UpdateKind::Retract => self.put_prop(u.key, false),
+            UpdateKind::Data(v) => self.entry_or_insert(u.key).data = Some(v.clone()),
         }
     }
 
@@ -507,30 +557,24 @@ impl Table {
     pub fn deliver(&mut self, update: Update) -> Delivery {
         self.op_seq += 1;
         let op = self.op_seq;
-        let lop = self.locally_written.get(&update.key).map(|&(_, s)| s);
-        let admitted = self.windows.iter().any(|w| {
-            w.keys.iter().any(|k| k == &update.key) && lop.is_none_or(|s| s < w.wop)
+        let admitted = !self.windows.is_empty() && {
+            let lop = self.lop(update.key);
+            self.windows
+                .iter()
+                .any(|w| w.keys.contains(&update.key) && lop.is_none_or(|s| s < w.wop))
+        };
+        self.emit(|| TableEvent::Deliver {
+            key: update.key.as_str(),
+            from: update.from.as_str(),
+            link_seq: update.seq,
+            op,
+            applied: admitted,
+            during_run: self.running,
         });
         if admitted {
             self.apply(&update);
-            self.emit(|| TableEvent::Deliver {
-                key: &update.key,
-                from: &update.from,
-                link_seq: update.seq,
-                op,
-                applied: true,
-                during_run: self.running,
-            });
             return Delivery::AppliedNow;
         }
-        self.emit(|| TableEvent::Deliver {
-            key: &update.key,
-            from: &update.from,
-            link_seq: update.seq,
-            op,
-            applied: false,
-            during_run: self.running,
-        });
         self.pending.push_back(Pending {
             update,
             during_run: self.running,
@@ -539,8 +583,21 @@ impl Table {
         Delivery::Queued
     }
 
+    /// A key buffer for a window or a `keep`, filled with `keys`.
+    fn key_buffer<K: Into<KeyId>>(&mut self, keys: impl IntoIterator<Item = K>) -> Vec<KeyId> {
+        let mut buf = self.spare_keys.pop().unwrap_or_default();
+        buf.extend(keys.into_iter().map(Into::into));
+        buf
+    }
+
+    fn recycle(&mut self, mut keys: Vec<KeyId>) {
+        keys.clear();
+        self.spare_keys.push(keys);
+    }
+
     /// Open a `wait` window admitting the given keys; returns a token for
-    /// [`Table::close_window`].
+    /// [`Table::close_window`]. The keys are copied into a buffer an
+    /// earlier window left behind, so a warm open allocates nothing.
     ///
     /// Pending updates to the window's keys that arrived *after* the most
     /// recent local write to that key are applied retroactively: `wait`
@@ -548,8 +605,8 @@ impl Table {
     /// another instance" even when the reply raced ahead of the `wait`
     /// itself (the remote peer can only have reacted to our local write,
     /// so such updates are causally newer).
-    pub fn open_window(&mut self, keys: impl Into<Arc<[String]>>) -> u64 {
-        let keys = keys.into();
+    pub fn open_window<K: Into<KeyId>>(&mut self, keys: impl IntoIterator<Item = K>) -> u64 {
+        let keys = self.key_buffer(keys);
         let token = self.next_window;
         self.next_window += 1;
         self.op_seq += 1;
@@ -557,20 +614,17 @@ impl Table {
         self.emit(|| TableEvent::WindowOpen {
             token,
             wop,
-            keys: keys.iter().map(String::as_str).collect(),
+            keys: keys.iter().map(|k| k.as_str()).collect(),
         });
         let mut pending = std::mem::take(&mut self.pending);
         pending.retain(|p| {
-            let in_window = keys.iter().any(|k| k == &p.update.key);
-            let newer_than_local = self
-                .locally_written
-                .get(&p.update.key)
-                .is_none_or(|&(_, s)| p.seq > s);
+            let in_window = keys.contains(&p.update.key);
+            let newer_than_local = self.lop(p.update.key).is_none_or(|s| p.seq > s);
             if in_window && newer_than_local {
                 self.apply(&p.update);
                 self.emit(|| TableEvent::RetroApply {
-                    key: &p.update.key,
-                    from: &p.update.from,
+                    key: p.update.key.as_str(),
+                    from: p.update.from.as_str(),
                     link_seq: p.update.seq,
                     op: p.seq,
                 });
@@ -584,40 +638,48 @@ impl Table {
 
     /// Close one `wait` window.
     pub fn close_window(&mut self, token: u64) {
-        let before = self.windows.len();
-        self.windows.retain(|w| w.token != token);
-        if self.windows.len() != before {
+        if let Some(at) = self.windows.iter().position(|w| w.token == token) {
+            let w = self.windows.remove(at);
+            self.recycle(w.keys);
             self.emit(|| TableEvent::WindowClose { token });
         }
     }
 
     /// `keep`: discard pending updates for the given keys. Idempotent.
-    pub fn keep(&mut self, keys: &[String]) {
+    pub fn keep<K: Into<KeyId>>(&mut self, keys: impl IntoIterator<Item = K>) {
+        let keys = self.key_buffer(keys);
         let mut pending = std::mem::take(&mut self.pending);
         pending.retain(|p| {
-            let dropped = keys.iter().any(|k| k == &p.update.key);
+            let dropped = keys.contains(&p.update.key);
             if dropped {
                 self.emit(|| TableEvent::KeepDrop {
-                    key: &p.update.key,
-                    from: &p.update.from,
+                    key: p.update.key.as_str(),
+                    from: p.update.from.as_str(),
                     link_seq: p.update.seq,
                 });
             }
             !dropped
         });
         self.pending = pending;
+        self.recycle(keys);
     }
 
     /// Read a proposition.
-    pub fn prop(&self, key: &str) -> Option<bool> {
-        self.prop_slots.get(key).map(|&slot| self.prop_values[slot])
+    pub fn prop(&self, key: impl Into<KeyId>) -> Option<bool> {
+        let slot = self.entry(key.into())?.prop?;
+        Some(self.prop_values[slot])
     }
 
     /// Locally set a proposition (`assert []`/`retract []`); returns the
     /// value it replaced. Local writes are visible immediately and shadow
     /// pending remote updates.
-    pub fn set_prop_local(&mut self, key: &str, value: bool) -> Result<bool, TableError> {
-        let Some(&slot) = self.prop_slots.get(key) else {
+    pub fn set_prop_local(
+        &mut self,
+        key: impl Into<KeyId>,
+        value: bool,
+    ) -> Result<bool, TableError> {
+        let key = key.into();
+        let Some(slot) = self.entry(key).and_then(|e| e.prop) else {
             return Err(TableError::NoSuchKey(key.to_string()));
         };
         let old = std::mem::replace(&mut self.prop_values[slot], value);
@@ -626,27 +688,23 @@ impl Table {
     }
 
     /// Record a local write to a declared key: it now shadows older
-    /// arrivals (§8). Allocates only on the key's first write.
-    fn note_local_write(&mut self, key: &str) {
+    /// arrivals (§8).
+    fn note_local_write(&mut self, key: KeyId) {
         self.op_seq += 1;
         let mark = (self.epoch, self.op_seq);
-        match self.locally_written.get_mut(key) {
-            Some(m) => *m = mark,
-            None => {
-                self.locally_written.insert(key.to_string(), mark);
-            }
-        }
-        self.emit(|| TableEvent::LocalWrite { key, op: self.op_seq });
+        self.entry_or_insert(key).written = Some(mark);
+        self.emit(|| TableEvent::LocalWrite { key: key.as_str(), op: mark.1 });
     }
 
     /// Read a datum.
-    pub fn data(&self, key: &str) -> Option<&Value> {
-        self.data.get(key)
+    pub fn data(&self, key: impl Into<KeyId>) -> Option<&Value> {
+        self.entry(key.into())?.data.as_ref()
     }
 
     /// Read a datum for `restore`/`write`: errors on missing or `undef`.
-    pub fn data_defined(&self, key: &str) -> Result<&Value, TableError> {
-        match self.data.get(key) {
+    pub fn data_defined(&self, key: impl Into<KeyId>) -> Result<&Value, TableError> {
+        let key = key.into();
+        match self.data(key) {
             None => Err(TableError::NoSuchKey(key.to_string())),
             Some(Value::Undef) => Err(TableError::Undef(key.to_string())),
             Some(v) => Ok(v),
@@ -654,8 +712,13 @@ impl Table {
     }
 
     /// Locally set a datum (`save`).
-    pub fn set_data_local(&mut self, key: &str, value: Value) -> Result<(), TableError> {
-        let Some(slot) = self.data.get_mut(key) else {
+    pub fn set_data_local(
+        &mut self,
+        key: impl Into<KeyId>,
+        value: Value,
+    ) -> Result<(), TableError> {
+        let key = key.into();
+        let Some(slot) = self.entry_mut(key).and_then(|e| e.data.as_mut()) else {
             return Err(TableError::NoSuchKey(key.to_string()));
         };
         *slot = value;
@@ -665,79 +728,76 @@ impl Table {
 
     /// Set a subset's value; each element must belong to the base set
     /// (the §6 host-language contract).
-    pub fn set_subset(&mut self, name: &str, elems: Vec<SetElem>) -> Result<(), TableError> {
-        let base = self
-            .subset_bases
-            .get(name)
-            .ok_or_else(|| TableError::NoSuchKey(name.to_string()))?;
-        for e in &elems {
-            if !base.contains(e) {
-                return Err(TableError::InvalidIndex {
-                    name: name.to_string(),
-                    value: e.key(),
-                });
-            }
+    pub fn set_subset(
+        &mut self,
+        name: impl Into<KeyId>,
+        elems: Vec<SetElem>,
+    ) -> Result<(), TableError> {
+        let name = name.into();
+        let Some((base, value)) = self.entry_mut(name).and_then(|e| e.subset.as_mut()) else {
+            return Err(TableError::NoSuchKey(name.to_string()));
+        };
+        if let Some(e) = elems.iter().find(|e| !base.contains(e)) {
+            return Err(TableError::InvalidIndex {
+                name: name.to_string(),
+                value: e.key(),
+            });
         }
-        self.subsets.insert(name.to_string(), Some(elems));
+        *value = Some(elems);
         Ok(())
     }
 
     /// Membership test; `None` while the subset is `undef`.
-    pub fn subset_contains(&self, name: &str, elem_key: &str) -> Option<bool> {
-        self.subsets
-            .get(name)?
-            .as_ref()
-            .map(|elems| elems.iter().any(|e| e.has_key(elem_key)))
+    pub fn subset_contains(&self, name: impl Into<KeyId>, elem_key: &str) -> Option<bool> {
+        let (_, value) = self.entry(name.into())?.subset.as_ref()?;
+        value.as_ref().map(|elems| elems.iter().any(|e| e.has_key(elem_key)))
     }
 
     /// Set an index's value; must belong to the base set.
-    pub fn set_idx(&mut self, name: &str, elem_key: &str) -> Result<(), TableError> {
-        let base = self
-            .idx_bases
-            .get(name)
-            .ok_or_else(|| TableError::NoSuchKey(name.to_string()))?;
+    pub fn set_idx(&mut self, name: impl Into<KeyId>, elem_key: &str) -> Result<(), TableError> {
+        let name = name.into();
+        let Some((base, cur)) = self.entry_mut(name).and_then(|e| e.idx.as_mut()) else {
+            return Err(TableError::NoSuchKey(name.to_string()));
+        };
         if !base.iter().any(|e| e.has_key(elem_key)) {
             return Err(TableError::InvalidIndex {
                 name: name.to_string(),
                 value: elem_key.to_string(),
             });
         }
-        match self.idxs.get_mut(name) {
-            Some(Some(cur)) => {
+        match cur {
+            Some(cur) => {
                 cur.clear();
                 cur.push_str(elem_key);
             }
-            Some(cur) => *cur = Some(elem_key.to_string()),
-            None => {
-                self.idxs.insert(name.to_string(), Some(elem_key.to_string()));
-            }
+            None => *cur = Some(elem_key.to_string()),
         }
         Ok(())
     }
 
     /// Read an index's current value (element key), if defined.
-    pub fn idx(&self, name: &str) -> Option<&str> {
-        self.idxs.get(name)?.as_deref()
+    pub fn idx(&self, name: impl Into<KeyId>) -> Option<&str> {
+        self.entry(name.into())?.idx.as_ref()?.1.as_deref()
     }
 
     /// Base set of a declared index.
-    pub fn idx_base(&self, name: &str) -> Option<&[SetElem]> {
-        self.idx_bases.get(name).map(|v| v.as_slice())
+    pub fn idx_base(&self, name: impl Into<KeyId>) -> Option<&[SetElem]> {
+        Some(&self.entry(name.into())?.idx.as_ref()?.0)
     }
 
     /// Base set of a declared subset.
-    pub fn subset_base(&self, name: &str) -> Option<&[SetElem]> {
-        self.subset_bases.get(name).map(|v| v.as_slice())
+    pub fn subset_base(&self, name: impl Into<KeyId>) -> Option<&[SetElem]> {
+        Some(&self.entry(name.into())?.subset.as_ref()?.0)
     }
 
     /// Whether a key names a declared proposition.
-    pub fn has_prop(&self, key: &str) -> bool {
-        self.prop_slots.contains_key(key)
+    pub fn has_prop(&self, key: impl Into<KeyId>) -> bool {
+        self.entry(key.into()).is_some_and(|e| e.prop.is_some())
     }
 
     /// Whether a key names a declared datum.
-    pub fn has_data(&self, key: &str) -> bool {
-        self.data.contains_key(key)
+    pub fn has_data(&self, key: impl Into<KeyId>) -> bool {
+        self.entry(key.into()).is_some_and(|e| e.data.is_some())
     }
 
     /// Number of queued (pending) updates.
@@ -755,51 +815,25 @@ impl Table {
 
     /// Export the complete table state for migration. Meant to be taken
     /// at quiescence (no activation running, all windows closed); open
-    /// windows do not survive an export.
+    /// windows do not survive an export. Keys are texts, sorted, so the
+    /// export does not depend on interning order.
     pub fn export_state(&self) -> TableState {
-        let mut props: Vec<_> = self
-            .prop_slots
-            .iter()
-            .map(|(k, &slot)| (k.clone(), self.prop_values[slot]))
-            .collect();
-        props.sort();
-        let mut data: Vec<_> = self.data.iter().map(|(k, v)| (k.clone(), v.clone())).collect();
-        data.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut subsets: Vec<_> = self
-            .subsets
-            .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    self.subset_bases.get(k).cloned().unwrap_or_default(),
-                    v.clone(),
-                )
-            })
-            .collect();
-        subsets.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut idxs: Vec<_> = self
-            .idxs
-            .iter()
-            .map(|(k, v)| {
-                (
-                    k.clone(),
-                    self.idx_bases.get(k).cloned().unwrap_or_default(),
-                    v.clone(),
-                )
-            })
-            .collect();
-        idxs.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut locally_written: Vec<_> = self
-            .locally_written
-            .iter()
-            .map(|(k, &(e, s))| (k.clone(), e, s))
-            .collect();
-        locally_written.sort();
+        fn sorted<T>(entries: &[Entry], part: impl Fn(&Entry) -> Option<T>) -> Vec<(String, T)> {
+            let mut v: Vec<_> =
+                entries.iter().filter_map(|e| part(e).map(|t| (e.key.to_string(), t))).collect();
+            v.sort_by(|a, b| a.0.cmp(&b.0));
+            v
+        }
+        let props = sorted(&self.entries, |e| Some(self.prop_values[e.prop?]));
+        let data = sorted(&self.entries, |e| e.data.clone());
+        let subsets = sorted(&self.entries, |e| e.subset.clone());
+        let idxs = sorted(&self.entries, |e| e.idx.clone());
+        let written = sorted(&self.entries, |e| e.written);
         TableState {
             props,
             data,
-            subsets,
-            idxs,
+            subsets: subsets.into_iter().map(|(k, (b, v))| (k, b, v)).collect(),
+            idxs: idxs.into_iter().map(|(k, (b, v))| (k, b, v)).collect(),
             pending: self
                 .pending
                 .iter()
@@ -810,7 +844,7 @@ impl Table {
                 })
                 .collect(),
             epoch: self.epoch,
-            locally_written,
+            locally_written: written.into_iter().map(|(k, (e, s))| (k, e, s)).collect(),
             op_seq: self.op_seq,
             next_window: self.next_window,
         }
@@ -822,23 +856,23 @@ impl Table {
     /// counters and the local-priority shadows all resume exactly where
     /// the export left them. The observer slot is untouched.
     pub fn import_state(&mut self, state: TableState) {
-        self.prop_slots.clear();
+        self.slots.clear();
+        self.entries.clear();
         self.prop_values.clear();
         for (key, value) in state.props {
-            self.put_prop(key, value);
+            self.put_prop(KeyId::new(&key), value);
         }
-        self.data = state.data.into_iter().collect();
-        self.subsets.clear();
-        self.subset_bases.clear();
+        for (key, value) in state.data {
+            self.entry_or_insert(KeyId::new(&key)).data = Some(value);
+        }
         for (name, base, value) in state.subsets {
-            self.subsets.insert(name.clone(), value);
-            self.subset_bases.insert(name, base);
+            self.entry_or_insert(KeyId::new(&name)).subset = Some((base, value));
         }
-        self.idxs.clear();
-        self.idx_bases.clear();
         for (name, base, value) in state.idxs {
-            self.idxs.insert(name.clone(), value);
-            self.idx_bases.insert(name, base);
+            self.entry_or_insert(KeyId::new(&name)).idx = Some((base, value));
+        }
+        for (key, epoch, op) in state.locally_written {
+            self.entry_or_insert(KeyId::new(&key)).written = Some((epoch, op));
         }
         self.pending = state
             .pending
@@ -850,13 +884,11 @@ impl Table {
             })
             .collect();
         self.epoch = state.epoch;
-        self.locally_written = state
-            .locally_written
-            .into_iter()
-            .map(|(k, e, s)| (k, (e, s)))
-            .collect();
         self.op_seq = state.op_seq;
-        self.windows.clear();
+        let windows = std::mem::take(&mut self.windows);
+        for w in windows {
+            self.recycle(w.keys);
+        }
         self.next_window = state.next_window;
         self.running = false;
     }

@@ -671,6 +671,7 @@ impl InstanceApp for CheckpointStoreApp {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csaw_kv::KeyId;
 
     fn table() -> csaw_kv::Table {
         let mut t = csaw_kv::Table::new();
@@ -691,7 +692,7 @@ mod tests {
         app.restore("n", &Value::Bytes(Command::Set("k".into(), b"v".to_vec()).encode()))
             .unwrap();
         let mut t = table();
-        let writes: Vec<String> = vec![];
+        let writes: Vec<KeyId> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "b", "j");
         app.host_call("Handle", &mut ctx).unwrap();
         let m = app.save("m").unwrap();
@@ -717,7 +718,7 @@ mod tests {
         let expected = shard_of("user:7", 4) + 1;
         app.requests.lock().push_back(cmd);
         let mut t = table();
-        let writes = vec!["tgt".to_string()];
+        let writes = vec![KeyId::new("tgt")];
         let mut ctx = HostCtx::new(&mut t, &writes, "Fnt", "junction");
         app.host_call("Choose", &mut ctx).unwrap();
         assert_eq!(ctx.idx("tgt"), Some(format!("Bck{expected}").as_str()));
@@ -727,7 +728,7 @@ mod tests {
     fn shard_front_routes_by_size_class() {
         let mut app = ShardFrontApp::new(ShardMode::BySize, 3);
         let mut t = table();
-        let writes = vec!["tgt".to_string()];
+        let writes = vec![KeyId::new("tgt")];
         // A big SET lands in class 2; a subsequent GET of the same key
         // routes to the same shard via the size table.
         for cmd in [
@@ -745,7 +746,7 @@ mod tests {
     fn cache_app_protocol() {
         let mut app = CacheApp::new(100);
         let mut t = table();
-        let writes = vec!["Cacheable".to_string(), "Cached".to_string()];
+        let writes = vec![KeyId::new("Cacheable"), KeyId::new("Cached")];
         // Miss path.
         app.requests.lock().push_back(Command::Get("k".into()));
         {
@@ -788,7 +789,11 @@ mod tests {
     fn cached_shard_front_protocol() {
         let mut app = CachedShardFrontApp::new(ShardMode::ByKey, 4, 100);
         let mut t = table();
-        let writes = vec!["Cacheable".into(), "Cached".into(), "tgt".to_string()];
+        let writes = vec![
+            KeyId::new("Cacheable"),
+            KeyId::new("Cached"),
+            KeyId::new("tgt"),
+        ];
         let expected = format!("Bck{}", shard_of("k", 4) + 1);
         // Miss: classify, look up (miss), route to a shard.
         app.requests.lock().push_back(Command::Get("k".into()));
@@ -840,7 +845,7 @@ mod tests {
             .lock()
             .push_back(Command::Set("k".into(), b"v".to_vec()));
         let mut t = table();
-        let writes: Vec<String> = vec![];
+        let writes: Vec<KeyId> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "f", "c");
         app.host_call("H1", &mut ctx).unwrap();
         let state1 = app.save("state").unwrap();

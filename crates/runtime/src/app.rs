@@ -9,7 +9,7 @@
 
 use csaw_core::names::SetElem;
 use csaw_core::value::Value;
-use csaw_kv::{Table, TableError};
+use csaw_kv::{KeyId, Table, TableError};
 
 /// Error type host code reports (stringly — host errors are opaque to the
 /// DSL, which only cares that the statement failed).
@@ -18,7 +18,7 @@ pub type AppError = String;
 /// A view of the executing junction's table handed to host code.
 pub struct HostCtx<'a> {
     table: &'a mut Table,
-    writes: &'a [String],
+    writes: &'a [KeyId],
     instance: &'a str,
     junction: &'a str,
 }
@@ -27,7 +27,7 @@ impl<'a> HostCtx<'a> {
     /// Construct a host context (runtime-internal).
     pub fn new(
         table: &'a mut Table,
-        writes: &'a [String],
+        writes: &'a [KeyId],
         instance: &'a str,
         junction: &'a str,
     ) -> Self {
@@ -69,21 +69,21 @@ impl<'a> HostCtx<'a> {
         self.table.subset_base(name)
     }
 
-    fn check_writable(&self, key: &str) -> Result<(), AppError> {
-        if self.writes.iter().any(|w| w == key) {
-            Ok(())
-        } else {
-            Err(format!(
+    /// `key`, if the write set lists it: the lowered id, so a host
+    /// write looks no key up.
+    fn writable(&self, key: &str) -> Result<KeyId, AppError> {
+        self.writes.iter().find(|w| **w == key).copied().ok_or_else(|| {
+            format!(
                 "host code in {}::{} attempted to write `{key}` outside its declared \
                  write-set {:?}",
                 self.instance, self.junction, self.writes
-            ))
-        }
+            )
+        })
     }
 
     /// Write a proposition — only if listed in `{V⃗}`.
     pub fn set_prop(&mut self, key: &str, value: bool) -> Result<(), AppError> {
-        self.check_writable(key)?;
+        let key = self.writable(key)?;
         self.table
             .set_prop_local(key, value)
             .map(drop)
@@ -92,7 +92,7 @@ impl<'a> HostCtx<'a> {
 
     /// Write a datum — only if listed in `{V⃗}`.
     pub fn set_data(&mut self, key: &str, value: Value) -> Result<(), AppError> {
-        self.check_writable(key)?;
+        let key = self.writable(key)?;
         self.table
             .set_data_local(key, value)
             .map_err(|e: TableError| e.to_string())
@@ -102,7 +102,7 @@ impl<'a> HostCtx<'a> {
     /// "choice function over a given set" provided by external code
     /// (`⌊Choose()⌉{tgt}` in Fig. 5).
     pub fn set_idx(&mut self, name: &str, elem_key: &str) -> Result<(), AppError> {
-        self.check_writable(name)?;
+        let name = self.writable(name)?;
         self.table
             .set_idx(name, elem_key)
             .map_err(|e: TableError| e.to_string())
@@ -110,7 +110,7 @@ impl<'a> HostCtx<'a> {
 
     /// Populate a `subset` — only if listed in `{V⃗}`.
     pub fn set_subset(&mut self, name: &str, elems: Vec<SetElem>) -> Result<(), AppError> {
-        self.check_writable(name)?;
+        let name = self.writable(name)?;
         self.table
             .set_subset(name, elems)
             .map_err(|e: TableError| e.to_string())
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn writes_outside_write_set_rejected() {
         let mut t = table();
-        let writes = vec!["Cacheable".to_string()];
+        let writes = vec![KeyId::new("Cacheable")];
         let mut ctx = HostCtx::new(&mut t, &writes, "a", "j");
         ctx.set_prop("Cacheable", true).unwrap();
         assert!(ctx.set_data("n", Value::Int(1)).is_err());
@@ -191,7 +191,7 @@ mod tests {
     fn reads_unrestricted() {
         let mut t = table();
         t.set_prop_local("Cacheable", true).unwrap();
-        let writes: Vec<String> = vec![];
+        let writes: Vec<KeyId> = vec![];
         let ctx = HostCtx::new(&mut t, &writes, "a", "j");
         assert_eq!(ctx.prop("Cacheable"), Some(true));
         assert_eq!(ctx.data("n"), Some(&Value::Undef));
@@ -201,7 +201,7 @@ mod tests {
     #[test]
     fn idx_write_respects_base_set() {
         let mut t = table();
-        let writes = vec!["tgt".to_string()];
+        let writes = vec![KeyId::new("tgt")];
         let mut ctx = HostCtx::new(&mut t, &writes, "a", "j");
         ctx.set_idx("tgt", "b2").unwrap();
         assert_eq!(ctx.idx("tgt"), Some("b2"));
@@ -212,7 +212,7 @@ mod tests {
     fn noop_app_accepts_everything() {
         let mut app = NoopApp;
         let mut t = table();
-        let writes: Vec<String> = vec![];
+        let writes: Vec<KeyId> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "a", "j");
         app.host_call("anything", &mut ctx).unwrap();
         assert_eq!(app.save("n").unwrap(), Value::from(vec![]));

@@ -8,14 +8,16 @@
 //! of the paper; each arm of the evaluator cites the construct it
 //! implements.
 
+use std::cell::RefCell;
 use std::collections::HashMap;
-use std::ops::Deref;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csaw_core::expr::{Expr, Terminator};
 use csaw_core::formula::{Formula, Ternary};
-use csaw_core::lower::{with_scratch, Arm, Bindings, Keys, Name, Prog, Remote, Slot, Stmt, Target};
+use csaw_core::intern::{KeyId, Sym};
+use csaw_core::lower::{
+    with_scratch, Arm, Bindings, Bound, Keys, Name, Prog, Remote, Slot, Stmt, Target,
+};
 use csaw_core::names::{JunctionId, NameRef};
 use csaw_core::value::Value;
 use csaw_kv::{Table, Update};
@@ -23,27 +25,48 @@ use csaw_kv::{Table, Update};
 use crate::app::{HostCtx, InstanceApp};
 use crate::cell::Cell;
 use crate::error::{Failure, Flow, RtResult};
-use crate::runtime::{signal_held, Dest, InstanceState, JunctionRt, RuntimeInner};
+use crate::runtime::{signal_held, InstanceState, JunctionRt, RuntimeInner};
 
 /// One undo record for transactional rollback.
 enum Undo {
-    Prop(String, bool),
-    Data(String, Value),
+    Prop(KeyId, bool),
+    Data(KeyId, Value),
 }
 
-/// A name's text: the lowered literal, or a binding's shared text.
-enum Text<'a> {
-    Lit(&'a str),
-    Bound(Arc<str>),
+thread_local! {
+    /// The proposition values each open `reconsider` arm entered with,
+    /// stacked: arms nest, and a nested pass on this thread pushes above
+    /// its caller's. Kept across activations, so an entry allocates
+    /// nothing once warm.
+    static FINGERPRINTS: RefCell<Vec<bool>> = const { RefCell::new(Vec::new()) };
 }
 
-impl Deref for Text<'_> {
-    type Target = str;
-    fn deref(&self) -> &str {
-        match self {
-            Text::Lit(s) => s,
-            Text::Bound(s) => s,
-        }
+/// A `reconsider` arm's entry fingerprint: its place on
+/// [`FINGERPRINTS`], popped when the arm ends, by error or panic too.
+struct Fingerprint {
+    at: usize,
+}
+
+impl Fingerprint {
+    fn take(table: &Table) -> Fingerprint {
+        FINGERPRINTS.with(|f| {
+            let mut f = f.borrow_mut();
+            let at = f.len();
+            f.extend_from_slice(table.prop_values());
+            Fingerprint { at }
+        })
+    }
+
+    /// Whether `table` holds exactly the proposition values it held at
+    /// entry (no proposition added or changed value, A→B→A included).
+    fn unchanged(&self, table: &Table) -> bool {
+        FINGERPRINTS.with(|f| f.borrow()[self.at..] == *table.prop_values())
+    }
+}
+
+impl Drop for Fingerprint {
+    fn drop(&mut self) {
+        FINGERPRINTS.with(|f| f.borrow_mut().truncate(self.at));
     }
 }
 
@@ -93,8 +116,8 @@ impl<'rt> ExecCtx<'rt> {
         self.inst.app.lock()
     }
 
-    fn me(&self) -> &'rt JunctionId {
-        &self.jrt.cell.id
+    fn me(&self) -> JunctionId {
+        self.jrt.cell.id
     }
 
     fn check_deadline(&self, what: &str) -> RtResult<()> {
@@ -110,17 +133,25 @@ impl<'rt> ExecCtx<'rt> {
     // Names: what lowering left to the run time
     // -----------------------------------------------------------------
 
-    fn text<'a>(&self, n: &'a Name) -> RtResult<Text<'a>> {
+    /// A name as a table key: lowered, or read from its binding slot.
+    fn key(&self, n: &Name) -> RtResult<KeyId> {
         match n {
-            Name::Lit(s) => Ok(Text::Lit(s)),
-            other => self.bound(other).map(Text::Bound),
+            Name::Lit(k) => Ok(*k),
+            other => {
+                let b = self.jrt.bindings.lock();
+                b.key(other).ok_or_else(|| self.unresolved(&b, other))
+            }
         }
     }
 
-    /// A binding's text, shared out of the binding lock.
-    fn bound(&self, n: &Name) -> RtResult<Arc<str>> {
+    fn text(&self, n: &Name) -> RtResult<&'static str> {
+        self.key(n).map(KeyId::as_str)
+    }
+
+    /// What a binding slot holds.
+    fn bound(&self, slot: Slot) -> RtResult<Bound> {
         let b = self.jrt.bindings.lock();
-        b.shared(n).ok_or_else(|| self.unresolved(&b, n))
+        b.bound(slot).ok_or_else(|| self.unresolved(&b, &Name::Var(slot)))
     }
 
     fn unresolved(&self, b: &Bindings, n: &Name) -> Failure {
@@ -141,24 +172,40 @@ impl<'rt> ExecCtx<'rt> {
         })
     }
 
-    fn target<'a>(&self, t: &'a Target) -> RtResult<Dest<'a>> {
+    fn target(&self, t: &Target) -> RtResult<JunctionId> {
         match t {
-            Target::Fixed(id) => Ok(Dest::Fixed(id)),
+            Target::Fixed(id) => Ok(*id),
+            Target::Instance(i) => self.rt.sole_junction(*i),
             Target::Qualified { instance, junction } => {
-                let i = self.bound(&Name::Var(*instance))?;
-                Ok(Dest::Named(JunctionId::new(&*i, junction.clone())))
+                let b = self.bound(*instance)?;
+                let instance = match b.junction {
+                    None => b.instance,
+                    Some(_) => Sym::new(b.as_str()),
+                };
+                Ok(JunctionId { instance, junction: *junction })
             }
-            Target::Bare(n) => self.rt.resolve_target(&self.text(n)?),
+            Target::Bare(slot) => {
+                let b = self.bound(*slot)?;
+                match b.junction {
+                    Some(junction) => Ok(JunctionId { instance: b.instance, junction }),
+                    None => self.rt.sole_junction(b.instance),
+                }
+            }
             Target::MyInstance => Err(Failure::Unresolved(
                 "me::instance is not a junction target".into(),
             )),
         }
     }
 
-    fn keys(&self, keys: &Keys) -> RtResult<Arc<[String]>> {
+    /// Run `f` over a `wait`'s or `keep`'s keys: the lowered list, or
+    /// the bound names resolved now.
+    fn with_keys<R>(&self, keys: &Keys, f: impl FnOnce(&[KeyId]) -> R) -> RtResult<R> {
         match keys {
-            Keys::Fixed(k) => Ok(Arc::clone(k)),
-            Keys::Bound(names) => names.iter().map(|n| Ok(self.text(n)?.to_string())).collect(),
+            Keys::Fixed(k) => Ok(f(k)),
+            Keys::Bound(names) => {
+                let k = names.iter().map(|n| self.key(n)).collect::<RtResult<Vec<_>>>()?;
+                Ok(f(&k))
+            }
         }
     }
 
@@ -181,13 +228,13 @@ impl<'rt> ExecCtx<'rt> {
         for (v, atom) in scratch.iter_mut().zip(atoms) {
             *v = match atom {
                 Remote::Prop { at, key } => {
-                    let key = self.text(key)?;
+                    let key = self.key(key)?;
                     let dest = self.target(at)?;
-                    self.rt.remote_prop(dest.id(), &key)
+                    self.rt.remote_prop(&dest, key)
                 }
                 Remote::Live(n) => {
                     let inst = self.text(n)?;
-                    let inst = inst.split("::").next().unwrap_or(&inst);
+                    let inst = inst.split("::").next().unwrap_or(inst);
                     Ternary::from_bool(self.rt.is_live_from(&self.inst.name, inst))
                 }
             };
@@ -232,10 +279,10 @@ impl<'rt> ExecCtx<'rt> {
                         for undo in log.into_iter().rev() {
                             match undo {
                                 Undo::Prop(k, v) => {
-                                    let _ = table.set_prop_local(&k, v);
+                                    let _ = table.set_prop_local(k, v);
                                 }
                                 Undo::Data(k, v) => {
-                                    let _ = table.set_data_local(&k, v);
+                                    let _ = table.set_data_local(k, v);
                                 }
                             }
                         }
@@ -257,13 +304,13 @@ impl<'rt> ExecCtx<'rt> {
 
             // write(n, γ): push named data (must be defined — §6).
             Stmt::Write { data, to } => {
-                let key = self.text(data)?;
+                let key = self.key(data)?;
                 let dest = self.target(to)?;
-                let value = self.cell().table().data_defined(&key)?.clone();
+                let value = self.cell().table().data_defined(key)?.clone();
                 self.rt.send(
-                    &self.me().instance,
-                    dest.id(),
-                    Update::data(&*key, value, self.jrt.lowered.sender.as_str()),
+                    self.me().instance,
+                    &dest,
+                    Update::data(key, value, self.jrt.lowered.sender),
                     self.deadline,
                 )?;
                 Ok(Flow::Ok)
@@ -275,31 +322,31 @@ impl<'rt> ExecCtx<'rt> {
 
             // save(…, n): host state → table.
             Stmt::Save(data) => {
-                let key = self.text(data)?;
+                let key = self.key(data)?;
                 let value = {
                     let mut app = self.app();
                     app.save(&key).map_err(|m| Failure::Host {
-                        func: format!("save({})", &*key),
+                        func: format!("save({key})"),
                         message: m,
                     })?
                 };
                 let mut table = self.cell().table();
                 if let Some(log) = self.txn_logs.last_mut() {
-                    if let Some(old) = table.data(&key) {
-                        log.push(Undo::Data(key.to_string(), old.clone()));
+                    if let Some(old) = table.data(key) {
+                        log.push(Undo::Data(key, old.clone()));
                     }
                 }
-                table.set_data_local(&key, value)?;
+                table.set_data_local(key, value)?;
                 Ok(Flow::Ok)
             }
 
             // restore(n, …): table → host state; undef is an error (§6).
             Stmt::Restore(data) => {
-                let key = self.text(data)?;
-                let value = self.cell().table().data_defined(&key)?.clone();
+                let key = self.key(data)?;
+                let value = self.cell().table().data_defined(key)?.clone();
                 let mut app = self.app();
                 app.restore(&key, &value).map_err(|m| Failure::Host {
-                    func: format!("restore({})", &*key),
+                    func: format!("restore({key})"),
                     message: m,
                 })?;
                 Ok(Flow::Ok)
@@ -357,7 +404,7 @@ impl<'rt> ExecCtx<'rt> {
             // stop ι — fails on a non-running instance (§6).
             Stmt::Stop(n) => {
                 let s = self.text(n)?;
-                let name = s.split("::").next().unwrap_or(&s);
+                let name = s.split("::").next().unwrap_or(s);
                 signal_held();
                 self.rt.stop_instance(name)?;
                 Ok(Flow::Ok)
@@ -368,7 +415,7 @@ impl<'rt> ExecCtx<'rt> {
                 let name = self.text(instance)?;
                 let env = self.cell().env_clone();
                 signal_held();
-                self.rt.start_instance(&name, junction_args, &env)?;
+                self.rt.start_instance(name, junction_args, &env)?;
                 Ok(Flow::Ok)
             }
 
@@ -395,8 +442,7 @@ impl<'rt> ExecCtx<'rt> {
 
             // keep — drop pending parallel updates for these keys (§6).
             Stmt::Keep(keys) => {
-                let keys = self.keys(keys)?;
-                self.cell().table().keep(&keys);
+                self.with_keys(keys, |k| self.cell().table().keep(k))?;
                 Ok(Flow::Ok)
             }
 
@@ -428,7 +474,7 @@ impl<'rt> ExecCtx<'rt> {
         }
     }
 
-    fn eval_host(&mut self, name: &str, writes: &[String], idx: &[Slot]) -> RtResult<Flow> {
+    fn eval_host(&mut self, name: &str, writes: &[KeyId], idx: &[Slot]) -> RtResult<Flow> {
         // `complain` is conventionally diagnostic — record it.
         if name == "complain" {
             self.rt
@@ -439,8 +485,8 @@ impl<'rt> ExecCtx<'rt> {
         let mut ctx = HostCtx::new(
             &mut table,
             writes,
-            &self.me().instance,
-            &self.me().junction,
+            self.me().instance.as_str(),
+            self.me().junction.as_str(),
         );
         let r = app.host_call(name, &mut ctx);
         // The call may have moved an `idx` cursor of its write set.
@@ -453,17 +499,17 @@ impl<'rt> ExecCtx<'rt> {
     }
 
     fn eval_assert(&mut self, at: Option<&Target>, key: &Name, value: bool) -> RtResult<Flow> {
-        let key = self.text(key)?;
+        let key = self.key(key)?;
         // Local write first (Fig. 20: assert[γ]P writes WrJ and Wrγ, and
         // causally the peer can only react *after* our write — a reply
         // that races back must order after it). Skipped when the
         // proposition is not declared locally. If the remote send then
         // fails, the local write is undone: the statement fails
         // atomically.
-        let old = match self.cell().table().set_prop_local(&key, value) {
+        let old = match self.cell().table().set_prop_local(key, value) {
             Ok(old) => {
                 if let Some(log) = self.txn_logs.last_mut() {
-                    log.push(Undo::Prop(key.to_string(), old));
+                    log.push(Undo::Prop(key, old));
                 }
                 Some(old)
             }
@@ -472,15 +518,15 @@ impl<'rt> ExecCtx<'rt> {
         };
         if let Some(j) = at {
             let dest = self.target(j)?;
-            let from = self.jrt.lowered.sender.as_str();
+            let from = self.jrt.lowered.sender;
             let update = if value {
-                Update::assert(&*key, from)
+                Update::assert(key, from)
             } else {
-                Update::retract(&*key, from)
+                Update::retract(key, from)
             };
-            if let Err(f) = self.rt.send(&self.me().instance, dest.id(), update, self.deadline) {
+            if let Err(f) = self.rt.send(self.me().instance, &dest, update, self.deadline) {
                 if let Some(old) = old {
-                    let _ = self.cell().table().set_prop_local(&key, old);
+                    let _ = self.cell().table().set_prop_local(key, old);
                 }
                 return Err(f);
             }
@@ -490,12 +536,11 @@ impl<'rt> ExecCtx<'rt> {
 
     fn eval_wait(&mut self, keys: &Keys, prog: &Prog, formula: &Formula) -> RtResult<Flow> {
         // Window keys: the formula's local propositions + listed data.
-        let keys = self.keys(keys)?;
         let clock = self.rt.clock();
         let hard_deadline = self
             .deadline
             .unwrap_or_else(|| clock.now() + self.rt.config.max_wait);
-        let token = self.cell().table().open_window(keys);
+        let token = self.with_keys(keys, |k| self.cell().table().open_window(k))?;
         let result = with_scratch(prog.remotes().len(), |remote| loop {
             // Read before anything the formula depends on: a wake-up
             // that lands from here on keeps `wait_on` from sleeping.
@@ -631,7 +676,7 @@ impl<'rt> ExecCtx<'rt> {
             // Only `reconsider` asks whether a proposition changed.
             let entry = arm
                 .reconsiders
-                .then(|| self.cell().table().prop_values().to_vec());
+                .then(|| Fingerprint::take(&self.cell().table()));
             let flow = match self.eval(&arm.body)? {
                 Flow::Ok => match arm.terminator {
                     Terminator::Break => Flow::Break,
@@ -651,7 +696,7 @@ impl<'rt> ExecCtx<'rt> {
                     // "branches to the containing case if a different
                     // match is made … otherwise the expression fails".
                     let props_unchanged =
-                        entry.as_deref() == Some(self.cell().table().prop_values());
+                        entry.is_some_and(|e| e.unchanged(&self.cell().table()));
                     let mut new_match = None;
                     for (j, arm) in arms.iter().enumerate() {
                         if self.truth(&arm.guard)? == Ternary::True {

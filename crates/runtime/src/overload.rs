@@ -494,7 +494,7 @@ mod tests {
     fn overload_metrics_register_in_prometheus_rendering() {
         let (tx, _rx) = mpsc::channel();
         let deliver: DeliverFn = Arc::new(move |to: &JunctionId, u: Update| {
-            tx.send((to.clone(), u)).ok();
+            tx.send((*to, u)).ok();
         });
         let metrics = Arc::new(Metrics::new());
         let net =

@@ -632,7 +632,7 @@ impl Runtime {
                 reg.remove(name);
             }
             for inst in &fresh {
-                reg.insert(inst.name.clone(), Arc::clone(inst));
+                reg.insert(Arc::clone(inst));
             }
         }
         self.inner.tracer.record("", "", 0, TraceKind::ReconfigCut);
@@ -747,10 +747,10 @@ impl Runtime {
                 let buffered: Vec<(crate::cell::JunctionId, Update)> =
                     holds.remove(name).unwrap_or_default();
                 let mut flushed = 0u64;
-                match reg.get(name) {
+                match reg.get_named(name) {
                     Some(inst) => {
                         for (to, update) in buffered {
-                            match inst.junction(&to.junction) {
+                            match inst.junction_id(to.junction) {
                                 Some(jrt) if inst.status() == InstanceStatus::Running => {
                                     jrt.deliver(inst, update);
                                     flushed += 1;

@@ -9,6 +9,7 @@ use std::time::{Duration, Instant};
 
 use csaw_core::expr::Arg;
 use csaw_core::formula::Ternary;
+use csaw_core::intern::{KeyId, Sym};
 use csaw_core::lower::{self, Bindings, LoweredJunction, Prog, Slot};
 use csaw_core::names::{JRef, NameRef};
 use csaw_core::program::{CompiledProgram, JunctionDef, MainDef};
@@ -213,8 +214,8 @@ pub(crate) struct JunctionRt {
 }
 
 impl JunctionRt {
-    pub(crate) fn name(&self) -> &str {
-        &self.cell.id.junction
+    pub(crate) fn name(&self) -> &'static str {
+        self.cell.id.junction.as_str()
     }
 
     /// Whether the scheduler thread can ever run this junction on its
@@ -266,7 +267,7 @@ impl JunctionRt {
                     rendered = other.to_string();
                     Some(rendered.as_str())
                 }
-                None => unbound_text(&table, &var.name),
+                None => unbound_text(&table, var.key),
             };
             b.set(&self.lowered, slot, text, param.is_some());
             b.set_duration(slot, param.and_then(Value::as_duration));
@@ -282,7 +283,7 @@ impl JunctionRt {
         let mut b = self.bindings.lock();
         for &slot in slots {
             if !b.pinned(slot) {
-                let text = unbound_text(table, &self.lowered.vars[slot].name);
+                let text = unbound_text(table, self.lowered.vars[slot].key);
                 b.set(&self.lowered, slot, text, false);
             }
         }
@@ -411,34 +412,17 @@ impl Drop for ActivationFrame {
 
 /// What a name that no parameter binds resolves to: the `idx` cursor of
 /// that name, else the name itself if the table declares it.
-fn unbound_text<'a>(table: &'a Table, name: &'a str) -> Option<&'a str> {
+fn unbound_text(table: &Table, name: KeyId) -> Option<&str> {
     table
         .idx(name)
-        .or_else(|| (table.has_data(name) || table.has_prop(name)).then_some(name))
-}
-
-/// A junction to send to or read from, resolved without copying its
-/// name where possible: borrowed from the lowered form, held through
-/// the registry's record, or built from text.
-pub(crate) enum Dest<'a> {
-    Fixed(&'a JunctionId),
-    Live(Arc<JunctionRt>),
-    Named(JunctionId),
-}
-
-impl Dest<'_> {
-    pub(crate) fn id(&self) -> &JunctionId {
-        match self {
-            Dest::Fixed(id) => id,
-            Dest::Live(jrt) => &jrt.cell.id,
-            Dest::Named(id) => id,
-        }
-    }
+        .or_else(|| (table.has_data(name) || table.has_prop(name)).then_some(name.as_str()))
 }
 
 /// Per-instance runtime record.
 pub(crate) struct InstanceState {
     pub(crate) name: String,
+    /// `name`, interned: the registry's index.
+    pub(crate) id: Sym,
     #[allow(dead_code)]
     pub(crate) type_name: String,
     pub(crate) status: AtomicU8,
@@ -462,8 +446,51 @@ impl InstanceState {
         }
     }
 
+    /// The junction named `name` (callers holding a name).
     pub(crate) fn junction(&self, name: &str) -> Option<&Arc<JunctionRt>> {
         self.junctions.iter().find(|j| j.name() == name)
+    }
+
+    /// The junction `id` (the send and delivery paths, which hold ids).
+    pub(crate) fn junction_id(&self, id: Sym) -> Option<&Arc<JunctionRt>> {
+        self.junctions.iter().find(|j| j.cell.id.junction == id)
+    }
+}
+
+/// The instances of a runtime, indexed by interned instance id, so the
+/// send and delivery paths find one without hashing its name.
+#[derive(Default)]
+pub(crate) struct Instances {
+    by_id: Vec<Option<Arc<InstanceState>>>,
+}
+
+impl Instances {
+    pub(crate) fn get(&self, id: Sym) -> Option<&Arc<InstanceState>> {
+        self.by_id.get(id.index())?.as_ref()
+    }
+
+    /// By name, for callers holding one: a scan of the few instances,
+    /// cheaper than interning the name.
+    pub(crate) fn get_named(&self, name: &str) -> Option<&Arc<InstanceState>> {
+        self.values().find(|i| i.name == name)
+    }
+
+    pub(crate) fn insert(&mut self, inst: Arc<InstanceState>) {
+        let i = inst.id.index();
+        if self.by_id.len() <= i {
+            self.by_id.resize(i + 1, None);
+        }
+        self.by_id[i] = Some(inst);
+    }
+
+    pub(crate) fn remove(&mut self, name: &str) {
+        if let Some(slot) = Sym::find(name).and_then(|id| self.by_id.get_mut(id.index())) {
+            *slot = None;
+        }
+    }
+
+    pub(crate) fn values(&self) -> impl Iterator<Item = &Arc<InstanceState>> {
+        self.by_id.iter().flatten()
     }
 }
 
@@ -471,7 +498,7 @@ impl InstanceState {
 /// [`RuntimeInner`] and the network's delivery closure, so a live
 /// reconfiguration that swaps entries under the write lock is observed
 /// atomically by every path — senders, schedulers, and observers alike.
-pub(crate) type Registry = Arc<RwLock<HashMap<String, Arc<InstanceState>>>>;
+pub(crate) type Registry = Arc<RwLock<Instances>>;
 
 /// Inbound updates buffered per quiesced instance during a live
 /// reconfiguration. Key presence means "held": the delivery closure
@@ -553,7 +580,7 @@ impl RuntimeInner {
     }
 
     pub(crate) fn get_instance(&self, name: &str) -> Option<Arc<InstanceState>> {
-        self.instances.read().get(name).cloned()
+        self.instances.read().get_named(name).cloned()
     }
 
     /// All registered instances, sorted by name. The sort keeps every
@@ -587,6 +614,10 @@ impl RuntimeInner {
     /// Liveness, the `S(ι)` predicate — registry fast path only (knows
     /// `stop`/`crash` immediately, blind to partitions).
     pub(crate) fn is_live(&self, instance: &str) -> bool {
+        Sym::find(instance).is_some_and(|i| self.is_live_id(i))
+    }
+
+    fn is_live_id(&self, instance: Sym) -> bool {
         self.instances
             .read()
             .get(instance)
@@ -604,14 +635,14 @@ impl RuntimeInner {
     /// Read a remote proposition (used by `verify γ@P` and guards). This
     /// is an observer-only path: junction code cannot *read* remote
     /// tables, but safety checks may (§6, ternary logic).
-    pub(crate) fn remote_prop(&self, id: &JunctionId, key: &str) -> Ternary {
-        let Some(inst) = self.get_instance(&id.instance) else {
+    pub(crate) fn remote_prop(&self, id: &JunctionId, key: KeyId) -> Ternary {
+        let Some(inst) = self.instances.read().get(id.instance).cloned() else {
             return Ternary::Unknown;
         };
         if inst.status() != InstanceStatus::Running {
             return Ternary::Unknown;
         }
-        let Some(jrt) = inst.junction(&id.junction) else {
+        let Some(jrt) = inst.junction_id(id.junction) else {
             return Ternary::Unknown;
         };
         let mut table = jrt.cell.table();
@@ -632,12 +663,12 @@ impl RuntimeInner {
     /// sheds the update once it expires, when shedding is enabled.
     pub(crate) fn send(
         &self,
-        from_instance: &str,
+        from_instance: Sym,
         to: &JunctionId,
         update: Update,
         deadline: Option<Instant>,
     ) -> Result<(), Failure> {
-        if !self.is_live(&to.instance) {
+        if !self.is_live_id(to.instance) {
             return Err(Failure::TargetDown { target: to.qualified() });
         }
         self.network
@@ -651,21 +682,18 @@ impl RuntimeInner {
             })
     }
 
-    /// Resolve a bare target string (`"b1"` or `"b1::serve"`) to a
-    /// junction. A bare instance name resolves to its sole junction.
-    pub(crate) fn resolve_target(&self, s: &str) -> Result<Dest<'static>, Failure> {
-        if let Some((inst, junc)) = s.split_once("::") {
-            let live = self.get_instance(inst).and_then(|i| i.junction(junc).cloned());
-            return Ok(live.map_or_else(|| Dest::Named(JunctionId::new(inst, junc)), Dest::Live));
-        }
-        let inst = self.instance(s)?;
-        if inst.junctions.len() == 1 {
-            Ok(Dest::Live(Arc::clone(&inst.junctions[0])))
-        } else {
-            Err(Failure::Unresolved(format!(
-                "`{s}` names an instance with {} junctions; qualify the junction",
-                inst.junctions.len()
-            )))
+    /// The sole junction of a bare instance reference.
+    pub(crate) fn sole_junction(&self, instance: Sym) -> Result<JunctionId, Failure> {
+        let reg = self.instances.read();
+        let inst = reg
+            .get(instance)
+            .ok_or_else(|| Failure::Unresolved(format!("instance `{instance}`")))?;
+        match &inst.junctions[..] {
+            [only] => Ok(only.cell.id),
+            many => Err(Failure::Unresolved(format!(
+                "`{instance}` names an instance with {} junctions; qualify the junction",
+                many.len()
+            ))),
         }
     }
 
@@ -793,7 +821,9 @@ impl RuntimeInner {
             Arg::Name(n) => match n {
                 NameRef::Var(v) | NameRef::Lit(v) => match env.get(v) {
                     Some(val) => val.clone(),
-                    None if self.instances.read().contains_key(v) => Value::Target(v.clone()),
+                    None if self.instances.read().get_named(v).is_some() => {
+                        Value::Target(v.clone())
+                    }
                     None => return Err(Failure::Unresolved(format!("argument `{v}`"))),
                 },
             },
@@ -915,19 +945,19 @@ impl RuntimeInner {
                 }
             }
         };
-        {
-            let mut table = jrt.cell.table();
-            table.end_activation();
-        }
+        jrt.cell.table().end_activation();
+        // One clock reading ends the activation, for both its duration
+        // and `last_run`.
+        let ended = self.clock().now();
         self.h_activation
-            .observe_us(self.clock().now().saturating_duration_since(started).as_micros() as u64);
+            .observe_us(ended.saturating_duration_since(started).as_micros() as u64);
         self.tracer.record_ids(
             &jrt.trace_instance,
             &jrt.trace_junction,
             epoch,
             TraceKind::Unsched { ok: result.is_ok() },
         );
-        *jrt.last_run.lock() = Some(self.clock().now());
+        *jrt.last_run.lock() = Some(ended);
         jrt.cell.nudge();
         // A nested pass's caller signals the scheduler itself, and only
         // if the guard still holds (`run_held`).
@@ -1108,8 +1138,9 @@ impl RuntimeInner {
             .map(|i| i.name.clone())
             .collect();
         for from in &running {
-            // One qualified-sender rendering per source, not per ping.
-            let from_q = format!("{from}::{HB_JUNCTION}");
+            // One sender per source, not per ping.
+            let from_id = Sym::new(from);
+            let sender = csaw_kv::Sender::of(&JunctionId::new(from_id, HB_JUNCTION));
             for to_inst in &running {
                 if from == to_inst {
                     continue;
@@ -1117,11 +1148,11 @@ impl RuntimeInner {
                 // Priming happens here, at watch registration — never
                 // in the `suspects` read path.
                 self.hb.watch(to_inst, from);
-                let to = JunctionId::new(to_inst.clone(), HB_JUNCTION);
-                let ping = Update::assert(HB_JUNCTION, from_q.clone());
+                let to = JunctionId::new(to_inst, HB_JUNCTION);
+                let ping = Update::assert(HB_JUNCTION, sender);
                 self.tracer.record(from, "", 0, TraceKind::LinkHeartbeat { to: to_inst });
                 // Loss is the signal: no retry, errors ignored.
-                let _ = self.network.send_raw(from, &to, ping);
+                let _ = self.network.send_raw(from_id, &to, ping);
             }
         }
     }
@@ -1147,9 +1178,9 @@ impl Runtime {
         let tracer = Arc::new(Tracer::with_clock(clock.clone()));
         let metrics = Arc::new(Metrics::new());
         // Build instances & cells.
-        let mut instances = HashMap::new();
+        let mut instances = Instances::default();
         for ci in &compiled.instances {
-            instances.insert(ci.name.clone(), build_instance_state(ci, &tracer, &metrics));
+            instances.insert(build_instance_state(ci, &tracer, &metrics));
         }
 
         // The network delivers into cells through a registry shared with
@@ -1172,9 +1203,9 @@ impl Runtime {
             // `__hb` is not a real junction. They bypass the hold buffer
             // so a quiesced instance is not spuriously suspected.
             if to.junction == HB_JUNCTION {
-                if let Some(inst) = reg2.read().get(&to.instance) {
+                if let Some(inst) = reg2.read().get(to.instance) {
                     if inst.status() == InstanceStatus::Running {
-                        hb2.record(&to.instance, update.sender_instance());
+                        hb2.record(&to.instance, &update.from.instance);
                     }
                 }
                 return;
@@ -1188,9 +1219,9 @@ impl Runtime {
             if !holds_active2.load(Ordering::SeqCst) {
                 inflight2.fetch_add(1, Ordering::SeqCst);
                 if !holds_active2.load(Ordering::SeqCst) {
-                    if let Some(inst) = reg2.read().get(&to.instance) {
+                    if let Some(inst) = reg2.read().get(to.instance) {
                         if inst.status() == InstanceStatus::Running {
-                            if let Some(jrt) = inst.junction(&to.junction) {
+                            if let Some(jrt) = inst.junction_id(to.junction) {
                                 jrt.deliver(inst, update);
                             }
                         }
@@ -1207,13 +1238,13 @@ impl Runtime {
             // executor has taken it and inserted a hold, no in-flight
             // send can still be between the check and the old cell.
             let mut held = holds2.lock();
-            if let Some(buf) = held.get_mut(&to.instance) {
-                buf.push((to.clone(), update));
+            if let Some(buf) = held.get_mut(to.instance.as_str()) {
+                buf.push((*to, update));
                 return;
             }
-            if let Some(inst) = reg2.read().get(&to.instance) {
+            if let Some(inst) = reg2.read().get(to.instance) {
                 if inst.status() == InstanceStatus::Running {
-                    if let Some(jrt) = inst.junction(&to.junction) {
+                    if let Some(jrt) = inst.junction_id(to.junction) {
                         jrt.deliver(inst, update);
                     }
                 }
@@ -1231,8 +1262,8 @@ impl Runtime {
         let reg3 = Arc::clone(&registry);
         network.set_mailbox_probe(Arc::new(move |to: &JunctionId| {
             let reg = reg3.read();
-            let inst = reg.get(&to.instance)?;
-            let jrt = inst.junction(&to.junction)?;
+            let inst = reg.get(to.instance)?;
+            let jrt = inst.junction_id(to.junction)?;
             jrt.cell.try_pending_len()
         }));
 
@@ -1692,6 +1723,15 @@ impl Runtime {
         t.data(key).cloned()
     }
 
+    /// Export a junction's whole table, keys as texts (observer/test
+    /// path; see [`Table::export_state`]).
+    pub fn export_table(&self, instance: &str, junction: &str) -> Option<csaw_kv::TableState> {
+        let inst = self.inner.get_instance(instance)?;
+        let jrt = inst.junction(junction)?;
+        let state = jrt.cell.table().export_state();
+        Some(state)
+    }
+
     /// Deliver a raw update to a junction, bypassing the DSL — used by
     /// tests and by external drivers that model clients pushing requests
     /// (the paper's "Req is asserted externally" in Fig. 13).
@@ -1802,7 +1842,7 @@ pub(crate) fn build_instance_state(
     for jd in &ci.junctions {
         let mut table = Table::new();
         init_table(&mut table, jd);
-        let id = JunctionId::new(ci.name.clone(), jd.name.clone());
+        let id = JunctionId::new(&ci.name, &jd.name);
         let trace_instance: Arc<str> = Arc::from(ci.name.as_str());
         let trace_junction: Arc<str> = Arc::from(jd.name.as_str());
         table.set_observer(Arc::new(CellObserver {
@@ -1840,6 +1880,7 @@ pub(crate) fn build_instance_state(
     }
     Arc::new(InstanceState {
         name: ci.name.clone(),
+        id: Sym::new(&ci.name),
         type_name: ci.type_name.clone(),
         status: AtomicU8::new(InstanceStatus::NotStarted as u8),
         junctions,

@@ -13,8 +13,9 @@
 
 use std::time::Duration;
 
+use csaw_core::intern::{KeyId, Sym};
 use csaw_core::value::{Bytes, Value};
-use csaw_kv::{Update, UpdateKind};
+use csaw_kv::{Sender, Update, UpdateKind};
 
 use crate::cell::JunctionId;
 
@@ -68,7 +69,7 @@ pub(super) fn encode_frame_header<'u>(
 ) -> Result<&'u [u8], usize> {
     let start = out.len();
     out.extend_from_slice(&[0u8; 4]); // length placeholder
-    for s in [&to.instance, &to.junction, &u.key, &u.from] {
+    for s in [to.instance.as_str(), to.junction.as_str(), u.key.as_str(), u.from.as_str()] {
         out.extend_from_slice(&(s.len() as u32).to_le_bytes());
         out.extend_from_slice(s.as_bytes());
     }
@@ -120,9 +121,13 @@ impl<'b> Cursor<'b> {
         Some(u32::from_le_bytes(self.array()?) as usize)
     }
 
-    fn string(&mut self) -> Option<String> {
+    fn text(&mut self) -> Option<&'b str> {
         let n = self.len()?;
-        std::str::from_utf8(self.take(n)?).ok().map(str::to_owned)
+        std::str::from_utf8(self.take(n)?).ok()
+    }
+
+    fn string(&mut self) -> Option<String> {
+        self.text().map(str::to_owned)
     }
 
     /// Length-prefixed bytes, as a slice of the body.
@@ -149,13 +154,14 @@ fn decode_value(c: &mut Cursor<'_>) -> Option<Value> {
 }
 
 /// Decode one frame body (the bytes after its length prefix). A
-/// `Bytes` value in it is a slice of the body.
+/// `Bytes` value in it is a slice of the body. The frame's names are
+/// interned here, once per frame.
 pub(super) fn decode_frame(body: &Bytes) -> Option<(JunctionId, Update)> {
     let mut c = Cursor { body, at: 0 };
-    let instance = c.string()?;
-    let junction = c.string()?;
-    let key = c.string()?;
-    let from = c.string()?;
+    let instance = Sym::new(c.text()?);
+    let junction = Sym::new(c.text()?);
+    let key = KeyId::new(c.text()?);
+    let from = Sender::new(c.text()?);
     let seq = u64::from_le_bytes(c.array()?);
     let kind = match c.array()? {
         [0] => UpdateKind::Assert,
@@ -316,7 +322,7 @@ mod tests {
             u.seq = rng.next_u64();
             let frame = encode_frame(&to, &u);
             let body = Bytes::from(frame[4..].to_vec());
-            assert_eq!(decode_frame(&body), Some((to.clone(), u.clone())));
+            assert_eq!(decode_frame(&body), Some((to, u.clone())));
 
             // Every strict prefix of a valid body is incomplete.
             for cut in 0..body.len() {
@@ -328,7 +334,7 @@ mod tests {
             // one — to more than the body holds.
             let mut offsets = Vec::new();
             let mut at = 0usize;
-            for s in [&to.instance, &to.junction, &u.key, &u.from] {
+            for s in [to.instance.as_str(), to.junction.as_str(), u.key.as_str(), u.from.as_str()] {
                 offsets.push(at);
                 at += 4 + s.len();
             }

@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 
 use csaw_kv::Update;
 
-use super::{sender_of, DeliverFn, RouteState};
+use super::{DeliverFn, RouteState};
 use crate::cell::JunctionId;
 use crate::clock::Clock;
 use crate::eventcount::{spawn_service, EventCount};
@@ -143,8 +143,9 @@ impl RouteState {
 /// deadline at dequeue), attributed to the sender like drops.
 pub(super) fn trace_shed(tracer: &Tracer, to: &JunctionId, u: &Update) {
     if tracer.is_enabled() {
-        let (fi, fj) = sender_of(u);
-        tracer.record(fi, fj, 0, TraceKind::LinkShed { to: &to.qualified(), seq: u.seq });
+        let to = to.qualified();
+        let ev = TraceKind::LinkShed { to: to.as_str(), seq: u.seq };
+        tracer.record(&u.from.instance, u.from.junction(), 0, ev);
     }
 }
 
@@ -249,8 +250,8 @@ impl SimScheduler {
                     p.arrival.saturating_duration_since(origin).as_nanos() as u64,
                     p.seq,
                     p.to.qualified(),
-                    p.update.key.clone(),
-                    p.update.from.clone(),
+                    p.update.key.to_string(),
+                    p.update.from.to_string(),
                     p.update.seq,
                     format!("{:?}", p.update.kind),
                     p.deadline.map_or(u64::MAX, |d| {

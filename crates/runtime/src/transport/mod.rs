@@ -40,8 +40,9 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use csaw_core::intern::Sym;
 use csaw_kv::{Update, UpdateKind};
-use parking_lot::Mutex;
+use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -83,14 +84,14 @@ pub type DeliverFn = Arc<dyn Fn(&JunctionId, Update) + Send + Sync>;
 pub type MailboxProbe = Arc<dyn Fn(&JunctionId) -> Option<usize> + Send + Sync>;
 
 /// All mutable transport state for one directed (sender instance,
-/// receiver instance) pair, interned once per route. Each concern has
-/// its own small mutex, so the send path takes exactly the locks it
-/// needs and a lookup never allocates.
+/// receiver instance) pair, made once per route. Each concern has its
+/// own small mutex, so the send path takes exactly the locks it needs
+/// and a lookup never allocates.
 struct RouteState {
-    /// Sender instance name (interned).
-    from: Box<str>,
-    /// Receiver instance name (interned).
-    to: Box<str>,
+    /// Sender instance.
+    from: Sym,
+    /// Receiver instance.
+    to: Sym,
     /// Sender-side sequence state: low-bits counter + conversation
     /// generation, stamped together under one lock.
     seq: Mutex<RouteSeq>,
@@ -116,9 +117,9 @@ struct RouteState {
 
 /// Trace identities of one (sending junction → target junction) pair.
 struct TraceIds {
-    /// `update.from` verbatim (`instance::junction`).
-    from: Box<str>,
-    to_junction: Box<str>,
+    /// `update.from` (`instance::junction`).
+    from: Sym,
+    to_junction: Sym,
     sender_instance: Arc<str>,
     sender_junction: Arc<str>,
     /// `to.qualified()`.
@@ -126,10 +127,10 @@ struct TraceIds {
 }
 
 impl RouteState {
-    fn new(from: &str, to: &str) -> Arc<RouteState> {
+    fn new(from: Sym, to: Sym) -> Arc<RouteState> {
         Arc::new(RouteState {
-            from: from.into(),
-            to: to.into(),
+            from,
+            to,
             seq: Mutex::new(RouteSeq::default()),
             faults: Mutex::new(None),
             link: Mutex::new(None),
@@ -141,22 +142,21 @@ impl RouteState {
         })
     }
 
-    /// Interned (sender instance, sender junction, qualified target)
-    /// for `update.from → to`. Linear scan over a small vector: the
-    /// pair set is bounded by the program's topology, so this beats
+    /// Shared (sender instance, sender junction, qualified target)
+    /// for `update.from → to`. Linear scan over a small vector by ids:
+    /// the pair set is bounded by the program's topology, so this beats
     /// hashing and keeps traced sends free of string allocations.
     fn trace_ids(&self, update: &Update, to: &JunctionId) -> (Arc<str>, Arc<str>, Arc<str>) {
         let mut ids = self.trace_ids.lock();
         let at = ids
             .iter()
-            .position(|e| *e.from == *update.from && *e.to_junction == *to.junction)
+            .position(|e| e.from == update.from.name && e.to_junction == to.junction)
             .unwrap_or_else(|| {
-                let (fi, fj) = sender_of(update);
                 ids.push(TraceIds {
-                    from: update.from.as_str().into(),
-                    to_junction: to.junction.as_str().into(),
-                    sender_instance: Arc::from(fi),
-                    sender_junction: Arc::from(fj),
+                    from: update.from.name,
+                    to_junction: to.junction,
+                    sender_instance: Arc::from(update.from.instance.as_str()),
+                    sender_junction: Arc::from(update.from.junction()),
                     to_qualified: Arc::from(to.qualified()),
                 });
                 ids.len() - 1
@@ -170,50 +170,51 @@ impl RouteState {
     }
 }
 
-/// Interner for [`RouteState`]s. Linear scan over a small vector: the
-/// route set is bounded by the program's topology, so this beats
-/// hashing — and a lookup never allocates.
+/// The [`RouteState`]s, found by the pair of instance ids. Linear scan
+/// over a small vector under a read lock: the route set is bounded by
+/// the program's topology, so comparing ids beats hashing — and a
+/// lookup never allocates.
 struct Routes {
-    inner: Mutex<Vec<Arc<RouteState>>>,
+    inner: RwLock<Vec<Arc<RouteState>>>,
 }
 
 impl Routes {
     fn new() -> Arc<Routes> {
-        Arc::new(Routes { inner: Mutex::new(Vec::new()) })
+        Arc::new(Routes { inner: RwLock::new(Vec::new()) })
     }
 
     /// Find or create the route `from → to`.
-    fn get(&self, from: &str, to: &str) -> Arc<RouteState> {
-        let mut inner = self.inner.lock();
-        if let Some(r) = inner.iter().find(|r| &*r.from == from && &*r.to == to) {
-            return Arc::clone(r);
+    fn get(&self, from: Sym, to: Sym) -> Arc<RouteState> {
+        let find = |routes: &[Arc<RouteState>]| {
+            routes.iter().find(|r| r.from == from && r.to == to).map(Arc::clone)
+        };
+        if let Some(r) = find(&self.inner.read()) {
+            return r;
         }
-        let r = RouteState::new(from, to);
-        inner.push(Arc::clone(&r));
-        r
+        let mut inner = self.inner.write();
+        find(&inner).unwrap_or_else(|| {
+            let r = RouteState::new(from, to);
+            inner.push(Arc::clone(&r));
+            r
+        })
     }
 
     /// Drop every cached TCP connection (shutdown path).
     fn clear_tcp(&self) {
-        for r in self.inner.lock().iter() {
+        for r in self.inner.read().iter() {
             r.tcp.lock().take();
         }
     }
 }
 
-/// Wire size model for an update: key + payload + fixed header.
+/// Wire size model for an update: key + payload + fixed header. The
+/// names count by their text, as a frame carries them.
 pub fn wire_size(u: &Update) -> usize {
     let payload = match &u.kind {
         UpdateKind::Assert | UpdateKind::Retract => 1,
         UpdateKind::Data(v) => v.approx_size(),
     };
-    24 + u.key.len() + u.from.len() + payload
-}
-
-/// The sending junction of an update, for trace attribution:
-/// `update.from` is `instance::junction`.
-fn sender_of(update: &Update) -> (&str, &str) {
-    update.from.split_once("::").unwrap_or((update.from.as_str(), ""))
+    24 + u.key.len() + u.from.as_str().len() + payload
 }
 
 /// Counters for the reliability layer and fault injection
@@ -416,12 +417,13 @@ impl Network {
     /// `from → to`. Runtime-reconfigurable; windows are relative to this
     /// call.
     pub fn set_fault_plan(&self, from: &str, to: &str, plan: FaultPlan) {
-        *self.routes.get(from, to).faults.lock() = Some(LinkFaults::new(plan, self.clock.now()));
+        let route = self.routes.get(Sym::new(from), Sym::new(to));
+        *route.faults.lock() = Some(LinkFaults::new(plan, self.clock.now()));
     }
 
     /// Remove the fault plan on `from → to` (the link heals).
     pub fn clear_fault_plan(&self, from: &str, to: &str) {
-        self.routes.get(from, to).faults.lock().take();
+        self.routes.get(Sym::new(from), Sym::new(to)).faults.lock().take();
     }
 
     /// Snapshot the reliability/fault counters.
@@ -477,7 +479,7 @@ impl Network {
     /// counts (total scheduled deliveries not yet landed).
     pub fn refresh_overload_gauges(&self) {
         let total: u64 = {
-            let routes = self.routes.inner.lock();
+            let routes = self.routes.inner.read();
             routes.iter().map(|r| r.fifo.lock().inflight).sum()
         };
         self.g_inflight.set(total as f64);
@@ -499,7 +501,7 @@ impl Network {
     /// in-flight retries from the old conversation can interfere with it
     /// (see [`Network::reset_route`]).
     pub fn set_link(&self, from: &str, to: &str, kind: LinkKind) {
-        let route = self.routes.get(from, to);
+        let route = self.routes.get(Sym::new(from), Sym::new(to));
         let prev = route.link.lock().replace(kind);
         let had_traffic = route.seq.lock().counter > 0;
         if prev.is_some() || had_traffic {
@@ -518,7 +520,7 @@ impl Network {
     /// retryable errors are retried with bounded exponential backoff.
     pub fn send(
         &self,
-        from_instance: &str,
+        from_instance: impl Into<Sym>,
         to: &JunctionId,
         update: Update,
     ) -> Result<(), SendError> {
@@ -531,7 +533,7 @@ impl Network {
     /// `None` falls back to the configured ingress deadline, if any.
     pub fn send_with_deadline(
         &self,
-        from_instance: &str,
+        from_instance: impl Into<Sym>,
         to: &JunctionId,
         mut update: Update,
         deadline: Option<Instant>,
@@ -539,7 +541,7 @@ impl Network {
         self.send_ops.fetch_add(1, Ordering::Relaxed);
         let deadline = deadline
             .or_else(|| self.overload.ingress_deadline().map(|b| self.clock.now() + b));
-        let route = self.routes.get(from_instance, &to.instance);
+        let route = self.routes.get(from_instance.into(), to.instance);
         self.stamp_one(&route, &mut update)?;
         self.send_stamped(&route, to, update, deadline)
     }
@@ -555,10 +557,11 @@ impl Network {
     /// first error if any send ultimately failed.
     pub fn send_batch(
         &self,
-        from_instance: &str,
+        from_instance: impl Into<Sym>,
         to: &JunctionId,
         updates: Vec<Update>,
     ) -> Result<usize, SendError> {
+        let from_instance = from_instance.into();
         let n = updates.len();
         let mut first_err = None;
         for u in updates {
@@ -573,12 +576,12 @@ impl Network {
     /// *is* the signal, and ablation runs that bypass reliability.
     pub(crate) fn send_raw(
         &self,
-        from_instance: &str,
+        from_instance: impl Into<Sym>,
         to: &JunctionId,
         update: Update,
     ) -> Result<(), SendError> {
         self.send_ops.fetch_add(1, Ordering::Relaxed);
-        let route = self.routes.get(from_instance, &to.instance);
+        let route = self.routes.get(from_instance.into(), to.instance);
         // Control lane: heartbeats/probes ride the priority lane (no
         // queue bounds, no deadline) unless the lane is disabled, in
         // which case they face the same data-plane gates as everything
@@ -595,7 +598,7 @@ impl Network {
     /// time.
     pub(crate) fn sim_fingerprint(&self, origin: Instant, h: &mut dyn FnMut(&[u8])) {
         self.sim.fingerprint(origin, h);
-        let mut routes: Vec<Arc<RouteState>> = self.routes.inner.lock().clone();
+        let mut routes: Vec<Arc<RouteState>> = self.routes.inner.read().clone();
         routes.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
         for r in &routes {
             h(r.from.as_bytes());
@@ -619,7 +622,7 @@ impl Network {
                 h(&(seen.len() as u64).to_le_bytes());
                 seen.iter().flatten().for_each(|word| h(&word.to_le_bytes()));
             }
-            let (stamp, floor) = self.fence.of(&r.from);
+            let (stamp, floor) = self.fence.of(r.from);
             h(&stamp.to_le_bytes());
             h(&floor.to_le_bytes());
         }
@@ -670,7 +673,7 @@ impl Network {
                 self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
                 self.emit(route, to, &update, |to, u| TraceKind::LinkSend {
                     to,
-                    key: &u.key,
+                    key: u.key.as_str(),
                     seq: u.seq,
                     bytes,
                 });
@@ -796,7 +799,7 @@ impl Network {
             (arrival, None)
         };
         self.scheduled.fetch_add(1, Ordering::Relaxed);
-        self.sim.enqueue(arrival, to.clone(), update, fifo_link, deadline);
+        self.sim.enqueue(arrival, *to, update, fifo_link, deadline);
         Ok(())
     }
 
@@ -822,7 +825,7 @@ pub(crate) fn collecting_network(
 ) -> (Network, std::sync::mpsc::Receiver<(JunctionId, Update)>) {
     let (tx, rx) = std::sync::mpsc::channel();
     let deliver: DeliverFn = Arc::new(move |to: &JunctionId, u: Update| {
-        tx.send((to.clone(), u)).ok();
+        tx.send((*to, u)).ok();
     });
     (Network::new(deliver), rx)
 }
@@ -831,6 +834,7 @@ pub(crate) fn collecting_network(
 mod tests {
     use super::*;
     use csaw_core::value::Value;
+    use csaw_kv::Table;
 
     #[test]
     fn direct_delivers_synchronously() {
@@ -858,6 +862,53 @@ mod tests {
         assert_eq!(got.key, "state");
         assert_eq!(got.from, "f::c");
         assert_eq!(got.kind, UpdateKind::Data(Value::from(vec![7; 300])));
+    }
+
+    /// One update sequence over a Direct and over a TCP link leaves
+    /// the same exported table: a frame carries texts, and the reader
+    /// interns them to the ids the sender used — a key the receiver
+    /// never declared included.
+    #[test]
+    fn direct_and_tcp_links_leave_equal_exports() {
+        let updates = || {
+            vec![
+                Update::assert("Work", "f::c"),
+                Update::data("n", Value::from(vec![3; 100]), "f::c"),
+                Update::data("leak-test:undeclared", Value::Int(-4), "f::c"),
+                Update::assert("leak-test:Ghost", "f::other"),
+                Update::retract("Work", "f::c"),
+                Update::data("n", Value::Str("twice".into()), "f::c"),
+            ]
+        };
+        let export_after = |link: LinkKind| {
+            let table = Arc::new(Mutex::new(Table::new()));
+            table.lock().declare_prop("Work", false);
+            table.lock().declare_data("n");
+            let into = Arc::clone(&table);
+            let net = Network::new(Arc::new(move |_: &JunctionId, u: Update| {
+                into.lock().deliver(u);
+            }));
+            net.set_link("f", "g", link);
+            let to = JunctionId::new("g", "serve");
+            let sent = updates();
+            let n = sent.len();
+            net.send_batch("f", &to, sent).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            while table.lock().pending_len() < n {
+                assert!(Instant::now() < deadline, "{link:?}: the updates did not arrive");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let mut table = table.lock();
+            table.begin_activation();
+            table.end_activation();
+            table.export_state()
+        };
+        let direct = export_after(LinkKind::Direct);
+        assert_eq!(direct, export_after(LinkKind::Tcp));
+        let undeclared = ("leak-test:undeclared".to_string(), Value::Int(-4));
+        assert!(direct.data.contains(&undeclared));
+        assert!(direct.props.iter().any(|(k, v)| k == "leak-test:Ghost" && *v));
+        assert!(direct.props.iter().any(|(k, v)| k == "Work" && !*v));
     }
 
     #[test]

@@ -2,16 +2,17 @@
 //! exact dedup memory, supervisor fencing tokens, the fence/dedup
 //! delivery filter and the bounded retry loop.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use csaw_core::intern::Sym;
 use csaw_kv::Update;
-use parking_lot::Mutex;
+use parking_lot::RwLock;
 
 use super::delay::{trace_shed, FifoClock, SimLinkClock};
-use super::{sender_of, Network, RouteState, Routes};
+use super::{Network, RouteState, Routes};
 use crate::cell::JunctionId;
 use crate::fault::RetryPolicy;
 use crate::overload::OverloadState;
@@ -125,7 +126,8 @@ pub(super) struct RouteSeq {
 /// conversation can never collide with a new one.
 #[derive(Default)]
 pub(super) struct DedupMemory {
-    conversations: HashMap<u64, Conversation>,
+    /// Per conversation (the seq's high bits); a route has few.
+    conversations: Vec<(u64, Conversation)>,
 }
 
 #[derive(Default)]
@@ -138,7 +140,15 @@ impl DedupMemory {
     /// Mark `seq` delivered; `false` if it already was.
     fn insert(&mut self, seq: u64) -> bool {
         let counter = seq & ((1 << ROUTE_GEN_SHIFT) - 1);
-        let c = self.conversations.entry(seq >> ROUTE_GEN_SHIFT).or_default();
+        let conv = seq >> ROUTE_GEN_SHIFT;
+        let at = match self.conversations.iter().position(|(k, _)| *k == conv) {
+            Some(at) => at,
+            None => {
+                self.conversations.push((conv, Conversation::default()));
+                self.conversations.len() - 1
+            }
+        };
+        let c = &mut self.conversations[at].1;
         if counter <= c.watermark {
             return false;
         }
@@ -159,9 +169,9 @@ impl DedupMemory {
         let mut out: Vec<[u64; 4]> = self
             .conversations
             .iter()
-            .map(|(&conv, c)| {
+            .map(|(conv, c)| {
                 let xor = c.above.iter().fold(0, |x, s| x ^ s.wrapping_mul(0x9e37_79b9_7f4a_7c15));
-                [conv, c.watermark, c.above.len() as u64, xor]
+                [*conv, c.watermark, c.above.len() as u64, xor]
             })
             .collect();
         out.sort_unstable();
@@ -178,8 +188,8 @@ impl DedupMemory {
 /// [`Network::admit_instance`] lifts its stamp to the floor.
 pub(super) struct FenceState {
     enabled: AtomicBool,
-    /// instance → (stamp epoch, accepted floor).
-    inner: Mutex<HashMap<String, (u64, u64)>>,
+    /// (stamp epoch, accepted floor), indexed by instance id.
+    inner: RwLock<Vec<(u64, u64)>>,
     /// `link_fenced_total`: rejections, send-side + delivery-side.
     pub(super) fenced: Arc<AtomicU64>,
 }
@@ -188,15 +198,26 @@ impl FenceState {
     pub(super) fn new(metrics: &Metrics) -> FenceState {
         FenceState {
             enabled: AtomicBool::new(true),
-            inner: Mutex::new(HashMap::new()),
+            inner: RwLock::new(Vec::new()),
             fenced: metrics.counter("link_fenced_total"),
         }
     }
 
     /// (stamp, floor) for a sender; unknown senders are (0, 0) — never
     /// fenced.
-    pub(super) fn of(&self, instance: &str) -> (u64, u64) {
-        self.inner.lock().get(instance).copied().unwrap_or((0, 0))
+    pub(super) fn of(&self, instance: Sym) -> (u64, u64) {
+        self.inner.read().get(instance.index()).copied().unwrap_or((0, 0))
+    }
+
+    /// Change an instance's (stamp, floor); returns the new pair.
+    fn update(&self, instance: &str, f: impl FnOnce(&mut (u64, u64))) -> (u64, u64) {
+        let i = Sym::new(instance).index();
+        let mut inner = self.inner.write();
+        if inner.len() <= i {
+            inner.resize(i + 1, (0, 0));
+        }
+        f(&mut inner[i]);
+        inner[i]
     }
 }
 
@@ -221,7 +242,7 @@ impl DeliveryFilter {
             // keys on sequence numbers, not content.
             return true;
         }
-        let sender = u.sender_instance();
+        let sender = u.from.instance;
         // Fence check first: an in-flight send stamped before its
         // sender was fenced out must not land, even though its
         // (sender, seq) was never seen.
@@ -229,7 +250,7 @@ impl DeliveryFilter {
             let (_, floor) = self.fence.of(sender);
             if floor != 0 && (u.seq >> FENCE_EPOCH_SHIFT) < floor {
                 self.fence.fenced.fetch_add(1, Ordering::Relaxed);
-                let ev = TraceKind::LinkFenced { from: sender, seq: u.seq };
+                let ev = TraceKind::LinkFenced { from: sender.as_str(), seq: u.seq };
                 self.tracer.record(&to.instance, &to.junction, 0, ev);
                 return false;
             }
@@ -245,11 +266,11 @@ impl DeliveryFilter {
             return false;
         }
         if self.dedup_enabled.load(Ordering::Relaxed) {
-            let route = self.routes.get(sender, &to.instance);
+            let route = self.routes.get(sender, to.instance);
             let fresh = route.seen.lock().insert(u.seq);
             if !fresh {
                 self.deduped.fetch_add(1, Ordering::Relaxed);
-                let ev = TraceKind::LinkDedup { from: sender, seq: u.seq };
+                let ev = TraceKind::LinkDedup { from: sender.as_str(), seq: u.seq };
                 self.tracer.record(&to.instance, &to.junction, 0, ev);
                 return false;
             }
@@ -277,10 +298,7 @@ impl Network {
     /// instance stays fenced; fencing again after a re-admission bumps
     /// the epoch once more.
     pub fn fence_instance(&self, instance: &str) -> u64 {
-        let mut inner = self.fence.inner.lock();
-        let entry = inner.entry(instance.to_string()).or_insert((0, 0));
-        entry.1 = entry.1.max(entry.0 + 1);
-        entry.1
+        self.fence.update(instance, |(stamp, floor)| *floor = (*floor).max(*stamp + 1)).1
     }
 
     /// Re-admit a fenced instance: lift its stamp epoch to the floor so
@@ -288,15 +306,12 @@ impl Network {
     /// from before the fence keeps its stale stamp and stays rejected.
     /// Returns the stamp epoch granted.
     pub fn admit_instance(&self, instance: &str) -> u64 {
-        let mut inner = self.fence.inner.lock();
-        let entry = inner.entry(instance.to_string()).or_insert((0, 0));
-        entry.0 = entry.1;
-        entry.0
+        self.fence.update(instance, |(stamp, floor)| *stamp = *floor).0
     }
 
     /// Whether an instance is currently fenced out (stamp below floor).
     pub fn is_fenced(&self, instance: &str) -> bool {
-        let (stamp, floor) = self.fence.of(instance);
+        let (stamp, floor) = Sym::find(instance).map_or((0, 0), |i| self.fence.of(i));
         stamp < floor
     }
 
@@ -319,7 +334,7 @@ impl Network {
     /// those stale retries dedup under their old generation; the new
     /// conversation's generation-tagged seqs can never collide with it.
     pub fn reset_route(&self, from: &str, to: &str) {
-        let route = self.routes.get(from, to);
+        let route = self.routes.get(Sym::new(from), Sym::new(to));
         {
             let mut s = route.seq.lock();
             s.gen += 1;
@@ -334,7 +349,7 @@ impl Network {
     /// (fence epoch | generation | counter) and apply the send-side
     /// fence check. The counter advances even for a fenced sender.
     pub(super) fn stamp_one(&self, route: &RouteState, update: &mut Update) -> Result<(), SendError> {
-        let (stamp, floor) = self.fence.of(&route.from);
+        let (stamp, floor) = self.fence.of(route.from);
         {
             let mut s = route.seq.lock();
             s.counter += 1;
@@ -351,9 +366,8 @@ impl Network {
         // already had in flight.
         if stamp < floor && self.fence.enabled.load(Ordering::Relaxed) {
             self.fence.fenced.fetch_add(1, Ordering::Relaxed);
-            let (fi, fj) = sender_of(update);
-            let ev = TraceKind::LinkFenced { from: route.from.as_ref(), seq: update.seq };
-            self.tracer.record(fi, fj, 0, ev);
+            let ev = TraceKind::LinkFenced { from: route.from.as_str(), seq: update.seq };
+            self.tracer.record(&update.from.instance, update.from.junction(), 0, ev);
             return Err(SendError::Fenced);
         }
         Ok(())
@@ -736,10 +750,10 @@ mod tests {
         for _ in 0..1_000_000 {
             net.send("f", &to, Update::assert("Work", "f::j")).unwrap();
         }
-        let route = net.routes.get("f", "g");
+        let route = net.routes.get(Sym::new("f"), Sym::new("g"));
         let seen = route.seen.lock();
         assert_eq!(seen.digest(), vec![[0, 1_000_000, 0, 0]]);
-        let sparse: usize = seen.conversations.values().map(|c| c.above.capacity()).sum();
+        let sparse: usize = seen.conversations.iter().map(|(_, c)| c.above.capacity()).sum();
         assert_eq!(sparse, 0, "in-order delivery never touches the sparse set");
         assert_eq!(net.stats().deduped, 0);
     }

@@ -34,10 +34,26 @@ pub(super) struct TcpLink {
 impl TcpLink {
     /// Create a connected loopback pair; the read side feeds `deliver`.
     pub(super) fn new(deliver: DeliverFn, shutdown: Arc<AtomicBool>) -> std::io::Result<TcpLink> {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        let writer = TcpStream::connect(addr)?;
-        let (reader, _) = listener.accept()?;
+        Self::over(TcpListener::bind("127.0.0.1:0")?, deliver, shutdown)
+    }
+
+    /// Connect a writer to `listener` and read what it writes. Any local
+    /// process can connect to the listener before the writer does, so
+    /// only the connection whose peer is the writer's own address
+    /// becomes the reader; every other one is closed unread.
+    fn over(
+        listener: TcpListener,
+        deliver: DeliverFn,
+        shutdown: Arc<AtomicBool>,
+    ) -> std::io::Result<TcpLink> {
+        let writer = TcpStream::connect(listener.local_addr()?)?;
+        let ours = writer.local_addr()?;
+        let reader = loop {
+            let (stream, peer) = listener.accept()?;
+            if peer == ours {
+                break stream;
+            }
+        };
         writer.set_nodelay(true).ok();
         reader.set_nodelay(true).ok();
         std::thread::Builder::new()
@@ -167,7 +183,7 @@ mod tests {
         let got = Arc::new(std::sync::Mutex::new(Vec::new()));
         let sink = Arc::clone(&got);
         let deliver: DeliverFn = Arc::new(move |to: &JunctionId, u: Update| {
-            sink.lock().unwrap().push((to.clone(), u));
+            sink.lock().unwrap().push((*to, u));
         });
         let reader = Chunked { stream, at: 0, max, rng: StdRng::seed_from_u64(seed) };
         TcpLink::read_loop(reader, deliver, Arc::new(AtomicBool::new(false)));
@@ -223,10 +239,10 @@ mod tests {
         // length prefix, then the next body, straddle its end.
         for short in [2, 1, 0, 5, 40] {
             let sent = vec![
-                (to.clone(), small(READ_AHEAD - short - overhead)),
-                (to.clone(), small(100)),
-                (to.clone(), small(3 * READ_AHEAD)),
-                (to.clone(), Update::assert("Work", "f::j")),
+                (to, small(READ_AHEAD - short - overhead)),
+                (to, small(100)),
+                (to, small(3 * READ_AHEAD)),
+                (to, Update::assert("Work", "f::j")),
             ];
             let stream: Vec<u8> = sent.iter().flat_map(|(to, u)| frame(to, u)).collect();
             assert_eq!(read_all(stream, usize::MAX, short as u64), sent, "{short} short");
@@ -241,15 +257,41 @@ mod tests {
         stream.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_le_bytes());
         stream.extend(frame(&to, &Update::assert("Late", "f::j")));
         for max in [1, 7, 1 << 20] {
-            assert_eq!(read_all(stream.clone(), max, 1), vec![(to.clone(), first.clone())]);
+            assert_eq!(read_all(stream.clone(), max, 1), vec![(to, first.clone())]);
         }
+    }
+
+    /// A stranger that connects to the listener before the link's own
+    /// writer is turned away: the link reads the writer's frames and
+    /// none of the stranger's.
+    #[test]
+    fn link_reads_only_its_own_writer() {
+        let (tx, rx) = mpsc::channel();
+        let deliver: DeliverFn = Arc::new(move |_to: &JunctionId, u: Update| {
+            tx.send(u.key.to_string()).ok();
+        });
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let to = JunctionId::new("g", "serve");
+        let mut stranger = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        stranger.write_all(&frame(&to, &Update::assert("Injected", "x::y"))).unwrap();
+        let link = TcpLink::over(listener, deliver, Arc::new(AtomicBool::new(false))).unwrap();
+        link.send(&to, &Update::assert("Work", "f::j")).unwrap();
+        link.send(&to, &Update::retract("Done", "f::j")).unwrap();
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), "Work");
+        assert_eq!(rx.recv_timeout(Duration::from_secs(5)).unwrap(), "Done");
+        stranger.write_all(&frame(&to, &Update::assert("Late", "x::y"))).ok();
+        assert_eq!(
+            rx.recv_timeout(Duration::from_millis(200)),
+            Err(RecvTimeoutError::Timeout),
+            "a stranger's frame was delivered"
+        );
     }
 
     #[test]
     fn reader_closes_the_link_on_an_over_cap_length_prefix() {
         let (tx, rx) = mpsc::channel();
         let deliver: DeliverFn = Arc::new(move |_to: &JunctionId, u: Update| {
-            tx.send(u.key).ok();
+            tx.send(u.key.to_string()).ok();
         });
         let link = TcpLink::new(deliver, Arc::new(AtomicBool::new(false))).unwrap();
         let to = JunctionId::new("g", "serve");

@@ -217,10 +217,10 @@ fn lower_update(u: &Update) -> HeapValue {
         UpdateKind::Data(v) => (2, lower_value(v)),
     };
     HeapValue::Struct(vec![
-        HeapValue::CString(u.key.clone()),
+        HeapValue::CString(u.key.to_string()),
         HeapValue::UInt(kind as u64),
         val,
-        HeapValue::CString(u.from.clone()),
+        HeapValue::CString(u.from.to_string()),
         HeapValue::UInt(u.seq),
     ])
 }
@@ -363,9 +363,9 @@ fn raise_update(v: &HeapValue) -> Result<Update, CodecError> {
         _ => return Err(corrupt("update.kind")),
     };
     Ok(Update {
-        key: as_str(&f[0], "update.key")?,
+        key: as_str(&f[0], "update.key")?.into(),
         kind,
-        from: as_str(&f[3], "update.from")?,
+        from: as_str(&f[3], "update.from")?.into(),
         seq: as_u64(&f[4], "update.seq")?,
     })
 }

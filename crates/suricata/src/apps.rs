@@ -176,6 +176,7 @@ impl InstanceApp for SteeringApp {
 mod tests {
     use super::*;
     use crate::packet::Proto;
+    use csaw_kv::KeyId;
 
     fn pkt(src_port: u16) -> Packet {
         Packet {
@@ -206,7 +207,7 @@ mod tests {
         let mut app = EngineApp::new();
         app.restore("n", &Value::from(pkt(1000).encode())).unwrap();
         let mut t = idx_table(4);
-        let writes: Vec<String> = vec![];
+        let writes: Vec<KeyId> = vec![];
         let mut ctx = HostCtx::new(&mut t, &writes, "b", "j");
         app.host_call("Handle", &mut ctx).unwrap();
         assert_eq!(app.processed.load(Ordering::Relaxed), 1);
@@ -231,7 +232,7 @@ mod tests {
         let expect = p.flow_key().shard(4) + 1;
         app.packets.lock().push_back(p);
         let mut t = idx_table(4);
-        let writes = vec!["tgt".to_string()];
+        let writes = vec![KeyId::new("tgt")];
         let mut ctx = HostCtx::new(&mut t, &writes, "Fnt", "j");
         app.host_call("Choose", &mut ctx).unwrap();
         assert_eq!(ctx.idx("tgt"), Some(format!("Bck{expect}").as_str()));
@@ -242,7 +243,7 @@ mod tests {
         let mut app = SteeringApp::new(4);
         app.reserve = Some(Box::new(|p: &Packet| p.dst_port == 80));
         let mut t = idx_table(4);
-        let writes = vec!["tgt".to_string()];
+        let writes = vec![KeyId::new("tgt")];
         // Port-80 flow → reserved shard 1 (Bck1).
         app.packets.lock().push_back(pkt(5));
         let mut ctx = HostCtx::new(&mut t, &writes, "Fnt", "j");

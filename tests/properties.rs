@@ -159,7 +159,7 @@ fn table_is_robust_under_op_sequences() {
                     t.deliver(u);
                 }
                 TableOp::LocalWrite(k, v) => {
-                    t.set_prop_local(&format!("P{k}"), *v).unwrap();
+                    t.set_prop_local(format!("P{k}"), *v).unwrap();
                 }
                 TableOp::BeginEnd => {
                     t.begin_activation();
