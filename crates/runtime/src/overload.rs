@@ -35,14 +35,12 @@
 //! runtime behaves exactly as before.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::Duration;
-
-use parking_lot::Mutex;
 
 use crate::cell::JunctionId;
 use crate::metrics::Metrics;
-use crate::transport::MailboxProbe;
+use crate::transport::{MailboxProbe, UNSEEDED};
 
 /// Overload-control knobs for a [`Network`](crate::transport::Network)
 /// (installed via `Runtime::set_overload` or
@@ -160,8 +158,9 @@ pub(crate) struct OverloadState {
     budget_initial: AtomicU64,
     budget_per_send: AtomicU64,
     budget_cap: AtomicU64,
-    /// Mailbox-depth probe installed by the runtime.
-    probe: Mutex<Option<MailboxProbe>>,
+    /// Mailbox-depth probe, installed once by the runtime; admission
+    /// reads it without a lock.
+    probe: OnceLock<MailboxProbe>,
     shed: Arc<AtomicU64>,
     queue_full: Arc<AtomicU64>,
     deadline_expired: Arc<AtomicU64>,
@@ -182,7 +181,7 @@ impl OverloadState {
             budget_initial: AtomicU64::new(budget.initial_milli),
             budget_per_send: AtomicU64::new(budget.per_send_milli),
             budget_cap: AtomicU64::new(budget.cap_milli),
-            probe: Mutex::new(None),
+            probe: OnceLock::new(),
             shed: metrics.counter("link_shed_total"),
             queue_full: metrics.counter("link_queue_full_total"),
             deadline_expired: metrics.counter("link_deadline_expired_total"),
@@ -218,8 +217,9 @@ impl OverloadState {
         self.budget_cap.store(b.cap_milli, Ordering::Relaxed);
     }
 
+    /// Install the mailbox-depth probe; the first one installed stays.
     pub(crate) fn set_probe(&self, probe: MailboxProbe) {
-        *self.probe.lock() = Some(probe);
+        let _ = self.probe.set(probe);
     }
 
     pub(crate) fn shed_expired(&self) -> bool {
@@ -240,8 +240,7 @@ impl OverloadState {
         if bound == 0 {
             return false;
         }
-        let probe = self.probe.lock().clone();
-        probe.and_then(|p| p(to)).is_some_and(|len| len >= bound)
+        self.probe.get().and_then(|p| p(to)).is_some_and(|len| len >= bound)
     }
 
     /// Send-side admission: whether a queue bound refuses this send.
@@ -262,31 +261,42 @@ impl OverloadState {
         (obound > 0 && route_inflight() >= obound as u64) || self.mailbox_full(to)
     }
 
-    /// A fresh send earns retry-budget tokens into its route's bucket
-    /// (`None` until the first stamp lazily seeds the initial
-    /// allowance).
-    pub(crate) fn earn_retry_tokens(&self, bucket: &mut Option<u64>) {
+    /// A route's bucket as a budget reads it: [`UNSEEDED`] until the
+    /// first stamp seeds the initial allowance.
+    fn tokens(&self, bucket: u64) -> u64 {
+        match bucket {
+            UNSEEDED => self.budget_initial.load(Ordering::Relaxed),
+            t => t,
+        }
+    }
+
+    /// A fresh send earns retry-budget tokens into its route's bucket.
+    /// A full bucket is only read.
+    pub(crate) fn earn_retry_tokens(&self, bucket: &AtomicU64) {
         if self.budget_enabled.load(Ordering::Relaxed) {
-            let cur = bucket.unwrap_or_else(|| self.budget_initial.load(Ordering::Relaxed));
-            let earned = cur.saturating_add(self.budget_per_send.load(Ordering::Relaxed));
-            *bucket = Some(earned.min(self.budget_cap.load(Ordering::Relaxed)));
+            let per_send = self.budget_per_send.load(Ordering::Relaxed);
+            let cap = self.budget_cap.load(Ordering::Relaxed);
+            let _ = bucket.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+                let earned = self.tokens(cur).saturating_add(per_send).min(cap);
+                (earned != cur).then_some(earned)
+            });
         }
     }
 
     /// Pay for one retry (1000 millitokens) out of the route's bucket.
     /// `false` — counted as a suppressed retry — when the bucket is
     /// exhausted; always `true` while the budget is disabled.
-    pub(crate) fn spend_retry_token(&self, bucket: &mut Option<u64>) -> bool {
+    pub(crate) fn spend_retry_token(&self, bucket: &AtomicU64) -> bool {
         if !self.budget_enabled.load(Ordering::Relaxed) {
             return true;
         }
-        let cur = bucket.unwrap_or_else(|| self.budget_initial.load(Ordering::Relaxed));
-        if cur < 1000 {
+        let paid = bucket.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |cur| {
+            self.tokens(cur).checked_sub(1000)
+        });
+        if paid.is_err() {
             self.retries_suppressed.fetch_add(1, Ordering::Relaxed);
-            return false;
         }
-        *bucket = Some(cur - 1000);
-        true
+        paid.is_ok()
     }
 
     pub(crate) fn note_shed(&self) {

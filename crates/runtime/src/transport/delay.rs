@@ -12,11 +12,11 @@ use std::time::{Duration, Instant};
 
 use csaw_kv::Update;
 
-use super::{DeliverFn, RouteState};
+use super::reliability::DeliveryFilter;
+use super::{DeliverFn, RouteState, INFLIGHT_ONE};
 use crate::cell::JunctionId;
 use crate::clock::Clock;
 use crate::eventcount::{spawn_service, EventCount};
-use crate::overload::OverloadState;
 use crate::trace::{TraceKind, Tracer};
 
 struct SimPacket {
@@ -24,11 +24,13 @@ struct SimPacket {
     seq: u64,
     to: JunctionId,
     update: Update,
-    /// Route whose FIFO clock tracks this packet (None for explicitly
-    /// reordered packets, which bypass FIFO clamping). The scheduler
-    /// decrements the route's in-flight count after delivery, which is
-    /// what lets the Direct-link fast path recover.
-    fifo_link: Option<Arc<RouteState>>,
+    /// The route the packet travels, handed to admission with it.
+    route: Arc<RouteState>,
+    /// Whether the route's FIFO clock tracks this packet (not for an
+    /// explicitly reordered one, which bypasses the clamp). The
+    /// scheduler then decrements the route's in-flight count after
+    /// delivery, which is what lets the Direct-link fast path recover.
+    fifo: bool,
     /// Absolute deadline carried by the update (None = no budget).
     /// Checked at dequeue: a packet whose arrival already missed its
     /// deadline is shed instead of delivered (when shedding is on).
@@ -63,17 +65,6 @@ fn pop_due(queue: &mut Queue, now: Instant, due: &mut Vec<SimPacket>) {
     }
 }
 
-/// Per-route FIFO bookkeeping: the latest scheduled arrival (for
-/// clamping) and how many scheduled deliveries are still in flight.
-/// The clamp resets once the link drains, so the Direct fast path
-/// recovers after transient jitter instead of detouring through the
-/// scheduler forever.
-#[derive(Default)]
-pub(super) struct FifoClock {
-    pub(super) latest: Option<Instant>,
-    pub(super) inflight: u64,
-}
-
 /// Per-sim-link bandwidth bookkeeping (serialization of back-to-back
 /// transfers at finite bandwidth).
 #[derive(Default)]
@@ -84,17 +75,30 @@ pub(super) struct SimLinkClock {
 impl RouteState {
     /// Clamp `arrival` so this link stays FIFO: never earlier than the
     /// latest already-scheduled arrival on the same route. Also
-    /// registers the packet as in flight; the sink decrements the
-    /// count after delivery (see [`DelaySink::hand_over`]).
+    /// registers the packet as in flight, which takes the route off the
+    /// fast path; the sink decrements the count after delivery (see
+    /// [`DelaySink::hand_over`]). The clamp resets once the link drains.
     pub(super) fn fifo_arrival(&self, arrival: Instant) -> Instant {
-        let mut f = self.fifo.lock();
-        let clamped = match f.latest {
-            Some(latest) if latest > arrival => latest,
+        let mut latest = self.fifo.lock();
+        let clamped = match *latest {
+            Some(l) if l > arrival => l,
             _ => arrival,
         };
-        f.latest = Some(clamped);
-        f.inflight += 1;
+        *latest = Some(clamped);
+        self.state.fetch_add(INFLIGHT_ONE, Ordering::Release);
         clamped
+    }
+
+    /// One tracked packet has been handed over. The count never goes
+    /// below zero: [`Network::reset_route`](super::Network::reset_route)
+    /// zeroes it with packets still in flight.
+    fn landed(&self) {
+        let mut latest = self.fifo.lock();
+        if self.inflight() > 0
+            && self.state.fetch_sub(INFLIGHT_ONE, Ordering::Release) / INFLIGHT_ONE == 1
+        {
+            *latest = None;
+        }
     }
 
     /// Reserve a simulated link's serialization slot for a packet of
@@ -124,19 +128,6 @@ impl RouteState {
         clock.next_free = Some(done);
         Some(arrival)
     }
-
-    /// Whether this link has no scheduled delivery still in flight
-    /// (the clamp resets once the link drains, so the Direct fast path
-    /// recovers after transient jitter).
-    pub(super) fn link_idle(&self) -> bool {
-        let mut f = self.fifo.lock();
-        if f.inflight == 0 {
-            f.latest = None;
-            true
-        } else {
-            false
-        }
-    }
 }
 
 /// Record a receiver-side shed (mailbox overflow at admit, expired
@@ -149,35 +140,38 @@ pub(super) fn trace_shed(tracer: &Tracer, to: &JunctionId, u: &Update) {
     }
 }
 
-/// Where due packets go: the fence/dedup-wrapped delivery callback,
-/// plus the overload state and tracer the dequeue-time deadline check
-/// reports to.
+/// Where every arrival goes: the delivery filter, then the delivery
+/// callback.
 #[derive(Clone)]
 pub(super) struct DelaySink {
     pub(super) deliver: DeliverFn,
-    pub(super) overload: Arc<OverloadState>,
-    pub(super) tracer: Arc<Tracer>,
+    pub(super) filter: DeliveryFilter,
 }
 
 impl DelaySink {
+    /// Deliver one update that travelled `route`, if the filter admits
+    /// it.
+    pub(super) fn arrive(&self, route: &RouteState, to: &JunctionId, u: Update) {
+        if self.filter.admit(route, to, &u) {
+            (self.deliver)(to, u)
+        }
+    }
+
     /// Hand one due packet to the receiver — or shed it, traced and
     /// counted, if its arrival already missed its deadline and shedding
     /// is on. Only after the hand-over may the route's in-flight count
     /// drop: a zero count re-arms the Direct fast path, and synchronous
     /// delivery must not overtake a packet still being handed over.
     fn hand_over(&self, p: SimPacket) {
-        if p.deadline.is_some_and(|d| p.arrival > d) && self.overload.shed_expired() {
-            self.overload.note_shed();
-            trace_shed(&self.tracer, &p.to, &p.update);
+        let overload = &self.filter.overload;
+        if p.deadline.is_some_and(|d| p.arrival > d) && overload.shed_expired() {
+            overload.note_shed();
+            trace_shed(&self.filter.tracer, &p.to, &p.update);
         } else {
-            (self.deliver)(&p.to, p.update);
+            self.arrive(&p.route, &p.to, p.update);
         }
-        if let Some(route) = p.fifo_link {
-            let mut f = route.fifo.lock();
-            f.inflight = f.inflight.saturating_sub(1);
-            if f.inflight == 0 {
-                f.latest = None;
-            }
+        if p.fifo {
+            p.route.landed();
         }
     }
 }
@@ -283,13 +277,14 @@ impl SimScheduler {
         arrival: Instant,
         to: JunctionId,
         update: Update,
-        fifo_link: Option<Arc<RouteState>>,
+        route: Arc<RouteState>,
+        fifo: bool,
         deadline: Option<Instant>,
     ) {
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         self.queue
             .lock()
-            .push(Reverse(SimPacket { arrival, seq, to, update, fifo_link, deadline }));
+            .push(Reverse(SimPacket { arrival, seq, to, update, route, fifo, deadline }));
         self.queue.signal();
     }
 

@@ -36,19 +36,20 @@ mod delay;
 mod reliability;
 mod tcp;
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use csaw_core::intern::Sym;
 use csaw_kv::{Update, UpdateKind};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use self::delay::{DelaySink, FifoClock, SimLinkClock, SimScheduler};
+use self::delay::{DelaySink, SimLinkClock, SimScheduler};
 pub use self::reliability::SendError;
-use self::reliability::{DedupMemory, DeliveryFilter, FenceState, RouteSeq};
+pub(crate) use self::reliability::UNSEEDED;
+use self::reliability::{DeliveryFilter, FenceState, RouteDedup, RouteSeq};
 use self::tcp::TcpLink;
 use crate::cell::JunctionId;
 use crate::clock::Clock;
@@ -84,36 +85,60 @@ pub type DeliverFn = Arc<dyn Fn(&JunctionId, Update) + Send + Sync>;
 pub type MailboxProbe = Arc<dyn Fn(&JunctionId) -> Option<usize> + Send + Sync>;
 
 /// All mutable transport state for one directed (sender instance,
-/// receiver instance) pair, made once per route. Each concern has its
-/// own small mutex, so the send path takes exactly the locks it needs
-/// and a lookup never allocates.
+/// receiver instance) pair, made once per route; a lookup never
+/// allocates. One route lookup serves a whole send: the route travels
+/// with the update to admission, whether it is delivered at once, by the
+/// delay queue or off the route's TCP link.
+///
+/// A healthy route is *plain*: a Direct link with no fault plan and
+/// nothing in flight in the delay queue. Its `state` word is then 0, and
+/// a send reads it once, stamps `seq` with one atomic add and delivers;
+/// the receiver's dedup advances its watermark with one compare-and-swap.
+/// Only a route that is not plain takes the `faults`, `link` and `fifo`
+/// locks. The fence costs one atomic load while no instance has ever been
+/// fenced, and the retry-budget bucket is written only while a budget is
+/// enabled and the bucket below its cap.
 struct RouteState {
     /// Sender instance.
     from: Sym,
     /// Receiver instance.
     to: Sym,
-    /// Sender-side sequence state: low-bits counter + conversation
-    /// generation, stamped together under one lock.
-    seq: Mutex<RouteSeq>,
+    /// The plain-state word: [`FAULTS`] | [`NOT_DIRECT`] | the count of
+    /// scheduled deliveries in flight, in units of [`INFLIGHT_ONE`].
+    /// Every change happens under the lock of the state it mirrors and
+    /// is a `Release`; the send path's `Acquire` load pairs with it, so
+    /// a send that sees the count drop to zero also sees the delivery
+    /// handed over before it dropped.
+    state: AtomicU64,
+    /// Sender-side sequence word and retry-budget bucket.
+    seq: RouteSeq,
     /// Installed fault plan, if any.
     faults: Mutex<Option<LinkFaults>>,
     /// Explicit link kind override (None → network default).
     link: Mutex<Option<LinkKind>>,
     /// Serialization clock for finite-bandwidth sim links.
     sim_clock: Mutex<SimLinkClock>,
-    /// FIFO clamp + in-flight count for delayed deliveries.
-    fifo: Mutex<FifoClock>,
+    /// Latest scheduled arrival, for the FIFO clamp. Its lock also
+    /// orders the changes to the in-flight count.
+    fifo: Mutex<Option<Instant>>,
     /// Cached TCP connection.
     tcp: Mutex<Option<Arc<TcpLink>>>,
     /// Receiver-side dedup memory: seqs already delivered on this
     /// route.
-    seen: Mutex<DedupMemory>,
+    seen: RouteDedup,
     /// Interned trace identities per (sending junction, target
     /// junction) pair on this route, so the send path records trace
     /// events without re-allocating the names. Bounded by the
     /// program's topology.
     trace_ids: Mutex<Vec<TraceIds>>,
 }
+
+/// Plain-state bit: a fault plan is installed.
+const FAULTS: u64 = 1;
+/// Plain-state bit: the route's link kind is not Direct.
+const NOT_DIRECT: u64 = 2;
+/// One scheduled delivery in flight; the count sits above the flags.
+const INFLIGHT_ONE: u64 = 4;
 
 /// Trace identities of one (sending junction → target junction) pair.
 struct TraceIds {
@@ -127,19 +152,34 @@ struct TraceIds {
 }
 
 impl RouteState {
-    fn new(from: Sym, to: Sym) -> Arc<RouteState> {
+    fn new(from: Sym, to: Sym, state: u64) -> Arc<RouteState> {
         Arc::new(RouteState {
             from,
             to,
-            seq: Mutex::new(RouteSeq::default()),
+            state: AtomicU64::new(state),
+            seq: RouteSeq { word: AtomicU64::new(0), retry_tokens: AtomicU64::new(UNSEEDED) },
             faults: Mutex::new(None),
             link: Mutex::new(None),
             sim_clock: Mutex::new(SimLinkClock::default()),
-            fifo: Mutex::new(FifoClock::default()),
+            fifo: Mutex::new(None),
             tcp: Mutex::new(None),
-            seen: Mutex::new(DedupMemory::default()),
+            seen: RouteDedup::default(),
             trace_ids: Mutex::new(Vec::new()),
         })
+    }
+
+    /// Set or clear a flag of the plain-state word.
+    fn set_flag(&self, flag: u64, on: bool) {
+        if on {
+            self.state.fetch_or(flag, Ordering::Release);
+        } else {
+            self.state.fetch_and(!flag, Ordering::Release);
+        }
+    }
+
+    /// Scheduled deliveries still in flight on this route.
+    fn inflight(&self) -> u64 {
+        self.state.load(Ordering::Acquire) / INFLIGHT_ONE
     }
 
     /// Shared (sender instance, sender junction, qualified target)
@@ -170,40 +210,68 @@ impl RouteState {
     }
 }
 
-/// The [`RouteState`]s, found by the pair of instance ids. Linear scan
-/// over a small vector under a read lock: the route set is bounded by
-/// the program's topology, so comparing ids beats hashing — and a
-/// lookup never allocates.
+/// The first chunk of the route table holds this many routes, each
+/// further chunk twice as many as the one before.
+const FIRST_ROUTES: usize = 16;
+
+/// One chunk of the route table.
+type RouteChunk = Box<[OnceLock<Arc<RouteState>>]>;
+
+/// The [`RouteState`]s, found by the pair of instance ids. Append-only,
+/// in chunks that never move, so a lookup is a linear scan by ids that
+/// takes no lock and clones no handle: the route set is bounded by the
+/// program's topology, so comparing ids beats hashing — and a lookup
+/// never allocates.
 struct Routes {
-    inner: RwLock<Vec<Arc<RouteState>>>,
+    chunks: [OnceLock<RouteChunk>; 28],
+    /// Routes made so far; appended under `append`. Stored `Release`
+    /// after the slot is set, loaded `Acquire` before a scan.
+    len: AtomicUsize,
+    append: Mutex<()>,
+    /// The plain-state word a new route starts with: [`NOT_DIRECT`]
+    /// unless the network's default link is Direct.
+    fresh_state: AtomicU64,
 }
 
 impl Routes {
-    fn new() -> Arc<Routes> {
-        Arc::new(Routes { inner: RwLock::new(Vec::new()) })
+    fn new() -> Routes {
+        Routes {
+            chunks: [const { OnceLock::new() }; 28],
+            len: AtomicUsize::new(0),
+            append: Mutex::new(()),
+            fresh_state: AtomicU64::new(0),
+        }
+    }
+
+    fn slot(&self, i: usize) -> &OnceLock<Arc<RouteState>> {
+        let n = i + FIRST_ROUTES;
+        let chunk = (n.ilog2() - FIRST_ROUTES.ilog2()) as usize;
+        let slots = self.chunks[chunk]
+            .get_or_init(|| (0..FIRST_ROUTES << chunk).map(|_| OnceLock::new()).collect());
+        &slots[n - (FIRST_ROUTES << chunk)]
+    }
+
+    /// Every route made so far.
+    fn iter(&self) -> impl Iterator<Item = &Arc<RouteState>> {
+        let len = self.len.load(Ordering::Acquire);
+        let chunks = self.chunks.iter().map_while(OnceLock::get);
+        chunks.flat_map(|c| c.iter()).take(len).filter_map(OnceLock::get)
     }
 
     /// Find or create the route `from → to`.
-    fn get(&self, from: Sym, to: Sym) -> Arc<RouteState> {
-        let find = |routes: &[Arc<RouteState>]| {
-            routes.iter().find(|r| r.from == from && r.to == to).map(Arc::clone)
-        };
-        if let Some(r) = find(&self.inner.read()) {
+    fn get(&self, from: Sym, to: Sym) -> &Arc<RouteState> {
+        let find = || self.iter().find(|r| r.from == from && r.to == to);
+        if let Some(r) = find() {
             return r;
         }
-        let mut inner = self.inner.write();
-        find(&inner).unwrap_or_else(|| {
-            let r = RouteState::new(from, to);
-            inner.push(Arc::clone(&r));
+        let _append = self.append.lock();
+        find().unwrap_or_else(|| {
+            let i = self.len.load(Ordering::Relaxed);
+            let fresh = self.fresh_state.load(Ordering::Relaxed);
+            let r = self.slot(i).get_or_init(|| RouteState::new(from, to, fresh));
+            self.len.store(i + 1, Ordering::Release);
             r
         })
-    }
-
-    /// Drop every cached TCP connection (shutdown path).
-    fn clear_tcp(&self) {
-        for r in self.inner.read().iter() {
-            r.tcp.lock().take();
-        }
     }
 }
 
@@ -264,8 +332,8 @@ pub struct LinkStats {
 /// handle into the [`Metrics`] registry: [`LinkStats`] and the
 /// Prometheus rendering read the same atomics.
 pub struct Network {
-    /// Where due packets of the delay queue go; `sink.deliver` is the
-    /// fence/dedup-wrapped delivery callback every link kind ends in.
+    /// Where every arrival goes: `sink.arrive` passes the fence/dedup
+    /// filter into the delivery callback, whichever link carried it.
     sink: DelaySink,
     /// Time source for arrivals, fault windows and retry backoff. A
     /// simulated clock also switches the delay queue to executor-pumped
@@ -275,7 +343,7 @@ pub struct Network {
     /// All per-route transport state (seqs, generations, fault plans,
     /// link kinds, FIFO/serialization clocks, TCP connections, dedup
     /// memory, trace identities), interned once per directed pair.
-    routes: Arc<Routes>,
+    routes: Routes,
     sim: Arc<SimScheduler>,
     shutdown: Arc<AtomicBool>,
     /// Reliability-layer retry policy. The send path never clones it:
@@ -285,8 +353,6 @@ pub struct Network {
     /// Dice for backoff jitter (separate from link fault dice so a
     /// policy change doesn't perturb the fault schedule).
     backoff_dice: Mutex<StdRng>,
-    /// Receiver-side dedup switch (shared with the delivery filter).
-    dedup_enabled: Arc<AtomicBool>,
     /// Supervisor fencing tokens (shared with the delivery filter);
     /// holds `link_fenced_total`.
     fence: Arc<FenceState>,
@@ -295,7 +361,8 @@ pub struct Network {
     /// executor reads the delta around a step to classify the step's
     /// footprint: a step that sent anything — even over the Direct
     /// fast path, which delivers synchronously into the receiver's
-    /// cell — touched cross-instance state.
+    /// cell — touched cross-instance state. Counted only on a simulated
+    /// clock, the only one the sim executor runs on.
     send_ops: AtomicU64,
     /// `link_send_total`: messages sent.
     pub msgs_sent: Arc<AtomicU64>,
@@ -309,8 +376,6 @@ pub struct Network {
     partitioned: Arc<AtomicU64>,
     /// `link_retry_total`.
     retries: Arc<AtomicU64>,
-    /// `link_dedup_total` (shared with the delivery filter).
-    deduped: Arc<AtomicU64>,
     /// `link_direct_fast_total`.
     fast_path: Arc<AtomicU64>,
     /// `link_scheduled_total`: deliveries that went through the delay
@@ -345,28 +410,17 @@ impl Network {
         metrics: &Metrics,
         clock: Clock,
     ) -> Network {
-        let dedup_enabled = Arc::new(AtomicBool::new(true));
-        let deduped = metrics.counter("link_dedup_total");
         let fence = Arc::new(FenceState::new(metrics));
         let routes = Routes::new();
         let overload = OverloadState::new(metrics);
         let filter = DeliveryFilter {
-            dedup_enabled: Arc::clone(&dedup_enabled),
-            deduped: Arc::clone(&deduped),
+            dedup_enabled: AtomicBool::new(true).into(),
+            deduped: metrics.counter("link_dedup_total"),
             tracer: Arc::clone(&tracer),
-            routes: Arc::clone(&routes),
             fence: Arc::clone(&fence),
             overload: Arc::clone(&overload),
         };
-        let sink = DelaySink {
-            deliver: Arc::new(move |to: &JunctionId, u: Update| {
-                if filter.admit(to, &u) {
-                    deliver(to, u)
-                }
-            }),
-            overload: Arc::clone(&overload),
-            tracer: Arc::clone(&tracer),
-        };
+        let sink = DelaySink { deliver, filter };
         let shutdown = Arc::new(AtomicBool::new(false));
         let sim = SimScheduler::new(metrics.counter("wake_signals_total"));
         // Under virtual time no thread starts: the sim executor pumps
@@ -381,7 +435,6 @@ impl Network {
             shutdown,
             retry: Mutex::new(RetryPolicy::default()),
             backoff_dice: Mutex::new(StdRng::seed_from_u64(0xBAC0FF)),
-            dedup_enabled,
             fence,
             send_ops: AtomicU64::new(0),
             msgs_sent: metrics.counter("link_send_total"),
@@ -390,7 +443,6 @@ impl Network {
             dups: metrics.counter("link_dup_total"),
             partitioned: metrics.counter("link_partition_total"),
             retries: metrics.counter("link_retry_total"),
-            deduped,
             fast_path: metrics.counter("link_direct_fast_total"),
             scheduled: metrics.counter("link_scheduled_total"),
             overload,
@@ -418,12 +470,17 @@ impl Network {
     /// call.
     pub fn set_fault_plan(&self, from: &str, to: &str, plan: FaultPlan) {
         let route = self.routes.get(Sym::new(from), Sym::new(to));
-        *route.faults.lock() = Some(LinkFaults::new(plan, self.clock.now()));
+        let mut faults = route.faults.lock();
+        *faults = Some(LinkFaults::new(plan, self.clock.now()));
+        route.set_flag(FAULTS, true);
     }
 
     /// Remove the fault plan on `from → to` (the link heals).
     pub fn clear_fault_plan(&self, from: &str, to: &str) {
-        self.routes.get(Sym::new(from), Sym::new(to)).faults.lock().take();
+        let route = self.routes.get(Sym::new(from), Sym::new(to));
+        let mut faults = route.faults.lock();
+        *faults = None;
+        route.set_flag(FAULTS, false);
     }
 
     /// Snapshot the reliability/fault counters.
@@ -436,7 +493,7 @@ impl Network {
             dups: self.dups.load(Ordering::Relaxed),
             partitioned: self.partitioned.load(Ordering::Relaxed),
             retries: self.retries.load(Ordering::Relaxed),
-            deduped: self.deduped.load(Ordering::Relaxed),
+            deduped: self.sink.filter.deduped.load(Ordering::Relaxed),
             fast_path: self.fast_path.load(Ordering::Relaxed),
             fenced: self.fence.fenced.load(Ordering::Relaxed),
             shed: overload.shed,
@@ -478,16 +535,19 @@ impl Network {
     /// Refresh the `link_inflight` gauge from the routes' in-flight
     /// counts (total scheduled deliveries not yet landed).
     pub fn refresh_overload_gauges(&self) {
-        let total: u64 = {
-            let routes = self.routes.inner.read();
-            routes.iter().map(|r| r.fifo.lock().inflight).sum()
-        };
+        let total: u64 = self.routes.iter().map(|r| r.inflight()).sum();
         self.g_inflight.set(total as f64);
     }
 
     /// Set the default link kind for unlisted instance pairs.
     pub fn set_default_link(&mut self, kind: LinkKind) {
         self.default_link = kind;
+        let fresh = if kind == LinkKind::Direct { 0 } else { NOT_DIRECT };
+        self.routes.fresh_state.store(fresh, Ordering::Relaxed);
+        for route in self.routes.iter() {
+            let link = route.link.lock();
+            route.set_flag(NOT_DIRECT, link.unwrap_or(kind) != LinkKind::Direct);
+        }
     }
 
     /// Configure the link between an (ordered) pair of instances.
@@ -502,15 +562,15 @@ impl Network {
     /// (see [`Network::reset_route`]).
     pub fn set_link(&self, from: &str, to: &str, kind: LinkKind) {
         let route = self.routes.get(Sym::new(from), Sym::new(to));
-        let prev = route.link.lock().replace(kind);
-        let had_traffic = route.seq.lock().counter > 0;
+        let prev = {
+            let mut link = route.link.lock();
+            route.set_flag(NOT_DIRECT, kind != LinkKind::Direct);
+            link.replace(kind)
+        };
+        let had_traffic = route.seq.counter() > 0;
         if prev.is_some() || had_traffic {
             self.reset_route(from, to);
         }
-    }
-
-    fn link_kind(&self, route: &RouteState) -> LinkKind {
-        route.link.lock().unwrap_or(self.default_link)
     }
 
     /// Send an update from `from_instance` to junction `to`, through the
@@ -538,18 +598,24 @@ impl Network {
         mut update: Update,
         deadline: Option<Instant>,
     ) -> Result<(), SendError> {
-        self.send_ops.fetch_add(1, Ordering::Relaxed);
+        self.note_send_op();
         let deadline = deadline
             .or_else(|| self.overload.ingress_deadline().map(|b| self.clock.now() + b));
         let route = self.routes.get(from_instance.into(), to.instance);
-        self.stamp_one(&route, &mut update)?;
-        self.send_stamped(&route, to, update, deadline)
+        self.stamp_one(route, &mut update)?;
+        self.send_stamped(route, to, update, deadline)
     }
 
     /// Monotonic count of send operations attempted (any entry point,
-    /// any outcome). See the `send_ops` field.
+    /// any outcome) on a simulated clock. See the `send_ops` field.
     pub(crate) fn send_ops(&self) -> u64 {
         self.send_ops.load(Ordering::Relaxed)
+    }
+
+    fn note_send_op(&self) {
+        if self.clock.is_simulated() {
+            self.send_ops.fetch_add(1, Ordering::Relaxed);
+        }
     }
 
     /// [`send`](Network::send) each update in order. Every update is
@@ -580,13 +646,13 @@ impl Network {
         to: &JunctionId,
         update: Update,
     ) -> Result<(), SendError> {
-        self.send_ops.fetch_add(1, Ordering::Relaxed);
+        self.note_send_op();
         let route = self.routes.get(from_instance.into(), to.instance);
         // Control lane: heartbeats/probes ride the priority lane (no
         // queue bounds, no deadline) unless the lane is disabled, in
         // which case they face the same data-plane gates as everything
         // else — the deliberate metastable-failure configuration.
-        self.send_attempt(&route, to, update, None, false).map_err(|(e, _)| e)
+        self.send_attempt(route, to, update, None, false).map_err(|(e, _)| e)
     }
 
     /// Feed the transport's schedule-relevant mutable state to `h` for
@@ -598,27 +664,23 @@ impl Network {
     /// time.
     pub(crate) fn sim_fingerprint(&self, origin: Instant, h: &mut dyn FnMut(&[u8])) {
         self.sim.fingerprint(origin, h);
-        let mut routes: Vec<Arc<RouteState>> = self.routes.inner.read().clone();
+        let mut routes: Vec<&Arc<RouteState>> = self.routes.iter().collect();
         routes.sort_by(|a, b| (&a.from, &a.to).cmp(&(&b.from, &b.to)));
         for r in &routes {
             h(r.from.as_bytes());
             h(r.to.as_bytes());
+            h(&r.seq.counter().to_le_bytes());
+            h(&r.seq.generation().to_le_bytes());
+            h(&r.seq.retry_tokens.load(Ordering::Relaxed).to_le_bytes());
             {
-                let s = r.seq.lock();
-                h(&s.counter.to_le_bytes());
-                h(&s.gen.to_le_bytes());
-                h(&s.retry_tokens_milli.map_or(u64::MAX, |t| t).to_le_bytes());
-            }
-            {
-                let f = r.fifo.lock();
-                let latest = f.latest.map_or(u64::MAX, |t| {
+                let latest = r.fifo.lock().map_or(u64::MAX, |t| {
                     t.saturating_duration_since(origin).as_nanos() as u64
                 });
                 h(&latest.to_le_bytes());
-                h(&f.inflight.to_le_bytes());
+                h(&r.inflight().to_le_bytes());
             }
             {
-                let seen = r.seen.lock().digest();
+                let seen = r.seen.digest();
                 h(&(seen.len() as u64).to_le_bytes());
                 seen.iter().flatten().for_each(|word| h(&word.to_le_bytes()));
             }
@@ -640,22 +702,23 @@ impl Network {
         deadline: Option<Instant>,
         data_plane: bool,
     ) -> Result<(), (SendError, Update)> {
-        if self.overload.refuses_send(data_plane, || route.fifo.lock().inflight, to) {
+        if self.overload.refuses_send(data_plane, || route.inflight(), to) {
             self.overload.note_queue_full();
             self.emit(route, to, &update, |to, u| TraceKind::LinkQueueFull { to, seq: u.seq });
             return Err((SendError::QueueFull, update));
         }
-        let decision = {
-            let mut faults = route.faults.lock();
-            match faults.as_mut() {
-                Some(lf) => lf.decide(self.clock.now()),
-                None => FaultDecision::Deliver {
-                    delay: Duration::ZERO,
-                    duplicate: false,
-                    reorder: false,
-                },
-            }
+        // The one read of the plain-state word: a plain route (0) takes
+        // no lock from here to its delivery.
+        let state = route.state.load(Ordering::Acquire);
+        let decision = match state & FAULTS {
+            0 => None,
+            _ => route.faults.lock().as_mut().map(|lf| lf.decide(self.clock.now())),
         };
+        let decision = decision.unwrap_or(FaultDecision::Deliver {
+            delay: Duration::ZERO,
+            duplicate: false,
+            reorder: false,
+        });
         match decision {
             FaultDecision::Partitioned => {
                 self.partitioned.fetch_add(1, Ordering::Relaxed);
@@ -690,11 +753,13 @@ impl Network {
                 // still in flight — and an app-level retry of that
                 // "failed" send would then double-apply.
                 let dup_copy = duplicate.then(|| update.clone());
-                self.dispatch(route, to, update, delay, !reorder, deadline)?;
+                self.dispatch(route, state, to, update, delay, !reorder, deadline)?;
                 if let Some(copy) = dup_copy {
                     self.dups.fetch_add(1, Ordering::Relaxed);
                     self.emit(route, to, &copy, |to, u| TraceKind::LinkDup { to, seq: u.seq });
-                    let _ = self.dispatch(route, to, copy, delay, !reorder, deadline);
+                    // The original may have put a packet in flight.
+                    let state = route.state.load(Ordering::Acquire);
+                    let _ = self.dispatch(route, state, to, copy, delay, !reorder, deadline);
                 }
                 Ok(())
             }
@@ -728,14 +793,17 @@ impl Network {
         self.sim.next_due()
     }
 
-    /// Get (or dial) the route's cached TCP link.
-    fn tcp_link(&self, route: &RouteState) -> Result<Arc<TcpLink>, SendError> {
+    /// Get (or dial) the route's cached TCP link. Its reader delivers
+    /// on behalf of this route.
+    fn tcp_link(&self, route: &Arc<RouteState>) -> Result<Arc<TcpLink>, SendError> {
         let mut tcp = route.tcp.lock();
         if let Some(l) = tcp.as_ref() {
             return Ok(Arc::clone(l));
         }
+        let (sink, on) = (self.sink.clone(), Arc::clone(route));
+        let deliver: DeliverFn = Arc::new(move |to: &JunctionId, u| sink.arrive(&on, to, u));
         let l = Arc::new(
-            TcpLink::new(Arc::clone(&self.sink.deliver), Arc::clone(&self.shutdown))
+            TcpLink::new(deliver, Arc::clone(&self.shutdown))
                 .map_err(|e| SendError::Transport(format!("tcp setup: {e}")))?,
         );
         *tcp = Some(Arc::clone(&l));
@@ -747,17 +815,24 @@ impl Network {
     /// frames go out immediately (the socket provides its own timing and
     /// is FIFO by construction). With `fifo` set the delay is treated as
     /// link latency — later messages on the same directed pair cannot
-    /// overtake; explicit reordering passes `fifo = false`.
+    /// overtake; explicit reordering passes `fifo = false`. `state` is
+    /// the route's plain-state word as the caller read it.
+    #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &self,
         route: &Arc<RouteState>,
+        state: u64,
         to: &JunctionId,
         update: Update,
         extra_delay: Duration,
         fifo: bool,
         deadline: Option<Instant>,
     ) -> Result<(), (SendError, Update)> {
-        let arrival = match self.link_kind(route) {
+        let kind = match state & NOT_DIRECT {
+            0 => LinkKind::Direct,
+            _ => route.link.lock().unwrap_or(self.default_link),
+        };
+        let arrival = match kind {
             LinkKind::Tcp => {
                 let sent = self.tcp_link(route).and_then(|link| {
                     link.send(to, &update)
@@ -771,9 +846,9 @@ impl Network {
                 // count (not mere clock existence) gates this, so one
                 // jittered delivery only detours the link through the
                 // scheduler until its backlog drains, not forever.
-                if extra_delay.is_zero() && route.link_idle() {
+                if extra_delay.is_zero() && state < INFLIGHT_ONE {
                     self.fast_path.fetch_add(1, Ordering::Relaxed);
-                    (self.sink.deliver)(to, update);
+                    self.sink.arrive(route, to, update);
                     return Ok(());
                 }
                 self.clock.now() + extra_delay
@@ -793,13 +868,9 @@ impl Network {
                 }
             }
         };
-        let (arrival, fifo_link) = if fifo {
-            (route.fifo_arrival(arrival), Some(Arc::clone(route)))
-        } else {
-            (arrival, None)
-        };
+        let arrival = if fifo { route.fifo_arrival(arrival) } else { arrival };
         self.scheduled.fetch_add(1, Ordering::Relaxed);
-        self.sim.enqueue(arrival, *to, update, fifo_link, deadline);
+        self.sim.enqueue(arrival, *to, update, Arc::clone(route), fifo, deadline);
         Ok(())
     }
 
@@ -808,7 +879,7 @@ impl Network {
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::Relaxed);
         self.sim.shutdown();
-        self.routes.clear_tcp();
+        self.routes.iter().for_each(|r| drop(r.tcp.lock().take()));
     }
 }
 
@@ -832,6 +903,8 @@ pub(crate) fn collecting_network(
 
 #[cfg(test)]
 mod tests {
+    use std::sync::mpsc::Receiver;
+
     use super::*;
     use csaw_core::value::Value;
     use csaw_kv::Table;
@@ -909,6 +982,202 @@ mod tests {
         assert!(direct.data.contains(&undeclared));
         assert!(direct.props.iter().any(|(k, v)| k == "leak-test:Ghost" && *v));
         assert!(direct.props.iter().any(|(k, v)| k == "Work" && !*v));
+    }
+
+    /// A network on a virtual clock: a delayed packet lands only when
+    /// [`land`] advances the clock and pumps the delay queue.
+    fn virtual_network() -> (Network, Receiver<(JunctionId, Update)>, Clock) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let deliver: DeliverFn = Arc::new(move |to: &JunctionId, u: Update| {
+            tx.send((*to, u)).ok();
+        });
+        let clock = Clock::simulated();
+        let net =
+            Network::with_telemetry(deliver, Arc::new(Tracer::new()), &Metrics::new(), clock.clone());
+        (net, rx, clock)
+    }
+
+    fn land(net: &Network, clock: &Clock) {
+        clock.advance_to(clock.now() + Duration::from_secs(1));
+        net.pump_due();
+    }
+
+    fn plain(net: &Network) -> bool {
+        net.routes.get(Sym::new("f"), Sym::new("g")).state.load(Ordering::Acquire) == 0
+    }
+
+    /// (fast_path, scheduled) so far.
+    fn paths(net: &Network) -> (u64, u64) {
+        (net.stats().fast_path, net.scheduled.load(Ordering::Relaxed))
+    }
+
+    const FAST: (u64, u64) = (1, 0);
+    const SCHEDULED: (u64, u64) = (0, 1);
+    const NEITHER: (u64, u64) = (0, 0);
+
+    /// Send `f → g` and take what lands (pumping the delay queue if
+    /// nothing did at once); the (fast_path, scheduled) deltas the send
+    /// caused, or its error.
+    fn send_one(
+        net: &Network,
+        rx: &Receiver<(JunctionId, Update)>,
+        clock: &Clock,
+    ) -> Result<(u64, u64), SendError> {
+        let before = paths(net);
+        net.send("f", &JunctionId::new("g", "junction"), Update::assert("Work", "f::j"))?;
+        let after = paths(net);
+        if rx.try_recv().is_err() {
+            land(net, clock);
+            rx.recv_timeout(Duration::from_secs(5)).expect("the update landed");
+        }
+        Ok((after.0 - before.0, after.1 - before.1))
+    }
+
+    fn jitter() -> FaultPlan {
+        FaultPlan::none().with_jitter(Duration::from_millis(5)).with_seed(11)
+    }
+
+    #[test]
+    fn plain_route_fault_plan_until_cleared() {
+        let (net, rx, clock) = virtual_network();
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+        assert!(plain(&net));
+        net.set_fault_plan("f", "g", jitter());
+        assert!(!plain(&net));
+        assert_eq!(send_one(&net, &rx, &clock), Ok(SCHEDULED));
+        net.clear_fault_plan("f", "g");
+        assert!(plain(&net), "the jittered packet landed and the plan is gone");
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+    }
+
+    #[test]
+    fn plain_route_sim_and_tcp_links_until_direct() {
+        let sim = LinkKind::Sim { latency: Duration::from_millis(1), bandwidth: 0 };
+        for (kind, detour) in [(sim, SCHEDULED), (LinkKind::Tcp, NEITHER)] {
+            let (net, rx, clock) = virtual_network();
+            assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+            net.set_link("f", "g", kind);
+            assert!(!plain(&net), "{kind:?}");
+            assert_eq!(send_one(&net, &rx, &clock), Ok(detour), "{kind:?}");
+            net.set_link("f", "g", LinkKind::Direct);
+            assert!(plain(&net), "{kind:?}");
+            assert_eq!(send_one(&net, &rx, &clock), Ok(FAST), "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn plain_route_not_on_a_non_direct_default_link() {
+        let (mut net, rx, clock) = virtual_network();
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+        net.set_default_link(LinkKind::Sim { latency: Duration::from_millis(1), bandwidth: 0 });
+        assert!(!plain(&net), "an existing route follows the default");
+        assert_eq!(send_one(&net, &rx, &clock), Ok(SCHEDULED));
+        net.set_default_link(LinkKind::Direct);
+        assert!(plain(&net));
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+    }
+
+    #[test]
+    fn plain_route_jitter_backlog_until_drained() {
+        let (net, rx, clock) = virtual_network();
+        let to = JunctionId::new("g", "junction");
+        let n = |i| Update::data("n", Value::Int(i), "f::j");
+        net.set_fault_plan("f", "g", jitter());
+        net.send("f", &to, n(0)).unwrap();
+        net.clear_fault_plan("f", "g");
+        assert!(!plain(&net), "a jittered delivery is still in flight");
+        let before = paths(&net);
+        net.send("f", &to, n(1)).unwrap();
+        let after = paths(&net);
+        assert_eq!((after.0 - before.0, after.1 - before.1), SCHEDULED, "FIFO behind the backlog");
+        assert!(rx.try_recv().is_err());
+        land(&net, &clock);
+        let got: Vec<UpdateKind> = rx.try_iter().map(|(_, u)| u.kind).collect();
+        assert_eq!(got, vec![n(0).kind, n(1).kind]);
+        assert!(plain(&net), "the backlog drained");
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+    }
+
+    /// An outbox bound does not take an idle route off the fast path:
+    /// it reads the in-flight count out of the plain-state word, and
+    /// refuses while a delivery is in flight.
+    #[test]
+    fn plain_route_outbox_bound_counts_what_is_in_flight() {
+        let (net, rx, clock) = virtual_network();
+        net.set_retry_policy(RetryPolicy::disabled());
+        net.set_overload(OverloadConfig { outbox_bound: 1, ..Default::default() });
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+        net.set_fault_plan("f", "g", jitter());
+        net.send("f", &JunctionId::new("g", "junction"), Update::assert("Work", "f::j")).unwrap();
+        net.clear_fault_plan("f", "g");
+        let before = paths(&net);
+        assert_eq!(send_one(&net, &rx, &clock), Err(SendError::QueueFull));
+        assert_eq!(paths(&net), before, "a refused send is neither fast nor scheduled");
+        land(&net, &clock);
+        rx.try_recv().expect("the jittered send landed");
+        assert!(plain(&net));
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+        net.set_overload(OverloadConfig::default());
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+    }
+
+    /// A retry budget keeps an idle route on the fast path: a fresh send
+    /// tops up the bucket (written only while below its cap), and a
+    /// lossy spell drains it until it refuses retries.
+    #[test]
+    fn plain_route_retry_budget_refills_on_the_fast_path() {
+        let (net, rx, clock) = virtual_network();
+        net.set_retry_budget(RetryBudgetPolicy {
+            enabled: true,
+            initial_milli: 0,
+            per_send_milli: 1000,
+            cap_milli: 2000,
+        });
+        let tokens = || net.routes.get(Sym::new("f"), Sym::new("g")).seq.retry_tokens.load(Ordering::Relaxed);
+        for expect in [1000, 2000, 2000] {
+            assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+            assert_eq!(tokens(), expect);
+        }
+        net.set_fault_plan("f", "g", FaultPlan::none().with_drop(1.0).with_seed(7));
+        assert_eq!(send_one(&net, &rx, &clock), Err(SendError::LinkDropped));
+        assert_eq!((net.stats().retries, net.stats().retries_suppressed), (2, 1));
+        assert_eq!(tokens(), 0, "two retries paid, then the bucket refused");
+        net.clear_fault_plan("f", "g");
+        assert!(plain(&net));
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+        assert_eq!(tokens(), 1000);
+    }
+
+    #[test]
+    fn plain_route_fence_until_admitted() {
+        let (net, rx, clock) = virtual_network();
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+        assert!(!net.fence.raised.load(Ordering::Relaxed), "no fence raised yet");
+        net.fence_instance("f");
+        let before = paths(&net);
+        assert_eq!(send_one(&net, &rx, &clock), Err(SendError::Fenced));
+        assert_eq!(paths(&net), before, "a fenced send is neither fast nor scheduled");
+        net.admit_instance("f");
+        assert!(plain(&net));
+        assert_eq!(send_one(&net, &rx, &clock), Ok(FAST));
+    }
+
+    /// The dedup memory a sim fingerprint sees is the same whether an
+    /// in-order run's watermark sits in the atomic or in the memory.
+    #[test]
+    fn dedup_digest_folds_in_the_published_watermark() {
+        let dedup = RouteDedup::default();
+        let conv = 5u64 << 40;
+        for n in 1..=4 {
+            assert!(dedup.insert(conv | n));
+        }
+        assert_eq!(dedup.digest(), vec![[5, 4, 0, 0]]);
+        assert!(!dedup.insert(conv | 3), "below the published watermark");
+        assert!(dedup.insert(conv | 6), "out of order: the sparse set");
+        assert!(dedup.insert(conv | 5));
+        assert!(!dedup.insert(conv | 6));
+        assert!(dedup.insert(conv | 7), "in order again");
+        assert_eq!(dedup.digest(), vec![[5, 7, 0, 0]]);
     }
 
     #[test]

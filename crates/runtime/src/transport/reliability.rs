@@ -9,10 +9,10 @@ use std::time::Instant;
 
 use csaw_core::intern::Sym;
 use csaw_kv::Update;
-use parking_lot::RwLock;
+use parking_lot::{Mutex, RwLock};
 
-use super::delay::{trace_shed, FifoClock, SimLinkClock};
-use super::{Network, RouteState, Routes};
+use super::delay::{trace_shed, SimLinkClock};
+use super::{Network, RouteState, INFLIGHT_ONE};
 use crate::cell::JunctionId;
 use crate::fault::RetryPolicy;
 use crate::overload::OverloadState;
@@ -27,12 +27,9 @@ use crate::trace::{TraceKind, Tracer};
 /// rewires per route before wrap — both far beyond any run.
 const ROUTE_GEN_SHIFT: u32 = 40;
 
-/// Route generations occupy 12 bits above the counter; the sender's
-/// supervisor fence epoch fills the 12 bits above them (see
-/// [`Network::fence_instance`]). 2^12 repairs per instance before wrap.
-const ROUTE_GEN_MASK: u64 = (1 << (FENCE_EPOCH_SHIFT - ROUTE_GEN_SHIFT)) - 1;
-
-/// Where the sender's fence epoch sits in a sequence number. The stamp
+/// Where the sender's fence epoch sits in a sequence number, above the
+/// 12 bits of route generation (2^12 repairs per instance before
+/// wrap; see [`Network::fence_instance`]). The stamp
 /// is read at delivery to reject a fenced-out sender's traffic: a
 /// sender fenced at epoch `e` keeps stamping `e` until it is re-admitted
 /// at `e + 1`, so both its in-flight and its future sends fall below the
@@ -98,21 +95,47 @@ impl std::fmt::Display for SendError {
 
 impl std::error::Error for SendError {}
 
-/// Sender-side sequence state of one route.
-#[derive(Default)]
+/// Sender-side sequence state of one route: one word packed like the
+/// stamp, `generation << ROUTE_GEN_SHIFT | counter`, so a stamp is one
+/// atomic add, and the retry-budget bucket beside it.
 pub(super) struct RouteSeq {
-    /// Low-bits counter within the current conversation; reset by
-    /// [`Network::reset_route`]. `counter > 0` ⇔ the route has carried
-    /// sequenced traffic since the last reset.
-    pub(super) counter: u64,
-    /// Conversation generation (monotonic, never reset).
-    pub(super) gen: u64,
+    /// `counter` counts within the current conversation and is reset by
+    /// [`Network::reset_route`], which bumps the conversation
+    /// `generation`. `counter > 0` ⇔ the route has carried sequenced
+    /// traffic since the last reset.
+    pub(super) word: AtomicU64,
     /// Retry-budget token bucket in millitokens (see
     /// [`RetryBudgetPolicy`](crate::overload::RetryBudgetPolicy)):
-    /// refilled on fresh stamps, drained per retry. Lives under the
-    /// seq lock the stamp path already takes, so the refill costs no
-    /// extra lock.
-    pub(super) retry_tokens_milli: Option<u64>,
+    /// refilled on fresh stamps, drained per retry; [`UNSEEDED`] until
+    /// the first stamp seeds the initial allowance. Written only while a
+    /// budget is enabled and the bucket is below its cap.
+    pub(super) retry_tokens: AtomicU64,
+}
+
+/// The retry-budget bucket of a route that has not stamped yet.
+pub(crate) const UNSEEDED: u64 = u64::MAX;
+
+impl RouteSeq {
+    /// The next sequence number, under the sender's fence epoch.
+    fn next(&self, epoch: u64) -> u64 {
+        let word = self.word.fetch_add(1, Ordering::Relaxed) + 1;
+        (epoch << FENCE_EPOCH_SHIFT) | (word & ((1 << FENCE_EPOCH_SHIFT) - 1))
+    }
+
+    pub(super) fn counter(&self) -> u64 {
+        self.word.load(Ordering::Relaxed) & ((1 << ROUTE_GEN_SHIFT) - 1)
+    }
+
+    pub(super) fn generation(&self) -> u64 {
+        self.word.load(Ordering::Relaxed) >> ROUTE_GEN_SHIFT
+    }
+
+    /// Start the next conversation: bump the generation, zero the
+    /// counter.
+    fn reset(&self) {
+        let next = |w: u64| Some(((w >> ROUTE_GEN_SHIFT) + 1) << ROUTE_GEN_SHIFT);
+        let _ = self.word.fetch_update(Ordering::Relaxed, Ordering::Relaxed, next);
+    }
 }
 
 /// Receiver-side dedup memory of one route: which seqs have already
@@ -137,10 +160,8 @@ struct Conversation {
 }
 
 impl DedupMemory {
-    /// Mark `seq` delivered; `false` if it already was.
-    fn insert(&mut self, seq: u64) -> bool {
-        let counter = seq & ((1 << ROUTE_GEN_SHIFT) - 1);
-        let conv = seq >> ROUTE_GEN_SHIFT;
+    /// Conversation `conv`'s memory, made on first use.
+    fn conversation(&mut self, conv: u64) -> &mut Conversation {
         let at = match self.conversations.iter().position(|(k, _)| *k == conv) {
             Some(at) => at,
             None => {
@@ -148,7 +169,13 @@ impl DedupMemory {
                 self.conversations.len() - 1
             }
         };
-        let c = &mut self.conversations[at].1;
+        &mut self.conversations[at].1
+    }
+
+    /// Mark `seq` delivered; `false` if it already was.
+    fn insert(&mut self, seq: u64) -> bool {
+        let counter = seq & ((1 << ROUTE_GEN_SHIFT) - 1);
+        let c = self.conversation(seq >> ROUTE_GEN_SHIFT);
         if counter <= c.watermark {
             return false;
         }
@@ -177,6 +204,64 @@ impl DedupMemory {
         out.sort_unstable();
         out
     }
+
+    /// Take back a watermark [`RouteDedup`] published (0: none).
+    fn fold(&mut self, watermark: u64) {
+        if watermark != 0 {
+            self.conversation(watermark >> ROUTE_GEN_SHIFT).watermark =
+                watermark & ((1 << ROUTE_GEN_SHIFT) - 1);
+        }
+    }
+
+    /// Conversation `conv`'s watermark as a seq, if nothing above it has
+    /// been seen (0 otherwise): what [`RouteDedup`] may publish.
+    fn unbroken(&self, conv: u64) -> u64 {
+        let c = self.conversations.iter().find(|(k, c)| *k == conv && c.above.is_empty());
+        c.map_or(0, |(_, c)| (conv << ROUTE_GEN_SHIFT) | c.watermark)
+    }
+}
+
+/// A route's receiver-side dedup: the newest conversation whose seqs
+/// have so far arrived in order keeps its watermark in an atomic, so an
+/// in-order arrival costs one compare-and-swap. An out-of-order or
+/// other-conversation seq takes the lock and the [`DedupMemory`].
+#[derive(Default)]
+pub(super) struct RouteDedup {
+    /// The published conversation's watermark as a seq (fence epoch |
+    /// generation | counter), or 0 for none. While one is published it
+    /// is authoritative for its conversation, which has nothing in
+    /// `memory` above it.
+    watermark: AtomicU64,
+    memory: Mutex<DedupMemory>,
+}
+
+impl RouteDedup {
+    /// Mark `seq` delivered; `false` if it already was.
+    pub(super) fn insert(&self, seq: u64) -> bool {
+        let w = self.watermark.load(Ordering::Acquire);
+        let published = w != 0 && seq >> ROUTE_GEN_SHIFT == w >> ROUTE_GEN_SHIFT;
+        if published && seq <= w {
+            return false;
+        }
+        let (ok, no) = (Ordering::AcqRel, Ordering::Relaxed);
+        if published && seq == w + 1 && self.watermark.compare_exchange(w, seq, ok, no).is_ok() {
+            return true;
+        }
+        let mut memory = self.memory.lock();
+        let w = self.watermark.swap(0, Ordering::AcqRel);
+        memory.fold(w);
+        let fresh = memory.insert(seq);
+        let newest = (seq >> ROUTE_GEN_SHIFT).max(w >> ROUTE_GEN_SHIFT);
+        self.watermark.store(memory.unbroken(newest), Ordering::Release);
+        fresh
+    }
+
+    /// [`DedupMemory::digest`] with the published watermark folded in.
+    pub(super) fn digest(&self) -> Vec<[u64; 4]> {
+        let mut memory = self.memory.lock();
+        memory.fold(self.watermark.load(Ordering::Acquire));
+        memory.digest()
+    }
 }
 
 /// Supervisor fencing-token state, shared between the send path and the
@@ -188,6 +273,9 @@ impl DedupMemory {
 /// [`Network::admit_instance`] lifts its stamp to the floor.
 pub(super) struct FenceState {
     enabled: AtomicBool,
+    /// Whether any instance has ever been fenced: until then every
+    /// (stamp, floor) is (0, 0).
+    pub(super) raised: AtomicBool,
     /// (stamp epoch, accepted floor), indexed by instance id.
     inner: RwLock<Vec<(u64, u64)>>,
     /// `link_fenced_total`: rejections, send-side + delivery-side.
@@ -198,14 +286,18 @@ impl FenceState {
     pub(super) fn new(metrics: &Metrics) -> FenceState {
         FenceState {
             enabled: AtomicBool::new(true),
+            raised: AtomicBool::new(false),
             inner: RwLock::new(Vec::new()),
             fenced: metrics.counter("link_fenced_total"),
         }
     }
 
     /// (stamp, floor) for a sender; unknown senders are (0, 0) — never
-    /// fenced.
+    /// fenced. One atomic load while no instance has ever been fenced.
     pub(super) fn of(&self, instance: Sym) -> (u64, u64) {
+        if !self.raised.load(Ordering::Acquire) {
+            return (0, 0);
+        }
         self.inner.read().get(instance.index()).copied().unwrap_or((0, 0))
     }
 
@@ -223,19 +315,19 @@ impl FenceState {
 
 /// Receiver-side admission filter (fence → mailbox bound → dedup) every
 /// delivery passes, whichever link carried it.
+#[derive(Clone)]
 pub(super) struct DeliveryFilter {
     pub(super) dedup_enabled: Arc<AtomicBool>,
     /// `link_dedup_total`.
     pub(super) deduped: Arc<AtomicU64>,
     pub(super) tracer: Arc<Tracer>,
-    pub(super) routes: Arc<Routes>,
     pub(super) fence: Arc<FenceState>,
     pub(super) overload: Arc<OverloadState>,
 }
 
 impl DeliveryFilter {
-    /// Whether one update may land.
-    pub(super) fn admit(&self, to: &JunctionId, u: &Update) -> bool {
+    /// Whether one update that travelled `route` may land.
+    pub(super) fn admit(&self, route: &RouteState, to: &JunctionId, u: &Update) -> bool {
         if u.seq == 0 {
             // Unsequenced probes (heartbeats, test deliveries) pass:
             // loss of *data* acks is what fencing protects, and dedup
@@ -246,14 +338,12 @@ impl DeliveryFilter {
         // Fence check first: an in-flight send stamped before its
         // sender was fenced out must not land, even though its
         // (sender, seq) was never seen.
-        if self.fence.enabled.load(Ordering::Relaxed) {
-            let (_, floor) = self.fence.of(sender);
-            if floor != 0 && (u.seq >> FENCE_EPOCH_SHIFT) < floor {
-                self.fence.fenced.fetch_add(1, Ordering::Relaxed);
-                let ev = TraceKind::LinkFenced { from: sender.as_str(), seq: u.seq };
-                self.tracer.record(&to.instance, &to.junction, 0, ev);
-                return false;
-            }
+        let (_, floor) = self.fence.of(sender);
+        if (u.seq >> FENCE_EPOCH_SHIFT) < floor && self.fence.enabled.load(Ordering::Relaxed) {
+            self.fence.fenced.fetch_add(1, Ordering::Relaxed);
+            let ev = TraceKind::LinkFenced { from: sender.as_str(), seq: u.seq };
+            self.tracer.record(&to.instance, &to.junction, 0, ev);
+            return false;
         }
         // Mailbox bound: shed the delivery when the destination mailbox
         // is over its depth bound. Deliberately *before* the dedup
@@ -265,15 +355,13 @@ impl DeliveryFilter {
             trace_shed(&self.tracer, to, u);
             return false;
         }
-        if self.dedup_enabled.load(Ordering::Relaxed) {
-            let route = self.routes.get(sender, to.instance);
-            let fresh = route.seen.lock().insert(u.seq);
-            if !fresh {
-                self.deduped.fetch_add(1, Ordering::Relaxed);
-                let ev = TraceKind::LinkDedup { from: sender.as_str(), seq: u.seq };
-                self.tracer.record(&to.instance, &to.junction, 0, ev);
-                return false;
-            }
+        // The memory is the route the update travelled, whose counter
+        // stamped it — also when the update names another sender.
+        if self.dedup_enabled.load(Ordering::Relaxed) && !route.seen.insert(u.seq) {
+            self.deduped.fetch_add(1, Ordering::Relaxed);
+            let ev = TraceKind::LinkDedup { from: sender.as_str(), seq: u.seq };
+            self.tracer.record(&to.instance, &to.junction, 0, ev);
+            return false;
         }
         true
     }
@@ -288,7 +376,7 @@ impl Network {
     /// Toggle receiver-side sequence dedup (ablations only — disabling
     /// it lets retries and duplicates double-apply).
     pub fn set_dedup(&self, enabled: bool) {
-        self.dedup_enabled.store(enabled, Ordering::Relaxed);
+        self.sink.filter.dedup_enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Fence an instance out: raise the floor above its current stamp
@@ -298,6 +386,7 @@ impl Network {
     /// instance stays fenced; fencing again after a re-admission bumps
     /// the epoch once more.
     pub fn fence_instance(&self, instance: &str) -> u64 {
+        self.fence.raised.store(true, Ordering::Release);
         self.fence.update(instance, |(stamp, floor)| *floor = (*floor).max(*stamp + 1)).1
     }
 
@@ -335,12 +424,12 @@ impl Network {
     /// conversation's generation-tagged seqs can never collide with it.
     pub fn reset_route(&self, from: &str, to: &str) {
         let route = self.routes.get(Sym::new(from), Sym::new(to));
+        route.seq.reset();
         {
-            let mut s = route.seq.lock();
-            s.gen += 1;
-            s.counter = 0;
+            let mut latest = route.fifo.lock();
+            *latest = None;
+            route.state.fetch_and(INFLIGHT_ONE - 1, Ordering::Release);
         }
-        *route.fifo.lock() = FifoClock::default();
         *route.sim_clock.lock() = SimLinkClock::default();
         route.tcp.lock().take();
     }
@@ -350,16 +439,9 @@ impl Network {
     /// fence check. The counter advances even for a fenced sender.
     pub(super) fn stamp_one(&self, route: &RouteState, update: &mut Update) -> Result<(), SendError> {
         let (stamp, floor) = self.fence.of(route.from);
-        {
-            let mut s = route.seq.lock();
-            s.counter += 1;
-            update.seq = (stamp << FENCE_EPOCH_SHIFT)
-                | ((s.gen & ROUTE_GEN_MASK) << ROUTE_GEN_SHIFT)
-                | s.counter;
-            // A fresh send earns retry-budget tokens — piggybacked on
-            // the seq lock we already hold.
-            self.overload.earn_retry_tokens(&mut s.retry_tokens_milli);
-        }
+        update.seq = route.seq.next(stamp);
+        // A fresh send earns retry-budget tokens.
+        self.overload.earn_retry_tokens(&route.seq.retry_tokens);
         // Send-side fence: a fenced-out sender learns immediately (and
         // fatally — no retry can outwait a fence) that its writes are
         // rejected. The delivery-side check still covers whatever it
@@ -406,11 +488,9 @@ impl Network {
                     // Retry budget: an exhausted route fails the
                     // retryable error straight through, so loss under
                     // overload cannot amplify into a retry storm.
-                    let mut seq = route.seq.lock();
-                    if !self.overload.spend_retry_token(&mut seq.retry_tokens_milli) {
+                    if !self.overload.spend_retry_token(&route.seq.retry_tokens) {
                         return Err(e);
                     }
-                    drop(seq);
                     update = back;
                     attempt += 1;
                     self.retries.fetch_add(1, Ordering::Relaxed);
@@ -741,6 +821,20 @@ mod tests {
         assert!(!m.insert(conv | 4));
     }
 
+    /// Dedup memory belongs to the route an update travelled, whose
+    /// counter stamped it: an update that names another sender must not
+    /// be checked against that sender's own route, whose seqs overlap.
+    #[test]
+    fn dedup_keys_on_the_carrying_route() {
+        let (net, rx) = collecting_network();
+        let to = JunctionId::new("g", "junction");
+        net.send("b", &to, Update::data("n", Value::Int(1), "b::j")).unwrap();
+        net.send("a", &to, Update::data("n", Value::Int(2), "b::j")).unwrap();
+        let got: Vec<u64> = rx.try_iter().map(|(_, u)| u.seq).collect();
+        assert_eq!(got, vec![1, 1], "both routes stamped seq 1, and both landed");
+        assert_eq!(net.stats().deduped, 0);
+    }
+
     #[test]
     fn in_order_traffic_leaves_constant_dedup_memory() {
         // Regression: `seen` used to be a plain set of every seq ever
@@ -751,8 +845,8 @@ mod tests {
             net.send("f", &to, Update::assert("Work", "f::j")).unwrap();
         }
         let route = net.routes.get(Sym::new("f"), Sym::new("g"));
-        let seen = route.seen.lock();
-        assert_eq!(seen.digest(), vec![[0, 1_000_000, 0, 0]]);
+        assert_eq!(route.seen.digest(), vec![[0, 1_000_000, 0, 0]]);
+        let seen = route.seen.memory.lock();
         let sparse: usize = seen.conversations.iter().map(|(_, c)| c.above.capacity()).sum();
         assert_eq!(sparse, 0, "in-order delivery never touches the sparse set");
         assert_eq!(net.stats().deduped, 0);

@@ -4,15 +4,17 @@
 //! at-most-once delivery, the retry loop must deliver exactly once over
 //! lossy links, and deterministic simulation must stay byte-identical.
 
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use csaw_core::builder::fig3_program;
 use csaw_core::program::LoadConfig;
 use csaw_core::value::Value;
 use csaw_kv::{Update, UpdateKind};
 use csaw_runtime::cell::JunctionId;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use csaw_runtime::transport::{DeliverFn, Network};
 use csaw_runtime::{
     env_seed, Clock, FaultPlan, HostCtx, InstanceApp, Metrics, RetryPolicy, Runtime,
@@ -177,6 +179,86 @@ fn sweep_fault_schedule_deterministic_for_batches() {
         };
         assert_eq!(run(), run(), "seed {seed}: batched fault schedule not deterministic");
     }
+}
+
+/// Two threads send on one route while a third installs and clears a
+/// jitter + duplication plan: the route keeps leaving and re-entering
+/// the synchronous fast path under traffic. Each thread's updates must
+/// still land in the order it sent them, each exactly once. A fast-path
+/// send may only overtake the delay queue once its backlog has been
+/// handed over; the receiver is slow on every thread but the senders,
+/// so a backlog counted as drained before its last packet is recorded
+/// shows as an inversion.
+#[test]
+fn sweep_plain_route_race_keeps_per_thread_fifo_and_exactly_once() {
+    const PER_THREAD: i64 = 60;
+    thread_local!(static SENDER: std::cell::Cell<bool> = const { std::cell::Cell::new(false) });
+    let base = env_seed(7000);
+    let mut dups_total = 0u64;
+    for seed in base..base + SWEEP {
+        let got = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&got);
+        let record: DeliverFn = Arc::new(move |_to: &JunctionId, u: Update| {
+            if !SENDER.get() {
+                std::thread::sleep(Duration::from_micros(50));
+            }
+            if let UpdateKind::Data(Value::Int(i)) = u.kind {
+                sink.lock().unwrap().push(i);
+            }
+        });
+        let net = Network::with_telemetry(
+            record,
+            Arc::new(Tracer::new()),
+            &Metrics::new(),
+            Clock::wall(),
+        );
+        let to = JunctionId::new("g", "junction");
+        let sending = AtomicUsize::new(2);
+        std::thread::scope(|s| {
+            for t in 0..2i64 {
+                let (net, to, sending) = (&net, &to, &sending);
+                s.spawn(move || {
+                    SENDER.set(true);
+                    for i in 0..PER_THREAD {
+                        net.send("f", to, upd(t * 1_000_000 + i)).unwrap();
+                        std::thread::sleep(Duration::from_micros(300));
+                    }
+                    sending.fetch_sub(1, Ordering::Relaxed);
+                });
+            }
+            let mut rng = StdRng::seed_from_u64(seed);
+            while sending.load(Ordering::Relaxed) > 0 {
+                let plan = FaultPlan::none()
+                    .with_jitter(Duration::from_micros(200))
+                    .with_dup(0.3)
+                    .with_seed(rng.gen());
+                net.set_fault_plan("f", "g", plan);
+                std::thread::sleep(Duration::from_micros(rng.gen_range(0..400)));
+                net.clear_fault_plan("f", "g");
+                std::thread::sleep(Duration::from_micros(rng.gen_range(0..400)));
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while got.lock().unwrap().len() < 2 * PER_THREAD as usize && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        std::thread::sleep(Duration::from_millis(5));
+        let stats = net.stats();
+        dups_total += stats.dups;
+        assert!(
+            stats.deduped >= stats.dups,
+            "seed {seed}: {} dups injected but only {} deduped",
+            stats.dups,
+            stats.deduped
+        );
+        let got = got.lock().unwrap().clone();
+        for t in 0..2 {
+            let mine: Vec<i64> = got.iter().filter(|&&i| i / 1_000_000 == t).copied().collect();
+            let expect: Vec<i64> = (0..PER_THREAD).map(|i| t * 1_000_000 + i).collect();
+            assert_eq!(mine, expect, "seed {seed}: thread {t}'s FIFO / exactly-once violated");
+        }
+    }
+    assert!(dups_total > 0, "sweep never injected a duplicate — chaos is vacuous");
 }
 
 /// An app that serves canned save values (fig. 3 needs `save`/`restore`

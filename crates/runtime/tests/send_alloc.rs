@@ -3,8 +3,12 @@
 //! `retract [γ]` — and the delivery into the receiver's table perform no
 //! heap allocation on the sending thread. Keys and the sender are
 //! interned ids, the target is a binding resolved by id, and the send,
-//! the route, the fence and the delivery look nothing up by name. A
-//! `reconsider` arm's entry fingerprint allocates nothing either.
+//! the route, the fence and the delivery look nothing up by name. So
+//! do the same sends on a route that went through a jittered backlog
+//! and came back to the fast path. A `reconsider` arm's entry
+//! fingerprint allocates nothing either.
+
+use std::time::{Duration, Instant};
 
 use csaw_core::builder::*;
 use csaw_core::decl::Decl;
@@ -15,7 +19,7 @@ use csaw_core::program::{InstanceType, JunctionDef, LoadConfig, Program};
 use csaw_core::value::Value;
 use csaw_kv::Update;
 use csaw_runtime::runtime::Policy;
-use csaw_runtime::{Runtime, RuntimeConfig};
+use csaw_runtime::{FaultPlan, Runtime, RuntimeConfig};
 
 mod counting;
 
@@ -126,6 +130,51 @@ fn warm_direct_retract_allocates_nothing() {
         0,
         "a warm retract[γ] allocated"
     );
+}
+
+/// Put the `s → r` route through a jittered backlog, then invoke `s`
+/// until its send is synchronous again: the backlog has drained and the
+/// route is plain once more.
+fn through_a_backlog(rt: &Runtime) {
+    let jitter = FaultPlan::none().with_jitter(Duration::from_millis(2)).with_seed(3);
+    rt.set_fault_plan("s", "r", jitter);
+    for _ in 0..20 {
+        rt.invoke("s", "junction").expect("s runs");
+    }
+    rt.clear_fault_plan("s", "r");
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let fast = rt.link_stats().fast_path;
+        rt.invoke("s", "junction").expect("s runs");
+        if rt.link_stats().fast_path > fast {
+            return;
+        }
+        assert!(Instant::now() < deadline, "the route never came back to the fast path");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+#[test]
+fn warm_sends_on_a_recovered_route_allocate_nothing() {
+    let rt = sender_and_receiver(write("n", JRef::var("peer")));
+    rt.deliver_for_test("s", "junction", Update::data("n", Value::Int(7), "t::j"));
+    through_a_backlog(&rt);
+    let landed = |rt: &Runtime| rt.peek_data("r", "junction", "n") == Some(Value::Int(7));
+    let n = warm_allocs(send_and_check(&rt, landed));
+    assert_eq!(n, 0, "a warm write on a recovered route allocated");
+
+    let rt = sender_and_receiver(assert_at(JRef::var("peer"), "Work"));
+    through_a_backlog(&rt);
+    let landed = |rt: &Runtime| rt.peek_prop("r", "junction", "Work") == Some(true);
+    let n = warm_allocs(send_and_check(&rt, landed));
+    assert_eq!(n, 0, "a warm assert[γ] on a recovered route allocated");
+
+    let rt = sender_and_receiver(retract_at(JRef::var("peer"), "Work"));
+    through_a_backlog(&rt);
+    rt.deliver_for_test("r", "junction", Update::assert("Work", "t::j"));
+    let landed = |rt: &Runtime| rt.peek_prop("r", "junction", "Work") == Some(false);
+    let n = warm_allocs(send_and_check(&rt, landed));
+    assert_eq!(n, 0, "a warm retract[γ] on a recovered route allocated");
 }
 
 /// Each activation enters the `reconsider` arm once: `A` holds, the arm
