@@ -30,7 +30,6 @@
 //!
 //! They write `results/batching.json` and `results/trace_overhead.json`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use csaw_runtime::trace::{TraceKind, Tracer};
@@ -131,11 +130,11 @@ fn shards_alone_summed_qps(n: usize, secs: f64) -> f64 {
 }
 
 /// `threads` workers split `total_events` recordings into one enabled
-/// tracer with pre-interned identity strings (the transport hot-site
-/// shape). Returns wall ns/event over the whole run, measured in
-/// steady state: a full warm-up pass grows the ring shards and faults
-/// their memory in, a drain empties them (capacity is retained), and
-/// the timed pass re-fills them — so the number is the recording cost,
+/// tracer with static identity texts (the record sites' shape).
+/// Returns wall ns/event over the whole run, measured in steady state:
+/// a full warm-up pass grows the ring shards and faults their memory
+/// in, a drain empties them (capacity is retained), and the timed pass
+/// re-fills them — so the number is the recording cost,
 /// not allocator ramp-up or ring eviction.
 fn trace_saturation(threads: usize, total_events: usize) -> f64 {
     let tracer = Tracer::with_capacity(1 << 20);
@@ -147,10 +146,8 @@ fn trace_saturation(threads: usize, total_events: usize) -> f64 {
         std::thread::scope(|s| {
             for _ in 0..threads {
                 s.spawn(move || {
-                    let inst: Arc<str> = Arc::from("Prim");
-                    let junc: Arc<str> = Arc::from("checkpoint");
                     for i in 0..per_thread {
-                        tracer.record_ids(&inst, &junc, i as u64, TraceKind::Sched);
+                        tracer.record("Prim", "checkpoint", i as u64, TraceKind::Sched);
                     }
                 });
             }

@@ -93,8 +93,9 @@ pub enum Delivery {
 /// is stated over, so a recorded trace can be re-checked against the
 /// formal rule (see `csaw-semantics::conformance`).
 ///
-/// `S` is the string payload: the table emits `&str`s borrowed from
-/// its own state, and a consumer maps them to whatever it keeps.
+/// `S` is the string payload: the table emits the interned texts of
+/// its keys and senders (`&'static str`), and a consumer maps them to
+/// whatever it keeps.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TableEvent<S> {
     /// `save` / local `assert`/`retract`: the key now shadows older
@@ -226,9 +227,8 @@ pub trait TableObserver: Send + Sync {
         true
     }
     /// Receive one event, with the table's current epoch. The strings
-    /// are borrowed for the call; an observer that keeps the event maps
-    /// them to owned ones.
-    fn on_event(&self, epoch: u64, event: TableEvent<&str>);
+    /// are interned texts, which live for the process.
+    fn on_event(&self, epoch: u64, event: TableEvent<&'static str>);
 }
 
 /// `Table` derives `Debug`; the observer slot has no useful rendering.
@@ -402,7 +402,7 @@ impl Table {
     }
 
     #[inline]
-    fn emit<'a>(&self, build: impl FnOnce() -> TableEvent<&'a str>) {
+    fn emit(&self, build: impl FnOnce() -> TableEvent<&'static str>) {
         if let Some(o) = &self.observer.0 {
             if o.enabled() {
                 o.on_event(self.epoch, build());
@@ -1124,7 +1124,7 @@ mod tests {
         #[derive(Default)]
         struct Collect(Mutex<Vec<(u64, TableEvent<String>)>>);
         impl TableObserver for Collect {
-            fn on_event(&self, epoch: u64, event: TableEvent<&str>) {
+            fn on_event(&self, epoch: u64, event: TableEvent<&'static str>) {
                 self.0.lock().unwrap().push((epoch, event.map(str::to_owned)));
             }
         }

@@ -69,6 +69,7 @@ use std::time::{Duration, Instant};
 
 use csaw_core::diff::ProgramDiff;
 use csaw_core::expr::Arg;
+use csaw_core::intern::Sym;
 use csaw_core::plan::{check_plan, Plan, PlanCheckReport, PlanPhase, PlanViolation};
 use csaw_core::program::CompiledProgram;
 use csaw_kv::{TableState, Update};
@@ -473,9 +474,10 @@ impl Runtime {
                 // practice, but a clobber would drop updates silently).
                 holds.entry(name.clone()).or_default();
                 pause_started.insert(name.clone(), self.inner.clock().now());
-                self.inner
-                    .tracer
-                    .record(name, "", 0, TraceKind::ReconfigQuiesce { paused_us: 0 });
+                // A quiesced instance was interned when it was built:
+                // `Sym::new` finds its text, it adds none.
+                let quiesced = TraceKind::ReconfigQuiesce { paused_us: 0 };
+                self.inner.tracer.record(Sym::new(name).as_str(), "", 0, quiesced);
             }
             if !quiesce.is_empty() {
                 self.inner.holds_active.store(true, Ordering::SeqCst);
@@ -545,12 +547,8 @@ impl Runtime {
                         break 'snapshot;
                     }
                 };
-                self.inner.tracer.record_ids(
-                    &jrt.trace_instance,
-                    &jrt.trace_junction,
-                    state.epoch,
-                    TraceKind::ReconfigMigrate { bytes: n },
-                );
+                let migrate = TraceKind::ReconfigMigrate { bytes: n };
+                jrt.trace(&self.inner.tracer, state.epoch, migrate);
                 exports.insert((name.clone(), jrt.name().to_string()), state);
             }
         }
@@ -767,15 +765,10 @@ impl Runtime {
                     .clock()
                     .now()
                     .saturating_duration_since(pause_started[name]);
-                self.inner
-                    .tracer
-                    .record(name, "", 0, TraceKind::ReconfigResume { flushed });
-                self.inner.tracer.record(
-                    name,
-                    "",
-                    0,
-                    TraceKind::ReconfigQuiesce { paused_us: paused.as_micros() as u64 },
-                );
+                let who = Sym::new(name).as_str();
+                self.inner.tracer.record(who, "", 0, TraceKind::ReconfigResume { flushed });
+                let quiesced = TraceKind::ReconfigQuiesce { paused_us: paused.as_micros() as u64 };
+                self.inner.tracer.record(who, "", 0, quiesced);
                 pauses.push((name.clone(), paused));
             }
             if holds.is_empty() {

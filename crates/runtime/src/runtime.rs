@@ -38,9 +38,9 @@ pub struct CellObserver {
     /// The runtime's tracer.
     pub tracer: Arc<Tracer>,
     /// The owning instance.
-    pub instance: Arc<str>,
+    pub instance: Sym,
     /// The owning junction.
-    pub junction: Arc<str>,
+    pub junction: Sym,
 }
 
 impl TableObserver for CellObserver {
@@ -48,9 +48,9 @@ impl TableObserver for CellObserver {
         self.tracer.is_enabled()
     }
 
-    fn on_event(&self, epoch: u64, event: TableEvent<&str>) {
-        self.tracer
-            .record_ids(&self.instance, &self.junction, epoch, TraceKind::Kv(event));
+    fn on_event(&self, epoch: u64, event: TableEvent<&'static str>) {
+        let (instance, junction) = (self.instance.as_str(), self.junction.as_str());
+        self.tracer.record(instance, junction, epoch, TraceKind::Kv(event));
     }
 }
 
@@ -203,9 +203,6 @@ pub(crate) struct JunctionRt {
     /// fault — a fenced link, a partitioned peer — is still there, and
     /// re-running at wake speed would just spin on it.
     pub(crate) handled_failures: AtomicU32,
-    /// Shared identity strings for trace recording (no per-event clone).
-    pub(crate) trace_instance: Arc<str>,
-    pub(crate) trace_junction: Arc<str>,
     /// What this junction's scheduler thread parks on.
     pub(crate) sched: EventCount<()>,
     /// Scheduler passes made over this junction
@@ -216,6 +213,14 @@ pub(crate) struct JunctionRt {
 impl JunctionRt {
     pub(crate) fn name(&self) -> &'static str {
         self.cell.id.junction.as_str()
+    }
+
+    /// Record `kind` under this junction's interned names, if tracing
+    /// is on.
+    pub(crate) fn trace(&self, tracer: &Tracer, epoch: u64, kind: TraceKind<&'static str>) {
+        if tracer.is_enabled() {
+            tracer.record(self.cell.id.instance.as_str(), self.name(), epoch, kind);
+        }
     }
 
     /// Whether the scheduler thread can ever run this junction on its
@@ -921,8 +926,7 @@ impl RuntimeInner {
             table.begin_activation();
             table.epoch()
         };
-        self.tracer
-            .record_ids(&jrt.trace_instance, &jrt.trace_junction, epoch, TraceKind::Sched);
+        jrt.trace(&self.tracer, epoch, TraceKind::Sched);
         let _frame = (!self.clock().is_simulated()).then(ActivationFrame::open);
         let started = self.clock().now();
         inst.activations.fetch_add(1, Ordering::Relaxed);
@@ -951,12 +955,7 @@ impl RuntimeInner {
         let ended = self.clock().now();
         self.h_activation
             .observe_us(ended.saturating_duration_since(started).as_micros() as u64);
-        self.tracer.record_ids(
-            &jrt.trace_instance,
-            &jrt.trace_junction,
-            epoch,
-            TraceKind::Unsched { ok: result.is_ok() },
-        );
+        jrt.trace(&self.tracer, epoch, TraceKind::Unsched { ok: result.is_ok() });
         *jrt.last_run.lock() = Some(ended);
         jrt.cell.nudge();
         // A nested pass's caller signals the scheduler itself, and only
@@ -1150,7 +1149,8 @@ impl RuntimeInner {
                 self.hb.watch(to_inst, from);
                 let to = JunctionId::new(to_inst, HB_JUNCTION);
                 let ping = Update::assert(HB_JUNCTION, sender);
-                self.tracer.record(from, "", 0, TraceKind::LinkHeartbeat { to: to_inst });
+                let hb = TraceKind::LinkHeartbeat { to: to.instance.as_str() };
+                self.tracer.record(from_id.as_str(), "", 0, hb);
                 // Loss is the signal: no retry, errors ignored.
                 let _ = self.network.send_raw(from_id, &to, ping);
             }
@@ -1598,7 +1598,7 @@ impl Runtime {
             }
             inst.app.lock().on_stop();
             self.inner.record_event(instance, "-", "crash", String::new());
-            self.inner.tracer.record(instance, "-", 0, TraceKind::Crash);
+            self.inner.tracer.record(inst.id.as_str(), "-", 0, TraceKind::Crash);
             self.inner.wake_all();
         }
     }
@@ -1649,7 +1649,7 @@ impl Runtime {
         // fence floor instead of being rejected as stale.
         self.inner.network.admit_instance(instance);
         self.inner.record_event(instance, "-", "restart", String::new());
-        self.inner.tracer.record(instance, "-", 0, TraceKind::Restart);
+        self.inner.tracer.record(inst.id.as_str(), "-", 0, TraceKind::Restart);
         self.inner.wake_all();
         Ok(())
     }
@@ -1843,12 +1843,10 @@ pub(crate) fn build_instance_state(
         let mut table = Table::new();
         init_table(&mut table, jd);
         let id = JunctionId::new(&ci.name, &jd.name);
-        let trace_instance: Arc<str> = Arc::from(ci.name.as_str());
-        let trace_junction: Arc<str> = Arc::from(jd.name.as_str());
         table.set_observer(Arc::new(CellObserver {
             tracer: Arc::clone(tracer),
-            instance: Arc::clone(&trace_instance),
-            junction: Arc::clone(&trace_junction),
+            instance: id.instance,
+            junction: id.junction,
         }));
         let cell = Cell::new(id, table, Arc::clone(&wake_signals));
         let lowered = lower::lower(&ci.name, jd);
@@ -1867,8 +1865,6 @@ pub(crate) fn build_instance_state(
             consec_failures: AtomicU32::new(0),
             backoff_until: Mutex::new(None),
             handled_failures: AtomicU32::new(0),
-            trace_instance,
-            trace_junction,
             sched: EventCount::new((), Arc::clone(&wake_signals)),
             passes: metrics.counter(&format!(
                 "scheduler_passes_total{{instance=\"{}\",junction=\"{}\"}}",

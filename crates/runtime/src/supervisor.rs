@@ -57,6 +57,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
+use csaw_core::intern::Sym;
 use csaw_core::program::CompiledProgram;
 
 use crate::eventcount::EventCount;
@@ -669,7 +670,7 @@ impl SupervisorCore {
         });
 
         // ---- detect ---------------------------------------------------
-        let mut confirmed: Vec<(String, Confirmed<FailureClass>)> = Vec::new();
+        let mut confirmed: Vec<(Sym, Confirmed<FailureClass>)> = Vec::new();
         for inst in rt.inner.all_instances() {
             let name = inst.name.clone();
             if excluded.contains(&name) {
@@ -699,16 +700,17 @@ impl SupervisorCore {
                 _ => config.confirm_polls.max(1),
             };
             if let Some(c) = flap.observe_with(&name, class, clock.now(), confirm) {
-                confirmed.push((name, c));
+                confirmed.push((inst.id, c));
             }
         }
 
         // ---- plan + act + verify (one repair at a time) ---------------
-        for (name, p) in confirmed {
+        for (sym, p) in confirmed {
+            let (inst, name) = (sym.as_str(), sym.to_string());
             shared.stats.lock().detected += 1;
             let id = shared.next_id.fetch_add(1, Ordering::Relaxed);
             rt.inner.tracer.record(
-                &name,
+                inst,
                 "-",
                 0,
                 TraceKind::RepairDetect { class: p.signal.label(), id },
@@ -731,7 +733,7 @@ impl SupervisorCore {
                         st.rung = (st.rung + 1).min(ladder.len() - 1);
                         shared.stats.lock().escalations += 1;
                         rt.inner.tracer.record(
-                            &name,
+                            inst,
                             "-",
                             0,
                             TraceKind::RepairEscalate { rung: st.rung as u64, id },
@@ -751,7 +753,7 @@ impl SupervisorCore {
             };
             let action = &ladder[rung.min(ladder.len() - 1)];
             rt.inner.tracer.record(
-                &name,
+                inst,
                 "-",
                 0,
                 TraceKind::RepairPlan {
@@ -782,7 +784,7 @@ impl SupervisorCore {
                         let epoch = rt.fence_instance(&name);
                         fence_epoch = Some(epoch);
                         rt.inner.tracer.record(
-                            &name,
+                            inst,
                             "-",
                             0,
                             TraceKind::RepairFence { epoch, id },
@@ -830,7 +832,7 @@ impl SupervisorCore {
                     let epoch = rt.fence_instance(&name);
                     fence_epoch = Some(epoch);
                     rt.inner.tracer.record(
-                        &name,
+                        inst,
                         "-",
                         0,
                         TraceKind::RepairFence { epoch, id },
@@ -882,13 +884,13 @@ impl SupervisorCore {
             }
             rt.inner
                 .tracer
-                .record(&name, "-", 0, TraceKind::RepairVerify { ok, id });
+                .record(inst, "-", 0, TraceKind::RepairVerify { ok, id });
 
             let done_at = clock.now();
             if ok {
                 shared.stats.lock().succeeded += 1;
                 rt.inner.tracer.record(
-                    &name,
+                    inst,
                     "-",
                     0,
                     TraceKind::RepairDone {
@@ -900,7 +902,7 @@ impl SupervisorCore {
                 );
             } else {
                 shared.stats.lock().failed += 1;
-                rt.inner.tracer.record(&name, "-", 0, TraceKind::RepairFailed { id });
+                rt.inner.tracer.record(inst, "-", 0, TraceKind::RepairFailed { id });
             }
             if let Some(st) = ladders.get_mut(&name) {
                 st.last_repair = done_at;

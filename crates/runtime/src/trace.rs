@@ -16,28 +16,32 @@
 //! The event vocabulary is declared once: [`TraceKind<S>`] (and the
 //! [`TableEvent<S>`] it wraps) is generic over its string payload, and
 //! `map` turns one form into another. Record sites build
-//! `TraceKind<&str>` from borrowed strings; the ring stores
-//! [`TraceEvent<u32>`], every string interned to a tracer-scoped
-//! symbol; [`Tracer::drain`] resolves symbols back into
-//! `TraceEvent<Arc<str>>`.
+//! `TraceKind<&'static str>`: every identity and payload is a text the
+//! runtime already holds for the life of the process — an interned
+//! name (`Sym`, `KeyId`, `Sender`) or a literal. The ring stores those
+//! references as they are, as [`Name`]s; a link event's target is the
+//! one name with no text of its own, so it is kept as its
+//! [`JunctionId`]. [`Tracer::drain`] renders every name once per drain
+//! into `TraceEvent<Arc<str>>`.
 //!
 //! Recording is off by default: every instrumentation site checks one
 //! relaxed atomic before building an event, so a disabled tracer costs
-//! a branch per site (~0% overhead). Enabled, there are two entry
-//! points. [`Tracer::record_ids`] takes shared `Arc<str>` identities
-//! and resolves them through a pointer-compare memo; [`Tracer::record`]
-//! takes `&str` identities and resolves them, like every payload
-//! string, through a by-value memo. Both memos live in thread-local
-//! state, so once warm neither takes the intern-table lock nor
-//! allocates. Events stage in a thread-local buffer, and full buffers
-//! move into a per-thread shard as whole chunks — so the common
-//! per-event cost is a TLS push plus one atomic `gsn` bump, with the
-//! shard lock paid once per ~128 events. The `gsn` stays per-event
-//! (one atomic RMW): its modification order is consistent with
-//! happens-before, which is what lets the conformance checker sort the
-//! drained trace and require cross-thread send-before-apply ordering.
-//! (A gsn-*range* reservation per flush would stamp an event with a
-//! number chosen at flush time, breaking exactly that property.)
+//! a branch per site. Enabled, nothing on the record path is copied,
+//! hashed or interned, and a warm record allocates nothing. Events
+//! stage in a thread-local buffer, and full buffers move into a
+//! per-thread shard as whole chunks — so the common per-event cost is
+//! a timestamp, one atomic `gsn` bump and a TLS push, with the shard
+//! lock paid once per ~128 events. On a 2-vCPU x86-64 box the ledger's
+//! `trace.record_ns` reads ~90–105 ns, of which the `rdtsc`, the
+//! staging push and the `gsn` bump are ~20, ~20 and ~10 ns
+//! (`tests/trace_bench.rs`); tracing on still costs `relay_small` and
+//! `cache_hot` over a third of their throughput (`trace.on_ratio`
+//! ~0.62 and ~0.64). The `gsn` stays per-event (one atomic RMW): its
+//! modification order is consistent with happens-before, which is what
+//! lets the conformance checker sort the drained trace and require
+//! cross-thread send-before-apply ordering. (A gsn-*range* reservation
+//! per flush would stamp an event with a number chosen at flush time,
+//! breaking exactly that property.)
 //!
 //! ## JSONL schema
 //!
@@ -95,14 +99,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use csaw_core::names::JunctionId;
 use csaw_kv::TableEvent;
 use parking_lot::Mutex;
 
 use crate::json;
 
 /// What happened: one activation, KV, link, or lifecycle observation.
-/// `S` is the string payload: `&str` at record sites, an interned `u32`
-/// symbol in the ring, `Arc<str>` once drained.
+/// `S` is the string payload: `&'static str` at record sites, a
+/// [`Name`] in the ring, `Arc<str>` once drained.
 #[derive(Clone, Debug, PartialEq)]
 pub enum TraceKind<S = Arc<str>> {
     /// Junction activation began (epoch freshly advanced).
@@ -364,13 +369,25 @@ const SHARDS: usize = 16;
 /// a blink stale, large enough to amortize the shard lock to noise.
 const LOCAL_FLUSH: usize = 128;
 
-/// Tracer-scoped intern table: symbol `s` names `names[s]`. Symbols are
-/// only ever appended, so a symbol stored in the ring stays valid for
-/// the tracer's lifetime.
-#[derive(Default)]
-struct SymTab {
-    names: Vec<Arc<str>>,
-    index: HashMap<Arc<str>, u32>,
+/// A string payload as the ring holds it: a text that lives for the
+/// process, or a link event's target junction, whose
+/// `instance::junction` text is rendered at drain. `Copy`, so
+/// recording one neither allocates nor hashes.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum Name {
+    /// An interned name or a literal.
+    Text(&'static str),
+    /// A target junction.
+    Junction(JunctionId),
+}
+
+impl Name {
+    fn render(self) -> Arc<str> {
+        match self {
+            Name::Text(text) => Arc::from(text),
+            Name::Junction(id) => Arc::from(id.qualified()),
+        }
+    }
 }
 
 /// Thread-local staging buffer for one (thread, tracer) pair. The
@@ -378,7 +395,7 @@ struct SymTab {
 /// pushes); it exists so [`Tracer::drain`] can *steal* still-buffered
 /// events from other threads instead of waiting for their next flush.
 struct LocalBuf {
-    events: Mutex<Vec<TraceEvent<u32>>>,
+    events: Mutex<Vec<TraceEvent<Name>>>,
 }
 
 /// Cycle-counter timestamps for the wall-clock hot path. `at_us` is a
@@ -398,11 +415,14 @@ mod cycles {
         unsafe { core::arch::x86_64::_rdtsc() }
     }
 
+    /// The calibration, once taken.
+    pub(super) static CAL: OnceLock<u64> = OnceLock::new();
+
     /// Microseconds per TSC tick as a 32.32 fixed-point multiplier
     /// (`us = ticks * mult >> 32`), calibrated over a 10 ms sleep the
-    /// first time a wall-clock tracer records an event.
+    /// first time a wall-clock tracer is enabled — never inside a
+    /// record, which may run under a table lock.
     pub fn us_per_tick_fp32() -> u64 {
-        static CAL: OnceLock<u64> = OnceLock::new();
         *CAL.get_or_init(|| {
             let t0 = Instant::now();
             let c0 = now();
@@ -420,50 +440,12 @@ mod cycles {
     }
 }
 
-/// FNV-1a for the by-value symbol memo: payload keys are short (a
-/// handful of bytes), where FNV beats SipHash by a wide margin and the
-/// memo never sees attacker-controlled input.
-struct Fnv(u64);
-
-impl Default for Fnv {
-    fn default() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl std::hash::Hasher for Fnv {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-    }
-}
-
-/// The by-value symbol memo (see [`Hot::vals`]).
-type ValMemo = HashMap<Box<str>, u32, std::hash::BuildHasherDefault<Fnv>>;
-
 /// The per-thread hot slot: a strong reference to the most-recently-
-/// used tracer's staging buffer plus a symbol memo, so the per-event
-/// path is one id compare — no scan, no `Weak::upgrade` CAS.
+/// used tracer's staging buffer, so the per-event path is one id
+/// compare — no scan, no `Weak::upgrade` CAS.
 struct Hot {
     id: u64,
     buf: Arc<LocalBuf>,
-    /// Memoized `Arc<str> → symbol` resolutions for this tracer,
-    /// matched by *allocation identity* (`Arc::ptr_eq`). Each entry
-    /// keeps its `Arc` alive, so an address match can never be a stale
-    /// reuse of a freed allocation. Hot record sites pass the same
-    /// handful of shared ids over and over; the common case is a hit in
-    /// the first entry or two.
-    syms: Vec<(Arc<str>, u32)>,
-    /// Memoized *by-value* `str → symbol` resolutions for `&str`
-    /// identities and every payload string (update keys, senders,
-    /// targets), which have no stable allocation identity. A hit costs
-    /// one FNV hash and no lock; a miss interns through the table lock
-    /// and caches. Bounded; cleared on overflow like `syms`.
-    vals: ValMemo,
 }
 
 /// Per-thread view of the staging buffers, split into a one-entry hot
@@ -483,22 +465,6 @@ struct LocalRegistry {
 thread_local! {
     static LOCAL_BUFS: std::cell::RefCell<LocalRegistry> =
         const { std::cell::RefCell::new(LocalRegistry { hot: None, all: Vec::new() }) };
-}
-
-/// Resolve `name` against the hot slot's memo, falling back to (and
-/// memoizing) a full intern. The memo is bounded; on overflow it is
-/// simply cleared and refills with whatever is hot now.
-#[inline]
-fn sym_of(cache: &mut Vec<(Arc<str>, u32)>, name: &Arc<str>, intern: impl FnOnce() -> u32) -> u32 {
-    if let Some((_, sym)) = cache.iter().find(|(c, _)| Arc::ptr_eq(c, name)) {
-        return *sym;
-    }
-    let sym = intern();
-    if cache.len() >= 64 {
-        cache.clear();
-    }
-    cache.push((Arc::clone(name), sym));
-    sym
 }
 
 /// Pads its contents to a dedicated 128-byte slot so hot fields touched
@@ -535,20 +501,17 @@ pub struct Tracer {
     /// Every thread-local staging buffer ever handed out for this
     /// tracer, so [`Tracer::drain`] can steal unflushed events.
     locals: Mutex<Vec<Arc<LocalBuf>>>,
-    /// String intern table (the ring stores symbols).
-    syms: Mutex<SymTab>,
 }
 
-/// One ring shard: whole staging buffers parked as chunks. Events are
-/// stored with every string — identities and payloads — interned to a
-/// `u32` symbol ([`SymTab`]), so the ring holds plain data and evicting
-/// a chunk frees nothing but the chunk. A flush
+/// One ring shard: whole staging buffers parked as chunks. Events hold
+/// only [`Name`]s, which own nothing, so evicting a chunk frees nothing
+/// but the chunk. A flush
 /// hands its full `Vec` over by move — O(1), no per-event copy — and
 /// eviction discards whole chunks from the front (trimming the oldest
 /// chunk when the bound lands inside it).
 #[derive(Default)]
 struct Shard {
-    chunks: VecDeque<Vec<TraceEvent<u32>>>,
+    chunks: VecDeque<Vec<TraceEvent<Name>>>,
     len: usize,
 }
 
@@ -598,13 +561,18 @@ impl Tracer {
             shard_capacity,
             dropped: Padded(AtomicU64::new(0)),
             locals: Mutex::new(Vec::new()),
-            syms: Mutex::new(SymTab::default()),
         }
     }
 
     /// Switch recording on or off. Off is the default; instrumentation
-    /// sites check this before building events.
+    /// sites check this before building events. Switching a wall-clock
+    /// tracer on calibrates the cycle counter first, so no record pays
+    /// for it.
     pub fn set_enabled(&self, on: bool) {
+        #[cfg(target_arch = "x86_64")]
+        if on && self.origin_cycles.is_some() {
+            cycles::us_per_tick_fp32();
+        }
         self.enabled.store(on, Ordering::Relaxed);
     }
 
@@ -622,73 +590,64 @@ impl Tracer {
     }
 
     /// Record one event (no-op while disabled). Identities and payloads
-    /// resolve through the per-thread by-value memo; hot sites with a
-    /// stable identity should cache `Arc<str>`s and use
-    /// [`Tracer::record_ids`], whose pointer compare skips the hash.
+    /// are texts that live for the process — the runtime's interned
+    /// names or literals — and the ring keeps the references: once
+    /// warm, a record allocates nothing for any kind but
+    /// `kv_window_open`, whose key list the ring keeps
+    /// (regression-tested in `tests/trace_zero_alloc.rs`).
     #[inline]
-    pub fn record(&self, instance: &str, junction: &str, epoch: u64, kind: TraceKind<&str>) {
-        if !self.is_enabled() {
-            return;
-        }
-        self.with_hot(|t, hot| {
-            let inst = t.sym_of_str(&mut hot.vals, instance);
-            let junc = t.sym_of_str(&mut hot.vals, junction);
-            t.push(hot, inst, junc, epoch, kind);
-        });
-    }
-
-    /// Record one event with pre-shared identity strings (no-op while
-    /// disabled). The identities resolve to interned symbols via a
-    /// pointer-compare memo in thread-local state, so the per-event
-    /// cost carries no refcount traffic and no string hashing. Once
-    /// warm, neither entry point allocates for any kind but
-    /// `kv_window_open` (regression-tested in `tests/trace_zero_alloc.rs`).
-    #[inline]
-    pub fn record_ids(
+    pub fn record(
         &self,
-        instance: &Arc<str>,
-        junction: &Arc<str>,
+        instance: &'static str,
+        junction: &'static str,
         epoch: u64,
-        kind: TraceKind<&str>,
+        kind: TraceKind<&'static str>,
     ) {
-        if !self.is_enabled() {
-            return;
+        if self.is_enabled() {
+            self.push(instance, junction, epoch, kind.map(Name::Text));
         }
-        self.with_hot(|t, hot| {
-            let inst = sym_of(&mut hot.syms, instance, || t.intern(instance));
-            let junc = sym_of(&mut hot.syms, junction, || t.intern(junction));
-            t.push(hot, inst, junc, epoch, kind);
-        });
     }
 
-    /// Resolve a string to its symbol through the by-value memo: FNV
-    /// hash + no lock on a hit, intern-and-cache on a miss.
+    /// [`Tracer::record`] for a kind whose payloads may name a target
+    /// junction (the transport's link events).
     #[inline]
-    fn sym_of_str(&self, vals: &mut ValMemo, s: &str) -> u32 {
-        if let Some(&sym) = vals.get(s) {
-            return sym;
+    pub(crate) fn record_names(
+        &self,
+        instance: &'static str,
+        junction: &'static str,
+        epoch: u64,
+        kind: TraceKind<Name>,
+    ) {
+        if self.is_enabled() {
+            self.push(instance, junction, epoch, kind);
         }
-        let sym = self.intern(s);
-        if vals.len() >= 256 {
-            vals.clear();
-        }
-        vals.insert(Box::from(s), sym);
-        sym
     }
 
-    /// The symbol for `name`, interning it on first sight. Symbol
-    /// numbering is append-only, so a returned symbol stays valid for
-    /// the tracer's lifetime.
-    fn intern(&self, name: &str) -> u32 {
-        let mut tab = self.syms.lock();
-        if let Some(&sym) = tab.index.get(name) {
-            return sym;
-        }
-        let arc: Arc<str> = Arc::from(name);
-        let sym = u32::try_from(tab.names.len()).expect("fewer than 2^32 distinct strings");
-        tab.names.push(Arc::clone(&arc));
-        tab.index.insert(arc, sym);
-        sym
+    /// Stamp and stage one event; flush the staging buffer to a shard
+    /// when it reaches [`LOCAL_FLUSH`].
+    #[inline]
+    fn push(
+        &self,
+        instance: &'static str,
+        junction: &'static str,
+        epoch: u64,
+        kind: TraceKind<Name>,
+    ) {
+        self.with_hot(|hot| {
+            let ev = TraceEvent {
+                gsn: self.gsn.0.fetch_add(1, Ordering::Relaxed),
+                at_us: self.stamp_us(),
+                instance: Name::Text(instance),
+                junction: Name::Text(junction),
+                epoch,
+                kind,
+            };
+            let mut events = hot.buf.events.lock();
+            events.push(ev);
+            if events.len() >= LOCAL_FLUSH {
+                self.flush_local(&mut events);
+            }
+        });
     }
 
     /// Microseconds since `origin`, via the TSC fast path when the
@@ -706,40 +665,15 @@ impl Tracer {
     /// Run `f` with this thread's hot slot for this tracer, installing
     /// it first if another tracer (or nothing) currently owns the slot.
     #[inline]
-    fn with_hot<R>(&self, f: impl FnOnce(&Tracer, &mut Hot) -> R) -> R {
+    fn with_hot<R>(&self, f: impl FnOnce(&Hot) -> R) -> R {
         LOCAL_BUFS.with(|cell| {
             let mut reg = cell.borrow_mut();
             if reg.hot.as_ref().is_none_or(|h| h.id != self.id) {
                 let buf = self.local_buf(&mut reg.all);
-                reg.hot = Some(Hot {
-                    id: self.id,
-                    buf,
-                    syms: Vec::new(),
-                    vals: ValMemo::default(),
-                });
+                reg.hot = Some(Hot { id: self.id, buf });
             }
-            f(self, reg.hot.as_mut().expect("hot slot just set"))
+            f(reg.hot.as_ref().expect("hot slot just set"))
         })
-    }
-
-    /// Intern `kind`'s payloads, then stamp and stage the event; flush
-    /// the staging buffer to a shard when it reaches [`LOCAL_FLUSH`].
-    #[inline]
-    fn push(&self, hot: &mut Hot, instance: u32, junction: u32, epoch: u64, kind: TraceKind<&str>) {
-        let kind = kind.map(|s| self.sym_of_str(&mut hot.vals, s));
-        let ev = TraceEvent {
-            gsn: self.gsn.0.fetch_add(1, Ordering::Relaxed),
-            at_us: self.stamp_us(),
-            instance,
-            junction,
-            epoch,
-            kind,
-        };
-        let mut events = hot.buf.events.lock();
-        events.push(ev);
-        if events.len() >= LOCAL_FLUSH {
-            self.flush_local(&mut events);
-        }
     }
 
     /// This thread's staging buffer for this tracer, created and
@@ -766,7 +700,7 @@ impl Tracer {
     /// chunk (the `Vec` itself changes hands — no per-event copy),
     /// evicting (and counting) the oldest events past capacity. Lock
     /// order is local → shard, matching [`Tracer::drain`].
-    fn flush_local(&self, events: &mut Vec<TraceEvent<u32>>) {
+    fn flush_local(&self, events: &mut Vec<TraceEvent<Name>>) {
         let chunk = std::mem::replace(events, Vec::with_capacity(LOCAL_FLUSH));
         let mut shard = self.shards[shard_index()].0.lock();
         shard.len += chunk.len();
@@ -789,8 +723,8 @@ impl Tracer {
         }
     }
 
-    /// Drain all recorded events, sorted by `gsn`, with interned
-    /// symbols resolved back to shared strings. Steals events
+    /// Drain all recorded events, sorted by `gsn`, with every name
+    /// rendered once into a shared string. Steals events
     /// still sitting in other threads' staging buffers, so a drain
     /// observes everything recorded before it regardless of flush
     /// boundaries.
@@ -807,8 +741,9 @@ impl Tracer {
             }
         }
         all.sort_unstable_by_key(|e| e.gsn);
-        let names = self.syms.lock().names.clone();
-        all.into_iter().map(|e| e.map(|sym| Arc::clone(&names[sym as usize]))).collect()
+        let mut texts: HashMap<Name, Arc<str>> = HashMap::new();
+        let mut text = |name: Name| Arc::clone(texts.entry(name).or_insert_with(|| name.render()));
+        all.into_iter().map(|e| e.map(&mut text)).collect()
     }
 
     /// Drain all recorded events as JSONL.
@@ -1083,7 +1018,7 @@ mod tests {
             let t2 = Arc::clone(&t);
             handles.push(std::thread::spawn(move || {
                 for _ in 0..100 {
-                    t2.record(&format!("i{k}"), "j", 0, TraceKind::Sched);
+                    t2.record(["i0", "i1", "i2", "i3"][k], "j", 0, TraceKind::Sched);
                 }
             }));
         }
@@ -1146,6 +1081,18 @@ mod tests {
         let events = c.drain();
         assert_eq!(events.len(), 1);
         assert_eq!(events[0].instance.as_ref(), "c");
+    }
+
+    /// Enabling a wall-clock tracer calibrates the cycle counter, so
+    /// the first record — which may run under a table lock — does not
+    /// sleep for it. (Another test in this binary may calibrate first:
+    /// run this one alone, `--exact`, to see it fail without the
+    /// warm-up.)
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn enabling_a_wall_clock_tracer_calibrates_the_cycle_counter() {
+        Tracer::new().set_enabled(true);
+        assert!(cycles::CAL.get().is_some());
     }
 
     /// One event per kind in the module doc's schema table, with its

@@ -17,7 +17,7 @@ use super::{DeliverFn, RouteState, INFLIGHT_ONE};
 use crate::cell::JunctionId;
 use crate::clock::Clock;
 use crate::eventcount::{spawn_service, EventCount};
-use crate::trace::{TraceKind, Tracer};
+use crate::trace::{Name, TraceKind, Tracer};
 
 struct SimPacket {
     arrival: Instant,
@@ -133,11 +133,8 @@ impl RouteState {
 /// Record a receiver-side shed (mailbox overflow at admit, expired
 /// deadline at dequeue), attributed to the sender like drops.
 pub(super) fn trace_shed(tracer: &Tracer, to: &JunctionId, u: &Update) {
-    if tracer.is_enabled() {
-        let to = to.qualified();
-        let ev = TraceKind::LinkShed { to: to.as_str(), seq: u.seq };
-        tracer.record(&u.from.instance, u.from.junction(), 0, ev);
-    }
+    let ev = TraceKind::LinkShed { to: Name::Junction(*to), seq: u.seq };
+    tracer.record_names(u.from.instance.as_str(), u.from.junction(), 0, ev);
 }
 
 /// Where every arrival goes: the delivery filter, then the delivery

@@ -56,7 +56,7 @@ use crate::clock::Clock;
 use crate::fault::{FaultDecision, FaultPlan, LinkFaults, RetryPolicy};
 use crate::overload::{OverloadConfig, OverloadState, OverloadStats, RetryBudgetPolicy};
 use crate::metrics::{Gauge, Metrics};
-use crate::trace::{TraceKind, Tracer};
+use crate::trace::{Name, TraceKind, Tracer};
 
 /// The kind of channel between a pair of instances.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -126,11 +126,6 @@ struct RouteState {
     /// Receiver-side dedup memory: seqs already delivered on this
     /// route.
     seen: RouteDedup,
-    /// Interned trace identities per (sending junction, target
-    /// junction) pair on this route, so the send path records trace
-    /// events without re-allocating the names. Bounded by the
-    /// program's topology.
-    trace_ids: Mutex<Vec<TraceIds>>,
 }
 
 /// Plain-state bit: a fault plan is installed.
@@ -139,17 +134,6 @@ const FAULTS: u64 = 1;
 const NOT_DIRECT: u64 = 2;
 /// One scheduled delivery in flight; the count sits above the flags.
 const INFLIGHT_ONE: u64 = 4;
-
-/// Trace identities of one (sending junction → target junction) pair.
-struct TraceIds {
-    /// `update.from` (`instance::junction`).
-    from: Sym,
-    to_junction: Sym,
-    sender_instance: Arc<str>,
-    sender_junction: Arc<str>,
-    /// `to.qualified()`.
-    to_qualified: Arc<str>,
-}
 
 impl RouteState {
     fn new(from: Sym, to: Sym, state: u64) -> Arc<RouteState> {
@@ -164,7 +148,6 @@ impl RouteState {
             fifo: Mutex::new(None),
             tcp: Mutex::new(None),
             seen: RouteDedup::default(),
-            trace_ids: Mutex::new(Vec::new()),
         })
     }
 
@@ -180,33 +163,6 @@ impl RouteState {
     /// Scheduled deliveries still in flight on this route.
     fn inflight(&self) -> u64 {
         self.state.load(Ordering::Acquire) / INFLIGHT_ONE
-    }
-
-    /// Shared (sender instance, sender junction, qualified target)
-    /// for `update.from → to`. Linear scan over a small vector by ids:
-    /// the pair set is bounded by the program's topology, so this beats
-    /// hashing and keeps traced sends free of string allocations.
-    fn trace_ids(&self, update: &Update, to: &JunctionId) -> (Arc<str>, Arc<str>, Arc<str>) {
-        let mut ids = self.trace_ids.lock();
-        let at = ids
-            .iter()
-            .position(|e| e.from == update.from.name && e.to_junction == to.junction)
-            .unwrap_or_else(|| {
-                ids.push(TraceIds {
-                    from: update.from.name,
-                    to_junction: to.junction,
-                    sender_instance: Arc::from(update.from.instance.as_str()),
-                    sender_junction: Arc::from(update.from.junction()),
-                    to_qualified: Arc::from(to.qualified()),
-                });
-                ids.len() - 1
-            });
-        let e = &ids[at];
-        (
-            Arc::clone(&e.sender_instance),
-            Arc::clone(&e.sender_junction),
-            Arc::clone(&e.to_qualified),
-        )
     }
 }
 
@@ -342,7 +298,7 @@ pub struct Network {
     default_link: LinkKind,
     /// All per-route transport state (seqs, generations, fault plans,
     /// link kinds, FIFO/serialization clocks, TCP connections, dedup
-    /// memory, trace identities), interned once per directed pair.
+    /// memory), one per directed pair.
     routes: Routes,
     sim: Arc<SimScheduler>,
     shutdown: Arc<AtomicBool>,
@@ -451,17 +407,18 @@ impl Network {
         }
     }
 
-    /// The send path's one trace hook: record a sender-attributed link
-    /// event for `update → to` under the route's interned identities.
-    /// `ev` receives the interned qualified target and the update, and
-    /// is only called while tracing is on.
-    fn emit<F>(&self, route: &RouteState, to: &JunctionId, update: &Update, ev: F)
+    /// The send path's one trace hook: record a link event for
+    /// `update → to`, attributed to the update's sender by its interned
+    /// texts. `ev` receives the target as a [`Name`] — the ring keeps
+    /// the `JunctionId`, and the drain renders `instance::junction` —
+    /// and the update; it is only called while tracing is on.
+    fn emit<F>(&self, to: &JunctionId, update: &Update, ev: F)
     where
-        F: for<'a> FnOnce(&'a str, &'a Update) -> TraceKind<&'a str>,
+        F: FnOnce(Name, &Update) -> TraceKind<Name>,
     {
         if self.tracer.is_enabled() {
-            let (fi, fj, to_q) = route.trace_ids(update, to);
-            self.tracer.record_ids(&fi, &fj, 0, ev(&to_q, update));
+            let (instance, junction) = (update.from.instance.as_str(), update.from.junction());
+            self.tracer.record_names(instance, junction, 0, ev(Name::Junction(*to), update));
         }
     }
 
@@ -704,7 +661,7 @@ impl Network {
     ) -> Result<(), (SendError, Update)> {
         if self.overload.refuses_send(data_plane, || route.inflight(), to) {
             self.overload.note_queue_full();
-            self.emit(route, to, &update, |to, u| TraceKind::LinkQueueFull { to, seq: u.seq });
+            self.emit(to, &update, |to, u| TraceKind::LinkQueueFull { to, seq: u.seq });
             return Err((SendError::QueueFull, update));
         }
         // The one read of the plain-state word: a plain route (0) takes
@@ -722,21 +679,21 @@ impl Network {
         match decision {
             FaultDecision::Partitioned => {
                 self.partitioned.fetch_add(1, Ordering::Relaxed);
-                self.emit(route, to, &update, |to, u| TraceKind::LinkPartition { to, seq: u.seq });
+                self.emit(to, &update, |to, u| TraceKind::LinkPartition { to, seq: u.seq });
                 Err((SendError::PartitionedAway, update))
             }
             FaultDecision::Drop => {
                 self.drops.fetch_add(1, Ordering::Relaxed);
-                self.emit(route, to, &update, |to, u| TraceKind::LinkDrop { to, seq: u.seq });
+                self.emit(to, &update, |to, u| TraceKind::LinkDrop { to, seq: u.seq });
                 Err((SendError::LinkDropped, update))
             }
             FaultDecision::Deliver { delay, duplicate, reorder } => {
                 let bytes = wire_size(&update) as u64;
                 self.msgs_sent.fetch_add(1, Ordering::Relaxed);
                 self.bytes_sent.fetch_add(bytes, Ordering::Relaxed);
-                self.emit(route, to, &update, |to, u| TraceKind::LinkSend {
+                self.emit(to, &update, |to, u| TraceKind::LinkSend {
                     to,
-                    key: u.key.as_str(),
+                    key: Name::Text(u.key.as_str()),
                     seq: u.seq,
                     bytes,
                 });
@@ -744,7 +701,7 @@ impl Network {
                 // link capacity. Placed after the `link_send` trace so
                 // conformance always sees a send preceding its shed.
                 if self.overload.shed_expired() && deadline.is_some_and(|d| self.clock.now() > d) {
-                    return Err(self.shed_send(route, to, update));
+                    return Err(self.shed_send(to, update));
                 }
                 // The original dispatches first and alone decides the
                 // send's outcome; the duplicate copy is best-effort
@@ -756,7 +713,7 @@ impl Network {
                 self.dispatch(route, state, to, update, delay, !reorder, deadline)?;
                 if let Some(copy) = dup_copy {
                     self.dups.fetch_add(1, Ordering::Relaxed);
-                    self.emit(route, to, &copy, |to, u| TraceKind::LinkDup { to, seq: u.seq });
+                    self.emit(to, &copy, |to, u| TraceKind::LinkDup { to, seq: u.seq });
                     // The original may have put a packet in flight.
                     let state = route.state.load(Ordering::Acquire);
                     let _ = self.dispatch(route, state, to, copy, delay, !reorder, deadline);
@@ -768,15 +725,10 @@ impl Network {
 
     /// Shed an update whose deadline has expired (or is predicted to)
     /// on the send side: counted, traced, refused fatally.
-    fn shed_send(
-        &self,
-        route: &RouteState,
-        to: &JunctionId,
-        update: Update,
-    ) -> (SendError, Update) {
+    fn shed_send(&self, to: &JunctionId, update: Update) -> (SendError, Update) {
         self.overload.note_shed();
         self.overload.note_deadline_expired();
-        self.emit(route, to, &update, |to, u| TraceKind::LinkShed { to, seq: u.seq });
+        self.emit(to, &update, |to, u| TraceKind::LinkShed { to, seq: u.seq });
         (SendError::DeadlineExpired, update)
     }
 
@@ -864,7 +816,7 @@ impl Network {
                 let transit = latency + extra_delay;
                 match route.sim_arrival(self.clock.now(), bytes, bandwidth, transit, late_after) {
                     Some(arrival) => arrival,
-                    None => return Err(self.shed_send(route, to, update)),
+                    None => return Err(self.shed_send(to, update)),
                 }
             }
         };

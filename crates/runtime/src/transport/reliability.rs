@@ -342,7 +342,7 @@ impl DeliveryFilter {
         if (u.seq >> FENCE_EPOCH_SHIFT) < floor && self.fence.enabled.load(Ordering::Relaxed) {
             self.fence.fenced.fetch_add(1, Ordering::Relaxed);
             let ev = TraceKind::LinkFenced { from: sender.as_str(), seq: u.seq };
-            self.tracer.record(&to.instance, &to.junction, 0, ev);
+            self.tracer.record(to.instance.as_str(), to.junction.as_str(), 0, ev);
             return false;
         }
         // Mailbox bound: shed the delivery when the destination mailbox
@@ -360,7 +360,7 @@ impl DeliveryFilter {
         if self.dedup_enabled.load(Ordering::Relaxed) && !route.seen.insert(u.seq) {
             self.deduped.fetch_add(1, Ordering::Relaxed);
             let ev = TraceKind::LinkDedup { from: sender.as_str(), seq: u.seq };
-            self.tracer.record(&to.instance, &to.junction, 0, ev);
+            self.tracer.record(to.instance.as_str(), to.junction.as_str(), 0, ev);
             return false;
         }
         true
@@ -449,7 +449,7 @@ impl Network {
         if stamp < floor && self.fence.enabled.load(Ordering::Relaxed) {
             self.fence.fenced.fetch_add(1, Ordering::Relaxed);
             let ev = TraceKind::LinkFenced { from: route.from.as_str(), seq: update.seq };
-            self.tracer.record(&update.from.instance, update.from.junction(), 0, ev);
+            self.tracer.record(update.from.instance.as_str(), update.from.junction(), 0, ev);
             return Err(SendError::Fenced);
         }
         Ok(())
@@ -494,7 +494,7 @@ impl Network {
                     update = back;
                     attempt += 1;
                     self.retries.fetch_add(1, Ordering::Relaxed);
-                    self.emit(route, to, &update, |to, u| TraceKind::LinkRetry {
+                    self.emit(to, &update, |to, u| TraceKind::LinkRetry {
                         to,
                         seq: u.seq,
                         attempt: attempt as u64,

@@ -6,7 +6,8 @@
 //! the route, the fence and the delivery look nothing up by name. So
 //! do the same sends on a route that went through a jittered backlog
 //! and came back to the fast path. A `reconsider` arm's entry
-//! fingerprint allocates nothing either.
+//! fingerprint allocates nothing either, and neither does a warm send
+//! with tracing on.
 
 use std::time::{Duration, Instant};
 
@@ -17,9 +18,9 @@ use csaw_core::formula::Formula;
 use csaw_core::names::JRef;
 use csaw_core::program::{InstanceType, JunctionDef, LoadConfig, Program};
 use csaw_core::value::Value;
-use csaw_kv::Update;
+use csaw_kv::{TableEvent, Update};
 use csaw_runtime::runtime::Policy;
-use csaw_runtime::{FaultPlan, Runtime, RuntimeConfig};
+use csaw_runtime::{FaultPlan, Runtime, RuntimeConfig, TraceKind};
 
 mod counting;
 
@@ -130,6 +131,49 @@ fn warm_direct_retract_allocates_nothing() {
         0,
         "a warm retract[γ] allocated"
     );
+}
+
+/// Tracing on, warm `write[γ]` rounds `s → r` allocate nothing on the
+/// sending thread, and the trace names both ends: `s`'s `link_send`
+/// carries the sender's texts, the target `r::junction` and the key,
+/// and `r`'s `kv_deliver` the same sender and sequence number. Twelve
+/// rounds stay under the tracer's 128-event staging flush.
+#[test]
+fn traced_send_allocates_nothing_and_names_both_ends() {
+    let rt = sender_and_receiver(write("n", JRef::var("peer")));
+    rt.deliver_for_test("s", "junction", Update::data("n", Value::Int(7), "t::j"));
+    rt.set_tracing(true);
+    let landed = |rt: &Runtime| rt.peek_data("r", "junction", "n") == Some(Value::Int(7));
+    let mut round = send_and_check(&rt, landed);
+    for _ in 0..3 {
+        round();
+    }
+    rt.trace_events();
+    let before = allocs();
+    for _ in 0..12 {
+        round();
+    }
+    assert_eq!(allocs() - before, 0, "a warm traced write allocated");
+
+    let events = rt.trace_events();
+    let sends: Vec<_> = events
+        .iter()
+        .filter_map(|e| match &e.kind {
+            TraceKind::LinkSend { to, key, seq, .. } => Some((e, to, key, *seq)),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(sends.len(), 12, "one link_send per round");
+    for (send, to, key, seq) in sends {
+        assert_eq!((&*send.instance, &*send.junction), ("s", "junction"));
+        assert_eq!((&**to, &**key), ("r::junction", "n"));
+        let delivered = events.iter().any(|e| {
+            &*e.instance == "r"
+                && matches!(&e.kind, TraceKind::Kv(TableEvent::Deliver { from, link_seq, .. })
+                    if &**from == "s::junction" && *link_seq == seq)
+        });
+        assert!(delivered, "no kv_deliver at r for seq {seq}: {events:?}");
+    }
 }
 
 /// Put the `s → r` route through a jittered backlog, then invoke `s`

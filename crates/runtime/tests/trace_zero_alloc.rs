@@ -1,10 +1,10 @@
-//! Regression gate for the trace hot path: once identities and payload
-//! strings are warm in the per-thread memos, recording a link or KV
-//! event performs **zero** heap allocations — through either entry
-//! point, and end to end from a live `Table` through the runtime's
-//! observer. The ring stores `TraceEvent<u32>`, so these tests catch
-//! any change that sneaks a `String`/`Arc` materialization back into
-//! the record path.
+//! Regression gate for the trace hot path: once a thread's staging
+//! buffer is warm, recording a link or KV event performs **zero** heap
+//! allocations — directly, and end to end from a live `Table` through
+//! the runtime's observer. The ring keeps the interned texts it is
+//! handed (`TraceEvent<Name>`) and renders them only at drain, so these
+//! tests catch any change that sneaks a `String`/`Arc`
+//! materialization, or an intern table, back into the record path.
 //!
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide; it counts per thread, so the
@@ -37,20 +37,19 @@ fn warm_allocs(mut round: impl FnMut()) -> u64 {
     allocs() - before
 }
 
-/// Every link kind through both identity flavours.
+/// Every link kind.
 #[test]
 fn warm_link_record_path_performs_zero_allocations() {
     let t = Tracer::new();
     t.set_enabled(true);
-    let inst: Arc<str> = "o".into();
-    let junc: Arc<str> = "junction".into();
+    let (inst, junc) = ("o", "junction");
     let to = "f::junction";
     let n = warm_allocs(|| {
-        t.record_ids(&inst, &junc, 1, TraceKind::LinkSend { to, key: "rq1", seq: 9, bytes: 64 });
-        t.record_ids(&inst, &junc, 1, TraceKind::LinkRetry { to, seq: 9, attempt: 1 });
-        t.record_ids(&inst, &junc, 1, TraceKind::LinkDrop { to, seq: 10 });
-        t.record_ids(&inst, &junc, 1, TraceKind::LinkDup { to, seq: 11 });
-        t.record_ids(&inst, &junc, 1, TraceKind::LinkPartition { to, seq: 12 });
+        t.record(inst, junc, 1, TraceKind::LinkSend { to, key: "rq1", seq: 9, bytes: 64 });
+        t.record(inst, junc, 1, TraceKind::LinkRetry { to, seq: 9, attempt: 1 });
+        t.record(inst, junc, 1, TraceKind::LinkDrop { to, seq: 10 });
+        t.record(inst, junc, 1, TraceKind::LinkDup { to, seq: 11 });
+        t.record(inst, junc, 1, TraceKind::LinkPartition { to, seq: 12 });
         t.record("f", "junction", 1, TraceKind::LinkDedup { from: "o", seq: 13 });
         t.record("f", "junction", 1, TraceKind::LinkFenced { from: "o", seq: 14 });
         t.record("o", "", 0, TraceKind::LinkHeartbeat { to: "f" });
@@ -60,13 +59,12 @@ fn warm_link_record_path_performs_zero_allocations() {
 }
 
 /// Every KV kind but the rare `kv_window_open` (which carries a key
-/// list), as the runtime's observer hands them over: borrowed.
+/// list), as the runtime's observer hands them over: interned texts.
 #[test]
 fn warm_kv_record_path_adds_zero_allocations() {
     let t = Tracer::new();
     t.set_enabled(true);
-    let inst: Arc<str> = "f".into();
-    let junc: Arc<str> = "serve".into();
+    let (inst, junc) = ("f", "serve");
     let (key, from) = ("Request", "o::junction");
     let n = warm_allocs(|| {
         for ev in [
@@ -78,7 +76,7 @@ fn warm_kv_record_path_adds_zero_allocations() {
             TableEvent::WindowClose { token: 1 },
             TableEvent::KeepDrop { key, from, link_seq: 7 },
         ] {
-            t.record_ids(&inst, &junc, 2, TraceKind::Kv(ev));
+            t.record(inst, junc, 2, TraceKind::Kv(ev));
         }
     });
     assert_eq!(n, 0, "warm KV record path must not allocate");

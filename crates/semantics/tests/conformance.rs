@@ -18,7 +18,7 @@ struct Fwd {
 }
 
 impl TableObserver for Fwd {
-    fn on_event(&self, epoch: u64, event: TableEvent<&str>) {
+    fn on_event(&self, epoch: u64, event: TableEvent<&'static str>) {
         self.tracer.record("t", "j", epoch, TraceKind::Kv(event));
     }
 }
