@@ -206,7 +206,7 @@ impl TransitionOutcome {
     /// Every invariant the transition broke, one line each: a lost
     /// acknowledged write, a permanently refused request, a cross-epoch
     /// conformance violation, an unaffected-instance pause beyond
-    /// [`BYSTANDER_BOUND`].
+    /// `BYSTANDER_BOUND`.
     pub fn broke(&self) -> Vec<String> {
         let (lost, refused, c) = (self.lost_acked_sets, self.refused, &self.conformance);
         let gap = Duration::from_micros(self.bystander_gap_us);
@@ -634,7 +634,7 @@ pub fn run_all(k: BenchKnobs) -> Vec<TransitionOutcome> {
 /// The `reconfig` command: all four transitions into
 /// `results/reconfig_downtime.json`. A transition that loses an
 /// acknowledged write, permanently refuses a request, fails cross-epoch
-/// conformance or pauses the bystander beyond [`BYSTANDER_BOUND`] fails
+/// conformance or pauses the bystander beyond `BYSTANDER_BOUND` fails
 /// the run and dumps its trace to
 /// `results/reconfig_offending_trace_<name>.jsonl`.
 pub fn command(smoke: bool) -> Outcome {

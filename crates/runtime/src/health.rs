@@ -66,6 +66,9 @@ struct Inner {
     config: HeartbeatConfig,
     /// (observer, peer) → last time observer heard peer's ping.
     last_heard: HashMap<(String, String), Instant>,
+    /// The suspected (observer, peer) pairs as of the last
+    /// [`HeartbeatState::suspicion_changes`].
+    suspected: Vec<(String, String)>,
 }
 
 /// Shared failure-detector state: who last heard from whom.
@@ -83,6 +86,7 @@ impl HeartbeatState {
             inner: Mutex::new(Inner {
                 config: HeartbeatConfig::default(),
                 last_heard: HashMap::new(),
+                suspected: Vec::new(),
             }),
         }
     }
@@ -192,6 +196,34 @@ impl HeartbeatState {
             }
             None => false,
         }
+    }
+
+    /// The observers whose suspected peers changed since the last call,
+    /// sorted: onset after silence, clearing by a heard ping, and a
+    /// fresh window from `watch`, `reprime` or `enable`. Nothing else
+    /// marks a suspicion change, so the monitor calls this after each
+    /// round's pings and wakes the observers' `S(ι)` readers.
+    pub(crate) fn suspicion_changes(&self) -> Vec<String> {
+        let mut inner = self.inner.lock();
+        let bar = inner.config.suspicion_after();
+        let now = self.clock.now();
+        let current: Vec<(String, String)> = inner
+            .last_heard
+            .iter()
+            .filter(|((obs, peer), t)| obs != peer && now.saturating_duration_since(**t) > bar)
+            .map(|(pair, _)| pair.clone())
+            .collect();
+        let previous = std::mem::replace(&mut inner.suspected, current);
+        let current = &inner.suspected;
+        let mut changed: Vec<String> = previous
+            .iter()
+            .chain(current)
+            .filter(|pair| previous.contains(pair) != current.contains(pair))
+            .map(|(obs, _)| obs.clone())
+            .collect();
+        changed.sort();
+        changed.dedup();
+        changed
     }
 
     /// The observers currently suspecting `peer`, for K-of-N repair

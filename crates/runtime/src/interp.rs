@@ -77,6 +77,9 @@ pub(crate) struct ExecCtx<'rt> {
     jrt: &'rt JunctionRt,
     /// The earliest deadline of the enclosing `otherwise[t]` constructs.
     deadline: Option<Instant>,
+    /// Whether this is an arm of a `+`/`∥n`: a sibling arm's `wait` may
+    /// read what it writes, so its local writes signal the cell.
+    in_par: bool,
     /// Transaction undo-log stack. Rollback restores only the keys *this
     /// context* wrote, so parallel arms' transactions do not clobber each
     /// other (the whole-table snapshot the paper describes is only
@@ -101,7 +104,7 @@ impl<'rt> ExecCtx<'rt> {
         inst: &'rt InstanceState,
         jrt: &'rt JunctionRt,
     ) -> Self {
-        ExecCtx { rt, inst, jrt, deadline: None, txn_logs: Vec::new() }
+        ExecCtx { rt, inst, jrt, deadline: None, in_par: false, txn_logs: Vec::new() }
     }
 
     fn cell(&self) -> &'rt Cell {
@@ -114,6 +117,13 @@ impl<'rt> ExecCtx<'rt> {
     fn app(&self) -> parking_lot::MutexGuard<'rt, Box<dyn InstanceApp>> {
         signal_held();
         self.inst.app.lock()
+    }
+
+    /// Wake a sibling arm's `wait` after a local write to the table.
+    fn nudge_siblings(&self) {
+        if self.in_par {
+            self.cell().nudge();
+        }
     }
 
     fn me(&self) -> JunctionId {
@@ -286,6 +296,8 @@ impl<'rt> ExecCtx<'rt> {
                                 }
                             }
                         }
+                        drop(table);
+                        self.nudge_siblings();
                         Err(f)
                     }
                     ok => {
@@ -491,6 +503,10 @@ impl<'rt> ExecCtx<'rt> {
         let r = app.host_call(name, &mut ctx);
         // The call may have moved an `idx` cursor of its write set.
         self.jrt.refresh_idx(&table, idx);
+        drop(table);
+        if !writes.is_empty() {
+            self.nudge_siblings();
+        }
         r.map_err(|m| Failure::Host {
             func: name.to_string(),
             message: m,
@@ -516,6 +532,9 @@ impl<'rt> ExecCtx<'rt> {
             Err(_) if at.is_some() => None,
             Err(e) => return Err(e.into()),
         };
+        if old.is_some() {
+            self.nudge_siblings();
+        }
         if let Some(j) = at {
             let dest = self.target(j)?;
             let from = self.jrt.lowered.sender;
@@ -527,6 +546,7 @@ impl<'rt> ExecCtx<'rt> {
             if let Err(f) = self.rt.send(self.me().instance, &dest, update, self.deadline) {
                 if let Some(old) = old {
                     let _ = self.cell().table().set_prop_local(key, old);
+                    self.nudge_siblings();
                 }
                 return Err(f);
             }
@@ -559,16 +579,14 @@ impl<'rt> ExecCtx<'rt> {
                     context: format!("wait {formula} in {}", self.me()),
                 });
             }
+            // Both clocks block to the hard deadline: the formula only
+            // changes when something signals this cell, so the re-check
+            // after every wake-up loses nothing.
             if clock.is_simulated() {
                 // No condvar under virtual time: the table guard is
                 // dropped first, and the sim hook makes one unit of
                 // progress elsewhere (deliveries, other junctions) or
-                // advances the virtual clock. The target is the hard
-                // deadline, not the poll tick: the formula only changes
-                // when the hook delivers or runs something, so the
-                // re-check after every unit of progress loses nothing,
-                // and tick-sized steps would burn a schedule step per
-                // tick of dead virtual air.
+                // advances the virtual clock.
                 drop(table);
                 clock.block_until(hard_deadline);
             } else if let Some(mut table) = self.rt.run_held(table) {
@@ -578,10 +596,10 @@ impl<'rt> ExecCtx<'rt> {
                 // this one sleeps, and the formula is looked at again.)
                 // Parked under the guard the formula was evaluated
                 // under: a delivery needs that lock, so none can land
-                // between the evaluation and the sleep. `tick` is for
-                // the remote atoms, whose changes signal nobody.
-                let next = (now + self.rt.config.tick).min(hard_deadline);
-                self.cell().wait_on(&mut table, seen, next);
+                // between the evaluation and the sleep. What else can
+                // move the formula signals the cell: a `γ@P` table's
+                // change, a liveness change, a sibling arm's write.
+                self.cell().wait_on(&mut table, seen, hard_deadline);
             }
         });
         self.cell().table().close_window(token);
@@ -596,7 +614,7 @@ impl<'rt> ExecCtx<'rt> {
             return self.eval(arms[0]);
         }
         let (rt, inst, jrt, deadline) = (self.rt, self.inst, self.jrt, self.deadline);
-        let arm_ctx = || ExecCtx { rt, inst, jrt, deadline, txn_logs: Vec::new() };
+        let arm_ctx = || ExecCtx { deadline, in_par: true, ..ExecCtx::new(rt, inst, jrt) };
         let results: Vec<RtResult<Flow>> = if self.rt.clock().is_simulated() {
             // Under virtual time the executor is single-threaded, so a
             // scoped-thread fan-out would deadlock waiting on arms that

@@ -633,6 +633,7 @@ impl Runtime {
                 reg.insert(Arc::clone(inst));
             }
         }
+        self.inner.readers.rebuild(&self.inner.instances.read());
         self.inner.tracer.record("", "", 0, TraceKind::ReconfigCut);
         // A cut to the program already served (a supervisor restart, a
         // no-op transition) shares its entry rather than copying it.
@@ -750,7 +751,7 @@ impl Runtime {
                         for (to, update) in buffered {
                             match inst.junction_id(to.junction) {
                                 Some(jrt) if inst.status() == InstanceStatus::Running => {
-                                    jrt.deliver(inst, update);
+                                    jrt.deliver(inst, update, &self.inner.readers);
                                     flushed += 1;
                                 }
                                 _ => dropped_updates += 1,

@@ -10,7 +10,7 @@ use std::time::{Duration, Instant};
 use csaw_core::expr::Arg;
 use csaw_core::formula::Ternary;
 use csaw_core::intern::{KeyId, Sym};
-use csaw_core::lower::{self, Bindings, LoweredJunction, Prog, Slot};
+use csaw_core::lower::{self, Bindings, LoweredJunction, Remote, Slot};
 use csaw_core::names::{JRef, NameRef};
 use csaw_core::program::{CompiledProgram, JunctionDef, MainDef};
 use csaw_core::value::Value;
@@ -92,6 +92,10 @@ pub(crate) enum Nesting {
     /// The end of the activation signals the junction's scheduler; on
     /// the wall clock the activation lock is waited for.
     Top,
+    /// A pass of the junction's own scheduler thread: as `Top`, but the
+    /// thread looks at the junction again itself, so the end of the
+    /// activation signals only a waiting `invoke`.
+    Own,
     /// The activation lock is only tried, and the caller decides
     /// whether to signal the scheduler.
     Nested,
@@ -128,17 +132,13 @@ pub struct Event {
     pub detail: String,
 }
 
-/// Runtime tuning knobs.
+/// Runtime tuning knobs. None of them is a poll interval: every input
+/// of a guard or a `wait` signals the threads that read it, or is an
+/// exact deadline (a failure backoff, a period, a caller's deadline).
 #[derive(Clone, Debug)]
 pub struct RuntimeConfig {
     /// Default link kind between instances.
     pub default_link: LinkKind,
-    /// Poll interval for what no signal announces: `γ@P`/`S(ι)` atoms
-    /// in a guard or a `wait`, `Periodic` junctions and a `Startup` run
-    /// still owed. Deliveries, activation ends and lifecycle changes wake
-    /// the thread that can act on them directly and never wait for it;
-    /// a failure backoff is a deadline of its own.
-    pub tick: Duration,
     /// Upper bound on an un-deadlined `wait` (prevents silent hangs; the
     /// paper's examples always bound waits with `otherwise[t]`).
     pub max_wait: Duration,
@@ -159,7 +159,6 @@ impl Default for RuntimeConfig {
     fn default() -> Self {
         RuntimeConfig {
             default_link: LinkKind::Direct,
-            tick: Duration::from_millis(2),
             max_wait: Duration::from_secs(30),
             invoke_timeout: Duration::from_secs(10),
             clock: Clock::wall(),
@@ -203,8 +202,11 @@ pub(crate) struct JunctionRt {
     /// fault — a fenced link, a partitioned peer — is still there, and
     /// re-running at wake speed would just spin on it.
     pub(crate) handled_failures: AtomicU32,
-    /// What this junction's scheduler thread parks on.
+    /// What this junction's scheduler thread parks on, and an `invoke`
+    /// waiting for the guard.
     pub(crate) sched: EventCount<()>,
+    /// `invoke`s of this junction waiting for its guard.
+    invokers: AtomicU32,
     /// Scheduler passes made over this junction
     /// (`scheduler_passes_total{instance,junction}`).
     passes: Arc<AtomicU64>,
@@ -236,23 +238,28 @@ impl JunctionRt {
         }
     }
 
-    /// When an idle scheduler must look again unprompted: when its armed
-    /// failure backoff ends, or one `tick` on if the junction reads what
-    /// no signal announces — `γ@P`/`S(ι)` atoms in its guard, a period,
-    /// an initial run still owed. `None`: only a signal can make it due.
-    fn poll_deadline(&self, tick: Duration) -> Option<Instant> {
-        if !self.self_scheduling() {
-            return None;
-        }
-        let polls = match *self.policy.lock() {
-            Policy::Auto => self.lowered.guard.as_ref().is_some_and(Prog::has_remotes),
-            _ => true,
+    /// Whether a thread parks on `sched` for this junction's guard: its
+    /// scheduler, when it can run the junction on its own, or an
+    /// `invoke` waiting for the guard to hold.
+    fn guard_watched(&self) -> bool {
+        self.self_scheduling() || self.invokers.load(Ordering::SeqCst) > 0
+    }
+
+    /// The first instant after `now` at which this junction falls due
+    /// with no signal: its failure backoff's end or, for a `Periodic`
+    /// junction, its period's end. Every other input of its guard
+    /// signals `sched`. The wall-clock scheduler parks until it; the sim
+    /// executor folds it into its next deadline.
+    pub(crate) fn next_due(&self, now: Instant) -> Option<Instant> {
+        let period_end = match *self.policy.lock() {
+            Policy::Periodic(iv) => self.last_run.lock().map(|t| t + iv),
+            _ => None,
         };
-        let now = Instant::now();
-        match *self.backoff_until.lock() {
-            Some(until) if now < until => Some(until),
-            _ => polls.then(|| now + tick),
-        }
+        [*self.backoff_until.lock(), period_end]
+            .into_iter()
+            .flatten()
+            .filter(|&t| t > now)
+            .min()
     }
 
     /// Fill every binding slot from the parameter environment and the
@@ -294,29 +301,98 @@ impl JunctionRt {
         }
     }
 
-    /// Tell the scheduler thread its guard may have changed — unless it
-    /// has nothing to schedule, in which case it stays parked.
+    /// Tell whoever waits for the guard that it may have changed — the
+    /// scheduler thread, unless it has nothing to schedule, and a
+    /// waiting `invoke`.
     pub(crate) fn wake_scheduler(&self) {
-        if self.self_scheduling() {
+        if self.guard_watched() {
             self.sched.signal();
         }
     }
 
     /// Deliver a remote update to this junction of `inst` and wake the
-    /// one thread that can act on it: a `wait` whose window applied it
-    /// (in [`Cell::deliver`]), or this junction's scheduler when it was
+    /// thread that can act on it: a `wait` whose window applied it (in
+    /// [`Cell::deliver`]), or whoever waits for the guard when it was
     /// queued and can have changed the guard. Inside a wall-clock
     /// activation the scheduler's wake is held instead, for the
     /// activation to run or signal when it parks or ends
-    /// ([`RuntimeInner::run_held`]).
-    pub(crate) fn deliver(self: &Arc<Self>, inst: &Arc<InstanceState>, update: Update) {
+    /// ([`RuntimeInner::run_held`]). An update that can move a formula
+    /// also signals the `γ@P` readers.
+    pub(crate) fn deliver(
+        self: &Arc<Self>,
+        inst: &Arc<InstanceState>,
+        update: Update,
+        readers: &RemoteReaders,
+    ) {
         let moves_guard = moves_formulas(&update);
         if self.cell.deliver(update) == Delivery::Queued
             && moves_guard
-            && self.self_scheduling()
+            && self.guard_watched()
             && !hold_wake(inst, self)
         {
             self.sched.signal();
+        }
+        if moves_guard {
+            readers.signal();
+        }
+    }
+}
+
+/// An `invoke` counted in [`JunctionRt::invokers`] until it ends.
+struct WaitingInvoke<'a>(&'a JunctionRt);
+
+impl<'a> WaitingInvoke<'a> {
+    fn register(jrt: &'a JunctionRt) -> WaitingInvoke<'a> {
+        jrt.invokers.fetch_add(1, Ordering::SeqCst);
+        WaitingInvoke(jrt)
+    }
+}
+
+impl Drop for WaitingInvoke<'_> {
+    fn drop(&mut self) {
+        self.0.invokers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// The junctions whose lowered program reads a `γ@P` atom, in a guard
+/// or a `wait`. A table's change signals only its own junction, so
+/// every change another junction can read there also signals the
+/// junctions listed here — their schedulers, if they schedule
+/// themselves, and their `wait`s: a delivery that can move a formula,
+/// queued or applied, and the end of an activation (its local writes,
+/// and the queued updates an observer now reads as applied). Built with
+/// the registry and rebuilt at each reconfiguration's cut. Empty on most
+/// programs, where a signal costs one load.
+#[derive(Default)]
+pub(crate) struct RemoteReaders {
+    any: AtomicBool,
+    list: RwLock<Vec<Arc<JunctionRt>>>,
+}
+
+impl RemoteReaders {
+    pub(crate) fn rebuild(&self, instances: &Instances) {
+        let list: Vec<Arc<JunctionRt>> = instances
+            .values()
+            .flat_map(|inst| &inst.junctions)
+            .filter(|j| {
+                j.lowered
+                    .remotes
+                    .iter()
+                    .any(|r| matches!(r, Remote::Prop { .. }))
+            })
+            .cloned()
+            .collect();
+        let any = !list.is_empty();
+        *self.list.write() = list;
+        self.any.store(any, Ordering::SeqCst);
+    }
+
+    pub(crate) fn signal(&self) {
+        if self.any.load(Ordering::SeqCst) {
+            for jrt in self.list.read().iter() {
+                jrt.wake_scheduler();
+                jrt.cell.nudge();
+            }
         }
     }
 }
@@ -428,8 +504,6 @@ pub(crate) struct InstanceState {
     pub(crate) name: String,
     /// `name`, interned: the registry's index.
     pub(crate) id: Sym,
-    #[allow(dead_code)]
-    pub(crate) type_name: String,
     pub(crate) status: AtomicU8,
     pub(crate) junctions: Vec<Arc<JunctionRt>>,
     pub(crate) app: Arc<Mutex<Box<dyn InstanceApp>>>,
@@ -550,6 +624,8 @@ pub(crate) struct RuntimeInner {
     pub(crate) booting: AtomicBool,
     /// Heartbeat failure detector (shared with the delivery closure).
     pub(crate) hb: Arc<HeartbeatState>,
+    /// The junctions that read `γ@P` (shared with the delivery closure).
+    pub(crate) readers: Arc<RemoteReaders>,
     /// Causal trace recorder (shared with cell observers + network).
     pub(crate) tracer: Arc<Tracer>,
     /// Metrics registry (shared with the network).
@@ -960,9 +1036,12 @@ impl RuntimeInner {
         jrt.cell.nudge();
         // A nested pass's caller signals the scheduler itself, and only
         // if the guard still holds (`run_held`).
-        if nesting == Nesting::Top {
-            jrt.wake_scheduler();
+        match nesting {
+            Nesting::Top => jrt.wake_scheduler(),
+            Nesting::Own if jrt.invokers.load(Ordering::SeqCst) > 0 => jrt.sched.signal(),
+            Nesting::Own | Nesting::Nested => {}
         }
+        self.readers.signal();
         let absorbed = jrt.handled_failures.load(Ordering::Relaxed) != handled_before;
         match result {
             Ok(()) => {
@@ -1112,12 +1191,19 @@ impl RuntimeInner {
                 return;
             }
             let runnable = status == InstanceStatus::Running && !self.booting.load(Ordering::SeqCst);
-            if runnable && self.scheduler_pass(&inst, &jrt, Nesting::Top) {
+            let ran = runnable && self.scheduler_pass(&inst, &jrt, Nesting::Own);
+            // Parked until a signal, or until a failure backoff or a
+            // period ends: every other input of the guard signals. A
+            // pass that ran looks again at once, since the guard may
+            // still hold, unless one of those deadlines bars it.
+            let deadline = if runnable && jrt.self_scheduling() {
+                jrt.next_due(self.clock().now())
+            } else {
+                None
+            };
+            if ran && deadline.is_none() {
                 continue;
             }
-            // Parked until a signal, or until a polled input (remote
-            // atom, period, backoff) is due for another look.
-            let deadline = runnable.then(|| jrt.poll_deadline(self.config.tick)).flatten();
             jrt.sched.park(&mut jrt.sched.lock(), seen, deadline);
         }
     }
@@ -1153,6 +1239,14 @@ impl RuntimeInner {
                 self.tracer.record(from_id.as_str(), "", 0, hb);
                 // Loss is the signal: no retry, errors ignored.
                 let _ = self.network.send_raw(from_id, &to, ping);
+            }
+        }
+        // Suspicion grows with silence, which no event marks: the round
+        // announces it, waking the `S(ι)` readers of every observer whose
+        // suspicions it finds changed.
+        for observer in self.hb.suspicion_changes() {
+            if let Some(inst) = self.get_instance(&observer) {
+                inst.wake();
             }
         }
     }
@@ -1198,6 +1292,9 @@ impl Runtime {
         let inflight2 = Arc::clone(&inflight);
         let hb = Arc::new(HeartbeatState::new(clock.clone()));
         let hb2 = Arc::clone(&hb);
+        let readers = Arc::new(RemoteReaders::default());
+        readers.rebuild(&registry.read());
+        let readers2 = Arc::clone(&readers);
         let deliver: DeliverFn = Arc::new(move |to: &JunctionId, update: Update| {
             // Heartbeat pings feed the failure detector and stop here —
             // `__hb` is not a real junction. They bypass the hold buffer
@@ -1222,7 +1319,7 @@ impl Runtime {
                     if let Some(inst) = reg2.read().get(to.instance) {
                         if inst.status() == InstanceStatus::Running {
                             if let Some(jrt) = inst.junction_id(to.junction) {
-                                jrt.deliver(inst, update);
+                                jrt.deliver(inst, update, &readers2);
                             }
                         }
                     }
@@ -1245,7 +1342,7 @@ impl Runtime {
             if let Some(inst) = reg2.read().get(to.instance) {
                 if inst.status() == InstanceStatus::Running {
                     if let Some(jrt) = inst.junction_id(to.junction) {
-                        jrt.deliver(inst, update);
+                        jrt.deliver(inst, update, &readers2);
                     }
                 }
             }
@@ -1281,6 +1378,7 @@ impl Runtime {
             shutdown: AtomicBool::new(false),
             booting: AtomicBool::new(false),
             hb,
+            readers,
             m_activations: metrics.counter("activations_total"),
             h_activation: metrics.histogram("activation_duration"),
             tracer,
@@ -1523,7 +1621,11 @@ impl Runtime {
             .junction(junction)
             .ok_or_else(|| Failure::Unresolved(format!("junction `{instance}::{junction}`")))?
             .clone();
+        // Counted as waiting from the first false guard on, so whatever
+        // can move the guard signals `sched` for this invoke too.
+        let mut waiting = None;
         loop {
+            let seen = jrt.sched.current();
             if inst.status() != InstanceStatus::Running {
                 return Err(Failure::TargetDown { target: instance.to_string() });
             }
@@ -1540,10 +1642,12 @@ impl Runtime {
                 // 1ms poll would burn a schedule step per virtual
                 // millisecond even when nothing is due before `deadline`.
                 self.inner.clock().block_until(deadline);
+            } else if waiting.is_none() {
+                // Registered first, then the guard is looked at again:
+                // no signal after that look is lost.
+                waiting = Some(WaitingInvoke::register(&jrt));
             } else {
-                self.inner
-                    .clock()
-                    .sleep(self.inner.config.tick.min(Duration::from_millis(1)));
+                jrt.sched.park(&mut jrt.sched.lock(), seen, Some(deadline));
             }
         }
     }
@@ -1738,7 +1842,7 @@ impl Runtime {
     pub fn deliver_for_test(&self, instance: &str, junction: &str, update: Update) {
         if let Some(inst) = self.inner.get_instance(instance) {
             if let Some(jrt) = inst.junction(junction) {
-                jrt.deliver(&inst, update);
+                jrt.deliver(&inst, update, &self.inner.readers);
             }
         }
     }
@@ -1866,6 +1970,7 @@ pub(crate) fn build_instance_state(
             backoff_until: Mutex::new(None),
             handled_failures: AtomicU32::new(0),
             sched: EventCount::new((), Arc::clone(&wake_signals)),
+            invokers: AtomicU32::new(0),
             passes: metrics.counter(&format!(
                 "scheduler_passes_total{{instance=\"{}\",junction=\"{}\"}}",
                 ci.name, jd.name
@@ -1877,7 +1982,6 @@ pub(crate) fn build_instance_state(
     Arc::new(InstanceState {
         name: ci.name.clone(),
         id: Sym::new(&ci.name),
-        type_name: ci.type_name.clone(),
         status: AtomicU8::new(InstanceStatus::NotStarted as u8),
         junctions,
         app: Arc::new(Mutex::new(Box::new(NoopApp) as Box<dyn InstanceApp>)),
@@ -2024,7 +2128,7 @@ mod tests {
 
         let inst = rt.inner.get_instance("b").unwrap();
         let frame = ActivationFrame::open();
-        jrt.deliver(&inst, Update::assert("Work", "a::j"));
+        jrt.deliver(&inst, Update::assert("Work", "a::j"), &rt.inner.readers);
         disable(&rt);
         assert!(rt.inner.run_held(()).is_none(), "the wake was held");
         drop(frame);

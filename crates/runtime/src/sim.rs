@@ -35,10 +35,10 @@
 //! Because every source of nondeterminism — event order, virtual time,
 //! fault dice, retry jitter — is derived from seeds, a schedule is
 //! fully described by `(seed, injections)` and its recorded step list.
-//! A failing schedule serializes to a JSON [`Artifact`]; [`replay`]
-//! re-executes the recorded steps against a fresh runtime, and
-//! [`shrink_steps`] greedily deletes chunks of the record (re-checking
-//! the failure oracle each time) to minimize it. During replay, records
+//! A failing schedule serializes to a JSON [`Artifact`];
+//! [`SimExecutor::replay`] re-executes the recorded steps against a
+//! fresh runtime, and [`shrink_steps`] greedily deletes chunks of the
+//! record (re-checking the failure oracle each time) to minimize it. During replay, records
 //! that are no longer enabled are skipped and an exhausted record list
 //! falls back to a deterministic drain, so shrunk artifacts still
 //! replay bit-for-bit.
@@ -254,10 +254,6 @@ struct GuidedRun {
     /// Footprint + post-state fingerprint of the branch step (the last
     /// forced record). `None` on the root run, which forces nothing.
     branch: Option<(Footprint, u64)>,
-    /// The run stopped because every enabled step was asleep — the
-    /// subtree is covered through a sibling ordering.
-    #[allow(dead_code)]
-    slept_out: bool,
 }
 
 /// Which just-chosen step the post-execution measurement should file.
@@ -283,7 +279,6 @@ struct Guided {
     want_hash: bool,
     points: Vec<DecisionPoint>,
     branch: Option<(Footprint, u64)>,
-    slept_out: bool,
     pending: GuidedPending,
 }
 
@@ -526,7 +521,6 @@ impl SimExecutor {
                 Mode::Guided(g) => Some(GuidedRun {
                     points: std::mem::take(&mut g.points),
                     branch: g.branch.take(),
-                    slept_out: g.slept_out,
                 }),
                 _ => None,
             };
@@ -622,13 +616,8 @@ impl SimShared {
                 continue;
             }
             for jrt in &inst.junctions {
-                if let Some(t) = *jrt.backoff_until.lock() {
+                if let Some(t) = jrt.next_due(now) {
                     fold(t);
-                }
-                if let Policy::Periodic(iv) = *jrt.policy.lock() {
-                    if let Some(t) = *jrt.last_run.lock() {
-                        fold(t + iv);
-                    }
                 }
             }
         }
@@ -771,10 +760,10 @@ impl SimShared {
                                 .iter()
                                 .position(|r| !g.sleep.iter().any(|(s, _)| s == r));
                             match idx {
-                                None => {
-                                    g.slept_out = true;
-                                    return Picked::Halt;
-                                }
+                                // Every enabled step is asleep: the
+                                // subtree is covered through a sibling
+                                // ordering.
+                                None => return Picked::Halt,
                                 Some(i) => {
                                     g.points.push(DecisionPoint {
                                         step_idx: steps_len,
@@ -1199,7 +1188,6 @@ impl SimExecutor {
                 want_hash: dfs.hash_prune,
                 points: Vec::new(),
                 branch: None,
-                slept_out: false,
                 pending: GuidedPending::None,
             };
             let (outcome, run) = self.drive_inner(&rt, Mode::Guided(guided), None);

@@ -13,8 +13,8 @@
 //!
 //! Delivery order is FIFO per (sender instance, receiver instance) pair
 //! for every link kind, matching the paper's "handled in the order that
-//! they are received" — unless a [`FaultPlan`](crate::fault::FaultPlan)
-//! injects reordering on the link.
+//! they are received" — unless a [`FaultPlan`] injects reordering on
+//! the link.
 //!
 //! ## Reliability layer
 //!

@@ -24,6 +24,7 @@ use counting::allocs;
 #[global_allocator]
 static ALLOC: counting::Counting = counting::Counting;
 
+/// How often the helper thread looks for a new round.
 const TICK: Duration = Duration::from_millis(1);
 
 /// `a` has a guard over a plain, a negated and a parameter-indexed
@@ -77,13 +78,7 @@ fn probe() -> Runtime {
         )
         .build();
     let cp = csaw_core::compile(program, &LoadConfig::new()).expect("probe compiles");
-    let rt = Runtime::new(
-        &cp,
-        RuntimeConfig {
-            tick: TICK,
-            ..Default::default()
-        },
-    );
+    let rt = Runtime::new(&cp, RuntimeConfig::default());
     rt.set_policy("a", "junction", Policy::OnDemand);
     rt.set_policy("w", "junction", Policy::OnDemand);
     rt.run_main(vec![]).expect("main runs");
@@ -110,7 +105,7 @@ fn warm_wait_rechecks_allocate_nothing() {
     const HOLD: Duration = Duration::from_millis(20);
     let rt = probe();
     // Round `r` of the helper asserts `Go` once the waiter has had
-    // `HOLD` to park and re-check every tick.
+    // `HOLD` to park.
     let round = AtomicU64::new(0);
     std::thread::scope(|s| {
         s.spawn(|| {
@@ -142,7 +137,7 @@ fn warm_wait_rechecks_allocate_nothing() {
         let took = started.elapsed();
         round.store(u64::MAX, Ordering::SeqCst);
         assert_eq!(spent, 0, "warm waits allocated");
-        // Each wait parked and re-checked the formula every tick.
+        // Each wait parked until `Go` arrived.
         assert!(
             took >= HOLD * ROUNDS as u32 / 2,
             "the waits did not wait: {took:?}"

@@ -1,15 +1,20 @@
 //! Hand-off wake-ups on the relay path: a request through `sharding(4)`
 //! costs at most one wake-up per hop and, since the front-end's `wait`
 //! runs the back-end pass its own `assert` made due, none at all; none
-//! is ever lost, and nobody off the path is woken. The tick is 2 s in
-//! the request tests, so anything that falls back on polling shows as a
-//! stall; with the default tick, a back-end whose guard reads only its
-//! own table never polls at all. The `wake_inline_*` tests check where
-//! a nested pass may not run (a target whose body can park), that no
-//! place the caller blocks at delays a held wake (an app call, a retry
-//! backoff, the end of the activation), and what a nested pass does to
-//! its caller: it runs to its end, past the caller's deadline, and its
-//! panic stays its own. The stopped, crashed and held targets are
+//! is ever lost, and nobody off the path is woken. Nothing polls, so a
+//! lost wake-up hangs its request to the front-end's 10 s `otherwise`
+//! deadline, and an idle junction parks until a signal or its period's
+//! end. The `wake_remote_*`, `wake_liveness_*`, `wake_par_*`,
+//! `wake_invoke_*` and `wake_periodic_*` tests take each input of a
+//! guard or a `wait` that only its own signal or deadline covers — a
+//! `γ@P` table, `S(ι)` from the registry and from heartbeats, a sibling
+//! `par` arm's write, a false guard under `invoke`, a period — and hang
+//! to their deadline if that signal is missing. The `wake_inline_*` tests
+//! check where a nested pass may not run (a target whose body can
+//! park), that no place the caller blocks at delays a held wake (an app
+//! call, a retry backoff, the end of the activation), and what a nested
+//! pass does to its caller: it runs to its end, past the caller's
+//! deadline, and its panic stays its own. The stopped, crashed and held targets are
 //! covered by the library's own `wake_inline_*` tests (`runtime.rs`).
 
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -27,7 +32,6 @@ use csaw_core::value::Value;
 use csaw_runtime::runtime::Policy;
 use csaw_runtime::{FaultPlan, HostCtx, InstanceApp, RetryPolicy, Runtime, RuntimeConfig};
 
-const TICK: Duration = Duration::from_secs(2);
 const SHARDS: usize = 4;
 
 /// The front-end's host side: `Choose` picks the back-ends in turn.
@@ -54,10 +58,7 @@ impl InstanceApp for RoundRobin {
 /// `sharding(4)` over Direct links, the front-end `OnDemand`, back-ends
 /// the no-op app, booted.
 fn relay() -> Runtime {
-    relay_with(RuntimeConfig {
-        tick: TICK,
-        ..Default::default()
-    })
+    relay_with(RuntimeConfig::default())
 }
 
 fn relay_with(config: RuntimeConfig) -> Runtime {
@@ -87,12 +88,12 @@ fn wake_no_request_waits_out_a_tick() {
         rt.invoke("Fnt", "junction").expect("request served");
         let took = sent.elapsed();
         assert!(
-            took < TICK / 2,
+            took < Duration::from_secs(1),
             "request {i} took {took:?}: it slept through a wake-up"
         );
     }
-    // One lost wake-up per hundred requests would cost a tick each.
-    let budget = TICK * (REQUESTS / 100) / 4;
+    // 5 ms a request on average.
+    let budget = Duration::from_secs(15);
     assert!(
         started.elapsed() < budget,
         "{REQUESTS} requests took {:?}",
@@ -168,8 +169,7 @@ fn wake_inline_relay_wakes_no_thread() {
 
 /// A back-end's guard (`Work`) reads only its own table, whose every
 /// change signals its scheduler, so an idle back-end parks with no
-/// deadline instead of waking every `tick` (500 passes a second at the
-/// default 2 ms).
+/// deadline.
 #[test]
 fn wake_idle_local_guards_do_not_poll() {
     let rt = relay_with(RuntimeConfig::default());
@@ -329,7 +329,6 @@ fn wake_inline_never_nests_a_target_that_waits_on_its_caller() {
         assert_at(at("a"), "Done"),
     ]);
     let config = RuntimeConfig {
-        tick: TICK,
         max_wait: Duration::from_secs(5),
         ..Default::default()
     };
@@ -352,17 +351,14 @@ fn wake_inline_never_nests_a_target_that_waits_on_its_caller() {
 /// `a` asserts `Work` at `b` and ends without a `wait`, by `a_end`,
 /// which calls no app. The end of its activation signals the wake it
 /// held: `b`'s guard reads only its own table, so nothing else would
-/// run `b` before the 2 s tick.
+/// ever run `b`.
 fn served_after_an_activation_ends(a_end: Expr) {
     let a_body = seq([assert_at(at("b"), "Work"), a_end]);
     let b_body = seq([host("Serve"), retract_local("Work")]);
-    let config = RuntimeConfig {
-        tick: TICK,
-        ..Default::default()
-    };
-    let (rt, served, _, _) = boot(pair(a_body, b_body), config);
+    let (rt, served, _, _) = boot(pair(a_body, b_body), RuntimeConfig::default());
     let _ = rt.invoke("a", "j");
-    assert!(within(TICK / 4, || served.lock().unwrap().len() == 1));
+    let one_served = || served.lock().unwrap().len() == 1;
+    assert!(within(Duration::from_millis(500), one_served));
     assert_eq!(served.lock().unwrap()[0].0, "csaw-b-j");
     rt.shutdown();
 }
@@ -392,7 +388,7 @@ fn wake_inline_app_call_signals_what_it_holds() {
     std::thread::scope(|s| {
         let request = s.spawn(|| rt.invoke("a", "j"));
         paused.recv().unwrap();
-        let during_save = within(TICK, || served.lock().unwrap().len() == 1);
+        let during_save = within(Duration::from_secs(2), || served.lock().unwrap().len() == 1);
         resume.send(()).unwrap();
         request.join().unwrap().expect("request served");
         assert!(during_save, "b waited for a's app call to return");
@@ -492,5 +488,255 @@ fn wake_inline_retry_backoff_does_not_delay_earlier_sends() {
     assert_eq!(thread, "csaw-b-j");
     let delay = at.duration_since(started);
     assert!(delay < first_backoff, "b ran {delay:?} after the request");
+    rt.shutdown();
+}
+
+/// The instant of each `Seen` host call; `Pause` sleeps [`PAUSE`].
+#[derive(Clone, Default)]
+struct Watcher(Arc<Mutex<Vec<Instant>>>);
+
+/// How long `Pause` takes.
+const PAUSE: Duration = Duration::from_millis(50);
+
+impl Watcher {
+    fn seen(&self) -> Vec<Instant> {
+        self.0.lock().unwrap().clone()
+    }
+}
+
+impl InstanceApp for Watcher {
+    fn host_call(&mut self, name: &str, _ctx: &mut HostCtx<'_>) -> Result<(), String> {
+        match name {
+            "Seen" => self.0.lock().unwrap().push(Instant::now()),
+            "Pause" => std::thread::sleep(PAUSE),
+            _ => {}
+        }
+        Ok(())
+    }
+    fn save(&mut self, _key: &str) -> Result<Value, String> {
+        Ok(Value::Bool(true))
+    }
+    fn restore(&mut self, _key: &str, _value: &Value) -> Result<(), String> {
+        Ok(())
+    }
+}
+
+/// Instances `p` and `w`, each with one junction `j`. `p` declares
+/// `Ready` and runs `p_body` when invoked. `w` declares `Go` and `Ready`, has
+/// `w_guard` if one is given, runs `w_body` with a [`Watcher`] app and
+/// is scheduled by `w_policy`. A `wait` or an `invoke` gives up after
+/// 5 s, so a missing signal fails the test instead of hanging it.
+fn watch(
+    p_body: Expr,
+    w_guard: Option<Formula>,
+    w_body: Expr,
+    w_policy: Policy,
+) -> (Runtime, Watcher) {
+    let mut w_decls = vec![Decl::prop_false("Go"), Decl::prop_false("Ready")];
+    w_decls.extend(w_guard.map(Decl::guard));
+    let ty = |name: &str, decls, body| {
+        InstanceType::new(name, vec![JunctionDef::new("j", vec![], decls, body)])
+    };
+    let program = ProgramBuilder::new()
+        .ty(ty("tP", vec![Decl::prop_false("Ready")], p_body))
+        .ty(ty("tW", w_decls, w_body))
+        .instance("p", "tP")
+        .instance("w", "tW")
+        .main(vec![], par([start("p", vec![]), start("w", vec![])]))
+        .build();
+    let cp = csaw_core::compile(program, &LoadConfig::new()).expect("compiles");
+    let config = RuntimeConfig {
+        max_wait: Duration::from_secs(5),
+        invoke_timeout: Duration::from_secs(5),
+        ..Default::default()
+    };
+    let rt = Runtime::new(&cp, config);
+    let watcher = Watcher::default();
+    rt.bind_app("w", Box::new(watcher.clone()));
+    rt.set_policy("p", "j", Policy::OnDemand);
+    rt.set_policy("w", "j", w_policy);
+    rt.run_main(vec![]).expect("main runs");
+    (rt, watcher)
+}
+
+/// `Ready@p` in `w`'s guard turns true by an update queued at `p`, which
+/// nobody runs: the delivery signals `w`'s scheduler.
+#[test]
+fn wake_remote_prop_queued_delivery_runs_a_guard() {
+    let ready = Formula::at(at("p"), Formula::prop("Ready"));
+    let body = seq([host("Seen"), retract_at(at("p"), "Ready")]);
+    let (rt, watcher) = watch(skip(), Some(ready), body, Policy::Auto);
+    // `w`'s scheduler looks at its false guard once and parks.
+    std::thread::sleep(PAUSE);
+    let sent = Instant::now();
+    rt.deliver_for_test("p", "j", csaw_kv::Update::assert("Ready", "x::j"));
+    assert!(
+        within(Duration::from_secs(1), || watcher.seen().len() == 1),
+        "w never saw Ready@p"
+    );
+    let took = watcher.seen()[0].saturating_duration_since(sent);
+    assert!(
+        took < Duration::from_secs(1),
+        "w saw Ready@p after {took:?}"
+    );
+    rt.shutdown();
+}
+
+/// `Ready@p` in `w`'s `wait` turns true by `p`'s own local write: the end
+/// of `p`'s activation signals `w`'s cell.
+#[test]
+fn wake_remote_prop_own_write_ends_a_wait() {
+    let ready = Formula::at(at("p"), Formula::prop("Ready"));
+    let body = seq([wait(Vec::<String>::new(), ready), host("Seen")]);
+    let (rt, watcher) = watch(assert_local("Ready"), None, body, Policy::OnDemand);
+    std::thread::scope(|s| {
+        let waiting = s.spawn(|| rt.invoke("w", "j"));
+        std::thread::sleep(PAUSE);
+        rt.invoke("p", "j").expect("p writes Ready");
+        let wrote = Instant::now();
+        waiting.join().unwrap().expect("w's wait ends");
+        let took = watcher.seen()[0].saturating_duration_since(wrote);
+        assert!(
+            took < Duration::from_secs(1),
+            "w saw Ready@p after {took:?}"
+        );
+    });
+    rt.shutdown();
+}
+
+/// `¬S(p)` in `w`'s `wait` turns true when `p` stops, and again when it
+/// crashes: each lifecycle change signals every cell.
+#[test]
+fn wake_liveness_stop_and_crash_end_a_wait() {
+    let down = Formula::live("p").not();
+    let body = seq([wait(Vec::<String>::new(), down), host("Seen")]);
+    let (rt, watcher) = watch(skip(), None, body, Policy::OnDemand);
+    let take_down: [&dyn Fn(&Runtime); 2] = [&|rt| rt.stop("p").unwrap(), &|rt| rt.crash("p")];
+    for (round, take_down) in take_down.into_iter().enumerate() {
+        std::thread::scope(|s| {
+            let waiting = s.spawn(|| rt.invoke("w", "j"));
+            std::thread::sleep(PAUSE);
+            take_down(&rt);
+            let downed = Instant::now();
+            waiting.join().unwrap().expect("w's wait ends");
+            let took = watcher.seen()[round].saturating_duration_since(downed);
+            assert!(
+                took < Duration::from_secs(1),
+                "round {round}: after {took:?}"
+            );
+        });
+        rt.restart("p").unwrap();
+    }
+    rt.shutdown();
+}
+
+/// Under heartbeats, `w` suspects `p` once `p`'s pings stop arriving,
+/// and clears the suspicion once they arrive again. Nothing but the
+/// monitor's round sees either change, so the round signals `w`.
+#[test]
+fn wake_liveness_heartbeat_suspicion_onset_and_clearing() {
+    let body = seq([
+        wait(Vec::<String>::new(), Formula::live("p").not()),
+        host("Seen"),
+        wait(Vec::<String>::new(), Formula::live("p")),
+        host("Seen"),
+    ]);
+    let (rt, watcher) = watch(skip(), None, body, Policy::OnDemand);
+    let hb = csaw_runtime::HeartbeatConfig {
+        interval: Duration::from_millis(10),
+        suspicion: Duration::from_millis(50),
+        k_missed: 2,
+    };
+    rt.enable_heartbeats(hb);
+    std::thread::sleep(PAUSE);
+    std::thread::scope(|s| {
+        let waiting = s.spawn(|| rt.invoke("w", "j"));
+        std::thread::sleep(PAUSE);
+        // Onset: 100 ms of silence, seen at the next round.
+        rt.set_fault_plan("p", "w", FaultPlan::none().with_drop(1.0));
+        let cut = Instant::now();
+        assert!(
+            within(Duration::from_secs(2), || watcher.seen().len() == 1),
+            "w never suspected p"
+        );
+        let onset = watcher.seen()[0].saturating_duration_since(cut);
+        // Clearing: the first ping heard, seen in its own round.
+        rt.clear_fault_plan("p", "w");
+        let healed = Instant::now();
+        assert!(
+            within(Duration::from_secs(2), || watcher.seen().len() == 2),
+            "w never heard from p again"
+        );
+        let cleared = watcher.seen()[1].saturating_duration_since(healed);
+        waiting.join().unwrap().expect("both waits end");
+        assert!(onset < Duration::from_secs(2), "suspected after {onset:?}");
+        assert!(
+            cleared < Duration::from_secs(1),
+            "cleared after {cleared:?}"
+        );
+    });
+    rt.shutdown();
+}
+
+/// One arm of `w`'s `+` waits for `Go`, the other asserts it after
+/// [`PAUSE`]: the arm's local write signals its cell.
+#[test]
+fn wake_par_arm_write_wakes_its_sibling_wait() {
+    let body = par([
+        wait(Vec::<String>::new(), Formula::prop("Go")),
+        seq([host("Pause"), assert_local("Go")]),
+    ]);
+    let (rt, _) = watch(skip(), None, body, Policy::OnDemand);
+    let started = Instant::now();
+    rt.invoke("w", "j").expect("the wait ends");
+    let took = started.elapsed();
+    assert!(took < Duration::from_secs(1), "the par took {took:?}");
+    rt.shutdown();
+}
+
+/// `invoke` of `w`, which is `OnDemand` with a false guard, waits for
+/// the guard. An update queued at `w` signals the waiting invoke.
+#[test]
+fn wake_invoke_false_guard_released_by_a_queued_delivery() {
+    let body = seq([host("Seen"), retract_local("Go")]);
+    let (rt, watcher) = watch(skip(), Some(Formula::prop("Go")), body, Policy::OnDemand);
+    std::thread::scope(|s| {
+        let invoked = s.spawn(|| rt.invoke("w", "j"));
+        std::thread::sleep(PAUSE);
+        let sent = Instant::now();
+        rt.deliver_for_test("w", "j", csaw_kv::Update::assert("Go", "x::j"));
+        invoked.join().unwrap().expect("the guard came true");
+        let took = watcher.seen()[0].saturating_duration_since(sent);
+        assert!(
+            took < Duration::from_secs(1),
+            "the invoke ran {took:?} after Go"
+        );
+    });
+    rt.shutdown();
+}
+
+/// An idle `Periodic(100 ms)` junction parks until its period ends: one
+/// scheduler pass a period, not one a poll.
+#[test]
+fn wake_periodic_idle_junction_passes_once_a_period() {
+    let (rt, _) = watch(
+        skip(),
+        None,
+        skip(),
+        Policy::Periodic(Duration::from_millis(100)),
+    );
+    let pass_count = || {
+        rt.metrics()
+            .counter_value("scheduler_passes_total{instance=\"w\",junction=\"j\"}")
+    };
+    let before = pass_count();
+    std::thread::sleep(Duration::from_secs(1));
+    let made = pass_count() - before;
+    let ran = rt.activations("w");
+    assert!(
+        made <= 12,
+        "idle periodic w made {made} scheduler passes in 1 s"
+    );
+    assert!(ran >= 5, "w ran {ran} times in 1 s");
     rt.shutdown();
 }

@@ -138,16 +138,14 @@ fn same_architecture_drives_redis_and_suricata() {
 }
 
 /// The hand-off path end to end: mini-redis requests relayed through
-/// `sharding` with a 2 s tick. Each hop wakes the thread that serves it
-/// (the back-end's scheduler, then the front-end's `wait`), so nothing
-/// polls; one wake-up slept through costs a whole tick and fails this.
+/// `sharding`. Each hop wakes the thread that serves it (the back-end's
+/// scheduler, then the front-end's `wait`), and nothing polls: one
+/// wake-up slept through hangs a request to its 5 s `otherwise`
+/// deadline and fails this.
 #[test]
 fn relay_round_trips_do_not_wait_for_a_tick() {
     let cp = csaw::core::compile(sharding(&ShardingSpec::default()), &LoadConfig::new()).unwrap();
-    let rt = Runtime::new(
-        &cp,
-        RuntimeConfig { tick: Duration::from_secs(2), ..Default::default() },
-    );
+    let rt = Runtime::new(&cp, RuntimeConfig::default());
     let front = csaw::redis::apps::ShardFrontApp::new(csaw::redis::apps::ShardMode::ByKey, 4);
     let requests = Arc::clone(&front.requests);
     let replies = Arc::clone(&front.replies);
