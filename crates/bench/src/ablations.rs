@@ -73,8 +73,10 @@ pub fn transports(msgs: usize) -> Report {
 }
 
 /// Serializer recursion-depth cap vs encode cost and output size.
-/// Deep list traversal needs the big-stack helper (the encoder recurses
-/// once per node).
+/// The codec walks list tails in a loop, so a deep list needs no deep
+/// stack. The work runs on `with_big_stack`'s thread like the stores'
+/// checkpoints, which keep the helper until the benchmark ledger counts
+/// exited threads (its `cpu_us_per_req` reads live threads only).
 pub fn serializer_depth() -> Report {
     csaw_serial::codec::with_big_stack(|| {
         let mut reg = csaw_serial::Registry::new();

@@ -12,8 +12,8 @@
 //!      not what this box serves at once. Acceptance wants ≥ 2× the
 //!      single instance.
 //!   2. [`THREADS`] workers record [`EVENTS`] events into one enabled
-//!      tracer as fast as they can — the pure hot path (thread-local
-//!      staging buffer, bulk flush every 128 events). Acceptance wants
+//!      tracer as fast as they can — the pure hot path (each thread
+//!      pushes onto its own shard's bounded ring). Acceptance wants
 //!      < 100 ns/event at saturation. The metric is wall time of the
 //!      whole run over total events, so it is the serialized per-event
 //!      CPU cost on a single-core box and the aggregate cost under real
@@ -131,11 +131,7 @@ fn shards_alone_summed_qps(n: usize, secs: f64) -> f64 {
 
 /// `threads` workers split `total_events` recordings into one enabled
 /// tracer with static identity texts (the record sites' shape).
-/// Returns wall ns/event over the whole run, measured in steady state:
-/// a full warm-up pass grows the ring shards and faults their memory
-/// in, a drain empties them (capacity is retained), and the timed pass
-/// re-fills them — so the number is the recording cost,
-/// not allocator ramp-up or ring eviction.
+/// Returns wall ns/event, the best of three timed passes.
 fn trace_saturation(threads: usize, total_events: usize) -> f64 {
     let tracer = Tracer::with_capacity(1 << 20);
     tracer.set_enabled(true);
@@ -158,11 +154,12 @@ fn trace_saturation(threads: usize, total_events: usize) -> f64 {
             0.0
         }
     };
-    // Warm-up: fill the ring past capacity so the timed passes run in
-    // eviction steady state — each flush hands one chunk to the ring and
-    // evicts one, so chunk allocations recycle through the allocator and
-    // no fresh pages are faulted in while the clock is running. That is
-    // the regime a saturated tracer actually operates in.
+    // Warm-up: one untimed pass. Every pass spawns fresh threads, which
+    // the round-robin shard index spreads over the shards; a thread on a
+    // shard that is still empty grows its ring for its first 65 536
+    // records (at most 1/16 of the ≥ 1 M a thread makes per pass), and
+    // from there each record evicts one event and allocates nothing.
+    // That wrapped ring is the regime a saturated tracer operates in.
     record_all(false);
     // Best of three, no drain in between (a drain would empty the ring
     // and put the next rep back into growth mode). On a shared box the

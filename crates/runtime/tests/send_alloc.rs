@@ -137,7 +137,8 @@ fn warm_direct_retract_allocates_nothing() {
 /// sending thread, and the trace names both ends: `s`'s `link_send`
 /// carries the sender's texts, the target `r::junction` and the key,
 /// and `r`'s `kv_deliver` the same sender and sequence number. Twelve
-/// rounds stay under the tracer's 128-event staging flush.
+/// rounds stay inside the block a drain leaves each shard ring, so no
+/// counted record grows a ring.
 #[test]
 fn traced_send_allocates_nothing_and_names_both_ends() {
     let rt = sender_and_receiver(write("n", JRef::var("peer")));

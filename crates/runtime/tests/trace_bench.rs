@@ -6,6 +6,7 @@
 //! cargo test --release -p csaw-runtime --test trace_bench -- --ignored --nocapture
 //! ```
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use csaw_kv::TableEvent;
@@ -22,9 +23,10 @@ fn time<F: FnMut()>(n: u64, mut f: F) -> f64 {
 }
 
 /// The parts of one record, side by side: the timestamp (`rdtsc` on
-/// x86-64), the push into a thread's staging buffer (an uncontended
-/// lock and a `Vec` push of one ring event, emptied every 128 events
-/// like the tracer's flush) and the global `gsn` `fetch_add`.
+/// x86-64), the push onto a thread's shard (an uncontended lock and a
+/// push of one ring event onto a full bounded `VecDeque`, which evicts
+/// its oldest event first, as a wrapped shard does) and the global
+/// `gsn` `fetch_add`.
 #[test]
 #[ignore]
 fn component_costs() {
@@ -40,10 +42,14 @@ fn component_costs() {
     });
     #[cfg(not(target_arch = "x86_64"))]
     let rdtsc = f64::NAN;
-    let staging: Mutex<Vec<TraceEvent<Name>>> = Mutex::new(Vec::with_capacity(128));
+    const BOUND: usize = 1 << 16;
+    let ring: Mutex<VecDeque<TraceEvent<Name>>> = Mutex::new(VecDeque::with_capacity(BOUND));
     let push = time(n, || {
-        let mut events = staging.lock();
-        events.push(TraceEvent {
+        let mut ring = ring.lock();
+        if ring.len() == BOUND {
+            ring.pop_front();
+        }
+        ring.push_back(TraceEvent {
             gsn: 1,
             at_us: 2,
             instance: Name::Text("Fnt"),
@@ -51,10 +57,7 @@ fn component_costs() {
             epoch: 3,
             kind: TraceKind::Sched,
         });
-        if events.len() >= 128 {
-            events.clear();
-        }
-        std::hint::black_box(&*events);
+        std::hint::black_box(&*ring);
     });
     let ctr = std::sync::atomic::AtomicU64::new(0);
     let atomic = time(n, || {
@@ -62,7 +65,7 @@ fn component_costs() {
     });
     println!("instant elapsed_us:   {clock:.0} ns");
     println!("rdtsc read:           {rdtsc:.1} ns");
-    println!("staging push:         {push:.1} ns");
+    println!("ring push (evicting): {push:.1} ns");
     println!("atomic fetch_add:     {atomic:.1} ns");
 }
 
@@ -70,7 +73,8 @@ fn component_costs() {
 #[ignore]
 fn per_event_costs() {
     let n = 1_000_000u64;
-    // 32× headroom so a single-threaded run never hits shard eviction.
+    // 32× headroom: a single-threaded run grows its shard and never
+    // evicts.
     let tracer = Tracer::with_capacity(32 * n as usize);
     tracer.set_enabled(true);
 
@@ -100,12 +104,21 @@ fn per_event_costs() {
         );
     });
 
-    let tracer4 = Tracer::with_capacity(64);
+    // The default ring, wrapped: this thread's shard already holds its
+    // newest 65 536 events, so each record evicts one.
+    let tracer4 = Tracer::new();
+    tracer4.set_enabled(true);
+    let wrap = || tracer4.record("Fnt", "junction", 7, TraceKind::Sched);
+    time(1 << 17, wrap);
+    let wrapped = time(n, wrap);
+
+    let tracer5 = Tracer::with_capacity(64);
     let disabled = time(n, || {
-        tracer4.record("Fnt", "junction", 7, TraceKind::Sched);
+        tracer5.record("Fnt", "junction", 7, TraceKind::Sched);
     });
 
     println!("sched (no strings):   {sched:.0} ns/event");
+    println!("sched (wrapped ring): {wrapped:.0} ns/event");
     println!("kv local_write:       {kv:.0} ns/event");
     println!("link_send:            {send:.0} ns/event");
     println!("disabled:             {disabled:.1} ns/event");

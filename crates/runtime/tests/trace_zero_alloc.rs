@@ -1,15 +1,17 @@
-//! Regression gate for the trace hot path: once a thread's staging
-//! buffer is warm, recording a link or KV event performs **zero** heap
-//! allocations — directly, and end to end from a live `Table` through
-//! the runtime's observer. The ring keeps the interned texts it is
-//! handed (`TraceEvent<Name>`) and renders them only at drain, so these
-//! tests catch any change that sneaks a `String`/`Arc`
-//! materialization, or an intern table, back into the record path.
+//! Regression gate for the trace hot path: once a thread's shard ring
+//! is warm, recording a link or KV event performs **zero** heap
+//! allocations — directly, end to end from a live `Table` through the
+//! runtime's observer, and on a ring that has wrapped and evicts an
+//! event per record. The ring keeps the interned texts it is handed
+//! (`TraceEvent<Name>`) and renders them only at drain, so these tests
+//! catch any change that sneaks a `String`/`Arc` materialization, or an
+//! intern table, back into the record path.
 //!
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide; it counts per thread, so the
-//! tests may run in parallel. Every test stays under the 128-event
-//! staging flush, so no hot loop pays (or hides) a buffer handoff.
+//! tests may run in parallel. Each test's tracer is its own, so a test
+//! thread is alone on its shard's ring; the first three stay inside the
+//! ring's first block, so no counted record grows it.
 
 use std::sync::Arc;
 
@@ -119,4 +121,20 @@ fn warm_table_trace_path_performs_zero_allocations() {
     // The first activation has nothing queued to flush.
     assert_eq!(events.len(), 15 * 6 - 2);
     assert!(events.iter().all(|e| matches!(e.kind, TraceKind::Kv(_))));
+}
+
+/// A ring that has wrapped evicts its oldest event for each new one and
+/// never allocates: 1 000 warm records fill a 256-event shard, and the
+/// next 10 000 each evict one.
+#[test]
+fn warm_wrapped_ring_records_allocate_nothing() {
+    let t = Tracer::with_capacity(16 * 256);
+    t.set_enabled(true);
+    let record = |n: u64| t.record("f", "serve", n, TraceKind::Sched);
+    (0..1_000).for_each(record);
+    let before = allocs();
+    (0..10_000).for_each(record);
+    assert_eq!(allocs() - before, 0, "a wrapped ring record allocated");
+    assert_eq!(t.drain().len(), 256);
+    assert_eq!(t.dropped(), 11_000 - 256);
 }

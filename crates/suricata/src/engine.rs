@@ -217,8 +217,10 @@ impl Engine {
         reg
     }
 
-    /// Serialize engine state (the checkpoint payload). Runs on a
-    /// big-stack thread: the flow list recurses per node.
+    /// Serialize engine state (the checkpoint payload). The codec walks
+    /// the flow list in a loop, so no list length needs a deep stack;
+    /// it runs on `with_big_stack`'s thread for the reason
+    /// `mini_redis::Store::checkpoint` gives.
     pub fn checkpoint(&self) -> Result<Vec<u8>, String> {
         csaw_serial::codec::with_big_stack(|| self.checkpoint_inner())
     }
